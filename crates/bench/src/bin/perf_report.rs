@@ -13,7 +13,8 @@
 //! Usage: `cargo run --release -p gqos-bench --bin perf_report --
 //!         [--out BENCH_core.json] [--samples 9] [--span-secs 60]
 //!         [--threads 4] [--assert-parallel-speedup <ratio>]
-//!         [--assert-fleet-place-ms <ms>] [--assert-fleet-speedup <ratio>]`
+//!         [--assert-fleet-place-ms <ms>] [--assert-fleet-speedup <ratio>]
+//!         [--assert-spc-parse-ns <ns>]`
 //!
 //! With `--assert-parallel-speedup 0.75` the run fails unless
 //! `planner/menu_parallel_5` comes in at or under 0.75× of
@@ -26,6 +27,11 @@
 //! `--assert-fleet-place-ms 1000` and `--assert-fleet-speedup 20` gate
 //! the wall-clock ceiling of `fleet/place_1000` and the cached-vs-naive
 //! packer ratio for CI.
+//!
+//! `trace/spc_parse` is the SPC ingest stage on its own: ns per record to
+//! drain a fixed-seed OpenMail trace, serialised as SPC text, through
+//! `SpcStream` at `DEFAULT_CHUNK`. `--assert-spc-parse-ns 200` fails the
+//! run when it comes in above 200 ns per record.
 
 use std::time::Instant;
 
@@ -37,8 +43,9 @@ use gqos_core::{
 };
 use gqos_parallel::WorkerPool;
 use gqos_sim::{simulate, Event, EventKind, FixedRateServer, IndexedEventQueue, ServiceClass};
+use gqos_stream::{ArrivalStream, SpcStream, DEFAULT_CHUNK};
 use gqos_trace::gen::profiles::TraceProfile;
-use gqos_trace::{Iops, SimDuration, SimTime, TraceSummary, Workload};
+use gqos_trace::{spc, Iops, SimDuration, SimTime, TraceSummary, Workload};
 
 /// One measured kernel: median nanoseconds per operation, plus how many
 /// trace elements one operation touches (0 when not meaningful).
@@ -136,6 +143,7 @@ fn main() {
     let speedup_bound = parse_ratio("--assert-parallel-speedup");
     let fleet_place_ceiling_ms = parse_flag(&args, "--assert-fleet-place-ms");
     let fleet_speedup_floor = parse_ratio("--assert-fleet-speedup");
+    let spc_parse_ceiling_ns = parse_flag(&args, "--assert-spc-parse-ns");
 
     let openmail = TraceProfile::OpenMail.generate(span, 1);
     let websearch = TraceProfile::WebSearch.generate(span, 1);
@@ -165,6 +173,28 @@ fn main() {
             elements,
         });
     };
+
+    // --- SPC ingest ------------------------------------------------------
+    let mut spc_bytes = Vec::new();
+    spc::write_trace(&openmail, &mut spc_bytes).expect("writing to memory cannot fail");
+    let mut chunk = Vec::with_capacity(DEFAULT_CHUNK);
+    let spc_parse_ns = measure(samples, 20, || {
+        let mut stream = SpcStream::new(&spc_bytes[..], DEFAULT_CHUNK);
+        let mut records = 0;
+        while let k @ 1.. = stream.next_chunk(&mut chunk).expect("valid SPC") {
+            records += k;
+        }
+        records
+    }) / n as f64;
+    push("trace/spc_parse", spc_parse_ns, n);
+    if let Some(ceiling_ns) = spc_parse_ceiling_ns {
+        assert!(
+            spc_parse_ns <= ceiling_ns as f64,
+            "trace/spc_parse ({spc_parse_ns:.1} ns per record) exceeded the \
+             {ceiling_ns} ns ceiling"
+        );
+        println!("  spc parse assertion: trace/spc_parse <= {ceiling_ns} ns ok");
+    }
 
     // --- RTT kernels -----------------------------------------------------
     let mut classifier = RttClassifier::new(Iops::new(1000.0), delta);

@@ -9,7 +9,7 @@
 //!   (the golden reference: ids and order are exactly the workload's);
 //! - [`SpcStream`] — an incremental SPC file reader built on
 //!   [`gqos_trace::spc::Records`], never holding more than one chunk of
-//!   parsed records;
+//!   parsed records and allocating nothing per record;
 //! - [`SyntheticStream`] — any arrival-time iterator (e.g. a generator's
 //!   output fed lazily).
 //!
@@ -197,11 +197,11 @@ impl ArrivalStream for WorkloadStream {
 
 /// An incremental SPC trace reader yielding sorted chunks.
 ///
-/// Reads one record at a time through [`gqos_trace::spc::Records`] (the
-/// same hardened parser as `spc::read_trace`), sorts each chunk, and
-/// assigns dense sequential ids. Sources reordered within one chunk are
-/// repaired; reordering across the chunk horizon is a
-/// [`StreamError::OutOfOrder`].
+/// Fills each chunk from [`gqos_trace::spc::Records`] (the same byte-level
+/// parser as `spc::read_trace`, which parses lines in place in its read
+/// buffer and allocates nothing per record), sorts the chunk, and assigns
+/// dense sequential ids. Sources reordered within one chunk are repaired;
+/// reordering across the chunk horizon is a [`StreamError::OutOfOrder`].
 ///
 /// # Examples
 ///

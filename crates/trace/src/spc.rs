@@ -76,13 +76,30 @@ impl From<io::Error> for ParseSpcError {
 /// [`Request`] per trace record, without materialising the whole file.
 ///
 /// This is the streaming counterpart of [`read_trace`] (which is built on
-/// it): blank lines and `#` comments are skipped, and each record goes
-/// through the same hardened [`parse_record`] path, so the two agree on
-/// every accept/reject decision. Requests are yielded in **file order**
-/// with default ids; callers that need a sorted, densely-identified stream
-/// (the contract of a `Workload`) must sort and assign ids themselves —
+/// it): blank lines and `#` comments are skipped, and every record goes
+/// through the same byte-level parser, so the two agree on every
+/// accept/reject decision. Requests are yielded in **file order** with
+/// default ids; callers that need a sorted, densely-identified stream (the
+/// contract of a `Workload`) must sort and assign ids themselves —
 /// `read_trace` does so globally, the chunked `gqos-stream` adapter per
 /// chunk.
+///
+/// Reading allocates nothing per record. A line that lies whole in the
+/// reader's buffer is parsed in place; one that straddles the buffer's end
+/// is gathered in a spill buffer reused from line to line. Each line then
+/// reads exactly as `BufRead::lines` would give it:
+///
+/// - its `\n` or `\r\n` ending is removed;
+/// - it is validated as UTF-8 once; invalid UTF-8 is an
+///   [`io::ErrorKind::InvalidData`] error that does not count the line,
+///   and reading goes on with the next one;
+/// - it and each of its fields are trimmed as by `str::trim`, so Unicode
+///   whitespace such as U+000B, U+00A0 or U+3000 pads a field harmlessly.
+///
+/// Fields are split on the byte offsets of `,`. `LBA` and `Size` take a
+/// digits-only fast path, and `Timestamp` Clinger's exact one (at most 15
+/// digits as `int[.frac]`, one IEEE division); any other text goes to the
+/// std parser, so values and error messages are those of `str::parse`.
 ///
 /// # Examples
 ///
@@ -97,7 +114,9 @@ impl From<io::Error> for ParseSpcError {
 /// ```
 #[derive(Debug)]
 pub struct Records<R: Read> {
-    lines: io::Lines<BufReader<R>>,
+    reader: BufReader<R>,
+    /// The current line when it straddles the end of `reader`'s buffer.
+    spill: Vec<u8>,
     line_no: usize,
 }
 
@@ -105,7 +124,8 @@ impl<R: Read> Records<R> {
     /// Creates a reader over `reader`. A `&mut` reference may be passed.
     pub fn new(reader: R) -> Self {
         Records {
-            lines: BufReader::new(reader).lines(),
+            reader: BufReader::new(reader),
+            spill: Vec::new(),
             line_no: 0,
         }
     }
@@ -122,16 +142,34 @@ impl<R: Read> Iterator for Records<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let line = match self.lines.next()? {
-                Ok(line) => line,
+            // The same buffer fills, retries and consumes as
+            // `BufRead::read_until`, so the underlying reader sees exactly
+            // the reads (and surfaces exactly the errors) of `lines()`.
+            let available = match self.reader.fill_buf() {
+                Ok(available) => available,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Some(Err(ParseSpcError::Io(e))),
             };
-            self.line_no += 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
+            if available.is_empty() {
+                return None;
             }
-            return Some(parse_record(trimmed, self.line_no));
+            let item = match available.iter().position(|&b| b == b'\n') {
+                Some(end) => {
+                    let item = parse_line(&available[..=end], &mut self.line_no);
+                    self.reader.consume(end + 1);
+                    item
+                }
+                None => {
+                    self.spill.clear();
+                    if let Err(e) = self.reader.read_until(b'\n', &mut self.spill) {
+                        return Some(Err(ParseSpcError::Io(e)));
+                    }
+                    parse_line(&self.spill, &mut self.line_no)
+                }
+            };
+            if item.is_some() {
+                return item;
+            }
         }
     }
 }
@@ -168,36 +206,61 @@ pub fn read_trace<R: Read>(reader: R) -> Result<Workload, ParseSpcError> {
 /// 580-year experiment.
 const MAX_TIMESTAMP_SECS: f64 = (u64::MAX / 1_000_000_000) as f64;
 
-fn parse_record(record: &str, line: usize) -> Result<Request, ParseSpcError> {
+/// Parses one raw line, terminator included, counting it in `line_no`
+/// once it is known to be UTF-8. Returns `None` for a blank or `#` line.
+fn parse_line(line: &[u8], line_no: &mut usize) -> Option<Result<Request, ParseSpcError>> {
+    let line = match line.strip_suffix(b"\n") {
+        Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+        None => line,
+    };
+    // An ASCII line is UTF-8 as it stands; only others need the full check.
+    if !line.is_ascii() && std::str::from_utf8(line).is_err() {
+        return Some(Err(ParseSpcError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        ))));
+    }
+    *line_no += 1;
+    let record = trim(line);
+    if record.is_empty() || record[0] == b'#' {
+        return None;
+    }
+    Some(parse_record(record, *line_no))
+}
+
+/// Parses one trimmed, non-empty, UTF-8 record.
+fn parse_record(record: &[u8], line: usize) -> Result<Request, ParseSpcError> {
     let malformed = |column: usize, reason: String| ParseSpcError::Malformed {
         line,
         column,
         reason,
     };
-    let fields: Vec<&str> = record.split(',').map(str::trim).collect();
-    let field = |column: usize, name: &str| {
+    let mut fields = record.split(|&b| b == b',').map(trim);
+    let mut field = |column: usize, name: &str| {
         fields
-            .get(column - 1)
-            .copied()
+            .next()
             .filter(|s| !s.is_empty())
             .ok_or_else(|| malformed(column, format!("missing field `{name}`")))
     };
 
     let _asu = field(1, "asu")?;
-    let lba: u64 = field(2, "lba")?
-        .parse()
+    let lba = field(2, "lba")?;
+    let lba: u64 = digits(lba, 19)
+        .map_or_else(|| std_parse(lba), Ok)
         .map_err(|e| malformed(2, format!("bad LBA: {e}")))?;
-    let size: u32 = field(3, "size")?
-        .parse()
+    let size = field(3, "size")?;
+    let size: u32 = digits(size, 9)
+        .map(|v| v as u32)
+        .map_or_else(|| std_parse(size), Ok)
         .map_err(|e| malformed(3, format!("bad size: {e}")))?;
-    let opcode = field(4, "opcode")?;
-    let kind = match opcode {
-        "R" | "r" => RequestKind::Read,
-        "W" | "w" => RequestKind::Write,
-        other => return Err(malformed(4, format!("bad opcode `{other}`"))),
+    let kind = match field(4, "opcode")? {
+        b"R" | b"r" => RequestKind::Read,
+        b"W" | b"w" => RequestKind::Write,
+        other => return Err(malformed(4, format!("bad opcode `{}`", text(other)))),
     };
-    let ts: f64 = field(5, "timestamp")?
-        .parse()
+    let ts = field(5, "timestamp")?;
+    let ts: f64 = exact_decimal(ts)
+        .map_or_else(|| std_parse(ts), Ok)
         .map_err(|e| malformed(5, format!("bad timestamp: {e}")))?;
     if !ts.is_finite() || ts < 0.0 {
         return Err(malformed(
@@ -217,6 +280,93 @@ fn parse_record(record: &str, line: usize) -> Result<Request, ParseSpcError> {
         .with_block(LogicalBlock::new(lba))
         .with_bytes(size)
         .with_kind(kind))
+}
+
+/// A field or record of a line already checked to be UTF-8, as text.
+fn text(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("fields of a UTF-8 line split at ASCII bytes are UTF-8")
+}
+
+/// The std parse of a field the fast paths declined: its value, or the
+/// error whose message the record's error carries.
+#[cold]
+#[inline(never)]
+fn std_parse<T: std::str::FromStr>(field: &[u8]) -> Result<T, T::Err> {
+    text(field).parse()
+}
+
+/// `str::trim` on the bytes of UTF-8 text, with the usual ASCII edges
+/// handled bytewise. U+000B is whitespace here as in `str::trim` (and
+/// unlike `u8::is_ascii_whitespace`); a non-ASCII edge, which may be
+/// Unicode whitespace such as U+00A0, defers to `str::trim`.
+fn trim(bytes: &[u8]) -> &[u8] {
+    // Printable ASCII at both ends, the canonical case: nothing to trim.
+    if let (Some(b'!'..=b'~'), Some(b'!'..=b'~')) = (bytes.first(), bytes.last()) {
+        return bytes;
+    }
+    let is_space = |b: u8| b == b' ' || (b'\t'..=b'\r').contains(&b);
+    let start = bytes
+        .iter()
+        .position(|&b| !is_space(b))
+        .unwrap_or(bytes.len());
+    let end = bytes
+        .iter()
+        .rposition(|&b| !is_space(b))
+        .map_or(start, |i| i + 1);
+    let trimmed = &bytes[start..end];
+    match (trimmed.first(), trimmed.last()) {
+        (Some(first), Some(last)) if !first.is_ascii() || !last.is_ascii() => {
+            text(bytes).trim().as_bytes()
+        }
+        _ => trimmed,
+    }
+}
+
+/// The value of `field` when it is 1 to `max_digits` ASCII digits, few
+/// enough not to overflow a `u64`; `None` (the std fallback) otherwise.
+fn digits(field: &[u8], max_digits: usize) -> Option<u64> {
+    if field.is_empty() || field.len() > max_digits {
+        return None;
+    }
+    field.iter().try_fold(0u64, |acc, &b| {
+        b.is_ascii_digit().then(|| acc * 10 + u64::from(b - b'0'))
+    })
+}
+
+/// `10^k` for `k <= 15`, each exact in an `f64`.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// Clinger's exact case of decimal-to-binary conversion.
+///
+/// For `int[.frac]` text of at most 15 digits in all, with no sign or
+/// exponent, the digits form an integer `m < 10^15 < 2^53` and the scale
+/// is `10^k` with `k <= 15`. Both are exact in an `f64`, so the one
+/// correctly rounded division `m / 10^k` is the correctly rounded value of
+/// the text: bit for bit what `str::parse::<f64>` returns. Any other text
+/// gives `None`, for the std fallback.
+fn exact_decimal(field: &[u8]) -> Option<f64> {
+    // 15 digits and a point at most, which also keeps `m` from overflowing.
+    if field.len() > 16 {
+        return None;
+    }
+    let (mut m, mut digits, mut point) = (0u64, 0usize, None);
+    for (i, &b) in field.iter().enumerate() {
+        match b {
+            b'0'..=b'9' => {
+                m = m * 10 + u64::from(b - b'0');
+                digits += 1;
+            }
+            b'.' if point.is_none() => point = Some(i),
+            _ => return None,
+        }
+    }
+    if digits == 0 || digits > 15 {
+        return None;
+    }
+    let scale = point.map_or(0, |p| field.len() - 1 - p);
+    Some(m as f64 / POW10[scale])
 }
 
 /// Writes `workload` in SPC format. All requests are emitted under ASU 0.
@@ -261,6 +411,7 @@ pub fn write_trace<W: Write>(workload: &Workload, mut writer: W) -> io::Result<(
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_canonical_records() {
@@ -402,6 +553,88 @@ mod tests {
         let w = read_trace("".as_bytes()).unwrap();
         assert!(w.is_empty());
         assert_eq!(w.span(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_invalid_data_io_error() {
+        let mut records = Records::new(&b"0,1,512,R,0.0\n0,\xff,512,R,1.0\n0,2,512,W,2.0\n"[..]);
+        assert!(records.next().unwrap().is_ok());
+        match records.next().unwrap() {
+            Err(ParseSpcError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            other => panic!("expected an InvalidData i/o error, got {other:?}"),
+        }
+        // The bad line is consumed but not counted; reading goes on.
+        assert_eq!(records.line_number(), 1);
+        assert!(records.next().unwrap().is_ok());
+        assert_eq!(records.line_number(), 2);
+        assert!(records.next().is_none());
+    }
+
+    #[test]
+    fn crlf_input_parses_like_lf() {
+        let lf = "# hdr\n0,5,4096,W,0.25\n\n0,9,8192,R,0.10\n";
+        let crlf = lf.replace('\n', "\r\n");
+        let a: Vec<Request> = Records::new(lf.as_bytes()).map(Result::unwrap).collect();
+        let b: Vec<Request> = Records::new(crlf.as_bytes()).map(Result::unwrap).collect();
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn vertical_tab_padding_is_trimmed() {
+        // `str::trim` strips U+000B; `u8::is_ascii_whitespace` would not.
+        let w = read_trace("\x0b0,\x0b10\x0b,8192, R\x0b,2.0\x0b\n".as_bytes()).unwrap();
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.requests()[0].block, LogicalBlock::new(10));
+        assert_eq!(w.requests()[0].arrival, SimTime::from_secs(2));
+    }
+
+    /// The last whole microsecond the nanosecond clock holds.
+    const MAX_MICROS: u64 = u64::MAX / 1_000;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Timestamps as `write_trace` formats them, at every magnitude up
+        /// to the clock's end: the exact path is taken for every one of
+        /// at most 15 digits, and the fast and std conversions agree bit
+        /// for bit, as do the `SimTime`s the record parser builds.
+        #[test]
+        fn timestamp_fast_path_is_exact(raw in 0u64..=MAX_MICROS, shift in 0u32..64) {
+            let micros = raw >> shift;
+            let text = format!("{:.6}", SimTime::from_nanos(micros * 1_000).as_secs_f64());
+            let std: f64 = text.parse().unwrap();
+            let digits = text.bytes().filter(u8::is_ascii_digit).count();
+            match exact_decimal(text.as_bytes()) {
+                Some(fast) => {
+                    prop_assert!(digits <= 15, "{} took the exact path", text);
+                    prop_assert_eq!(fast.to_bits(), std.to_bits(), "{}", text);
+                }
+                None => prop_assert!(digits > 15, "{} missed the exact path", text),
+            }
+            let record = format!("0,1,512,R,{text}");
+            let parsed = parse_record(record.as_bytes(), 1);
+            if std <= MAX_TIMESTAMP_SECS {
+                prop_assert_eq!(parsed.unwrap().arrival, SimTime::from_secs_f64(std));
+            } else {
+                prop_assert!(parsed.is_err(), "{} fits no clock", text);
+            }
+        }
+    }
+
+    #[test]
+    fn sixteen_digit_timestamps_take_the_std_fallback() {
+        // 9096268740390149 > 2^53: converting it to f64 and then dividing
+        // would round twice and land one ulp below the true value.
+        let text = "9096268.740390149";
+        assert_eq!(exact_decimal(text.as_bytes()), None);
+        assert_eq!(exact_decimal(b"1234567890.123456"), None);
+        assert_eq!(exact_decimal(b"123456789.012345"), Some(123456789.012345));
+        let std: f64 = text.parse().unwrap();
+        assert_ne!((9096268740390149u64 as f64 / 1e9).to_bits(), std.to_bits());
+        let record = format!("0,1,512,R,{text}");
+        let parsed = parse_record(record.as_bytes(), 1).unwrap();
+        assert_eq!(parsed.arrival, SimTime::from_secs_f64(std));
     }
 
     #[test]

@@ -1,15 +1,24 @@
 //! The SPC parser must never panic: any byte soup — malformed fields,
 //! truncated records, NaN/huge/negative numbers, stray separators — yields
 //! either a parsed workload or a structured [`ParseSpcError`], with
-//! line/field context on malformed records.
+//! line/field context on malformed records. The byte-level reader must
+//! also agree, item for item, with the frozen line-at-a-time oracle in
+//! `legacy_spc`.
 
-use gqos_trace::spc::{self, ParseSpcError};
+mod legacy_spc;
+
+use std::io::{self, Read};
+
+use gqos_trace::spc::{self, ParseSpcError, Records};
 use proptest::prelude::*;
 
 /// Fragments biased toward the parser's decision points: numbers around
-/// every representability edge, opcodes of both cases, junk, separators.
+/// every representability edge and each fast path's limits, opcodes of
+/// both cases, junk, separators, Unicode padding, and fields long enough
+/// to straddle the reader's 8 KiB buffer.
 fn fragment() -> impl Strategy<Value = String> {
     prop_oneof![
+        exotic(),
         Just("0".to_string()),
         Just("47126".to_string()),
         Just("8192".to_string()),
@@ -34,6 +43,48 @@ fn fragment() -> impl Strategy<Value = String> {
     ]
 }
 
+/// What the byte-level parser handles apart from the std one: whitespace
+/// that `str::trim` strips but `u8::is_ascii_whitespace` misses, Unicode
+/// padding, a non-ASCII ASU, a lone `\r`, timestamps on both sides of
+/// the 15-digit exact path, signs, exponents, bare points, a size above
+/// `u32::MAX`, and long runs.
+fn exotic() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("\x0b".to_string()),
+        Just("\x0b8192\x0b".to_string()),
+        Just("\u{a0}R\u{a0}".to_string()),
+        Just("\u{3000}0.5\u{3000}".to_string()),
+        Just("\u{3000}".to_string()),
+        Just("Äsu".to_string()),
+        Just("\r".to_string()),
+        Just("123456789.012345".to_string()), // 15 digits: exact path
+        Just("1234567890.123456".to_string()), // 16 digits: std fallback
+        Just("9096268.740390149".to_string()), // 16 digits, above 2^53
+        Just("12345678901.123456".to_string()), // 17 digits
+        Just("000000000000001.5".to_string()),
+        Just("1e3".to_string()),
+        Just("2.5E-3".to_string()),
+        Just("+1.5".to_string()),
+        Just("+7".to_string()),
+        Just("1.".to_string()),
+        Just(".5".to_string()),
+        Just(".".to_string()),
+        Just("1.2.3".to_string()),
+        Just("-0".to_string()),
+        Just("4294967295".to_string()),
+        Just("4294967296".to_string()),           // u32::MAX + 1
+        Just("18446744073709551616".to_string()), // u64::MAX + 1
+        Just("00000000000000000000042".to_string()),
+        (8150usize..8250).prop_map(|n| " ".repeat(n)),
+        (8150usize..8250).prop_map(|n| "7".repeat(n)),
+        (0u64..10_000_000_000_000_000).prop_map(|v| format!(
+            "{}.{:06}",
+            v / 1_000_000,
+            v % 1_000_000
+        )),
+    ]
+}
+
 /// Short strings over a hostile alphabet (the vendored proptest has no
 /// regex strategies).
 fn junk() -> impl Strategy<Value = String> {
@@ -48,8 +99,176 @@ fn line() -> impl Strategy<Value = String> {
     prop::collection::vec(fragment(), 0..8).prop_map(|parts| parts.join(","))
 }
 
+/// Bytes that are not UTF-8: a stray continuation byte, truncated two-
+/// and three-byte sequences, and an encoded surrogate.
+fn invalid_utf8() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        Just(vec![0xff]),
+        Just(vec![0x80]),
+        Just(vec![0xc3]),
+        Just(vec![0xe3, 0x80]),
+        Just(vec![0xed, 0xa0, 0x80]),
+    ]
+}
+
+/// An integer field: the fast path's digit limits, the std fallback's
+/// overflow edges for `u32` and `u64`, signs and padding.
+fn integer() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("4294967295".to_string()),
+        Just("4294967296".to_string()),
+        Just("999999999".to_string()),
+        Just("9999999999999999999".to_string()),
+        Just("18446744073709551615".to_string()),
+        Just("18446744073709551616".to_string()),
+        Just("+7".to_string()),
+        Just("-1".to_string()),
+        Just("\x0b8192\u{a0}".to_string()),
+        any::<u32>().prop_map(|v| v.to_string()),
+        any::<u64>().prop_map(|v| v.to_string()),
+        fragment(),
+    ]
+}
+
+/// A timestamp field: `write_trace`-style values, both sides of the exact
+/// path, the clock's edge, and whatever else `str::parse` accepts.
+fn timestamp() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0u64..20_000_000_000_000_000).prop_map(|v| format!(
+            "{}.{:06}",
+            v / 1_000_000,
+            v % 1_000_000
+        )),
+        Just("9096268.740390149".to_string()),
+        Just("18446744073.709551".to_string()),
+        Just("18446744074".to_string()),
+        Just("1e3".to_string()),
+        Just("+1.5".to_string()),
+        Just("inf".to_string()),
+        Just("-0".to_string()),
+        fragment(),
+    ]
+}
+
+/// A line that reaches every field: five typed fields, sometimes more.
+fn record() -> impl Strategy<Value = Vec<u8>> {
+    let opcode = prop_oneof![Just("R".to_string()), Just(" w ".to_string()), fragment()];
+    let extra = prop::collection::vec(fragment(), 0..2);
+    (fragment(), integer(), integer(), opcode, timestamp(), extra).prop_map(
+        |(asu, lba, size, opcode, ts, extra)| {
+            let mut fields = vec![asu, lba, size, opcode, ts];
+            fields.extend(extra);
+            fields.join(",").into_bytes()
+        },
+    )
+}
+
+/// A raw trace: lines of typed records or of (mostly UTF-8) fragment soup,
+/// each ended by `\n`, `\r\n` or a lone `\r`, the last one sometimes by
+/// nothing at all.
+fn document() -> impl Strategy<Value = Vec<u8>> {
+    let piece = prop_oneof![
+        fragment().prop_map(String::into_bytes),
+        fragment().prop_map(String::into_bytes),
+        fragment().prop_map(String::into_bytes),
+        invalid_utf8(),
+    ];
+    let soup = prop::collection::vec(piece, 0..7).prop_map(|pieces| pieces.join(&b','));
+    let line = prop_oneof![soup, record()];
+    let ending = prop_oneof![Just("\n"), Just("\n"), Just("\r\n"), Just("\r")];
+    let lines = prop::collection::vec((line, ending), 0..14);
+    (lines, any::<bool>()).prop_map(|(lines, unterminated)| {
+        let mut doc = Vec::new();
+        let count = lines.len();
+        for (i, (line, ending)) in lines.into_iter().enumerate() {
+            doc.extend_from_slice(&line);
+            if !(unterminated && i + 1 == count) {
+                doc.extend_from_slice(ending.as_bytes());
+            }
+        }
+        doc
+    })
+}
+
+/// A reader serving `data` in reads of `sizes` (cycled), failing read
+/// number `fail_at` once with `fail`: short reads make lines straddle the
+/// buffer end anywhere, and the failure exercises the error path.
+#[derive(Clone)]
+struct Flaky {
+    data: Vec<u8>,
+    pos: usize,
+    sizes: Vec<usize>,
+    reads: usize,
+    fail_at: usize,
+    fail: io::ErrorKind,
+}
+
+impl Read for Flaky {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let read = self.reads;
+        self.reads += 1;
+        if read == self.fail_at {
+            return Err(io::Error::new(self.fail, "injected failure"));
+        }
+        let rest = &self.data[self.pos..];
+        let n = self.sizes[read % self.sizes.len()]
+            .min(buf.len())
+            .min(rest.len());
+        buf[..n].copy_from_slice(&rest[..n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+fn reader() -> impl Strategy<Value = (Vec<usize>, usize, io::ErrorKind)> {
+    let sizes = prop_oneof![
+        Just(vec![usize::MAX]),
+        prop::collection::vec(1usize..48, 1..4),
+        prop::collection::vec(1000usize..9000, 1..3),
+    ];
+    let fail = prop_oneof![
+        Just(io::ErrorKind::Interrupted),
+        Just(io::ErrorKind::Other),
+        Just(io::ErrorKind::UnexpectedEof),
+    ];
+    (sizes, 0usize..40, fail)
+}
+
+/// Everything an item carries that a caller can observe: the request bit
+/// for bit, or the error's variant, position, reason and i/o kind.
+fn observe(item: Option<Result<gqos_trace::Request, ParseSpcError>>) -> String {
+    match item {
+        None => "end".to_string(),
+        Some(Ok(request)) => format!("{request:?}"),
+        Some(Err(ParseSpcError::Io(e))) => format!("Io({:?}: {e})", e.kind()),
+        Some(Err(ParseSpcError::Malformed {
+            line,
+            column,
+            reason,
+        })) => format!("Malformed(line {line}, column {column}: {reason})"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The byte-level reader and the frozen `lines()` oracle yield the
+    /// same items and line numbers on any bytes, any read sizes and an
+    /// injected read failure.
+    #[test]
+    fn reader_matches_line_oracle(doc in document(), (sizes, fail_at, fail) in reader()) {
+        let source = Flaky { data: doc, pos: 0, sizes, reads: 0, fail_at, fail };
+        let mut new = Records::new(source.clone());
+        let mut old = legacy_spc::Records::new(source);
+        for item in 0.. {
+            let (a, b) = (observe(new.next()), observe(old.next()));
+            prop_assert_eq!(&a, &b, "item {}", item);
+            prop_assert_eq!(new.line_number(), old.line_number(), "after item {}", item);
+            if a == "end" {
+                break;
+            }
+        }
+    }
 
     /// Parsing arbitrary structured-ish lines never panics, and every
     /// malformed error carries usable context.
