@@ -14,7 +14,7 @@
 //!         [--out BENCH_core.json] [--samples 9] [--span-secs 60]
 //!         [--threads 4] [--assert-parallel-speedup <ratio>]
 //!         [--assert-fleet-place-ms <ms>] [--assert-fleet-speedup <ratio>]
-//!         [--assert-spc-parse-ns <ns>]`
+//!         [--assert-spc-parse-ns <ns>] [--assert-sim-ns <ns>]`
 //!
 //! With `--assert-parallel-speedup 0.75` the run fails unless
 //! `planner/menu_parallel_5` comes in at or under 0.75× of
@@ -32,6 +32,10 @@
 //! drain a fixed-seed OpenMail trace, serialised as SPC text, through
 //! `SpcStream` at `DEFAULT_CHUNK`. `--assert-spc-parse-ns 200` fails the
 //! run when it comes in above 200 ns per record.
+//!
+//! `sim/requests_per_sec_core` is the single-server engine on its own: ns
+//! per simulated request through FCFS, the event queue and the metrics.
+//! `--assert-sim-ns 160` fails the run when it comes in above 160 ns.
 
 use std::time::Instant;
 
@@ -144,6 +148,7 @@ fn main() {
     let fleet_place_ceiling_ms = parse_flag(&args, "--assert-fleet-place-ms");
     let fleet_speedup_floor = parse_ratio("--assert-fleet-speedup");
     let spc_parse_ceiling_ns = parse_flag(&args, "--assert-spc-parse-ns");
+    let sim_ceiling_ns = parse_flag(&args, "--assert-sim-ns");
 
     let openmail = TraceProfile::OpenMail.generate(span, 1);
     let websearch = TraceProfile::WebSearch.generate(span, 1);
@@ -384,6 +389,14 @@ fn main() {
         "  sim throughput: {:.2}M simulated requests/sec",
         1e3 / ns_per_request
     );
+    if let Some(ceiling_ns) = sim_ceiling_ns {
+        assert!(
+            ns_per_request <= ceiling_ns as f64,
+            "sim/requests_per_sec_core ({ns_per_request:.1} ns per request) \
+             exceeded the {ceiling_ns} ns ceiling"
+        );
+        println!("  sim assertion: sim/requests_per_sec_core <= {ceiling_ns} ns ok");
+    }
 
     // --- Fleet placement --------------------------------------------------
     // The headline scenario of `fleet_bench`, as trended records: pack

@@ -298,6 +298,9 @@ pub struct SloController {
     id_base: u64,
     seq: u64,
     loops: BTreeMap<TenantId, TenantLoop>,
+    /// Sum of every loop's intended share, kept current wherever a share
+    /// changes so a window step need not re-sum the other tenants.
+    committed: u64,
     /// Issued command id → the tenant it renegotiates.
     owners: BTreeMap<CommandId, TenantId>,
     stats: SloStats,
@@ -317,6 +320,7 @@ impl SloController {
             id_base,
             seq: 0,
             loops: BTreeMap::new(),
+            committed: 0,
             owners: BTreeMap::new(),
             stats: SloStats::default(),
             history: None,
@@ -399,6 +403,18 @@ impl SloController {
             )
             .is_none();
         assert!(fresh, "tenant {tenant} already registered");
+        self.committed += share;
+        self.debug_check_committed();
+    }
+
+    /// Debug builds recompute the running committed-share total from
+    /// scratch and compare.
+    fn debug_check_committed(&self) {
+        debug_assert_eq!(
+            self.committed,
+            self.loops.values().map(|l| l.share).sum::<u64>(),
+            "running committed-share total drifted"
+        );
     }
 
     /// The intended share of `tenant`.
@@ -467,19 +483,13 @@ impl SloController {
         verdict: WindowVerdict,
         degraded: bool,
     ) -> Option<ControlRequest> {
-        // Fleet headroom with every *other* intended share committed —
-        // computed before the loop borrow.
-        let others: u64 = self
-            .loops
-            .iter()
-            .filter(|&(&t, _)| t != tenant)
-            .map(|(_, l)| l.share)
-            .sum();
-        let headroom = self.config.fleet_capacity.saturating_sub(others);
         let lp = self
             .loops
             .get_mut(&tenant)
             .unwrap_or_else(|| panic!("tenant {tenant} not registered"));
+        // Fleet headroom with every *other* intended share committed.
+        let others = self.committed - lp.share;
+        let headroom = self.config.fleet_capacity.saturating_sub(others);
         self.stats.windows += 1;
         if degraded {
             // Non-interference: never fight the degradation ladder. No
@@ -588,12 +598,13 @@ impl SloController {
         if next == lp.share {
             return None;
         }
+        self.committed = others + next;
         lp.share = next;
         self.stats.commands += 1;
         let id = self.id_base + self.seq;
         self.seq += 1;
         self.owners.insert(CommandId::new(id), tenant);
-        Some(ControlRequest::new(
+        let request = ControlRequest::new(
             id,
             CommandBody::UpdateSla {
                 tenant,
@@ -602,7 +613,9 @@ impl SloController {
                 expect_epoch: lp.epoch,
                 share: Some(next),
             },
-        ))
+        );
+        self.debug_check_committed();
+        Some(request)
     }
 
     /// Folds one delivery outcome back into the loop: acks advance the
@@ -632,8 +645,11 @@ impl SloController {
                     // The plane's ledger holds shares our intent has
                     // already released (a lost lowering): back off to
                     // what provably fits and re-assert.
-                    lp.share = lp.share.min((*available).max(lp.floor));
+                    let backed_off = lp.share.min((*available).max(lp.floor));
+                    self.committed -= lp.share - backed_off;
+                    lp.share = backed_off;
                     lp.resync = true;
+                    self.debug_check_committed();
                 }
                 Err(_) => {}
             },
@@ -1221,6 +1237,40 @@ mod tests {
             panic!("expected an UpdateSla, got {req:?}");
         };
         assert_eq!(share, Some(700));
+    }
+
+    /// An over-commit rejection lowers the tenant's share, and the
+    /// headroom every other tenant sees grows by the same amount.
+    #[test]
+    fn over_commit_backoff_releases_headroom_to_other_tenants() {
+        let mut c = SloController::new(SloConfig::new(1_000), 1_000);
+        let (a, b) = (TenantId::new(0), TenantId::new(1));
+        c.register(a, slo(), 400, 0);
+        c.register(b, slo(), 400, 0);
+        // a doubles, clamped to the 600 left beside b's 400.
+        let req = c.observe_verdict(a, WindowVerdict::Miss, false).unwrap();
+        let CommandBody::UpdateSla { share, .. } = req.body else {
+            panic!("expected an UpdateSla, got {req:?}");
+        };
+        assert_eq!(share, Some(600));
+        c.absorb(&CommandOutcome {
+            id: req.id,
+            attempts: 1,
+            delivery: Delivery::Acked(crate::bus::ControlResponse {
+                id: req.id,
+                outcome: Err(ControlError::ShareOverCommit {
+                    asked: 600,
+                    available: 450,
+                }),
+            }),
+        });
+        assert_eq!(c.share_of(a), Some(450));
+        // b now grows into the 550 that a's back-off left.
+        let req = c.observe_verdict(b, WindowVerdict::Miss, false).unwrap();
+        let CommandBody::UpdateSla { share, .. } = req.body else {
+            panic!("expected an UpdateSla, got {req:?}");
+        };
+        assert_eq!(share, Some(550));
     }
 
     #[test]

@@ -296,14 +296,18 @@ impl LatencySketch {
     /// Pure integer arithmetic — the SLO-window feedback controller
     /// compares `count_at_most(δ) × denom` against `f_num × count()` in
     /// `u128` so its verdicts are exactly reproducible.
+    ///
+    /// Bucket upper bounds increase with the index, so the qualifying
+    /// buckets are exactly a prefix: everything below the threshold's own
+    /// bucket, plus that bucket when its upper bound is `<= threshold`.
     pub fn count_at_most(&self, threshold: u64) -> u64 {
-        let mut below = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 && Self::bucket_upper(i) <= threshold {
-                below += c;
-            }
-        }
-        below
+        let own = Self::bucket_index(threshold);
+        let end = if Self::bucket_upper(own) <= threshold {
+            own + 1
+        } else {
+            own
+        };
+        self.counts[..end].iter().sum()
     }
 
     /// The exact fraction of recorded values `<= threshold`, up to bucket
@@ -597,5 +601,77 @@ mod tests {
         assert_eq!(s.count(), 3);
         assert_eq!(s.quantile(1.0), u64::MAX);
         assert_eq!(s.quantile(0.0), 0);
+    }
+
+    /// The original `count_at_most`: a scan over every bucket, kept as the
+    /// oracle the prefix-sum version is differentially tested against.
+    fn count_at_most_full_scan(sketch: &LatencySketch, threshold: u64) -> u64 {
+        let mut below = 0u64;
+        for (i, &c) in sketch.counts.iter().enumerate() {
+            if c != 0 && LatencySketch::bucket_upper(i) <= threshold {
+                below += c;
+            }
+        }
+        below
+    }
+
+    /// Every bucket occupied, every bucket boundary and its neighbours.
+    #[test]
+    fn count_at_most_matches_full_scan_at_every_boundary() {
+        let mut s = LatencySketch::new();
+        for i in 0..BUCKETS {
+            s.record_n(LatencySketch::bucket_upper(i), i as u64 + 1);
+        }
+        for i in 0..BUCKETS {
+            let upper = LatencySketch::bucket_upper(i);
+            for t in [upper.saturating_sub(1), upper, upper.saturating_add(1)] {
+                assert_eq!(
+                    s.count_at_most(t),
+                    count_at_most_full_scan(&s, t),
+                    "threshold {t}"
+                );
+            }
+        }
+    }
+
+    mod count_at_most_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn value() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..32,
+                32u64..1_000_000,
+                1_000_000u64..10_000_000_000_000,
+                any::<u64>(),
+            ]
+        }
+
+        /// Zero, `u64::MAX`, a bucket upper bound ±1, or any value.
+        fn threshold() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                Just(0u64),
+                Just(u64::MAX),
+                (0..BUCKETS, -1i64..=1)
+                    .prop_map(|(i, d)| LatencySketch::bucket_upper(i).saturating_add_signed(d)),
+                value(),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn prefix_sum_matches_full_scan(
+                values in prop::collection::vec((value(), 1u64..1_000), 0..200),
+                thresholds in prop::collection::vec(threshold(), 1..16),
+            ) {
+                let mut s = LatencySketch::new();
+                for &(v, n) in &values {
+                    s.record_n(v, n);
+                }
+                for &t in &thresholds {
+                    prop_assert_eq!(s.count_at_most(t), count_at_most_full_scan(&s, t));
+                }
+            }
+        }
     }
 }

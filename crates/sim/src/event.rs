@@ -4,15 +4,38 @@
 //! [`EventKind`] and in DESIGN.md §13):
 //!
 //! - [`EventQueue`] — a hierarchical **timing wheel** (64-slot levels,
-//!   nanosecond resolution) with O(1) amortized push/pop. This is the
-//!   engine's workhorse.
+//!   nanosecond resolution) with O(1) amortized push/pop whatever the
+//!   population. The closed-loop engine and every fleet-sized
+//!   [`IndexedEventQueue`] run on it.
 //! - [`BinaryHeapEventQueue`] — the original binary-heap queue, kept as the
-//!   reference implementation ("oracle") that the wheel is differentially
-//!   tested against.
-//! - [`IndexedEventQueue`] — the engine-facing facade: the wheel plus the
-//!   engine's uniqueness bookkeeping (one pending arrival, one pending
-//!   completion per server). Unlike its previous incarnation, `pop` no
-//!   longer scans `O(servers)` slots — cost is independent of fleet size.
+//!   reference implementation ("oracle") that both other queues are
+//!   differentially tested against.
+//! - [`IndexedEventQueue`] — the engine-facing facade: the engine's
+//!   uniqueness bookkeeping (one pending arrival, one pending completion
+//!   per server) over storage sized to the traffic, described next.
+//!
+//! # Which storage serves which queue
+//!
+//! On the engine's data path at most `servers + 1` events are live at
+//! once: the one pending arrival, plus one completion or retry per server
+//! (retries stack only when a non-work-conserving scheduler re-announces
+//! an eligibility time). [`IndexedEventQueue::new`] therefore picks its
+//! storage once, from the server count:
+//!
+//! - **At most two servers** — every shaper, gateway lane and drain lane,
+//!   i.e. almost all simulated traffic — keeps its two or three events
+//!   in a small vector sorted latest first by `(at, kind)`: a push
+//!   inserts in place, a pop takes the last entry. Arrivals and
+//!   completions sit milliseconds apart in nanosecond keys, so the wheel
+//!   would cascade each event down about three levels, and it allocates
+//!   704 slot vectors per lane; the sorted list does neither. Measured on
+//!   a 2-core x86-64 host, a simulated request through the whole
+//!   single-server engine costs ~90 ns this way and ~200 ns on the wheel
+//!   (`sim/requests_per_sec_core` in `perf_report`).
+//! - **More than two servers** use the wheel, whose cost stays flat in
+//!   the fleet size where an insertion into a sorted list would grow
+//!   linearly (`event/indexed_cycle_{64,1024}` in `perf_report` pins
+//!   this).
 //!
 //! # The wheel
 //!
@@ -36,6 +59,18 @@
 //! `(at, kind, seq)`, which keeps the pop sequence identical to the binary
 //! heap's for every schedule the engine can produce (see the equivalence
 //! tests and `tests/wheel_props.rs`).
+//!
+//! # Why the sorted list needs no clamp
+//!
+//! The wheel pops by `(max(at, now), at, kind, seq)`; the heap pops by
+//! `(at, kind, seq)`, and the sorted list by `(at, kind)` — the same order,
+//! since events equal in `(at, kind)` are identical and their relative
+//! order cannot be observed. The wheel's order agrees because virtual time
+//! `now` only moves forward. A pop sets `now` to the smallest pending key,
+//! so every pending key is at least the current `now`; a key placed as
+//! `max(at, now₀)` at an earlier `now₀ ≤ now` therefore equals
+//! `max(at, now)`. And `at ↦ max(at, now)` is monotone, so sorting by it
+//! first and by `at` second is the same as sorting by `at` alone.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -183,6 +218,7 @@ impl EventQueue {
 
     /// Schedules an event. Timestamps earlier than the last popped event
     /// fire immediately (see the module docs).
+    #[inline]
     pub fn push(&mut self, event: Event) {
         let key = event.at.as_nanos().max(self.now);
         let (level, slot) = placement(self.now, key);
@@ -198,6 +234,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event.
+    #[inline]
     pub fn pop(&mut self) -> Option<Event> {
         loop {
             let level = self.occupied.iter().position(|&b| b != 0)?;
@@ -323,8 +360,8 @@ impl BinaryHeapEventQueue {
     }
 }
 
-/// The engine's event queue: the timing wheel plus the engine's uniqueness
-/// invariants —
+/// The engine's event queue: storage sized to the server count plus the
+/// engine's uniqueness invariants —
 ///
 /// - at most **one pending arrival** (the engine schedules arrival `i + 1`
 ///   only when it processes arrival `i`),
@@ -339,10 +376,10 @@ impl BinaryHeapEventQueue {
 /// retries before arrivals, lower server index first), then insertion
 /// order — which the equivalence tests check on randomised schedules.
 ///
-/// Earlier revisions stored events in per-server slots and scanned all of
-/// them on every pop — `O(servers)` per pop, quadratic over a fleet-scale
-/// fault sweep. The wheel makes pop cost independent of the server count
-/// (`event/indexed_pop_*` in `perf_report` tracks this).
+/// Up to two servers the events live in a small sorted list; beyond that
+/// in the timing wheel, so pop cost never scales with the server count
+/// (`event/indexed_cycle_*` in `perf_report` tracks this). The module
+/// docs give the reasons, and why both storages pop in the same order.
 ///
 /// # Examples
 ///
@@ -355,20 +392,45 @@ impl BinaryHeapEventQueue {
 /// q.push(Event { at: SimTime::from_secs(2), kind: EventKind::Completion { server: 0 } });
 /// assert_eq!(q.pop().unwrap().kind, EventKind::Completion { server: 0 });
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct IndexedEventQueue {
-    wheel: EventQueue,
+    storage: Storage,
     /// Per-server "a completion is pending" flag, for the uniqueness panic.
     completion_pending: Vec<bool>,
     /// Whether the single arrival slot is taken.
     arrival_pending: bool,
 }
 
+/// The most servers an [`IndexedEventQueue`] serves from a sorted list
+/// rather than the wheel.
+const SORTED_LIST_MAX_SERVERS: usize = 2;
+
+/// Where an [`IndexedEventQueue`] keeps its events; chosen once, in
+/// [`IndexedEventQueue::new`].
+#[derive(Clone, Debug)]
+enum Storage {
+    /// `(at, kind)` entries in descending order, so the next event to
+    /// pop is the last.
+    Sorted(Vec<(SimTime, EventKind)>),
+    Wheel(EventQueue),
+}
+
+impl Default for IndexedEventQueue {
+    fn default() -> Self {
+        IndexedEventQueue::new(0)
+    }
+}
+
 impl IndexedEventQueue {
     /// Creates an empty queue with slots for `servers` servers.
     pub fn new(servers: usize) -> Self {
+        let storage = if servers <= SORTED_LIST_MAX_SERVERS {
+            Storage::Sorted(Vec::new())
+        } else {
+            Storage::Wheel(EventQueue::new())
+        };
         IndexedEventQueue {
-            wheel: EventQueue::new(),
+            storage,
             completion_pending: vec![false; servers],
             arrival_pending: false,
         }
@@ -376,7 +438,10 @@ impl IndexedEventQueue {
 
     /// Empties the queue, keeping its buffers for reuse.
     pub fn clear(&mut self) {
-        self.wheel.clear();
+        match &mut self.storage {
+            Storage::Sorted(events) => events.clear(),
+            Storage::Wheel(wheel) => wheel.clear(),
+        }
         self.completion_pending.fill(false);
         self.arrival_pending = false;
     }
@@ -406,13 +471,28 @@ impl IndexedEventQueue {
                 self.arrival_pending = true;
             }
         }
-        self.wheel.push(event);
+        match &mut self.storage {
+            Storage::Sorted(events) => {
+                // Entries stay in descending order: the new one goes
+                // after every entry that pops later than it.
+                let entry = (event.at, event.kind);
+                let pos = events.partition_point(|e| *e > entry);
+                events.insert(pos, entry);
+            }
+            Storage::Wheel(wheel) => wheel.push(event),
+        }
     }
 
     /// Removes and returns the earliest event (see the type docs for the
     /// tie-break order).
     pub fn pop(&mut self) -> Option<Event> {
-        let event = self.wheel.pop()?;
+        let event = match &mut self.storage {
+            Storage::Sorted(events) => {
+                let (at, kind) = events.pop()?;
+                Event { at, kind }
+            }
+            Storage::Wheel(wheel) => wheel.pop()?,
+        };
         match event.kind {
             EventKind::Completion { server } => self.completion_pending[server] = false,
             EventKind::Retry { .. } => {}
@@ -423,12 +503,15 @@ impl IndexedEventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        match &self.storage {
+            Storage::Sorted(events) => events.len(),
+            Storage::Wheel(wheel) => wheel.len(),
+        }
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.len() == 0
     }
 }
 

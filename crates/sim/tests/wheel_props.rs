@@ -1,8 +1,15 @@
-//! Differential property tests: the timing-wheel [`EventQueue`] must pop
-//! in exactly the order of the [`BinaryHeapEventQueue`] oracle on arbitrary
-//! event sequences — interleaved pushes and pops, timestamp ties on every
-//! kind, magnitudes spanning all eleven wheel levels, and pushes into the
-//! past. No external property-testing crate: a deterministic splitmix-style
+//! Differential property tests: both storages behind the event queues
+//! must pop in exactly the order of the [`BinaryHeapEventQueue`] oracle.
+//!
+//! - The timing-wheel [`EventQueue`] (and [`IndexedEventQueue`] above two
+//!   servers) on arbitrary event sequences — interleaved pushes and pops,
+//!   timestamp ties on every kind, magnitudes spanning all eleven wheel
+//!   levels, and pushes into the past.
+//! - The sorted-list [`IndexedEventQueue`] (one and two servers) on
+//!   engine-feasible schedules — stacked retries, ties across all three
+//!   kinds, pushes dated before the last pop, and `clear` reuse.
+//!
+//! No external property-testing crate: a deterministic splitmix-style
 //! generator drives thousands of randomised rounds.
 
 use gqos_sim::{BinaryHeapEventQueue, Event, EventKind, EventQueue, IndexedEventQueue};
@@ -217,5 +224,83 @@ fn cleared_wheel_behaves_like_new() {
             oracle.push(event);
         }
         assert_drain_matches(&mut wheel, &mut oracle, round);
+    }
+}
+
+/// The sorted-list storage (one and two servers) against the heap oracle
+/// on engine-feasible schedules: one arrival and one completion per
+/// server at a time, stacked retries, timestamps clustered on the last
+/// popped instant so ties across all three kinds and pushes dated before
+/// it are common. One queue serves every round through `clear`, half the
+/// time with events still pending.
+#[test]
+fn sorted_list_indexed_queue_matches_heap() {
+    let mut rng = Rng(0x51ab_0006);
+    for servers in [1usize, 2] {
+        let mut indexed = IndexedEventQueue::new(servers);
+        for round in 0..2_000 {
+            indexed.clear();
+            assert!(indexed.is_empty());
+            let mut oracle = BinaryHeapEventQueue::new();
+            let mut arrival_pending = false;
+            let mut completion_pending = vec![false; servers];
+            let mut last_popped = 0u64;
+            for _ in 0..60 {
+                if rng.below(3) == 0 {
+                    let (a, b) = (oracle.pop(), indexed.pop());
+                    assert_eq!(
+                        a, b,
+                        "sorted list diverged ({servers} servers, round {round})"
+                    );
+                    if let Some(e) = a {
+                        last_popped = e.at.as_nanos();
+                        match e.kind {
+                            EventKind::Completion { server } => completion_pending[server] = false,
+                            EventKind::Arrival { .. } => arrival_pending = false,
+                            EventKind::Retry { .. } => {}
+                        }
+                    }
+                    continue;
+                }
+                let at = SimTime::from_nanos(match rng.below(4) {
+                    0 => last_popped.saturating_sub(rng.below(3)),
+                    1 => last_popped + rng.below(3),
+                    _ => last_popped + rng.below(1 << 24),
+                });
+                let kind = match rng.below(4) {
+                    0 if !arrival_pending => {
+                        arrival_pending = true;
+                        EventKind::Arrival {
+                            index: rng.below(1000) as usize,
+                        }
+                    }
+                    1 => {
+                        let s = rng.below(servers as u64) as usize;
+                        if completion_pending[s] {
+                            continue;
+                        }
+                        completion_pending[s] = true;
+                        EventKind::Completion { server: s }
+                    }
+                    _ => EventKind::Retry {
+                        server: rng.below(servers as u64) as usize,
+                    },
+                };
+                let event = Event { at, kind };
+                indexed.push(event);
+                oracle.push(event);
+                assert_eq!(indexed.len(), oracle.len());
+            }
+            if rng.below(2) == 0 {
+                continue;
+            }
+            loop {
+                let (a, b) = (oracle.pop(), indexed.pop());
+                assert_eq!(a, b, "drain diverged ({servers} servers, round {round})");
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
     }
 }
