@@ -2,7 +2,7 @@
 //! schedulers (the per-request cost of the FairQueue recombination path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gqos_fairqueue::{FlowId, FlowScheduler, Sfq, Wf2q, Wfq};
+use gqos_fairqueue::{FlowId, FlowScheduler, Sfq, Wf2q};
 use gqos_trace::{Request, SimTime};
 
 const N: usize = 10_000;
@@ -24,9 +24,6 @@ fn run_cycle<S: FlowScheduler>(mut s: S) -> usize {
 fn bench_fairqueue(c: &mut Criterion) {
     let mut group = c.benchmark_group("fairqueue_cycle");
     group.throughput(Throughput::Elements(N as u64));
-    group.bench_function(BenchmarkId::new("wfq", N), |b| {
-        b.iter(|| std::hint::black_box(run_cycle(Wfq::new(&[9.0, 1.0]))));
-    });
     group.bench_function(BenchmarkId::new("sfq", N), |b| {
         b.iter(|| std::hint::black_box(run_cycle(Sfq::new(&[9.0, 1.0]))));
     });

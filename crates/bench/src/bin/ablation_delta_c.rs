@@ -10,8 +10,8 @@
 //! Regenerate with: `cargo run --release -p gqos-bench --bin ablation_delta_c`
 
 use gqos_bench::{CsvWriter, ExpConfig, Table};
-use gqos_core::{CapacityPlanner, FairQueueScheduler, MiserScheduler, Provision};
-use gqos_sim::{simulate, FixedRateServer, ServiceClass};
+use gqos_core::{CapacityPlanner, Provision, RecombinePolicy, WorkloadShaper};
+use gqos_sim::ServiceClass;
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{Iops, SimDuration};
 
@@ -56,28 +56,16 @@ fn main() {
 
     // The (delta_c, policy) cells are independent simulations — fan them
     // over the pool and render in cell order.
-    let cells: Vec<(f64, &str)> = fractions_of_cmin
+    let cells: Vec<(f64, RecombinePolicy)> = fractions_of_cmin
         .iter()
-        .flat_map(|&f| [(f, "FairQueue"), (f, "Miser")])
+        .flat_map(|&f| [(f, RecombinePolicy::FairQueue), (f, RecombinePolicy::Miser)])
         .collect();
-    let reports = cfg.pool().map(cells.clone(), |(frac, name)| {
+    let reports = cfg.pool().map(cells.clone(), |(frac, policy)| {
         let delta_c = Iops::new((cmin.get() * frac).max(1.0));
-        let provision = Provision::new(cmin, delta_c);
-        match name {
-            "FairQueue" => simulate(
-                &workload,
-                FairQueueScheduler::new(provision, deadline),
-                FixedRateServer::new(provision.total()),
-            ),
-            _ => simulate(
-                &workload,
-                MiserScheduler::new(provision, deadline),
-                FixedRateServer::new(provision.total()),
-            ),
-        }
+        WorkloadShaper::new(Provision::new(cmin, delta_c), deadline).run(&workload, policy)
     });
 
-    for (cell, ((frac, name), report)) in cells.into_iter().zip(reports).enumerate() {
+    for (cell, ((frac, policy), report)) in cells.into_iter().zip(reports).enumerate() {
         let delta_c = Iops::new((cmin.get() * frac).max(1.0));
         let bound = planned[cell / 2]; // two policies per delta_c grid point
         {
@@ -89,7 +77,7 @@ fn main() {
             let omax = overflow.max().map(|d| d.as_millis_f64()).unwrap_or(0.0);
             table.row(vec![
                 format!("{:.0} ({:.1}% of Cmin)", delta_c.get(), frac * 100.0),
-                name.into(),
+                policy.to_string(),
                 format!("{:.3}%", within * 100.0),
                 misses.to_string(),
                 format!("{omean:.0} ms"),
@@ -98,7 +86,7 @@ fn main() {
             ]);
             csv.push(vec![
                 format!("{:.0}", delta_c.get()),
-                name.into(),
+                policy.to_string(),
                 format!("{within:.5}"),
                 misses.to_string(),
                 format!("{omean:.1}"),

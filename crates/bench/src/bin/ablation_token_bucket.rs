@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 
 use gqos_bench::{CsvWriter, ExpConfig, Table};
-use gqos_core::{CapacityPlanner, MiserScheduler, Provision};
+use gqos_core::{CapacityPlanner, Provision, RecombinePolicy, WorkloadShaper};
 use gqos_fairqueue::TokenBucket;
 use gqos_sim::{simulate, Dispatch, FixedRateServer, Scheduler, ServerId, ServiceClass};
 use gqos_trace::gen::profiles::TraceProfile;
@@ -94,11 +94,8 @@ fn main() {
             FixedRateServer::new(provision.total()),
         );
         // Decomposition: same capacity, nothing dropped.
-        let shaped = simulate(
-            &workload,
-            MiserScheduler::new(provision, deadline),
-            FixedRateServer::new(provision.total()),
-        );
+        let shaped =
+            WorkloadShaper::new(provision, deadline).run(&workload, RecombinePolicy::Miser);
         (profile, policed, shaped)
     });
 

@@ -1,7 +1,7 @@
 //! Control-plane chaos experiment plus its wall-clock headline numbers.
 //!
 //! Stdout carries only the deterministic report of
-//! [`experiments::control_chaos`] (byte-identical across runs and thread
+//! [`experiments::control_chaos`](gqos_bench::experiments::control_chaos) (byte-identical across runs and thread
 //! counts); all timings go to stderr:
 //!
 //! - the hostile-cell scenario generated and executed serially, then at

@@ -13,9 +13,9 @@
 //! Regenerate with: `cargo run --release -p gqos-bench --bin disk_endtoend`
 
 use gqos_bench::{CsvWriter, ExpConfig, Table};
-use gqos_core::{FairQueueScheduler, MiserScheduler, Provision, SplitScheduler};
+use gqos_core::{Provision, RecombinePolicy};
 use gqos_disk::{CachedDisk, DiskModel};
-use gqos_sim::{FcfsScheduler, RunReport, ServiceClass, Simulation};
+use gqos_sim::{RunReport, ServiceClass, Simulation, TraceHandle};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{Iops, SimDuration, Workload};
 
@@ -46,33 +46,20 @@ fn main() {
     );
     println!();
 
-    let runs: Vec<(&str, RunReport)> = vec![
-        (
-            "FCFS",
-            Simulation::new(&workload, FcfsScheduler::new())
-                .server(disk(1))
-                .run(),
-        ),
-        (
-            "Split",
-            Simulation::new(&workload, SplitScheduler::new(provision, deadline))
-                .server(disk(2)) // primary disk
-                .server(disk(3)) // overflow disk
-                .run(),
-        ),
-        (
-            "FairQueue",
-            Simulation::new(&workload, FairQueueScheduler::new(provision, deadline))
-                .server(disk(4))
-                .run(),
-        ),
-        (
-            "Miser",
-            Simulation::new(&workload, MiserScheduler::new(provision, deadline))
-                .server(disk(5))
-                .run(),
-        ),
-    ];
+    // Each policy's servers become disks, seeded 1, 2, … in server order.
+    let mut seed = 0;
+    let runs: Vec<(RecombinePolicy, RunReport)> = RecombinePolicy::ALL
+        .iter()
+        .map(|&policy| {
+            let (scheduler, rates) = policy.parts(provision, deadline, &TraceHandle::disabled());
+            let mut sim = Simulation::new(&workload, scheduler);
+            for _ in rates {
+                seed += 1;
+                sim = sim.server(disk(seed));
+            }
+            (policy, sim.run())
+        })
+        .collect();
 
     let mut table = Table::new(vec![
         "policy".into(),
@@ -88,13 +75,13 @@ fn main() {
         "overflow_mean_ms".to_string(),
         "p99_ms".to_string(),
     ]];
-    for (name, report) in &runs {
+    for (policy, report) in &runs {
         let all = report.stats();
         let primary = report.stats_for(ServiceClass::PRIMARY);
         let overflow = report.stats_for(ServiceClass::OVERFLOW);
         let omean = overflow.mean().map(|d| d.as_millis_f64()).unwrap_or(0.0);
         table.row(vec![
-            (*name).into(),
+            policy.to_string(),
             format!("{:.1}%", all.fraction_within(deadline) * 100.0),
             format!("{:.1}%", primary.fraction_within(deadline) * 100.0),
             if overflow.is_empty() {
@@ -105,7 +92,7 @@ fn main() {
             format!("{:.0} ms", all.percentile(0.99).as_millis_f64()),
         ]);
         csv.push(vec![
-            (*name).into(),
+            policy.to_string(),
             format!("{:.4}", all.fraction_within(deadline)),
             format!("{:.4}", primary.fraction_within(deadline)),
             format!("{omean:.1}"),

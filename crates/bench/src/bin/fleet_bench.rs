@@ -1,7 +1,7 @@
 //! Fleet placement experiment plus its wall-clock headline numbers.
 //!
 //! Stdout carries only the deterministic report of
-//! [`experiments::fleet`] (byte-identical across runs and thread counts);
+//! [`experiments::fleet`](gqos_bench::experiments::fleet) (byte-identical across runs and thread counts);
 //! all timings go to stderr:
 //!
 //! - `place_1000`: pack 1000 tenants onto 64 servers from a cold quote

@@ -1,7 +1,7 @@
 //! SLO-feedback head-to-head plus its wall-clock headline numbers.
 //!
 //! Stdout carries only the deterministic report of
-//! [`experiments::slo_feedback`] (byte-identical across runs and thread
+//! [`experiments::slo_feedback`](gqos_bench::experiments::slo_feedback) (byte-identical across runs and thread
 //! counts); timings go to stderr.
 //!
 //! On top of the shared experiment flags, three controller knobs:

@@ -3,8 +3,8 @@
 //! (b) the primary class `Q1` after RTT decomposition at `Cmin(90%, 10 ms)`,
 //! and (c) the service completions after recombining with Miser.
 
-use gqos_core::{decompose, CapacityPlanner, MiserScheduler, Provision};
-use gqos_sim::{simulate, FixedRateServer, RunReport};
+use gqos_core::{decompose, CapacityPlanner, Provision, RecombinePolicy, WorkloadShaper};
+use gqos_sim::RunReport;
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{RateSeries, SimDuration, SimTime, Workload};
 
@@ -43,11 +43,7 @@ pub fn compute(cfg: &ExpConfig) -> Fig2Result {
     let decomposition = decompose(&workload, cmin, DEADLINE);
     let (q1, _q2) = decomposition.split(&workload);
 
-    let report = simulate(
-        &workload,
-        MiserScheduler::new(provision, DEADLINE),
-        FixedRateServer::new(provision.total()),
-    );
+    let report = WorkloadShaper::new(provision, DEADLINE).run(&workload, RecombinePolicy::Miser);
 
     let origin = workload.first_arrival().unwrap_or(SimTime::ZERO);
     Fig2Result {

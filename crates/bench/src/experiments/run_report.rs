@@ -1,7 +1,7 @@
 //! Run report — the observability pipeline exercised end to end.
 //!
 //! Traces one fig5-style WebSearch run per recombination policy into a
-//! [`MemorySink`], then cross-validates every layer of the pipeline
+//! [`MemorySink`](gqos_sim::MemorySink), then cross-validates every layer of the pipeline
 //! against the simulation's own aggregate metrics:
 //!
 //! - **sketches**: per-class response-time quantiles from the mergeable

@@ -108,7 +108,7 @@ pub struct CommandOutcome {
     pub delivery: Delivery,
 }
 
-/// The retrying client + event loop. See the [module docs](self).
+/// The retrying client + event loop over a [`ControlChannel`].
 #[derive(Debug)]
 pub struct ControlDriver<'a, C: ControlChannel> {
     channel: &'a C,

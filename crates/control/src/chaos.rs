@@ -6,7 +6,7 @@
 //! bursty workloads, a command script (adds, removes, SLA
 //! renegotiations, drains) fenced against an optimistic shadow of the
 //! epochs, and `NodeDown`/`NodeUp` commands derived from a correlated
-//! [`FleetFaultSchedule`]'s outages. [`ChaosRun::execute`] then drives
+//! [`FleetFaultSchedule`]'s outages. [`ChaosScenario::execute`] then drives
 //! the script through a [`ControlPlane`] over a seeded lossy channel.
 //!
 //! Because the channel drops and reorders, the shadow epochs diverge

@@ -9,7 +9,7 @@
 //!
 //! The pieces:
 //!
-//! - [`ControlRequest`] / [`ControlResponse`] ([`bus`]-level types):
+//! - [`ControlRequest`] / [`ControlResponse`] (bus-level types):
 //!   typed commands (`AddTenant`, `RemoveTenant`, `UpdateSla`,
 //!   `DrainTenant`, `NodeDown`, `NodeUp`) with per-tenant epoch fencing
 //!   on top of `FleetTenant::bump_epoch` / `QuoteCache` invalidation —

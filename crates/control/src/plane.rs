@@ -47,7 +47,7 @@ pub struct PlaneStats {
     pub suppressed_refills: u64,
 }
 
-/// The fleet's single control authority. See the [module docs](self).
+/// The fleet's single control authority.
 #[derive(Clone, Debug)]
 pub struct ControlPlane {
     placer: FleetPlacer,

@@ -563,7 +563,7 @@ fn lane_form(capacity: Iops, deadline: SimDuration, last_arrival_ns: u64) -> Lan
 /// deadline guarantees nothing, so every request overflows. That convention
 /// lets grid sweeps include sub-floor capacities without pre-filtering.
 ///
-/// The grid is processed [`LANE_BATCH`] capacities at a time in the
+/// The grid is processed eight capacities at a time in the
 /// work-recurrence form (module docs): each batch sweeps the column once
 /// with its eight 8-byte states in registers, four branch-free ops per
 /// lane per arrival, vectorised on the widest ISA tier the host supports.
@@ -726,7 +726,7 @@ pub(crate) fn within_miss_budget_ns(
 
 /// Fused budgeted feasibility probe over a capacity grid at one shared
 /// budget: result `i` is `within_miss_budget(workload, capacities[i],
-/// deadline, budget)`. Thin wrapper over [`within_miss_budget_multi`].
+/// deadline, budget)`, computed in fused passes over the workload.
 ///
 /// # Panics
 ///

@@ -57,15 +57,12 @@ mod admission;
 mod cascade;
 mod consolidate;
 mod degrade;
-mod edf;
 mod fair;
 mod fleet;
-mod graduated;
 mod kernel;
 mod miser;
 mod offline;
 mod planner;
-mod pricing;
 mod rtt;
 mod shaper;
 mod sla;
@@ -82,17 +79,14 @@ pub use degrade::{
     AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
     DegradationPolicy,
 };
-pub use edf::{EdfScheduler, LatePolicy};
 pub use fair::FairQueueScheduler;
 pub use fleet::{
     FleetError, FleetPlacer, FleetTenant, PackStats, Placement, QuoteCache, ServerBin,
 };
-pub use graduated::GraduatedScheduler;
 pub use kernel::{overflow_curve, within_miss_budget_curve};
 pub use miser::MiserScheduler;
 pub use offline::{rtt_period_bound, slotted_lower_bound, OptimalityCheck};
 pub use planner::{CapacityPlanner, MenuError, SeedCurve, SlaQuote};
-pub use pricing::{PricingModel, Quote};
 pub use rtt::{
     checked_max_queue, decompose, decompose_with_budget, optimal_drop_lower_bound, overflow_count,
     within_miss_budget, CapacityOverflow, DecomposeScratch, Decomposition, RttClassifier,

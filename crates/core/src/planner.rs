@@ -309,8 +309,8 @@ impl<'w> CapacityPlanner<'w> {
     /// sorted fractions are then split into contiguous ranges, one per
     /// worker; within a range each result warm-starts the next fraction's
     /// lower bracket exactly as the serial sweep does, and each bracket is
-    /// resolved by *wide bisection*: up to [`LANE_BATCH`] interior
-    /// capacities probed per fused [`within_miss_budget_multi`] pass,
+    /// resolved by *wide bisection*: up to eight interior capacities
+    /// probed per fused budgeted-feasibility pass,
     /// shrinking the bracket ~9× per pass instead of 2×.
     ///
     /// Every probe answers the same exact integer feasibility question as

@@ -5,18 +5,15 @@
 //! shaped workload through the simulation engine.
 
 use std::fmt;
-use std::rc::Rc;
 
 use gqos_faults::FaultSchedule;
 use gqos_sim::{
-    FcfsScheduler, FixedRateServer, ModulatedServer, RunReport, Scheduler, ServiceClass,
-    ServiceModel, Simulation, TraceHandle,
+    FcfsScheduler, FixedRateServer, ModulatedServer, RunReport, Simulation, TraceHandle,
 };
 use gqos_trace::{Iops, SimDuration, Workload};
 
 use crate::degrade::{
-    AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
-    DegradationPolicy,
+    AdaptiveScheduler, AdmissionRecord, CapacityAdaptive, DegradationController, DegradationPolicy,
 };
 use crate::fair::FairQueueScheduler;
 use crate::miser::MiserScheduler;
@@ -25,8 +22,8 @@ use crate::split::SplitScheduler;
 use crate::target::{Provision, QosTarget};
 
 /// EWMA window (in completions) of the capacity estimator used by
-/// [`WorkloadShaper::run_with_faults`]. Short enough to react within one
-/// deadline's worth of completions at typical provisions.
+/// [`WorkloadShaper::run_with_faults_logged`]. Short enough to react within
+/// one deadline's worth of completions at typical provisions.
 const DEGRADATION_WINDOW: usize = 8;
 
 /// How the decomposed classes are recombined for service — the four
@@ -51,6 +48,36 @@ impl RecombinePolicy {
         RecombinePolicy::FairQueue,
         RecombinePolicy::Miser,
     ];
+
+    /// The policy's scheduler (emitting its events into `trace`) and the
+    /// rates of the servers it runs on, in [`ServerId`](gqos_sim::ServerId)
+    /// order: `[Cmin, ΔC]` for Split, one server of `Cmin + ΔC` otherwise.
+    ///
+    /// This is the one place a policy becomes a scheduler; every shaped
+    /// run, offline or streamed, healthy or faulted, is built from it.
+    pub fn parts(
+        self,
+        provision: Provision,
+        deadline: SimDuration,
+        trace: &TraceHandle,
+    ) -> (Box<dyn CapacityAdaptive>, Vec<Iops>) {
+        let (p, t) = (provision, trace.clone());
+        match self {
+            RecombinePolicy::Fcfs => (Box::new(FcfsScheduler::with_trace(t)), vec![p.total()]),
+            RecombinePolicy::Split => (
+                Box::new(SplitScheduler::with_trace(p, deadline, t)),
+                vec![p.cmin(), p.delta_c()],
+            ),
+            RecombinePolicy::FairQueue => (
+                Box::new(FairQueueScheduler::with_trace(p, deadline, t)),
+                vec![p.total()],
+            ),
+            RecombinePolicy::Miser => (
+                Box::new(MiserScheduler::with_trace(p, deadline, t)),
+                vec![p.total()],
+            ),
+        }
+    }
 }
 
 impl fmt::Display for RecombinePolicy {
@@ -133,32 +160,11 @@ impl WorkloadShaper {
     /// total capacity `Cmin + ΔC` and returns the simulation report.
     ///
     /// Under [`RecombinePolicy::Fcfs`] every request completes in class
-    /// [`ServiceClass::PRIMARY`] (there is no decomposition); under the
-    /// other policies, per-class statistics are available via
-    /// [`RunReport::stats_for`].
+    /// [`ServiceClass::PRIMARY`](gqos_sim::ServiceClass::PRIMARY) (there is
+    /// no decomposition); under the other policies, per-class statistics
+    /// are available via [`RunReport::stats_for`].
     pub fn run(&self, workload: &Workload, policy: RecombinePolicy) -> RunReport {
-        let p = self.provision;
-        match policy {
-            RecombinePolicy::Fcfs => Simulation::new(workload, FcfsScheduler::new())
-                .server(FixedRateServer::new(p.total()))
-                .run(),
-            RecombinePolicy::Split => {
-                Simulation::new(workload, SplitScheduler::new(p, self.deadline))
-                    .server(FixedRateServer::new(p.cmin()))
-                    .server(FixedRateServer::new(p.delta_c()))
-                    .run()
-            }
-            RecombinePolicy::FairQueue => {
-                Simulation::new(workload, FairQueueScheduler::new(p, self.deadline))
-                    .server(FixedRateServer::new(p.total()))
-                    .run()
-            }
-            RecombinePolicy::Miser => {
-                Simulation::new(workload, MiserScheduler::new(p, self.deadline))
-                    .server(FixedRateServer::new(p.total()))
-                    .run()
-            }
-        }
+        self.run_traced(workload, policy, TraceHandle::disabled())
     }
 
     /// Like [`run`](WorkloadShaper::run), but with the full event trace
@@ -175,112 +181,51 @@ impl WorkloadShaper {
         policy: RecombinePolicy,
         trace: TraceHandle,
     ) -> RunReport {
-        let p = self.provision;
-        match policy {
-            RecombinePolicy::Fcfs => {
-                Simulation::new(workload, FcfsScheduler::with_trace(trace.clone()))
-                    .server(FixedRateServer::new(p.total()))
-                    .trace(trace)
-                    .deadline(self.deadline)
-                    .run()
-            }
-            RecombinePolicy::Split => Simulation::new(
-                workload,
-                SplitScheduler::with_trace(p, self.deadline, trace.clone()),
-            )
-            .server(FixedRateServer::new(p.cmin()))
-            .server(FixedRateServer::new(p.delta_c()))
+        let (scheduler, rates) = policy.parts(self.provision, self.deadline, &trace);
+        let mut sim = Simulation::new(workload, scheduler)
             .trace(trace)
-            .deadline(self.deadline)
-            .run(),
-            RecombinePolicy::FairQueue => Simulation::new(
-                workload,
-                FairQueueScheduler::with_trace(p, self.deadline, trace.clone()),
-            )
-            .server(FixedRateServer::new(p.total()))
-            .trace(trace)
-            .deadline(self.deadline)
-            .run(),
-            RecombinePolicy::Miser => Simulation::new(
-                workload,
-                MiserScheduler::with_trace(p, self.deadline, trace.clone()),
-            )
-            .server(FixedRateServer::new(p.total()))
-            .trace(trace)
-            .deadline(self.deadline)
-            .run(),
+            .deadline(self.deadline);
+        for rate in rates {
+            sim = sim.server(FixedRateServer::new(rate));
         }
+        sim.run()
     }
 
-    /// Runs `workload` under `policy` on a server degraded by `schedule`,
-    /// with the graduated-degradation control loop active: an online
-    /// capacity estimator watches completions and renegotiates the RTT
-    /// bound (plus Miser slacks / FairQueue weights) against `C_eff`.
+    /// Runs `workload` under `policy` on servers degraded by `schedule`,
+    /// with the graduated-degradation control loop active, and returns the
+    /// report plus the admission log.
     ///
-    /// With an [empty](FaultSchedule::empty) schedule the result is
+    /// An online capacity estimator watches completions and renegotiates
+    /// the RTT bound (plus Miser slacks / FairQueue weights) against
+    /// `C_eff`. The log holds every Q1 admission with the capacity fraction
+    /// the controller had negotiated at that instant. This is the evidence
+    /// for the degradation contract — an admitted request whose deadline
+    /// window the server actually sustained at the admission-time fraction
+    /// must meet `δ`.
+    ///
+    /// With an [empty](FaultSchedule::empty) schedule the report is
     /// identical to [`run`](WorkloadShaper::run) — the modulation and the
     /// controller are both exact no-ops on a healthy server.
-    pub fn run_with_faults(
-        &self,
-        workload: &Workload,
-        policy: RecombinePolicy,
-        schedule: &FaultSchedule,
-    ) -> RunReport {
-        self.run_with_faults_logged(workload, policy, schedule).0
-    }
-
-    /// Like [`run_with_faults`](WorkloadShaper::run_with_faults), but also
-    /// returns the admission log: every Q1 admission with the capacity
-    /// fraction the controller had negotiated at that instant. This is the
-    /// evidence for the degradation contract — an admitted request whose
-    /// deadline window the server actually sustained at the admission-time
-    /// fraction must meet `δ`.
     pub fn run_with_faults_logged(
         &self,
         workload: &Workload,
         policy: RecombinePolicy,
         schedule: &FaultSchedule,
     ) -> (RunReport, Vec<AdmissionRecord>) {
-        let p = self.provision;
+        let (inner, rates) = policy.parts(self.provision, self.deadline, &TraceHandle::disabled());
         let controller =
-            || DegradationController::new(DegradationPolicy::default(), DEGRADATION_WINDOW);
-        fn faulty(rate: Iops, schedule: &FaultSchedule) -> ModulatedServer<FixedRateServer> {
-            ModulatedServer::new(FixedRateServer::new(rate), schedule.clone())
+            DegradationController::new(DegradationPolicy::default(), DEGRADATION_WINDOW);
+        let (scheduler, log) =
+            AdaptiveScheduler::new(inner, controller, &rates).with_admission_log();
+        let mut sim = Simulation::new(workload, scheduler);
+        for rate in rates {
+            sim = sim.server(ModulatedServer::new(
+                FixedRateServer::new(rate),
+                schedule.clone(),
+            ));
         }
-        match policy {
-            RecombinePolicy::Fcfs => run_adaptive(
-                workload,
-                AdaptiveScheduler::new(FcfsScheduler::new(), controller(), &[p.total()]),
-                vec![faulty(p.total(), schedule)],
-            ),
-            RecombinePolicy::Split => run_adaptive(
-                workload,
-                AdaptiveScheduler::new(
-                    SplitScheduler::new(p, self.deadline),
-                    controller(),
-                    &[p.cmin(), p.delta_c()],
-                ),
-                vec![faulty(p.cmin(), schedule), faulty(p.delta_c(), schedule)],
-            ),
-            RecombinePolicy::FairQueue => run_adaptive(
-                workload,
-                AdaptiveScheduler::new(
-                    FairQueueScheduler::new(p, self.deadline),
-                    controller(),
-                    &[p.total()],
-                ),
-                vec![faulty(p.total(), schedule)],
-            ),
-            RecombinePolicy::Miser => run_adaptive(
-                workload,
-                AdaptiveScheduler::new(
-                    MiserScheduler::new(p, self.deadline),
-                    controller(),
-                    &[p.total()],
-                ),
-                vec![faulty(p.total(), schedule)],
-            ),
-        }
+        let report = sim.run();
+        (report, log.take())
     }
 
     /// Runs all four policies and returns `(policy, report)` pairs in the
@@ -299,41 +244,6 @@ impl WorkloadShaper {
             .stats()
             .fraction_within(self.deadline)
     }
-
-    /// A vacuous accessor used by reports: the class recombination policies
-    /// guarantee (always [`ServiceClass::PRIMARY`]).
-    pub fn guaranteed_class(&self) -> ServiceClass {
-        ServiceClass::PRIMARY
-    }
-}
-
-/// Runs an adaptive scheduler with its admission log enabled and extracts
-/// the records once the simulation (and with it the scheduler's clone of
-/// the log handle) is dropped.
-fn run_adaptive<S: CapacityAdaptive, M: ServiceModel + 'static>(
-    workload: &Workload,
-    scheduler: AdaptiveScheduler<S>,
-    servers: Vec<M>,
-) -> (RunReport, Vec<AdmissionRecord>)
-where
-    AdaptiveScheduler<S>: Scheduler,
-{
-    let (scheduler, log) = scheduler.with_admission_log();
-    let mut sim = Simulation::new(workload, scheduler);
-    for server in servers {
-        sim = sim.server(server);
-    }
-    let report = sim.run();
-    let records = extract_log(log);
-    (report, records)
-}
-
-fn extract_log(log: AdmissionLog) -> Vec<AdmissionRecord> {
-    match Rc::try_unwrap(log) {
-        Ok(cell) => cell.into_inner(),
-        // The scheduler should be gone by now; fall back to a copy if not.
-        Err(shared) => shared.borrow().clone(),
-    }
 }
 
 impl fmt::Display for WorkloadShaper {
@@ -350,6 +260,7 @@ impl fmt::Display for WorkloadShaper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gqos_sim::ServiceClass;
     use gqos_trace::{Iops, SimTime};
 
     fn ms(v: u64) -> SimTime {
@@ -442,7 +353,6 @@ mod tests {
         let shaper =
             WorkloadShaper::new(Provision::new(Iops::new(328.0), Iops::new(20.0)), dms(50));
         assert!(shaper.to_string().contains("328"));
-        assert_eq!(shaper.guaranteed_class(), ServiceClass::PRIMARY);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   throughput depends on request locality;
 //! - [`SstfScheduler`] / [`ScanScheduler`] — the throughput-maximising
 //!   low-level orderings the paper assumes beneath the QoS layer;
-//! - [`CachedDisk`] — a deterministic LRU block cache wrapper;
-//! - [`StripedArray`] / [`MirroredPair`] — RAID-0 / RAID-1 compositions.
+//! - [`CachedDisk`] — a deterministic LRU block cache wrapper.
 //!
 //! # Examples
 //!
@@ -37,13 +36,11 @@
 mod cache;
 mod geometry;
 mod model;
-mod raid;
 mod sched;
 mod seek;
 
 pub use cache::CachedDisk;
 pub use geometry::DiskGeometry;
 pub use model::{DiskModel, DiskModelBuilder};
-pub use raid::{MirroredPair, StripedArray};
 pub use sched::{ScanScheduler, SstfScheduler, SweepMode};
 pub use seek::SeekProfile;

@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 
 use gqos_disk::{
-    CachedDisk, DiskGeometry, DiskModel, ScanScheduler, SeekProfile, SstfScheduler, StripedArray,
-    SweepMode,
+    CachedDisk, DiskGeometry, DiskModel, ScanScheduler, SeekProfile, SstfScheduler, SweepMode,
 };
 use gqos_sim::{simulate, Scheduler, ServiceModel};
 use gqos_trace::{Iops, LogicalBlock, Request, SimDuration, SimTime, Workload};
@@ -120,25 +119,6 @@ proptest! {
         // Cache hits replace mechanical service; misses cost the same.
         prop_assert!(cached_total <= plain_total + SimDuration::from_micros(1));
         prop_assert_eq!(cached.hits() + cached.misses(), lbas.len() as u64);
-    }
-
-    /// Striping preserves the address space: distinct logical blocks never
-    /// collide on (disk, local block).
-    #[test]
-    fn striping_is_injective(lbas in prop::collection::hash_set(0u64..100_000, 1..64), stripe in 1u64..256) {
-        let array = StripedArray::new(
-            (0..4).map(|i| DiskModel::builder().seed(i).build()).collect(),
-            stripe,
-        );
-        let mut seen = std::collections::HashSet::new();
-        for &lba in &lbas {
-            let loc = array.locate(LogicalBlock::new(lba));
-            prop_assert!(loc.0 < array.width());
-            prop_assert!(
-                seen.insert((loc.0, loc.1.get())),
-                "collision at {loc:?}"
-            );
-        }
     }
 
     /// A QoS pipeline over the disk completes any batch (cross-crate

@@ -3,17 +3,13 @@
 //! Virtual-time fair queueing algorithms built from scratch for the `gqos`
 //! workspace. The paper's *FairQueue* recombination policy multiplexes the
 //! primary and overflow classes through one of these schedulers in the
-//! ratio `Cmin : ΔC`; the crate provides the family its related work cites:
+//! ratio `Cmin : ΔC`:
 //!
-//! - [`Wfq`] — self-clocked weighted fair queueing (finish-tag dispatch);
-//! - [`Sfq`] — start-time fair queueing (rate-oblivious virtual clock);
+//! - [`Sfq`] — start-time fair queueing (rate-oblivious virtual clock),
+//!   the FairQueue policy's scheduler;
 //! - [`Wf2q`] — WF²Q+ (eligibility-gated, worst-case fair);
-//! - [`Drr`] — deficit round robin (`O(1)`, no virtual clock);
 //! - [`HierarchicalSfq`] — two-level SFQ (group shares, sibling-first
-//!   spare-capacity redistribution);
-//! - [`VirtualClock`] — absolute rate reservations against real time;
-//! - [`PClock`] — arrival-curve `(σ, ρ, δ)` latency SLOs with EDF
-//!   dispatch (the storage QoS scheduler the paper's related work cites);
+//!   spare-capacity redistribution), behind the multi-tenant scheduler;
 //! - [`TokenBucket`] — network-style `(σ, ρ)` policing, used by the
 //!   shaping ablation.
 //!
@@ -36,24 +32,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod drr;
 mod flow;
 mod hsfq;
-mod pclock;
 mod scheduler;
 mod sfq;
 mod token_bucket;
-mod vclock;
 mod wf2q;
-mod wfq;
 
-pub use drr::Drr;
 pub use flow::FlowId;
 pub use hsfq::{HierarchicalSfq, LeafId};
-pub use pclock::{FlowSpec, PClock};
 pub use scheduler::FlowScheduler;
 pub use sfq::Sfq;
 pub use token_bucket::TokenBucket;
-pub use vclock::VirtualClock;
 pub use wf2q::Wf2q;
-pub use wfq::Wfq;

@@ -77,7 +77,7 @@ pub enum FaultKind {
     /// The server makes no progress at all for the window's duration.
     Outage,
     /// A RAID rebuild: the rate starts at `floor` of nominal and climbs
-    /// back to nominal in [`RAMP_STEPS`] equal steps across the window.
+    /// back to nominal in 16 equal steps across the window.
     RebuildRamp {
         /// Starting fraction of nominal rate, in `(0, 1]`.
         floor: f64,

@@ -253,12 +253,11 @@ impl LatencySketch {
     /// Returns the containing bucket's upper bound, clamped to the exact
     /// tracked maximum, so the result `q̂` versus the exact quantile `q`
     /// satisfies `q ≤ q̂ ≤ q · (1 + RELATIVE_ERROR_BOUND)`. The extremes are
-    /// *exact*, not bucket bounds: `quantile(0.0)` equals [`min`]
-    /// (`LatencySketch::min`) and `quantile(1.0)` equals [`max`]
-    /// (`LatencySketch::max`), bit for bit. Returns 0 for an empty sketch —
-    /// the same value empty [`min`](LatencySketch::min) and
-    /// [`max`](LatencySketch::max) report (`gqos_sim::LatencyHistogram`
-    /// wraps this in `Option` instead; both agree wherever a value exists).
+    /// *exact*, not bucket bounds: `quantile(0.0)` equals
+    /// [`min`](LatencySketch::min) and `quantile(1.0)` equals
+    /// [`max`](LatencySketch::max), bit for bit. Returns 0 for an empty
+    /// sketch — the same value empty [`min`](LatencySketch::min) and
+    /// [`max`](LatencySketch::max) report.
     ///
     /// # Panics
     ///
@@ -497,6 +496,23 @@ mod tests {
     #[should_panic(expected = "quantile out of range")]
     fn quantile_rejects_out_of_range() {
         LatencySketch::new().quantile(1.5);
+    }
+
+    #[test]
+    fn quantile_never_under_reports_regression() {
+        // These literals violated the old float bucketing: each value mapped
+        // into a bucket whose rounded upper bound was BELOW the value, so the
+        // quantile under-reported. With one sample the clamp to the tracked
+        // max is exact.
+        for nanos in [
+            549_755_813_888_001u64,
+            1_099_511_627_776_002,
+            924_575_386_326_617,
+        ] {
+            let mut s = LatencySketch::new();
+            s.record(nanos);
+            assert_eq!(s.quantile(1.0), nanos);
+        }
     }
 
     #[test]

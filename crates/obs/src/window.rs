@@ -71,8 +71,8 @@ impl WindowSnapshot {
         self.start
     }
 
-    /// The window's sketch, empty or not. Prefer [`signal`]
-    /// (`WindowSnapshot::signal`) in feedback paths.
+    /// The window's sketch, empty or not. Prefer
+    /// [`signal`](WindowSnapshot::signal) in feedback paths.
     pub fn sketch(&self) -> &LatencySketch {
         &self.sketch
     }

@@ -77,7 +77,7 @@ impl<'w, S: Scheduler> Simulation<'w, S> {
     }
 
     /// Adds a server with the given service model. Servers are identified by
-    /// the order they are added ([`ServerId::new(0)`](ServerId::new) first).
+    /// the order they are added ([`ServerId::new(0)`](crate::ServerId::new) first).
     pub fn server<M: ServiceModel + 'static>(mut self, model: M) -> Self {
         self.servers.push(Box::new(model));
         self

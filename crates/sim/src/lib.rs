@@ -11,7 +11,6 @@
 //!   model lives in `gqos-disk`);
 //! - [`RunReport`] / [`ResponseStats`] — per-request latency records,
 //!   response-time CDFs, percentiles, and the paper's bucketed histograms;
-//! - [`LatencyHistogram`] — a constant-memory alternative recorder;
 //! - [`FcfsScheduler`] — the unshaped baseline policy;
 //! - [`closed_loop`] — a closed, think-time-driven population driver
 //!   (the self-throttling counterpart of the open trace replay).
@@ -42,7 +41,6 @@
 mod closed;
 mod engine;
 mod event;
-mod histogram;
 mod metrics;
 mod scheduler;
 mod server;
@@ -51,7 +49,6 @@ mod streaming;
 pub use closed::{closed_loop, ClosedLoopConfig};
 pub use engine::{simulate, Simulation};
 pub use event::{BinaryHeapEventQueue, Event, EventKind, EventQueue, IndexedEventQueue};
-pub use histogram::LatencyHistogram;
 pub use metrics::{CompletionRecord, ResponseStats, RunReport};
 pub use scheduler::{Dispatch, FcfsScheduler, Scheduler, ServiceClass};
 pub use server::{CapacityModulation, FixedRateServer, ModulatedServer, ServerId, ServiceModel};

@@ -24,13 +24,14 @@
 //! audit the shed and migrated counts independently. The invariant the
 //! chaos harness pins: **offered == completed on both lanes** — shedding
 //! demotes, migration redirects, nothing is ever dropped.
+//!
+//! [`ShedScheduler`]: crate::ShedScheduler
+//! [`ShedScheduler::with_drain_from`]: crate::ShedScheduler::with_drain_from
 
-use gqos_sim::{StreamingSimulation, TraceEvent, TraceHandle};
-use gqos_trace::{Request, SimDuration, SimTime, Workload};
+use gqos_sim::{TraceEvent, TraceHandle};
+use gqos_trace::{SimDuration, SimTime};
 
-use crate::gateway::{ShedScheduler, TenantReport, TenantSpec};
-use crate::shaper::policy_parts;
-use crate::source::{ArrivalStream, WorkloadStream};
+use crate::gateway::{drive_lane, TenantReport, TenantSpec};
 
 /// The handoff window of a drain-and-migrate: shedding starts at `start`
 /// and the target bin takes over at `start + window`.
@@ -127,8 +128,8 @@ impl DrainReport {
 }
 
 /// Drains `spec`'s lane off `from_server` and migrates it to `to_server`
-/// over the handoff window `plan`, with the zero-drop guarantee described
-/// in the [module docs](self).
+/// over the handoff window `plan` in three phases (admit on the old bin,
+/// shed inside the window, re-admit on the target bin), dropping nothing.
 ///
 /// Emits [`TraceEvent::DrainStarted`] / [`TraceEvent::DrainCompleted`]
 /// brackets, a [`TraceEvent::Diverted`] per window shed, and a
@@ -154,7 +155,7 @@ pub fn drain_migrate(
         from_server,
     });
     let window_shed = spec.workload.window(plan.start, plan.end()).len() as u64;
-    let old = run_lane_part(
+    let old = drive_lane(
         spec,
         spec.workload.window(SimTime::ZERO, plan.end()),
         Some(plan.start),
@@ -163,7 +164,7 @@ pub fn drain_migrate(
     );
     let new_workload = spec.workload.window(plan.end(), SimTime::MAX);
     let migrated = new_workload.len() as u64;
-    let new = run_lane_part(
+    let new = drive_lane(
         spec,
         new_workload,
         None,
@@ -194,68 +195,12 @@ pub fn drain_migrate(
     }
 }
 
-/// Drives one lane over `workload` with the spec's shaper, policy, and
-/// inbox bound — `run_lane` with an optional drain cutover, a shed trace,
-/// and an offer hook.
-fn run_lane_part(
-    spec: &TenantSpec,
-    workload: Workload,
-    drain_from: Option<SimTime>,
-    shed_trace: TraceHandle,
-    mut on_offer: impl FnMut(&Request),
-) -> TenantReport {
-    let (scheduler, servers) = policy_parts(
-        spec.shaper.provision(),
-        spec.shaper.deadline(),
-        spec.policy,
-        None,
-    );
-    let mut shed = ShedScheduler::with_trace(scheduler, spec.inbox_bound, shed_trace);
-    if let Some(at) = drain_from {
-        shed = shed.with_drain_from(at);
-    }
-    let mut sim = StreamingSimulation::new(shed);
-    for server in servers {
-        sim = sim.server(server);
-    }
-    let mut stream = WorkloadStream::new(workload, spec.chunk);
-    let mut buf = Vec::new();
-    let mut peak_chunk_bytes = 0usize;
-    loop {
-        let n = stream
-            .next_chunk(&mut buf)
-            .expect("workload streams cannot fail");
-        if n == 0 {
-            break;
-        }
-        peak_chunk_bytes = peak_chunk_bytes.max(n * std::mem::size_of::<Request>());
-        for &request in buf.iter() {
-            on_offer(&request);
-            sim.offer(request);
-        }
-    }
-    sim.finish();
-    let shed = sim.scheduler().shed_count();
-    let report = sim.into_report();
-    TenantReport {
-        name: spec.name.clone(),
-        policy: spec.policy,
-        offered: report.total_requests(),
-        completed: report.completed(),
-        shed,
-        end_time: report.end_time(),
-        peak_chunk_bytes,
-        sketch: report.response_sketch(),
-        records: report.into_records(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gqos_core::{Provision, RecombinePolicy};
     use gqos_sim::ServiceClass;
-    use gqos_trace::Iops;
+    use gqos_trace::{Iops, Workload};
 
     use crate::OnlineShaper;
 
@@ -357,7 +302,7 @@ mod tests {
             SimDuration::from_millis(1),
         );
         let report = drain_migrate(&s, plan, 1, 0, 1, &TraceHandle::disabled());
-        let plain = run_lane_part(
+        let plain = drive_lane(
             &s,
             s.workload.clone(),
             None,

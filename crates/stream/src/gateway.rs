@@ -28,12 +28,12 @@ use gqos_core::RecombinePolicy;
 use gqos_parallel::WorkerPool;
 use gqos_sim::{
     CompletionRecord, Dispatch, LatencySketch, LongTermStore, Scheduler, ServerId, ServiceClass,
-    StreamingSimulation, TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
+    TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
 };
 use gqos_trace::{Request, SimDuration, SimTime, Workload};
 
-use crate::shaper::policy_parts;
-use crate::source::{ArrivalStream, WorkloadStream};
+use crate::shaper::{feed_chunks, policy_simulation};
+use crate::source::WorkloadStream;
 use crate::OnlineShaper;
 
 /// Wraps a policy scheduler with a bounded inbox: arrivals beyond the
@@ -334,37 +334,46 @@ impl fmt::Display for IngestGateway {
 /// Drives one tenant lane start to finish. Lanes run untraced: trace
 /// handles are single-threaded by design (`Rc`-shared sinks), so sharded
 /// lanes report through counters and sketches instead.
-fn run_lane(spec: TenantSpec) -> TenantReport {
-    let (scheduler, servers) = policy_parts(
-        spec.shaper.provision(),
-        spec.shaper.deadline(),
+fn run_lane(mut spec: TenantSpec) -> TenantReport {
+    let workload = std::mem::take(&mut spec.workload);
+    drive_lane(&spec, workload, None, TraceHandle::disabled(), |_| {})
+}
+
+/// Drives one lane over `workload` with the spec's shaper, policy, inbox
+/// bound and chunk size. `drain_from` puts the inbox into drain mode from
+/// that instant, `shed_trace` receives the shed events, and `on_offer`
+/// sees each request before the lane does.
+pub(crate) fn drive_lane(
+    spec: &TenantSpec,
+    workload: Workload,
+    drain_from: Option<SimTime>,
+    shed_trace: TraceHandle,
+    on_offer: impl FnMut(&Request),
+) -> TenantReport {
+    let mut sim = policy_simulation(
         spec.policy,
-        None,
+        &spec.shaper,
+        &TraceHandle::disabled(),
+        |scheduler| {
+            let shed = ShedScheduler::with_trace(scheduler, spec.inbox_bound, shed_trace);
+            match drain_from {
+                Some(at) => shed.with_drain_from(at),
+                None => shed,
+            }
+        },
     );
-    let mut sim = StreamingSimulation::new(ShedScheduler::new(scheduler, spec.inbox_bound));
-    for server in servers {
-        sim = sim.server(server);
-    }
-    let mut stream = WorkloadStream::new(spec.workload, spec.chunk);
-    let mut buf = Vec::new();
-    let mut peak_chunk_bytes = 0usize;
-    loop {
-        let n = stream
-            .next_chunk(&mut buf)
-            .expect("workload streams cannot fail");
-        if n == 0 {
-            break;
-        }
-        peak_chunk_bytes = peak_chunk_bytes.max(n * std::mem::size_of::<Request>());
-        for &request in buf.iter() {
-            sim.offer(request);
-        }
-    }
+    let (_, peak_chunk_bytes) = feed_chunks(
+        &mut WorkloadStream::new(workload, spec.chunk),
+        &mut sim,
+        on_offer,
+        |_| {},
+    )
+    .expect("workload streams cannot fail");
     sim.finish();
     let shed = sim.scheduler().shed_count();
     let report = sim.into_report();
     TenantReport {
-        name: spec.name,
+        name: spec.name.clone(),
         policy: spec.policy,
         offered: report.total_requests(),
         completed: report.completed(),

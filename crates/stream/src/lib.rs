@@ -7,9 +7,9 @@
 //!
 //! Three layers:
 //!
-//! - [`ArrivalStream`] + adapters ([`WorkloadStream`], [`SpcStream`],
-//!   [`SyntheticStream`]) — arrivals in fixed-capacity sorted chunks with
-//!   dense cross-chunk request ids;
+//! - [`ArrivalStream`] + adapters ([`WorkloadStream`], [`SpcStream`]) —
+//!   arrivals in fixed-capacity sorted chunks with dense cross-chunk
+//!   request ids;
 //! - [`OnlineShaper`] — drives the four recombination policies chunk by
 //!   chunk through `gqos_sim::StreamingSimulation`; results are
 //!   bit-identical to the offline `WorkloadShaper` for any chunking
@@ -57,6 +57,4 @@ mod source;
 pub use drain::{drain_migrate, DrainPlan, DrainReport};
 pub use gateway::{IngestGateway, ShedScheduler, TenantReport, TenantSpec};
 pub use shaper::{OnlineShaper, StreamObservation, StreamReport};
-pub use source::{
-    ArrivalStream, SpcStream, StreamError, SyntheticStream, WorkloadStream, DEFAULT_CHUNK,
-};
+pub use source::{ArrivalStream, SpcStream, StreamError, WorkloadStream, DEFAULT_CHUNK};

@@ -20,50 +20,61 @@
 
 use std::mem;
 
-use gqos_core::{FairQueueScheduler, MiserScheduler, Provision, RecombinePolicy, SplitScheduler};
+use gqos_core::{CapacityAdaptive, Provision, RecombinePolicy};
 use gqos_sim::{
-    CompletionRecord, FcfsScheduler, FixedRateServer, LatencySketch, LongTermStore, RunReport,
-    Scheduler, ServiceClass, StreamingSimulation, TraceHandle,
+    CompletionRecord, FixedRateServer, LatencySketch, RunReport, Scheduler, ServiceClass,
+    StreamingSimulation, TraceHandle,
 };
 use gqos_trace::{Request, SimDuration, SimTime};
 
 use crate::source::{ArrivalStream, StreamError};
 
-/// Builds the scheduler and server set for `policy`, mirroring
-/// `WorkloadShaper::run` / `run_traced` exactly: same constructors, same
-/// rates, same server order. Boxing the scheduler lets one generic drive
-/// loop serve all four policies without changing any scheduling decision.
-pub(crate) fn policy_parts(
-    provision: Provision,
-    deadline: SimDuration,
+/// Builds the streaming simulation for `policy` from
+/// [`RecombinePolicy::parts`]: the policy's scheduler, handed to `wrap`,
+/// over one fixed-rate server per rate in server order.
+pub(crate) fn policy_simulation<S: Scheduler>(
     policy: RecombinePolicy,
-    trace: Option<&TraceHandle>,
-) -> (Box<dyn Scheduler>, Vec<FixedRateServer>) {
-    let p = provision;
-    let scheduler: Box<dyn Scheduler> = match (policy, trace) {
-        (RecombinePolicy::Fcfs, None) => Box::new(FcfsScheduler::new()),
-        (RecombinePolicy::Fcfs, Some(t)) => Box::new(FcfsScheduler::with_trace(t.clone())),
-        (RecombinePolicy::Split, None) => Box::new(SplitScheduler::new(p, deadline)),
-        (RecombinePolicy::Split, Some(t)) => {
-            Box::new(SplitScheduler::with_trace(p, deadline, t.clone()))
+    shaper: &OnlineShaper,
+    trace: &TraceHandle,
+    wrap: impl FnOnce(Box<dyn CapacityAdaptive>) -> S,
+) -> StreamingSimulation<S> {
+    let (scheduler, rates) = policy.parts(shaper.provision, shaper.deadline, trace);
+    let mut sim = StreamingSimulation::new(wrap(scheduler));
+    for rate in rates {
+        sim = sim.server(FixedRateServer::new(rate));
+    }
+    sim
+}
+
+/// Offers every chunk of `stream` to `sim` in order, handing each request
+/// to `on_offer` first and the simulation to `after_chunk` once the whole
+/// chunk is in. Returns the chunk count and the largest resident chunk in
+/// bytes (`len × size_of::<Request>()`).
+pub(crate) fn feed_chunks<A, S>(
+    stream: &mut A,
+    sim: &mut StreamingSimulation<S>,
+    mut on_offer: impl FnMut(&Request),
+    mut after_chunk: impl FnMut(&mut StreamingSimulation<S>),
+) -> Result<(usize, usize), StreamError>
+where
+    A: ArrivalStream + ?Sized,
+    S: Scheduler,
+{
+    let mut buf = Vec::new();
+    let (mut chunks, mut peak_chunk_bytes) = (0usize, 0usize);
+    loop {
+        let n = stream.next_chunk(&mut buf)?;
+        if n == 0 {
+            return Ok((chunks, peak_chunk_bytes));
         }
-        (RecombinePolicy::FairQueue, None) => Box::new(FairQueueScheduler::new(p, deadline)),
-        (RecombinePolicy::FairQueue, Some(t)) => {
-            Box::new(FairQueueScheduler::with_trace(p, deadline, t.clone()))
+        chunks += 1;
+        peak_chunk_bytes = peak_chunk_bytes.max(n * mem::size_of::<Request>());
+        for &request in buf.iter() {
+            on_offer(&request);
+            sim.offer(request);
         }
-        (RecombinePolicy::Miser, None) => Box::new(MiserScheduler::new(p, deadline)),
-        (RecombinePolicy::Miser, Some(t)) => {
-            Box::new(MiserScheduler::with_trace(p, deadline, t.clone()))
-        }
-    };
-    let servers = match policy {
-        RecombinePolicy::Split => vec![
-            FixedRateServer::new(p.cmin()),
-            FixedRateServer::new(p.delta_c()),
-        ],
-        _ => vec![FixedRateServer::new(p.total())],
-    };
-    (scheduler, servers)
+        after_chunk(sim);
+    }
 }
 
 /// The outcome of a record-accumulating streamed run: the full
@@ -177,7 +188,7 @@ impl OnlineShaper {
         stream: &mut A,
         policy: RecombinePolicy,
     ) -> Result<StreamReport, StreamError> {
-        self.drive(stream, policy, None)
+        self.run_traced(stream, policy, TraceHandle::disabled())
     }
 
     /// Like [`run`](OnlineShaper::run), with the full event trace routed
@@ -193,7 +204,15 @@ impl OnlineShaper {
         policy: RecombinePolicy,
         trace: TraceHandle,
     ) -> Result<StreamReport, StreamError> {
-        self.drive(stream, policy, Some(trace))
+        let mut sim = policy_simulation(policy, self, &trace, |s| s)
+            .trace(trace)
+            .deadline(self.deadline);
+        let (chunks, peak_chunk_bytes) = feed_chunks(stream, &mut sim, |_| {}, |_| {})?;
+        Ok(StreamReport {
+            report: sim.into_report(),
+            chunks,
+            peak_chunk_bytes,
+        })
     }
 
     /// Streams every chunk through `policy` in bounded memory: completion
@@ -217,11 +236,7 @@ impl OnlineShaper {
         A: ArrivalStream + ?Sized,
         F: FnMut(CompletionRecord),
     {
-        let (scheduler, servers) = policy_parts(self.provision, self.deadline, policy, None);
-        let mut sim = StreamingSimulation::new(scheduler);
-        for server in servers {
-            sim = sim.server(server);
-        }
+        let mut sim = policy_simulation(policy, self, &TraceHandle::disabled(), |s| s);
         let mut obs = StreamObservation {
             sketch: LatencySketch::new(),
             primary: LatencySketch::new(),
@@ -233,8 +248,7 @@ impl OnlineShaper {
             peak_chunk_bytes: 0,
             peak_resident_records: 0,
         };
-        let mut buf = Vec::new();
-        let mut drain = |sim: &mut StreamingSimulation<Box<dyn Scheduler>>,
+        let mut drain = |sim: &mut StreamingSimulation<Box<dyn CapacityAdaptive>>,
                          obs: &mut StreamObservation| {
             let mut resident = 0usize;
             for record in sim.drain_completions() {
@@ -250,90 +264,13 @@ impl OnlineShaper {
             obs.completed += resident;
             obs.peak_resident_records = obs.peak_resident_records.max(resident);
         };
-        loop {
-            let n = stream.next_chunk(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            obs.chunks += 1;
-            obs.peak_chunk_bytes = obs.peak_chunk_bytes.max(n * mem::size_of::<Request>());
-            for &request in buf.iter() {
-                sim.offer(request);
-            }
-            drain(&mut sim, &mut obs);
-        }
+        (obs.chunks, obs.peak_chunk_bytes) =
+            feed_chunks(stream, &mut sim, |_| {}, |sim| drain(sim, &mut obs))?;
         sim.finish();
         drain(&mut sim, &mut obs);
         obs.offered = sim.offered();
         obs.end_time = sim.end_time();
         Ok(obs)
-    }
-
-    /// Like [`run_observed`](OnlineShaper::run_observed), additionally
-    /// feeding every completion into a long-horizon [`LongTermStore`]
-    /// under `tenant`, keyed by completion instant. This is the shaper's
-    /// side of the retention tap: the same store the gateway feeds from
-    /// `TenantReport::window_feedback` can absorb ad-hoc shaper runs, and
-    /// because the store's tiers are built purely by sketch `merge`, its
-    /// cumulative sketch for `tenant` afterwards contains these
-    /// completions losslessly (bit-identical merge with whatever it
-    /// already held).
-    ///
-    /// Completions drain in simulation-time order, so the store's
-    /// out-of-order rejection can never fire here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StreamError`] from the source.
-    pub fn run_longterm<A: ArrivalStream + ?Sized>(
-        &self,
-        stream: &mut A,
-        policy: RecombinePolicy,
-        tenant: &str,
-        store: &mut LongTermStore<String>,
-    ) -> Result<StreamObservation, StreamError> {
-        let key = tenant.to_string();
-        self.run_observed(stream, policy, |record| {
-            store
-                .record(&key, record.completion, record.response_time().as_nanos())
-                .expect("completion-ordered drains cannot be out of order");
-        })
-    }
-
-    fn drive<A: ArrivalStream + ?Sized>(
-        &self,
-        stream: &mut A,
-        policy: RecombinePolicy,
-        trace: Option<TraceHandle>,
-    ) -> Result<StreamReport, StreamError> {
-        let (scheduler, servers) =
-            policy_parts(self.provision, self.deadline, policy, trace.as_ref());
-        let mut sim = StreamingSimulation::new(scheduler);
-        for server in servers {
-            sim = sim.server(server);
-        }
-        if let Some(trace) = trace {
-            sim = sim.trace(trace).deadline(self.deadline);
-        }
-        let mut buf = Vec::new();
-        let mut chunks = 0usize;
-        let mut peak_chunk_bytes = 0usize;
-        loop {
-            let n = stream.next_chunk(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            chunks += 1;
-            peak_chunk_bytes = peak_chunk_bytes.max(n * mem::size_of::<Request>());
-            for &request in buf.iter() {
-                sim.offer(request);
-            }
-        }
-        Ok(StreamReport {
-            report: sim.into_report(),
-            chunks,
-            peak_chunk_bytes,
-        })
     }
 }
 
@@ -449,32 +386,6 @@ mod tests {
             .unwrap();
         assert_eq!(a.peak_chunk_bytes, b.peak_chunk_bytes);
         assert_eq!(a.peak_chunk_bytes, chunk * std::mem::size_of::<Request>());
-    }
-
-    #[test]
-    fn longterm_run_feeds_the_store_losslessly() {
-        // The store's cumulative sketch after a shaper run must equal the
-        // observation's aggregate sketch bit for bit: the retention tap
-        // loses nothing relative to the run itself.
-        use gqos_sim::RetentionConfig;
-        let w = bursty();
-        let (_, online) = shapers();
-        for policy in RecombinePolicy::ALL {
-            let mut store = LongTermStore::new(RetentionConfig::default_tiers());
-            let obs = online
-                .run_longterm(
-                    &mut WorkloadStream::new(w.clone(), 11),
-                    policy,
-                    "tenant-a",
-                    &mut store,
-                )
-                .expect("workload stream");
-            assert_eq!(
-                store.cumulative(&"tenant-a".to_string()),
-                Some(&obs.sketch),
-                "{policy}: store cumulative diverged from the run sketch"
-            );
-        }
     }
 
     #[test]

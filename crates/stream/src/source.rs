@@ -2,16 +2,14 @@
 //!
 //! An [`ArrivalStream`] yields the arrival process in fixed-capacity sorted
 //! chunks instead of one materialised `Workload` vector, so ingestion
-//! memory is bounded by the chunk size regardless of trace length. Three
+//! memory is bounded by the chunk size regardless of trace length. Two
 //! adapters cover the repo's sources:
 //!
 //! - [`WorkloadStream`] — an in-memory [`Workload`] re-served in chunks
 //!   (the golden reference: ids and order are exactly the workload's);
 //! - [`SpcStream`] — an incremental SPC file reader built on
 //!   [`gqos_trace::spc::Records`], never holding more than one chunk of
-//!   parsed records and allocating nothing per record;
-//! - [`SyntheticStream`] — any arrival-time iterator (e.g. a generator's
-//!   output fed lazily).
+//!   parsed records and allocating nothing per record.
 //!
 //! # Chunk contract
 //!
@@ -88,8 +86,10 @@ impl From<ParseSpcError> for StreamError {
 
 /// A source of arrivals in fixed-capacity sorted chunks.
 ///
-/// See the [module docs](self) for the chunk contract every implementation
-/// must uphold.
+/// Every implementation upholds the chunk contract: chunks are sorted by
+/// arrival time, never start before the previous chunk ended (else
+/// [`StreamError::OutOfOrder`]), and carry dense sequential request ids
+/// across the whole stream.
 pub trait ArrivalStream {
     /// The configured maximum chunk length.
     fn chunk_capacity(&self) -> usize;
@@ -106,7 +106,7 @@ pub trait ArrivalStream {
     fn next_chunk(&mut self, buf: &mut Vec<Request>) -> Result<usize, StreamError>;
 }
 
-/// Shared tail logic for id-assigning adapters: stable-sort the chunk,
+/// Tail logic for id-assigning adapters: stable-sort the chunk,
 /// check the cross-chunk ordering contract, assign dense sequential ids.
 fn seal_chunk(
     buf: &mut [Request],
@@ -285,72 +285,6 @@ impl<R: Read> ArrivalStream for SpcStream<R> {
     }
 }
 
-/// An arrival-time iterator (e.g. a synthetic generator's output) served
-/// in sorted chunks with dense sequential ids.
-///
-/// # Examples
-///
-/// ```
-/// use gqos_stream::{ArrivalStream, SyntheticStream};
-/// use gqos_trace::SimTime;
-///
-/// let mut stream =
-///     SyntheticStream::new((0..100u64).map(SimTime::from_millis), 32);
-/// let mut buf = Vec::new();
-/// assert_eq!(stream.next_chunk(&mut buf).unwrap(), 32);
-/// assert_eq!(buf[0].id.index(), 0);
-/// ```
-#[derive(Debug)]
-pub struct SyntheticStream<I> {
-    arrivals: I,
-    chunk: usize,
-    chunks_read: usize,
-    next_id: u64,
-    last_arrival: Option<SimTime>,
-}
-
-impl<I: Iterator<Item = SimTime>> SyntheticStream<I> {
-    /// Creates a stream over `arrivals` yielding chunks of at most `chunk`
-    /// requests. Arrivals may be unordered within a chunk (they are
-    /// sorted), but not across chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn new(arrivals: I, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk capacity must be positive");
-        SyntheticStream {
-            arrivals,
-            chunk,
-            chunks_read: 0,
-            next_id: 0,
-            last_arrival: None,
-        }
-    }
-}
-
-impl<I: Iterator<Item = SimTime>> ArrivalStream for SyntheticStream<I> {
-    fn chunk_capacity(&self) -> usize {
-        self.chunk
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Request>) -> Result<usize, StreamError> {
-        buf.clear();
-        buf.extend(self.arrivals.by_ref().take(self.chunk).map(Request::at));
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        seal_chunk(
-            buf,
-            &mut self.next_id,
-            &mut self.last_arrival,
-            self.chunks_read,
-        )?;
-        self.chunks_read += 1;
-        Ok(buf.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,24 +358,6 @@ mod tests {
         let err = s.next_chunk(&mut Vec::new()).unwrap_err();
         assert!(matches!(err, StreamError::Parse(_)));
         assert!(err.source().is_some());
-    }
-
-    #[test]
-    fn synthetic_stream_assigns_dense_ids() {
-        let all = drain(SyntheticStream::new((0..10u64).map(ms), 3));
-        for (i, r) in all.iter().enumerate() {
-            assert_eq!(r.id.index(), i as u64);
-        }
-        assert_eq!(all.len(), 10);
-    }
-
-    #[test]
-    fn synthetic_stream_rejects_cross_chunk_disorder() {
-        let times = [ms(5), ms(6), ms(1)];
-        let mut s = SyntheticStream::new(times.into_iter(), 2);
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf).unwrap(), 2);
-        assert!(s.next_chunk(&mut buf).is_err());
     }
 
     #[test]

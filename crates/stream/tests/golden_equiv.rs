@@ -4,11 +4,13 @@
 //! a workload is bit-identical to the offline `WorkloadShaper` run — same
 //! completion records (ids, classes, nanosecond timestamps), same end
 //! time, same sketch buckets. Checked here for all four recombination
-//! policies × chunk sizes {1, 7, 4096, whole-trace}, for SPC-file
-//! ingestion, and for the sharded gateway across 1/2/4/8 workers.
+//! policies × chunk sizes {1, 7, 4096, whole-trace}, for the traced event
+//! stream, for SPC-file ingestion, and for the sharded gateway across
+//! 1/2/4/8 workers.
 
 use gqos_core::{QosTarget, RecombinePolicy, WorkloadShaper};
 use gqos_parallel::WorkerPool;
+use gqos_sim::TraceHandle;
 use gqos_stream::{IngestGateway, OnlineShaper, SpcStream, TenantSpec, WorkloadStream};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{SimDuration, Workload};
@@ -157,5 +159,31 @@ fn sharded_gateway_is_byte_identical_across_worker_counts() {
     }
     for report in &reference {
         assert_eq!(report.completed, report.offered, "{}", report.name);
+    }
+}
+
+#[test]
+fn streamed_trace_events_are_identical_to_offline() {
+    let (workload, offline) = planned();
+    let online = OnlineShaper::from(offline);
+    for policy in RecombinePolicy::ALL {
+        let (trace, sink) = TraceHandle::memory();
+        offline.run_traced(&workload, policy, trace);
+        let reference = sink.borrow().events();
+        assert!(!reference.is_empty(), "{policy}: no events captured");
+        for chunk in [1usize, 7, 4096, workload.len()] {
+            let (trace, sink) = TraceHandle::memory();
+            online
+                .run_traced(
+                    &mut WorkloadStream::new(workload.clone(), chunk),
+                    policy,
+                    trace,
+                )
+                .expect("workload stream");
+            assert!(
+                reference == sink.borrow().events(),
+                "{policy} trace events diverged at chunk size {chunk}"
+            );
+        }
     }
 }

@@ -9,9 +9,9 @@
 //! Run with: `cargo run --release --example disk_qos`
 
 use gqos::disk::{DiskModel, ScanScheduler, SstfScheduler, SweepMode};
-use gqos::sim::{FcfsScheduler, ServiceClass, Simulation};
+use gqos::sim::{FcfsScheduler, ServiceClass, Simulation, TraceHandle};
 use gqos::trace::gen::profiles::TraceProfile;
-use gqos::{Iops, MiserScheduler, Provision, SimDuration};
+use gqos::{Iops, Provision, RecombinePolicy, SimDuration};
 
 fn main() {
     // A light OLTP-like stream: the mechanical disk sustains only a couple
@@ -72,9 +72,8 @@ fn main() {
         .cache(0.35, SimDuration::from_micros(60))
         .seed(4)
         .build();
-    let report = Simulation::new(&workload, MiserScheduler::new(provision, deadline))
-        .server(disk)
-        .run();
+    let (miser, _) = RecombinePolicy::Miser.parts(provision, deadline, &TraceHandle::disabled());
+    let report = Simulation::new(&workload, miser).server(disk).run();
     let primary = report.stats_for(ServiceClass::PRIMARY);
     let overflow = report.stats_for(ServiceClass::OVERFLOW);
     println!("\nRTT + Miser above the mechanical disk ({provision}, delta 50 ms):");
