@@ -28,6 +28,12 @@
 //! the wall-clock ceiling of `fleet/place_1000` and the cached-vs-naive
 //! packer ratio for CI.
 //!
+//! `control/retune_apply` is one SLO retune through the control plane: a
+//! share-carrying `UpdateSla` at the tenant's unchanged fraction, applied
+//! with `ControlPlane::apply` on a warm plane. The retune fences a new
+//! epoch but must not re-plan the unchanged workload, so it must always
+//! cost at most 5% of `fleet/quote_cold` (asserted on every run).
+//!
 //! `trace/spc_parse` is the SPC ingest stage on its own: ns per record to
 //! drain a fixed-seed OpenMail trace, serialised as SPC text, through
 //! `SpcStream` at `DEFAULT_CHUNK`. `--assert-spc-parse-ns 200` fails the
@@ -41,6 +47,7 @@ use std::time::Instant;
 
 use gqos_bench::experiments::fleet;
 use gqos_bench::ExpConfig;
+use gqos_control::{CommandBody, ControlPlane, ControlRequest};
 use gqos_core::{
     decompose, overflow_count, overflow_curve, within_miss_budget, CapacityPlanner,
     DecomposeScratch, FcfsScheduler, FleetPlacer, QosTarget, QuoteCache, RttClassifier,
@@ -516,6 +523,54 @@ fn main() {
         );
         println!("  fleet speedup assertion: cached >= {floor}x naive ok");
     }
+
+    // --- Control plane -----------------------------------------------------
+    // One SLO retune as the feedback controller issues it, on the
+    // `control_loop` shape: 240 of the fleet tenants on 24 servers, a
+    // share-carrying `UpdateSla` at the tenant's unchanged fraction and at
+    // the controller's 100 ms window deadline (not the fleet's). Each retune
+    // moves the fencing epoch; the first one pays the only cold search.
+    let retune_deadline = SimDuration::from_millis(100);
+    let mut plane = ControlPlane::new(fleet_placer, 24, WorkerPool::serial()).expect("24 servers");
+    for (i, t) in fleet_tenants[..240].iter().enumerate() {
+        let add = CommandBody::AddTenant {
+            tenant: t.id(),
+            workload: t.workload().clone(),
+        };
+        let out = plane.apply(&ControlRequest::new(i as u64, add), SimTime::ZERO);
+        assert!(out.outcome.is_ok(), "fresh tenant rejected: {out:?}");
+    }
+    let retuned = fleet_tenants[0].id();
+    let mut epoch = plane.epoch_of(retuned).expect("added above");
+    let mut next_id = 240;
+    let mut retune = || {
+        next_id += 1;
+        let update = CommandBody::UpdateSla {
+            tenant: retuned,
+            fraction: fleet::FLEET_FRACTION,
+            deadline: retune_deadline,
+            expect_epoch: epoch,
+            share: Some(fleet_capacity / 2 + next_id % 2),
+        };
+        let ack = plane
+            .apply(&ControlRequest::new(next_id, update), SimTime::ZERO)
+            .outcome
+            .expect("a fenced retune within the fleet's capacity applies");
+        epoch = ack.epoch.expect("an SLA ack carries the new epoch");
+    };
+    retune();
+    let retune_ns = measure(samples, 2_000, &mut retune);
+    push("control/retune_apply", retune_ns, 1);
+    println!(
+        "  control plane: a retune costs {:.5}x of one cold quote",
+        retune_ns / quote_cold_ns
+    );
+    assert!(
+        retune_ns <= 0.05 * quote_cold_ns,
+        "control/retune_apply ({retune_ns:.0} ns) exceeded 5% of \
+         fleet/quote_cold ({quote_cold_ns:.0} ns) — retunes are re-planning \
+         unchanged tenants"
+    );
 
     // --- JSON ------------------------------------------------------------
     let fused = records

@@ -70,8 +70,8 @@ pub enum CommandBody {
         expect_epoch: u64,
     },
     /// Renegotiate a tenant's SLA to `fraction` of requests within
-    /// `deadline`, advancing its epoch (which invalidates exactly this
-    /// tenant's cached quotes).
+    /// `deadline`, advancing its epoch. Cached quotes survive: they
+    /// depend on the tenant's workload alone.
     UpdateSla {
         /// The tenant renegotiating.
         tenant: TenantId,

@@ -12,9 +12,11 @@
 //! - [`ControlRequest`] / [`ControlResponse`] (bus-level types):
 //!   typed commands (`AddTenant`, `RemoveTenant`, `UpdateSla`,
 //!   `DrainTenant`, `NodeDown`, `NodeUp`) with per-tenant epoch fencing
-//!   on top of `FleetTenant::bump_epoch` / `QuoteCache` invalidation —
-//!   stale commands rejected with [`ControlError::StaleEpoch`], retried
-//!   commands deduped by [`CommandId`] so nothing ever double-applies.
+//!   on top of `FleetTenant::bump_epoch` — stale commands rejected with
+//!   [`ControlError::StaleEpoch`], retried commands deduped by
+//!   [`CommandId`] so nothing ever double-applies. Fencing evicts no
+//!   `QuoteCache` entry: quotes are keyed by the tenant's workload, so a
+//!   retune of an unchanged tenant re-plans nothing.
 //! - [`ControlPlane`]: the single authority applying commands to the
 //!   live [`Placement`](gqos_core::Placement), with the convergence
 //!   oracle ([`ControlPlane::oracle_quotes`]) that a from-scratch pack

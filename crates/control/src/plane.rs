@@ -66,6 +66,8 @@ pub struct ControlPlane {
     /// controller's ledger. Invariant: values sum to at most the fleet's
     /// total capacity (`server_capacity × servers`).
     shares: BTreeMap<TenantId, u64>,
+    /// Running sum of `shares`, kept at every share insert and removal.
+    committed: u64,
     /// Per-deadline caches for renegotiated SLA quotes at deadlines other
     /// than the fleet target's, keyed by deadline nanoseconds.
     sla_caches: BTreeMap<u64, QuoteCache>,
@@ -99,6 +101,7 @@ impl ControlPlane {
             placement,
             cache,
             shares: BTreeMap::new(),
+            committed: 0,
             sla_caches: BTreeMap::new(),
             applied: BTreeMap::new(),
             epoch_log: Vec::new(),
@@ -122,6 +125,17 @@ impl ControlPlane {
     /// The long-lived quote cache the placement is costed from.
     pub fn cache(&self) -> &QuoteCache {
         &self.cache
+    }
+
+    /// The cache that quotes renegotiated SLAs at `deadline`: the fleet
+    /// cache at the fleet deadline, otherwise that deadline's own cache,
+    /// or `None` before any `UpdateSla` asked for it.
+    pub fn sla_cache(&self, deadline: SimDuration) -> Option<&QuoteCache> {
+        if deadline == self.cache.deadline() {
+            Some(&self.cache)
+        } else {
+            self.sla_caches.get(&deadline.as_nanos())
+        }
     }
 
     /// The command counters.
@@ -158,6 +172,12 @@ impl ControlPlane {
     /// Every explicitly recorded capacity share, ascending by tenant.
     pub fn shares(&self) -> Vec<(TenantId, u64)> {
         self.shares.iter().map(|(&t, &s)| (t, s)).collect()
+    }
+
+    /// The sum of every explicitly recorded share, kept as a running
+    /// total.
+    pub fn committed(&self) -> u64 {
+        self.committed
     }
 
     /// The fleet's total capacity in integer IOPS: `server_capacity ×
@@ -222,20 +242,14 @@ impl ControlPlane {
         }
     }
 
-    /// Fences `expect` against the tenant's current epoch.
-    fn fence(&self, tenant: TenantId, expect: u64) -> Result<&FleetTenant, ControlError> {
-        let t = self
-            .tenants
-            .get(&tenant)
-            .ok_or(ControlError::UnknownTenant { tenant })?;
-        if t.epoch() != expect {
-            return Err(ControlError::StaleEpoch {
-                tenant,
-                expect,
-                current: t.epoch(),
-            });
-        }
-        Ok(t)
+    /// Debug builds recompute the running committed-share total from
+    /// scratch and compare.
+    fn debug_check_committed(&self) {
+        debug_assert_eq!(
+            self.committed,
+            self.shares.values().sum::<u64>(),
+            "running committed-share total drifted"
+        );
     }
 
     fn add_tenant(&mut self, tenant: TenantId, workload: &Workload) -> Result<Ack, ControlError> {
@@ -258,8 +272,8 @@ impl ControlPlane {
     }
 
     fn remove_tenant(&mut self, tenant: TenantId, expect: u64) -> Result<Ack, ControlError> {
-        let t = self.fence(tenant, expect)?.clone();
-        let from = self.placer.evict(&mut self.placement, &t);
+        let t = fence(&self.tenants, tenant, expect)?;
+        let from = self.placer.evict(&mut self.placement, t);
         self.cache.invalidate(tenant);
         for cache in self.sla_caches.values_mut() {
             cache.invalidate(tenant);
@@ -267,7 +281,10 @@ impl ControlPlane {
         self.retired.insert(tenant, t.epoch());
         self.tenants.remove(&tenant);
         self.slas.remove(&tenant);
-        self.shares.remove(&tenant);
+        if let Some(share) = self.shares.remove(&tenant) {
+            self.committed -= share;
+        }
+        self.debug_check_committed();
         Ok(Ack {
             epoch: None,
             detail: AckDetail::Removed { from },
@@ -288,20 +305,16 @@ impl ControlPlane {
         if deadline.is_zero() {
             return Err(ControlError::BadDeadline);
         }
-        self.fence(tenant, expect)?;
+        fence(&self.tenants, tenant, expect)?;
+        // This tenant's own prior share, released by the update.
+        let prior = self.shares.get(&tenant).copied().unwrap_or(0);
         if let Some(asked) = share {
             if asked == 0 {
                 return Err(ControlError::BadShare);
             }
             // The fleet-capacity invariant: explicit shares (with this
             // tenant's own prior share released) must fit the fleet.
-            let committed: u64 = self
-                .shares
-                .iter()
-                .filter(|&(&id, _)| id != tenant)
-                .map(|(_, &s)| s)
-                .sum();
-            let available = self.fleet_capacity().saturating_sub(committed);
+            let available = self.fleet_capacity().saturating_sub(self.committed - prior);
             if asked > available {
                 return Err(ControlError::ShareOverCommit { asked, available });
             }
@@ -309,23 +322,25 @@ impl ControlPlane {
         let t = self.tenants.get_mut(&tenant).expect("fenced above");
         t.bump_epoch();
         let epoch = t.epoch();
-        let t = t.clone();
         self.epoch_log.push((tenant, epoch));
         self.slas.insert(tenant, QosTarget::new(fraction, deadline));
         if let Some(asked) = share {
             self.shares.insert(tenant, asked);
+            self.committed = self.committed - prior + asked;
+            self.debug_check_committed();
         }
         // Quote Cmin(f, δ) under the renegotiated target. The fleet
-        // cache answers when δ matches the fleet deadline (the epoch
-        // bump has already invalidated exactly this tenant's entries);
-        // other deadlines get their own memoized cache.
+        // cache answers when δ matches the fleet deadline; other
+        // deadlines get their own memoized cache. The epoch bump keeps
+        // the tenant's cached quotes: they depend on its workload alone.
+        let t = &self.tenants[&tenant];
         let cmin = if deadline == self.cache.deadline() {
-            self.cache.quote_int(&t, fraction)
+            self.cache.quote_int(t, fraction)
         } else {
             self.sla_caches
                 .entry(deadline.as_nanos())
                 .or_insert_with(|| QuoteCache::new(deadline))
-                .quote_int(&t, fraction)
+                .quote_int(t, fraction)
         };
         Ok(Ack {
             epoch: Some(epoch),
@@ -334,14 +349,14 @@ impl ControlPlane {
     }
 
     fn drain_tenant(&mut self, tenant: TenantId, expect: u64) -> Result<Ack, ControlError> {
-        let t = self.fence(tenant, expect)?.clone();
+        let t = fence(&self.tenants, tenant, expect)?;
         let Some(from) = self.placement.server_of(tenant) else {
             return Err(ControlError::NotPlaced { tenant });
         };
-        self.placer.evict(&mut self.placement, &t);
+        self.placer.evict(&mut self.placement, t);
         let to = self.placer.place_avoiding(
             &mut self.placement,
-            &t,
+            t,
             &[from],
             &mut self.cache,
             &self.pool,
@@ -353,10 +368,18 @@ impl ControlPlane {
     }
 
     fn node_down(&mut self, node: usize, now: SimTime) -> Result<Ack, ControlError> {
-        let tenants: Vec<FleetTenant> = self.tenants.values().cloned().collect();
+        // Only the node's residents move, so only they are handed over.
+        let residents: Vec<FleetTenant> = self
+            .placement
+            .bins()
+            .get(node)
+            .map_or(&[][..], |bin| bin.members())
+            .iter()
+            .map(|id| self.tenants[id].clone())
+            .collect();
         let moved = self.placer.replan_node_down(
             &mut self.placement,
-            &tenants,
+            &residents,
             node,
             &mut self.cache,
             &self.pool,
@@ -398,12 +421,12 @@ impl ControlPlane {
         waiting.sort_unstable();
         let mut refilled = 0;
         for id in waiting {
-            let Some(t) = self.tenants.get(&id).cloned() else {
+            let Some(t) = self.tenants.get(&id) else {
                 continue;
             };
             if let Ok(Some(_)) =
                 self.placer
-                    .place_into(&mut self.placement, &t, &mut self.cache, &self.pool)
+                    .place_into(&mut self.placement, t, &mut self.cache, &self.pool)
             {
                 refilled += 1;
             }
@@ -417,9 +440,8 @@ impl ControlPlane {
     /// half of the convergence check.
     pub fn converged_quotes(&mut self) -> Vec<(TenantId, u64)> {
         let fraction = self.placer.target().fraction();
-        let tenants: Vec<FleetTenant> = self.tenants.values().cloned().collect();
-        tenants
-            .iter()
+        self.tenants
+            .values()
             .map(|t| (t.id(), self.cache.quote_int(t, fraction)))
             .collect()
     }
@@ -481,6 +503,27 @@ impl ControlPlane {
         }
         out
     }
+}
+
+/// Fences `expect` against the tenant's current epoch. A free function
+/// over the registry, so the fenced tenant stays borrowed while the
+/// placement and caches are mutated.
+fn fence(
+    tenants: &BTreeMap<TenantId, FleetTenant>,
+    tenant: TenantId,
+    expect: u64,
+) -> Result<&FleetTenant, ControlError> {
+    let t = tenants
+        .get(&tenant)
+        .ok_or(ControlError::UnknownTenant { tenant })?;
+    if t.epoch() != expect {
+        return Err(ControlError::StaleEpoch {
+            tenant,
+            expect,
+            current: t.epoch(),
+        });
+    }
+    Ok(t)
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Epoch-fencing regression suite for the `QuoteCache` invalidation
 //! contract under live SLA renegotiation: an `UpdateSla` bumps exactly
-//! the renegotiated tenant's epoch, which invalidates exactly that
-//! tenant's cached entries (hit/miss counters asserted precisely), and a
-//! quote computed at a stale epoch is never served again.
+//! the renegotiated tenant's fencing epoch and evicts nothing, because a
+//! quote depends on the workload alone; only a workload change rebuilds
+//! a tenant's entry (hit/miss counters asserted precisely), and a quote
+//! computed for a replaced workload is never served again.
 
 use gqos_control::{Ack, AckDetail, CommandBody, ControlError, ControlPlane, ControlRequest};
-use gqos_core::{FleetPlacer, FleetTenant, QosTarget, QuoteCache, TenantId};
+use gqos_core::{CapacityPlanner, FleetPlacer, FleetTenant, QosTarget, QuoteCache, TenantId};
 use gqos_parallel::WorkerPool;
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
 
@@ -13,8 +14,14 @@ fn workload(seed: u64) -> Workload {
     Workload::from_arrivals((0..80).map(|i| SimTime::from_millis(i * 5 + seed)))
 }
 
+fn cold(t: &FleetTenant, deadline: SimDuration, fraction: f64) -> u64 {
+    CapacityPlanner::new(t.workload(), deadline)
+        .min_capacity(fraction)
+        .get() as u64
+}
+
 #[test]
-fn bump_epoch_invalidates_exactly_the_renegotiated_tenant() {
+fn bump_epoch_fences_without_evicting_and_set_workload_rebuilds_one_tenant() {
     let deadline = SimDuration::from_millis(20);
     let mut cache = QuoteCache::new(deadline);
     let mut a = FleetTenant::new(TenantId::new(0), workload(0));
@@ -28,19 +35,29 @@ fn bump_epoch_invalidates_exactly_the_renegotiated_tenant() {
     assert_eq!(cache.quote_int(&b, 0.9), qb);
     assert_eq!((cache.hits(), cache.misses()), (2, 2));
 
-    // SLA renegotiation on `a` alone: epoch bump.
+    // SLA renegotiation on `a` alone: epoch bump, same workload. The
+    // quote is served from the memo and is still the cold planner's.
     a.bump_epoch();
-
-    // `a`'s entry is stale: the next quote is a miss (rebuilt), not a
-    // replay of the stale value. `b` is untouched: still a hit.
+    assert_eq!(a.epoch(), 1);
     assert_eq!(cache.quote_int(&a, 0.9), qa, "same workload, same Cmin");
-    assert_eq!((cache.hits(), cache.misses()), (2, 3), "a must rebuild");
+    assert_eq!((cache.hits(), cache.misses()), (3, 2), "a must not rebuild");
+    assert_eq!(qa, cold(&a, deadline, 0.9));
     assert_eq!(cache.quote_int(&b, 0.9), qb);
-    assert_eq!((cache.hits(), cache.misses()), (3, 3), "b must stay cached");
+    assert_eq!((cache.hits(), cache.misses()), (4, 2), "b must stay cached");
 
-    // Rebuilt entry memoizes again at the new epoch.
-    assert_eq!(cache.quote_int(&a, 0.9), qa);
-    assert_eq!((cache.hits(), cache.misses()), (4, 3));
+    // A workload change on `a` rebuilds exactly `a`'s entry: one miss.
+    a.set_workload(Workload::from_arrivals(
+        (0..160).map(|i| SimTime::from_millis(i * 2)),
+    ));
+    let fresh = cache.quote_int(&a, 0.9);
+    assert_eq!(fresh, cold(&a, deadline, 0.9));
+    assert_eq!((cache.hits(), cache.misses()), (4, 3), "a must rebuild");
+    assert_eq!(cache.quote_int(&b, 0.9), qb);
+    assert_eq!((cache.hits(), cache.misses()), (5, 3), "b must stay cached");
+
+    // The rebuilt entry memoizes again.
+    assert_eq!(cache.quote_int(&a, 0.9), fresh);
+    assert_eq!((cache.hits(), cache.misses()), (6, 3));
 }
 
 #[test]
@@ -66,7 +83,7 @@ fn stale_epoch_quotes_are_never_served_after_a_workload_change() {
 }
 
 #[test]
-fn update_sla_through_the_plane_fences_and_invalidates_precisely() {
+fn update_sla_through_the_plane_fences_and_reuses_the_cached_quote() {
     let target = QosTarget::new(0.9, SimDuration::from_millis(20));
     let placer = FleetPlacer::new(target, Iops::new(400.0));
     let mut plane = ControlPlane::new(placer, 4, WorkerPool::serial()).unwrap();
@@ -82,9 +99,9 @@ fn update_sla_through_the_plane_fences_and_invalidates_precisely() {
     }
     let (hits0, misses0) = (plane.cache().hits(), plane.cache().misses());
 
-    // Renegotiate tenant 0 at the fleet deadline: exactly one rebuild
-    // miss (the epoch bump invalidated its entry), zero extra work for
-    // tenant 1.
+    // Renegotiate tenant 0 at the fleet deadline and fraction: the epoch
+    // bump fences, and the unchanged workload's quote is one memo hit,
+    // with zero extra work for tenant 1.
     let update = ControlRequest::new(
         10,
         CommandBody::UpdateSla {
@@ -103,11 +120,12 @@ fn update_sla_through_the_plane_fences_and_invalidates_precisely() {
     else {
         panic!("renegotiation rejected: {out:?}");
     };
-    assert!(cmin > 0);
+    let t0 = FleetTenant::new(TenantId::new(0), workload(0));
+    assert_eq!(cmin, cold(&t0, SimDuration::from_millis(20), 0.9));
     assert_eq!(
         (plane.cache().hits(), plane.cache().misses()),
-        (hits0, misses0 + 1),
-        "exactly the renegotiated tenant's entry may rebuild"
+        (hits0 + 1, misses0),
+        "an SLA change must not rebuild the unchanged workload's quote"
     );
 
     // A duplicate delivery replays the decision: no second bump, no
@@ -116,7 +134,7 @@ fn update_sla_through_the_plane_fences_and_invalidates_precisely() {
     assert_eq!(plane.epoch_of(TenantId::new(0)), Some(1));
     assert_eq!(
         (plane.cache().hits(), plane.cache().misses()),
-        (hits0, misses0 + 1)
+        (hits0 + 1, misses0)
     );
 
     // A fresh command still fenced at the old epoch is rejected with
@@ -141,15 +159,15 @@ fn update_sla_through_the_plane_fences_and_invalidates_precisely() {
     );
     assert_eq!(
         (plane.cache().hits(), plane.cache().misses()),
-        (hits0, misses0 + 1)
+        (hits0 + 1, misses0)
     );
 
-    // The untouched tenant's quote is still served from the memo.
+    // Both tenants' quotes are still served from the memo.
     let quotes = plane.converged_quotes();
     assert_eq!(quotes.len(), 2);
     assert_eq!(
-        plane.cache().misses(),
-        misses0 + 1,
-        "tenant 1 never rebuilt"
+        (plane.cache().hits(), plane.cache().misses()),
+        (hits0 + 3, misses0),
+        "no tenant rebuilt"
     );
 }

@@ -9,12 +9,13 @@
 //!
 //! 1. **[`QuoteCache`]** — each tenant's standalone overflow curve is
 //!    computed once over the doubling [`SeedCurve`] grid and its
-//!    `Cmin(f, δ)` quotes are memoized by `(epoch, f)`; a quote is
-//!    invalidated only when the tenant's workload or SLA changes (the
-//!    epoch bumps). Cached quotes are **bit-identical** to the cold
-//!    planner's: both are the unique minimal integer capacity meeting the
-//!    miss budget, and every probe answers the same exact feasibility
-//!    question.
+//!    `Cmin(f, δ)` quotes are memoized by `(workload epoch, miss budget)`;
+//!    a quote is invalidated only when the tenant's workload changes. An
+//!    SLA change fences the tenant's epoch but keeps its quotes, because
+//!    a quote depends on nothing but the workload, δ and f. Cached quotes
+//!    are **bit-identical** to the cold planner's: both are the unique
+//!    minimal integer capacity meeting the miss budget, and every probe
+//!    answers the same exact feasibility question.
 //! 2. **Incremental consolidation ([`ServerBin`])** — each server keeps
 //!    its residents' *merged* arrival column; "tenant T joins server S"
 //!    is a zero-allocation feasibility probe streamed over the two sorted
@@ -128,26 +129,25 @@ impl Error for FleetError {}
 /// One tenant of the fleet: an identity, its workload profile, and an
 /// **epoch** that advances whenever the workload or SLA changes.
 ///
-/// The epoch is the [`QuoteCache`]'s invalidation contract: cached curves
-/// and quotes are keyed by `(tenant, epoch)`, so a stale epoch can never
-/// answer for a changed workload, and an unchanged tenant is never
-/// re-planned.
+/// The epoch fences commands. The [`QuoteCache`] keys on a narrower
+/// value: the epoch at which the current workload was installed. Cached
+/// curves and quotes are keyed by `(tenant, workload epoch)`, so a stale
+/// workload can never answer for a changed one, while an SLA-only
+/// [`bump_epoch`](Self::bump_epoch) keeps every quote.
 #[derive(Clone, Debug)]
 pub struct FleetTenant {
     id: TenantId,
     workload: Workload,
     epoch: u64,
+    /// The value of `epoch` when `workload` was installed.
+    workload_epoch: u64,
 }
 
 impl FleetTenant {
     /// Creates a tenant at epoch 0. Fleet operations assume ids are
     /// unique within one fleet.
     pub fn new(id: TenantId, workload: Workload) -> Self {
-        FleetTenant {
-            id,
-            workload,
-            epoch: 0,
-        }
+        FleetTenant::with_epoch(id, workload, 0)
     }
 
     /// Creates a tenant at an explicit `epoch` — the re-admission path:
@@ -159,6 +159,7 @@ impl FleetTenant {
             id,
             workload,
             epoch,
+            workload_epoch: epoch,
         }
     }
 
@@ -172,7 +173,7 @@ impl FleetTenant {
         &self.workload
     }
 
-    /// The invalidation epoch: bumped by every workload or SLA change.
+    /// The fencing epoch: bumped by every workload or SLA change.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -182,10 +183,12 @@ impl FleetTenant {
     pub fn set_workload(&mut self, workload: Workload) {
         self.workload = workload;
         self.epoch += 1;
+        self.workload_epoch = self.epoch;
     }
 
     /// Advances the epoch without touching the workload — the hook for
-    /// SLA changes tracked outside the profile.
+    /// SLA changes tracked outside the profile. Cached quotes survive it:
+    /// they depend on the workload alone.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
     }
@@ -197,15 +200,18 @@ impl FleetTenant {
 }
 
 /// Per-tenant seed curve and `Cmin(f, δ)` quote memo keyed by
-/// `(tenant epoch, f)`, at one fixed deadline `δ`.
+/// `(tenant, workload epoch, miss budget)`, at one fixed deadline `δ`.
 ///
 /// The first quote for a tenant builds its [`SeedCurve`] (one fused
 /// overflow pass over the doubling grid) and resolves the bracket by wide
-/// bisection; every further fraction reuses the curve, and repeat
-/// fractions return the memoized integer with no probe at all. A quote is
-/// invalidated **only** by an epoch bump ([`FleetTenant::set_workload`] /
-/// [`FleetTenant::bump_epoch`]) — the cache compares epochs on every
-/// access and rebuilds the entry when they differ.
+/// bisection; every further fraction reuses the curve, and a fraction
+/// whose integer miss budget was already quoted returns the memoized
+/// integer with no probe at all. A quote is invalidated **only** by a
+/// workload change ([`FleetTenant::set_workload`]) — the cache compares
+/// workload epochs on every access and rebuilds the entry when they
+/// differ. An SLA-only [`FleetTenant::bump_epoch`] moves the fencing
+/// epoch and keeps the entry. Keying by budget bounds each entry's memo
+/// at `n + 1` quotes for an `n`-request workload.
 ///
 /// Cached quotes are bit-identical to the cold
 /// [`CapacityPlanner::min_capacity`]: both paths return the unique
@@ -220,10 +226,11 @@ pub struct QuoteCache {
 
 #[derive(Clone, Debug)]
 struct CacheEntry {
-    epoch: u64,
+    workload_epoch: u64,
     seed: SeedCurve,
-    /// `fraction.to_bits() → Cmin` — exact-bits keying, so two fractions
-    /// compare equal iff the planner would treat them identically.
+    /// `miss budget → Cmin`. A quote depends on the fraction only through
+    /// `miss_budget(n, f)`, so two fractions share a key exactly when the
+    /// planner would search for the same capacity.
     quotes: BTreeMap<u64, u64>,
 }
 
@@ -248,8 +255,8 @@ impl QuoteCache {
         self.deadline
     }
 
-    /// `Cmin(fraction, δ)` for the tenant — memoized, epoch-checked, and
-    /// bit-identical to [`CapacityPlanner::min_capacity`].
+    /// `Cmin(fraction, δ)` for the tenant — memoized, workload-checked,
+    /// and bit-identical to [`CapacityPlanner::min_capacity`].
     ///
     /// # Panics
     ///
@@ -270,37 +277,37 @@ impl QuoteCache {
             .entries
             .entry(tenant.id)
             .and_modify(|e| {
-                if e.epoch != tenant.epoch {
-                    // Epoch moved: every cached curve and quote is stale.
-                    e.epoch = tenant.epoch;
+                if e.workload_epoch != tenant.workload_epoch {
+                    // New workload: every cached curve and quote is stale.
+                    e.workload_epoch = tenant.workload_epoch;
                     e.seed = SeedCurve::new(&tenant.workload, deadline);
                     e.quotes.clear();
                 }
             })
             .or_insert_with(|| CacheEntry {
-                epoch: tenant.epoch,
+                workload_epoch: tenant.workload_epoch,
                 seed: SeedCurve::new(&tenant.workload, deadline),
                 quotes: BTreeMap::new(),
             });
-        if let Some(&cmin) = entry.quotes.get(&fraction.to_bits()) {
+        let budget = miss_budget(tenant.workload.len() as u64, fraction);
+        if let Some(&cmin) = entry.quotes.get(&budget) {
             self.hits += 1;
             return cmin;
         }
         self.misses += 1;
-        let budget = miss_budget(tenant.workload.len() as u64, fraction);
         let (lo, hi) = entry.seed.bracket(budget);
         let cmin = match lo {
             // The domain floor meets the budget: it is Cmin by minimality.
             None => hi,
             Some(lo) => resolve_cmin_ns(tenant.col(), deadline, budget, lo, hi),
         };
-        entry.quotes.insert(fraction.to_bits(), cmin);
+        entry.quotes.insert(budget, cmin);
         cmin
     }
 
-    /// Prefills the cache for every tenant whose `(epoch, fraction)`
-    /// quote is missing, fanning the independent cold searches out over
-    /// `pool`. The resulting memo (and every later
+    /// Prefills the cache for every tenant whose `(workload epoch, miss
+    /// budget)` quote is missing, fanning the independent cold searches
+    /// out over `pool`. The resulting memo (and every later
     /// [`quote_int`](Self::quote_int)) is identical for any pool width —
     /// each per-tenant search is self-contained and lands in its own
     /// entry. Each computed quote counts as one miss, exactly as if it
@@ -315,36 +322,36 @@ impl QuoteCache {
             "fraction must be in (0, 1]: {fraction}"
         );
         let deadline = self.deadline;
-        let missing: Vec<&FleetTenant> = tenants
+        let missing: Vec<(&FleetTenant, u64)> = tenants
             .iter()
-            .filter(|t| match self.entries.get(&t.id) {
-                Some(e) => e.epoch != t.epoch || !e.quotes.contains_key(&fraction.to_bits()),
+            .map(|t| (t, miss_budget(t.workload.len() as u64, fraction)))
+            .filter(|&(t, budget)| match self.entries.get(&t.id) {
+                Some(e) => e.workload_epoch != t.workload_epoch || !e.quotes.contains_key(&budget),
                 None => true,
             })
             .collect();
-        let computed = pool.map(missing, |t| {
+        let computed = pool.map(missing, |(t, budget)| {
             let seed = SeedCurve::new(&t.workload, deadline);
-            let budget = miss_budget(t.workload.len() as u64, fraction);
             let cmin = match seed.bracket(budget) {
                 (None, hi) => hi,
                 (Some(lo), hi) => resolve_cmin_ns(t.col(), deadline, budget, lo, hi),
             };
-            (t.id, t.epoch, seed, cmin)
+            (t.id, t.workload_epoch, seed, budget, cmin)
         });
-        for (id, epoch, seed, cmin) in computed {
+        for (id, workload_epoch, seed, budget, cmin) in computed {
             self.misses += 1;
             match self.entries.get_mut(&id) {
-                // Same epoch: keep the entry's other memoized fractions.
-                Some(e) if e.epoch == epoch => {
-                    e.quotes.insert(fraction.to_bits(), cmin);
+                // Same workload: keep the entry's other memoized budgets.
+                Some(e) if e.workload_epoch == workload_epoch => {
+                    e.quotes.insert(budget, cmin);
                 }
                 _ => {
                     let mut quotes = BTreeMap::new();
-                    quotes.insert(fraction.to_bits(), cmin);
+                    quotes.insert(budget, cmin);
                     self.entries.insert(
                         id,
                         CacheEntry {
-                            epoch,
+                            workload_epoch,
                             seed,
                             quotes,
                         },
@@ -1025,7 +1032,7 @@ impl FleetPlacer {
             return Ok(Some(node));
         }
         let (hits0, misses0) = (cache.hits(), cache.misses());
-        // Warm (and epoch-check) the standalone quote so the cache state
+        // Warm (and workload-check) the standalone quote so the cache state
         // matches what a full pack of the same tenant set would hold.
         let _ = cache.quote_int(tenant, self.target.fraction());
         placement.unplaced.retain(|&id| id != tenant.id());
@@ -1308,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bump_invalidates_cached_quotes() {
+    fn workload_change_invalidates_and_epoch_bump_keeps_cached_quotes() {
         let mut tenant = FleetTenant::new(
             TenantId::new(0),
             Workload::from_arrivals(vec![SimTime::ZERO; 10]),
@@ -1319,12 +1326,25 @@ mod tests {
         tenant.set_workload(Workload::from_arrivals(vec![SimTime::ZERO; 20]));
         assert_eq!(tenant.epoch(), 1);
         assert_eq!(cache.quote_int(&tenant, 1.0), 2000, "stale quote served");
-        // An SLA-only bump also invalidates, and the rebuilt entry
-        // re-plans (a miss, not a hit).
-        let misses = cache.misses();
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        // An SLA-only bump fences the tenant but keeps its quotes: the
+        // next quote is a hit, and still the cold planner's answer.
         tenant.bump_epoch();
+        assert_eq!(tenant.epoch(), 2);
         assert_eq!(cache.quote_int(&tenant, 1.0), 2000);
-        assert_eq!(cache.misses(), misses + 1);
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        let cold = CapacityPlanner::new(tenant.workload(), dms(10)).min_capacity(1.0);
+        assert_eq!(
+            cache.quote(&tenant, 1.0).get().to_bits(),
+            cold.get().to_bits()
+        );
+        // 0.96 of 20 requests leaves the same zero-miss budget as 1.0: a hit.
+        assert_eq!(cache.quote_int(&tenant, 0.96), 2000);
+        assert_eq!((cache.hits(), cache.misses()), (3, 2));
+        // A workload change after the bump still rebuilds: one miss.
+        tenant.set_workload(Workload::from_arrivals(vec![SimTime::ZERO; 30]));
+        assert_eq!(cache.quote_int(&tenant, 1.0), 3000);
+        assert_eq!((cache.hits(), cache.misses()), (3, 3));
         cache.invalidate(tenant.id());
         assert!(cache.is_empty());
     }
