@@ -52,11 +52,12 @@ use gqos_core::{
     decompose, overflow_count, overflow_curve, within_miss_budget, CapacityPlanner,
     DecomposeScratch, FcfsScheduler, FleetPlacer, QosTarget, QuoteCache, RttClassifier,
 };
+use gqos_fairqueue::{FlowId, FlowScheduler, Sfq, Wf2q};
 use gqos_parallel::WorkerPool;
 use gqos_sim::{simulate, Event, EventKind, FixedRateServer, IndexedEventQueue, ServiceClass};
 use gqos_stream::{ArrivalStream, SpcStream, DEFAULT_CHUNK};
 use gqos_trace::gen::profiles::TraceProfile;
-use gqos_trace::{spc, Iops, SimDuration, SimTime, TraceSummary, Workload};
+use gqos_trace::{spc, Iops, Request, SimDuration, SimTime, TraceSummary, Workload};
 
 /// One measured kernel: median nanoseconds per operation, plus how many
 /// trace elements one operation touches (0 when not meaningful).
@@ -126,6 +127,25 @@ fn indexed_queue_cycle(queue: &mut IndexedEventQueue, servers: usize) -> u64 {
         sum = sum.wrapping_add(event.at.as_nanos());
     }
     sum
+}
+
+/// Requests one fair-queue cycle enqueues and drains.
+const FAIRQUEUE_CYCLE: usize = 10_000;
+
+/// One fair-queue cycle: enqueue [`FAIRQUEUE_CYCLE`] requests alternating
+/// over two flows, then dequeue until empty. Returns the served count.
+fn fairqueue_cycle<S: FlowScheduler>(mut scheduler: S) -> usize {
+    for i in 0..FAIRQUEUE_CYCLE {
+        scheduler.enqueue(
+            FlowId::new(i % 2),
+            Request::at(SimTime::from_micros(i as u64)),
+        );
+    }
+    let mut served = 0;
+    while scheduler.dequeue().is_some() {
+        served += 1;
+    }
+    served
 }
 
 fn main() {
@@ -354,6 +374,20 @@ fn main() {
         per_event_1024 / per_event_64
     );
 
+    // --- Fair queueing -----------------------------------------------------
+    // The per-request cost of the FairQueue recombination path: a 9:1
+    // weighted two-flow cycle through each fair-queue discipline.
+    push(
+        "fairqueue/sfq_cycle",
+        measure(samples, 20, || fairqueue_cycle(Sfq::new(&[9.0, 1.0]))),
+        FAIRQUEUE_CYCLE as u64,
+    );
+    push(
+        "fairqueue/wf2q_cycle",
+        measure(samples, 20, || fairqueue_cycle(Wf2q::new(&[9.0, 1.0]))),
+        FAIRQUEUE_CYCLE as u64,
+    );
+
     // --- Workload aggregates ---------------------------------------------
     let stats_window = SimDuration::from_millis(100);
     push(
@@ -406,13 +440,12 @@ fn main() {
     }
 
     // --- Fleet placement --------------------------------------------------
-    // The headline scenario of `fleet_bench`, as trended records: pack
+    // The fleet experiment's headline scenario, as trended records: pack
     // 1000 tenants onto 64 servers from a cold quote cache, re-place one
     // degraded server against the warm cache, and price a single quote
     // both cold (full planner search) and memoized (cache hit).
-    // Same short per-tenant traces as the `fleet_bench` headline (and
-    // independent of `--span-secs`): the scenario is 1000 tenants, not
-    // 1000 long traces.
+    // Short per-tenant traces, independent of `--span-secs`: the
+    // scenario is 1000 tenants, not 1000 long traces.
     let fleet_cfg = ExpConfig {
         span: SimDuration::from_secs(10),
         threads,

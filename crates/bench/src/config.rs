@@ -1,4 +1,4 @@
-//! Command-line configuration shared by every experiment binary.
+//! Command-line configuration shared by every experiment.
 
 use std::error::Error;
 use std::fmt;
@@ -7,10 +7,10 @@ use gqos_parallel::WorkerPool;
 use gqos_trace::SimDuration;
 
 /// The usage line printed under every CLI error.
-pub const USAGE: &str = "usage: [--span <s>] [--seed <n>] [--quick] [--out <dir>] [--parallel] \
-     [--threads <n>] [--fractions <f,f,..>]";
+pub const USAGE: &str = "usage: gqos-bench <experiment|all> [--span <s>] [--seed <n>] [--quick] \
+     [--out <dir>] [--threads <n>]";
 
-/// A malformed command line, reported instead of a panic so binaries can
+/// A malformed command line, reported instead of a panic so the CLI can
 /// exit with a clear diagnostic.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub enum ConfigError {
@@ -33,14 +33,6 @@ pub enum ConfigError {
     /// `--threads 0` — zero workers cannot run anything; ask for 1 (serial)
     /// or more.
     ZeroThreads,
-    /// A `--fractions` entry that is not a finite number in `(0, 1]` —
-    /// NaN, infinities, zero, negatives, and values above 1 are all
-    /// meaningless as SLA fractions and are rejected here, before they
-    /// reach the planner.
-    InvalidFraction {
-        /// The offending entry, verbatim.
-        value: String,
-    },
     /// An unrecognised flag.
     UnknownFlag(String),
 }
@@ -59,14 +51,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroThreads => {
                 f.write_str("--threads value must be at least 1 (use 1 for a serial run)")
             }
-            ConfigError::InvalidFraction { value } => write!(
-                f,
-                "--fractions entries must be finite numbers in (0, 1] (got `{value}`)"
-            ),
             ConfigError::UnknownFlag(flag) => write!(
                 f,
                 "unknown flag `{flag}`; supported: --span <s>, --seed <n>, --quick, \
-                 --out <dir>, --parallel, --threads <n>, --fractions <f,f,..>"
+                 --out <dir>, --threads <n>"
             ),
         }
     }
@@ -74,7 +62,8 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
-/// Configuration parsed from an experiment binary's arguments.
+/// Configuration parsed from the `gqos-bench` flags after the experiment
+/// name.
 ///
 /// Supported flags:
 ///
@@ -82,16 +71,12 @@ impl Error for ConfigError {}
 /// - `--seed <n>` — generator seed (default 42);
 /// - `--quick` — shorthand for `--span 120`, for smoke runs;
 /// - `--out <dir>` — output directory for CSV files (default `results`);
-/// - `--parallel` — fan independent cells over all available cores;
-/// - `--threads <n>` — fan over exactly `n` worker threads (1 = serial);
-/// - `--fractions <f,f,..>` — comma-separated SLA fractions in `(0, 1]`
-///   for the experiments that sweep a fraction menu (default: the paper's
-///   Table 1 menu). Entries are validated here so NaN or out-of-range
-///   fractions surface as a usage error, not a planner panic.
+/// - `--threads <n>` — fan independent cells over `n` worker threads
+///   (default 1 = serial).
 ///
 /// Parallelism never changes results: every experiment assembles its cells
-/// in a fixed order (see [`WorkerPool::map`]), so `--parallel` output is
-/// byte-identical to a serial run.
+/// in a fixed order (see [`WorkerPool::map`]), so output at any `--threads`
+/// count is byte-identical to a serial run.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ExpConfig {
     /// Length of the synthesised traces.
@@ -102,9 +87,6 @@ pub struct ExpConfig {
     pub out_dir: String,
     /// Worker threads for independent experiment cells (1 = serial).
     pub threads: usize,
-    /// SLA fractions for menu-sweeping experiments; `None` means the
-    /// experiment's built-in menu. Always validated: finite, in `(0, 1]`.
-    pub fractions: Option<Vec<f64>>,
 }
 
 impl Default for ExpConfig {
@@ -114,7 +96,6 @@ impl Default for ExpConfig {
             seed: 42,
             out_dir: "results".to_string(),
             threads: 1,
-            fractions: None,
         }
     }
 }
@@ -126,8 +107,8 @@ impl ExpConfig {
     ///
     /// Panics with a usage message on unknown or malformed flags; use
     /// [`try_parse`](ExpConfig::try_parse) for a typed error instead
-    /// (binaries go through [`from_env`](ExpConfig::from_env), which exits
-    /// cleanly).
+    /// (the CLI goes through [`from_args`](ExpConfig::from_args), which
+    /// exits cleanly).
     pub fn parse<I, S>(args: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -189,7 +170,6 @@ impl ExpConfig {
                 "--out" => {
                     cfg.out_dir = value(&mut it, "--out", "a directory")?;
                 }
-                "--parallel" => cfg.threads = WorkerPool::from_env().threads(),
                 "--threads" => {
                     let raw = value(&mut it, "--threads", "a value")?;
                     let threads = integer(&raw, "--threads", "a positive integer worker count")?;
@@ -198,22 +178,22 @@ impl ExpConfig {
                     }
                     cfg.threads = threads as usize;
                 }
-                "--fractions" => {
-                    let raw = value(&mut it, "--fractions", "a comma-separated fraction list")?;
-                    cfg.fractions = Some(parse_fractions(&raw)?);
-                }
                 other => return Err(ConfigError::UnknownFlag(other.to_string())),
             }
         }
         Ok(cfg)
     }
 
-    /// Parses configuration from the process arguments, verifying that the
-    /// output directory is usable. On any problem it prints
+    /// Parses configuration from command-line arguments, verifying that
+    /// the output directory is usable. On any problem it prints
     /// `error: <what>` plus the usage line to stderr and exits with status
-    /// 2 — experiment binaries never panic on a malformed command line.
-    pub fn from_env() -> Self {
-        let cfg = ExpConfig::try_parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+    /// 2 — the CLI never panics on a malformed command line.
+    pub fn from_args<I, S>(args: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let cfg = ExpConfig::try_parse(args).unwrap_or_else(|err| {
             exit_usage(&err.to_string());
         });
         if let Err(err) = std::fs::create_dir_all(&cfg.out_dir) {
@@ -229,46 +209,11 @@ impl ExpConfig {
     pub fn pool(&self) -> WorkerPool {
         WorkerPool::new(self.threads)
     }
-
-    /// The SLA fractions a menu-sweeping experiment should use, falling
-    /// back to `default` when the command line did not override them.
-    pub fn fractions_or<'a>(&'a self, default: &'a [f64]) -> &'a [f64] {
-        self.fractions.as_deref().unwrap_or(default)
-    }
-}
-
-/// Parses and validates a comma-separated `--fractions` list. Every entry
-/// must be a finite number in `(0, 1]`; an empty list is rejected too —
-/// this is the boundary that keeps NaN away from
-/// [`CapacityPlanner::menu`](gqos_core::CapacityPlanner::menu).
-fn parse_fractions(raw: &str) -> Result<Vec<f64>, ConfigError> {
-    let invalid = |entry: &str| ConfigError::InvalidFraction {
-        value: entry.to_string(),
-    };
-    let entries: Vec<&str> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|e| !e.is_empty())
-        .collect();
-    if entries.is_empty() {
-        return Err(invalid(raw.trim()));
-    }
-    entries
-        .into_iter()
-        .map(|entry| {
-            let f: f64 = entry.parse().map_err(|_| invalid(entry))?;
-            if f.is_finite() && f > 0.0 && f <= 1.0 {
-                Ok(f)
-            } else {
-                Err(invalid(entry))
-            }
-        })
-        .collect()
 }
 
 /// Prints `error: <message>` and the usage line to stderr, then exits with
 /// status 2 (the conventional usage-error code). Shared by every
-/// experiment binary so malformed command lines never surface as panics.
+/// binary of the crate so malformed command lines never surface as panics.
 pub fn exit_usage(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("{USAGE}");
@@ -320,8 +265,6 @@ mod tests {
         let c = ExpConfig::parse(["--threads", "6"]);
         assert_eq!(c.threads, 6);
         assert_eq!(c.pool().threads(), 6);
-        let c = ExpConfig::parse(["--parallel"]);
-        assert!(c.threads >= 1);
     }
 
     #[test]
@@ -389,36 +332,6 @@ mod tests {
         assert!(msg.contains("`lots`"), "{msg}");
         assert!(ConfigError::ZeroThreads.to_string().contains("at least 1"));
         assert!(USAGE.contains("--threads"));
-    }
-
-    #[test]
-    fn fractions_parse_and_default() {
-        let c = ExpConfig::parse(["--fractions", "0.9, 0.99,1.0"]);
-        assert_eq!(c.fractions.as_deref(), Some(&[0.9, 0.99, 1.0][..]));
-        assert_eq!(c.fractions_or(&[0.5]), &[0.9, 0.99, 1.0]);
-        let d = ExpConfig::default();
-        assert_eq!(d.fractions, None);
-        assert_eq!(d.fractions_or(&[0.5]), &[0.5]);
-    }
-
-    #[test]
-    fn bad_fractions_are_rejected_at_the_config_boundary() {
-        for bad in ["NaN", "nan", "inf", "0", "-0.5", "1.5", "0.9,oops", ""] {
-            let err = ExpConfig::try_parse(["--fractions", bad]).unwrap_err();
-            assert!(
-                matches!(err, ConfigError::InvalidFraction { .. }),
-                "`{bad}` should be an invalid fraction, got {err:?}"
-            );
-            let msg = err.to_string();
-            assert!(msg.contains("(0, 1]"), "{msg}");
-        }
-        assert_eq!(
-            ExpConfig::try_parse(["--fractions"]),
-            Err(ConfigError::MissingValue {
-                flag: "--fractions",
-                expected: "a comma-separated fraction list"
-            })
-        );
     }
 
     #[test]

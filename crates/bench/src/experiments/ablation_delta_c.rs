@@ -6,25 +6,28 @@
 //! trade-off in between: primary-class compliance and overflow-class
 //! latency as ΔC grows from (near) zero to `Cmin`, for both FairQueue and
 //! Miser.
-//!
-//! Regenerate with: `cargo run --release -p gqos-bench --bin ablation_delta_c`
 
-use gqos_bench::{CsvWriter, ExpConfig, Table};
 use gqos_core::{CapacityPlanner, Provision, RecombinePolicy, WorkloadShaper};
 use gqos_sim::ServiceClass;
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{Iops, SimDuration};
 
-fn main() {
-    let cfg = ExpConfig::from_env();
+use crate::config::ExpConfig;
+use crate::outln;
+use crate::output::{CsvWriter, Table};
+
+/// Renders the experiment report and writes `ablation_delta_c.csv`.
+pub fn report(cfg: &ExpConfig) -> String {
+    let mut out = String::new();
     let deadline = SimDuration::from_millis(50);
     let workload = TraceProfile::WebSearch.generate(cfg.span, cfg.seed);
     let cmin = CapacityPlanner::new(&workload, deadline).min_capacity(0.90);
-    println!(
+    outln!(
+        out,
         "Ablation: delta_c sweep (WebSearch, 90% @ 50 ms, Cmin = {:.0} IOPS)  [{cfg}]",
         cmin.get()
     );
-    println!();
+    outln!(out);
 
     let fractions_of_cmin = [0.005, 0.02, 0.0662, 0.125, 0.25, 0.5, 1.0];
     // Analytical companion: the RTT-guaranteed fraction if the *whole*
@@ -95,8 +98,9 @@ fn main() {
             ]);
         }
     }
-    println!("{}", table.render());
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "Reading: Miser's slack rule protects the primary class far better at\n\
          small surplus (misses vanish well before the theoretical delta_c = Cmin\n\
          bound), at the cost of a slower overflow class when a long backlog\n\
@@ -106,5 +110,6 @@ fn main() {
 
     let writer = CsvWriter::new(&cfg.out_dir).expect("create output directory");
     let path = writer.write("ablation_delta_c", &csv).expect("write CSV");
-    println!("wrote {}", path.display());
+    outln!(out, "wrote {}", path.display());
+    out
 }

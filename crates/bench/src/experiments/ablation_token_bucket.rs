@@ -6,18 +6,18 @@
 //! shapers the same primary capacity and compares: the token bucket *loses*
 //! its non-conforming requests, while decomposition serves them best-effort
 //! from the overflow class at a small extra cost.
-//!
-//! Regenerate with:
-//! `cargo run --release -p gqos-bench --bin ablation_token_bucket`
 
 use std::collections::VecDeque;
 
-use gqos_bench::{CsvWriter, ExpConfig, Table};
 use gqos_core::{CapacityPlanner, Provision, RecombinePolicy, WorkloadShaper};
 use gqos_fairqueue::TokenBucket;
 use gqos_sim::{simulate, Dispatch, FixedRateServer, Scheduler, ServerId, ServiceClass};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{Request, SimDuration, SimTime};
+
+use crate::config::ExpConfig;
+use crate::outln;
+use crate::output::{CsvWriter, Table};
 
 /// A policing scheduler: requests that find no token are dropped outright;
 /// conforming requests are served FCFS.
@@ -58,11 +58,15 @@ impl Scheduler for PolicedFcfs {
     }
 }
 
-fn main() {
-    let cfg = ExpConfig::from_env();
+/// Renders the experiment report and writes `ablation_token_bucket.csv`.
+pub fn report(cfg: &ExpConfig) -> String {
+    let mut out = String::new();
     let deadline = SimDuration::from_millis(10);
-    println!("Ablation: token-bucket policing vs RTT decomposition (delta = 10 ms)  [{cfg}]");
-    println!();
+    outln!(
+        out,
+        "Ablation: token-bucket policing vs RTT decomposition (delta = 10 ms)  [{cfg}]"
+    );
+    outln!(out);
 
     let mut table = Table::new(vec![
         "workload".into(),
@@ -126,8 +130,9 @@ fn main() {
             ]);
         }
     }
-    println!("{}", table.render());
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "Expected: similar deadline compliance, but the token bucket LOSES a\n\
          tail of requests outright — unacceptable for storage protocols with\n\
          no retry (the paper's argument against network-style shaping)."
@@ -137,5 +142,6 @@ fn main() {
     let path = writer
         .write("ablation_token_bucket", &csv)
         .expect("write CSV");
-    println!("wrote {}", path.display());
+    outln!(out, "wrote {}", path.display());
+    out
 }

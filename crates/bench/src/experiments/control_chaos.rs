@@ -18,7 +18,7 @@
 //!
 //! Everything printed here and written to `control_chaos.csv` is
 //! deterministic — counters and byte-equality verdicts, never wall
-//! clock. The `control_chaos` binary prints timings to stderr only.
+//! clock.
 
 use gqos_control::chaos::{ChaosConfig, ChaosScenario};
 
@@ -263,9 +263,4 @@ pub fn report(cfg: &ExpConfig) -> String {
         .expect("write control_chaos");
     outln!(out, "wrote {}", path.display());
     out
-}
-
-/// Runs the experiment: prints the report of [`report`].
-pub fn run(cfg: &ExpConfig) {
-    print!("{}", report(cfg));
 }

@@ -9,15 +9,16 @@
 //! conclusions — shaped policies protect the primary class where FCFS
 //! collapses; shared-server recombination beats dedicated splitting —
 //! survive a fluctuating-capacity service process.
-//!
-//! Regenerate with: `cargo run --release -p gqos-bench --bin disk_endtoend`
 
-use gqos_bench::{CsvWriter, ExpConfig, Table};
 use gqos_core::{Provision, RecombinePolicy};
 use gqos_disk::{CachedDisk, DiskModel};
 use gqos_sim::{RunReport, ServiceClass, Simulation, TraceHandle};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{Iops, SimDuration, Workload};
+
+use crate::config::ExpConfig;
+use crate::outln;
+use crate::output::{CsvWriter, Table};
 
 fn disk(seed: u64) -> CachedDisk<DiskModel> {
     CachedDisk::new(
@@ -27,8 +28,9 @@ fn disk(seed: u64) -> CachedDisk<DiskModel> {
     )
 }
 
-fn main() {
-    let cfg = ExpConfig::from_env();
+/// Renders the experiment report and writes `disk_endtoend.csv`.
+pub fn report(cfg: &ExpConfig) -> String {
+    let mut out = String::new();
     let deadline = SimDuration::from_millis(50);
     // A mechanical disk with a warm cache sustains a few hundred IOPS on
     // this mix; scale FinTrans to fit and provision the primary class at a
@@ -38,13 +40,14 @@ fn main() {
         .time_scaled(1.2);
     let provision = Provision::new(Iops::new(120.0), Iops::new(60.0));
 
-    println!(
+    outln!(
+        out,
         "Disk end-to-end: policies on a mechanical disk (FinTrans/1.2, {} requests,\n\
          mean {:.0} IOPS offered, nominal provision {provision}, delta = 50 ms)  [{cfg}]",
         workload.len(),
         workload.mean_iops()
     );
-    println!();
+    outln!(out);
 
     // Each policy's servers become disks, seeded 1, 2, … in server order.
     let mut seed = 0;
@@ -99,8 +102,9 @@ fn main() {
             format!("{:.1}", all.percentile(0.99).as_millis_f64()),
         ]);
     }
-    println!("{}", table.render());
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "Reading: the shaped policies keep their primary class near its bound on\n\
          a device whose service rate fluctuates with locality and cache hits; the\n\
          constant-rate abstraction in the paper's analysis is not load-bearing."
@@ -108,5 +112,6 @@ fn main() {
 
     let writer = CsvWriter::new(&cfg.out_dir).expect("create output directory");
     let path = writer.write("disk_endtoend", &csv).expect("write CSV");
-    println!("wrote {}", path.display());
+    outln!(out, "wrote {}", path.display());
+    out
 }

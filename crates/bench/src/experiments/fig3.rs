@@ -5,18 +5,20 @@
 //! The paper's Figure 3 illustrates the mechanics on a toy arrival pattern:
 //! where the arrival staircase climbs above the SCL (the service curve
 //! shifted up by `C·δ`), some requests *must* miss, and RTT drops exactly
-//! at those instants. This binary regenerates that picture as data: the
+//! at those instants. This experiment regenerates that picture as data: the
 //! curves as a time series plus the per-request accept/divert decisions.
-//!
-//! Regenerate with: `cargo run --release -p gqos-bench --bin fig3_scl`
 
-use gqos_bench::{CsvWriter, ExpConfig, Table};
 use gqos_core::{decompose, optimal_drop_lower_bound};
 use gqos_sim::ServiceClass;
 use gqos_trace::{ArrivalCurve, Iops, ServiceAnalysis, SimDuration, SimTime, Workload};
 
-fn main() {
-    let cfg = ExpConfig::from_env();
+use crate::config::ExpConfig;
+use crate::outln;
+use crate::output::{CsvWriter, Table};
+
+/// Renders the experiment report and writes `fig3_scl.csv`.
+pub fn report(cfg: &ExpConfig) -> String {
+    let mut out = String::new();
     // A Figure 3-flavoured toy pattern: C = 1 req/s, δ = 1 s, with bursts
     // at t = 1 s and t = 2 s that overflow the SCL.
     let capacity = Iops::new(1.0);
@@ -31,8 +33,11 @@ fn main() {
     ];
     let workload = Workload::from_arrivals(arrivals);
 
-    println!("Figure 3: arrival curve vs Service Curve Limit (C = 1/s, delta = 1 s)");
-    println!();
+    outln!(
+        out,
+        "Figure 3: arrival curve vs Service Curve Limit (C = 1/s, delta = 1 s)"
+    );
+    outln!(out);
 
     let curve = ArrivalCurve::new(&workload);
     let analysis = ServiceAnalysis::new(&workload, capacity, deadline);
@@ -69,12 +74,13 @@ fn main() {
             (over as u8).to_string(),
         ]);
     }
-    println!("{}", table.render());
+    outln!(out, "{}", table.render());
 
-    println!("RTT decisions (request -> class):");
+    outln!(out, "RTT decisions (request -> class):");
     for (i, r) in workload.iter().enumerate() {
         let class = decomposition.assignments()[i];
-        println!(
+        outln!(
+            out,
             "  request {} @ {}: {}",
             i,
             r.arrival,
@@ -85,8 +91,9 @@ fn main() {
             }
         );
     }
-    println!();
-    println!(
+    outln!(out);
+    outln!(
+        out,
         "dropped {} of {} (Lemma 1 lower bound: {}; overload instants: {})",
         decomposition.overflow_count(),
         workload.len(),
@@ -98,12 +105,14 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", "),
     );
-    println!(
+    outln!(
+        out,
         "Shape check (paper Fig 3): the two SCL crossings force exactly two\n\
          diverted requests, and RTT diverts at precisely those instants."
     );
 
     let writer = CsvWriter::new(&cfg.out_dir).expect("create output directory");
     let path = writer.write("fig3_scl", &csv).expect("write CSV");
-    println!("wrote {}", path.display());
+    outln!(out, "wrote {}", path.display());
+    out
 }

@@ -139,8 +139,3 @@ pub fn report(cfg: &ExpConfig) -> String {
     outln!(out, "wrote {}", path.display());
     out
 }
-
-/// Runs the experiment: prints the report of [`report`].
-pub fn run(cfg: &ExpConfig) {
-    print!("{}", report(cfg));
-}

@@ -22,8 +22,8 @@
 //! Everything printed here and written to `fleet_placement.csv` is
 //! deterministic — placements are byte-identical across thread counts
 //! (see `parallel_equiv`), and costs are probe/search *counts*, never
-//! nanoseconds. The `fleet_bench` binary prints wall-clock timings to
-//! stderr only.
+//! nanoseconds. Wall-clock costs of the same scenario are `perf_report`'s
+//! `fleet/*` rows.
 
 use gqos_core::{
     CapacityPlanner, FleetPlacer, FleetTenant, PackStats, Placement, QosTarget, QuoteCache,
@@ -377,9 +377,4 @@ pub fn report(cfg: &ExpConfig) -> String {
         .expect("write fleet_placement");
     outln!(out, "wrote {}", path.display());
     out
-}
-
-/// Runs the experiment: prints the report of [`report`].
-pub fn run(cfg: &ExpConfig) {
-    print!("{}", report(cfg));
 }

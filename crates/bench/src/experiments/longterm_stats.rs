@@ -38,8 +38,8 @@ use crate::output::{CsvWriter, Table};
 pub const LONGTERM_DEADLINE_MS: u64 = 50;
 /// The planned guaranteed fraction.
 pub const LONGTERM_FRACTION: f64 = 0.90;
-/// Default feedback window fed into the store (must divide the 1 s
-/// tier-0 bucket for exact time attribution).
+/// Feedback window fed into the store (divides the 1 s tier-0 bucket for
+/// exact time attribution).
 pub const FEED_WINDOW_MS: u64 = 250;
 /// Worker counts the store must be invariant across.
 pub const LONGTERM_WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -96,9 +96,10 @@ fn lanes(cfg: &ExpConfig) -> Vec<TenantSpec> {
         .collect()
 }
 
-/// Builds a store from gateway reports: every lane's `window`-wide
-/// feedback snapshots, fed in tenant order.
-pub fn feed(reports: &[TenantReport], window: SimDuration) -> LongTermStore<String> {
+/// Builds a store from gateway reports: every lane's
+/// [`FEED_WINDOW_MS`]-wide feedback snapshots, fed in tenant order.
+pub fn feed(reports: &[TenantReport]) -> LongTermStore<String> {
+    let window = SimDuration::from_millis(FEED_WINDOW_MS);
     let mut store = LongTermStore::new(ladder());
     for report in reports {
         report.feed_longterm(window, &mut store);
@@ -107,14 +108,12 @@ pub fn feed(reports: &[TenantReport], window: SimDuration) -> LongTermStore<Stri
 }
 
 /// The executed experiment: the gateway reports, the fed store, and the
-/// query geometry shared by the report and the `gqos_top` view.
+/// query geometry shared by the report and the [`top`](super::top) view.
 pub struct LongTermOutcome {
     /// Per-lane gateway reports, in tenant order.
     pub reports: Vec<TenantReport>,
     /// The store after ingesting every lane's feedback.
     pub store: LongTermStore<String>,
-    /// The feed window used.
-    pub window: SimDuration,
     /// Heat-map cell width (a multiple of the 10 s tier-1 width).
     pub resolution: SimDuration,
     /// One past the last heat-map cell.
@@ -128,13 +127,9 @@ pub struct LongTermOutcome {
 
 /// Runs the gateway at `cfg.threads`, feeds the store, and cross-checks
 /// the store against re-feeds from every worker count.
-pub fn compute(cfg: &ExpConfig, window: SimDuration) -> LongTermOutcome {
-    assert!(
-        !window.is_zero() && (SimDuration::from_secs(1) % window).is_zero(),
-        "feed window must divide the 1 s tier-0 bucket"
-    );
+pub fn compute(cfg: &ExpConfig) -> LongTermOutcome {
     let reports = IngestGateway::new(cfg.pool()).run(lanes(cfg));
-    let store = feed(&reports, window);
+    let store = feed(&reports);
     let lossless = reports
         .iter()
         .map(|r| {
@@ -147,7 +142,7 @@ pub fn compute(cfg: &ExpConfig, window: SimDuration) -> LongTermOutcome {
         .collect();
     let workers_identical = LONGTERM_WORKERS.iter().all(|&workers| {
         let alt = IngestGateway::new(WorkerPool::new(workers)).run(lanes(cfg));
-        feed(&alt, window) == store
+        feed(&alt) == store
     });
     let last_event = reports
         .iter()
@@ -164,7 +159,6 @@ pub fn compute(cfg: &ExpConfig, window: SimDuration) -> LongTermOutcome {
     LongTermOutcome {
         reports,
         store,
-        window,
         resolution,
         end,
         lossless,
@@ -187,14 +181,8 @@ pub fn cell_text(point: &SeriesPoint) -> String {
 
 /// Renders the experiment report and writes `longterm_stats.csv`.
 pub fn report(cfg: &ExpConfig) -> String {
-    report_with(cfg, SimDuration::from_millis(FEED_WINDOW_MS))
-}
-
-/// [`report`] with an explicit feed window (the `longterm_stats`
-/// binary's entry point).
-pub fn report_with(cfg: &ExpConfig, window: SimDuration) -> String {
     let mut out = String::new();
-    let outcome = compute(cfg, window);
+    let outcome = compute(cfg);
     let config = ladder();
     let tiers: Vec<String> = config
         .tiers()
@@ -209,7 +197,7 @@ pub fn report_with(cfg: &ExpConfig, window: SimDuration) -> String {
         out,
         "ladder {}; feed window {} ms; bound {} sketches/tenant",
         tiers.join(", "),
-        window.as_nanos() / 1_000_000,
+        FEED_WINDOW_MS,
         config.max_resident_sketches()
     );
     outln!(out);
@@ -357,9 +345,4 @@ pub fn report_with(cfg: &ExpConfig, window: SimDuration) -> String {
         .expect("write longterm_stats");
     outln!(out, "wrote {}", path.display());
     out
-}
-
-/// Runs the experiment: prints the report of [`report`].
-pub fn run(cfg: &ExpConfig) {
-    print!("{}", report(cfg));
 }

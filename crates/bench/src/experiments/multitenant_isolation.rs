@@ -10,11 +10,7 @@
 //!
 //! The question: when OpenMail bursts, what happens to WebSearch's and
 //! FinTrans' response times?
-//!
-//! Regenerate with:
-//! `cargo run --release -p gqos-bench --bin multitenant_isolation`
 
-use gqos_bench::{CsvWriter, ExpConfig, Table};
 use gqos_core::{
     merge_tenants, CapacityPlanner, MultiTenantScheduler, Provision, TenantConfig, TenantId,
 };
@@ -22,11 +18,19 @@ use gqos_sim::{simulate, FcfsScheduler, FixedRateServer};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::SimDuration;
 
-fn main() {
-    let cfg = ExpConfig::from_env();
+use crate::config::ExpConfig;
+use crate::outln;
+use crate::output::{CsvWriter, Table};
+
+/// Renders the experiment report and writes `multitenant_isolation.csv`.
+pub fn report(cfg: &ExpConfig) -> String {
+    let mut out = String::new();
     let deadline = SimDuration::from_millis(20);
-    println!("Multi-tenant isolation: three tenants, one server (delta = 20 ms)  [{cfg}]");
-    println!();
+    outln!(
+        out,
+        "Multi-tenant isolation: three tenants, one server (delta = 20 ms)  [{cfg}]"
+    );
+    outln!(out);
 
     // Per-tenant planning at (90%, 20 ms).
     let workloads: Vec<_> = TraceProfile::ALL
@@ -44,12 +48,13 @@ fn main() {
     let (merged, owners) = merge_tenants(&refs);
     let scheduler = MultiTenantScheduler::new(configs.clone(), owners);
     let capacity = scheduler.required_capacity();
-    println!(
+    outln!(
+        out,
         "{} merged requests; tenant provisions sum to {:.0} IOPS",
         merged.len(),
         capacity.get()
     );
-    println!();
+    outln!(out);
 
     // Shared FCFS at the identical total capacity.
     let fcfs = simulate(
@@ -99,8 +104,9 @@ fn main() {
             format!("{overflow_share:.4}"),
         ]);
     }
-    println!("{}", table.render());
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "Reading: under shared FCFS every tenant eats every other tenant's\n\
          bursts; under two-level shaping each tenant's guaranteed class holds\n\
          its own deadline and bursts stay in the burster's overflow class."
@@ -110,5 +116,6 @@ fn main() {
     let path = writer
         .write("multitenant_isolation", &csv)
         .expect("write CSV");
-    println!("wrote {}", path.display());
+    outln!(out, "wrote {}", path.display());
+    out
 }

@@ -32,32 +32,10 @@
 use gqos_control::{
     synth_window_sketch, SloRun, SloScenario, SloScenarioConfig, WindowVerdict, GROWTH_DEN,
 };
-use gqos_trace::SimDuration;
 
 use crate::config::ExpConfig;
 use crate::outln;
 use crate::output::{CsvWriter, Table};
-
-/// Knobs the `slo_bench` binary exposes on top of the shared flags.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct SloOptions {
-    /// Feedback window length in milliseconds.
-    pub window_ms: u64,
-    /// Controller growth-gain numerator (over [`GROWTH_DEN`]).
-    pub gain: u32,
-    /// Tenants under control.
-    pub tenants: usize,
-}
-
-impl Default for SloOptions {
-    fn default() -> Self {
-        SloOptions {
-            window_ms: 100,
-            gain: 16,
-            tenants: 3,
-        }
-    }
-}
 
 /// Windows per drift segment: enough room past the degradation span for
 /// the loop to converge before the verdict segment begins.
@@ -142,12 +120,9 @@ fn drift_bites(seed: u64, base: SloScenarioConfig) -> bool {
 /// segment stresses the static arm — a head-to-head against a drift
 /// that never hurts anyone would prove nothing. If no candidate bites,
 /// the first is used and the report prints a loud violation line.
-pub fn compute(cfg: &ExpConfig, opts: SloOptions) -> Vec<SloArm> {
+pub fn compute(cfg: &ExpConfig) -> Vec<SloArm> {
     let base = SloScenarioConfig {
-        tenants: opts.tenants,
-        window: SimDuration::from_millis(opts.window_ms),
         windows_per_segment: WINDOWS_PER_SEGMENT,
-        gain: opts.gain,
         ..SloScenarioConfig::default()
     };
     let derived = cfg.seed.wrapping_mul(0x510F_EEDB).wrapping_add(0xAC4);
@@ -179,14 +154,8 @@ pub fn compute(cfg: &ExpConfig, opts: SloOptions) -> Vec<SloArm> {
 
 /// Renders the experiment report and writes `slo_feedback.csv`.
 pub fn report(cfg: &ExpConfig) -> String {
-    report_with(cfg, SloOptions::default())
-}
-
-/// [`report`] with explicit [`SloOptions`] (the `slo_bench` binary's
-/// entry point).
-pub fn report_with(cfg: &ExpConfig, opts: SloOptions) -> String {
     let mut out = String::new();
-    let arms = compute(cfg, opts);
+    let arms = compute(cfg);
     let scen_cfg = arms[0].run.scenario.config();
     outln!(
         out,
@@ -199,10 +168,10 @@ pub fn report_with(cfg: &ExpConfig, opts: SloOptions) -> String {
         scen_cfg.tenants,
         scen_cfg.segments,
         scen_cfg.windows_per_segment,
-        opts.window_ms,
+        scen_cfg.window.as_nanos() / 1_000_000,
         scen_cfg.slo.fraction_ppm(),
         scen_cfg.slo.deadline().as_nanos() / 1_000_000,
-        opts.gain,
+        scen_cfg.gain,
         GROWTH_DEN,
         DEGRADED_PCT,
         DEGRADED_FROM,
@@ -344,9 +313,4 @@ pub fn report_with(cfg: &ExpConfig, opts: SloOptions) -> String {
         .expect("write slo_feedback");
     outln!(out, "wrote {}", path.display());
     out
-}
-
-/// Runs the experiment: prints the report of [`report`].
-pub fn run(cfg: &ExpConfig) {
-    print!("{}", report(cfg));
 }

@@ -17,8 +17,7 @@
 //! memory proxy: the streaming path holds one chunk (plus the kernel's
 //! O(maxQ1) queue), not the trace. Everything printed here and written to
 //! `stream_equiv.csv` / `stream_gateway.csv` is deterministic — no wall
-//! clock — so serial and sharded runs byte-diff clean (the `stream_bench`
-//! binary prints throughput to stderr only).
+//! clock — so serial and sharded runs byte-diff clean.
 
 use gqos_core::{CapacityPlanner, Provision, RecombinePolicy, WorkloadShaper};
 use gqos_stream::{IngestGateway, OnlineShaper, TenantReport, TenantSpec, WorkloadStream};
@@ -312,9 +311,4 @@ pub fn report(cfg: &ExpConfig) -> String {
     outln!(out, "wrote {}", equiv_path.display());
     outln!(out, "wrote {}", gateway_path.display());
     out
-}
-
-/// Runs the experiment: prints the report of [`report`].
-pub fn run(cfg: &ExpConfig) {
-    print!("{}", report(cfg));
 }

@@ -20,7 +20,6 @@ pub type Table1Result = Vec<(TraceProfile, Vec<(u64, Vec<u64>)>)>;
 /// computed by the planner's warm-started ascending sweep. Results are
 /// assembled positionally, so the table is identical at any thread count.
 pub fn compute(cfg: &ExpConfig) -> Table1Result {
-    let fractions = cfg.fractions_or(&TABLE1_FRACTIONS);
     let workloads: Vec<_> = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))
     });
@@ -31,7 +30,7 @@ pub fn compute(cfg: &ExpConfig) -> Table1Result {
     let menus = cfg.pool().map(cells.clone(), |(w, delta_ms)| {
         let planner = CapacityPlanner::new(&workloads[w].1, SimDuration::from_millis(delta_ms));
         planner
-            .menu(fractions)
+            .menu(&TABLE1_FRACTIONS)
             .into_iter()
             .map(|quote| quote.cmin.get().round() as u64)
             .collect::<Vec<u64>>()
@@ -59,7 +58,7 @@ pub fn report(cfg: &ExpConfig) -> String {
         "src".to_string(),
     ];
     header.extend(
-        cfg.fractions_or(&TABLE1_FRACTIONS)
+        TABLE1_FRACTIONS
             .iter()
             .map(|f| format!("{:.1}%", f * 100.0)),
     );
@@ -77,10 +76,6 @@ pub fn report(cfg: &ExpConfig) -> String {
             table.row(row.clone());
             csv_rows.push(row);
 
-            // Paper reference rows only line up with the paper's menu.
-            if cfg.fractions.is_some() {
-                continue;
-            }
             if let Some(reference) = table1_reference(profile, delta_ms) {
                 let mut row = vec![String::new(), String::new(), "paper".to_string()];
                 row.extend(reference.iter().map(u64::to_string));
@@ -95,9 +90,4 @@ pub fn report(cfg: &ExpConfig) -> String {
     let path = writer.write("table1", &csv_rows).expect("write CSV");
     outln!(out, "wrote {}", path.display());
     out
-}
-
-/// Runs the experiment: prints the report of [`report`].
-pub fn run(cfg: &ExpConfig) {
-    print!("{}", report(cfg));
 }

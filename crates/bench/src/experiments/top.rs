@@ -1,9 +1,9 @@
-//! `gqos_top` — an lqtop-style operator view over the retention store.
+//! `top` — an lqtop-style operator view over the retention store.
 //!
 //! Runs the same gateway fleet as the `longterm_stats` experiment, feeds
 //! every lane's window feedback into the tiered [`LongTermStore`], then
-//! replays the run's timeline as a fixed number of frames. Each frame
-//! shows, per tenant:
+//! replays the run's timeline as [`TOP_FRAMES`] frames. Each frame shows,
+//! per tenant:
 //!
 //! - a p99 sparkline over the heat cells visible so far (`.` quiet,
 //!   `!` evicted, `_` through `#` scaled to the tenant's run maximum);
@@ -15,48 +15,24 @@
 //!
 //! This is a *replay*, not a poll: the run finishes first, so the frames
 //! are deterministic (byte-identical across runs and `--threads`
-//! counts) and timings go to stderr only.
-//!
-//! On top of the shared experiment flags:
-//!
-//! - `--frames <n>` — timeline frames to render (default 6, must be ≥ 1);
-//! - `--window <ms>` — feedback window fed into the store (default 250;
-//!   must divide 1000).
-//!
-//! Malformed values exit with status 2 and a usage line, like every
-//! experiment binary — the contract `tests/cli_errors.rs` pins.
+//! counts). It writes no files.
 //!
 //! [`LongTermStore`]: gqos_sim::LongTermStore
 
-use std::time::Instant;
-
-use gqos_bench::experiments::longterm_stats::{
-    self, DRIFT_RECENT_SECS, FEED_WINDOW_MS, LONGTERM_DEADLINE_MS,
-};
-use gqos_bench::output::Table;
-use gqos_bench::{exit_usage, ExpConfig};
+use gqos_sim::SeriesPoint;
 use gqos_trace::{SimDuration, SimTime};
 
-/// Extracts `flag <integer>` from `args`, removing both tokens. Exits
-/// with usage status 2 on a missing or non-integer value.
-fn take_integer(args: &mut Vec<String>, flag: &'static str) -> Option<u64> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        exit_usage(&format!("{flag} requires an integer value"));
-    }
-    let raw = args.remove(i + 1);
-    args.remove(i);
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => exit_usage(&format!(
-            "{flag} value must be a non-negative integer (got `{raw}`)"
-        )),
-    }
-}
+use crate::config::ExpConfig;
+use crate::experiments::longterm_stats::{self, DRIFT_RECENT_SECS, LONGTERM_DEADLINE_MS};
+use crate::outln;
+use crate::output::Table;
+
+/// Timeline frames the replay renders.
+pub const TOP_FRAMES: u64 = 6;
 
 /// One sparkline character for a heat cell, scaled to `max` (the
 /// tenant's largest cell p99 across the whole run).
-fn spark(point: &gqos_sim::SeriesPoint, max: u64) -> char {
+fn spark(point: &SeriesPoint, max: u64) -> char {
     const LEVELS: [char; 6] = ['_', '-', '=', '+', '*', '#'];
     if !point.covered {
         return '!';
@@ -76,7 +52,7 @@ fn spark(point: &gqos_sim::SeriesPoint, max: u64) -> char {
 
 /// The graduated-QoS rung of one cell, judged from its p99 against the
 /// deadline δ: `slack` within 3δ/4, `meet` within δ, `miss` beyond.
-fn rung(point: &gqos_sim::SeriesPoint, deadline: SimDuration) -> &'static str {
+fn rung(point: &SeriesPoint, deadline: SimDuration) -> &'static str {
     if !point.covered {
         return "evicted";
     }
@@ -94,38 +70,15 @@ fn rung(point: &gqos_sim::SeriesPoint, deadline: SimDuration) -> &'static str {
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut frames = 6u64;
-    if let Some(n) = take_integer(&mut args, "--frames") {
-        if n == 0 {
-            exit_usage("--frames value must be at least 1");
-        }
-        frames = n;
-    }
-    let mut window_ms = FEED_WINDOW_MS;
-    if let Some(ms) = take_integer(&mut args, "--window") {
-        if ms == 0 || 1000 % ms != 0 {
-            exit_usage(&format!(
-                "--window value must be a divisor of 1000 ms for exact tier-0 attribution (got {ms})"
-            ));
-        }
-        window_ms = ms;
-    }
-    let cfg = ExpConfig::try_parse(args).unwrap_or_else(|err| exit_usage(&err.to_string()));
-    if let Err(err) = std::fs::create_dir_all(&cfg.out_dir) {
-        exit_usage(&format!(
-            "cannot create output directory `{}`: {err}",
-            cfg.out_dir
-        ));
-    }
-
-    let start = Instant::now();
-    let outcome = longterm_stats::compute(&cfg, SimDuration::from_millis(window_ms));
+/// Renders the replay frames and the closing verdict stream.
+pub fn report(cfg: &ExpConfig) -> String {
+    let mut out = String::new();
+    let outcome = longterm_stats::compute(cfg);
     let deadline = SimDuration::from_millis(LONGTERM_DEADLINE_MS);
     let res = outcome.resolution;
     let total_cells = (outcome.end.as_nanos() / res.as_nanos()).max(1);
-    println!(
+    outln!(
+        out,
         "gqos_top: {} tenants, {} cells of {} s, deadline {} ms  [{cfg}]",
         outcome.reports.len(),
         total_cells,
@@ -133,7 +86,7 @@ fn main() {
         LONGTERM_DEADLINE_MS
     );
     // Each tenant's sparkline scale: its largest cell p99 over the run.
-    let full: Vec<Vec<gqos_sim::SeriesPoint>> = outcome
+    let full: Vec<Vec<SeriesPoint>> = outcome
         .reports
         .iter()
         .map(|r| {
@@ -146,12 +99,13 @@ fn main() {
         .iter()
         .map(|series| series.iter().filter_map(|p| p.quantile).max().unwrap_or(0))
         .collect();
-    for frame in 1..=frames {
-        let cells = (total_cells * frame).div_ceil(frames).max(1);
+    for frame in 1..=TOP_FRAMES {
+        let cells = (total_cells * frame).div_ceil(TOP_FRAMES).max(1);
         let horizon = SimTime::from_nanos(cells * res.as_nanos());
-        println!();
-        println!(
-            "frame {frame}/{frames}  t = {} s",
+        outln!(out);
+        outln!(
+            out,
+            "frame {frame}/{TOP_FRAMES}  t = {} s",
             horizon.as_nanos() / 1_000_000_000
         );
         let mut table = Table::new(vec![
@@ -166,7 +120,7 @@ fn main() {
             let visible = &series[..cells as usize];
             let latest = visible.last().expect("at least one cell");
             let trail: String = visible.iter().map(|p| spark(p, scale)).collect();
-            let drift = if frame == frames {
+            let drift = if frame == TOP_FRAMES {
                 outcome
                     .store
                     .drift_ppm(
@@ -191,10 +145,11 @@ fn main() {
                 drift,
             ]);
         }
-        print!("{}", table.render());
+        out.push_str(&table.render());
     }
-    println!();
-    println!(
+    outln!(out);
+    outln!(
+        out,
         "verdict stream: {}",
         full.iter()
             .zip(&outcome.reports)
@@ -214,11 +169,5 @@ fn main() {
             .collect::<Vec<_>>()
             .join(" ")
     );
-    let elapsed = start.elapsed();
-    eprintln!(
-        "gqos_top: replayed {} frames in {:.1} ms at {} worker(s)",
-        frames,
-        elapsed.as_secs_f64() * 1e3,
-        cfg.threads
-    );
+    out
 }

@@ -1,4 +1,4 @@
-//! Plain-text tables and CSV output for the experiment binaries.
+//! Plain-text tables and CSV output for the experiments.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 
 /// `writeln!` into a `String` report buffer, ignoring the (infallible)
 /// result. Experiments render their whole stdout report through this so
-/// that `all_experiments --parallel` can compute sections concurrently and
-/// still print them in a fixed order.
+/// that `gqos-bench all --threads <n>` can compute sections concurrently
+/// and still print them in a fixed order.
 ///
 /// # Examples
 ///

@@ -1,41 +1,13 @@
-//! Every experiment binary must reject a malformed command line with a
-//! clear `error: …` diagnostic and exit status 2 — never a panic, never a
-//! backtrace, never silent misbehavior.
+//! The `gqos-bench` CLI and the measurement tools must reject a malformed
+//! command line with a clear `error: …` diagnostic and exit status 2 —
+//! never a panic, never a backtrace, never silent misbehavior.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
-/// Path of every experiment binary that parses the shared `ExpConfig`
-/// flags, as compiled for this test run.
-const EXP_CONFIG_BINS: &[(&str, &str)] = &[
-    ("ablation_delta_c", env!("CARGO_BIN_EXE_ablation_delta_c")),
-    (
-        "ablation_token_bucket",
-        env!("CARGO_BIN_EXE_ablation_token_bucket"),
-    ),
-    ("all_experiments", env!("CARGO_BIN_EXE_all_experiments")),
-    ("control_chaos", env!("CARGO_BIN_EXE_control_chaos")),
-    ("disk_endtoend", env!("CARGO_BIN_EXE_disk_endtoend")),
-    ("fault_sweep", env!("CARGO_BIN_EXE_fault_sweep")),
-    ("fig2_shaping", env!("CARGO_BIN_EXE_fig2_shaping")),
-    ("fig3_scl", env!("CARGO_BIN_EXE_fig3_scl")),
-    ("fig4_fcfs_cdf", env!("CARGO_BIN_EXE_fig4_fcfs_cdf")),
-    ("fig5_fcfs_cdf", env!("CARGO_BIN_EXE_fig5_fcfs_cdf")),
-    ("fig6_schedulers", env!("CARGO_BIN_EXE_fig6_schedulers")),
-    ("fig7_same_mux", env!("CARGO_BIN_EXE_fig7_same_mux")),
-    ("fig8_diff_mux", env!("CARGO_BIN_EXE_fig8_diff_mux")),
-    ("fleet_bench", env!("CARGO_BIN_EXE_fleet_bench")),
-    ("gqos_top", env!("CARGO_BIN_EXE_gqos_top")),
-    ("longterm_stats", env!("CARGO_BIN_EXE_longterm_stats")),
-    (
-        "multitenant_isolation",
-        env!("CARGO_BIN_EXE_multitenant_isolation"),
-    ),
-    ("run_report", env!("CARGO_BIN_EXE_run_report")),
-    ("slo_bench", env!("CARGO_BIN_EXE_slo_bench")),
-    ("table1", env!("CARGO_BIN_EXE_table1")),
-    ("stream_bench", env!("CARGO_BIN_EXE_stream_bench")),
-];
+use gqos_bench::experiments::REGISTRY;
+
+const BIN: &str = env!("CARGO_BIN_EXE_gqos-bench");
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -67,17 +39,34 @@ fn assert_clean_usage_error(name: &str, args: &[&str], output: &Output, needle: 
 }
 
 #[test]
-fn unknown_flag_is_a_clean_error_in_every_binary() {
-    for &(name, bin) in EXP_CONFIG_BINS {
-        let output = run(bin, &["--bogus"]);
-        assert_clean_usage_error(name, &["--bogus"], &output, "unknown flag");
+fn unknown_flag_is_a_clean_error_for_every_experiment() {
+    let names = REGISTRY.iter().map(|e| e.name).chain(["all"]);
+    for name in names {
+        let args = [name, "--bogus"];
+        let output = run(BIN, &args);
+        assert_clean_usage_error(name, &args, &output, "unknown flag");
+    }
+}
+
+#[test]
+fn unknown_experiment_is_a_clean_error() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["fig9"], "unknown experiment `fig9`"),
+        (&["--quick"], "unknown experiment `--quick`"),
+        (&[], "missing experiment name"),
+    ];
+    for (args, needle) in cases {
+        let output = run(BIN, args);
+        assert_clean_usage_error("gqos-bench", args, &output, needle);
+        // The diagnostic lists the valid names.
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("fig6_schedulers"), "{stderr}");
     }
 }
 
 #[test]
 fn malformed_values_are_clean_errors() {
-    // One representative binary per failure class; the parser is shared.
-    let (_, bin) = EXP_CONFIG_BINS[0];
+    // One case per failure class; the parser is shared by every row.
     let cases: &[(&[&str], &str)] = &[
         (&["--span", "abc"], "--span value"),
         (&["--span"], "--span requires"),
@@ -85,14 +74,11 @@ fn malformed_values_are_clean_errors() {
         (&["--threads", "0"], "at least 1"),
         (&["--threads", "-3"], "--threads value"),
         (&["--threads", "many"], "--threads value"),
-        (&["--fractions"], "--fractions requires"),
-        (&["--fractions", "NaN"], "(0, 1]"),
-        (&["--fractions", "0.9,1.5"], "(0, 1]"),
-        (&["--fractions", "0"], "(0, 1]"),
     ];
-    for &(args, needle) in cases {
-        let output = run(bin, args);
-        assert_clean_usage_error("ablation_delta_c", args, &output, needle);
+    for &(flags, needle) in cases {
+        let args: Vec<&str> = ["fig3_scl"].iter().chain(flags).copied().collect();
+        let output = run(BIN, &args);
+        assert_clean_usage_error("fig3_scl", &args, &output, needle);
     }
 }
 
@@ -105,11 +91,10 @@ fn unusable_out_dir_is_a_clean_error() {
     std::fs::write(&file, b"occupied").expect("temp file");
     let out = file.join("results");
     let out = out.to_str().expect("utf-8 temp path");
-    let (_, bin) = EXP_CONFIG_BINS[0];
-    let output = run(bin, &["--quick", "--out", out]);
+    let output = run(BIN, &["fig3_scl", "--quick", "--out", out]);
     assert_clean_usage_error(
-        "ablation_delta_c",
-        &["--quick", "--out", "<file>/results"],
+        "fig3_scl",
+        &["fig3_scl", "--quick", "--out", "<file>/results"],
         &output,
         "output directory",
     );
@@ -138,104 +123,20 @@ fn custom_parsers_reject_garbage_cleanly() {
 }
 
 #[test]
-fn slo_bench_controller_knobs_reject_garbage_cleanly() {
-    // slo_bench layers --window/--gain/--tenants on the shared parser;
-    // every knob must meet the same exit-2 contract.
-    let bin = env!("CARGO_BIN_EXE_slo_bench");
-    let cases: &[(&[&str], &str)] = &[
-        (&["--window", "abc"], "--window value"),
-        (&["--window", "0"], "--window value"),
-        (&["--window"], "--window requires"),
-        (&["--gain", "8"], "--gain value"),
-        (&["--gain", "-2"], "--gain value"),
-        (&["--gain"], "--gain requires"),
-        (&["--tenants", "0"], "--tenants value"),
-        (&["--tenants", "lots"], "--tenants value"),
-    ];
-    for &(args, needle) in cases {
-        let output = run(bin, args);
-        assert_clean_usage_error("slo_bench", args, &output, needle);
-    }
-    // And the shared out-dir check still guards the custom path.
-    let dir = std::env::temp_dir().join(format!("gqos-slo-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let file = dir.join("not-a-dir");
-    std::fs::write(&file, b"occupied").expect("temp file");
-    let out = file.join("results");
-    let out = out.to_str().expect("utf-8 temp path");
-    let output = run(bin, &["--quick", "--out", out]);
-    assert_clean_usage_error(
-        "slo_bench",
-        &["--quick", "--out", "<file>/results"],
-        &output,
-        "output directory",
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn longterm_knobs_reject_garbage_cleanly() {
-    // gqos_top and longterm_stats layer --frames/--window on the shared
-    // parser; every knob must meet the same exit-2 contract.
-    let top = env!("CARGO_BIN_EXE_gqos_top");
-    let stats = env!("CARGO_BIN_EXE_longterm_stats");
-    let cases: &[(&str, &str, &[&str], &str)] = &[
-        ("gqos_top", top, &["--frames", "0"], "--frames value"),
-        ("gqos_top", top, &["--frames", "lots"], "--frames value"),
-        ("gqos_top", top, &["--frames"], "--frames requires"),
-        ("gqos_top", top, &["--window", "300"], "divisor of 1000"),
-        (
-            "longterm_stats",
-            stats,
-            &["--window", "0"],
-            "--window value",
-        ),
-        (
-            "longterm_stats",
-            stats,
-            &["--window", "abc"],
-            "--window value",
-        ),
-        ("longterm_stats", stats, &["--window"], "--window requires"),
-        (
-            "longterm_stats",
-            stats,
-            &["--window", "7"],
-            "divisor of 1000",
-        ),
-    ];
-    for &(name, bin, args, needle) in cases {
-        let output = run(bin, args);
-        assert_clean_usage_error(name, args, &output, needle);
-    }
-}
-
-#[test]
-fn nan_fractions_never_reach_the_planner() {
-    // The menu-sweeping binary must reject NaN at the config boundary —
-    // exit 2 with a usage error, not the planner's MenuError panic.
-    let output = run(
-        env!("CARGO_BIN_EXE_table1"),
-        &["--quick", "--fractions", "0.9,NaN"],
-    );
-    assert_clean_usage_error("table1", &["--fractions", "0.9,NaN"], &output, "(0, 1]");
-}
-
-#[test]
 fn well_formed_quick_run_still_works() {
     // The hardening must not break the happy path: a quick serial run of
-    // the cheapest binary exits 0 and writes its CSV.
+    // the cheapest experiment exits 0 and writes its CSV.
     let dir = std::env::temp_dir().join(format!("gqos-cli-ok-{}", std::process::id()));
     let out = dir.to_str().expect("utf-8 temp path");
     let output = run(
-        env!("CARGO_BIN_EXE_fig3_scl"),
-        &["--quick", "--out", out, "--threads", "1"],
+        BIN,
+        &["fig3_scl", "--quick", "--out", out, "--threads", "1"],
     );
     assert!(
         output.status.success(),
         "fig3_scl --quick failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-    assert!(Path::new(out).exists());
+    assert!(Path::new(out).join("fig3_scl.csv").exists());
     std::fs::remove_dir_all(&dir).ok();
 }

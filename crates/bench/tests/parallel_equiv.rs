@@ -1,12 +1,13 @@
-//! Serial-vs-parallel equivalence: every experiment's rendered report and
-//! CSV output must be byte-identical at any thread count. This is the
-//! contract that makes `--parallel` safe to use for the paper's artifacts.
+//! Serial-vs-parallel equivalence: every registry row's rendered report
+//! and every file it writes must be byte-identical at any thread count.
+//! This is the contract that makes `--threads` safe to use for the paper's
+//! artifacts.
 
+use std::collections::BTreeMap;
 use std::fs;
+use std::path::Path;
 
-use gqos_bench::experiments::{
-    fault_sweep, fig2, fig4, fig5, fig6, fig7, fig8, slo_feedback, table1,
-};
+use gqos_bench::experiments::{fault_sweep, REGISTRY};
 use gqos_bench::ExpConfig;
 use gqos_trace::SimDuration;
 
@@ -18,79 +19,59 @@ fn cfg(threads: usize, out: &str) -> ExpConfig {
         seed: 42,
         out_dir: out.to_string(),
         threads,
-        fractions: None,
     }
 }
 
-/// Runs `report` serially and with 4 workers into the same scratch dir and
-/// asserts the rendered text and the CSV bytes match exactly.
-fn assert_equivalent(name: &str, csv: &str, report: fn(&ExpConfig) -> String) {
-    let dir = std::env::temp_dir().join(format!("gqos_parallel_equiv_{name}"));
-    let out = dir.to_str().expect("utf-8 temp path");
-
-    let serial_text = report(&cfg(1, out));
-    let serial_csv = fs::read(dir.join(format!("{csv}.csv"))).expect("serial CSV");
-
-    let parallel_text = report(&cfg(4, out));
-    let parallel_csv = fs::read(dir.join(format!("{csv}.csv"))).expect("parallel CSV");
-
-    assert_eq!(serial_text, parallel_text, "{name}: report text diverged");
-    assert_eq!(serial_csv, parallel_csv, "{name}: CSV bytes diverged");
-    let _ = fs::remove_dir_all(dir);
+/// Every file in `dir`, by name, with its bytes; empty when the row wrote
+/// nothing and so never created `dir` (`top`).
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .map(|entry| {
+                    let entry = entry.expect("readable out dir");
+                    let name = entry.file_name().to_string_lossy().into_owned();
+                    (name, fs::read(entry.path()).expect("readable artifact"))
+                })
+                .collect()
+        })
+        .unwrap_or_default()
 }
 
+/// Runs every registry row serially and with 4 workers, each into a fresh
+/// out dir of the same path, and asserts the report text and every written
+/// file match exactly. No report may flag an invariant violation.
 #[test]
-fn table1_serial_parallel_identical() {
-    assert_equivalent("table1", "table1", table1::report);
-}
-
-#[test]
-fn fig2_serial_parallel_identical() {
-    assert_equivalent("fig2", "fig2_shaping", fig2::report);
-}
-
-#[test]
-fn fig4_serial_parallel_identical() {
-    assert_equivalent("fig4", "fig4_fcfs_cdf", fig4::report);
-}
-
-#[test]
-fn fig5_serial_parallel_identical() {
-    assert_equivalent("fig5", "fig5_fcfs_cdf", fig5::report);
-}
-
-#[test]
-fn fig6_serial_parallel_identical() {
-    assert_equivalent("fig6", "fig6_schedulers", fig6::report);
-}
-
-#[test]
-fn fig7_serial_parallel_identical() {
-    assert_equivalent("fig7", "fig7_same_mux", fig7::report);
-}
-
-#[test]
-fn fig8_serial_parallel_identical() {
-    assert_equivalent("fig8", "fig8_diff_mux", fig8::report);
-}
-
-#[test]
-fn fault_sweep_serial_parallel_identical() {
-    assert_equivalent("fault_sweep", "fault_sweep", fault_sweep::report);
-}
-
-#[test]
-fn slo_feedback_serial_parallel_identical() {
-    assert_equivalent("slo_feedback", "slo_feedback", slo_feedback::report);
-}
-
-/// The retention store joins the contract: the long-term report and
-/// `longterm_stats.csv` must be byte-identical at any thread count —
-/// the gateway's positional reports make the feed order worker-blind.
-#[test]
-fn longterm_stats_serial_parallel_identical() {
-    use gqos_bench::experiments::longterm_stats;
-    assert_equivalent("longterm_stats", "longterm_stats", longterm_stats::report);
+fn every_registry_row_is_identical_serial_and_parallel() {
+    for experiment in REGISTRY {
+        let dir = std::env::temp_dir().join(format!("gqos_parallel_equiv_{}", experiment.name));
+        let out = dir.to_str().expect("utf-8 temp path");
+        let run = |threads| {
+            let _ = fs::remove_dir_all(&dir);
+            let text = (experiment.report)(&cfg(threads, out));
+            (text, files(&dir))
+        };
+        let (serial_text, serial_files) = run(1);
+        let (parallel_text, parallel_files) = run(4);
+        let name = experiment.name;
+        assert_eq!(serial_text, parallel_text, "{name}: report text diverged");
+        assert_eq!(
+            serial_files.keys().collect::<Vec<_>>(),
+            parallel_files.keys().collect::<Vec<_>>(),
+            "{name}: different files written"
+        );
+        for (file, bytes) in &serial_files {
+            assert!(
+                parallel_files[file] == *bytes,
+                "{name}: {file} bytes diverged"
+            );
+        }
+        assert!(
+            !serial_text.contains("INVARIANT VIOLATION"),
+            "{name}: report flagged an invariant violation:\n{serial_text}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// The fault-free golden contract at the harness level: severity 0 cells of
@@ -133,48 +114,6 @@ fn fault_sweep_severity_zero_matches_plain_runs() {
             cell.policy
         );
     }
-}
-
-/// The observability report joins the serial-vs-parallel contract: the
-/// rendered text and the `run_report.json` bytes must be identical at any
-/// thread count — including the pool-sharded sketch merge, whose shard
-/// boundaries differ between 1 and 4 workers but whose merged sketch may
-/// not.
-#[test]
-fn run_report_serial_parallel_identical() {
-    use gqos_bench::experiments::run_report;
-
-    let dir = std::env::temp_dir().join("gqos_parallel_equiv_run_report");
-    let out = dir.to_str().expect("utf-8 temp path");
-
-    let serial_text = run_report::report(&cfg(1, out));
-    let serial_json = fs::read(dir.join("run_report.json")).expect("serial JSON");
-
-    let parallel_text = run_report::report(&cfg(4, out));
-    let parallel_json = fs::read(dir.join("run_report.json")).expect("parallel JSON");
-
-    assert_eq!(
-        serial_text, parallel_text,
-        "run_report: report text diverged"
-    );
-    assert_eq!(
-        serial_json, parallel_json,
-        "run_report: JSON bytes diverged"
-    );
-    assert!(serial_text.contains("ok"), "audit verdict missing");
-    let json = String::from_utf8(serial_json).expect("utf-8 JSON");
-    assert!(json.contains("\"sharded_merge_identical\": true"));
-    assert!(!json.contains("\"ok\": false"), "an audit failed:\n{json}");
-    let _ = fs::remove_dir_all(dir);
-}
-
-/// The fleet placement experiment joins the contract: its report and
-/// `fleet_placement.csv` must be byte-identical at any thread count —
-/// packing order, bin retirement, and replans are all pool-independent.
-#[test]
-fn fleet_serial_parallel_identical() {
-    use gqos_bench::experiments::fleet;
-    assert_equivalent("fleet", "fleet_placement", fleet::report);
 }
 
 /// A pinned-seed degrade-and-replan reproduces exactly: same assignments,
