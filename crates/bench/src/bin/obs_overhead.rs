@@ -22,6 +22,9 @@
 //!
 //! Usage: `cargo run --release -p gqos-bench --bin obs_overhead --
 //!         [--samples 15] [--span-secs 60] [--max-overhead-pct 2.0]`
+//!
+//! A malformed flag prints `error: …` and [`USAGE`] to stderr and exits
+//! with status 2.
 
 use std::time::Instant;
 
@@ -54,16 +57,21 @@ fn best_of_interleaved<R>(
     (ta, tb)
 }
 
+/// The usage line printed under every command-line error.
+const USAGE: &str =
+    "usage: obs_overhead [--samples <n>] [--span-secs <s>] [--max-overhead-pct <pct>]";
+
 fn parse_flag(args: &[String], flag: &str) -> Option<f64> {
     let i = args.iter().position(|a| a == flag)?;
     let value = args.get(i + 1).unwrap_or_else(|| {
-        gqos_bench::exit_usage(&format!("{flag} requires a value"));
+        gqos_bench::exit_usage(USAGE, &format!("{flag} requires a value"));
     });
     match value.parse::<f64>() {
         Ok(v) if v.is_finite() && v >= 0.0 => Some(v),
-        _ => gqos_bench::exit_usage(&format!(
-            "{flag} value must be a non-negative number (got `{value}`)"
-        )),
+        _ => gqos_bench::exit_usage(
+            USAGE,
+            &format!("{flag} value must be a non-negative number (got `{value}`)"),
+        ),
     }
 }
 

@@ -42,6 +42,9 @@
 //! `sim/requests_per_sec_core` is the single-server engine on its own: ns
 //! per simulated request through FCFS, the event queue and the metrics.
 //! `--assert-sim-ns 160` fails the run when it comes in above 160 ns.
+//!
+//! A malformed flag prints `error: …` and [`USAGE`] to stderr and exits
+//! with status 2.
 
 use std::time::Instant;
 
@@ -52,9 +55,9 @@ use gqos_core::{
     decompose, overflow_count, overflow_curve, within_miss_budget, CapacityPlanner,
     DecomposeScratch, FcfsScheduler, FleetPlacer, QosTarget, QuoteCache, RttClassifier,
 };
-use gqos_fairqueue::{FlowId, FlowScheduler, Sfq, Wf2q};
+use gqos_fairqueue::{FlowId, Sfq};
 use gqos_parallel::WorkerPool;
-use gqos_sim::{simulate, Event, EventKind, FixedRateServer, IndexedEventQueue, ServiceClass};
+use gqos_sim::{simulate, FixedRateServer, ServiceClass};
 use gqos_stream::{ArrivalStream, SpcStream, DEFAULT_CHUNK};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{spc, Iops, Request, SimDuration, SimTime, TraceSummary, Workload};
@@ -83,50 +86,23 @@ fn measure<R>(samples: usize, iters: usize, mut op: impl FnMut() -> R) -> f64 {
     per_op[per_op.len() / 2]
 }
 
+/// The usage line printed under every command-line error.
+const USAGE: &str = "usage: perf_report [--out <path>] [--samples <n>] [--span-secs <s>] \
+     [--threads <n>] [--assert-parallel-speedup <ratio>] [--assert-fleet-place-ms <ms>] \
+     [--assert-fleet-speedup <ratio>] [--assert-spc-parse-ns <ns>] [--assert-sim-ns <ns>]";
+
 fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
     let i = args.iter().position(|a| a == flag)?;
     let value = args.get(i + 1).unwrap_or_else(|| {
-        gqos_bench::exit_usage(&format!("{flag} requires a value"));
+        gqos_bench::exit_usage(USAGE, &format!("{flag} requires a value"));
     });
     match value.parse() {
         Ok(v) => Some(v),
-        Err(_) => {
-            gqos_bench::exit_usage(&format!("{flag} value must be an integer (got `{value}`)"))
-        }
+        Err(_) => gqos_bench::exit_usage(
+            USAGE,
+            &format!("{flag} value must be an integer (got `{value}`)"),
+        ),
     }
-}
-
-/// One engine-feasible fill-and-drain cycle through the indexed queue:
-/// every server gets a completion and a retry, plus the single arrival;
-/// then everything pops in deterministic order. Returns a checksum so the
-/// optimiser cannot elide the work.
-fn indexed_queue_cycle(queue: &mut IndexedEventQueue, servers: usize) -> u64 {
-    queue.clear();
-    // A fixed LCG scatters event times across the wheel's lower levels.
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    for server in 0..servers {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let t = SimTime::from_nanos((state >> 33) % 50_000_000);
-        queue.push(Event {
-            at: t,
-            kind: EventKind::Completion { server },
-        });
-        queue.push(Event {
-            at: SimTime::from_nanos(t.as_nanos() + 1_000),
-            kind: EventKind::Retry { server },
-        });
-    }
-    queue.push(Event {
-        at: SimTime::from_nanos(25_000_000),
-        kind: EventKind::Arrival { index: 0 },
-    });
-    let mut sum = 0u64;
-    while let Some(event) = queue.pop() {
-        sum = sum.wrapping_add(event.at.as_nanos());
-    }
-    sum
 }
 
 /// Requests one fair-queue cycle enqueues and drains.
@@ -134,7 +110,7 @@ const FAIRQUEUE_CYCLE: usize = 10_000;
 
 /// One fair-queue cycle: enqueue [`FAIRQUEUE_CYCLE`] requests alternating
 /// over two flows, then dequeue until empty. Returns the served count.
-fn fairqueue_cycle<S: FlowScheduler>(mut scheduler: S) -> usize {
+fn fairqueue_cycle(mut scheduler: Sfq) -> usize {
     for i in 0..FAIRQUEUE_CYCLE {
         scheduler.enqueue(
             FlowId::new(i % 2),
@@ -161,13 +137,14 @@ fn main() {
     let parse_ratio = |flag: &'static str| -> Option<f64> {
         args.iter().position(|a| a == flag).map(|i| {
             let value = args.get(i + 1).unwrap_or_else(|| {
-                gqos_bench::exit_usage(&format!("{flag} requires a ratio"));
+                gqos_bench::exit_usage(USAGE, &format!("{flag} requires a ratio"));
             });
             match value.parse::<f64>() {
                 Ok(v) if v.is_finite() && v > 0.0 => v,
-                _ => gqos_bench::exit_usage(&format!(
-                    "{flag} value must be a positive ratio (got `{value}`)"
-                )),
+                _ => gqos_bench::exit_usage(
+                    USAGE,
+                    &format!("{flag} value must be a positive ratio (got `{value}`)"),
+                ),
             }
         })
     };
@@ -351,40 +328,12 @@ fn main() {
         println!("  menu speedup assertion: parallel <= {bound} x serial ok");
     }
 
-    // --- Event queue ------------------------------------------------------
-    // Fill-and-drain cycles at two fleet sizes. Per-event cost must be
-    // (roughly) flat in the server count — the old per-server scan made it
-    // linear, i.e. ~16x between these two sizes.
-    let mut q64 = IndexedEventQueue::new(64);
-    let cycle_64_ns = measure(samples, 2_000, || indexed_queue_cycle(&mut q64, 64));
-    push("event/indexed_cycle_64", cycle_64_ns, 64 * 2 + 1);
-    let mut q1024 = IndexedEventQueue::new(1024);
-    let cycle_1024_ns = measure(samples, 125, || indexed_queue_cycle(&mut q1024, 1024));
-    push("event/indexed_cycle_1024", cycle_1024_ns, 1024 * 2 + 1);
-    let per_event_64 = cycle_64_ns / (64.0 * 2.0 + 1.0);
-    let per_event_1024 = cycle_1024_ns / (1024.0 * 2.0 + 1.0);
-    println!(
-        "  indexed queue: {per_event_64:.1} ns/event at 64 servers, \
-         {per_event_1024:.1} ns/event at 1024 servers"
-    );
-    assert!(
-        per_event_1024 <= 6.0 * per_event_64,
-        "indexed queue per-event cost grew {:.1}x from 64 to 1024 servers — \
-         pops are scaling with fleet size again",
-        per_event_1024 / per_event_64
-    );
-
     // --- Fair queueing -----------------------------------------------------
     // The per-request cost of the FairQueue recombination path: a 9:1
-    // weighted two-flow cycle through each fair-queue discipline.
+    // weighted two-flow cycle through SFQ.
     push(
         "fairqueue/sfq_cycle",
         measure(samples, 20, || fairqueue_cycle(Sfq::new(&[9.0, 1.0]))),
-        FAIRQUEUE_CYCLE as u64,
-    );
-    push(
-        "fairqueue/wf2q_cycle",
-        measure(samples, 20, || fairqueue_cycle(Wf2q::new(&[9.0, 1.0]))),
         FAIRQUEUE_CYCLE as u64,
     );
 

@@ -101,30 +101,14 @@ impl Default for ExpConfig {
 }
 
 impl ExpConfig {
-    /// Parses configuration from an argument iterator (excluding the program name).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown or malformed flags; use
-    /// [`try_parse`](ExpConfig::try_parse) for a typed error instead
-    /// (the CLI goes through [`from_args`](ExpConfig::from_args), which
-    /// exits cleanly).
-    pub fn parse<I, S>(args: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        ExpConfig::try_parse(args).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Parses configuration from an argument iterator, reporting malformed
-    /// input as a typed [`ConfigError`].
+    /// Parses configuration from an argument iterator (excluding the
+    /// program name), reporting malformed input as a typed [`ConfigError`].
     ///
     /// # Errors
     ///
     /// Returns an error for unknown flags, flags missing their value,
     /// unparsable values, and `--threads 0`.
-    pub fn try_parse<I, S>(args: I) -> Result<Self, ConfigError>
+    fn try_parse<I, S>(args: I) -> Result<Self, ConfigError>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -194,13 +178,13 @@ impl ExpConfig {
         S: AsRef<str>,
     {
         let cfg = ExpConfig::try_parse(args).unwrap_or_else(|err| {
-            exit_usage(&err.to_string());
+            exit_usage(USAGE, &err.to_string());
         });
         if let Err(err) = std::fs::create_dir_all(&cfg.out_dir) {
-            exit_usage(&format!(
-                "cannot create output directory `{}`: {err}",
-                cfg.out_dir
-            ));
+            exit_usage(
+                USAGE,
+                &format!("cannot create output directory `{}`: {err}", cfg.out_dir),
+            );
         }
         cfg
     }
@@ -211,12 +195,12 @@ impl ExpConfig {
     }
 }
 
-/// Prints `error: <message>` and the usage line to stderr, then exits with
-/// status 2 (the conventional usage-error code). Shared by every
+/// Prints `error: <message>` and the binary's `usage` line to stderr, then
+/// exits with status 2 (the conventional usage-error code). Shared by every
 /// binary of the crate so malformed command lines never surface as panics.
-pub fn exit_usage(message: &str) -> ! {
+pub fn exit_usage(usage: &str, message: &str) -> ! {
     eprintln!("error: {message}");
-    eprintln!("{USAGE}");
+    eprintln!("{usage}");
     std::process::exit(2)
 }
 
@@ -246,7 +230,7 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let c = ExpConfig::parse(["--span", "300", "--seed", "7", "--out", "/tmp/x"]);
+        let c = ExpConfig::try_parse(["--span", "300", "--seed", "7", "--out", "/tmp/x"]).unwrap();
         assert_eq!(c.span, SimDuration::from_secs(300));
         assert_eq!(c.seed, 7);
         assert_eq!(c.out_dir, "/tmp/x");
@@ -254,7 +238,7 @@ mod tests {
 
     #[test]
     fn quick_flag_shortens_span() {
-        let c = ExpConfig::parse(["--quick"]);
+        let c = ExpConfig::try_parse(["--quick"]).unwrap();
         assert_eq!(c.span, SimDuration::from_secs(120));
     }
 
@@ -262,21 +246,9 @@ mod tests {
     fn threads_flags() {
         assert_eq!(ExpConfig::default().threads, 1);
         assert!(ExpConfig::default().pool().is_serial());
-        let c = ExpConfig::parse(["--threads", "6"]);
+        let c = ExpConfig::try_parse(["--threads", "6"]).unwrap();
         assert_eq!(c.threads, 6);
         assert_eq!(c.pool().threads(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        let _ = ExpConfig::parse(["--bogus"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "--span value")]
-    fn bad_span_panics() {
-        let _ = ExpConfig::parse(["--span", "abc"]);
     }
 
     #[test]
@@ -332,20 +304,5 @@ mod tests {
         assert!(msg.contains("`lots`"), "{msg}");
         assert!(ConfigError::ZeroThreads.to_string().contains("at least 1"));
         assert!(USAGE.contains("--threads"));
-    }
-
-    #[test]
-    fn try_parse_accepts_everything_parse_accepts() {
-        let args = [
-            "--span",
-            "300",
-            "--seed",
-            "7",
-            "--out",
-            "/tmp/x",
-            "--threads",
-            "2",
-        ];
-        assert_eq!(ExpConfig::try_parse(args).unwrap(), ExpConfig::parse(args));
     }
 }

@@ -29,7 +29,7 @@ use crate::output::{CsvWriter, Table};
 /// The severity ladder: `(label, channel severity, node severity,
 /// cross-node correlation)`. `calm` pins the no-fault baseline (every
 /// command acks, nothing retried); the rest turn the screws.
-pub const CHAOS_CELLS: [(&str, f64, f64, f64); 4] = [
+const CHAOS_CELLS: [(&str, f64, f64, f64); 4] = [
     ("calm", 0.0, 0.0, 0.0),
     ("lossy", 0.4, 0.5, 0.3),
     ("hostile", 0.7, 0.9, 0.5),
@@ -37,11 +37,11 @@ pub const CHAOS_CELLS: [(&str, f64, f64, f64); 4] = [
 ];
 
 /// Worker count the sharded byte-identity run uses.
-pub const CHAOS_SHARD_WORKERS: usize = 4;
+const CHAOS_SHARD_WORKERS: usize = 4;
 
 /// One severity cell: the client's view, the plane's ledger, and the
 /// two invariant verdicts.
-pub struct ChaosCell {
+struct ChaosCell {
     /// Ladder label.
     pub label: &'static str,
     /// Channel fault severity in `[0, 1]`.
@@ -79,7 +79,7 @@ pub struct ChaosCell {
 /// Runs the severity ladder. Each cell executes its scenario twice —
 /// serial and at [`CHAOS_SHARD_WORKERS`] pool workers — and compares the
 /// full run reports byte for byte.
-pub fn compute(cfg: &ExpConfig) -> Vec<ChaosCell> {
+fn compute(cfg: &ExpConfig) -> Vec<ChaosCell> {
     CHAOS_CELLS
         .iter()
         .enumerate()

@@ -29,7 +29,7 @@ pub const SWEEP_DEADLINE_MS: u64 = 50;
 /// The planned guaranteed fraction.
 pub const SWEEP_FRACTION: f64 = 0.90;
 /// Fault severities swept, from healthy to heavily faulted.
-pub const SWEEP_SEVERITIES: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
+const SWEEP_SEVERITIES: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
 
 /// One `(severity, policy)` cell of the sweep.
 pub struct FaultCell {

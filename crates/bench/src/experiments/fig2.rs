@@ -17,7 +17,7 @@ const DEADLINE: SimDuration = SimDuration::from_millis(10);
 const FRACTION: f64 = 0.90;
 
 /// The three rate series of the figure.
-pub struct Fig2Result {
+struct Fig2Result {
     /// (a) Original arrival-rate series.
     pub original: RateSeries,
     /// (b) `Q1` arrival-rate series after decomposition.
@@ -34,7 +34,7 @@ fn completion_series(report: &RunReport, origin: SimTime) -> RateSeries {
 }
 
 /// Computes the three series (reused by tests).
-pub fn compute(cfg: &ExpConfig) -> Fig2Result {
+fn compute(cfg: &ExpConfig) -> Fig2Result {
     let workload = TraceProfile::OpenMail.generate(cfg.span, cfg.seed);
     let planner = CapacityPlanner::new(&workload, DEADLINE);
     let cmin = planner.min_capacity(FRACTION);

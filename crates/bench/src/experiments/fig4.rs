@@ -18,12 +18,12 @@ use crate::output::{CsvWriter, Table};
 use crate::paper::fig4_fcfs_fraction;
 
 /// Deadlines of the three panels, in milliseconds.
-pub const FIG4_DEADLINES_MS: [u64; 3] = [10, 20, 50];
+const FIG4_DEADLINES_MS: [u64; 3] = [10, 20, 50];
 /// The decomposed fraction the capacity is planned for.
-pub const FIG4_FRACTION: f64 = 0.90;
+const FIG4_FRACTION: f64 = 0.90;
 
 /// One measured cell: workload × deadline.
-pub struct Fig4Cell {
+struct Fig4Cell {
     /// The workload.
     pub profile: TraceProfile,
     /// Deadline in ms.
@@ -36,7 +36,7 @@ pub struct Fig4Cell {
 
 /// Computes all nine cells, fanning the `(workload, deadline)` grid over
 /// [`ExpConfig::pool`].
-pub fn compute(cfg: &ExpConfig) -> Vec<Fig4Cell> {
+fn compute(cfg: &ExpConfig) -> Vec<Fig4Cell> {
     let workloads = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))
     });

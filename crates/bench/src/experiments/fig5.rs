@@ -15,12 +15,12 @@ use crate::output::{CsvWriter, Table};
 use crate::paper::fig5_fcfs_fraction;
 
 /// The two planned fractions of the figure.
-pub const FIG5_FRACTIONS: [f64; 2] = [0.95, 0.99];
+const FIG5_FRACTIONS: [f64; 2] = [0.95, 0.99];
 /// The figure's deadline (ms).
-pub const FIG5_DEADLINE_MS: u64 = 50;
+const FIG5_DEADLINE_MS: u64 = 50;
 
 /// One measured cell: workload × planned fraction.
-pub struct Fig5Cell {
+struct Fig5Cell {
     /// The workload.
     pub profile: TraceProfile,
     /// The planned decomposed fraction.
@@ -39,7 +39,7 @@ pub struct Fig5Cell {
 /// the columnar kernels — instead of an independent `Cmin` search per cell;
 /// the quotes are identical (the menu returns the same minimal integer
 /// capacities), only the probe work is shared.
-pub fn compute(cfg: &ExpConfig) -> Vec<Fig5Cell> {
+fn compute(cfg: &ExpConfig) -> Vec<Fig5Cell> {
     let deadline = SimDuration::from_millis(FIG5_DEADLINE_MS);
     let workloads = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))

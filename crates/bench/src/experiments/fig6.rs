@@ -17,16 +17,16 @@ use crate::output::{CsvWriter, Table};
 use crate::paper::fig6a_reference;
 
 /// The figure's deadline (ms).
-pub const FIG6_DEADLINE_MS: u64 = 50;
+const FIG6_DEADLINE_MS: u64 = 50;
 /// The two panel targets.
-pub const FIG6_FRACTIONS: [f64; 2] = [0.90, 0.95];
+const FIG6_FRACTIONS: [f64; 2] = [0.90, 0.95];
 /// Bucket edges of the paper's histogram, in ms.
-pub const FIG6_BUCKETS_MS: [u64; 4] = [50, 100, 500, 1000];
+const FIG6_BUCKETS_MS: [u64; 4] = [50, 100, 500, 1000];
 /// Seeds averaged for panel (c).
-pub const FIG6C_SEEDS: [u64; 4] = [42, 43, 44, 45];
+const FIG6C_SEEDS: [u64; 4] = [42, 43, 44, 45];
 
 /// One panel: a planned fraction with the four policies' reports.
-pub struct Fig6Panel {
+struct Fig6Panel {
     /// Planned fraction.
     pub fraction: f64,
     /// Planned provision (`Cmin + 20` IOPS).
@@ -36,7 +36,7 @@ pub struct Fig6Panel {
 }
 
 /// Computes both panels, fanning them over [`ExpConfig::pool`].
-pub fn compute(cfg: &ExpConfig) -> Vec<Fig6Panel> {
+fn compute(cfg: &ExpConfig) -> Vec<Fig6Panel> {
     let deadline = SimDuration::from_millis(FIG6_DEADLINE_MS);
     let workload = TraceProfile::WebSearch.generate(cfg.span, cfg.seed);
     let planner = CapacityPlanner::new(&workload, deadline);

@@ -16,14 +16,14 @@ use crate::output::{CsvWriter, Table};
 use crate::paper::{fig7_decomposed_error, fig7_ratio_100pct};
 
 /// The figure's deadline (ms).
-pub const FIG7_DEADLINE_MS: u64 = 10;
+const FIG7_DEADLINE_MS: u64 = 10;
 /// The three provisioning fractions of the panels.
-pub const FIG7_FRACTIONS: [f64; 3] = [1.0, 0.90, 0.95];
+const FIG7_FRACTIONS: [f64; 3] = [1.0, 0.90, 0.95];
 /// The two time shifts, in seconds.
-pub const FIG7_SHIFTS_S: [u64; 2] = [1, 100];
+const FIG7_SHIFTS_S: [u64; 2] = [1, 100];
 
 /// One measured cell: workload × fraction × shift.
-pub struct Fig7Cell {
+struct Fig7Cell {
     /// The duplicated workload.
     pub profile: TraceProfile,
     /// Provisioning fraction.
@@ -36,7 +36,7 @@ pub struct Fig7Cell {
 
 /// Computes all cells, fanning the `(workload, fraction, shift)` grid over
 /// [`ExpConfig::pool`].
-pub fn compute(cfg: &ExpConfig) -> Vec<Fig7Cell> {
+fn compute(cfg: &ExpConfig) -> Vec<Fig7Cell> {
     let deadline = SimDuration::from_millis(FIG7_DEADLINE_MS);
     let workloads = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))

@@ -13,19 +13,19 @@ use crate::output::{CsvWriter, Table};
 use crate::paper::{FIG8_DECOMPOSED_ERROR, FIG8_RATIO_100PCT};
 
 /// The figure's deadline (ms).
-pub const FIG8_DEADLINE_MS: u64 = 10;
+const FIG8_DEADLINE_MS: u64 = 10;
 /// The three provisioning fractions of the panels.
-pub const FIG8_FRACTIONS: [f64; 3] = [1.0, 0.90, 0.95];
+const FIG8_FRACTIONS: [f64; 3] = [1.0, 0.90, 0.95];
 
 /// The paper's pair order: WS+FT, FT+OM, OM+WS.
-pub const FIG8_PAIRS: [(TraceProfile, TraceProfile); 3] = [
+const FIG8_PAIRS: [(TraceProfile, TraceProfile); 3] = [
     (TraceProfile::WebSearch, TraceProfile::FinTrans),
     (TraceProfile::FinTrans, TraceProfile::OpenMail),
     (TraceProfile::OpenMail, TraceProfile::WebSearch),
 ];
 
 /// One measured cell: pair × fraction.
-pub struct Fig8Cell {
+struct Fig8Cell {
     /// Index into [`FIG8_PAIRS`].
     pub pair: usize,
     /// Provisioning fraction.
@@ -36,7 +36,7 @@ pub struct Fig8Cell {
 
 /// Computes all cells, fanning the `(pair, fraction)` grid over
 /// [`ExpConfig::pool`].
-pub fn compute(cfg: &ExpConfig) -> Vec<Fig8Cell> {
+fn compute(cfg: &ExpConfig) -> Vec<Fig8Cell> {
     let deadline = SimDuration::from_millis(FIG8_DEADLINE_MS);
     let pairs = cfg.pool().map(FIG8_PAIRS.to_vec(), |(a, b)| {
         // Distinct seeds so the two clients are independent processes.

@@ -41,25 +41,25 @@ pub const FLEET_DEADLINE_MS: u64 = 20;
 /// The consolidated guarantee: 95% of requests within the deadline.
 pub const FLEET_FRACTION: f64 = 0.95;
 /// The tenants × servers grid the experiment sweeps.
-pub const FLEET_GRID: [(usize, usize); 3] = [(16, 4), (32, 8), (64, 12)];
+const FLEET_GRID: [(usize, usize); 3] = [(16, 4), (32, 8), (64, 12)];
 /// Per-server capacity headroom over the largest standalone quote.
-pub const FLEET_HEADROOM: f64 = 1.6;
+const FLEET_HEADROOM: f64 = 1.6;
 /// Headroom over the mean per-server share of the summed standalone
 /// quotes — consolidation is usually subadditive, so this is generous.
-pub const FLEET_AGG_HEADROOM: f64 = 1.25;
+const FLEET_AGG_HEADROOM: f64 = 1.25;
 /// Largest cell the cold-costing naive packer is re-run on (every one of
 /// its feasibility verdicts is a from-scratch merged-column search —
 /// exactly the cost the engine exists to avoid).
-pub const FLEET_NAIVE_LIMIT: usize = 32;
+const FLEET_NAIVE_LIMIT: usize = 32;
 /// The degradation factor each cell's replan is driven with.
-pub const FLEET_DEGRADE_FACTOR: f64 = 0.6;
+const FLEET_DEGRADE_FACTOR: f64 = 0.6;
 /// Per-tenant trace spans are capped here so fleet cells stay proportionate
 /// to the other experiments at the default 1200 s span.
-pub const FLEET_SPAN_CAP_SECS: u64 = 60;
+const FLEET_SPAN_CAP_SECS: u64 = 60;
 
 /// The per-tenant trace span: the configured span, capped at
 /// [`FLEET_SPAN_CAP_SECS`].
-pub fn fleet_span(cfg: &ExpConfig) -> SimDuration {
+fn fleet_span(cfg: &ExpConfig) -> SimDuration {
     SimDuration::from_secs((cfg.span.as_secs_f64() as u64).clamp(1, FLEET_SPAN_CAP_SECS))
 }
 
@@ -82,8 +82,8 @@ pub fn fleet_tenants(cfg: &ExpConfig, count: usize) -> Vec<FleetTenant> {
 }
 
 /// Sizes the per-server capacity so the whole fleet fits: the larger of
-/// [`FLEET_HEADROOM`] over the largest standalone quote (any single
-/// tenant fits with room to consolidate) and [`FLEET_AGG_HEADROOM`] over
+/// `FLEET_HEADROOM` over the largest standalone quote (any single
+/// tenant fits with room to consolidate) and `FLEET_AGG_HEADROOM` over
 /// the mean per-server share of the summed standalone quotes (the
 /// `servers` bins can absorb the aggregate demand).
 pub fn size_capacity(tenants: &[FleetTenant], servers: usize, target: QosTarget) -> u64 {
@@ -103,7 +103,7 @@ pub fn size_capacity(tenants: &[FleetTenant], servers: usize, target: QosTarget)
 
 /// One tenants × servers cell: the pack's outcome, its deterministic
 /// search-cost ledger, and the forced single-node replan.
-pub struct FleetCell {
+struct FleetCell {
     /// Tenants offered.
     pub tenants: usize,
     /// Servers available.
@@ -139,7 +139,7 @@ pub struct FleetCell {
 
 impl FleetCell {
     /// Cold searches per cached search — the memoization payoff.
-    pub fn search_ratio(&self) -> f64 {
+    fn search_ratio(&self) -> f64 {
         self.cold_searches as f64 / (self.cached_searches.max(1)) as f64
     }
 }
@@ -157,7 +157,7 @@ pub fn busiest_node(placement: &Placement) -> usize {
 
 /// Runs the grid: pack, naive cross-check on small cells, then a forced
 /// degrade-and-replan of the most loaded server.
-pub fn compute(cfg: &ExpConfig) -> Vec<FleetCell> {
+fn compute(cfg: &ExpConfig) -> Vec<FleetCell> {
     let deadline = SimDuration::from_millis(FLEET_DEADLINE_MS);
     let target = QosTarget::new(FLEET_FRACTION, deadline);
     let pool = cfg.pool();

@@ -37,12 +37,12 @@ use crate::output::{CsvWriter, Table};
 /// The lanes' deadline (ms) — the stream experiment's 50 ms.
 pub const LONGTERM_DEADLINE_MS: u64 = 50;
 /// The planned guaranteed fraction.
-pub const LONGTERM_FRACTION: f64 = 0.90;
+const LONGTERM_FRACTION: f64 = 0.90;
 /// Feedback window fed into the store (divides the 1 s tier-0 bucket for
 /// exact time attribution).
 pub const FEED_WINDOW_MS: u64 = 250;
 /// Worker counts the store must be invariant across.
-pub const LONGTERM_WORKERS: [usize; 4] = [1, 2, 4, 8];
+const LONGTERM_WORKERS: [usize; 4] = [1, 2, 4, 8];
 /// Trailing span the drift context compares against all-time.
 pub const DRIFT_RECENT_SECS: u64 = 30;
 
@@ -121,7 +121,7 @@ pub struct LongTermOutcome {
     /// Per tenant: cumulative store sketch equals the lane sketch.
     pub lossless: Vec<(String, bool)>,
     /// The store was identical when fed from every worker count in
-    /// [`LONGTERM_WORKERS`].
+    /// `LONGTERM_WORKERS`.
     pub workers_identical: bool,
 }
 
@@ -168,7 +168,7 @@ pub fn compute(cfg: &ExpConfig) -> LongTermOutcome {
 
 /// Renders one heat cell: p99 in µs, `quiet` for a covered-but-empty
 /// cell, `evicted` for a cell no tier can answer anymore.
-pub fn cell_text(point: &SeriesPoint) -> String {
+fn cell_text(point: &SeriesPoint) -> String {
     if !point.covered {
         "evicted".to_string()
     } else {

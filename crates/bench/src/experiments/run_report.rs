@@ -28,11 +28,11 @@ use crate::outln;
 use crate::output::Table;
 
 /// The run's deadline (ms) — fig5/fig6's 50 ms.
-pub const RUN_REPORT_DEADLINE_MS: u64 = 50;
+const RUN_REPORT_DEADLINE_MS: u64 = 50;
 /// The planned guaranteed fraction.
-pub const RUN_REPORT_FRACTION: f64 = 0.90;
+const RUN_REPORT_FRACTION: f64 = 0.90;
 /// The quantiles the report renders.
-pub const RUN_REPORT_QUANTILES: [(f64, &str); 4] =
+const RUN_REPORT_QUANTILES: [(f64, &str); 4] =
     [(0.50, "p50"), (0.90, "p90"), (0.99, "p99"), (0.999, "p999")];
 
 /// Per-class sketch summary.
@@ -41,7 +41,7 @@ pub struct ClassSummary {
     pub label: &'static str,
     /// Completions in the class.
     pub completed: u64,
-    /// Sketch quantiles in [`RUN_REPORT_QUANTILES`] order, milliseconds.
+    /// Sketch quantiles in `RUN_REPORT_QUANTILES` order, milliseconds.
     pub quantiles_ms: [f64; 4],
 }
 
@@ -157,7 +157,7 @@ pub fn compute(cfg: &ExpConfig) -> Vec<PolicySummary> {
 /// The JSON is assembled by hand in a fixed field order with fixed float
 /// formatting, so serial and parallel runs (and repeated runs at one seed)
 /// produce byte-identical bytes.
-pub fn render_json(cfg: &ExpConfig, summaries: &[PolicySummary]) -> String {
+fn render_json(cfg: &ExpConfig, summaries: &[PolicySummary]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
@@ -224,7 +224,7 @@ pub fn render_json(cfg: &ExpConfig, summaries: &[PolicySummary]) -> String {
 }
 
 /// Writes `run_report.json` into `cfg.out_dir`, returning its path.
-pub fn write_json(cfg: &ExpConfig, summaries: &[PolicySummary]) -> std::io::Result<PathBuf> {
+fn write_json(cfg: &ExpConfig, summaries: &[PolicySummary]) -> std::io::Result<PathBuf> {
     fs::create_dir_all(&cfg.out_dir)?;
     let path = Path::new(&cfg.out_dir).join("run_report.json");
     fs::write(&path, render_json(cfg, summaries))?;

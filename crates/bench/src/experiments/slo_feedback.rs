@@ -41,14 +41,14 @@ use crate::output::{CsvWriter, Table};
 /// the loop to converge before the verdict segment begins.
 pub const WINDOWS_PER_SEGMENT: u32 = 24;
 /// First window of the server-degradation span (ladder and feedback arms).
-pub const DEGRADED_FROM: u32 = 28;
+const DEGRADED_FROM: u32 = 28;
 /// One past the last degraded window.
-pub const DEGRADED_UNTIL: u32 = 36;
+const DEGRADED_UNTIL: u32 = 36;
 /// Server speed during the span, percent of nominal.
-pub const DEGRADED_PCT: u32 = 50;
+const DEGRADED_PCT: u32 = 50;
 
 /// One arm of the head-to-head.
-pub struct SloArm {
+struct SloArm {
     /// Arm label.
     pub label: &'static str,
     /// The executed run.
@@ -57,7 +57,7 @@ pub struct SloArm {
 
 /// Per-arm, per-segment verdict counts.
 #[derive(Copy, Clone, Default)]
-pub struct SegmentTally {
+struct SegmentTally {
     /// Tenant-windows that missed the SLO.
     pub miss: usize,
     /// Tenant-windows that met without slack.
@@ -73,7 +73,7 @@ pub struct SegmentTally {
 }
 
 /// Tallies one run's records per segment.
-pub fn tally(run: &SloRun) -> Vec<SegmentTally> {
+fn tally(run: &SloRun) -> Vec<SegmentTally> {
     let cfg = run.scenario.config();
     (0..cfg.segments)
         .map(|s| {
@@ -120,7 +120,7 @@ fn drift_bites(seed: u64, base: SloScenarioConfig) -> bool {
 /// segment stresses the static arm — a head-to-head against a drift
 /// that never hurts anyone would prove nothing. If no candidate bites,
 /// the first is used and the report prints a loud violation line.
-pub fn compute(cfg: &ExpConfig) -> Vec<SloArm> {
+fn compute(cfg: &ExpConfig) -> Vec<SloArm> {
     let base = SloScenarioConfig {
         windows_per_segment: WINDOWS_PER_SEGMENT,
         ..SloScenarioConfig::default()

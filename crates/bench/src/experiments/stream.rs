@@ -29,16 +29,16 @@ use crate::outln;
 use crate::output::{CsvWriter, Table};
 
 /// The run's deadline (ms) — fig5/fig6's 50 ms.
-pub const STREAM_DEADLINE_MS: u64 = 50;
+const STREAM_DEADLINE_MS: u64 = 50;
 /// The planned guaranteed fraction.
-pub const STREAM_FRACTION: f64 = 0.90;
+const STREAM_FRACTION: f64 = 0.90;
 /// Chunk sizes the equivalence sweep drives (`0` marks "whole trace").
-pub const STREAM_CHUNKS: [usize; 4] = [1, 7, 4096, 0];
+const STREAM_CHUNKS: [usize; 4] = [1, 7, 4096, 0];
 /// Worker counts the gateway must be invariant across.
-pub const STREAM_WORKERS: [usize; 4] = [1, 2, 4, 8];
+const STREAM_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// One policy × chunk-size equivalence cell.
-pub struct EquivCell {
+struct EquivCell {
     /// The recombination policy.
     pub policy: RecombinePolicy,
     /// Requested chunk size (requests per chunk).
@@ -63,7 +63,7 @@ impl EquivCell {
 }
 
 /// One tenant's gateway outcome plus the cross-worker verdict.
-pub struct GatewayCell {
+struct GatewayCell {
     /// Tenant name.
     pub name: String,
     /// The tenant's recombination policy.
@@ -88,7 +88,7 @@ fn planned(cfg: &ExpConfig) -> (Workload, OnlineShaper) {
 }
 
 /// Runs the policy × chunk equivalence sweep over [`ExpConfig::pool`].
-pub fn compute_equiv(cfg: &ExpConfig) -> Vec<EquivCell> {
+fn compute_equiv(cfg: &ExpConfig) -> Vec<EquivCell> {
     let (workload, shaper) = planned(cfg);
     let offline = WorkloadShaper::new(shaper.provision(), shaper.deadline());
     let cells: Vec<(RecombinePolicy, usize)> = RecombinePolicy::ALL
@@ -145,7 +145,7 @@ fn tenants(shaper: OnlineShaper, workload: &Workload) -> Vec<TenantSpec> {
 
 /// Runs the gateway on every worker count in [`STREAM_WORKERS`] and
 /// cross-checks byte-identity against the serial run.
-pub fn compute_gateway(cfg: &ExpConfig) -> Vec<GatewayCell> {
+fn compute_gateway(cfg: &ExpConfig) -> Vec<GatewayCell> {
     let (workload, shaper) = planned(cfg);
     let runs: Vec<Vec<TenantReport>> = STREAM_WORKERS
         .iter()

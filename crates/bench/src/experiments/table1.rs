@@ -11,7 +11,7 @@ use crate::output::{CsvWriter, Table};
 use crate::paper::{table1_reference, TABLE1_DEADLINES_MS, TABLE1_FRACTIONS};
 
 /// The measured table: `results[workload][deadline] = [Cmin per fraction]`.
-pub type Table1Result = Vec<(TraceProfile, Vec<(u64, Vec<u64>)>)>;
+type Table1Result = Vec<(TraceProfile, Vec<(u64, Vec<u64>)>)>;
 
 /// Computes the table without printing (reused by tests).
 ///
@@ -19,7 +19,7 @@ pub type Table1Result = Vec<(TraceProfile, Vec<(u64, Vec<u64>)>)>;
 /// so they fan out over [`ExpConfig::pool`]; each cell's fraction menu is
 /// computed by the planner's warm-started ascending sweep. Results are
 /// assembled positionally, so the table is identical at any thread count.
-pub fn compute(cfg: &ExpConfig) -> Table1Result {
+fn compute(cfg: &ExpConfig) -> Table1Result {
     let workloads: Vec<_> = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))
     });

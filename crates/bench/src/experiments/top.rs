@@ -2,7 +2,7 @@
 //!
 //! Runs the same gateway fleet as the `longterm_stats` experiment, feeds
 //! every lane's window feedback into the tiered [`LongTermStore`], then
-//! replays the run's timeline as [`TOP_FRAMES`] frames. Each frame shows,
+//! replays the run's timeline as `TOP_FRAMES` frames. Each frame shows,
 //! per tenant:
 //!
 //! - a p99 sparkline over the heat cells visible so far (`.` quiet,
@@ -28,7 +28,7 @@ use crate::outln;
 use crate::output::Table;
 
 /// Timeline frames the replay renders.
-pub const TOP_FRAMES: u64 = 6;
+const TOP_FRAMES: u64 = 6;
 
 /// One sparkline character for a heat cell, scaled to `max` (the
 /// tenant's largest cell p99 across the whole run).

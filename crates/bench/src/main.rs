@@ -15,7 +15,7 @@
 //! the usage line to stderr and exits with status 2.
 
 use gqos_bench::experiments::{self, Experiment, REGISTRY};
-use gqos_bench::{exit_usage, ExpConfig};
+use gqos_bench::{exit_usage, ExpConfig, USAGE};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -30,10 +30,10 @@ fn main() {
             } else {
                 format!("unknown experiment `{name}`")
             };
-            exit_usage(&format!(
-                "{problem}; expected `all` or one of: {}",
-                names.join(", ")
-            ))
+            exit_usage(
+                USAGE,
+                &format!("{problem}; expected `all` or one of: {}", names.join(", ")),
+            )
         }
     };
     let cfg = ExpConfig::from_args(args);

@@ -72,7 +72,7 @@ pub fn fig5_fcfs_fraction(profile: TraceProfile, fraction: f64) -> Option<f64> {
 
 /// Paper Figure 6a headline numbers (WebSearch, 90%, 50 ms): fraction
 /// within 50 ms and fraction beyond 1 s, per policy, at 328+20 IOPS.
-pub struct Fig6Reference {
+pub(crate) struct Fig6Reference {
     /// Fraction of requests finishing within the 50 ms deadline.
     pub within_deadline: f64,
     /// Fraction of requests delayed beyond 1 s.
@@ -81,7 +81,7 @@ pub struct Fig6Reference {
 
 /// Reference Figure 6a values for the named policy (`"FCFS"`, `"Split"`,
 /// `"FairQueue"`, `"Miser"`).
-pub fn fig6a_reference(policy: &str) -> Option<Fig6Reference> {
+pub(crate) fn fig6a_reference(policy: &str) -> Option<Fig6Reference> {
     let (within, beyond) = match policy {
         "FCFS" => (0.14, 0.74),
         "Split" | "FairQueue" | "Miser" => (0.90, 0.10),

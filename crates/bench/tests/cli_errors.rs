@@ -119,6 +119,8 @@ fn custom_parsers_reject_garbage_cleanly() {
     ] {
         let output = run(bin, &args);
         assert_clean_usage_error(name, &args, &output, "--samples");
+        // The usage line names the tool, not the `gqos-bench` CLI.
+        assert_clean_usage_error(name, &args, &output, &format!("usage: {name} "));
     }
 }
 

@@ -9,7 +9,7 @@
 //!   of every command id it has ever decided and replays it verbatim for
 //!   a duplicate delivery — a retried command can never double-apply.
 //! - **Epoch fencing.** Every tenant-mutating body carries the epoch the
-//!   client believes the tenant is at ([`CommandBody::expect_epoch`]).
+//!   client believes the tenant is at (its `expect_epoch` field).
 //!   A mismatch is rejected with [`ControlError::StaleEpoch`] carrying
 //!   both epochs, so a command drafted against yesterday's SLA can never
 //!   clobber today's.
@@ -120,16 +120,6 @@ impl CommandBody {
             | CommandBody::UpdateSla { tenant, .. }
             | CommandBody::DrainTenant { tenant, .. } => Some(tenant),
             CommandBody::NodeDown { .. } | CommandBody::NodeUp { .. } => None,
-        }
-    }
-
-    /// The fencing epoch this command carries, if it is epoch-fenced.
-    pub fn expect_epoch(&self) -> Option<u64> {
-        match *self {
-            CommandBody::RemoveTenant { expect_epoch, .. }
-            | CommandBody::UpdateSla { expect_epoch, .. }
-            | CommandBody::DrainTenant { expect_epoch, .. } => Some(expect_epoch),
-            _ => None,
         }
     }
 
@@ -347,7 +337,6 @@ mod tests {
             workload: Workload::from_arrivals([SimTime::ZERO]),
         };
         assert_eq!(add.tenant(), Some(t));
-        assert_eq!(add.expect_epoch(), None);
         assert_eq!(add.kind(), "add_tenant");
         let fence = CommandBody::UpdateSla {
             tenant: t,
@@ -356,7 +345,7 @@ mod tests {
             expect_epoch: 4,
             share: None,
         };
-        assert_eq!(fence.expect_epoch(), Some(4));
+        assert_eq!(fence.tenant(), Some(t));
         let node = CommandBody::NodeDown { node: 2 };
         assert_eq!(node.tenant(), None);
         assert_eq!(node.kind(), "node_down");

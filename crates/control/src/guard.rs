@@ -33,7 +33,6 @@ use gqos_trace::{SimDuration, SimTime};
 pub struct ReplanGuard {
     patience: SimDuration,
     last_down: BTreeMap<usize, SimTime>,
-    suppressed: u64,
 }
 
 impl ReplanGuard {
@@ -48,13 +47,7 @@ impl ReplanGuard {
         ReplanGuard {
             patience,
             last_down: BTreeMap::new(),
-            suppressed: 0,
         }
-    }
-
-    /// The configured patience.
-    pub fn patience(&self) -> SimDuration {
-        self.patience
     }
 
     /// Records a node failure at `now`. Later failures overwrite earlier
@@ -67,22 +60,12 @@ impl ReplanGuard {
     }
 
     /// `true` when `node` may be refilled at `now`: it has never failed,
-    /// or its last failure is at least [`patience`](Self::patience) old.
+    /// or its last failure is at least `patience` old.
     pub fn allows_refill(&self, node: usize, now: SimTime) -> bool {
         match self.last_down.get(&node) {
             None => true,
             Some(&at) => now.saturating_duration_since(at) >= self.patience,
         }
-    }
-
-    /// Counts one suppressed refill (kept by the plane's stats).
-    pub fn record_suppressed(&mut self) {
-        self.suppressed += 1;
-    }
-
-    /// Refills suppressed by the hysteresis so far.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
     }
 }
 

@@ -158,11 +158,6 @@ impl ControlPlane {
         self.tenants.get(&tenant).map(FleetTenant::epoch)
     }
 
-    /// A tenant's current SLA record.
-    pub fn sla_of(&self, tenant: TenantId) -> Option<QosTarget> {
-        self.slas.get(&tenant).copied()
-    }
-
     /// A tenant's explicitly recorded capacity share, if a share-carrying
     /// `UpdateSla` has been applied for it.
     pub fn share_of(&self, tenant: TenantId) -> Option<u64> {
@@ -400,7 +395,6 @@ impl ControlPlane {
         let moved = if self.guard.allows_refill(node, now) {
             self.refill()
         } else {
-            self.guard.record_suppressed();
             self.stats.suppressed_refills += 1;
             0
         };

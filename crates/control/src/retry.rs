@@ -71,47 +71,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Replaces the jitter fraction: the jitter added to a backoff is a
-    /// deterministic draw in `[0, jitter × backoff]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jitter` is not finite or outside `[0, 1]`.
-    #[must_use]
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        assert!(
-            jitter.is_finite() && (0.0..=1.0).contains(&jitter),
-            "jitter fraction must be in [0, 1]: got {jitter}"
-        );
-        self.jitter = jitter;
-        self
-    }
-
-    /// Replaces the per-command deadline: no attempt is scheduled past
-    /// `issue + deadline`, and an unresolved command expires there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` is zero.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
-        assert!(!deadline.is_zero(), "command deadline must be positive");
-        self.deadline = deadline;
-        self
-    }
-
-    /// Replaces the attempt budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    #[must_use]
-    pub fn with_attempts(mut self, max_attempts: u32) -> Self {
-        assert!(max_attempts > 0, "attempt budget must be positive");
-        self.max_attempts = max_attempts;
-        self
-    }
-
     /// The jitter seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -156,9 +115,16 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    fn no_jitter(seed: u64) -> RetryPolicy {
+        RetryPolicy {
+            jitter: 0.0,
+            ..RetryPolicy::new(seed)
+        }
+    }
+
     #[test]
     fn backoff_grows_exponentially_to_the_cap() {
-        let p = RetryPolicy::new(1).with_jitter(0.0);
+        let p = no_jitter(1);
         let b1 = p.backoff(CommandId::new(0), 1);
         let b2 = p.backoff(CommandId::new(0), 2);
         let b3 = p.backoff(CommandId::new(0), 3);
@@ -178,28 +144,20 @@ mod tests {
 
     #[test]
     fn jitter_is_bounded_and_seed_deterministic() {
-        let p = RetryPolicy::new(9).with_jitter(0.5);
+        let p = RetryPolicy::new(9);
         for attempt in 1..6u32 {
             for cmd in 0..8u64 {
                 let b = p.backoff(CommandId::new(cmd), attempt);
-                let floor = RetryPolicy::new(9)
-                    .with_jitter(0.0)
-                    .backoff(CommandId::new(cmd), attempt);
+                let floor = no_jitter(9).backoff(CommandId::new(cmd), attempt);
                 assert!(b >= floor);
                 assert!(b.as_nanos() <= floor.as_nanos() + floor.as_nanos() / 2 + 1);
                 assert_eq!(b, p.backoff(CommandId::new(cmd), attempt));
             }
         }
         // A different seed draws different jitter somewhere.
-        let q = RetryPolicy::new(10).with_jitter(0.5);
+        let q = RetryPolicy::new(10);
         assert!(
             (1..6u32).any(|a| q.backoff(CommandId::new(3), a) != p.backoff(CommandId::new(3), a))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter fraction must be in [0, 1]")]
-    fn bad_jitter_rejected() {
-        let _ = RetryPolicy::new(0).with_jitter(f64::NAN);
     }
 }

@@ -22,9 +22,9 @@
 //! smallest observed to meet. Misses bisect upward toward `hi` (or grow
 //! multiplicatively by the integer gain `growth_num/8` while unbracketed);
 //! a run of `slack_patience` Slack windows opens a descent that bisects
-//! down toward `lo`. Because the verdict predicate is exactly
-//! [`CapacityPlanner::meets_fraction`] — the predicate `min_capacity`
-//! bisects on — a stationary workload converges the loop to the static
+//! down toward `lo`. Because the verdict predicate is exactly the
+//! miss-budget test [`CapacityPlanner::min_capacity`] bisects on, a
+//! stationary workload converges the loop to the static
 //! quote `Cmin(f, δ)` itself, which the controller-vs-oracle proptests
 //! pin. Anti-flap rules keep steady state silent:
 //!
@@ -50,7 +50,7 @@
 //!
 //! [`DegradationController`]: gqos_core::DegradationController
 //! [`DegradationController::is_degraded`]: gqos_core::DegradationController::is_degraded
-//! [`CapacityPlanner::meets_fraction`]: gqos_core::CapacityPlanner::meets_fraction
+//! [`CapacityPlanner::min_capacity`]: gqos_core::CapacityPlanner::min_capacity
 
 use std::collections::BTreeMap;
 
@@ -59,7 +59,7 @@ use gqos_core::{
     QosTarget, TenantId,
 };
 use gqos_faults::{splitmix64, ChannelFaultSchedule};
-use gqos_obs::{LatencySketch, LongTermStore, RetentionConfig, WindowSnapshot};
+use gqos_obs::{LatencySketch, WindowSnapshot};
 use gqos_parallel::WorkerPool;
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
 
@@ -241,7 +241,7 @@ impl SloConfig {
     /// Panics unless `growth_num > GROWTH_DEN` (a miss must grow the
     /// share strictly).
     #[must_use]
-    pub fn with_gain(mut self, growth_num: u32) -> Self {
+    fn with_gain(mut self, growth_num: u32) -> Self {
         assert!(
             growth_num > GROWTH_DEN,
             "growth gain must exceed {GROWTH_DEN}/{GROWTH_DEN}: got {growth_num}/{GROWTH_DEN}"
@@ -304,11 +304,6 @@ pub struct SloController {
     /// Issued command id → the tenant it renegotiates.
     owners: BTreeMap<CommandId, TenantId>,
     stats: SloStats,
-    /// Optional long-horizon retention tap (off by default). Strictly
-    /// observational: feeding it never alters a verdict, a bracket, or a
-    /// command — the differential harness pins byte-identity with and
-    /// without it.
-    history: Option<LongTermStore<TenantId>>,
 }
 
 impl SloController {
@@ -323,45 +318,7 @@ impl SloController {
             committed: 0,
             owners: BTreeMap::new(),
             stats: SloStats::default(),
-            history: None,
         }
-    }
-
-    /// Attaches a [`LongTermStore`] retention ladder, so every window fed
-    /// through [`observe_snapshot`](Self::observe_snapshot) or
-    /// [`ingest_window`](Self::ingest_window) also lands in a tiered,
-    /// fixed-memory history. The history is **read-only context**: it
-    /// informs operators (and [`drift_context`](Self::drift_context))
-    /// but never changes what the loop commands.
-    #[must_use]
-    pub fn with_history(mut self, config: RetentionConfig) -> Self {
-        self.history = Some(LongTermStore::new(config));
-        self
-    }
-
-    /// The attached long-horizon history, if any.
-    pub fn history(&self) -> Option<&LongTermStore<TenantId>> {
-        self.history.as_ref()
-    }
-
-    /// Feeds one window sketch observed at `at` into the attached
-    /// history; a no-op without one. Windows must arrive time-ordered
-    /// per tenant (the windowed-sketch tap guarantees this).
-    pub fn ingest_window(&mut self, tenant: TenantId, at: SimTime, sketch: &LatencySketch) {
-        if let Some(history) = self.history.as_mut() {
-            history
-                .ingest(&tenant, at, sketch)
-                .expect("controller windows are time-ordered");
-        }
-    }
-
-    /// Drift context from the attached history: how far the recent
-    /// quantile `q` over the trailing `recent` span sits from the
-    /// all-time quantile, in ppm of the all-time value (positive =
-    /// recent is slower). `None` without a history or before it holds
-    /// data. Purely advisory — the bisection never reads it.
-    pub fn drift_context(&self, tenant: TenantId, q: f64, recent: SimDuration) -> Option<i64> {
-        self.history.as_ref()?.drift_ppm(&tenant, q, recent)
     }
 
     /// The controller's tuning.
@@ -454,21 +411,13 @@ impl SloController {
         self.observe_verdict(tenant, WindowVerdict::classify(signal, slo), degraded)
     }
 
-    /// [`observe`](Self::observe) straight off a windowed snapshot. With
-    /// a history attached ([`with_history`](Self::with_history)) the
-    /// snapshot is also retained long-term — the decision itself is
-    /// byte-identical either way.
+    /// [`observe`](Self::observe) straight off a windowed snapshot.
     pub fn observe_snapshot(
         &mut self,
         tenant: TenantId,
         snapshot: &WindowSnapshot,
         degraded: bool,
     ) -> Option<ControlRequest> {
-        if let Some(history) = self.history.as_mut() {
-            history
-                .ingest_snapshot(&tenant, snapshot)
-                .expect("window feedback snapshots are time-ordered");
-        }
         self.observe(tenant, snapshot.signal(), degraded)
     }
 
@@ -657,30 +606,6 @@ impl SloController {
                 lp.resync = true;
             }
         }
-    }
-
-    /// Runs one full feedback round: classifies every observation,
-    /// delivers the resulting renegotiations through `driver` at `at`,
-    /// and absorbs the outcomes. Returns the per-command outcomes (in
-    /// tenant order) and the delivery counters.
-    pub fn drive_window<C: crate::channel::ControlChannel>(
-        &mut self,
-        plane: &mut ControlPlane,
-        driver: &ControlDriver<'_, C>,
-        at: SimTime,
-        observations: &[(TenantId, Option<&LatencySketch>, bool)],
-    ) -> (Vec<CommandOutcome>, DriverStats) {
-        let mut commands = Vec::new();
-        for &(tenant, signal, degraded) in observations {
-            if let Some(request) = self.observe(tenant, signal, degraded) {
-                commands.push((at, request));
-            }
-        }
-        let (outcomes, stats) = driver.run(plane, &commands);
-        for outcome in &outcomes {
-            self.absorb(outcome);
-        }
-        (outcomes, stats)
     }
 }
 
@@ -1356,58 +1281,6 @@ mod tests {
         assert!(c.observe_verdict(t, WindowVerdict::Miss, true).is_none());
         assert_eq!(c.stats().frozen, 1);
         assert_eq!(c.share_of(t), Some(400), "frozen loops never move");
-    }
-
-    #[test]
-    fn history_is_observational_only_and_yields_drift_context() {
-        use gqos_obs::WindowedSketch;
-        // Two controllers fed the same snapshot stream — one with a
-        // retention tap attached — must issue the exact same commands:
-        // the history is context, never control input.
-        let mut plain = SloController::new(SloConfig::new(100_000), 1_000);
-        let mut tapped = SloController::new(SloConfig::new(100_000), 1_000)
-            .with_history(RetentionConfig::default_tiers());
-        let t = TenantId::new(0);
-        plain.register(t, slo(), 400, 0);
-        tapped.register(t, slo(), 400, 0);
-        assert!(plain.history().is_none());
-
-        let window = SimDuration::from_millis(100);
-        let mut windowed = WindowedSketch::new(window);
-        // 200 windows: fast latencies early (slack), slow late (miss),
-        // so the loop moves in both regimes while history accumulates.
-        for w in 0..200u64 {
-            let latency = if w < 120 {
-                SimDuration::from_millis(2).as_nanos()
-            } else {
-                SimDuration::from_millis(40).as_nanos()
-            };
-            let at = SimTime::from_nanos(w * window.as_nanos());
-            for k in 0..10u64 {
-                let off = SimTime::from_nanos(at.as_nanos() + k * window.as_nanos() / 10);
-                windowed.record(off, latency).unwrap();
-            }
-            for snap in windowed.advance_to(at + window) {
-                let a = plain.observe_snapshot(t, &snap, false);
-                let b = tapped.observe_snapshot(t, &snap, false);
-                assert_eq!(a, b, "window {w}: history changed a command");
-            }
-        }
-        assert_eq!(plain.stats(), tapped.stats());
-        assert_eq!(plain.shares(), tapped.shares());
-
-        // The tap retained everything the controller saw...
-        let cumulative = tapped.history().unwrap().cumulative(&t).unwrap();
-        assert_eq!(cumulative.count(), 200 * 10);
-        // ...and the recent-vs-all-time drift reads strongly positive:
-        // the trailing seconds are the slow regime.
-        let drift = tapped
-            .drift_context(t, 0.5, SimDuration::from_secs(5))
-            .expect("history holds data");
-        assert!(drift > 500_000, "expected positive drift, got {drift}");
-        assert!(plain
-            .drift_context(t, 0.5, SimDuration::from_secs(5))
-            .is_none());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! bisection loop converges to the static planner's exact quote.
 //!
 //! The verdict predicate ([`WindowVerdict::classify`] over the analytic
-//! window sketch) is exactly [`CapacityPlanner::meets_fraction`] — the
-//! predicate `min_capacity` bisects on — so for a lone tenant over a
+//! window sketch) is exactly the miss-budget test
+//! [`CapacityPlanner::min_capacity`] bisects on, so for a lone tenant over a
 //! perfect channel the loop's fixed point is pinned analytically:
 //!
 //! - If the tail of the final segment is **command-free**, the loop
@@ -21,7 +21,7 @@
 //! admissible gain, and drifts of one to three segments.
 //!
 //! [`WindowVerdict::classify`]: gqos_control::WindowVerdict::classify
-//! [`CapacityPlanner::meets_fraction`]: gqos_core::CapacityPlanner::meets_fraction
+//! [`CapacityPlanner::min_capacity`]: gqos_core::CapacityPlanner::min_capacity
 
 use gqos_control::{SloScenario, SloScenarioConfig, SloTarget};
 use gqos_core::CapacityPlanner;

@@ -96,7 +96,7 @@ impl AdmissionController {
     }
 
     /// Capacity still available.
-    pub fn available(&self) -> f64 {
+    fn available(&self) -> f64 {
         (self.capacity.get() - self.committed()).max(0.0)
     }
 
@@ -133,13 +133,6 @@ impl AdmissionController {
         };
         self.admitted.push(admission.clone());
         Ok(admission)
-    }
-
-    /// Releases a previously admitted client by name, freeing its budget.
-    /// Returns the released admission, or `None` if the name is unknown.
-    pub fn release(&mut self, name: &str) -> Option<Admission> {
-        let idx = self.admitted.iter().position(|a| a.name == name)?;
-        Some(self.admitted.remove(idx))
     }
 }
 
@@ -193,20 +186,6 @@ mod tests {
         assert!(ctrl.try_admit("big", &big).is_err());
         assert_eq!(ctrl.committed(), committed_before);
         assert!(ctrl.admitted().is_empty());
-    }
-
-    #[test]
-    fn release_frees_budget() {
-        let mut ctrl = AdmissionController::new(Iops::new(400.0), target());
-        let client = smooth_client(2, 100);
-        ctrl.try_admit("a", &client).expect("fits");
-        let used = ctrl.committed();
-        assert!(used > 0.0);
-        let released = ctrl.release("a").expect("admitted");
-        assert_eq!(released.name, "a");
-        assert_eq!(ctrl.committed(), 0.0);
-        assert_eq!(ctrl.available(), 400.0);
-        assert!(ctrl.release("a").is_none());
     }
 
     #[test]

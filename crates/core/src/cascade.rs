@@ -75,11 +75,6 @@ impl CascadeDecomposer {
         CascadeDecomposer { levels }
     }
 
-    /// The configured levels.
-    pub fn levels(&self) -> &[CascadeLevel] {
-        &self.levels
-    }
-
     /// Number of classes including the trailing best-effort class.
     pub fn classes(&self) -> usize {
         self.levels.len() + 1
@@ -231,7 +226,7 @@ mod tests {
     fn classes_counts_levels_plus_best_effort() {
         let cascade = CascadeDecomposer::new(vec![lvl(100.0, 20), lvl(100.0, 40)]);
         assert_eq!(cascade.classes(), 3);
-        assert_eq!(cascade.levels().len(), 2);
+        assert_eq!(cascade.levels.len(), 2);
         assert!(cascade.to_string().contains("2 levels"));
     }
 

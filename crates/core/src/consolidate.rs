@@ -8,7 +8,6 @@
 //! removed the high-variance portions whose alignment is unpredictable.
 //! Figures 7 and 8 are built from the comparisons computed here.
 
-use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
 
@@ -215,98 +214,6 @@ impl ConsolidationStudy {
         let shifted = client.shifted(shift);
         self.compare(&[client, &shifted])
     }
-
-    /// Lazy form of [`compare`](ConsolidationStudy::compare): neither side
-    /// is planned until first accessed, and each side is planned at most
-    /// once. [`try_compare`](ConsolidationStudy::try_compare) always pays
-    /// for both sides even when the caller consumes only one; a
-    /// [`LazyConsolidation`] defers each until demanded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConsolidationError::NoClients`] for an empty client list.
-    pub fn try_lazy<'c>(
-        &self,
-        clients: &[&'c Workload],
-    ) -> Result<LazyConsolidation<'c>, ConsolidationError> {
-        LazyConsolidation::try_new(*self, clients)
-    }
-}
-
-/// A consolidation comparison whose two sides are planned on demand.
-///
-/// [`ConsolidationStudy::try_compare`] eagerly prices both the additive
-/// estimate and the merged actual — wasteful when the caller needs only
-/// one side, and doubly wasteful for a *single-client* fleet, where the
-/// merged stream **is** the lone client and the two sides coincide by
-/// construction. `LazyConsolidation` memoizes each side in a
-/// [`OnceCell`] and answers single-client `actual` from `estimate`
-/// without re-planning, so [`ratio`](Self::ratio) on a one-client fleet
-/// is exactly `1.0` (finite, by the [`Iops`] invariant — see the
-/// regression test).
-#[derive(Clone, Debug)]
-pub struct LazyConsolidation<'c> {
-    study: ConsolidationStudy,
-    clients: Vec<&'c Workload>,
-    estimate: OnceCell<Iops>,
-    actual: OnceCell<Iops>,
-}
-
-impl<'c> LazyConsolidation<'c> {
-    /// Builds the lazy comparison without planning anything.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConsolidationError::NoClients`] for an empty client list.
-    pub fn try_new(
-        study: ConsolidationStudy,
-        clients: &[&'c Workload],
-    ) -> Result<Self, ConsolidationError> {
-        if clients.is_empty() {
-            return Err(ConsolidationError::NoClients);
-        }
-        Ok(LazyConsolidation {
-            study,
-            clients: clients.to_vec(),
-            estimate: OnceCell::new(),
-            actual: OnceCell::new(),
-        })
-    }
-
-    /// The additive estimate, planned on first call and memoized.
-    pub fn estimate(&self) -> Iops {
-        *self
-            .estimate
-            .get_or_init(|| self.study.estimate(&self.clients))
-    }
-
-    /// The merged actual, planned on first call and memoized. A
-    /// single-client fleet reuses [`estimate`](Self::estimate): merging
-    /// one stream is the identity, so the sides are equal by construction.
-    pub fn actual(&self) -> Iops {
-        *self.actual.get_or_init(|| {
-            if self.clients.len() == 1 {
-                self.estimate()
-            } else {
-                self.study.actual(&self.clients)
-            }
-        })
-    }
-
-    /// `actual / estimate`, with both sides demanded (and memoized) on
-    /// first call — same contract as [`ConsolidationReport::ratio`].
-    pub fn ratio(&self) -> f64 {
-        self.actual().get() / self.estimate().get()
-    }
-
-    /// Materialises the eager report from the (possibly already-memoized)
-    /// sides.
-    pub fn report(&self) -> ConsolidationReport {
-        ConsolidationReport {
-            estimate: self.estimate(),
-            actual: self.actual(),
-        }
-    }
 }
 
 /// Merges any number of client workloads into one arrival stream.
@@ -469,43 +376,6 @@ mod tests {
         assert!(!sentinel.ratio().is_nan());
         assert!(!sentinel.relative_error().is_nan());
         assert!(sentinel.relative_error() >= 0.0);
-    }
-
-    #[test]
-    fn lazy_ratio_is_finite_for_single_client_fleets() {
-        // Regression: a one-client "fleet" must produce a finite ratio of
-        // exactly 1.0 without re-planning the merged side.
-        let mut arrivals: Vec<SimTime> = (0..100).map(|i| ms(i * 7)).collect();
-        arrivals.extend(vec![ms(350); 15]);
-        let w = Workload::from_arrivals(arrivals);
-        let study = ConsolidationStudy::new(QosTarget::new(0.95, dms(10)));
-        let lazy = study.try_lazy(&[&w]).expect("one client");
-        assert!(lazy.ratio().is_finite());
-        assert_eq!(lazy.ratio(), 1.0);
-        assert_eq!(
-            lazy.estimate().get().to_bits(),
-            lazy.actual().get().to_bits()
-        );
-        // The empty single client is the degenerate extreme: still finite.
-        let empty = Workload::new();
-        let lazy_empty = study.try_lazy(&[&empty]).expect("one client");
-        assert!(lazy_empty.ratio().is_finite());
-        assert_eq!(lazy_empty.ratio(), 1.0);
-    }
-
-    #[test]
-    fn lazy_and_eager_comparisons_agree() {
-        let w = Workload::from_arrivals(vec![SimTime::ZERO; 10]);
-        let s1 = w.shifted(SimDuration::from_secs(1));
-        let study = ConsolidationStudy::new(QosTarget::new(1.0, dms(10)));
-        let lazy = study.try_lazy(&[&w, &s1]).expect("two clients");
-        let eager = study.compare(&[&w, &s1]);
-        assert_eq!(lazy.report(), eager);
-        assert_eq!(lazy.ratio(), eager.ratio());
-        assert_eq!(
-            study.try_lazy(&[]).unwrap_err(),
-            ConsolidationError::NoClients
-        );
     }
 
     #[test]

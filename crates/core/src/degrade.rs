@@ -32,10 +32,9 @@ use gqos_trace::{Iops, Request, RequestId, SimDuration, SimTime};
 ///
 /// Degradation is immediate (jump straight to the step matching the
 /// estimate — shedding late is how deadlines get missed) while recovery is
-/// deliberate: one step at a time, and only after
-/// [`recovery_patience`](DegradationPolicy::recovery_patience) consecutive
-/// healthy observations, so a flapping server does not whipsaw the
-/// admission bound.
+/// deliberate: one step at a time, and only after `recovery_patience`
+/// consecutive healthy observations, so a flapping server does not
+/// whipsaw the admission bound.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DegradationPolicy {
     steps: Vec<f64>,
@@ -83,7 +82,7 @@ impl DegradationPolicy {
     }
 
     /// The capacity fraction at `level` (0 = healthy).
-    pub fn factor_at(&self, level: usize) -> f64 {
+    fn factor_at(&self, level: usize) -> f64 {
         self.steps[level]
     }
 
@@ -98,7 +97,7 @@ impl DegradationPolicy {
     }
 
     /// Number of healthy observations required before climbing a step.
-    pub fn recovery_patience(&self) -> u32 {
+    fn recovery_patience(&self) -> u32 {
         self.recovery_patience
     }
 }

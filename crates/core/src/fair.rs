@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use gqos_fairqueue::{FlowId, FlowScheduler, Sfq};
+use gqos_fairqueue::{FlowId, Sfq};
 use gqos_sim::{Dispatch, PolicyTag, Scheduler, ServerId, ServiceClass, TraceEvent, TraceHandle};
 use gqos_trace::{Request, SimDuration, SimTime};
 
@@ -20,8 +20,7 @@ const PRIMARY_FLOW: FlowId = FlowId::new(0);
 const OVERFLOW_FLOW: FlowId = FlowId::new(1);
 
 /// The FairQueue recombination scheduler: RTT decomposition feeding a
-/// two-flow proportional-share scheduler (start-time fair queueing by
-/// default).
+/// two-flow start-time fair queueing scheduler.
 ///
 /// Use with a single server of capacity [`Provision::total`].
 ///
@@ -42,15 +41,15 @@ const OVERFLOW_FLOW: FlowId = FlowId::new(1);
 /// assert_eq!(report.completed(), 8);
 /// ```
 #[derive(Clone, Debug)]
-pub struct FairQueueScheduler<F = Sfq> {
+pub struct FairQueueScheduler {
     rtt: RttClassifier,
-    flows: F,
+    flows: Sfq,
     /// The healthy `[Cmin, ΔC]` weights renegotiation scales from.
     nominal_weights: [f64; 2],
     trace: TraceHandle,
 }
 
-impl FairQueueScheduler<Sfq> {
+impl FairQueueScheduler {
     /// Creates a FairQueue scheduler with SFQ weights `Cmin : ΔC`.
     ///
     /// # Panics
@@ -71,38 +70,19 @@ impl FairQueueScheduler<Sfq> {
             trace,
         }
     }
-}
-
-impl<F: FlowScheduler> FairQueueScheduler<F> {
-    /// Creates a FairQueue scheduler over a custom two-flow proportional
-    /// scheduler (flow 0 = primary, flow 1 = overflow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flows` does not have exactly two flows, or the RTT bound
-    /// `⌊Cmin·δ⌋` is zero.
-    pub fn with_flow_scheduler(provision: Provision, deadline: SimDuration, flows: F) -> Self {
-        assert_eq!(flows.flows(), 2, "FairQueue recombination needs two flows");
-        FairQueueScheduler {
-            rtt: RttClassifier::new(provision.cmin(), deadline),
-            flows,
-            nominal_weights: provision.weights(),
-            trace: TraceHandle::disabled(),
-        }
-    }
 
     /// Queued primary requests.
-    pub fn primary_pending(&self) -> usize {
+    fn primary_pending(&self) -> usize {
         self.flows.flow_len(PRIMARY_FLOW)
     }
 
     /// Queued overflow requests.
-    pub fn overflow_pending(&self) -> usize {
+    fn overflow_pending(&self) -> usize {
         self.flows.flow_len(OVERFLOW_FLOW)
     }
 }
 
-impl<F: FlowScheduler> Scheduler for FairQueueScheduler<F> {
+impl Scheduler for FairQueueScheduler {
     fn on_arrival(&mut self, request: Request, now: SimTime) {
         match self.rtt.classify() {
             ServiceClass::PRIMARY => {
@@ -157,7 +137,7 @@ impl<F: FlowScheduler> Scheduler for FairQueueScheduler<F> {
     }
 }
 
-impl<F: FlowScheduler> CapacityAdaptive for FairQueueScheduler<F> {
+impl CapacityAdaptive for FairQueueScheduler {
     /// Shrinks the admission bound to `⌊C_eff·δ⌋` and recomputes the flow
     /// weights against `C_eff`: the primary class keeps its nominal `Cmin`
     /// weight while the overflow share scales with the factor, so the (now
@@ -181,7 +161,7 @@ impl<F: FlowScheduler> CapacityAdaptive for FairQueueScheduler<F> {
     }
 }
 
-impl<F: FlowScheduler> fmt::Display for FairQueueScheduler<F> {
+impl fmt::Display for FairQueueScheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -196,7 +176,6 @@ impl<F: FlowScheduler> fmt::Display for FairQueueScheduler<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gqos_fairqueue::Wf2q;
     use gqos_sim::{simulate, FixedRateServer, RunReport};
     use gqos_trace::{Iops, Workload};
 
@@ -270,22 +249,6 @@ mod tests {
             frac > fcfs_frac + 0.3,
             "isolation gain too small: FQ {frac:.3} vs FCFS {fcfs_frac:.3}"
         );
-    }
-
-    #[test]
-    fn custom_flow_scheduler_is_supported() {
-        let p = Provision::new(Iops::new(100.0), Iops::new(20.0));
-        let s = FairQueueScheduler::with_flow_scheduler(p, dms(20), Wf2q::new(&p.weights()));
-        let w = Workload::from_arrivals(vec![ms(0); 5]);
-        let report = simulate(&w, s, FixedRateServer::new(p.total()));
-        assert_eq!(report.completed(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs two flows")]
-    fn rejects_wrong_flow_count() {
-        let p = Provision::new(Iops::new(100.0), Iops::new(20.0));
-        let _ = FairQueueScheduler::with_flow_scheduler(p, dms(20), Sfq::new(&[1.0, 2.0, 3.0]));
     }
 
     #[test]

@@ -316,7 +316,7 @@ impl QuoteCache {
     /// # Panics
     ///
     /// Panics if `fraction` is outside `(0, 1]`.
-    pub fn warm_batch(&mut self, tenants: &[FleetTenant], fraction: f64, pool: &WorkerPool) {
+    fn warm_batch(&mut self, tenants: &[FleetTenant], fraction: f64, pool: &WorkerPool) {
         assert!(
             fraction.is_finite() && fraction > 0.0 && fraction <= 1.0,
             "fraction must be in (0, 1]: {fraction}"
@@ -499,7 +499,7 @@ impl ServerBin {
     /// consolidated quote within `capacity`? One allocation-free budget
     /// probe streamed over the two sorted columns — the column is never
     /// materialised and the scan aborts as soon as the budget busts.
-    pub fn admits(&self, tenant_col: &[u64], capacity: Iops) -> bool {
+    fn admits(&self, tenant_col: &[u64], capacity: Iops) -> bool {
         let total = (self.col.len() + tenant_col.len()) as u64;
         let budget = miss_budget(total, self.target.fraction());
         merged_within_budget(
@@ -683,11 +683,6 @@ impl Placement {
         self.stats
     }
 
-    /// The nominal (undegraded) per-server capacity in integer IOPS.
-    pub fn nominal_capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// The server's current degradation factor (1.0 nominal).
     pub fn factor(&self, node: usize) -> f64 {
         self.factors[node]
@@ -705,7 +700,7 @@ impl Placement {
     }
 
     /// The server's effective capacity: `⌊nominal × factor⌋`, at least 1.
-    pub fn effective_capacity(&self, node: usize) -> u64 {
+    fn effective_capacity(&self, node: usize) -> u64 {
         (((self.capacity as f64) * self.factors[node]).floor() as u64).max(1)
     }
 }
@@ -715,7 +710,7 @@ impl Placement {
 ///
 /// Tenants are ordered by descending standalone quote (ties break on
 /// ascending [`TenantId`]); each is offered to the **open** servers in
-/// ascending index order through [`ServerBin::admits`] probes and
+/// ascending index order through `ServerBin::admits` probes and
 /// committed to the first feasible candidate. An *occupied* bin that
 /// rejects a tenant ahead of the chosen one is **closed** for the rest
 /// of the pass — with decreasing quotes a rejecting bin is essentially
@@ -1805,7 +1800,7 @@ mod tests {
         assert_eq!(p.servers(), 3);
         assert!(p.unplaced().is_empty());
         assert_eq!(p.stats(), PackStats::default());
-        assert_eq!(p.nominal_capacity(), 1000);
+        assert_eq!(p.capacity, 1000);
         assert_eq!(p.target().fraction(), 0.9);
     }
 }

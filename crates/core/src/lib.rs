@@ -65,16 +65,13 @@ mod offline;
 mod planner;
 mod rtt;
 mod shaper;
-mod sla;
 mod split;
 mod target;
 mod tenant;
 
 pub use admission::{Admission, AdmissionController, AdmissionError};
 pub use cascade::{CascadeDecomposer, CascadeDecomposition, CascadeLevel};
-pub use consolidate::{
-    merge_all, ConsolidationError, ConsolidationReport, ConsolidationStudy, LazyConsolidation,
-};
+pub use consolidate::{merge_all, ConsolidationError, ConsolidationReport, ConsolidationStudy};
 pub use degrade::{
     AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
     DegradationPolicy,
@@ -93,7 +90,6 @@ pub use rtt::{
     ScratchDecomposition,
 };
 pub use shaper::{RecombinePolicy, WorkloadShaper};
-pub use sla::{sla_from_fractions, SlaDistribution, SlaVerification, TargetOutcome};
 pub use split::{SplitScheduler, SPLIT_OVERFLOW_SERVER, SPLIT_PRIMARY_SERVER};
 pub use target::{Provision, QosTarget};
 pub use tenant::{merge_tenants, MultiTenantScheduler, TenantConfig, TenantId};

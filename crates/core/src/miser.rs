@@ -81,22 +81,6 @@ impl MiserScheduler {
         }
     }
 
-    /// The current minimum primary slack, or `None` when no primary request
-    /// is queued.
-    pub fn min_slack(&self) -> Option<u64> {
-        self.min_slack
-    }
-
-    /// Number of queued primary requests.
-    pub fn primary_pending(&self) -> usize {
-        self.q1.len()
-    }
-
-    /// Number of queued overflow requests.
-    pub fn overflow_pending(&self) -> usize {
-        self.q2.len()
-    }
-
     fn recompute_min_slack(&mut self) {
         self.min_slack = self.q1.iter().map(|&(_, s)| s).min();
     }
@@ -336,14 +320,14 @@ mod tests {
         for _ in 0..2 {
             s.on_arrival(Request::at(ms(0)), ms(0));
         }
-        assert_eq!(s.min_slack(), Some(3));
+        assert_eq!(s.min_slack, Some(3));
         // Fill the remaining 3 slots and one extra -> overflow.
         for _ in 0..4 {
             s.on_arrival(Request::at(ms(0)), ms(0));
         }
-        assert_eq!(s.primary_pending(), 5);
-        assert_eq!(s.overflow_pending(), 1);
-        assert_eq!(s.min_slack(), Some(0));
+        assert_eq!(s.q1.len(), 5);
+        assert_eq!(s.q2.len(), 1);
+        assert_eq!(s.min_slack, Some(0));
         // minSlack = 0: primary must go first.
         match s.next_for(ServerId::new(0), ms(0)) {
             Dispatch::Serve(_, class) => assert_eq!(class, ServiceClass::PRIMARY),
@@ -373,10 +357,10 @@ mod tests {
             }
         }
         // Remaining q1 heads had slacks 1 and 0 -> still primary next.
-        assert_eq!(s.min_slack(), Some(0));
+        assert_eq!(s.min_slack, Some(0));
         // New arrival now gets slack = maxQ1 - lenQ1 = 5 - 3 = 2; min stays 0.
         s.on_arrival(Request::at(ms(2)), ms(2));
-        assert_eq!(s.min_slack(), Some(0));
+        assert_eq!(s.min_slack, Some(0));
         assert_eq!(s.pending(), 4);
     }
 
@@ -387,19 +371,19 @@ mod tests {
         s.on_arrival(Request::at(ms(0)), ms(0)); // slack 4
         s.on_arrival(Request::at(ms(0)), ms(0)); // slack 3
         s.on_arrival(Request::at(ms(0)), ms(0)); // slack 2
-        assert_eq!(s.min_slack(), Some(2));
+        assert_eq!(s.min_slack, Some(2));
         // Serving an overflow is impossible (q2 empty) -> serves q1 head
         // (slack 4); min stays 2... head slack was 4 != min, no recompute.
         match s.next_for(ServerId::new(0), ms(0)) {
             Dispatch::Serve(_, ServiceClass::PRIMARY) => {}
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(s.min_slack(), Some(2));
+        assert_eq!(s.min_slack, Some(2));
         // Pop two more; after the slack-2 head leaves, min recomputes to 3.
         s.next_for(ServerId::new(0), ms(0));
-        assert_eq!(s.min_slack(), Some(2));
+        assert_eq!(s.min_slack, Some(2));
         s.next_for(ServerId::new(0), ms(0));
-        assert_eq!(s.min_slack(), None); // queue empty
+        assert_eq!(s.min_slack, None); // queue empty
     }
 
     #[test]
@@ -487,9 +471,9 @@ mod tests {
                     }
                     let truth = s.q1.iter().map(|&(_, slack)| slack).min();
                     prop_assert_eq!(
-                        s.min_slack(), truth,
+                        s.min_slack, truth,
                         "cached min_slack diverged after {:?}: cached {:?}, actual {:?}",
-                        op, s.min_slack(), truth
+                        op, s.min_slack, truth
                     );
                 }
             }

@@ -155,15 +155,8 @@ impl OptimalityCheck {
     }
 
     /// `true` when RTT provably achieved the offline optimum on this input.
-    pub fn is_tight(&self) -> bool {
+    fn is_tight(&self) -> bool {
         self.rtt_dropped == self.lower_bound
-    }
-
-    /// The gap `rtt_dropped − lower_bound` (zero when tight; the bound can
-    /// be loose when drops split a busy period the no-drop server keeps
-    /// whole).
-    pub fn gap(&self) -> u64 {
-        self.rtt_dropped - self.lower_bound
     }
 }
 
@@ -202,7 +195,6 @@ mod tests {
         assert_eq!(check.lower_bound, 0);
         assert_eq!(check.rtt_dropped, 0);
         assert!(check.is_tight());
-        assert_eq!(check.gap(), 0);
     }
 
     #[test]

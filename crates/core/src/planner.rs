@@ -154,37 +154,6 @@ impl<'w> CapacityPlanner<'w> {
         Iops::new(self.search_cmin(fraction, None) as f64)
     }
 
-    /// `true` when integer `capacity` (IOPS) guarantees at least
-    /// `fraction` of the workload within the deadline — **the exact
-    /// budget-bounded predicate [`min_capacity`](Self::min_capacity)
-    /// bisects on**, exposed so the SLO-window feedback controller's
-    /// analytic taps and its controller-vs-oracle tests share it bit for
-    /// bit: `meets_fraction(c, f)` ⇔ `c ≥ Cmin(f, δ)` for `c` at or
-    /// above the capacity floor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `(0, 1]`.
-    pub fn meets_fraction(&self, capacity: u64, fraction: f64) -> bool {
-        assert!(
-            fraction.is_finite() && fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]: {fraction}"
-        );
-        if self.workload.is_empty() {
-            return true;
-        }
-        if capacity == 0 {
-            return false;
-        }
-        let budget = self.miss_budget(fraction);
-        within_miss_budget(
-            self.workload,
-            Iops::new(capacity as f64),
-            self.deadline,
-            budget,
-        )
-    }
-
     /// The miss budget for `fraction` over this workload: the largest
     /// overflow count that still leaves a primary fraction of at least
     /// `fraction` under the exact `primary/total >= fraction` comparison
@@ -519,12 +488,6 @@ impl SeedCurve {
         &self.grid
     }
 
-    /// Exact overflow counts per grid capacity, aligned with
-    /// [`grid`](Self::grid); non-increasing, ending at 0.
-    pub fn overflow_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// The bracket for a miss budget: `(Some(lo), hi)` where `lo` is the
     /// largest grid capacity exceeding the budget and `hi` the smallest
     /// meeting it, or `(None, floor)` when the domain floor already meets
@@ -801,7 +764,7 @@ mod tests {
             "doubling grid"
         );
         assert!(
-            seed.overflow_counts().windows(2).all(|c| c[1] <= c[0]),
+            seed.counts.windows(2).all(|c| c[1] <= c[0]),
             "overflow counts non-increasing"
         );
         for f in [0.9, 0.99, 1.0] {

@@ -20,7 +20,7 @@ use std::error::Error;
 use std::fmt;
 
 use gqos_sim::ServiceClass;
-use gqos_trace::{Iops, Request, SimDuration, Workload};
+use gqos_trace::{Iops, SimDuration, Workload};
 
 use crate::kernel::{scan_overflow, scan_within_budget, RttParams, RttState};
 
@@ -98,7 +98,6 @@ pub fn checked_max_queue(capacity: Iops, deadline: SimDuration) -> Result<u64, C
 ///
 /// // C·δ = 100 × 0.02 = 2 primary slots.
 /// let mut rtt = RttClassifier::new(Iops::new(100.0), SimDuration::from_millis(20));
-/// assert_eq!(rtt.max_queue(), 2);
 /// assert_eq!(rtt.classify(), ServiceClass::PRIMARY);
 /// assert_eq!(rtt.classify(), ServiceClass::PRIMARY);
 /// assert_eq!(rtt.classify(), ServiceClass::OVERFLOW); // Q1 full
@@ -140,12 +139,6 @@ impl RttClassifier {
             len_q1: 0,
             degradation: 1.0,
         }
-    }
-
-    /// The primary-queue bound `maxQ1 = ⌊C_eff·δ⌋` (with
-    /// `C_eff = degradation · C`).
-    pub fn max_queue(&self) -> u64 {
-        self.max_q1
     }
 
     /// Pending primary requests (queued or in service).
@@ -250,11 +243,6 @@ impl Decomposition {
         &self.assignments
     }
 
-    /// Class assigned to one request.
-    pub fn class_of(&self, request: &Request) -> ServiceClass {
-        self.assignments[request.id.as_usize()]
-    }
-
     /// Number of requests admitted to the primary class.
     pub fn primary_count(&self) -> u64 {
         self.primary
@@ -285,15 +273,6 @@ impl Decomposition {
     /// The deadline used for the decomposition.
     pub fn deadline(&self) -> SimDuration {
         self.deadline
-    }
-
-    /// Recycles this decomposition's assignment storage into a
-    /// [`DecomposeScratch`], so a caller that has finished reading the
-    /// result can run the next probe without a fresh allocation.
-    pub fn into_scratch(self) -> DecomposeScratch {
-        DecomposeScratch {
-            assignments: self.assignments,
-        }
     }
 
     /// Splits `workload` into its primary and overflow sub-workloads
@@ -616,17 +595,6 @@ impl ScratchDecomposition<'_> {
     pub fn deadline(&self) -> SimDuration {
         self.deadline
     }
-
-    /// An owning copy, detached from the scratch.
-    pub fn to_decomposition(&self) -> Decomposition {
-        Decomposition {
-            assignments: self.assignments.to_vec(),
-            primary: self.primary,
-            overflow: self.overflow,
-            capacity: self.capacity,
-            deadline: self.deadline,
-        }
-    }
 }
 
 /// The smallest number of requests that must be diverted at this capacity
@@ -653,7 +621,7 @@ mod tests {
     #[test]
     fn classifier_admits_up_to_bound() {
         let mut rtt = RttClassifier::new(Iops::new(1000.0), dms(5));
-        assert_eq!(rtt.max_queue(), 5);
+        assert_eq!(rtt.max_q1, 5);
         for _ in 0..5 {
             assert_eq!(rtt.classify(), ServiceClass::PRIMARY);
         }
@@ -665,7 +633,7 @@ mod tests {
     #[test]
     fn classifier_slack_shrinks_with_occupancy() {
         let mut rtt = RttClassifier::new(Iops::new(400.0), dms(10));
-        assert_eq!(rtt.max_queue(), 4);
+        assert_eq!(rtt.max_q1, 4);
         assert_eq!(rtt.slack(), 4);
         rtt.classify();
         assert_eq!(rtt.slack(), 3);
@@ -683,7 +651,7 @@ mod tests {
         // Halve the effective capacity: bound 2, occupancy 4 -> slack
         // saturates at 0 and new arrivals are shed.
         rtt.set_degradation(0.5);
-        assert_eq!(rtt.max_queue(), 2);
+        assert_eq!(rtt.max_q1, 2);
         assert_eq!(rtt.degradation(), 0.5);
         assert_eq!(rtt.slack(), 0);
         assert_eq!(rtt.classify(), ServiceClass::OVERFLOW);
@@ -694,14 +662,14 @@ mod tests {
         assert_eq!(rtt.len_q1(), 0);
         // Full recovery restores the original bound exactly.
         rtt.set_degradation(1.0);
-        assert_eq!(rtt.max_queue(), 5);
+        assert_eq!(rtt.max_q1, 5);
     }
 
     #[test]
     fn outage_degradation_closes_q1() {
         let mut rtt = RttClassifier::new(Iops::new(1000.0), dms(5));
         rtt.set_degradation(0.0);
-        assert_eq!(rtt.max_queue(), 0);
+        assert_eq!(rtt.max_q1, 0);
         assert_eq!(rtt.classify(), ServiceClass::OVERFLOW);
     }
 
@@ -871,7 +839,7 @@ mod tests {
         let (q1, q2) = d.split(&w);
         assert_eq!(q1.len() + q2.len(), w.len());
         assert_eq!(q1.len() as u64, d.primary_count());
-        assert_eq!(d.class_of(&w.requests()[0]), ServiceClass::PRIMARY);
+        assert_eq!(d.assignments()[0], ServiceClass::PRIMARY);
     }
 
     #[test]
@@ -918,7 +886,6 @@ mod tests {
             assert_eq!(view.primary_fraction(), fresh.primary_fraction());
             assert_eq!(view.capacity(), c);
             assert_eq!(view.deadline(), delta);
-            assert_eq!(view.to_decomposition().assignments(), fresh.assignments());
         }
     }
 
@@ -933,17 +900,6 @@ mod tests {
             .expect("within budget");
         assert_eq!(ok.overflow_count(), 7);
         assert_eq!(ok.assignments(), decompose(&w, c, delta).assignments());
-    }
-
-    #[test]
-    fn into_scratch_recycles_storage() {
-        let w = Workload::from_arrivals(vec![SimTime::ZERO; 64]);
-        let d = decompose(&w, Iops::new(300.0), dms(10));
-        let expected = d.assignments().to_vec();
-        let mut scratch = d.into_scratch();
-        assert!(scratch.assignments.capacity() >= 64, "storage kept");
-        let view = scratch.decompose(&w, Iops::new(300.0), dms(10));
-        assert_eq!(view.assignments(), expected.as_slice());
     }
 
     #[test]

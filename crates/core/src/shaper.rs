@@ -236,14 +236,6 @@ impl WorkloadShaper {
             .map(|&p| (p, self.run(workload, p)))
             .collect()
     }
-
-    /// Fraction of the whole workload completing within the deadline under
-    /// `policy` — the headline number of Figure 6.
-    pub fn guaranteed_fraction(&self, workload: &Workload, policy: RecombinePolicy) -> f64 {
-        self.run(workload, policy)
-            .stats()
-            .fraction_within(self.deadline)
-    }
 }
 
 impl fmt::Display for WorkloadShaper {
@@ -289,7 +281,7 @@ mod tests {
         assert!(shaper.deadline() == dms(20));
         // At the planned provision, the shaped policies meet the target.
         for policy in [RecombinePolicy::Split, RecombinePolicy::FairQueue] {
-            let frac = shaper.guaranteed_fraction(&w, policy);
+            let frac = shaper.run(&w, policy).stats().fraction_within(dms(20));
             assert!(
                 frac >= 0.90,
                 "{policy} met only {frac:.3} at planned capacity"
@@ -301,8 +293,14 @@ mod tests {
     fn fcfs_baseline_is_worse_at_equal_capacity() {
         let w = bursty_workload();
         let shaper = WorkloadShaper::plan(&w, QosTarget::new(0.90, dms(20)));
-        let fcfs = shaper.guaranteed_fraction(&w, RecombinePolicy::Fcfs);
-        let fq = shaper.guaranteed_fraction(&w, RecombinePolicy::FairQueue);
+        let fcfs = shaper
+            .run(&w, RecombinePolicy::Fcfs)
+            .stats()
+            .fraction_within(dms(20));
+        let fq = shaper
+            .run(&w, RecombinePolicy::FairQueue)
+            .stats()
+            .fraction_within(dms(20));
         assert!(
             fq > fcfs,
             "shaping should beat FCFS at equal capacity: FCFS {fcfs:.3}, FQ {fq:.3}"

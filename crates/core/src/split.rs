@@ -72,16 +72,6 @@ impl SplitScheduler {
             trace,
         }
     }
-
-    /// Queued primary requests.
-    pub fn primary_pending(&self) -> usize {
-        self.q1.len()
-    }
-
-    /// Queued overflow requests.
-    pub fn overflow_pending(&self) -> usize {
-        self.q2.len()
-    }
 }
 
 impl Scheduler for SplitScheduler {
@@ -249,8 +239,8 @@ mod tests {
         for _ in 0..5 {
             s.on_arrival(Request::at(ms(0)), ms(0));
         }
-        assert_eq!(s.primary_pending(), 2);
-        assert_eq!(s.overflow_pending(), 3);
+        assert_eq!(s.q1.len(), 2);
+        assert_eq!(s.q2.len(), 3);
         assert_eq!(s.pending(), 5);
         assert!(s.to_string().contains("Split("));
     }

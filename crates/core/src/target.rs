@@ -56,11 +56,6 @@ impl QosTarget {
     pub fn deadline(&self) -> SimDuration {
         self.deadline
     }
-
-    /// `true` if this target covers the whole workload.
-    pub fn is_full(&self) -> bool {
-        self.fraction >= 1.0
-    }
 }
 
 impl fmt::Display for QosTarget {
@@ -134,8 +129,7 @@ mod tests {
         let t = QosTarget::new(0.99, SimDuration::from_millis(50));
         assert_eq!(t.fraction(), 0.99);
         assert_eq!(t.deadline(), SimDuration::from_millis(50));
-        assert!(!t.is_full());
-        assert!(QosTarget::full(SimDuration::from_millis(5)).is_full());
+        assert_eq!(QosTarget::full(SimDuration::from_millis(5)).fraction(), 1.0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use gqos_fairqueue::{FlowId, FlowScheduler, HierarchicalSfq, LeafId, Sfq};
+use gqos_fairqueue::{FlowId, Sfq};
 use gqos_sim::{Dispatch, Scheduler, ServerId, ServiceClass};
 use gqos_trace::{Iops, Request, RequestId, SimDuration, SimTime, Workload};
 
@@ -139,17 +139,10 @@ pub fn merge_tenants(workloads: &[&Workload]) -> (Workload, Vec<TenantId>) {
 pub struct MultiTenantScheduler {
     tenants: Vec<TenantState>,
     owners: Vec<TenantId>,
-    flows: FlowPlan,
-}
-
-/// How the shared server splits capacity across tenant classes.
-enum FlowPlan {
-    /// One flat weight per (tenant, class): a tenant's idle class donates
-    /// its share to *everyone*.
-    Flat(Sfq),
-    /// Two levels: tenants by total provision, classes within each tenant —
-    /// a tenant's idle class donates to its *own* other class first.
-    Hierarchical(HierarchicalSfq),
+    /// One flow per (tenant, class): flow `2i` is tenant `i`'s primary
+    /// class at weight `Cmin_i`, flow `2i + 1` its overflow class at
+    /// weight `ΔC_i`. A tenant's idle class donates its share to everyone.
+    flows: Sfq,
 }
 
 struct TenantState {
@@ -168,44 +161,6 @@ impl MultiTenantScheduler {
     /// tenant's RTT bound `⌊Cmin·δ⌋` is zero.
     pub fn new(configs: Vec<TenantConfig>, owners: Vec<TenantId>) -> Self {
         assert!(!configs.is_empty(), "at least one tenant is required");
-        // Flow layout: 2 flat flows per tenant — primary_i at weight
-        // Cmin_i, overflow_i at weight delta_c_i.
-        let mut weights = Vec::with_capacity(configs.len() * 2);
-        for c in &configs {
-            weights.push(c.provision.cmin().get());
-            weights.push(c.provision.delta_c().get());
-        }
-        Self::build(configs, owners, FlowPlan::Flat(Sfq::new(&weights)))
-    }
-
-    /// Creates a scheduler with *hierarchical* sharing: tenants split the
-    /// server by total provision, and each tenant splits its own share
-    /// `Cmin_i : ΔC_i` between its classes — so a tenant's idle overflow
-    /// budget boosts its own primary class before helping neighbours.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`MultiTenantScheduler::new`].
-    pub fn hierarchical(configs: Vec<TenantConfig>, owners: Vec<TenantId>) -> Self {
-        assert!(!configs.is_empty(), "at least one tenant is required");
-        let spec: Vec<(f64, Vec<f64>)> = configs
-            .iter()
-            .map(|c| {
-                (
-                    c.provision.total().get(),
-                    vec![c.provision.cmin().get(), c.provision.delta_c().get()],
-                )
-            })
-            .collect();
-        Self::build(
-            configs,
-            owners,
-            FlowPlan::Hierarchical(HierarchicalSfq::new(&spec)),
-        )
-    }
-
-    fn build(configs: Vec<TenantConfig>, owners: Vec<TenantId>, flows: FlowPlan) -> Self {
-        assert!(!configs.is_empty(), "at least one tenant is required");
         assert!(
             configs.len() <= 127,
             "at most 127 tenants are supported (class encoding)"
@@ -214,6 +169,11 @@ impl MultiTenantScheduler {
             owners.iter().all(|t| t.index() < configs.len()),
             "ownership table references an unknown tenant"
         );
+        let weights: Vec<f64> = configs
+            .iter()
+            .flat_map(|c| [c.provision.cmin().get(), c.provision.delta_c().get()])
+            .collect();
+        let flows = Sfq::new(&weights);
         let tenants = configs
             .into_iter()
             .map(|config| TenantState {
@@ -263,25 +223,14 @@ impl Scheduler for MultiTenantScheduler {
         let t = tenant.index();
         let class = self.tenants[t].rtt.classify();
         let leaf = usize::from(class != ServiceClass::PRIMARY);
-        match &mut self.flows {
-            FlowPlan::Flat(sfq) => sfq.enqueue(FlowId::new(t * 2 + leaf), request),
-            FlowPlan::Hierarchical(h) => h.enqueue_leaf(LeafId { group: t, leaf }, request),
-        }
+        self.flows.enqueue(FlowId::new(t * 2 + leaf), request);
     }
 
     fn next_for(&mut self, _server: ServerId, _now: SimTime) -> Dispatch {
-        let served = match &mut self.flows {
-            FlowPlan::Flat(sfq) => sfq
-                .dequeue()
-                .map(|(flow, r)| (flow.index() / 2, flow.index() % 2, r)),
-            FlowPlan::Hierarchical(h) => {
-                h.dequeue_leaf().map(|(leaf, r)| (leaf.group, leaf.leaf, r))
-            }
-        };
-        match served {
-            Some((t, leaf, request)) => {
-                let tenant = TenantId::new(t);
-                let class = if leaf == 0 {
+        match self.flows.dequeue() {
+            Some((flow, request)) => {
+                let tenant = TenantId::new(flow.index() / 2);
+                let class = if flow.index() % 2 == 0 {
                     tenant.primary_class()
                 } else {
                     tenant.overflow_class()
@@ -300,10 +249,7 @@ impl Scheduler for MultiTenantScheduler {
     }
 
     fn pending(&self) -> usize {
-        match &self.flows {
-            FlowPlan::Flat(sfq) => sfq.len(),
-            FlowPlan::Hierarchical(h) => h.len(),
-        }
+        self.flows.len()
     }
 }
 
@@ -442,61 +388,6 @@ mod tests {
         assert_eq!(s.config(TenantId::new(1)).provision.cmin().get(), 300.0);
         assert!(s.to_string().contains("2 tenants"));
         assert!(format!("{s:?}").contains("MultiTenantScheduler"));
-    }
-
-    #[test]
-    fn hierarchical_mode_completes_and_isolates() {
-        let a = Workload::from_arrivals((0..100).map(|i| ms(i * 10)));
-        let mut burst: Vec<SimTime> = vec![ms(300); 200];
-        burst.extend((0..50).map(|i| ms(i * 20)));
-        let b = Workload::from_arrivals(burst);
-        let (merged, owners) = merge_tenants(&[&a, &b]);
-        let cfg = config(200.0, 20.0, 20);
-        let scheduler = MultiTenantScheduler::hierarchical(vec![cfg, cfg], owners);
-        let report = simulate(&merged, scheduler, FixedRateServer::new(Iops::new(440.0)));
-        assert_eq!(report.completed(), merged.len());
-        let t0 = report.stats_for(TenantId::new(0).primary_class());
-        assert!(t0.fraction_within(dms(20)) > 0.99);
-    }
-
-    #[test]
-    fn hierarchical_keeps_idle_share_inside_the_tenant() {
-        // Tenant 0: an overflow-only burst (its primary bound is 1 slot and
-        // it never refills). Tenant 1: a steady all-primary stream that
-        // keeps its heavy flow busy. Under flat weights the only active
-        // flows are o0 (weight 20) and p1 (weight 180): tenant 0 gets ~10%
-        // of the server. Under hierarchical sharing the tenants split
-        // 50:50 regardless of which class is active.
-        let share_of_tenant0 = |hier: bool| -> f64 {
-            let burst0 = Workload::from_arrivals(vec![ms(0); 300]);
-            // 400/s offered: tenant 1's primary flow stays backlogged.
-            let w1 =
-                Workload::from_arrivals((0..800).map(|i| SimTime::from_micros(i as u64 * 2500)));
-            let (merged, owners) = merge_tenants(&[&burst0, &w1]);
-            let cfg0 = config(180.0, 20.0, 10); // maxQ1 = 1: all overflow
-            let cfg1 = config(180.0, 20.0, 100); // maxQ1 = 18: all primary
-            let scheduler = if hier {
-                MultiTenantScheduler::hierarchical(vec![cfg0, cfg1], owners)
-            } else {
-                MultiTenantScheduler::new(vec![cfg0, cfg1], owners)
-            };
-            let report = simulate(&merged, scheduler, FixedRateServer::new(Iops::new(400.0)));
-            // Count tenant 0 completions in the first 200 dispatches.
-            let mut records: Vec<_> = report.records().to_vec();
-            records.sort_by_key(|r| r.dispatched);
-            let t0 = records
-                .iter()
-                .take(200)
-                .filter(|r| r.class.index() / 2 == 0)
-                .count();
-            t0 as f64 / 200.0
-        };
-        let flat = share_of_tenant0(false);
-        let hier = share_of_tenant0(true);
-        assert!(
-            hier > flat + 0.15,
-            "hierarchical {hier:.2} should beat flat {flat:.2} for the overflow-only tenant"
-        );
     }
 
     #[test]

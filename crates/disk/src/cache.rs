@@ -14,7 +14,7 @@ use gqos_trace::{Request, RequestKind, SimDuration, SimTime};
 
 /// LRU cache wrapper around any [`ServiceModel`].
 ///
-/// Reads that hit cost [`hit_time`](CachedDisk::hit_time); read misses and
+/// Reads that hit cost the configured `hit_time`; read misses and
 /// all writes go to the inner model (write-through) and populate the cache.
 ///
 /// # Examples
@@ -64,11 +64,6 @@ impl<M> CachedDisk<M> {
         }
     }
 
-    /// The configured hit service time.
-    pub fn hit_time(&self) -> SimDuration {
-        self.hit_time
-    }
-
     /// Read hits observed so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -80,7 +75,7 @@ impl<M> CachedDisk<M> {
     }
 
     /// Observed hit rate over reads, or 0.0 before any read.
-    pub fn hit_rate(&self) -> f64 {
+    fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -191,18 +186,18 @@ mod tests {
         c.service_time(&read_at(1), SimTime::ZERO); // hit, 1 is now hottest
         c.service_time(&read_at(3), SimTime::ZERO); // miss, evicts 2
         assert_eq!(c.resident(), 2);
-        assert_eq!(c.service_time(&read_at(1), SimTime::ZERO), c.hit_time()); // still hot
+        assert_eq!(c.service_time(&read_at(1), SimTime::ZERO), c.hit_time); // still hot
         let t2 = c.service_time(&read_at(2), SimTime::ZERO); // was evicted
-        assert!(t2 > c.hit_time());
+        assert!(t2 > c.hit_time);
     }
 
     #[test]
     fn writes_populate_the_cache() {
         let mut c = cache(8);
         let wt = c.service_time(&write_at(9), SimTime::ZERO);
-        assert!(wt > c.hit_time(), "write-through pays the device");
+        assert!(wt > c.hit_time, "write-through pays the device");
         let rt = c.service_time(&read_at(9), SimTime::ZERO);
-        assert_eq!(rt, c.hit_time(), "write left the line warm");
+        assert_eq!(rt, c.hit_time, "write left the line warm");
     }
 
     #[test]
@@ -226,7 +221,7 @@ mod tests {
         c.service_time(&read_at(1), SimTime::ZERO);
         c.service_time(&read_at(2), SimTime::ZERO);
         assert_eq!(c.resident(), 1);
-        assert!(c.service_time(&read_at(2), SimTime::ZERO) == c.hit_time());
+        assert!(c.service_time(&read_at(2), SimTime::ZERO) == c.hit_time);
     }
 
     #[test]

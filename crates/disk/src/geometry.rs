@@ -15,7 +15,7 @@ use gqos_trace::{LogicalBlock, SimDuration};
 /// use gqos_disk::DiskGeometry;
 ///
 /// let g = DiskGeometry::default();
-/// assert!(g.capacity_bytes() > 70_000_000_000);
+/// assert!(g.to_string().contains("73.0 GB"));
 /// assert_eq!(g.rotation_time().as_millis_f64(), 4.0); // 15 kRPM
 /// ```
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
@@ -65,26 +65,6 @@ impl DiskGeometry {
         self.cylinders
     }
 
-    /// Heads (tracks per cylinder).
-    pub fn heads(&self) -> u32 {
-        self.heads
-    }
-
-    /// Sectors per track.
-    pub fn sectors_per_track(&self) -> u32 {
-        self.sectors_per_track
-    }
-
-    /// Bytes per sector.
-    pub fn bytes_per_sector(&self) -> u32 {
-        self.bytes_per_sector
-    }
-
-    /// Spindle speed in revolutions per minute.
-    pub fn rpm(&self) -> u32 {
-        self.rpm
-    }
-
     /// Sectors per cylinder (all heads).
     pub fn sectors_per_cylinder(&self) -> u64 {
         self.sectors_per_track as u64 * self.heads as u64
@@ -96,7 +76,7 @@ impl DiskGeometry {
     }
 
     /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
+    fn capacity_bytes(&self) -> u64 {
         self.total_sectors() * self.bytes_per_sector as u64
     }
 
@@ -147,7 +127,7 @@ mod tests {
     #[test]
     fn default_geometry_is_enterprise_class() {
         let g = DiskGeometry::default();
-        assert_eq!(g.rpm(), 15_000);
+        assert_eq!(g.rpm, 15_000);
         let gb = g.capacity_bytes() as f64 / 1e9;
         assert!((50.0..100.0).contains(&gb), "capacity {gb} GB");
     }
@@ -187,9 +167,9 @@ mod tests {
         assert_eq!(g.total_sectors(), 10_000);
         assert_eq!(g.capacity_bytes(), 5_120_000);
         assert_eq!(g.cylinders(), 100);
-        assert_eq!(g.heads(), 2);
-        assert_eq!(g.sectors_per_track(), 50);
-        assert_eq!(g.bytes_per_sector(), 512);
+        assert_eq!(g.heads, 2);
+        assert_eq!(g.sectors_per_track, 50);
+        assert_eq!(g.bytes_per_sector, 512);
     }
 
     #[test]

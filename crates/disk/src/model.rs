@@ -70,11 +70,6 @@ impl DiskModel {
     pub fn geometry(&self) -> &DiskGeometry {
         &self.geometry
     }
-
-    /// The cylinder the head currently sits on.
-    pub fn current_cylinder(&self) -> u64 {
-        self.current_cylinder
-    }
 }
 
 impl DiskModelBuilder {
@@ -195,9 +190,9 @@ mod tests {
     fn head_position_is_tracked() {
         let mut disk = DiskModel::builder().build();
         let spc = disk.geometry().sectors_per_cylinder();
-        assert_eq!(disk.current_cylinder(), 0);
+        assert_eq!(disk.current_cylinder, 0);
         disk.service_time(&req_at_block(10 * spc), SimTime::ZERO);
-        assert_eq!(disk.current_cylinder(), 10);
+        assert_eq!(disk.current_cylinder, 10);
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl ScanScheduler {
         }
     }
 
-    /// The configured sweep mode.
-    pub fn mode(&self) -> SweepMode {
-        self.mode
-    }
-
     fn pick_scan(&self) -> Option<usize> {
         // Nearest request in the sweep direction; if none, nearest against
         // the direction (the reversal).
@@ -318,7 +313,7 @@ mod tests {
         assert_eq!(s.next_for(ServerId::new(0), SimTime::ZERO), Dispatch::Idle);
         let mut e = ScanScheduler::new(SweepMode::Scan);
         assert_eq!(e.next_for(ServerId::new(0), SimTime::ZERO), Dispatch::Idle);
-        assert_eq!(e.mode(), SweepMode::Scan);
+        assert_eq!(e.mode, SweepMode::Scan);
         assert!(s.to_string().contains("SSTF"));
         assert!(e.to_string().contains("Scan"));
     }

@@ -59,11 +59,6 @@ impl SeekProfile {
         }
     }
 
-    /// The single-cylinder seek time.
-    pub fn track_to_track(&self) -> SimDuration {
-        self.track_to_track
-    }
-
     /// The full-stroke seek time.
     pub fn max_seek(&self) -> SimDuration {
         self.max_seek
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn single_track_seek_is_the_floor() {
         let s = SeekProfile::default();
-        assert_eq!(s.seek_time(1, CYLS), s.track_to_track());
+        assert_eq!(s.seek_time(1, CYLS), s.track_to_track);
     }
 
     #[test]
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn two_cylinder_disk_degenerate_case() {
         let s = SeekProfile::default();
-        assert_eq!(s.seek_time(1, 2), s.track_to_track());
+        assert_eq!(s.seek_time(1, 2), s.track_to_track);
     }
 
     #[test]
@@ -169,6 +164,6 @@ mod tests {
     fn display_and_accessors() {
         let s = SeekProfile::default();
         assert!(s.to_string().contains("seek"));
-        assert!(s.max_seek() > s.track_to_track());
+        assert!(s.max_seek() > s.track_to_track);
     }
 }

@@ -5,12 +5,11 @@ use std::collections::VecDeque;
 use gqos_trace::Request;
 
 use crate::flow::{validate_weights, FlowId};
-use crate::scheduler::FlowScheduler;
 
-/// Start-time fair queueing: each request gets a virtual *start* tag
-/// `S = max(v, F_prev)` and finish tag `F = S + 1/w` at arrival; dispatch
-/// picks the smallest start tag, and the virtual clock `v` is set to the
-/// start tag of the request in service.
+/// Start-time fair queueing over unit-cost requests: each request gets a
+/// virtual *start* tag `S = max(v, F_prev)` and finish tag `F = S + 1/w`
+/// at arrival; dispatch picks the smallest start tag, and the virtual
+/// clock `v` is set to the start tag of the request in service.
 ///
 /// SFQ's defining property (and why the storage QoS literature favours it)
 /// is that the virtual clock needs no rate information about the server —
@@ -20,7 +19,7 @@ use crate::scheduler::FlowScheduler;
 /// # Examples
 ///
 /// ```
-/// use gqos_fairqueue::{FlowId, FlowScheduler, Sfq};
+/// use gqos_fairqueue::{FlowId, Sfq};
 /// use gqos_trace::{Request, SimTime};
 ///
 /// let mut sfq = Sfq::new(&[1.0, 1.0]);
@@ -56,18 +55,12 @@ impl Sfq {
         }
     }
 
-    /// The current virtual time (start tag of the last dispatch).
-    pub fn virtual_time(&self) -> f64 {
-        self.virtual_time
-    }
-}
-
-impl FlowScheduler for Sfq {
-    fn flows(&self) -> usize {
-        self.weights.len()
-    }
-
-    fn enqueue(&mut self, flow: FlowId, request: Request) {
+    /// Queues `request` on `flow`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow` is out of range.
+    pub fn enqueue(&mut self, flow: FlowId, request: Request) {
         let i = flow.index();
         assert!(i < self.queues.len(), "unknown flow {flow}");
         let start = self.virtual_time.max(self.last_finish[i]);
@@ -76,7 +69,9 @@ impl FlowScheduler for Sfq {
         self.len += 1;
     }
 
-    fn dequeue(&mut self) -> Option<(FlowId, Request)> {
+    /// Removes and returns the next request to serve, with its flow.
+    /// Returns `None` when all flows are empty.
+    pub fn dequeue(&mut self) -> Option<(FlowId, Request)> {
         let mut best: Option<(usize, f64)> = None;
         for (i, q) in self.queues.iter().enumerate() {
             if let Some(&(_, start)) = q.front() {
@@ -96,15 +91,34 @@ impl FlowScheduler for Sfq {
         Some((FlowId::new(i), request))
     }
 
-    fn len(&self) -> usize {
+    /// Total queued requests across all flows.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn flow_len(&self, flow: FlowId) -> usize {
+    /// `true` when no requests are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Queued requests on one flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow` is out of range.
+    pub fn flow_len(&self, flow: FlowId) -> usize {
         self.queues[flow.index()].len()
     }
 
-    fn set_weights(&mut self, weights: &[f64]) {
+    /// Replaces the flow weights, e.g. when an effective-capacity change
+    /// renegotiates the shares. Only future tags are affected; requests
+    /// already queued keep the tags they were stamped with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is invalid (see [`Sfq::new`]) or its length
+    /// differs from the flow count.
+    pub fn set_weights(&mut self, weights: &[f64]) {
         validate_weights(weights);
         assert_eq!(
             weights.len(),
@@ -118,8 +132,36 @@ impl FlowScheduler for Sfq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::test_support::*;
     use gqos_trace::SimTime;
+
+    fn request(n: u64) -> Request {
+        Request::at(SimTime::from_millis(n))
+    }
+
+    /// While both flows stay backlogged, dispatch shares must approach the
+    /// weight ratio.
+    fn check_weighted_share(mut s: Sfq, w0: f64, w1: f64) {
+        const N: usize = 600;
+        for i in 0..N {
+            s.enqueue(FlowId::new(0), request(i as u64));
+            s.enqueue(FlowId::new(1), request(i as u64));
+        }
+        let mut served = [0usize; 2];
+        // Serve while both are backlogged.
+        for _ in 0..N {
+            let (f, _) = s.dequeue().expect("backlogged");
+            served[f.index()] += 1;
+            if s.flow_len(FlowId::new(0)) == 0 || s.flow_len(FlowId::new(1)) == 0 {
+                break;
+            }
+        }
+        let expected = w0 / (w0 + w1);
+        let got = served[0] as f64 / (served[0] + served[1]) as f64;
+        assert!(
+            (got - expected).abs() < 0.05,
+            "weighted share: expected {expected:.3}, got {got:.3} ({served:?})"
+        );
+    }
 
     #[test]
     fn weighted_share_2_to_1() {
@@ -131,19 +173,63 @@ mod tests {
         check_weighted_share(Sfq::new(&[1.0, 4.0]), 1.0, 4.0);
     }
 
+    /// An idle flow must not block a backlogged one.
     #[test]
     fn work_conserving() {
-        check_work_conserving(Sfq::new(&[1.0, 1.0]));
+        let mut s = Sfq::new(&[1.0, 1.0]);
+        for i in 0..10 {
+            s.enqueue(FlowId::new(1), request(i));
+        }
+        for _ in 0..10 {
+            let (f, _) = s.dequeue().expect("flow 1 backlogged");
+            assert_eq!(f, FlowId::new(1));
+        }
+        assert!(s.dequeue().is_none());
+        assert!(s.is_empty());
     }
 
+    /// A flow that goes idle must not accumulate credit: after rejoining it
+    /// may not monopolise the server.
     #[test]
     fn no_idle_credit() {
-        check_no_idle_credit(Sfq::new(&[1.0, 1.0]));
+        let mut s = Sfq::new(&[1.0, 1.0]);
+        // Flow 1 serves alone for a long stretch.
+        for i in 0..100 {
+            s.enqueue(FlowId::new(1), request(i));
+        }
+        for _ in 0..100 {
+            s.dequeue().expect("backlogged");
+        }
+        // Flow 0 becomes active; both now backlogged with equal weights.
+        for i in 0..100 {
+            s.enqueue(FlowId::new(0), request(i));
+            s.enqueue(FlowId::new(1), request(i));
+        }
+        let mut first_20 = [0usize; 2];
+        for _ in 0..20 {
+            let (f, _) = s.dequeue().expect("backlogged");
+            first_20[f.index()] += 1;
+        }
+        // Without idle-credit protection flow 0 would win all 20.
+        assert!(
+            first_20[1] >= 8,
+            "flow 1 starved after flow 0 rejoined: {first_20:?}"
+        );
     }
 
     #[test]
     fn fifo_within_flow() {
-        check_fifo_within_flow(Sfq::new(&[1.0, 1.0]));
+        let mut s = Sfq::new(&[1.0, 1.0]);
+        for i in 0..5 {
+            s.enqueue(FlowId::new(0), request(i));
+        }
+        let mut last = None;
+        while let Some((_, r)) = s.dequeue() {
+            if let Some(prev) = last {
+                assert!(r.arrival > prev, "within-flow order violated");
+            }
+            last = Some(r.arrival);
+        }
     }
 
     #[test]
@@ -156,19 +242,19 @@ mod tests {
         for _ in 0..50 {
             s.dequeue();
         }
-        let v = s.virtual_time();
+        let v = s.virtual_time;
         assert!(v > 0.0);
         // Newly active flow 1 starts at v, not at 0.
         s.enqueue(FlowId::new(1), request(99));
         let (_, _) = s.dequeue().expect("one pending");
-        assert!(s.virtual_time() >= v);
+        assert!(s.virtual_time >= v);
     }
 
     #[test]
     fn empty_dequeue_is_none() {
         let mut s = Sfq::new(&[1.0]);
         assert!(s.dequeue().is_none());
-        assert_eq!(s.flows(), 1);
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use gqos_trace::{SimDuration, SimTime};
+use gqos_trace::SimTime;
 
 /// A token bucket of depth `σ` (burst) refilled at `ρ` tokens per second.
 ///
@@ -57,26 +57,12 @@ impl TokenBucket {
         self.rate
     }
 
-    /// The bucket depth.
-    pub fn burst(&self) -> f64 {
-        self.burst
-    }
-
     fn refill(&mut self, now: SimTime) {
         if now > self.last_refill {
             let elapsed = (now - self.last_refill).as_secs_f64();
             self.tokens = (self.tokens + elapsed * self.rate).min(self.burst);
             self.last_refill = now;
         }
-    }
-
-    /// Current token count after refilling to `now`.
-    ///
-    /// Time must not move backwards across calls; a stale `now` is ignored
-    /// for refill but still answered consistently.
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
     }
 
     /// Consumes one token if available. Returns whether the request
@@ -88,18 +74,6 @@ impl TokenBucket {
             true
         } else {
             false
-        }
-    }
-
-    /// The earliest instant at which one token will be available, given no
-    /// further consumption. Returns `now` if one is already available.
-    pub fn next_conforming(&mut self, now: SimTime) -> SimTime {
-        self.refill(now);
-        if self.tokens >= 1.0 {
-            now
-        } else {
-            let deficit = 1.0 - self.tokens;
-            now + SimDuration::from_secs_f64(deficit / self.rate)
         }
     }
 }
@@ -118,10 +92,16 @@ impl fmt::Display for TokenBucket {
 mod tests {
     use super::*;
 
+    /// The token count after refilling to `now`.
+    fn available(tb: &mut TokenBucket, now: SimTime) -> f64 {
+        tb.refill(now);
+        tb.tokens
+    }
+
     #[test]
     fn starts_full_and_drains() {
         let mut tb = TokenBucket::new(10.0, 3.0);
-        assert_eq!(tb.available(SimTime::ZERO), 3.0);
+        assert_eq!(available(&mut tb, SimTime::ZERO), 3.0);
         assert!(tb.try_consume(SimTime::ZERO));
         assert!(tb.try_consume(SimTime::ZERO));
         assert!(tb.try_consume(SimTime::ZERO));
@@ -135,19 +115,9 @@ mod tests {
             assert!(tb.try_consume(SimTime::ZERO));
         }
         // 100 ms at 10/s -> 1 token.
-        assert!((tb.available(SimTime::from_millis(100)) - 1.0).abs() < 1e-9);
+        assert!((available(&mut tb, SimTime::from_millis(100)) - 1.0).abs() < 1e-9);
         // A long idle period cannot exceed the depth.
-        assert_eq!(tb.available(SimTime::from_secs(1000)), 5.0);
-    }
-
-    #[test]
-    fn next_conforming_accounts_for_deficit() {
-        let mut tb = TokenBucket::new(100.0, 1.0);
-        assert!(tb.try_consume(SimTime::ZERO));
-        let next = tb.next_conforming(SimTime::ZERO);
-        assert_eq!(next, SimTime::from_millis(10));
-        // Already conforming once a token exists.
-        assert_eq!(tb.next_conforming(next), next);
+        assert_eq!(available(&mut tb, SimTime::from_secs(1000)), 5.0);
     }
 
     #[test]
@@ -169,7 +139,7 @@ mod tests {
         let mut tb = TokenBucket::new(10.0, 2.0);
         assert!(tb.try_consume(SimTime::from_secs(10)));
         // Earlier timestamp: no refill, but no panic either.
-        let avail = tb.available(SimTime::from_secs(5));
+        let avail = available(&mut tb, SimTime::from_secs(5));
         assert!(avail >= 1.0);
     }
 
@@ -189,7 +159,7 @@ mod tests {
     fn accessors_and_display() {
         let tb = TokenBucket::new(50.0, 4.0);
         assert_eq!(tb.rate(), 50.0);
-        assert_eq!(tb.burst(), 4.0);
+        assert_eq!(tb.burst, 4.0);
         assert!(tb.to_string().contains("token bucket"));
     }
 }

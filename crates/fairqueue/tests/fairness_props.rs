@@ -1,8 +1,8 @@
-//! Property-based tests common to every proportional-share scheduler.
+//! Property-based tests of the start-time fair queueing scheduler.
 
 use proptest::prelude::*;
 
-use gqos_fairqueue::{FlowId, FlowScheduler, Sfq, Wf2q};
+use gqos_fairqueue::{FlowId, Sfq};
 use gqos_trace::{Request, SimTime};
 
 /// A random interleaved script: (flow, arrival-ms) pairs in time order plus
@@ -14,7 +14,7 @@ fn arb_script() -> impl Strategy<Value = Vec<Option<usize>>> {
 
 /// Runs the script: enqueues carry increasing timestamps. Returns
 /// (enqueued, dequeued) counts and checks per-flow FIFO along the way.
-fn exercise<S: FlowScheduler>(mut s: S, script: &[Option<usize>]) -> (usize, usize) {
+fn exercise(mut s: Sfq, script: &[Option<usize>]) -> (usize, usize) {
     let mut enqueued = 0usize;
     let mut dequeued = 0usize;
     let mut clock = 0u64;
@@ -42,7 +42,7 @@ fn exercise<S: FlowScheduler>(mut s: S, script: &[Option<usize>]) -> (usize, usi
 }
 
 /// Drains the scheduler and verifies conservation.
-fn drain_and_check<S: FlowScheduler>(mut s: S, script: &[Option<usize>]) {
+fn drain_and_check(mut s: Sfq, script: &[Option<usize>]) {
     let mut enqueued = 0usize;
     let mut clock = 0u64;
     for flow in script.iter().flatten() {
@@ -60,60 +60,48 @@ fn drain_and_check<S: FlowScheduler>(mut s: S, script: &[Option<usize>]) {
     assert_eq!(s.flow_len(FlowId::new(0)) + s.flow_len(FlowId::new(1)), 0);
 }
 
-macro_rules! scheduler_properties {
-    ($mod_name:ident, $make:expr) => {
-        mod $mod_name {
-            use super::*;
+mod sfq_props {
+    use super::*;
 
-            proptest! {
-                #![proptest_config(ProptestConfig::with_cases(48))]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-                #[test]
-                fn conserves_requests(script in arb_script()) {
-                    drain_and_check($make, &script);
-                }
-
-                #[test]
-                fn interleaved_ops_preserve_fifo_and_counts(script in arb_script()) {
-                    let (enq, deq) = exercise($make, &script);
-                    prop_assert!(deq <= enq);
-                }
-            }
+        #[test]
+        fn conserves_requests(script in arb_script()) {
+            drain_and_check(Sfq::new(&[3.0, 1.0]), &script);
         }
-    };
-}
 
-scheduler_properties!(sfq_props, Sfq::new(&[3.0, 1.0]));
-scheduler_properties!(wf2q_props, Wf2q::new(&[3.0, 1.0]));
+        #[test]
+        fn interleaved_ops_preserve_fifo_and_counts(script in arb_script()) {
+            let (enq, deq) = exercise(Sfq::new(&[3.0, 1.0]), &script);
+            prop_assert!(deq <= enq);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// No scheduler starves a backlogged flow while the other flow keeps
+    /// SFQ starves no backlogged flow while the other flow keeps
     /// arriving: after enough dequeues both flows make progress.
     #[test]
     fn no_starvation_under_continuous_load(heavy_flow in 0usize..2) {
         let light_flow = 1 - heavy_flow;
-        let mut schedulers: Vec<Box<dyn FlowScheduler>> = vec![
-            Box::new(Sfq::new(&[1.0, 1.0])),
-            Box::new(Wf2q::new(&[1.0, 1.0])),
-        ];
-        for s in &mut schedulers {
-            // The light flow queues 5 requests early; the heavy flow floods.
-            for i in 0..5u64 {
-                s.enqueue(FlowId::new(light_flow), Request::at(SimTime::from_millis(i)));
-            }
-            for i in 0..200u64 {
-                s.enqueue(FlowId::new(heavy_flow), Request::at(SimTime::from_millis(i)));
-            }
-            let mut light_served = 0;
-            for _ in 0..40 {
-                let (flow, _) = s.dequeue().expect("backlogged");
-                if flow.index() == light_flow {
-                    light_served += 1;
-                }
-            }
-            prop_assert_eq!(light_served, 5, "light flow starved");
+        let mut s = Sfq::new(&[1.0, 1.0]);
+        // The light flow queues 5 requests early; the heavy flow floods.
+        for i in 0..5u64 {
+            s.enqueue(FlowId::new(light_flow), Request::at(SimTime::from_millis(i)));
         }
+        for i in 0..200u64 {
+            s.enqueue(FlowId::new(heavy_flow), Request::at(SimTime::from_millis(i)));
+        }
+        let mut light_served = 0;
+        for _ in 0..40 {
+            let (flow, _) = s.dequeue().expect("backlogged");
+            if flow.index() == light_flow {
+                light_served += 1;
+            }
+        }
+        prop_assert_eq!(light_served, 5, "light flow starved");
     }
 }

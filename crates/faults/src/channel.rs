@@ -128,13 +128,6 @@ pub struct ChannelFate {
     pub duplicate: Option<SimDuration>,
 }
 
-impl ChannelFate {
-    /// `true` when the message (and any duplicate) was lost.
-    pub fn is_dropped(&self) -> bool {
-        self.delivery.is_none()
-    }
-}
-
 /// A deterministic timeline of channel faults, reproducible from a `u64`
 /// seed.
 ///
@@ -156,7 +149,7 @@ impl ChannelFate {
 /// let ok = ch.fate(SimTime::ZERO, 0);
 /// assert_eq!(ok.delivery, Some(SimDuration::from_millis(1)));
 /// // Inside a p=1 drop window: lost.
-/// assert!(ch.fate(SimTime::from_millis(1500), 0).is_dropped());
+/// assert_eq!(ch.fate(SimTime::from_millis(1500), 0).delivery, None);
 /// ```
 #[derive(Clone, PartialEq, Debug)]
 pub struct ChannelFaultSchedule {
@@ -202,7 +195,7 @@ impl ChannelFaultSchedule {
     }
 
     /// Builder form of [`push`](Self::push).
-    pub fn with_window(mut self, window: ChannelWindow) -> Self {
+    fn with_window(mut self, window: ChannelWindow) -> Self {
         self.push(window);
         self
     }
@@ -226,7 +219,7 @@ impl ChannelFaultSchedule {
     }
 
     /// Adds a delay window (per-message extra latency in `[0, max]`).
-    pub fn with_delay(self, start: SimTime, duration: SimDuration, max: SimDuration) -> Self {
+    fn with_delay(self, start: SimTime, duration: SimDuration, max: SimDuration) -> Self {
         self.with_window(ChannelWindow::new(
             start,
             duration,
@@ -400,7 +393,7 @@ mod tests {
             let fate = ch.fate(ms(key), key);
             assert_eq!(fate.delivery, Some(dms(2)));
             assert_eq!(fate.duplicate, None);
-            assert!(!fate.is_dropped());
+            assert!(fate.delivery.is_some());
         }
         assert!(ch.to_string().contains("perfect"));
     }
@@ -423,7 +416,7 @@ mod tests {
         }
         // A p = 0.5 drop window drops some keys and passes others.
         let dropped = (0..100)
-            .filter(|&k| ch.fate(ms(150), k).is_dropped())
+            .filter(|&k| ch.fate(ms(150), k).delivery.is_none())
             .count();
         assert!(dropped > 10 && dropped < 90, "dropped {dropped}/100");
     }
@@ -434,7 +427,7 @@ mod tests {
             .with_drop(ms(0), dms(100), 1.0)
             .with_duplicate(ms(0), dms(100), 1.0);
         let fate = ch.fate(ms(50), 42);
-        assert!(fate.is_dropped());
+        assert!(fate.delivery.is_none());
         assert_eq!(fate.duplicate, None);
         // Past the windows both disappear.
         let clean = ch.fate(ms(150), 42);

@@ -104,20 +104,6 @@ impl FleetFaultSchedule {
         self.nodes.is_empty()
     }
 
-    /// Node `i`'s schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn node(&self, i: usize) -> &FaultSchedule {
-        &self.nodes[i]
-    }
-
-    /// All per-node schedules, by node index.
-    pub fn nodes(&self) -> &[FaultSchedule] {
-        &self.nodes
-    }
-
     /// Every outage across the fleet as `(node, start, end)`, sorted by
     /// start time with ties on node index — the raw material a control
     /// plane turns into `NodeDown`/`NodeUp` command pairs.
@@ -170,9 +156,9 @@ mod tests {
     fn full_correlation_fails_every_node_in_lockstep() {
         let span = SimDuration::from_secs(120);
         let fleet = FleetFaultSchedule::generate(7, 6, span, 0.9, 1.0);
-        let first = fleet.node(0);
+        let first = &fleet.nodes[0];
         for i in 1..fleet.len() {
-            assert_eq!(fleet.node(i), first, "node {i} diverged at correlation 1");
+            assert_eq!(&fleet.nodes[i], first, "node {i} diverged at correlation 1");
         }
     }
 
@@ -180,9 +166,9 @@ mod tests {
     fn zero_correlation_decorrelates_the_nodes() {
         let span = SimDuration::from_secs(120);
         let fleet = FleetFaultSchedule::generate(7, 6, span, 0.9, 0.0);
-        let first = fleet.node(0);
+        let first = &fleet.nodes[0];
         assert!(
-            (1..fleet.len()).any(|i| fleet.node(i) != first),
+            (1..fleet.len()).any(|i| &fleet.nodes[i] != first),
             "independent nodes all drew the same schedule"
         );
     }

@@ -283,7 +283,7 @@ impl FaultSchedule {
     }
 
     /// Builder form of [`push`](FaultSchedule::push).
-    pub fn with_window(mut self, window: FaultWindow) -> Self {
+    fn with_window(mut self, window: FaultWindow) -> Self {
         self.push(window);
         self
     }
@@ -304,7 +304,7 @@ impl FaultSchedule {
 
     /// Adds a RAID-rebuild ramp climbing from `floor` of nominal rate back
     /// to full rate across the window.
-    pub fn with_rebuild(self, start: SimTime, duration: SimDuration, floor: f64) -> Self {
+    fn with_rebuild(self, start: SimTime, duration: SimDuration, floor: f64) -> Self {
         self.with_window(FaultWindow::new(
             start,
             duration,
@@ -314,7 +314,7 @@ impl FaultSchedule {
 
     /// Adds a latency-jitter window (each dispatch in the window delayed by
     /// a deterministic pseudo-random amount in `[0, max]`).
-    pub fn with_jitter(self, start: SimTime, duration: SimDuration, max: SimDuration) -> Self {
+    fn with_jitter(self, start: SimTime, duration: SimDuration, max: SimDuration) -> Self {
         self.with_window(FaultWindow::new(start, duration, FaultKind::Jitter { max }))
     }
 
@@ -451,7 +451,7 @@ impl FaultSchedule {
     /// sum of a deterministic uniform draw in `[0, max]` per active jitter
     /// window, keyed on the schedule seed, the dispatch instant, and the
     /// window's position.
-    pub fn jitter_at(&self, t: SimTime) -> SimDuration {
+    fn jitter_at(&self, t: SimTime) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for (i, w) in self.windows.iter().enumerate() {
             if let FaultKind::Jitter { max } = w.kind {

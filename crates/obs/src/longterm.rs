@@ -26,11 +26,10 @@
 //!
 //! Values enter through [`LongTermStore::record`] (one value at a time,
 //! e.g. from an `OnlineShaper` completion tap) or
-//! [`LongTermStore::ingest`] / [`LongTermStore::ingest_snapshot`] (a
-//! whole window sketch, e.g. an `IngestGateway` `window_feedback`
-//! snapshot). Both are ordered per tenant: an instant from an
-//! already-closed tier-0 bucket is a typed [`OutOfOrderInstant`], never
-//! a silent misfile. Queries — [`LongTermStore::series`],
+//! [`LongTermStore::ingest_snapshot`] (a whole window sketch, e.g. an
+//! `IngestGateway` `window_feedback` snapshot). Both are ordered per
+//! tenant: an instant from an already-closed tier-0 bucket is a typed
+//! [`OutOfOrderInstant`], never a silent misfile. Queries — [`LongTermStore::series`],
 //! [`LongTermStore::p99_over`], [`LongTermStore::heatmap`] — pick, per
 //! requested cell, the finest tier that still covers that cell's range
 //! and merge its buckets; cells older than every tier's retention come
@@ -316,7 +315,7 @@ impl<K: Ord + Clone> LongTermStore<K> {
     /// containing `at`; keep the feed window no wider than tier 0 (and
     /// aligned to it) for exact attribution. Empty sketches are ordered
     /// no-ops. Same ordering contract as [`record`](LongTermStore::record).
-    pub fn ingest(
+    fn ingest(
         &mut self,
         tenant: &K,
         at: SimTime,
@@ -342,7 +341,7 @@ impl<K: Ord + Clone> LongTermStore<K> {
         Ok(())
     }
 
-    /// [`ingest`](LongTermStore::ingest) of a closed window snapshot at
+    /// `ingest` of a closed window snapshot at
     /// its own start instant — the natural feed from
     /// `TenantReport::window_feedback` and `WindowedSketch` taps.
     pub fn ingest_snapshot(

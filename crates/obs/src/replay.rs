@@ -34,7 +34,6 @@ pub struct RequestLifecycle {
 pub struct ReplayedRun {
     lifecycles: HashMap<u64, RequestLifecycle>,
     counts: EventCounts,
-    degradation_path: Vec<(SimTime, f64)>,
     drain_log: Vec<DrainRecord>,
 }
 
@@ -94,9 +93,7 @@ impl ReplayedRun {
                 } => {
                     run.entry(id).completed = Some((at, class, response));
                 }
-                TraceEvent::DegradationChanged { at, to_factor, .. } => {
-                    run.degradation_path.push((at, to_factor));
-                }
+                TraceEvent::DegradationChanged { .. } => {}
                 TraceEvent::DrainStarted {
                     at,
                     tenant,
@@ -140,11 +137,6 @@ impl ReplayedRun {
     /// Per-kind event totals over the replayed stream.
     pub fn counts(&self) -> EventCounts {
         self.counts
-    }
-
-    /// The lifecycle of request `id`, if any of its events were seen.
-    pub fn lifecycle(&self, id: u64) -> Option<&RequestLifecycle> {
-        self.lifecycles.get(&id)
     }
 
     /// Number of distinct requests seen in the trace.
@@ -200,19 +192,6 @@ impl ReplayedRun {
             .values()
             .filter(|l| l.completed.is_none())
             .count()
-    }
-
-    /// The degradation factor trajectory `(when, new_factor)`, in event
-    /// order.
-    pub fn degradation_path(&self) -> &[(SimTime, f64)] {
-        &self.degradation_path
-    }
-
-    /// The drain handoffs seen in the trace, in first-event order. A
-    /// coherent drain has `started` before `completed` and
-    /// `migrated_seen` equal to the completion's migrated total.
-    pub fn drains(&self) -> &[DrainRecord] {
-        &self.drain_log
     }
 
     /// Structural sanity checks on a complete (undropped) trace; returns a
@@ -339,7 +318,7 @@ mod tests {
         assert_eq!(run.miss_fraction(2, d), 0.0);
         assert!(run.audit().is_empty(), "{:?}", run.audit());
 
-        let life = run.lifecycle(1).unwrap();
+        let life = &run.lifecycles[&1];
         assert_eq!(life.admitted, Some(true));
         assert_eq!(life.dispatched, Some((ms(8), 0)));
         let sketch = run.response_sketch(0);
@@ -425,7 +404,7 @@ mod tests {
             },
         ];
         let run = ReplayedRun::from_events(&events);
-        let drains = run.drains();
+        let drains = &run.drain_log;
         assert_eq!(drains.len(), 2);
         assert_eq!(drains[0].tenant, 7);
         assert_eq!(drains[0].started, Some((ms(1), 0)));
@@ -439,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn degradation_path_and_unfinished() {
+    fn degradation_changes_and_unfinished() {
         let mut events = full_lifecycle(0, 0, 1, 2, 0);
         events.push(TraceEvent::Arrival { at: ms(3), id: 1 }); // never completes
         events.push(TraceEvent::DegradationChanged {
@@ -449,7 +428,6 @@ mod tests {
         });
         let run = ReplayedRun::from_events(&events);
         assert_eq!(run.unfinished(), 1);
-        assert_eq!(run.degradation_path(), &[(ms(4), 0.75)]);
         assert_eq!(run.counts().degradation_changes, 1);
         assert_eq!(run.counts().arrivals, 2);
     }

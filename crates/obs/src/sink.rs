@@ -77,11 +77,6 @@ impl MemorySink {
         }
     }
 
-    /// Creates an effectively unbounded sink (capacity `usize::MAX`).
-    pub fn unbounded() -> Self {
-        MemorySink::with_capacity(usize::MAX)
-    }
-
     /// Number of events currently stored.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -231,7 +226,7 @@ impl TraceHandle {
     }
 
     /// Like [`memory`](TraceHandle::memory) with a bounded ring capacity.
-    pub fn memory_with_capacity(capacity: usize) -> (Self, Rc<RefCell<MemorySink>>) {
+    fn memory_with_capacity(capacity: usize) -> (Self, Rc<RefCell<MemorySink>>) {
         let sink = Rc::new(RefCell::new(MemorySink::with_capacity(capacity)));
         let handle = TraceHandle {
             sink: Some(sink.clone() as Rc<RefCell<dyn TraceSink>>),
@@ -241,8 +236,7 @@ impl TraceHandle {
     }
 
     /// `true` when emission sites construct and record events.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.active
     }
 

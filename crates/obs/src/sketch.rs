@@ -200,21 +200,6 @@ impl LatencySketch {
         self.sum += value as u128;
     }
 
-    /// Records `n` copies of `value` in O(1) — bit-identical to calling
-    /// [`record`](LatencySketch::record) `n` times. This is what makes
-    /// count boundaries near 2^53 reachable in tests at all.
-    #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[Self::bucket_index(value)] += n;
-        self.total += n;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.sum += u128::from(value) * u128::from(n);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.total
@@ -348,6 +333,20 @@ impl LatencySketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records `n` copies of `value` in O(1) — bit-identical to calling
+    /// [`LatencySketch::record`] `n` times (checked below). This is what
+    /// makes count boundaries near 2^53 reachable in tests at all.
+    fn record_n(s: &mut LatencySketch, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        s.counts[LatencySketch::bucket_index(value)] += n;
+        s.total += n;
+        s.min = s.min.min(value);
+        s.max = s.max.max(value);
+        s.sum += u128::from(value) * u128::from(n);
+    }
 
     /// Exact nearest-rank quantile over a sorted copy — the oracle. Uses
     /// the same integer [`nearest_rank`] as the sketch: the float formula
@@ -588,8 +587,8 @@ mod tests {
         // 2^53 + 1) is 1000; the pre-fix rank undershot by one and
         // reported 100's bucket instead.
         let mut s = LatencySketch::new();
-        s.record_n(100, 1 << 52);
-        s.record_n(1_000, (1 << 52) + 1);
+        record_n(&mut s, 100, 1 << 52);
+        record_n(&mut s, 1_000, (1 << 52) + 1);
         assert_eq!(s.count(), (1 << 53) + 1);
         let p50 = s.quantile(0.5);
         assert!(p50 >= 1_000, "median fell in the low bucket: {p50}");
@@ -600,7 +599,7 @@ mod tests {
         let mut bulk = LatencySketch::new();
         let mut loop_ = LatencySketch::new();
         for (value, n) in [(7u64, 3u64), (100, 0), (4_096, 17), (u64::MAX, 2)] {
-            bulk.record_n(value, n);
+            record_n(&mut bulk, value, n);
             for _ in 0..n {
                 loop_.record(value);
             }
@@ -636,7 +635,7 @@ mod tests {
     fn count_at_most_matches_full_scan_at_every_boundary() {
         let mut s = LatencySketch::new();
         for i in 0..BUCKETS {
-            s.record_n(LatencySketch::bucket_upper(i), i as u64 + 1);
+            record_n(&mut s, LatencySketch::bucket_upper(i), i as u64 + 1);
         }
         for i in 0..BUCKETS {
             let upper = LatencySketch::bucket_upper(i);
@@ -682,7 +681,7 @@ mod tests {
             ) {
                 let mut s = LatencySketch::new();
                 for &(v, n) in &values {
-                    s.record_n(v, n);
+                    record_n(&mut s, v, n);
                 }
                 for &t in &thresholds {
                     prop_assert_eq!(s.count_at_most(t), count_at_most_full_scan(&s, t));

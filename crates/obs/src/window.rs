@@ -88,11 +88,6 @@ impl WindowSnapshot {
             Some(&self.sketch)
         }
     }
-
-    /// Consumes the snapshot, returning its sketch.
-    pub fn into_sketch(self) -> LatencySketch {
-        self.sketch
-    }
 }
 
 /// A latency sketch split into fixed-width time windows.
@@ -149,18 +144,13 @@ impl WindowedSketch {
         self.window
     }
 
-    /// The ordinal of the window currently collecting.
-    pub fn current_index(&self) -> u64 {
-        self.index
-    }
-
     /// The window ordinal containing instant `at`.
     fn index_of(&self, at: SimTime) -> u64 {
         at.as_nanos() / self.window.as_nanos()
     }
 
     /// The start instant of the currently-open window.
-    pub fn current_start(&self) -> SimTime {
+    fn current_start(&self) -> SimTime {
         SimTime::from_nanos(self.index * self.window.as_nanos())
     }
 
@@ -278,7 +268,7 @@ mod tests {
         assert_eq!(err.window_start, SimTime::from_millis(20));
         // Nothing was recorded and no window state moved.
         assert_eq!(w.cumulative().count(), 1);
-        assert_eq!(w.current_index(), 2);
+        assert_eq!(w.index, 2);
         assert_eq!(w.finish().sketch().count(), 1);
     }
 
@@ -300,7 +290,7 @@ mod tests {
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].index(), 2);
         assert_eq!(closed[0].sketch().count(), 2);
-        assert_eq!(w.current_index(), 3);
+        assert_eq!(w.index, 3);
         assert_eq!(w.finish().sketch().count(), 1);
     }
 

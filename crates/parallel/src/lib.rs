@@ -14,48 +14,9 @@
 //! index) because the build environment has no access to crates.io.
 
 use std::any::Any;
-use std::error::Error;
-use std::fmt;
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// A worker task panicked during [`WorkerPool::execute`].
-///
-/// Carries the index of the first offending item (in item order, which is
-/// deterministic regardless of thread scheduling) and the rendered panic
-/// message. The remaining items still ran to completion — a panicking task
-/// can neither hang the positional assembly nor poison other slots.
-#[derive(Debug)]
-pub struct WorkerPanic {
-    /// Index of the first item (in item order) whose task panicked.
-    pub index: usize,
-    /// The panic payload rendered to text, when it was a string.
-    pub message: String,
-}
-
-impl fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "worker task for item {} panicked: {}",
-            self.index, self.message
-        )
-    }
-}
-
-impl Error for WorkerPanic {}
-
-fn payload_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// A fixed-width pool of scoped worker threads.
 ///
@@ -85,15 +46,6 @@ impl WorkerPool {
         WorkerPool::new(1)
     }
 
-    /// A pool sized to the machine's available parallelism.
-    pub fn from_env() -> Self {
-        WorkerPool::new(
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -115,8 +67,7 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Propagates the first panic (in item order) once every item has run.
-    /// A panicking task cannot hang the pool or corrupt other results; use
-    /// [`execute`](WorkerPool::execute) to receive a typed error instead.
+    /// A panicking task cannot hang the pool or corrupt other results.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -133,37 +84,7 @@ impl WorkerPool {
         out
     }
 
-    /// Applies `f` to every item like [`map`](WorkerPool::map), but catches
-    /// worker panics and surfaces the first one (in item order) as a typed
-    /// [`WorkerPanic`] instead of unwinding into the caller. Every item
-    /// still runs: one bad task cannot hang the positional assembly or
-    /// poison its neighbours' result slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkerPanic`] if any task panicked.
-    pub fn execute<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, WorkerPanic>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        for (index, caught) in self.run_caught(items, f).into_iter().enumerate() {
-            match caught {
-                Ok(r) => out.push(r),
-                Err(payload) => {
-                    return Err(WorkerPanic {
-                        index,
-                        message: payload_message(payload.as_ref()),
-                    })
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Shared engine for `map`/`execute`: every task runs under
+    /// The engine behind `map`: every task runs under
     /// `catch_unwind`, so a panic is just another per-slot result and the
     /// scoped threads always join cleanly.
     fn run_caught<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<Result<R, Box<dyn Any + Send>>>
@@ -293,11 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn from_env_is_at_least_one() {
-        assert!(WorkerPool::from_env().threads() >= 1);
-    }
-
-    #[test]
     #[should_panic]
     fn worker_panics_propagate() {
         let _ = WorkerPool::new(2).map(vec![0u64, 1, 2, 3], |x| {
@@ -306,33 +222,34 @@ mod tests {
         });
     }
 
-    #[test]
-    fn execute_surfaces_panic_as_typed_error() {
-        for threads in [1, 2, 8] {
-            let err = WorkerPool::new(threads)
-                .execute((0..16u64).collect(), |x| {
-                    assert!(x != 5, "boom at {x}");
-                    x * 2
-                })
-                .unwrap_err();
-            assert_eq!(err.index, 5, "{threads} threads");
-            assert!(err.message.contains("boom at 5"), "{}", err.message);
-            assert!(err.to_string().contains("item 5"), "{err}");
-        }
+    /// Runs `pool.map` and returns the message of the panic it propagates.
+    fn map_panic_message(
+        pool: &WorkerPool,
+        items: Vec<u64>,
+        f: impl Fn(u64) -> u64 + Sync,
+    ) -> String {
+        let payload =
+            catch_unwind(AssertUnwindSafe(|| pool.map(items, f))).expect_err("a task panics");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
     }
 
     #[test]
-    fn execute_reports_first_panic_in_item_order() {
+    fn map_propagates_first_panic_in_item_order() {
         // Items 9 and 2 both panic; regardless of which thread hits which
-        // first, the surfaced error is deterministic: item order wins.
-        let err = WorkerPool::new(4)
-            .execute((0..12u64).collect(), |x| {
+        // first, the propagated panic is deterministic: item order wins.
+        for threads in [1, 2, 4] {
+            let message = map_panic_message(&WorkerPool::new(threads), (0..12).collect(), |x| {
                 assert!(x != 2 && x != 9, "bad item {x}");
                 x
-            })
-            .unwrap_err();
-        assert_eq!(err.index, 2);
-        assert!(err.message.contains("bad item 2"), "{}", err.message);
+            });
+            assert!(
+                message.contains("bad item 2"),
+                "{threads} threads: {message}"
+            );
+        }
     }
 
     #[test]
@@ -341,37 +258,14 @@ mod tests {
         // item still runs, and the same pool keeps working afterwards.
         let pool = WorkerPool::new(4);
         let ran = AtomicU64::new(0);
-        let err = pool
-            .execute((0..64u64).collect(), |x| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                assert!(x != 31, "boom");
-                x
-            })
-            .unwrap_err();
-        assert_eq!(err.index, 31);
+        let message = map_panic_message(&pool, (0..64).collect(), |x| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            assert!(x != 31, "boom at {x}");
+            x
+        });
+        assert!(message.contains("boom at 31"), "{message}");
         assert_eq!(ran.load(Ordering::Relaxed), 64, "all items should run");
-        let healthy = pool
-            .execute((0..64u64).collect(), |x| x + 1)
-            .expect("healthy batch");
+        let healthy = pool.map((0..64u64).collect(), |x| x + 1);
         assert_eq!(healthy.len(), 64);
-    }
-
-    #[test]
-    fn execute_matches_map_on_healthy_batches() {
-        let items: Vec<u64> = (0..50).collect();
-        let mapped = WorkerPool::new(4).map(items.clone(), |x| x ^ 0x5555);
-        let executed = WorkerPool::new(4)
-            .execute(items, |x| x ^ 0x5555)
-            .expect("no panics");
-        assert_eq!(mapped, executed);
-    }
-
-    #[test]
-    fn non_string_panic_payload_is_still_reported() {
-        let err = WorkerPool::serial()
-            .execute(vec![0u32], |_| -> u32 { std::panic::panic_any(42i32) })
-            .unwrap_err();
-        assert_eq!(err.index, 0);
-        assert!(err.message.contains("non-string"), "{}", err.message);
     }
 }

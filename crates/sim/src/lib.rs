@@ -13,10 +13,14 @@
 //!   response-time CDFs, percentiles, and the paper's bucketed histograms;
 //! - [`FcfsScheduler`] — the unshaped baseline policy;
 //! - [`closed_loop`] — a closed, think-time-driven population driver
-//!   (the self-throttling counterpart of the open trace replay).
+//!   (the self-throttling counterpart of the open trace replay);
+//! - [`EventQueue`] / [`IndexedEventQueue`] — the engines' event storage:
+//!   one small vector kept sorted, since no engine holds more than a
+//!   handful of live events.
 //!
 //! Simulations are fully deterministic: ties in event time are broken by a
-//! fixed event-kind order (completions before arrivals) and insertion order.
+//! fixed event-kind order (completions before retries before arrivals,
+//! lower server or request index first).
 //!
 //! # Examples
 //!
@@ -48,7 +52,7 @@ mod streaming;
 
 pub use closed::{closed_loop, ClosedLoopConfig};
 pub use engine::{simulate, Simulation};
-pub use event::{BinaryHeapEventQueue, Event, EventKind, EventQueue, IndexedEventQueue};
+pub use event::{Event, EventKind, EventQueue, IndexedEventQueue};
 pub use metrics::{CompletionRecord, ResponseStats, RunReport};
 pub use scheduler::{Dispatch, FcfsScheduler, Scheduler, ServiceClass};
 pub use server::{CapacityModulation, FixedRateServer, ModulatedServer, ServerId, ServiceModel};

@@ -67,8 +67,7 @@ impl RunReport {
         &self.records
     }
 
-    /// Consumes the report, returning its record buffer so the next run can
-    /// reuse the allocation (see `Simulation::run_with_buffer`).
+    /// Consumes the report, returning its completion records.
     pub fn into_records(self) -> Vec<CompletionRecord> {
         self.records
     }
@@ -159,50 +158,6 @@ impl RunReport {
         } else {
             self.miss_count(class, deadline) as f64 / total as f64
         }
-    }
-
-    /// Writes the per-request records as CSV
-    /// (`id,class,arrival_s,dispatched_s,completion_s,response_ms`), for
-    /// offline analysis or plotting.
-    ///
-    /// A `&mut` reference may be passed for `writer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gqos_sim::{simulate, FcfsScheduler, FixedRateServer};
-    /// use gqos_trace::{Iops, SimTime, Workload};
-    ///
-    /// let w = Workload::from_arrivals([SimTime::ZERO]);
-    /// let report = simulate(&w, FcfsScheduler::new(),
-    ///     FixedRateServer::new(Iops::new(100.0)));
-    /// let mut out = Vec::new();
-    /// report.write_csv(&mut out)?;
-    /// assert!(String::from_utf8(out).unwrap().starts_with("id,class"));
-    /// # Ok::<(), std::io::Error>(())
-    /// ```
-    pub fn write_csv<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writeln!(
-            writer,
-            "id,class,arrival_s,dispatched_s,completion_s,response_ms"
-        )?;
-        for r in &self.records {
-            writeln!(
-                writer,
-                "{},{},{:.9},{:.9},{:.9},{:.6}",
-                r.id.index(),
-                r.class.index(),
-                r.arrival.as_secs_f64(),
-                r.dispatched.as_secs_f64(),
-                r.completion.as_secs_f64(),
-                r.response_time().as_millis_f64(),
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -546,25 +501,6 @@ mod tests {
     #[should_panic(expected = "denominator")]
     fn denominator_must_cover_samples() {
         let _ = ResponseStats::from_times([ms(1), ms(2)], 1);
-    }
-
-    #[test]
-    fn csv_export_has_one_line_per_record() {
-        let report = RunReport::new(
-            vec![
-                record(0, 0, 10, ServiceClass::PRIMARY),
-                record(5, 10, 25, ServiceClass::OVERFLOW),
-            ],
-            2,
-            SimTime::from_millis(25),
-        );
-        let mut out = Vec::new();
-        report.write_csv(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("id,class"));
-        assert!(lines[2].contains("0.005"), "{}", lines[2]);
     }
 
     #[test]

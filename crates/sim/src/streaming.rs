@@ -113,16 +113,17 @@ impl<S: Scheduler> StreamingSimulation<S> {
     }
 
     /// Assembles a streaming simulation from a batch
-    /// [`Simulation`](crate::Simulation)'s parts, recycling `buffer` for
-    /// the completion records.
+    /// [`Simulation`](crate::Simulation)'s parts, collecting completion
+    /// records into `completions` (empty, possibly preallocated).
     pub(crate) fn from_parts(
         scheduler: S,
         servers: Vec<Box<dyn ServiceModel>>,
         trace: TraceHandle,
         deadline: Option<SimDuration>,
-        buffer: Vec<CompletionRecord>,
+        completions: Vec<CompletionRecord>,
     ) -> Self {
-        let mut sim = StreamingSimulation::new(scheduler).with_completion_buffer(buffer);
+        let mut sim = StreamingSimulation::new(scheduler);
+        sim.completions = completions;
         sim.servers = servers;
         sim.trace = trace;
         sim.deadline = deadline;
@@ -155,14 +156,6 @@ impl<S: Scheduler> StreamingSimulation<S> {
         self
     }
 
-    /// Replaces the internal completion buffer with `buffer` (cleared),
-    /// recycling its allocation.
-    pub fn with_completion_buffer(mut self, mut buffer: Vec<CompletionRecord>) -> Self {
-        buffer.clear();
-        self.completions = buffer;
-        self
-    }
-
     /// The scheduler, for reading back policy-side state (e.g. shed
     /// counters in wrapper schedulers) after the run.
     pub fn scheduler(&self) -> &S {
@@ -177,11 +170,6 @@ impl<S: Scheduler> StreamingSimulation<S> {
     /// The timestamp of the latest event processed so far.
     pub fn end_time(&self) -> SimTime {
         self.end_time
-    }
-
-    /// `true` once [`finish`](StreamingSimulation::finish) has run.
-    pub fn is_finished(&self) -> bool {
-        self.finished
     }
 
     /// Offers the next arrival. Arrivals must be offered in non-decreasing

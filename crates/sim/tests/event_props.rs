@@ -1,19 +1,55 @@
-//! Differential property tests: both storages behind the event queues
-//! must pop in exactly the order of the [`BinaryHeapEventQueue`] oracle.
+//! Differential property tests: the sorted-list event queues must pop in
+//! exactly the order of a binary-heap oracle that breaks `(at, kind)` ties
+//! by insertion order (the ordering contract in `src/event.rs`).
 //!
-//! - The timing-wheel [`EventQueue`] (and [`IndexedEventQueue`] above two
-//!   servers) on arbitrary event sequences — interleaved pushes and pops,
-//!   timestamp ties on every kind, magnitudes spanning all eleven wheel
-//!   levels, and pushes into the past.
-//! - The sorted-list [`IndexedEventQueue`] (one and two servers) on
-//!   engine-feasible schedules — stacked retries, ties across all three
-//!   kinds, pushes dated before the last pop, and `clear` reuse.
+//! - [`EventQueue`] on arbitrary event sequences — bulk loads, interleaved
+//!   pushes and pops, timestamp ties on every kind, magnitudes spanning
+//!   the full 64-bit range, pushes into the past, and `clear` reuse.
+//! - [`IndexedEventQueue`] on engine-feasible schedules (one arrival and
+//!   one completion per server at a time, stacked retries) at 1, 2, 16
+//!   and 128 servers.
 //!
 //! No external property-testing crate: a deterministic splitmix-style
 //! generator drives thousands of randomised rounds.
 
-use gqos_sim::{BinaryHeapEventQueue, Event, EventKind, EventQueue, IndexedEventQueue};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use gqos_sim::{Event, EventKind, EventQueue, IndexedEventQueue};
 use gqos_trace::SimTime;
+
+/// The reference queue: a binary heap popping by `(at, kind, insertion
+/// sequence)`. O(log n) per operation and obviously correct.
+#[derive(Default)]
+struct BinaryHeapEventQueue {
+    heap: BinaryHeap<Reverse<(SimTime, EventKind, u64)>>,
+    seq: u64,
+}
+
+impl BinaryHeapEventQueue {
+    fn new() -> Self {
+        BinaryHeapEventQueue::default()
+    }
+
+    fn push(&mut self, event: Event) {
+        self.heap.push(Reverse((event.at, event.kind, self.seq)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        self.heap
+            .pop()
+            .map(|Reverse((at, kind, _))| Event { at, kind })
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 /// Deterministic 64-bit generator (splitmix64) so failures replay exactly.
 struct Rng(u64);
@@ -32,8 +68,8 @@ impl Rng {
     }
 
     /// A timestamp whose magnitude is itself random: raw 64-bit values
-    /// shifted right by 0..64 bits, hitting every wheel level from
-    /// single-nanosecond slots to the top 4-bit level.
+    /// shifted right by 0..64 bits, from nanoseconds to the top of the
+    /// key space.
     fn time(&mut self) -> SimTime {
         let shift = self.below(64) as u32;
         SimTime::from_nanos(self.next() >> shift)
@@ -55,10 +91,10 @@ impl Rng {
 }
 
 /// Drain both queues fully and compare every popped event.
-fn assert_drain_matches(wheel: &mut EventQueue, oracle: &mut BinaryHeapEventQueue, round: u64) {
+fn assert_drain_matches(queue: &mut EventQueue, oracle: &mut BinaryHeapEventQueue, round: u64) {
     loop {
-        let (a, b) = (oracle.pop(), wheel.pop());
-        assert_eq!(a, b, "wheel diverged from heap oracle (round {round})");
+        let (a, b) = (oracle.pop(), queue.pop());
+        assert_eq!(a, b, "queue diverged from heap oracle (round {round})");
         if a.is_none() {
             break;
         }
@@ -67,10 +103,10 @@ fn assert_drain_matches(wheel: &mut EventQueue, oracle: &mut BinaryHeapEventQueu
 
 /// Bulk load then drain: pop order over arbitrary magnitudes and kinds.
 #[test]
-fn wheel_matches_heap_on_bulk_loads() {
+fn event_queue_matches_heap_on_bulk_loads() {
     let mut rng = Rng(0x51ab_0001);
     for round in 0..2_000 {
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut oracle = BinaryHeapEventQueue::new();
         let n = rng.below(40) + 1;
         for _ in 0..n {
@@ -78,32 +114,30 @@ fn wheel_matches_heap_on_bulk_loads() {
                 at: rng.time(),
                 kind: rng.kind(4),
             };
-            wheel.push(event);
+            queue.push(event);
             oracle.push(event);
         }
-        assert_eq!(wheel.len(), oracle.len());
-        assert_eq!(wheel.peek_time(), oracle.peek_time());
-        assert_drain_matches(&mut wheel, &mut oracle, round);
+        assert_eq!(queue.len(), oracle.len());
+        assert_eq!(queue.peek_time(), oracle.peek_time());
+        assert_drain_matches(&mut queue, &mut oracle, round);
     }
 }
 
 /// Interleaved pushes and pops, including pushes *behind* the last popped
-/// timestamp (the wheel fires those immediately; so does the heap, because
-/// nothing earlier can still be pending — see DESIGN.md §13).
+/// timestamp: both queues fire those next (see DESIGN.md §13).
 #[test]
-fn wheel_matches_heap_under_interleaving_and_past_pushes() {
+fn event_queue_matches_heap_under_interleaving_and_past_pushes() {
     let mut rng = Rng(0x51ab_0002);
     for round in 0..2_000 {
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut oracle = BinaryHeapEventQueue::new();
         for _ in 0..60 {
             if rng.below(3) == 0 {
-                let (a, b) = (oracle.pop(), wheel.pop());
+                let (a, b) = (oracle.pop(), queue.pop());
                 assert_eq!(a, b, "pop diverged mid-stream (round {round})");
             } else {
                 // Half the pushes aim near (possibly before) the most
-                // recently popped time to stress the clamp path; the rest
-                // are arbitrary.
+                // recently popped time; the rest are arbitrary.
                 let at = if rng.below(2) == 0 {
                     SimTime::from_nanos(rng.below(1 << 12))
                 } else {
@@ -113,40 +147,40 @@ fn wheel_matches_heap_under_interleaving_and_past_pushes() {
                     at,
                     kind: rng.kind(4),
                 };
-                wheel.push(event);
+                queue.push(event);
                 oracle.push(event);
             }
-            assert_eq!(wheel.peek_time(), oracle.peek_time());
+            assert_eq!(queue.peek_time(), oracle.peek_time());
         }
-        assert_drain_matches(&mut wheel, &mut oracle, round);
+        assert_drain_matches(&mut queue, &mut oracle, round);
     }
 }
 
 /// Dense timestamp ties: many events in a handful of instants, so the
 /// (kind, insertion-order) tie-breaks do all the work.
 #[test]
-fn wheel_matches_heap_on_heavy_ties() {
+fn event_queue_matches_heap_on_heavy_ties() {
     let mut rng = Rng(0x51ab_0003);
     for round in 0..2_000 {
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut oracle = BinaryHeapEventQueue::new();
         for _ in 0..30 {
             let event = Event {
                 at: SimTime::from_nanos(rng.below(3)),
                 kind: rng.kind(3),
             };
-            wheel.push(event);
+            queue.push(event);
             oracle.push(event);
         }
-        assert_drain_matches(&mut wheel, &mut oracle, round);
+        assert_drain_matches(&mut queue, &mut oracle, round);
     }
 }
 
-/// The engine facade on top of the wheel, driven with engine-feasible
-/// schedules (unique arrival, unique completion per server) at fleet
-/// scale, interleaving pushes and pops as the simulation loop does.
+/// The engine facade driven with engine-feasible schedules (unique
+/// arrival, unique completion per server) from one server to fleet scale,
+/// interleaving pushes and pops as the simulation loop does.
 #[test]
-fn indexed_queue_matches_heap_at_fleet_scale() {
+fn indexed_queue_matches_heap_at_every_server_count() {
     let mut rng = Rng(0x51ab_0004);
     for &servers in &[1usize, 2, 16, 128] {
         for round in 0..200 {
@@ -207,34 +241,34 @@ fn indexed_queue_matches_heap_at_fleet_scale() {
     }
 }
 
-/// `clear` must leave the wheel indistinguishable from a fresh queue.
+/// `clear` must leave the queue indistinguishable from a fresh one.
 #[test]
-fn cleared_wheel_behaves_like_new() {
+fn cleared_event_queue_behaves_like_new() {
     let mut rng = Rng(0x51ab_0005);
-    let mut wheel = EventQueue::new();
+    let mut queue = EventQueue::new();
     for round in 0..200 {
         let mut oracle = BinaryHeapEventQueue::new();
-        wheel.clear();
+        queue.clear();
         for _ in 0..20 {
             let event = Event {
                 at: rng.time(),
                 kind: rng.kind(4),
             };
-            wheel.push(event);
+            queue.push(event);
             oracle.push(event);
         }
-        assert_drain_matches(&mut wheel, &mut oracle, round);
+        assert_drain_matches(&mut queue, &mut oracle, round);
     }
 }
 
-/// The sorted-list storage (one and two servers) against the heap oracle
-/// on engine-feasible schedules: one arrival and one completion per
+/// The engine facade at one and two servers (every shaper and gateway
+/// lane) against the heap oracle on engine-feasible schedules: one arrival and one completion per
 /// server at a time, stacked retries, timestamps clustered on the last
 /// popped instant so ties across all three kinds and pushes dated before
 /// it are common. One queue serves every round through `clear`, half the
 /// time with events still pending.
 #[test]
-fn sorted_list_indexed_queue_matches_heap() {
+fn indexed_queue_matches_heap_on_clustered_schedules() {
     let mut rng = Rng(0x51ab_0006);
     for servers in [1usize, 2] {
         let mut indexed = IndexedEventQueue::new(servers);
@@ -250,7 +284,7 @@ fn sorted_list_indexed_queue_matches_heap() {
                     let (a, b) = (oracle.pop(), indexed.pop());
                     assert_eq!(
                         a, b,
-                        "sorted list diverged ({servers} servers, round {round})"
+                        "indexed queue diverged ({servers} servers, round {round})"
                     );
                     if let Some(e) = a {
                         last_popped = e.at.as_nanos();

@@ -53,7 +53,6 @@ use crate::OnlineShaper;
 /// let mut s = ShedScheduler::new(FcfsScheduler::new(), 1);
 /// s.on_arrival(Request::at(SimTime::ZERO), SimTime::ZERO);
 /// s.on_arrival(Request::at(SimTime::ZERO), SimTime::ZERO); // inbox full
-/// assert_eq!(s.shed_count(), 1);
 /// // The shed request is served best-effort once the inner queue drains.
 /// let _ = s.next_for(ServerId::new(0), SimTime::ZERO);
 /// match s.next_for(ServerId::new(0), SimTime::ZERO) {
@@ -110,14 +109,9 @@ impl<S: Scheduler> ShedScheduler<S> {
     /// inbox depth, so the inner policy's backlog can only shrink. Already
     /// admitted requests still run to completion — nothing is dropped.
     #[must_use]
-    pub fn with_drain_from(mut self, at: SimTime) -> Self {
+    fn with_drain_from(mut self, at: SimTime) -> Self {
         self.drain_from = Some(at);
         self
-    }
-
-    /// The drain cutover instant, if one is set.
-    pub fn drain_from(&self) -> Option<SimTime> {
-        self.drain_from
     }
 
     /// The wrapped policy scheduler.
@@ -125,19 +119,9 @@ impl<S: Scheduler> ShedScheduler<S> {
         &self.inner
     }
 
-    /// The configured inbox bound.
-    pub fn bound(&self) -> usize {
-        self.bound
-    }
-
     /// Arrivals shed to the best-effort lane so far.
-    pub fn shed_count(&self) -> usize {
+    fn shed_count(&self) -> usize {
         self.shed_count
-    }
-
-    /// Shed requests still waiting for service.
-    pub fn shed_pending(&self) -> usize {
-        self.shed.len()
     }
 }
 
@@ -483,7 +467,7 @@ mod tests {
             );
         }
         assert_eq!(s.shed_count(), 3);
-        assert_eq!(s.shed_pending(), 3);
+        assert_eq!(s.shed.len(), 3);
         assert_eq!(s.pending(), 5);
         assert_eq!(s.inner().pending(), 2);
         let diverted: Vec<u64> = sink

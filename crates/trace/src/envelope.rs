@@ -12,18 +12,7 @@
 //! fit in the bucket), which is exactly the worst-case reservation problem
 //! the paper's decomposition dissolves.
 
-use crate::time::SimDuration;
 use crate::workload::Workload;
-
-/// One point of a token-bucket envelope: the minimum burst allowance σ
-/// making the workload conform at drain rate ρ.
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct EnvelopePoint {
-    /// Token rate ρ in requests per second.
-    pub rate: f64,
-    /// Minimum bucket depth σ (requests) for full conformance at `rate`.
-    pub burst: f64,
-}
 
 /// Computes the minimum bucket depth σ such that every request of
 /// `workload` conforms to a token bucket of rate `rate` — i.e. the maximum
@@ -73,21 +62,6 @@ pub fn min_burst(workload: &Workload, rate: f64) -> f64 {
     max_deficit
 }
 
-/// Evaluates the envelope at each rate in `rates`.
-///
-/// # Panics
-///
-/// Panics if any rate is not finite and strictly positive.
-pub fn envelope(workload: &Workload, rates: &[f64]) -> Vec<EnvelopePoint> {
-    rates
-        .iter()
-        .map(|&rate| EnvelopePoint {
-            rate,
-            burst: min_burst(workload, rate),
-        })
-        .collect()
-}
-
 /// `true` when every interval of `workload` holds at most
 /// `burst + rate·len` requests.
 ///
@@ -103,18 +77,6 @@ pub fn conforms(workload: &Workload, rate: f64, burst: f64) -> bool {
     min_burst(workload, rate) <= burst + 1e-9
 }
 
-/// The smallest deadline a pClock-style `(σ, ρ, δ)` specification could
-/// promise this workload on a server of capacity `capacity`: the time to
-/// drain a full bucket, `σ_min(C) / C`.
-///
-/// # Panics
-///
-/// Panics if `capacity` is not finite and strictly positive.
-pub fn drain_deadline(workload: &Workload, capacity: f64) -> SimDuration {
-    let sigma = min_burst(workload, capacity);
-    SimDuration::from_secs_f64(sigma / capacity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +89,6 @@ mod tests {
     #[test]
     fn empty_workload_needs_no_bucket() {
         assert_eq!(min_burst(&Workload::new(), 10.0), 0.0);
-        assert_eq!(drain_deadline(&Workload::new(), 10.0), SimDuration::ZERO);
     }
 
     #[test]
@@ -161,15 +122,18 @@ mod tests {
         let mut arrivals: Vec<SimTime> = (0..200).map(|i| ms(i * 7)).collect();
         arrivals.extend(vec![ms(350); 30]);
         let w = Workload::from_arrivals(arrivals);
-        let points = envelope(&w, &[50.0, 100.0, 200.0, 400.0, 1000.0]);
-        for pair in points.windows(2) {
+        let bursts: Vec<f64> = [50.0, 100.0, 200.0, 400.0, 1000.0]
+            .iter()
+            .map(|&rate| min_burst(&w, rate))
+            .collect();
+        for pair in bursts.windows(2) {
             assert!(
-                pair[1].burst <= pair[0].burst + 1e-9,
-                "envelope not monotone: {points:?}"
+                pair[1] <= pair[0] + 1e-9,
+                "envelope not monotone: {bursts:?}"
             );
         }
         // The burst floor is the largest simultaneous batch.
-        assert!(points.last().unwrap().burst >= 30.0);
+        assert!(*bursts.last().unwrap() >= 30.0);
     }
 
     #[test]
@@ -179,13 +143,6 @@ mod tests {
         assert!(conforms(&w, 20.0, sigma));
         assert!(!conforms(&w, 20.0, sigma - 0.5));
         assert!(conforms(&w, 20.0, sigma + 10.0));
-    }
-
-    #[test]
-    fn drain_deadline_scales_with_burst() {
-        let w = Workload::from_arrivals(vec![SimTime::ZERO; 10]);
-        // σ = 10 at C = 100/s -> 100 ms to drain.
-        assert_eq!(drain_deadline(&w, 100.0), SimDuration::from_millis(100));
     }
 
     #[test]

@@ -43,15 +43,6 @@ impl BModelGen {
     ///
     /// Panics if `bias` is outside `[0.5, 1.0)` or `levels` exceeds 40.
     pub fn new(total_requests: u64, bias: f64, levels: u32, seed: u64) -> Self {
-        BModelGen::with_mix(total_requests, bias, levels, IoMix::default(), seed)
-    }
-
-    /// Creates a generator with an explicit I/O mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is outside `[0.5, 1.0)` or `levels` exceeds 40.
-    pub fn with_mix(total_requests: u64, bias: f64, levels: u32, mix: IoMix, seed: u64) -> Self {
         assert!(
             (0.5..1.0).contains(&bias),
             "b-model bias must be in [0.5, 1.0): {bias}"
@@ -61,19 +52,9 @@ impl BModelGen {
             total_requests,
             bias,
             levels,
-            mix,
+            mix: IoMix::default(),
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The configured bias.
-    pub fn bias(&self) -> f64 {
-        self.bias
-    }
-
-    /// The number of bisection levels.
-    pub fn levels(&self) -> u32 {
-        self.levels
     }
 }
 
@@ -189,7 +170,6 @@ mod tests {
     #[test]
     fn accessors() {
         let g = BModelGen::new(10, 0.7, 4, 0);
-        assert_eq!(g.bias(), 0.7);
-        assert_eq!(g.levels(), 4);
+        assert_eq!(g.levels, 4);
     }
 }

@@ -70,26 +70,12 @@ impl MmppGen {
     ///
     /// Panics if `states` is empty.
     pub fn new(states: Vec<MmppState>, seed: u64) -> Self {
-        MmppGen::with_mix(states, IoMix::default(), seed)
-    }
-
-    /// Creates a generator with an explicit I/O mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty.
-    pub fn with_mix(states: Vec<MmppState>, mix: IoMix, seed: u64) -> Self {
         assert!(!states.is_empty(), "MMPP needs at least one state");
         MmppGen {
             states,
-            mix,
+            mix: IoMix::default(),
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The configured states.
-    pub fn states(&self) -> &[MmppState] {
-        &self.states
     }
 }
 
@@ -189,7 +175,7 @@ mod tests {
     #[test]
     fn states_accessor() {
         let g = two_level();
-        assert_eq!(g.states().len(), 2);
-        assert_eq!(g.states()[0].rate, 200.0);
+        assert_eq!(g.states.len(), 2);
+        assert_eq!(g.states[0].rate, 200.0);
     }
 }

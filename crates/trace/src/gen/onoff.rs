@@ -82,16 +82,6 @@ impl OnOffGen {
             seed: 0,
         }
     }
-
-    /// The OFF-period arrival rate in ops/sec.
-    pub fn base_rate(&self) -> f64 {
-        self.base_rate
-    }
-
-    /// The ON-period arrival rate in ops/sec.
-    pub fn burst_rate(&self) -> f64 {
-        self.burst_rate
-    }
 }
 
 impl OnOffBuilder {
@@ -233,13 +223,6 @@ mod tests {
         // Still produces requests (the bursts), but far fewer than 1000/s.
         assert!(!w.is_empty());
         assert!(w.mean_iops() < 1000.0);
-    }
-
-    #[test]
-    fn accessors() {
-        let g = bursty();
-        assert_eq!(g.base_rate(), 100.0);
-        assert_eq!(g.burst_rate(), 3000.0);
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl PacedGen {
     ///
     /// Panics if `states` is empty or `jitter` is outside `[0, 1]`.
     pub fn new(states: Vec<MmppState>, jitter: f64, seed: u64) -> Self {
-        PacedGen::with_mix(states, jitter, IoMix::default(), seed)
-    }
-
-    /// Creates a paced generator with an explicit I/O mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty or `jitter` is outside `[0, 1]`.
-    pub fn with_mix(states: Vec<MmppState>, jitter: f64, mix: IoMix, seed: u64) -> Self {
         assert!(
             !states.is_empty(),
             "paced generator needs at least one state"
@@ -71,14 +62,9 @@ impl PacedGen {
         PacedGen {
             states,
             jitter,
-            mix,
+            mix: IoMix::default(),
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The configured states.
-    pub fn states(&self) -> &[MmppState] {
-        &self.states
     }
 
     /// The configured jitter fraction.
@@ -218,7 +204,7 @@ mod tests {
     #[test]
     fn accessors() {
         let g = steady(100.0, 0.25, 0);
-        assert_eq!(g.states().len(), 1);
+        assert_eq!(g.states.len(), 1);
         assert_eq!(g.jitter(), 0.25);
     }
 

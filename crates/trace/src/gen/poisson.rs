@@ -36,22 +36,13 @@ impl PoissonGen {
     ///
     /// Panics if `rate` is negative or non-finite.
     pub fn new(rate: f64, seed: u64) -> Self {
-        PoissonGen::with_mix(rate, IoMix::default(), seed)
-    }
-
-    /// Creates a generator with an explicit I/O mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative or non-finite.
-    pub fn with_mix(rate: f64, mix: IoMix, seed: u64) -> Self {
         assert!(
             rate.is_finite() && rate >= 0.0,
             "invalid Poisson rate: {rate}"
         );
         PoissonGen {
             rate,
-            mix,
+            mix: IoMix::default(),
             rng: StdRng::seed_from_u64(seed),
         }
     }

@@ -20,8 +20,8 @@
 //! increasing rate and decreasing duty cycle. Layer `k` holds a small,
 //! known share of the total requests, so relaxing the guaranteed fraction
 //! `f` progressively exempts the taller layers — which is precisely the
-//! graduated-capacity structure of the paper's Table 1. The constants in
-//! [`websearch_with`], [`fintrans_with`], and [`openmail_with`] were tuned
+//! graduated-capacity structure of the paper's Table 1. The constants of
+//! the three generators behind [`TraceProfile::generate`] were tuned
 //! against the paper's capacity ratios (see EXPERIMENTS.md).
 
 use std::fmt;
@@ -29,12 +29,6 @@ use std::fmt;
 use super::{batch_arrivals, ArrivalProcess, MmppState, OnOffGen, PacedGen};
 use crate::time::SimDuration;
 use crate::workload::Workload;
-
-/// Default span of a generated profile workload.
-///
-/// Long enough to contain several instances of even the rarest spike
-/// layer, short enough that full experiment sweeps finish in seconds.
-pub const DEFAULT_PROFILE_SPAN: SimDuration = SimDuration::from_secs(1200);
 
 /// One spike layer: an ON/OFF burst process riding on the base traffic.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -141,12 +135,6 @@ impl TraceProfile {
             TraceProfile::OpenMail => openmail_with(span, seed),
         }
     }
-
-    /// Generates the profile's workload over the
-    /// [default span](DEFAULT_PROFILE_SPAN).
-    pub fn generate_default(self, seed: u64) -> Workload {
-        self.generate(DEFAULT_PROFILE_SPAN, seed)
-    }
 }
 
 impl fmt::Display for TraceProfile {
@@ -159,14 +147,9 @@ impl fmt::Display for TraceProfile {
     }
 }
 
-/// WebSearch stand-in over the default span.
-pub fn websearch(seed: u64) -> Workload {
-    websearch_with(DEFAULT_PROFILE_SPAN, seed)
-}
-
 /// WebSearch stand-in: a steady two-level MMPP base (most of the traffic)
 /// with moderate spike layers — the least bursty of the three traces.
-pub fn websearch_with(span: SimDuration, seed: u64) -> Workload {
+fn websearch_with(span: SimDuration, seed: u64) -> Workload {
     let base = plateau_base(
         vec![
             MmppState::new(240.0, SimDuration::from_secs(250)), // ~312 IOPS batched
@@ -185,16 +168,11 @@ pub fn websearch_with(span: SimDuration, seed: u64) -> Workload {
     compose(base, &layers, span, seed)
 }
 
-/// FinTrans stand-in over the default span.
-pub fn fintrans(seed: u64) -> Workload {
-    fintrans_with(DEFAULT_PROFILE_SPAN, seed)
-}
-
 /// FinTrans stand-in: low steady OLTP traffic with rare, extreme
 /// transaction bursts — the most burst-dominated workload relative to its
 /// mean (full guarantees cost ≈7.5× the 90% capacity at δ = 5 ms in the
 /// paper).
-pub fn fintrans_with(span: SimDuration, seed: u64) -> Workload {
+fn fintrans_with(span: SimDuration, seed: u64) -> Workload {
     let base = plateau_base(
         vec![
             // FinTrans has no sustained plateau (its 50 ms capacity sits at
@@ -218,15 +196,10 @@ pub fn fintrans_with(span: SimDuration, seed: u64) -> Workload {
     compose(base, &layers, span, seed)
 }
 
-/// OpenMail stand-in over the default span.
-pub fn openmail(seed: u64) -> Workload {
-    openmail_with(DEFAULT_PROFILE_SPAN, seed)
-}
-
 /// OpenMail stand-in: high mail-server traffic whose base is itself uneven,
 /// plus long heavy delivery bursts — the burstiest workload in absolute
 /// terms (≈534 IOPS mean with ≈4440 IOPS peaks in the paper).
-pub fn openmail_with(span: SimDuration, seed: u64) -> Workload {
+fn openmail_with(span: SimDuration, seed: u64) -> Workload {
     let base = plateau_base(
         vec![
             MmppState::new(165.0, SimDuration::from_secs(300)), // ~330 IOPS batched
@@ -252,8 +225,8 @@ mod tests {
     use crate::window::RateSeries;
 
     // Profiles modulate on 1–5 minute timescales, so statistics need the
-    // full default span to be representative.
-    const SPAN: SimDuration = DEFAULT_PROFILE_SPAN;
+    // experiments' default 1200 s span to be representative.
+    const SPAN: SimDuration = SimDuration::from_secs(1200);
     const SHORT: SimDuration = SimDuration::from_secs(120);
 
     fn stats(w: &Workload) -> BurstStats {
@@ -349,11 +322,5 @@ mod tests {
         assert_eq!(TraceProfile::FinTrans.abbrev(), "FT");
         assert_eq!(TraceProfile::OpenMail.abbrev(), "OM");
         assert_eq!(TraceProfile::OpenMail.to_string(), "OpenMail");
-    }
-
-    #[test]
-    fn default_span_generation_works() {
-        let w = TraceProfile::FinTrans.generate_default(1);
-        assert!(w.span() > SimDuration::from_secs(600));
     }
 }

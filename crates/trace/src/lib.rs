@@ -54,4 +54,4 @@ pub use stats::{BurstEpisode, BurstStats};
 pub use summary::TraceSummary;
 pub use time::{Iops, SimDuration, SimTime};
 pub use window::RateSeries;
-pub use workload::{ArrivalCounts, Workload, WorkloadBuilder};
+pub use workload::{ArrivalCounts, Workload};

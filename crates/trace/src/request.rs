@@ -48,11 +48,6 @@ impl LogicalBlock {
     pub const fn get(self) -> u64 {
         self.0
     }
-
-    /// Absolute distance in blocks to another address (seek distance proxy).
-    pub const fn distance_to(self, other: LogicalBlock) -> u64 {
-        self.0.abs_diff(other.0)
-    }
 }
 
 impl fmt::Display for LogicalBlock {
@@ -179,15 +174,6 @@ mod tests {
         assert_eq!(id.index(), 42);
         assert_eq!(id.as_usize(), 42);
         assert_eq!(id.to_string(), "r42");
-    }
-
-    #[test]
-    fn logical_block_distance_is_symmetric() {
-        let a = LogicalBlock::new(100);
-        let b = LogicalBlock::new(175);
-        assert_eq!(a.distance_to(b), 75);
-        assert_eq!(b.distance_to(a), 75);
-        assert_eq!(a.distance_to(a), 0);
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl TraceSummary {
     pub fn read_fraction(&self) -> f64 {
         self.read_fraction
     }
-
-    /// Mean transfer size in bytes.
-    pub fn mean_bytes(&self) -> f64 {
-        self.mean_bytes
-    }
 }
 
 impl fmt::Display for TraceSummary {
@@ -203,7 +198,7 @@ mod tests {
         ]);
         let s = TraceSummary::new(&w, SimDuration::from_millis(10));
         assert_eq!(s.read_fraction(), 0.5);
-        assert_eq!(s.mean_bytes(), 6144.0);
+        assert_eq!(s.mean_bytes, 6144.0);
     }
 
     #[test]
@@ -213,7 +208,7 @@ mod tests {
         assert_eq!(s.mean_iops(), 0.0);
         assert_eq!(s.peak_to_mean(), 0.0);
         assert_eq!(s.read_fraction(), 0.0);
-        assert_eq!(s.mean_bytes(), 0.0);
+        assert_eq!(s.mean_bytes, 0.0);
         assert_eq!(s.first_arrival(), None);
         assert!(s.hurst().is_none());
     }

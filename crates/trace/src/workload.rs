@@ -272,23 +272,6 @@ impl Workload {
         let kept = self.requests.iter().filter(|_| rng.gen_bool(keep)).copied();
         Workload::from_sorted(kept.collect())
     }
-
-    /// Appends `other` after this workload, shifted so its first request
-    /// arrives `gap` after this workload's last (session splicing).
-    pub fn concat(&self, other: &Workload, gap: SimDuration) -> Workload {
-        match (self.last_arrival(), other.first_arrival()) {
-            (Some(last), Some(first)) => {
-                let target_start = last + gap;
-                let shift = target_start.saturating_duration_since(first);
-                let shifted = other.shifted(shift);
-                let mut all = self.requests.clone();
-                all.extend(shifted.requests().iter().copied());
-                Workload::from_sorted(all)
-            }
-            (None, _) => other.clone(),
-            (_, None) => self.clone(),
-        }
-    }
 }
 
 impl FromIterator<Request> for Workload {
@@ -359,73 +342,6 @@ impl Iterator for ArrivalCounts<'_> {
             .count();
         self.rest = &self.rest[n..];
         Some((first.arrival, n as u64))
-    }
-}
-
-/// Incremental constructor for a [`Workload`].
-///
-/// # Examples
-///
-/// ```
-/// use gqos_trace::{SimTime, WorkloadBuilder};
-///
-/// let mut b = WorkloadBuilder::new();
-/// b.push(SimTime::from_millis(1));
-/// b.push_n(SimTime::from_millis(2), 3);
-/// let w = b.build();
-/// assert_eq!(w.len(), 4);
-/// ```
-#[derive(Clone, Default, Debug)]
-pub struct WorkloadBuilder {
-    requests: Vec<Request>,
-}
-
-impl WorkloadBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        WorkloadBuilder::default()
-    }
-
-    /// Creates an empty builder with room for `capacity` requests.
-    pub fn with_capacity(capacity: usize) -> Self {
-        WorkloadBuilder {
-            requests: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Appends one request arriving at `t`.
-    pub fn push(&mut self, t: SimTime) -> &mut Self {
-        self.requests.push(Request::at(t));
-        self
-    }
-
-    /// Appends `n` simultaneous requests arriving at `t`.
-    pub fn push_n(&mut self, t: SimTime, n: u64) -> &mut Self {
-        for _ in 0..n {
-            self.requests.push(Request::at(t));
-        }
-        self
-    }
-
-    /// Appends a fully-specified request.
-    pub fn push_request(&mut self, request: Request) -> &mut Self {
-        self.requests.push(request);
-        self
-    }
-
-    /// Number of requests collected so far.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// `true` if nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Finishes the workload, sorting and assigning ids.
-    pub fn build(&self) -> Workload {
-        Workload::from_requests(self.requests.iter().copied())
     }
 }
 
@@ -550,19 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_collects_and_builds() {
-        let mut b = WorkloadBuilder::with_capacity(4);
-        b.push(ms(3))
-            .push_n(ms(1), 2)
-            .push_request(Request::at(ms(2)));
-        assert_eq!(b.len(), 4);
-        assert!(!b.is_empty());
-        let w = b.build();
-        let times: Vec<_> = w.iter().map(|r| r.arrival).collect();
-        assert_eq!(times, vec![ms(1), ms(1), ms(2), ms(3)]);
-    }
-
-    #[test]
     fn stable_sort_preserves_tie_order() {
         // Two requests at the same instant with distinct blocks: insertion
         // order must be kept so decomposition decisions are deterministic.
@@ -604,17 +507,6 @@ mod tests {
     #[should_panic(expected = "keep probability")]
     fn thinned_validates_probability() {
         let _ = Workload::new().thinned(1.5, 0);
-    }
-
-    #[test]
-    fn concat_splices_with_gap() {
-        let a = Workload::from_arrivals([ms(0), ms(10)]);
-        let b = Workload::from_arrivals([ms(3), ms(5)]);
-        let joined = a.concat(&b, SimDuration::from_millis(100));
-        assert_eq!(joined.len(), 4);
-        let times: Vec<_> = joined.iter().map(|r| r.arrival).collect();
-        // b's first request lands 100 ms after a's last (at 110 ms).
-        assert_eq!(times, vec![ms(0), ms(10), ms(110), ms(112)]);
     }
 
     #[test]
@@ -663,13 +555,5 @@ mod tests {
         let b = Workload::from_arrivals([ms(1), ms(2)]);
         let _ = a.arrival_column(); // populate one side only
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn concat_with_empty_sides() {
-        let a = Workload::from_arrivals([ms(1)]);
-        let e = Workload::new();
-        assert_eq!(a.concat(&e, SimDuration::from_secs(1)), a);
-        assert_eq!(e.concat(&a, SimDuration::from_secs(1)), a);
     }
 }

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`trace`] | `gqos-trace` | workload model, synthetic generators, SPC I/O, burstiness statistics |
 //! | [`sim`] | `gqos-sim` | deterministic discrete-event engine, servers, latency metrics |
-//! | [`fairqueue`] | `gqos-fairqueue` | SFQ / WF²Q+ / hierarchical SFQ / token bucket |
+//! | [`fairqueue`] | `gqos-fairqueue` | SFQ / token bucket |
 //! | [`disk`] | `gqos-disk` | mechanical disk model, SSTF / SCAN / C-LOOK |
 //! | [`core`] | `gqos-core` | RTT decomposition, Miser / Split / FairQueue recombination, capacity planning, consolidation |
 //!
