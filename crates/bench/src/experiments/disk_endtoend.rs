@@ -10,9 +10,9 @@
 //! collapses; shared-server recombination beats dedicated splitting —
 //! survive a fluctuating-capacity service process.
 
-use gqos_core::{Provision, RecombinePolicy};
+use gqos_core::{Provision, RecombinePolicy, WorkloadShaper};
 use gqos_disk::{CachedDisk, DiskModel};
-use gqos_sim::{RunReport, ServiceClass, Simulation, TraceHandle};
+use gqos_sim::{RunReport, ServiceClass, TraceHandle};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{Iops, SimDuration, Workload};
 
@@ -50,17 +50,21 @@ pub fn report(cfg: &ExpConfig) -> String {
     outln!(out);
 
     // Each policy's servers become disks, seeded 1, 2, … in server order.
+    let shaper = WorkloadShaper::new(provision, deadline);
     let mut seed = 0;
     let runs: Vec<(RecombinePolicy, RunReport)> = RecombinePolicy::ALL
         .iter()
         .map(|&policy| {
-            let (scheduler, rates) = policy.parts(provision, deadline, &TraceHandle::disabled());
-            let mut sim = Simulation::new(&workload, scheduler);
-            for _ in rates {
-                seed += 1;
-                sim = sim.server(disk(seed));
-            }
-            (policy, sim.run())
+            let sim = shaper.simulation(
+                policy,
+                TraceHandle::disabled(),
+                |s, _| s,
+                |_| {
+                    seed += 1;
+                    disk(seed)
+                },
+            );
+            (policy, sim.run(&workload))
         })
         .collect();
 

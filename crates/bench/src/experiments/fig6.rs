@@ -46,7 +46,10 @@ fn compute(cfg: &ExpConfig) -> Vec<Fig6Panel> {
         Fig6Panel {
             fraction,
             provision,
-            reports: shaper.run_all(&workload),
+            reports: RecombinePolicy::ALL
+                .iter()
+                .map(|&p| (p, shaper.run(&workload, p)))
+                .collect(),
         }
     })
 }

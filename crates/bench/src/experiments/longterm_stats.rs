@@ -23,10 +23,10 @@
 //!
 //! [`RetentionConfig::max_resident_sketches`]: gqos_sim::RetentionConfig::max_resident_sketches
 
-use gqos_core::{CapacityPlanner, Provision, RecombinePolicy};
+use gqos_core::{CapacityPlanner, Provision, RecombinePolicy, WorkloadShaper};
 use gqos_parallel::WorkerPool;
 use gqos_sim::{LongTermStore, RetentionConfig, SeriesPoint, TierConfig};
-use gqos_stream::{IngestGateway, OnlineShaper, TenantReport, TenantSpec};
+use gqos_stream::{IngestGateway, TenantReport, TenantSpec};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{SimDuration, SimTime};
 
@@ -73,7 +73,7 @@ fn lanes(cfg: &ExpConfig) -> Vec<TenantSpec> {
     let planner = CapacityPlanner::new(&workload, deadline);
     let provision =
         Provision::with_default_surplus(planner.min_capacity(LONGTERM_FRACTION), deadline);
-    let shaper = OnlineShaper::new(provision, deadline);
+    let shaper = WorkloadShaper::new(provision, deadline);
     // Same four-lane fleet as the stream experiment: two unbounded
     // inboxes, two tight enough to shed under OpenMail's bursts.
     let specs = [

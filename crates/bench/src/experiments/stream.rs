@@ -3,10 +3,10 @@
 //! Exercises [`gqos_stream`] end to end and renders the evidence for its
 //! two headline contracts:
 //!
-//! - **offline equivalence**: [`OnlineShaper`] fed chunk-by-chunk (chunk
-//!   sizes 1, 7, 4096, and the whole trace) must produce completion
+//! - **offline equivalence**: [`WorkloadShaper`] runs fed chunk-by-chunk
+//!   (chunk sizes 1, 7, 4096, and the whole trace) must produce completion
 //!   records and latency-sketch buckets *bit-identical* to
-//!   `WorkloadShaper::run` over the same workload, for every
+//!   [`WorkloadShaper::run`] over the same workload, for every
 //!   recombination policy — chunking is an execution detail, never a
 //!   result;
 //! - **sharding invariance**: the multi-tenant [`IngestGateway`] must
@@ -20,7 +20,8 @@
 //! clock — so serial and sharded runs byte-diff clean.
 
 use gqos_core::{CapacityPlanner, Provision, RecombinePolicy, WorkloadShaper};
-use gqos_stream::{IngestGateway, OnlineShaper, TenantReport, TenantSpec, WorkloadStream};
+use gqos_sim::{FixedRateServer, RunReport, TraceHandle};
+use gqos_stream::{IngestGateway, TenantReport, TenantSpec, WorkloadStream};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{SimDuration, Workload};
 
@@ -78,19 +79,18 @@ struct GatewayCell {
     pub workers_identical: bool,
 }
 
-fn planned(cfg: &ExpConfig) -> (Workload, OnlineShaper) {
+fn planned(cfg: &ExpConfig) -> (Workload, WorkloadShaper) {
     let deadline = SimDuration::from_millis(STREAM_DEADLINE_MS);
     let workload = TraceProfile::OpenMail.generate(cfg.span, cfg.seed);
     let planner = CapacityPlanner::new(&workload, deadline);
     let provision =
         Provision::with_default_surplus(planner.min_capacity(STREAM_FRACTION), deadline);
-    (workload, OnlineShaper::new(provision, deadline))
+    (workload, WorkloadShaper::new(provision, deadline))
 }
 
 /// Runs the policy × chunk equivalence sweep over [`ExpConfig::pool`].
 fn compute_equiv(cfg: &ExpConfig) -> Vec<EquivCell> {
     let (workload, shaper) = planned(cfg);
-    let offline = WorkloadShaper::new(shaper.provision(), shaper.deadline());
     let cells: Vec<(RecombinePolicy, usize)> = RecombinePolicy::ALL
         .iter()
         .flat_map(|&p| STREAM_CHUNKS.iter().map(move |&c| (p, c)))
@@ -102,24 +102,33 @@ fn compute_equiv(cfg: &ExpConfig) -> Vec<EquivCell> {
         } else {
             requested
         };
-        let baseline = offline.run(workload, policy);
-        let mut stream = WorkloadStream::new(workload.clone(), chunk);
-        let streamed = shaper
-            .run(&mut stream, policy)
+        let baseline = shaper.run(workload, policy);
+        let mut records = Vec::new();
+        let run = shaper
+            .simulation(
+                policy,
+                TraceHandle::disabled(),
+                |s, _| s,
+                FixedRateServer::new,
+            )
+            .run_stream(&mut WorkloadStream::new(workload.clone(), chunk), |r| {
+                records.push(r)
+            })
             .expect("in-memory stream cannot fail");
+        let streamed = RunReport::new(records, run.offered, run.end_time);
         EquivCell {
             policy,
             chunk,
-            chunks: streamed.chunks,
-            peak_chunk_bytes: streamed.peak_chunk_bytes,
-            completed: streamed.report.completed(),
-            records_identical: streamed.report.records() == baseline.records(),
-            sketch_identical: streamed.report.response_sketch() == baseline.response_sketch(),
+            chunks: run.chunks,
+            peak_chunk_bytes: run.peak_chunk_bytes,
+            completed: streamed.completed(),
+            records_identical: streamed.records() == baseline.records(),
+            sketch_identical: streamed.response_sketch() == baseline.response_sketch(),
         }
     })
 }
 
-fn tenants(shaper: OnlineShaper, workload: &Workload) -> Vec<TenantSpec> {
+fn tenants(shaper: WorkloadShaper, workload: &Workload) -> Vec<TenantSpec> {
     // Four lanes over shifted copies of the trace; the last two get inbox
     // bounds tight enough to shed under OpenMail's bursts, so the
     // cross-worker identity check also covers the backpressure path.

@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 
 use gqos_control::chaos::{chaos_workload, ChaosConfig, ChaosRun, ChaosScenario};
 use gqos_control::{Ack, AckDetail, CommandBody, ControlResponse, Delivery};
-use gqos_core::{Provision, RecombinePolicy};
-use gqos_stream::{drain_migrate, DrainPlan, OnlineShaper, TenantSpec};
+use gqos_core::{Provision, RecombinePolicy, WorkloadShaper};
+use gqos_stream::{drain_migrate, DrainPlan, TenantSpec};
 use gqos_trace::{Iops, SimDuration, SimTime};
 
 /// The pinned seeds every invariant is checked under. Chosen arbitrarily
@@ -105,7 +105,7 @@ fn chaos_acked_drains_are_zero_drop_at_the_data_plane() {
             let spec = TenantSpec {
                 name: format!("{tenant}"),
                 workload,
-                shaper: OnlineShaper::new(
+                shaper: WorkloadShaper::new(
                     Provision::new(Iops::new(300.0), Iops::new(150.0)),
                     SimDuration::from_millis(20),
                 ),

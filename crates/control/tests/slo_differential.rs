@@ -26,10 +26,10 @@ use gqos_control::{
     synth_window_sketch, SloConfig, SloController, SloRun, SloScenario, SloScenarioConfig,
     SloTarget, WindowVerdict,
 };
-use gqos_core::{Provision, RecombinePolicy, TenantId};
+use gqos_core::{Provision, RecombinePolicy, TenantId, WorkloadShaper};
 use gqos_obs::LatencySketch;
 use gqos_parallel::WorkerPool;
-use gqos_stream::{IngestGateway, OnlineShaper, TenantSpec};
+use gqos_stream::{IngestGateway, TenantSpec};
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
 
 /// Seeds pinned for the steady-state arm: under `static_config()` every
@@ -292,7 +292,7 @@ fn gateway_tap_snapshots_merge_losslessly_and_drive_the_controller() {
     let spec = TenantSpec {
         name: "tap".into(),
         workload: Workload::from_arrivals((0..200).map(SimTime::from_millis)),
-        shaper: OnlineShaper::new(
+        shaper: WorkloadShaper::new(
             Provision::new(Iops::new(200.0), Iops::new(100.0)),
             SimDuration::from_millis(20),
         ),

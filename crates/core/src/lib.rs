@@ -89,7 +89,7 @@ pub use rtt::{
     within_miss_budget, CapacityOverflow, DecomposeScratch, Decomposition, RttClassifier,
     ScratchDecomposition,
 };
-pub use shaper::{RecombinePolicy, WorkloadShaper};
+pub use shaper::{RecombinePolicy, StreamObservation, WorkloadShaper};
 pub use split::{SplitScheduler, SPLIT_OVERFLOW_SERVER, SPLIT_PRIMARY_SERVER};
 pub use target::{Provision, QosTarget};
 pub use tenant::{merge_tenants, MultiTenantScheduler, TenantConfig, TenantId};

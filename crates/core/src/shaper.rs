@@ -2,18 +2,23 @@
 //!
 //! Ties decomposition and recombination together: pick a QoS target, plan
 //! (or supply) a provision, choose a recombination policy, and run the
-//! shaped workload through the simulation engine.
+//! shaped workload through the simulation engine — whole, or streamed
+//! chunk by chunk from an [`ArrivalStream`] in `O(maxQ1 + chunk)` memory.
+//! Both feed the same [`Simulation`], so a streamed run is bit-identical
+//! to the batch run for any chunking.
 
 use std::fmt;
 
 use gqos_faults::FaultSchedule;
 use gqos_sim::{
-    FcfsScheduler, FixedRateServer, ModulatedServer, RunReport, Simulation, TraceHandle,
+    CompletionRecord, FcfsScheduler, FixedRateServer, LatencySketch, ModulatedServer, RunReport,
+    Scheduler, ServiceClass, ServiceModel, Simulation, TraceHandle,
 };
-use gqos_trace::{Iops, SimDuration, Workload};
+use gqos_trace::{ArrivalStream, Iops, SimDuration, SimTime, StreamError, Workload};
 
 use crate::degrade::{
-    AdaptiveScheduler, AdmissionRecord, CapacityAdaptive, DegradationController, DegradationPolicy,
+    AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
+    DegradationPolicy,
 };
 use crate::fair::FairQueueScheduler;
 use crate::miser::MiserScheduler;
@@ -53,9 +58,9 @@ impl RecombinePolicy {
     /// rates of the servers it runs on, in [`ServerId`](gqos_sim::ServerId)
     /// order: `[Cmin, ΔC]` for Split, one server of `Cmin + ΔC` otherwise.
     ///
-    /// This is the one place a policy becomes a scheduler; every shaped
-    /// run, offline or streamed, healthy or faulted, is built from it.
-    pub fn parts(
+    /// This is the one place a policy becomes a scheduler;
+    /// [`WorkloadShaper::simulation`] is its one caller.
+    fn parts(
         self,
         provision: Provision,
         deadline: SimDuration,
@@ -91,7 +96,37 @@ impl fmt::Display for RecombinePolicy {
     }
 }
 
-/// A configured workload shaper: provision + deadline.
+/// The outcome of a bounded-memory observed run: aggregate sketches and
+/// counters only, never the per-request records.
+///
+/// This is a passive result record; fields are public by design.
+#[derive(Clone, PartialEq, Debug)]
+pub struct StreamObservation {
+    /// Sketch over all response times — bit-identical to
+    /// [`RunReport::response_sketch`] of the batch run.
+    pub sketch: LatencySketch,
+    /// Sketch over primary-class (`Q1`) response times.
+    pub primary: LatencySketch,
+    /// Sketch over overflow-class (`Q2`) response times.
+    pub overflow: LatencySketch,
+    /// Requests offered to the scheduler.
+    pub offered: usize,
+    /// Requests that completed service.
+    pub completed: usize,
+    /// Instant of the last processed event.
+    pub end_time: SimTime,
+    /// Number of chunks pulled from the stream.
+    pub chunks: usize,
+    /// Largest resident chunk, in bytes.
+    pub peak_chunk_bytes: usize,
+    /// Largest number of completion records buffered between drains — the
+    /// output-side footprint, bounded by the backlog a chunk can flush.
+    pub peak_resident_records: usize,
+}
+
+/// A configured workload shaper: provision + deadline, run over a whole
+/// workload ([`run`](WorkloadShaper::run)) or an arrival stream
+/// ([`run_observed`](WorkloadShaper::run_observed)).
 ///
 /// # Examples
 ///
@@ -156,6 +191,37 @@ impl WorkloadShaper {
         self.deadline
     }
 
+    /// Builds the simulation of `policy` at this shaper's provision: the
+    /// policy's scheduler (emitting its events into `trace`), handed with
+    /// its server rates to `wrap`, over one `server(rate)` model per rate
+    /// in [`ServerId`](gqos_sim::ServerId) order. The engine emits into
+    /// `trace` too and judges completions against the shaper's deadline.
+    ///
+    /// Every shaped run is assembled here: plain, traced, observed and
+    /// faulted runs, gateway and drain lanes (`wrap` adds an inbox), and
+    /// runs on other service models (`server` builds a disk). Identity
+    /// parts are `|scheduler, _| scheduler` and `FixedRateServer::new`.
+    pub fn simulation<S, M>(
+        &self,
+        policy: RecombinePolicy,
+        trace: TraceHandle,
+        wrap: impl FnOnce(Box<dyn CapacityAdaptive>, &[Iops]) -> S,
+        server: impl FnMut(Iops) -> M,
+    ) -> Simulation<S>
+    where
+        S: Scheduler,
+        M: ServiceModel + 'static,
+    {
+        let (scheduler, rates) = policy.parts(self.provision, self.deadline, &trace);
+        let mut sim = Simulation::new(wrap(scheduler, &rates))
+            .trace(trace)
+            .deadline(self.deadline);
+        for model in rates.into_iter().map(server) {
+            sim = sim.server(model);
+        }
+        sim
+    }
+
     /// Runs `workload` under the given recombination policy at constant
     /// total capacity `Cmin + ΔC` and returns the simulation report.
     ///
@@ -181,14 +247,64 @@ impl WorkloadShaper {
         policy: RecombinePolicy,
         trace: TraceHandle,
     ) -> RunReport {
-        let (scheduler, rates) = policy.parts(self.provision, self.deadline, &trace);
-        let mut sim = Simulation::new(workload, scheduler)
-            .trace(trace)
-            .deadline(self.deadline);
-        for rate in rates {
-            sim = sim.server(FixedRateServer::new(rate));
-        }
-        sim.run()
+        self.simulation(policy, trace, |s, _| s, FixedRateServer::new)
+            .run(workload)
+    }
+
+    /// Streams every chunk of `stream` through `policy` in bounded memory:
+    /// completion records are drained after each chunk into per-class
+    /// latency sketches (and `sink`, for callers that forward them — pass
+    /// `|_| {}` to discard) instead of accumulating. The aggregate sketch
+    /// is bit-identical to [`RunReport::response_sketch`] of the batch
+    /// run; peak footprint is one chunk of requests plus the drained
+    /// backlog, not the whole trace.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StreamError`] from the source. `sink` has by then
+    /// received every record drained before the failing pull.
+    pub fn run_observed<A, F>(
+        &self,
+        stream: &mut A,
+        policy: RecombinePolicy,
+        mut sink: F,
+    ) -> Result<StreamObservation, StreamError>
+    where
+        A: ArrivalStream + ?Sized,
+        F: FnMut(CompletionRecord),
+    {
+        let mut sketch = LatencySketch::new();
+        let mut primary = LatencySketch::new();
+        let mut overflow = LatencySketch::new();
+        let mut completed = 0;
+        let run = self
+            .simulation(
+                policy,
+                TraceHandle::disabled(),
+                |s, _| s,
+                FixedRateServer::new,
+            )
+            .run_stream(stream, |record| {
+                let response = record.response_time().as_nanos();
+                sketch.record(response);
+                match record.class {
+                    ServiceClass::PRIMARY => primary.record(response),
+                    _ => overflow.record(response),
+                }
+                completed += 1;
+                sink(record);
+            })?;
+        Ok(StreamObservation {
+            sketch,
+            primary,
+            overflow,
+            offered: run.offered,
+            completed,
+            end_time: run.end_time,
+            chunks: run.chunks,
+            peak_chunk_bytes: run.peak_chunk_bytes,
+            peak_resident_records: run.peak_drain_records,
+        })
     }
 
     /// Runs `workload` under `policy` on servers degraded by `schedule`,
@@ -212,29 +328,23 @@ impl WorkloadShaper {
         policy: RecombinePolicy,
         schedule: &FaultSchedule,
     ) -> (RunReport, Vec<AdmissionRecord>) {
-        let (inner, rates) = policy.parts(self.provision, self.deadline, &TraceHandle::disabled());
         let controller =
             DegradationController::new(DegradationPolicy::default(), DEGRADATION_WINDOW);
-        let (scheduler, log) =
-            AdaptiveScheduler::new(inner, controller, &rates).with_admission_log();
-        let mut sim = Simulation::new(workload, scheduler);
-        for rate in rates {
-            sim = sim.server(ModulatedServer::new(
-                FixedRateServer::new(rate),
-                schedule.clone(),
-            ));
-        }
-        let report = sim.run();
+        let mut log = AdmissionLog::default();
+        let report = self
+            .simulation(
+                policy,
+                TraceHandle::disabled(),
+                |inner, rates| {
+                    let (scheduler, handle) =
+                        AdaptiveScheduler::new(inner, controller, rates).with_admission_log();
+                    log = handle;
+                    scheduler
+                },
+                |rate| ModulatedServer::new(FixedRateServer::new(rate), schedule.clone()),
+            )
+            .run(workload);
         (report, log.take())
-    }
-
-    /// Runs all four policies and returns `(policy, report)` pairs in the
-    /// paper's order.
-    pub fn run_all(&self, workload: &Workload) -> Vec<(RecombinePolicy, RunReport)> {
-        RecombinePolicy::ALL
-            .iter()
-            .map(|&p| (p, self.run(workload, p)))
-            .collect()
     }
 }
 
@@ -252,8 +362,8 @@ impl fmt::Display for WorkloadShaper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gqos_sim::ServiceClass;
-    use gqos_trace::{Iops, SimTime};
+    use gqos_trace::{Request, SpcStream, WorkloadStream};
+    use std::cell::Cell;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -325,13 +435,12 @@ mod tests {
     }
 
     #[test]
-    fn run_all_covers_every_policy() {
+    fn every_policy_completes_the_workload() {
         let w = Workload::from_arrivals(vec![ms(0); 5]);
         let shaper =
             WorkloadShaper::new(Provision::new(Iops::new(200.0), Iops::new(100.0)), dms(20));
-        let all = shaper.run_all(&w);
-        assert_eq!(all.len(), 4);
-        for (policy, report) in &all {
+        for policy in RecombinePolicy::ALL {
+            let report = shaper.run(&w, policy);
             assert_eq!(
                 report.completed(),
                 5,
@@ -410,5 +519,170 @@ mod tests {
             Provision::new(Iops::new(1.0), Iops::new(1.0)),
             SimDuration::ZERO,
         );
+    }
+
+    /// A shaper with a real queue under [`streamed_workload`]'s burst.
+    fn stream_shaper() -> WorkloadShaper {
+        WorkloadShaper::new(Provision::new(Iops::new(250.0), Iops::new(100.0)), dms(20))
+    }
+
+    fn streamed_workload() -> Workload {
+        let mut arrivals: Vec<SimTime> = (0..200).map(|i| ms(i * 5)).collect();
+        arrivals.extend(vec![ms(333); 40]);
+        Workload::from_arrivals(arrivals)
+    }
+
+    #[test]
+    fn observed_run_sketches_match_offline_report() {
+        let w = streamed_workload();
+        let shaper = stream_shaper();
+        for policy in RecombinePolicy::ALL {
+            let reference = shaper.run(&w, policy);
+            let mut forwarded = 0usize;
+            let obs = shaper
+                .run_observed(&mut WorkloadStream::new(w.clone(), 7), policy, |_| {
+                    forwarded += 1;
+                })
+                .expect("workload stream");
+            assert_eq!(obs.sketch, reference.response_sketch(), "{policy}");
+            assert_eq!(
+                obs.primary,
+                reference.response_sketch_for(ServiceClass::PRIMARY),
+                "{policy}"
+            );
+            assert_eq!(
+                obs.overflow,
+                reference.response_sketch_for(ServiceClass::OVERFLOW),
+                "{policy}"
+            );
+            assert_eq!(obs.completed, reference.completed());
+            assert_eq!(obs.offered, reference.total_requests());
+            assert_eq!(obs.end_time, reference.end_time());
+            assert_eq!(forwarded, obs.completed);
+        }
+    }
+
+    #[test]
+    fn observed_run_footprint_is_bounded_by_chunking() {
+        // The ingestion footprint must track the chunk size, not the trace
+        // length: a 10×-longer trace at the same chunk size reports the
+        // same peak chunk bytes.
+        let shaper = stream_shaper();
+        let short = Workload::from_arrivals((0..100).map(|i| ms(i * 5)));
+        let long = Workload::from_arrivals((0..1000).map(|i| ms(i * 5)));
+        let chunk = 10;
+        let a = shaper
+            .run_observed(
+                &mut WorkloadStream::new(short, chunk),
+                RecombinePolicy::Fcfs,
+                |_| {},
+            )
+            .unwrap();
+        let b = shaper
+            .run_observed(
+                &mut WorkloadStream::new(long, chunk),
+                RecombinePolicy::Fcfs,
+                |_| {},
+            )
+            .unwrap();
+        assert_eq!(a.peak_chunk_bytes, b.peak_chunk_bytes);
+        assert_eq!(a.peak_chunk_bytes, chunk * std::mem::size_of::<Request>());
+    }
+
+    #[test]
+    fn traced_run_matches_untraced() {
+        let w = streamed_workload();
+        let shaper = stream_shaper();
+        let streamed = |trace: TraceHandle| {
+            let mut records = Vec::new();
+            shaper
+                .simulation(
+                    RecombinePolicy::Miser,
+                    trace,
+                    |s, _| s,
+                    FixedRateServer::new,
+                )
+                .run_stream(&mut WorkloadStream::new(w.clone(), 9), |r| records.push(r))
+                .unwrap();
+            records
+        };
+        let (trace, sink) = TraceHandle::memory();
+        let traced = streamed(trace);
+        let plain = streamed(TraceHandle::disabled());
+        assert_eq!(traced, plain);
+        assert!(!sink.borrow().is_empty(), "no trace events captured");
+    }
+
+    /// Counts the sink's records at every pull of the wrapped stream.
+    struct PullProbe<'a, A> {
+        inner: A,
+        sunk: &'a Cell<usize>,
+        at_pull: Vec<usize>,
+    }
+
+    impl<A: ArrivalStream> ArrivalStream for PullProbe<'_, A> {
+        fn chunk_capacity(&self) -> usize {
+            self.inner.chunk_capacity()
+        }
+
+        fn next_chunk(&mut self, buf: &mut Vec<Request>) -> Result<usize, StreamError> {
+            self.at_pull.push(self.sunk.get());
+            self.inner.next_chunk(buf)
+        }
+    }
+
+    #[test]
+    fn stream_error_keeps_the_records_drained_before_the_failing_pull() {
+        // 40 spaced records in chunks of 8; in the broken copy, line 30 (in
+        // chunk k = 3, 0-based) has an unknown op code.
+        let line = |i: usize, op: char| format!("0,{i},512,{op},{:.3}\n", i as f64 * 0.003);
+        let clean: String = (0..40).map(|i| line(i, 'R')).collect();
+        let broken: String = (0..40)
+            .map(|i| line(i, if i == 30 { 'X' } else { 'R' }))
+            .collect();
+        let (chunk, k) = (8, 3);
+        let shaper = stream_shaper();
+        for policy in RecombinePolicy::ALL {
+            let sunk = Cell::new(0);
+            let mut probe = PullProbe {
+                inner: SpcStream::new(clean.as_bytes(), chunk),
+                sunk: &sunk,
+                at_pull: Vec::new(),
+            };
+            let mut clean_records = Vec::new();
+            shaper
+                .run_observed(&mut probe, policy, |r| {
+                    sunk.set(sunk.get() + 1);
+                    clean_records.push(r);
+                })
+                .expect("clean trace");
+            let before_kth_pull = probe.at_pull[k];
+            // The drain runs after each chunk, before the next pull: by
+            // pull k the sink holds every completion up to the last
+            // arrival of chunk k - 1, and nothing later.
+            let horizon = clean_records
+                .iter()
+                .find(|r| r.id.index() == (k * chunk - 1) as u64)
+                .expect("request completed")
+                .arrival;
+            let released = clean_records
+                .iter()
+                .filter(|r| r.completion <= horizon)
+                .count();
+            assert_eq!(before_kth_pull, released, "{policy}");
+
+            let mut received = Vec::new();
+            let err = shaper
+                .run_observed(&mut SpcStream::new(broken.as_bytes(), chunk), policy, |r| {
+                    received.push(r)
+                })
+                .unwrap_err();
+            assert!(matches!(err, StreamError::Parse(_)), "{policy}: {err}");
+            assert!(
+                before_kth_pull > 0,
+                "{policy}: nothing drained before chunk {k}"
+            );
+            assert_eq!(received, clean_records[..before_kth_pull], "{policy}");
+        }
     }
 }

@@ -37,10 +37,10 @@ pub const SPLIT_OVERFLOW_SERVER: ServerId = ServerId::new(1);
 /// let p = Provision::new(Iops::new(200.0), Iops::new(50.0));
 /// let deadline = SimDuration::from_millis(20);
 /// let w = Workload::from_arrivals(vec![SimTime::ZERO; 6]);
-/// let report = Simulation::new(&w, SplitScheduler::new(p, deadline))
+/// let report = Simulation::new(SplitScheduler::new(p, deadline))
 ///     .server(FixedRateServer::new(p.cmin()))
 ///     .server(FixedRateServer::new(p.delta_c()))
-///     .run();
+///     .run(&w);
 /// assert_eq!(report.completed(), 6);
 /// ```
 #[derive(Clone, Debug)]
@@ -178,10 +178,10 @@ mod tests {
         deadline: SimDuration,
     ) -> gqos_sim::RunReport {
         let p = Provision::new(Iops::new(cmin), Iops::new(delta_c));
-        Simulation::new(workload, SplitScheduler::new(p, deadline))
+        Simulation::new(SplitScheduler::new(p, deadline))
             .server(FixedRateServer::new(p.cmin()))
             .server(FixedRateServer::new(p.delta_c()))
-            .run()
+            .run(workload)
     }
 
     #[test]

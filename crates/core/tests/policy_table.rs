@@ -36,11 +36,11 @@ fn planned() -> (Workload, WorkloadShaper) {
 }
 
 fn plain<S: Scheduler>(workload: &Workload, scheduler: S, rates: &[Iops]) -> RunReport {
-    let mut sim = Simulation::new(workload, scheduler);
+    let mut sim = Simulation::new(scheduler);
     for &rate in rates {
         sim = sim.server(FixedRateServer::new(rate));
     }
-    sim.run()
+    sim.run(workload)
 }
 
 fn traced<S: Scheduler>(
@@ -50,13 +50,11 @@ fn traced<S: Scheduler>(
     trace: TraceHandle,
     deadline: SimDuration,
 ) -> RunReport {
-    let mut sim = Simulation::new(workload, scheduler)
-        .trace(trace)
-        .deadline(deadline);
+    let mut sim = Simulation::new(scheduler).trace(trace).deadline(deadline);
     for &rate in rates {
         sim = sim.server(FixedRateServer::new(rate));
     }
-    sim.run()
+    sim.run(workload)
 }
 
 fn faulted<S: CapacityAdaptive>(
@@ -68,14 +66,14 @@ fn faulted<S: CapacityAdaptive>(
     let controller = DegradationController::new(DegradationPolicy::default(), DEGRADATION_WINDOW);
     let (scheduler, log) =
         AdaptiveScheduler::new(scheduler, controller, rates).with_admission_log();
-    let mut sim = Simulation::new(workload, scheduler);
+    let mut sim = Simulation::new(scheduler);
     for &rate in rates {
         sim = sim.server(ModulatedServer::new(
             FixedRateServer::new(rate),
             schedule.clone(),
         ));
     }
-    let report = sim.run();
+    let report = sim.run(workload);
     (report, log.take())
 }
 

@@ -24,9 +24,9 @@
 //! use gqos_trace::{SimTime, Workload};
 //!
 //! let w = Workload::from_arrivals((0..20).map(|i| SimTime::from_millis(i * 30)));
-//! let report = Simulation::new(&w, ScanScheduler::new(SweepMode::CircularLook))
+//! let report = Simulation::new(ScanScheduler::new(SweepMode::CircularLook))
 //!     .server(DiskModel::builder().build())
-//!     .run();
+//!     .run(&w);
 //! assert_eq!(report.completed(), 20);
 //! ```
 

@@ -25,7 +25,7 @@
 //! # Feeding and querying
 //!
 //! Values enter through [`LongTermStore::record`] (one value at a time,
-//! e.g. from an `OnlineShaper` completion tap) or
+//! e.g. from a `WorkloadShaper::run_observed` completion tap) or
 //! [`LongTermStore::ingest_snapshot`] (a whole window sketch, e.g. an
 //! `IngestGateway` `window_feedback` snapshot). Both are ordered per
 //! tenant: an instant from an already-closed tier-0 bucket is a typed

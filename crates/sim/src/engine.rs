@@ -1,20 +1,45 @@
-//! The discrete-event simulation driver.
+//! The discrete-event simulation engine.
+//!
+//! [`Simulation`] is the one engine: a scheduler over one or more servers,
+//! fed arrivals in order and run to quiescence. Every request is either
+//! completed or left undispatched by the scheduler (a drop). Two drivers
+//! feed it:
+//!
+//! - [`run`](Simulation::run) offers a materialised [`Workload`] straight
+//!   from its slice and returns the full [`RunReport`];
+//! - [`run_stream`](Simulation::run_stream) pulls an [`ArrivalStream`]
+//!   chunk by chunk and hands each completion record to a callback after
+//!   every chunk, so a caller that keeps no records holds `O(chunk)` of
+//!   them at a time.
+//!
+//! Both offer the same requests to the same event loop, so a streamed run
+//! over any chunking of a workload is **bit-identical** to the batch run:
+//! same completion records, same nanoseconds, same tie-breaks.
+//!
+//! # Why popping must wait for the next arrival
+//!
+//! The event queue breaks timestamp ties by event kind, and an arrival
+//! pops after a completion at the same instant. A completion at time `T`
+//! may therefore only be processed once the engine knows no arrival at a
+//! time `<= T` is still to come. The engine enforces this with a simple
+//! invariant: it pops events only while the next arrival is already
+//! queued, or after the arrival stream has ended. In between, pending
+//! completions and retries simply stay queued — the per-offer state is
+//! `O(servers)` events plus whatever backlog the scheduler itself holds.
 
-use gqos_obs::TraceHandle;
-use gqos_trace::{SimDuration, Workload};
+use std::collections::VecDeque;
+use std::mem;
 
-use crate::metrics::RunReport;
-use crate::scheduler::Scheduler;
-use crate::server::ServiceModel;
-use crate::streaming::StreamingSimulation;
+use gqos_obs::{TraceEvent, TraceHandle};
+use gqos_trace::{ArrivalStream, Request, SimDuration, SimTime, StreamError, Workload};
 
-/// A configured simulation: one workload, one scheduler, one or more
-/// servers.
-///
-/// The engine feeds the workload's requests to the scheduler in arrival
-/// order and polls the scheduler whenever a server is free. It runs to
-/// quiescence: every request is either completed or left undispatched by the
-/// scheduler (a drop).
+use crate::event::{Event, EventKind, IndexedEventQueue};
+use crate::metrics::{CompletionRecord, RunReport};
+use crate::scheduler::{Dispatch, Scheduler, ServiceClass};
+use crate::server::{ServerId, ServiceModel};
+
+/// A configured simulation: one scheduler, one or more servers, an
+/// optional trace handle and deadline.
 ///
 /// # Examples
 ///
@@ -23,41 +48,93 @@ use crate::streaming::StreamingSimulation;
 /// use gqos_trace::{Iops, SimDuration, SimTime, Workload};
 ///
 /// let workload = Workload::from_arrivals([SimTime::ZERO, SimTime::ZERO]);
-/// let report = Simulation::new(&workload, FcfsScheduler::new())
+/// let report = Simulation::new(FcfsScheduler::new())
 ///     .server(FixedRateServer::new(Iops::new(100.0)))
-///     .run();
+///     .run(&workload);
 /// assert_eq!(report.completed(), 2);
 /// // Second request waits for the first: 10 ms + 10 ms.
 /// assert_eq!(report.stats().max(), Some(SimDuration::from_millis(20)));
 /// ```
-pub struct Simulation<'w, S> {
-    workload: &'w Workload,
+pub struct Simulation<S> {
     scheduler: S,
     servers: Vec<Box<dyn ServiceModel>>,
     trace: TraceHandle,
     deadline: Option<SimDuration>,
+    queue: IndexedEventQueue,
+    /// `(request, class, dispatch time)` in flight per server.
+    in_flight: Vec<Option<(Request, ServiceClass, SimTime)>>,
+    /// Arrivals offered but not yet injected into the event queue. Holds at
+    /// most the requests offered since the last pump made progress; with an
+    /// eagerly-pumping caller it stays at one element.
+    pending: VecDeque<Request>,
+    /// The request whose arrival event is currently queued.
+    queued_arrival: Option<Request>,
+    completions: Vec<CompletionRecord>,
+    end_time: SimTime,
+    offered: usize,
+    last_arrival: SimTime,
+    started: bool,
+    finished: bool,
 }
 
-impl<S> std::fmt::Debug for Simulation<'_, S> {
+/// What one [`Simulation::run_stream`] pass saw of its stream and its
+/// drains.
+///
+/// This is a passive result record; fields are public by design.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct StreamRun {
+    /// Chunks pulled from the stream.
+    pub chunks: usize,
+    /// Largest resident chunk, in bytes (`len × size_of::<Request>()`) —
+    /// the peak-RSS proxy for the input side of the pipeline.
+    pub peak_chunk_bytes: usize,
+    /// Requests offered to the scheduler.
+    pub offered: usize,
+    /// Instant of the last processed event.
+    pub end_time: SimTime,
+    /// Largest number of completion records handed over in one drain —
+    /// the output-side footprint, bounded by the backlog a chunk can flush.
+    pub peak_drain_records: usize,
+}
+
+impl<S> std::fmt::Debug for Simulation<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("requests", &self.workload.len())
             .field("servers", &self.servers.len())
+            .field("offered", &self.offered)
+            .field("finished", &self.finished)
             .finish_non_exhaustive()
     }
 }
 
-impl<'w, S: Scheduler> Simulation<'w, S> {
-    /// Creates a simulation of `workload` under `scheduler` with no servers
-    /// yet; add at least one with [`server`](Simulation::server).
-    pub fn new(workload: &'w Workload, scheduler: S) -> Self {
+impl<S: Scheduler> Simulation<S> {
+    /// Creates a simulation under `scheduler` with no servers yet; add at
+    /// least one with [`server`](Simulation::server).
+    pub fn new(scheduler: S) -> Self {
         Simulation {
-            workload,
             scheduler,
             servers: Vec::new(),
             trace: TraceHandle::disabled(),
             deadline: None,
+            queue: IndexedEventQueue::new(0),
+            in_flight: Vec::new(),
+            pending: VecDeque::new(),
+            queued_arrival: None,
+            completions: Vec::new(),
+            end_time: SimTime::ZERO,
+            offered: 0,
+            last_arrival: SimTime::ZERO,
+            started: false,
+            finished: false,
         }
+    }
+
+    /// Adds a server with the given service model. Servers are identified
+    /// by the order they are added ([`ServerId::new(0)`](crate::ServerId::new)
+    /// first).
+    pub fn server<M: ServiceModel + 'static>(mut self, model: M) -> Self {
+        self.servers.push(Box::new(model));
+        self
     }
 
     /// Attaches a trace handle; the engine emits `Arrival` and `Completed`
@@ -76,40 +153,249 @@ impl<'w, S: Scheduler> Simulation<'w, S> {
         self
     }
 
-    /// Adds a server with the given service model. Servers are identified by
-    /// the order they are added ([`ServerId::new(0)`](crate::ServerId::new) first).
-    pub fn server<M: ServiceModel + 'static>(mut self, model: M) -> Self {
-        self.servers.push(Box::new(model));
-        self
+    /// The scheduler, for reading back policy-side state (e.g. shed
+    /// counters in wrapper schedulers) after the run.
+    pub fn scheduler(&self) -> &S {
+        &self.scheduler
     }
 
-    /// Runs the simulation to quiescence and returns the report.
-    ///
-    /// The batch run is implemented on top of
-    /// [`StreamingSimulation`](crate::StreamingSimulation) — offering every
-    /// request of the workload in order — so batch and streamed runs of the
-    /// same workload are bit-identical by construction.
+    /// Runs `workload` to quiescence and returns the report over every
+    /// completion record.
     ///
     /// # Panics
     ///
     /// Panics if no server was added, or if the scheduler requests a retry
     /// at a non-future instant.
-    pub fn run(self) -> RunReport {
+    pub fn run(mut self, workload: &Workload) -> RunReport {
         assert!(
             !self.servers.is_empty(),
             "simulation needs at least one server"
         );
-        let mut streaming = StreamingSimulation::from_parts(
-            self.scheduler,
-            self.servers,
-            self.trace,
-            self.deadline,
-            Vec::with_capacity(self.workload.len()),
-        );
-        for &request in self.workload.requests() {
-            streaming.offer(request);
+        self.completions.reserve_exact(workload.len());
+        for &request in workload.requests() {
+            self.offer(request);
         }
-        streaming.into_report()
+        self.finish();
+        RunReport::new(self.completions, self.offered, self.end_time)
+    }
+
+    /// Runs `stream` to quiescence: pulls a chunk, offers it, and hands
+    /// every completion record the chunk released to `on_completion`,
+    /// until the stream is empty; then ends the run and hands over the
+    /// rest. `on_completion` runs after each chunk and before the next
+    /// pull, in completion order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StreamError`] from the source. Records drained before
+    /// the failing pull have already been handed to `on_completion`; the
+    /// run stops there and the simulation is left unfinished.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no server was added, if the simulation has already run,
+    /// or if the scheduler requests a retry at a non-future instant.
+    pub fn run_stream<A: ArrivalStream + ?Sized>(
+        &mut self,
+        stream: &mut A,
+        mut on_completion: impl FnMut(CompletionRecord),
+    ) -> Result<StreamRun, StreamError> {
+        assert!(
+            !self.servers.is_empty(),
+            "simulation needs at least one server"
+        );
+        assert!(!self.started, "a simulation runs once");
+        let mut buf = Vec::new();
+        let (mut chunks, mut peak_chunk_bytes, mut peak_drain_records) = (0, 0, 0);
+        let mut drain = |completions: &mut Vec<CompletionRecord>| {
+            peak_drain_records = peak_drain_records.max(completions.len());
+            completions.drain(..).for_each(&mut on_completion);
+        };
+        loop {
+            let n = stream.next_chunk(&mut buf)?;
+            if n == 0 {
+                break;
+            }
+            chunks += 1;
+            peak_chunk_bytes = peak_chunk_bytes.max(n * mem::size_of::<Request>());
+            for &request in &buf {
+                self.offer(request);
+            }
+            drain(&mut self.completions);
+        }
+        self.finish();
+        drain(&mut self.completions);
+        Ok(StreamRun {
+            chunks,
+            peak_chunk_bytes,
+            offered: self.offered,
+            end_time: self.end_time,
+            peak_drain_records,
+        })
+    }
+
+    /// Offers the next arrival. Arrivals must be offered in non-decreasing
+    /// arrival order; the engine processes every event that is already
+    /// unambiguous before returning.
+    fn offer(&mut self, request: Request) {
+        assert!(!self.finished, "offer after finish");
+        if !self.started {
+            self.queue = IndexedEventQueue::new(self.servers.len());
+            self.in_flight = (0..self.servers.len()).map(|_| None).collect();
+            self.started = true;
+        }
+        assert!(
+            request.arrival >= self.last_arrival,
+            "arrivals must be offered in order: {} after {}",
+            request.arrival,
+            self.last_arrival
+        );
+        self.last_arrival = request.arrival;
+        self.offered += 1;
+        self.pending.push_back(request);
+        self.pump();
+    }
+
+    /// Declares the arrival stream exhausted and runs the simulation to
+    /// quiescence. Idempotent; a later offer panics.
+    fn finish(&mut self) {
+        self.finished = true;
+        self.pump();
+    }
+
+    /// Processes every event whose order relative to future arrivals is
+    /// already determined (see the module docs for the invariant).
+    fn pump(&mut self) {
+        loop {
+            if self.queued_arrival.is_none() {
+                match self.pending.pop_front() {
+                    Some(request) => {
+                        self.queue.push(Event {
+                            at: request.arrival,
+                            // The index is informational in streaming mode:
+                            // the queue holds at most one arrival, so it
+                            // never participates in ordering.
+                            kind: EventKind::Arrival {
+                                index: self.offered - self.pending.len() - 1,
+                            },
+                        });
+                        self.queued_arrival = Some(request);
+                    }
+                    None if self.finished => {}
+                    // A completion or retry here might still be preceded by
+                    // (or tie with) an arrival that has not been offered
+                    // yet; stop until the caller offers it or finishes.
+                    None => return,
+                }
+            }
+            let Some(Event { at: now, kind }) = self.queue.pop() else {
+                return;
+            };
+            self.end_time = self.end_time.max(now);
+            match kind {
+                EventKind::Arrival { .. } => {
+                    let request = self
+                        .queued_arrival
+                        .take()
+                        .expect("arrival event without a queued request");
+                    self.trace.emit_with(|| TraceEvent::Arrival {
+                        at: now,
+                        id: request.id.index(),
+                    });
+                    self.scheduler.on_arrival(request, now);
+                    for server in 0..self.servers.len() {
+                        if self.in_flight[server].is_none() {
+                            Self::poll_server(
+                                &mut self.scheduler,
+                                &mut self.servers,
+                                &mut self.in_flight,
+                                &mut self.queue,
+                                server,
+                                now,
+                            );
+                        }
+                    }
+                }
+                EventKind::Completion { server } => {
+                    let (request, class, dispatched) = self.in_flight[server]
+                        .take()
+                        .expect("completion event for idle server");
+                    self.completions.push(CompletionRecord {
+                        id: request.id,
+                        class,
+                        arrival: request.arrival,
+                        dispatched,
+                        completion: now,
+                    });
+                    self.trace.emit_with(|| {
+                        let response = now - request.arrival;
+                        TraceEvent::Completed {
+                            at: now,
+                            id: request.id.index(),
+                            class: class.index(),
+                            response,
+                            deadline_met: self.deadline.map(|d| response <= d),
+                        }
+                    });
+                    self.scheduler.on_completion(&request, class, now);
+                    Self::poll_server(
+                        &mut self.scheduler,
+                        &mut self.servers,
+                        &mut self.in_flight,
+                        &mut self.queue,
+                        server,
+                        now,
+                    );
+                }
+                EventKind::Retry { server } => {
+                    if self.in_flight[server].is_none() {
+                        Self::poll_server(
+                            &mut self.scheduler,
+                            &mut self.servers,
+                            &mut self.in_flight,
+                            &mut self.queue,
+                            server,
+                            now,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn poll_server(
+        scheduler: &mut S,
+        servers: &mut [Box<dyn ServiceModel>],
+        in_flight: &mut [Option<(Request, ServiceClass, SimTime)>],
+        queue: &mut IndexedEventQueue,
+        server: usize,
+        now: SimTime,
+    ) {
+        debug_assert!(in_flight[server].is_none());
+        match scheduler.next_for(ServerId::new(server), now) {
+            Dispatch::Serve(request, class) => {
+                let service = servers[server].service_time(&request, now);
+                // Zero-length service still advances the clock by one tick
+                // so progress is guaranteed.
+                let service = service.max(SimDuration::from_nanos(1));
+                in_flight[server] = Some((request, class, now));
+                queue.push(Event {
+                    at: now + service,
+                    kind: EventKind::Completion { server },
+                });
+            }
+            Dispatch::After(when) => {
+                assert!(
+                    when > now,
+                    "scheduler requested retry at {when} which is not after {now}"
+                );
+                queue.push(Event {
+                    at: when,
+                    kind: EventKind::Retry { server },
+                });
+            }
+            Dispatch::Idle => {}
+        }
     }
 }
 
@@ -132,15 +418,15 @@ where
     S: Scheduler,
     M: ServiceModel + 'static,
 {
-    Simulation::new(workload, scheduler).server(model).run()
+    Simulation::new(scheduler).server(model).run(workload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Dispatch, FcfsScheduler, ServiceClass};
-    use crate::server::{FixedRateServer, ServerId};
-    use gqos_trace::{Iops, Request, SimTime};
+    use crate::scheduler::FcfsScheduler;
+    use crate::server::FixedRateServer;
+    use gqos_trace::{Iops, WorkloadStream};
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -212,7 +498,7 @@ mod tests {
     #[should_panic(expected = "at least one server")]
     fn requires_a_server() {
         let w = Workload::new();
-        let _ = Simulation::new(&w, FcfsScheduler::new()).run();
+        let _ = Simulation::new(FcfsScheduler::new()).run(&w);
     }
 
     /// A scheduler that drops every second request (never dispatches it).
@@ -304,10 +590,10 @@ mod tests {
         // Two servers at 100 IOPS each; two simultaneous requests finish
         // simultaneously — FCFS hands one to each idle server.
         let w = Workload::from_arrivals([ms(0), ms(0)]);
-        let report = Simulation::new(&w, FcfsScheduler::new())
+        let report = Simulation::new(FcfsScheduler::new())
             .server(FixedRateServer::new(Iops::new(100.0)))
             .server(FixedRateServer::new(Iops::new(100.0)))
-            .run();
+            .run(&w);
         assert_eq!(report.completed(), 2);
         for r in report.records() {
             assert_eq!(r.response_time(), dur_ms(10));
@@ -333,5 +619,92 @@ mod tests {
         // Last request arrives at 9 ms; completions at 2,4,..,20 ms.
         assert_eq!(last.completion, ms(20));
         assert_eq!(last.response_time(), dur_ms(11));
+    }
+
+    fn server() -> FixedRateServer {
+        FixedRateServer::new(Iops::new(100.0))
+    }
+
+    fn offline(w: &Workload) -> RunReport {
+        Simulation::new(FcfsScheduler::new())
+            .server(server())
+            .run(w)
+    }
+
+    #[test]
+    fn stream_driver_matches_batch_run_for_every_chunking() {
+        // Chunk size 1 drains between every two offers; the larger sizes
+        // leave completions queued across many offers.
+        let mut arrivals: Vec<SimTime> = (0..50).map(|i| ms(i * 7)).collect();
+        arrivals.extend(vec![ms(100); 20]);
+        let w = Workload::from_arrivals(arrivals);
+        let reference = offline(&w);
+        for chunk in [1usize, 7, 70, 1000] {
+            let mut sim = Simulation::new(FcfsScheduler::new()).server(server());
+            let mut records = Vec::new();
+            let run = sim
+                .run_stream(&mut WorkloadStream::new(w.clone(), chunk), |r| {
+                    records.push(r)
+                })
+                .expect("workload stream");
+            assert_eq!(records, reference.records(), "chunk {chunk}");
+            assert_eq!(run.offered, w.len());
+            assert_eq!(run.end_time, reference.end_time());
+            assert_eq!(run.chunks, w.len().div_ceil(chunk));
+            let widest = chunk.min(w.len());
+            assert_eq!(
+                run.peak_chunk_bytes,
+                widest * std::mem::size_of::<Request>()
+            );
+            assert!(run.peak_drain_records >= 1 && run.peak_drain_records <= w.len());
+        }
+    }
+
+    #[test]
+    fn completions_wait_for_the_next_arrival() {
+        // One request in service; its completion is in the future, but the
+        // engine must not process it while another arrival could precede it.
+        let mut sim = Simulation::new(FcfsScheduler::new()).server(server());
+        sim.offer(Request::at(ms(0)));
+        assert_eq!(sim.completions.len(), 0);
+        // A later arrival resolves the ambiguity up to its own timestamp...
+        sim.offer(Request::at(ms(50)));
+        assert_eq!(sim.completions.drain(..).count(), 1);
+        // ...and finish() resolves the rest.
+        sim.finish();
+        assert_eq!(sim.completions.drain(..).count(), 1);
+    }
+
+    #[test]
+    fn finish_is_idempotent_and_empty_stream_is_fine() {
+        let mut sim = Simulation::new(FcfsScheduler::new()).server(server());
+        sim.finish();
+        sim.finish();
+        assert_eq!(sim.offered, 0);
+        assert_eq!(sim.end_time, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "offered in order")]
+    fn rejects_out_of_order_offers() {
+        let mut sim = Simulation::new(FcfsScheduler::new()).server(server());
+        sim.offer(Request::at(ms(10)));
+        sim.offer(Request::at(ms(5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "offer after finish")]
+    fn rejects_offers_after_finish() {
+        let mut sim = Simulation::new(FcfsScheduler::new()).server(server());
+        sim.finish();
+        sim.offer(Request::at(ms(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one server")]
+    fn stream_driver_requires_a_server() {
+        let mut sim = Simulation::new(FcfsScheduler::new());
+        let w = Workload::from_arrivals([ms(0)]);
+        let _ = sim.run_stream(&mut WorkloadStream::new(w, 1), |_| {});
     }
 }

@@ -3,9 +3,11 @@
 //! The discrete-event substrate of the `gqos` workspace (the stand-in for
 //! the DiskSim-based evaluation in the ICDCS 2009 paper). It provides:
 //!
-//! - [`Simulation`] / [`simulate`] — an event-driven engine feeding a
-//!   [`Workload`](gqos_trace::Workload) to a [`Scheduler`] over one or more
-//!   servers;
+//! - [`Simulation`] / [`simulate`] — the one event-driven engine: a
+//!   [`Scheduler`] over one or more servers, fed a whole
+//!   [`Workload`](gqos_trace::Workload) by [`Simulation::run`] or an
+//!   [`ArrivalStream`](gqos_trace::ArrivalStream) chunk by chunk by
+//!   [`Simulation::run_stream`] (bit-identical for any chunking);
 //! - [`ServiceModel`] — pluggable service-time models, with the paper's
 //!   constant-capacity [`FixedRateServer`] built in (the mechanical disk
 //!   model lives in `gqos-disk`);
@@ -48,15 +50,13 @@ mod event;
 mod metrics;
 mod scheduler;
 mod server;
-mod streaming;
 
 pub use closed::{closed_loop, ClosedLoopConfig};
-pub use engine::{simulate, Simulation};
+pub use engine::{simulate, Simulation, StreamRun};
 pub use event::{Event, EventKind, EventQueue, IndexedEventQueue};
 pub use metrics::{CompletionRecord, ResponseStats, RunReport};
 pub use scheduler::{Dispatch, FcfsScheduler, Scheduler, ServiceClass};
 pub use server::{CapacityModulation, FixedRateServer, ModulatedServer, ServerId, ServiceModel};
-pub use streaming::StreamingSimulation;
 
 // Re-export the observability vocabulary so downstream crates can attach
 // traces and read sketches without naming gqos-obs directly.

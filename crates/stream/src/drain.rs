@@ -160,24 +160,20 @@ pub fn drain_migrate(
         spec.workload.window(SimTime::ZERO, plan.end()),
         Some(plan.start),
         trace.clone(),
-        |_| {},
     );
     let new_workload = spec.workload.window(plan.end(), SimTime::MAX);
     let migrated = new_workload.len() as u64;
-    let new = drive_lane(
-        spec,
-        new_workload,
-        None,
-        TraceHandle::disabled(),
-        |request| {
-            trace.emit_with(|| TraceEvent::Migrated {
-                at: request.arrival,
-                id: request.id.index(),
-                tenant,
-                to_server,
-            });
-        },
-    );
+    // The new lane runs untraced, so announcing its arrivals up front
+    // keeps them in offer order right before `DrainCompleted`.
+    for request in new_workload.requests() {
+        trace.emit_with(|| TraceEvent::Migrated {
+            at: request.arrival,
+            id: request.id.index(),
+            tenant,
+            to_server,
+        });
+    }
+    let new = drive_lane(spec, new_workload, None, TraceHandle::disabled());
     trace.emit_with(|| TraceEvent::DrainCompleted {
         at: plan.end(),
         tenant,
@@ -198,11 +194,9 @@ pub fn drain_migrate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gqos_core::{Provision, RecombinePolicy};
+    use gqos_core::{Provision, RecombinePolicy, WorkloadShaper};
     use gqos_sim::ServiceClass;
     use gqos_trace::{Iops, Workload};
-
-    use crate::OnlineShaper;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -212,7 +206,7 @@ mod tests {
         TenantSpec {
             name: "drainee".into(),
             workload: Workload::from_arrivals((0..200).map(|i| ms(i * 5))),
-            shaper: OnlineShaper::new(
+            shaper: WorkloadShaper::new(
                 Provision::new(Iops::new(250.0), Iops::new(100.0)),
                 SimDuration::from_millis(20),
             ),
@@ -289,6 +283,30 @@ mod tests {
             _ => None,
         });
         assert_eq!(completed, Some((ms(400), 20, 120)));
+        // Order: the brackets open and close the trace, and the migrated
+        // arrivals sit contiguously right before the close, carrying the
+        // new lane's local ids 0..migrated in offer order.
+        assert!(matches!(
+            events.first(),
+            Some(TraceEvent::DrainStarted { .. })
+        ));
+        assert!(matches!(
+            events.last(),
+            Some(TraceEvent::DrainCompleted { .. })
+        ));
+        let first_migrated = events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::Migrated { .. }))
+            .expect("migrated events");
+        let tail = &events[first_migrated..events.len() - 1];
+        let ids: Vec<u64> = tail
+            .iter()
+            .map(|e| match e {
+                TraceEvent::Migrated { id, .. } => *id,
+                other => panic!("non-migrated event inside the migrated run: {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, (0..report.migrated).collect::<Vec<_>>());
     }
 
     #[test]
@@ -302,13 +320,7 @@ mod tests {
             SimDuration::from_millis(1),
         );
         let report = drain_migrate(&s, plan, 1, 0, 1, &TraceHandle::disabled());
-        let plain = drive_lane(
-            &s,
-            s.workload.clone(),
-            None,
-            TraceHandle::disabled(),
-            |_| {},
-        );
+        let plain = drive_lane(&s, s.workload.clone(), None, TraceHandle::disabled());
         assert_eq!(report.old.records, plain.records);
         assert_eq!(report.window_shed, 0);
         assert_eq!(report.migrated, 0);

@@ -24,17 +24,13 @@
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
-use gqos_core::RecombinePolicy;
+use gqos_core::{RecombinePolicy, WorkloadShaper};
 use gqos_parallel::WorkerPool;
 use gqos_sim::{
-    CompletionRecord, Dispatch, LatencySketch, LongTermStore, Scheduler, ServerId, ServiceClass,
-    TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
+    CompletionRecord, Dispatch, FixedRateServer, LatencySketch, LongTermStore, RunReport,
+    Scheduler, ServerId, ServiceClass, TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
 };
-use gqos_trace::{Request, SimDuration, SimTime, Workload};
-
-use crate::shaper::{feed_chunks, policy_simulation};
-use crate::source::WorkloadStream;
-use crate::OnlineShaper;
+use gqos_trace::{Request, SimDuration, SimTime, Workload, WorkloadStream};
 
 /// Wraps a policy scheduler with a bounded inbox: arrivals beyond the
 /// bound are shed to a best-effort overflow FIFO instead of growing the
@@ -176,7 +172,7 @@ pub struct TenantSpec {
     /// The tenant's arrival stream (materialised; streamed in chunks).
     pub workload: Workload,
     /// Provision and deadline for the tenant's lane.
-    pub shaper: OnlineShaper,
+    pub shaper: WorkloadShaper,
     /// Recombination policy for the lane.
     pub policy: RecombinePolicy,
     /// Inbox bound: pending requests beyond this are shed to best-effort.
@@ -265,15 +261,15 @@ impl TenantReport {
 /// # Examples
 ///
 /// ```
-/// use gqos_core::{Provision, RecombinePolicy};
+/// use gqos_core::{Provision, RecombinePolicy, WorkloadShaper};
 /// use gqos_parallel::WorkerPool;
-/// use gqos_stream::{IngestGateway, OnlineShaper, TenantSpec};
+/// use gqos_stream::{IngestGateway, TenantSpec};
 /// use gqos_trace::{Iops, SimDuration, SimTime, Workload};
 ///
 /// let spec = TenantSpec {
 ///     name: "tenant-a".into(),
 ///     workload: Workload::from_arrivals((0..50).map(SimTime::from_millis)),
-///     shaper: OnlineShaper::new(
+///     shaper: WorkloadShaper::new(
 ///         Provision::new(Iops::new(200.0), Iops::new(100.0)),
 ///         SimDuration::from_millis(20),
 ///     ),
@@ -320,42 +316,38 @@ impl fmt::Display for IngestGateway {
 /// lanes report through counters and sketches instead.
 fn run_lane(mut spec: TenantSpec) -> TenantReport {
     let workload = std::mem::take(&mut spec.workload);
-    drive_lane(&spec, workload, None, TraceHandle::disabled(), |_| {})
+    drive_lane(&spec, workload, None, TraceHandle::disabled())
 }
 
 /// Drives one lane over `workload` with the spec's shaper, policy, inbox
 /// bound and chunk size. `drain_from` puts the inbox into drain mode from
-/// that instant, `shed_trace` receives the shed events, and `on_offer`
-/// sees each request before the lane does.
+/// that instant, and `shed_trace` receives the shed events.
 pub(crate) fn drive_lane(
     spec: &TenantSpec,
     workload: Workload,
     drain_from: Option<SimTime>,
     shed_trace: TraceHandle,
-    on_offer: impl FnMut(&Request),
 ) -> TenantReport {
-    let mut sim = policy_simulation(
+    let mut sim = spec.shaper.simulation(
         spec.policy,
-        &spec.shaper,
-        &TraceHandle::disabled(),
-        |scheduler| {
+        TraceHandle::disabled(),
+        |scheduler, _| {
             let shed = ShedScheduler::with_trace(scheduler, spec.inbox_bound, shed_trace);
             match drain_from {
                 Some(at) => shed.with_drain_from(at),
                 None => shed,
             }
         },
+        FixedRateServer::new,
     );
-    let (_, peak_chunk_bytes) = feed_chunks(
-        &mut WorkloadStream::new(workload, spec.chunk),
-        &mut sim,
-        on_offer,
-        |_| {},
-    )
-    .expect("workload streams cannot fail");
-    sim.finish();
+    let mut records = Vec::with_capacity(workload.len());
+    let run = sim
+        .run_stream(&mut WorkloadStream::new(workload, spec.chunk), |r| {
+            records.push(r)
+        })
+        .expect("workload streams cannot fail");
     let shed = sim.scheduler().shed_count();
-    let report = sim.into_report();
+    let report = RunReport::new(records, run.offered, run.end_time);
     TenantReport {
         name: spec.name.clone(),
         policy: spec.policy,
@@ -363,7 +355,7 @@ pub(crate) fn drive_lane(
         completed: report.completed(),
         shed,
         end_time: report.end_time(),
-        peak_chunk_bytes,
+        peak_chunk_bytes: run.peak_chunk_bytes,
         sketch: report.response_sketch(),
         records: report.into_records(),
     }
@@ -372,7 +364,7 @@ pub(crate) fn drive_lane(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gqos_core::{Provision, WorkloadShaper};
+    use gqos_core::Provision;
     use gqos_sim::FcfsScheduler;
     use gqos_trace::{Iops, SimDuration};
 
@@ -380,8 +372,8 @@ mod tests {
         SimTime::from_millis(v)
     }
 
-    fn shaper() -> OnlineShaper {
-        OnlineShaper::new(
+    fn shaper() -> WorkloadShaper {
+        WorkloadShaper::new(
             Provision::new(Iops::new(250.0), Iops::new(100.0)),
             SimDuration::from_millis(20),
         )
@@ -413,9 +405,8 @@ mod tests {
         // With an unreachable bound, the lane must reproduce the plain
         // offline shaper byte for byte — sheds included (zero).
         let w = bursty(0);
-        let offline = WorkloadShaper::new(shaper().provision(), shaper().deadline());
         for policy in RecombinePolicy::ALL {
-            let reference = offline.run(&w, policy);
+            let reference = shaper().run(&w, policy);
             let report = run_lane(TenantSpec {
                 name: "t".into(),
                 workload: w.clone(),

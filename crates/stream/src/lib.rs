@@ -5,15 +5,8 @@
 //! materialising whole workloads, per the online spirit of Algorithm 1 in
 //! *"Graduated QoS by Decomposing Bursts"* (ICDCS 2009).
 //!
-//! Three layers:
+//! It holds the multi-tenant layer over the one shaper and the one engine:
 //!
-//! - [`ArrivalStream`] + adapters ([`WorkloadStream`], [`SpcStream`]) —
-//!   arrivals in fixed-capacity sorted chunks with dense cross-chunk
-//!   request ids;
-//! - [`OnlineShaper`] — drives the four recombination policies chunk by
-//!   chunk through `gqos_sim::StreamingSimulation`; results are
-//!   bit-identical to the offline `WorkloadShaper` for any chunking
-//!   (golden-tested in `tests/golden_equiv.rs`);
 //! - [`IngestGateway`] + [`ShedScheduler`] — sharded multi-tenant
 //!   admission with bounded per-tenant inboxes and shed-to-Q2
 //!   backpressure, byte-identical across worker counts; plus
@@ -21,18 +14,25 @@
 //!   a live lane between server bins over a [`DrainPlan`] window without
 //!   dropping a single request.
 //!
+//! Each lane is built by `WorkloadShaper::simulation` and fed by
+//! `Simulation::run_stream`, the one chunk driver, from an
+//! [`ArrivalStream`]. The stream types live in `gqos-trace` and the
+//! shaper in `gqos-core`; this crate re-exports them at their historical
+//! paths. A streamed run is bit-identical to the batch run for any
+//! chunking (golden-tested in `tests/golden_equiv.rs`).
+//!
 //! # Examples
 //!
 //! Stream an SPC trace through FairQueue without ever holding the full
 //! trace:
 //!
 //! ```
-//! use gqos_core::{Provision, RecombinePolicy};
-//! use gqos_stream::{OnlineShaper, SpcStream};
+//! use gqos_core::{Provision, RecombinePolicy, WorkloadShaper};
+//! use gqos_stream::SpcStream;
 //! use gqos_trace::{Iops, SimDuration};
 //!
 //! let trace = "0,0,512,R,0.000\n0,8,512,R,0.001\n0,16,512,W,0.002\n";
-//! let shaper = OnlineShaper::new(
+//! let shaper = WorkloadShaper::new(
 //!     Provision::new(Iops::new(200.0), Iops::new(100.0)),
 //!     SimDuration::from_millis(20),
 //! );
@@ -51,10 +51,11 @@
 
 mod drain;
 mod gateway;
-mod shaper;
-mod source;
 
 pub use drain::{drain_migrate, DrainPlan, DrainReport};
 pub use gateway::{IngestGateway, ShedScheduler, TenantReport, TenantSpec};
-pub use shaper::{OnlineShaper, StreamObservation, StreamReport};
-pub use source::{ArrivalStream, SpcStream, StreamError, WorkloadStream, DEFAULT_CHUNK};
+pub use gqos_core::StreamObservation;
+pub use gqos_trace::{ArrivalStream, SpcStream, StreamError, WorkloadStream, DEFAULT_CHUNK};
+
+/// The one workload shaper, at the path the `qosbench` benchmark names.
+pub use gqos_core::WorkloadShaper as OnlineShaper;

@@ -1,17 +1,17 @@
 //! Golden streaming-vs-offline equivalence suite.
 //!
-//! The streaming contract: an [`OnlineShaper`] run over *any* chunking of
-//! a workload is bit-identical to the offline `WorkloadShaper` run — same
-//! completion records (ids, classes, nanosecond timestamps), same end
-//! time, same sketch buckets. Checked here for all four recombination
+//! The streaming contract: a `WorkloadShaper` run streamed through the
+//! chunk driver over *any* chunking of a workload is bit-identical to the
+//! offline batch run — same completion records (ids, classes, nanosecond
+//! timestamps), same end time, same sketch buckets. Checked here for all four recombination
 //! policies × chunk sizes {1, 7, 4096, whole-trace}, for the traced event
 //! stream, for SPC-file ingestion, and for the sharded gateway across
 //! 1/2/4/8 workers.
 
 use gqos_core::{QosTarget, RecombinePolicy, WorkloadShaper};
 use gqos_parallel::WorkerPool;
-use gqos_sim::TraceHandle;
-use gqos_stream::{IngestGateway, OnlineShaper, SpcStream, TenantSpec, WorkloadStream};
+use gqos_sim::{FixedRateServer, RunReport, TraceHandle};
+use gqos_stream::{ArrivalStream, IngestGateway, SpcStream, TenantSpec, WorkloadStream};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{SimDuration, Workload};
 
@@ -25,31 +25,49 @@ fn planned() -> (Workload, WorkloadShaper) {
     (workload, shaper)
 }
 
+/// Streams `stream` through `policy` with the chunk driver, traced into
+/// `trace`, and collects every completion record into a report.
+fn streamed(
+    shaper: &WorkloadShaper,
+    stream: &mut impl ArrivalStream,
+    policy: RecombinePolicy,
+    trace: TraceHandle,
+) -> RunReport {
+    let mut records = Vec::new();
+    let run = shaper
+        .simulation(policy, trace, |s, _| s, FixedRateServer::new)
+        .run_stream(stream, |r| records.push(r))
+        .expect("stream");
+    RunReport::new(records, run.offered, run.end_time)
+}
+
 #[test]
 fn every_policy_and_chunking_is_bit_identical_to_offline() {
     let (workload, offline) = planned();
-    let online = OnlineShaper::from(offline);
     let chunk_sizes = [1usize, 7, 4096, workload.len()];
     for policy in RecombinePolicy::ALL {
         let reference = offline.run(&workload, policy);
         let ref_sketch = reference.response_sketch();
         for chunk in chunk_sizes {
-            let streamed = online
-                .run(&mut WorkloadStream::new(workload.clone(), chunk), policy)
-                .expect("workload stream");
+            let streamed = streamed(
+                &offline,
+                &mut WorkloadStream::new(workload.clone(), chunk),
+                policy,
+                TraceHandle::disabled(),
+            );
             assert_eq!(
                 reference.records(),
-                streamed.report.records(),
+                streamed.records(),
                 "{policy} records diverged at chunk size {chunk}"
             );
             assert_eq!(
                 reference.end_time(),
-                streamed.report.end_time(),
+                streamed.end_time(),
                 "{policy} end time diverged at chunk size {chunk}"
             );
             assert_eq!(
                 ref_sketch.nonzero_buckets(),
-                streamed.report.response_sketch().nonzero_buckets(),
+                streamed.response_sketch().nonzero_buckets(),
                 "{policy} sketch buckets diverged at chunk size {chunk}"
             );
         }
@@ -59,10 +77,9 @@ fn every_policy_and_chunking_is_bit_identical_to_offline() {
 #[test]
 fn observed_sketches_are_bit_identical_to_offline() {
     let (workload, offline) = planned();
-    let online = OnlineShaper::from(offline);
     for policy in RecombinePolicy::ALL {
         let reference = offline.run(&workload, policy);
-        let obs = online
+        let obs = offline
             .run_observed(
                 &mut WorkloadStream::new(workload.clone(), 7),
                 policy,
@@ -91,15 +108,17 @@ fn spc_ingestion_matches_the_offline_reader() {
         ));
     }
     let parsed = gqos_trace::spc::read_trace(spc.as_bytes()).expect("round-trip parse");
-    let online = OnlineShaper::from(offline);
     for policy in [RecombinePolicy::Fcfs, RecombinePolicy::Miser] {
         let reference = offline.run(&parsed, policy);
-        let streamed = online
-            .run(&mut SpcStream::new(spc.as_bytes(), 64), policy)
-            .expect("spc stream");
+        let streamed = streamed(
+            &offline,
+            &mut SpcStream::new(spc.as_bytes(), 64),
+            policy,
+            TraceHandle::disabled(),
+        );
         assert_eq!(
             reference.records(),
-            streamed.report.records(),
+            streamed.records(),
             "{policy} SPC streaming diverged"
         );
     }
@@ -111,13 +130,12 @@ fn peak_memory_tracks_chunk_size_not_trace_length() {
     // resident-chunk footprint must equal chunk × size_of::<Request>(),
     // independent of trace length.
     let (workload, offline) = planned();
-    let online = OnlineShaper::from(offline);
     let chunk = 4096.min(workload.len() / 10).max(1);
     assert!(
         workload.len() >= 10 * chunk,
         "trace must dwarf the chunk for the bound to mean anything"
     );
-    let obs = online
+    let obs = offline
         .run_observed(
             &mut WorkloadStream::new(workload.clone(), chunk),
             RecombinePolicy::Miser,
@@ -142,7 +160,7 @@ fn sharded_gateway_is_byte_identical_across_worker_counts() {
             .map(|(i, &policy)| TenantSpec {
                 name: format!("tenant-{i}"),
                 workload: workload.clone().shifted(SimDuration::from_millis(i as u64)),
-                shaper: OnlineShaper::from(offline),
+                shaper: offline,
                 policy,
                 inbox_bound: 32,
                 chunk: 128,
@@ -165,7 +183,6 @@ fn sharded_gateway_is_byte_identical_across_worker_counts() {
 #[test]
 fn streamed_trace_events_are_identical_to_offline() {
     let (workload, offline) = planned();
-    let online = OnlineShaper::from(offline);
     for policy in RecombinePolicy::ALL {
         let (trace, sink) = TraceHandle::memory();
         offline.run_traced(&workload, policy, trace);
@@ -173,13 +190,12 @@ fn streamed_trace_events_are_identical_to_offline() {
         assert!(!reference.is_empty(), "{policy}: no events captured");
         for chunk in [1usize, 7, 4096, workload.len()] {
             let (trace, sink) = TraceHandle::memory();
-            online
-                .run_traced(
-                    &mut WorkloadStream::new(workload.clone(), chunk),
-                    policy,
-                    trace,
-                )
-                .expect("workload stream");
+            streamed(
+                &offline,
+                &mut WorkloadStream::new(workload.clone(), chunk),
+                policy,
+                trace,
+            );
             assert!(
                 reference == sink.borrow().events(),
                 "{policy} trace events diverged at chunk size {chunk}"

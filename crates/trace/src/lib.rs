@@ -16,7 +16,10 @@
 //! - [`envelope`] — token-bucket `(σ, ρ)` arrival-curve envelopes;
 //! - [`gen`] — deterministic synthetic generators (Poisson, ON/OFF, MMPP,
 //!   paced, b-model) and [`gen::profiles`] calibrated to the paper's traces;
-//! - [`spc`] — SPC-format trace I/O so real repository traces drop in.
+//! - [`spc`] — SPC-format trace I/O so real repository traces drop in;
+//! - [`ArrivalStream`] + adapters ([`WorkloadStream`], [`SpcStream`]) —
+//!   arrivals in fixed-capacity sorted chunks with dense cross-chunk
+//!   request ids, so a trace never has to be materialised whole.
 //!
 //! # Examples
 //!
@@ -40,6 +43,7 @@ mod curve;
 pub mod envelope;
 pub mod gen;
 mod request;
+mod source;
 pub mod spc;
 pub mod stats;
 mod summary;
@@ -50,6 +54,7 @@ mod workload;
 pub use column::ArrivalColumn;
 pub use curve::{ArrivalCurve, BusyPeriod, ServiceAnalysis};
 pub use request::{LogicalBlock, Request, RequestId, RequestKind, DEFAULT_REQUEST_BYTES};
+pub use source::{ArrivalStream, SpcStream, StreamError, WorkloadStream, DEFAULT_CHUNK};
 pub use stats::{BurstEpisode, BurstStats};
 pub use summary::TraceSummary;
 pub use time::{Iops, SimDuration, SimTime};

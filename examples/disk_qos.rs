@@ -11,7 +11,7 @@
 use gqos::disk::{DiskModel, ScanScheduler, SstfScheduler, SweepMode};
 use gqos::sim::{FcfsScheduler, ServiceClass, Simulation, TraceHandle};
 use gqos::trace::gen::profiles::TraceProfile;
-use gqos::{Iops, Provision, RecombinePolicy, SimDuration};
+use gqos::{Iops, Provision, RecombinePolicy, SimDuration, WorkloadShaper};
 
 fn main() {
     // A light OLTP-like stream: the mechanical disk sustains only a couple
@@ -43,21 +43,21 @@ fn main() {
     };
     let fcfs_end = run_lowlevel(
         "FCFS",
-        Simulation::new(&batch, FcfsScheduler::new())
+        Simulation::new(FcfsScheduler::new())
             .server(DiskModel::builder().build())
-            .run(),
+            .run(&batch),
     );
     let sstf_end = run_lowlevel(
         "SSTF",
-        Simulation::new(&batch, SstfScheduler::new())
+        Simulation::new(SstfScheduler::new())
             .server(DiskModel::builder().build())
-            .run(),
+            .run(&batch),
     );
     run_lowlevel(
         "C-LOOK",
-        Simulation::new(&batch, ScanScheduler::new(SweepMode::CircularLook))
+        Simulation::new(ScanScheduler::new(SweepMode::CircularLook))
             .server(DiskModel::builder().build())
-            .run(),
+            .run(&batch),
     );
     println!(
         "  => seek-aware ordering saves {:.1}% of the FCFS makespan",
@@ -68,12 +68,20 @@ fn main() {
     //    the disk's random-access throughput (with a cache absorbing hits).
     let deadline = SimDuration::from_millis(50);
     let provision = Provision::new(Iops::new(150.0), Iops::new(150.0));
-    let disk = DiskModel::builder()
-        .cache(0.35, SimDuration::from_micros(60))
-        .seed(4)
-        .build();
-    let (miser, _) = RecombinePolicy::Miser.parts(provision, deadline, &TraceHandle::disabled());
-    let report = Simulation::new(&workload, miser).server(disk).run();
+    let disk = |_| {
+        DiskModel::builder()
+            .cache(0.35, SimDuration::from_micros(60))
+            .seed(4)
+            .build()
+    };
+    let report = WorkloadShaper::new(provision, deadline)
+        .simulation(
+            RecombinePolicy::Miser,
+            TraceHandle::disabled(),
+            |s, _| s,
+            disk,
+        )
+        .run(&workload);
     let primary = report.stats_for(ServiceClass::PRIMARY);
     let overflow = report.stats_for(ServiceClass::OVERFLOW);
     println!("\nRTT + Miser above the mechanical disk ({provision}, delta 50 ms):");

@@ -6,11 +6,11 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`trace`] | `gqos-trace` | workload model, synthetic generators, SPC I/O, burstiness statistics |
-//! | [`sim`] | `gqos-sim` | deterministic discrete-event engine, servers, latency metrics |
+//! | [`trace`] | `gqos-trace` | workload model, synthetic generators, SPC I/O, chunked arrival streams, burstiness statistics |
+//! | [`sim`] | `gqos-sim` | the one deterministic discrete-event engine (batch and chunked drivers), servers, latency metrics |
 //! | [`fairqueue`] | `gqos-fairqueue` | SFQ / token bucket |
 //! | [`disk`] | `gqos-disk` | mechanical disk model, SSTF / SCAN / C-LOOK |
-//! | [`core`] | `gqos-core` | RTT decomposition, Miser / Split / FairQueue recombination, capacity planning, consolidation |
+//! | [`core`] | `gqos-core` | RTT decomposition, Miser / Split / FairQueue recombination, the one workload shaper (batch, streamed, faulted), capacity planning, consolidation |
 //!
 //! The most common entry points are also re-exported at the top level.
 //!

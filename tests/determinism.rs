@@ -46,14 +46,14 @@ fn planner_is_reproducible() {
 fn disk_model_simulation_is_reproducible() {
     let w = TraceProfile::FinTrans.generate(SPAN, 3).time_scaled(3.0);
     let run = || {
-        Simulation::new(&w, FcfsScheduler::new())
+        Simulation::new(FcfsScheduler::new())
             .server(
                 DiskModel::builder()
                     .cache(0.3, SimDuration::from_micros(50))
                     .seed(12)
                     .build(),
             )
-            .run()
+            .run(&w)
     };
     let a = run();
     let b = run();

@@ -109,7 +109,8 @@ fn overflow_class_ordering_matches_figure6c() {
 fn all_policies_complete_every_request() {
     let w = TraceProfile::FinTrans.generate(SPAN, 5);
     let shaper = WorkloadShaper::plan(&w, QosTarget::new(0.95, SimDuration::from_millis(20)));
-    for (policy, report) in shaper.run_all(&w) {
+    for policy in RecombinePolicy::ALL {
+        let report = shaper.run(&w, policy);
         assert_eq!(
             report.completed(),
             w.len(),
