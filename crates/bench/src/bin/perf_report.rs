@@ -43,6 +43,13 @@
 //! per simulated request through FCFS, the event queue and the metrics.
 //! `--assert-sim-ns 160` fails the run when it comes in above 160 ns.
 //!
+//! `shaper/split_observed_lanes` and `shaper/split_observed_engine` are one
+//! observed Split run over the OpenMail trace, in ns per request: through
+//! `WorkloadShaper::run_observed` (the FIFO-lane recurrence), and the same
+//! run built explicitly on the event engine. The lane row must always cost
+//! at most half the engine row (asserted on every run; both rows come from
+//! one process, so the ratio holds on shared hosts).
+//!
 //! A malformed flag prints `error: …` and [`USAGE`] to stderr and exits
 //! with status 2.
 
@@ -53,12 +60,13 @@ use gqos_bench::ExpConfig;
 use gqos_control::{CommandBody, ControlPlane, ControlRequest};
 use gqos_core::{
     decompose, overflow_count, overflow_curve, within_miss_budget, CapacityPlanner,
-    DecomposeScratch, FcfsScheduler, FleetPlacer, QosTarget, QuoteCache, RttClassifier,
+    DecomposeScratch, FcfsScheduler, FleetPlacer, QosTarget, QuoteCache, RecombinePolicy,
+    RttClassifier, WorkloadShaper,
 };
 use gqos_fairqueue::{FlowId, Sfq};
 use gqos_parallel::WorkerPool;
-use gqos_sim::{simulate, FixedRateServer, ServiceClass};
-use gqos_stream::{ArrivalStream, SpcStream, DEFAULT_CHUNK};
+use gqos_sim::{simulate, FixedRateServer, LatencySketch, ServiceClass, TraceHandle};
+use gqos_stream::{ArrivalStream, SpcStream, WorkloadStream, DEFAULT_CHUNK};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{spc, Iops, Request, SimDuration, SimTime, TraceSummary, Workload};
 
@@ -367,8 +375,8 @@ fn main() {
     });
     push("sim/fcfs_openmail", sim_run_ns, sim_w.len() as u64);
     // The simulated-throughput headline: wall-clock ns per simulated
-    // request through the full engine (wheel, scheduler, metrics).
-    // Requests per second = 1e9 / median_ns.
+    // request through the full engine (event queue, scheduler, server,
+    // records). Requests per second = 1e9 / median_ns.
     let ns_per_request = sim_run_ns / sim_w.len() as f64;
     push(
         "sim/requests_per_sec_core",
@@ -387,6 +395,54 @@ fn main() {
         );
         println!("  sim assertion: sim/requests_per_sec_core <= {ceiling_ns} ns ok");
     }
+
+    // --- Shaped Split: FIFO lanes vs the engine ----------------------------
+    // One observed Split run over the OpenMail trace, streamed in
+    // `DEFAULT_CHUNK`s into per-class sketches: through `run_observed`
+    // (the FIFO-lane recurrence), and built explicitly on the engine.
+    let shaper = WorkloadShaper::plan(&openmail, QosTarget::new(0.90, delta));
+    let lanes_ns = measure(samples, 3, || {
+        let mut stream = WorkloadStream::new(openmail.clone(), DEFAULT_CHUNK);
+        shaper
+            .run_observed(&mut stream, RecombinePolicy::Split, |_| {})
+            .expect("workload stream")
+            .completed
+    }) / n as f64;
+    let engine_ns = measure(samples, 3, || {
+        let mut stream = WorkloadStream::new(openmail.clone(), DEFAULT_CHUNK);
+        let mut sketch = LatencySketch::new();
+        let mut primary = LatencySketch::new();
+        let mut overflow = LatencySketch::new();
+        shaper
+            .simulation(
+                RecombinePolicy::Split,
+                TraceHandle::disabled(),
+                |s, _| s,
+                FixedRateServer::new,
+            )
+            .run_stream(&mut stream, |r| {
+                let response = r.response_time().as_nanos();
+                sketch.record(response);
+                match r.class {
+                    ServiceClass::PRIMARY => primary.record(response),
+                    _ => overflow.record(response),
+                }
+            })
+            .expect("workload stream")
+            .offered
+    }) / n as f64;
+    push("shaper/split_observed_lanes", lanes_ns, n);
+    push("shaper/split_observed_engine", engine_ns, n);
+    println!(
+        "  shaper: Split on FIFO lanes costs {:.2}x of the engine",
+        lanes_ns / engine_ns
+    );
+    assert!(
+        lanes_ns <= 0.5 * engine_ns,
+        "shaper/split_observed_lanes ({lanes_ns:.1} ns per request) exceeded \
+         half of shaper/split_observed_engine ({engine_ns:.1} ns) — Split is \
+         no longer skipping the event engine"
+    );
 
     // --- Fleet placement --------------------------------------------------
     // The fleet experiment's headline scenario, as trended records: pack

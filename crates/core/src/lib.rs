@@ -60,6 +60,7 @@ mod degrade;
 mod fair;
 mod fleet;
 mod kernel;
+mod lanes;
 mod miser;
 mod offline;
 mod planner;

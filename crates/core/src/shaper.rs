@@ -6,13 +6,18 @@
 //! chunk by chunk from an [`ArrivalStream`] in `O(maxQ1 + chunk)` memory.
 //! Both feed the same [`Simulation`], so a streamed run is bit-identical
 //! to the batch run for any chunking.
+//!
+//! Untraced fixed-rate FCFS and Split runs ([`run`](WorkloadShaper::run),
+//! [`run_observed`](WorkloadShaper::run_observed)) skip the event engine:
+//! their servers are plain FIFOs, which the FIFO-lane recurrence
+//! (`lanes.rs`) computes record for record as the engine would.
 
 use std::fmt;
 
 use gqos_faults::FaultSchedule;
 use gqos_sim::{
-    CompletionRecord, FcfsScheduler, FixedRateServer, LatencySketch, ModulatedServer, RunReport,
-    Scheduler, ServiceClass, ServiceModel, Simulation, TraceHandle,
+    run_chunks, CompletionRecord, FcfsScheduler, FixedRateServer, LatencySketch, ModulatedServer,
+    RunReport, Scheduler, ServiceClass, ServiceModel, Simulation, TraceHandle,
 };
 use gqos_trace::{ArrivalStream, Iops, SimDuration, SimTime, StreamError, Workload};
 
@@ -21,6 +26,7 @@ use crate::degrade::{
     DegradationPolicy,
 };
 use crate::fair::FairQueueScheduler;
+use crate::lanes::FifoLanes;
 use crate::miser::MiserScheduler;
 use crate::planner::CapacityPlanner;
 use crate::split::SplitScheduler;
@@ -81,6 +87,24 @@ impl RecombinePolicy {
                 Box::new(MiserScheduler::with_trace(p, deadline, t)),
                 vec![p.total()],
             ),
+        }
+    }
+
+    /// The FIFO-lane core that stands in for [`parts`](Self::parts) on
+    /// plain fixed-rate servers: one lane of `Cmin + ΔC` for FCFS, lanes
+    /// of `Cmin` and `ΔC` under RTT admission for Split. `None` sends the
+    /// run through the engine: FairQueue and Miser share one server, and
+    /// Split keeps the engine where the lane guard fails.
+    ///
+    /// Only untraced, unwrapped runs on [`FixedRateServer`]s ask:
+    /// [`WorkloadShaper::run`] and [`WorkloadShaper::run_observed`].
+    fn lanes(self, provision: Provision, deadline: SimDuration) -> Option<FifoLanes> {
+        match self {
+            RecombinePolicy::Fcfs => Some(FifoLanes::fcfs(provision.total())),
+            RecombinePolicy::Split => {
+                FifoLanes::split(provision.cmin(), provision.delta_c(), deadline)
+            }
+            RecombinePolicy::FairQueue | RecombinePolicy::Miser => None,
         }
     }
 }
@@ -197,10 +221,13 @@ impl WorkloadShaper {
     /// in [`ServerId`](gqos_sim::ServerId) order. The engine emits into
     /// `trace` too and judges completions against the shaper's deadline.
     ///
-    /// Every shaped run is assembled here: plain, traced, observed and
-    /// faulted runs, gateway and drain lanes (`wrap` adds an inbox), and
-    /// runs on other service models (`server` builds a disk). Identity
-    /// parts are `|scheduler, _| scheduler` and `FixedRateServer::new`.
+    /// Every engine run is assembled here: traced and faulted runs, plain
+    /// and observed FairQueue and Miser runs, gateway and drain lanes
+    /// (`wrap` adds an inbox), and runs on other service models (`server`
+    /// builds a disk). Identity parts are `|scheduler, _| scheduler` and
+    /// `FixedRateServer::new`; built with them, the engine is the oracle
+    /// the FIFO lanes of [`run`](Self::run) and
+    /// [`run_observed`](Self::run_observed) are checked against.
     pub fn simulation<S, M>(
         &self,
         policy: RecombinePolicy,
@@ -229,8 +256,14 @@ impl WorkloadShaper {
     /// [`ServiceClass::PRIMARY`](gqos_sim::ServiceClass::PRIMARY) (there is
     /// no decomposition); under the other policies, per-class statistics
     /// are available via [`RunReport::stats_for`].
+    ///
+    /// FCFS and Split run on the FIFO lanes (the engine's report, computed
+    /// in closed form); FairQueue and Miser run on the engine.
     pub fn run(&self, workload: &Workload, policy: RecombinePolicy) -> RunReport {
-        self.run_traced(workload, policy, TraceHandle::disabled())
+        match policy.lanes(self.provision, self.deadline) {
+            Some(lanes) if lanes.covers(workload) => lanes.run(workload),
+            _ => self.run_traced(workload, policy, TraceHandle::disabled()),
+        }
     }
 
     /// Like [`run`](WorkloadShaper::run), but with the full event trace
@@ -257,12 +290,17 @@ impl WorkloadShaper {
     /// `|_| {}` to discard) instead of accumulating. The aggregate sketch
     /// is bit-identical to [`RunReport::response_sketch`] of the batch
     /// run; peak footprint is one chunk of requests plus the drained
-    /// backlog, not the whole trace.
+    /// backlog, not the whole trace. FCFS and Split run on the FIFO lanes,
+    /// through the same chunk driver as the engine.
     ///
     /// # Errors
     ///
     /// Propagates [`StreamError`] from the source. `sink` has by then
     /// received every record drained before the failing pull.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a completion instant passes the `u64` nanosecond clock.
     pub fn run_observed<A, F>(
         &self,
         stream: &mut A,
@@ -277,23 +315,27 @@ impl WorkloadShaper {
         let mut primary = LatencySketch::new();
         let mut overflow = LatencySketch::new();
         let mut completed = 0;
-        let run = self
-            .simulation(
-                policy,
-                TraceHandle::disabled(),
-                |s, _| s,
-                FixedRateServer::new,
-            )
-            .run_stream(stream, |record| {
-                let response = record.response_time().as_nanos();
-                sketch.record(response);
-                match record.class {
-                    ServiceClass::PRIMARY => primary.record(response),
-                    _ => overflow.record(response),
-                }
-                completed += 1;
-                sink(record);
-            })?;
+        let observe = |record: CompletionRecord| {
+            let response = record.response_time().as_nanos();
+            sketch.record(response);
+            match record.class {
+                ServiceClass::PRIMARY => primary.record(response),
+                _ => overflow.record(response),
+            }
+            completed += 1;
+            sink(record);
+        };
+        let run = match policy.lanes(self.provision, self.deadline) {
+            Some(mut lanes) => run_chunks(&mut lanes, stream, observe)?,
+            None => self
+                .simulation(
+                    policy,
+                    TraceHandle::disabled(),
+                    |s, _| s,
+                    FixedRateServer::new,
+                )
+                .run_stream(stream, observe)?,
+        };
         Ok(StreamObservation {
             sketch,
             primary,
@@ -532,12 +574,26 @@ mod tests {
         Workload::from_arrivals(arrivals)
     }
 
+    /// The engine of `policy` at `shaper`'s provision, untraced on plain
+    /// fixed-rate servers: the oracle the FIFO lanes must match.
+    fn engine(
+        shaper: &WorkloadShaper,
+        policy: RecombinePolicy,
+    ) -> Simulation<Box<dyn CapacityAdaptive>> {
+        shaper.simulation(
+            policy,
+            TraceHandle::disabled(),
+            |s, _| s,
+            FixedRateServer::new,
+        )
+    }
+
     #[test]
     fn observed_run_sketches_match_offline_report() {
         let w = streamed_workload();
         let shaper = stream_shaper();
         for policy in RecombinePolicy::ALL {
-            let reference = shaper.run(&w, policy);
+            let reference = engine(&shaper, policy).run(&w);
             let mut forwarded = 0usize;
             let obs = shaper
                 .run_observed(&mut WorkloadStream::new(w.clone(), 7), policy, |_| {
@@ -650,8 +706,8 @@ mod tests {
                 at_pull: Vec::new(),
             };
             let mut clean_records = Vec::new();
-            shaper
-                .run_observed(&mut probe, policy, |r| {
+            engine(&shaper, policy)
+                .run_stream(&mut probe, |r| {
                     sunk.set(sunk.get() + 1);
                     clean_records.push(r);
                 })
@@ -671,6 +727,8 @@ mod tests {
                 .count();
             assert_eq!(before_kth_pull, released, "{policy}");
 
+            // The observed run (FIFO lanes for FCFS and Split) drains the
+            // same records before the failing pull as the engine.
             let mut received = Vec::new();
             let err = shaper
                 .run_observed(&mut SpcStream::new(broken.as_bytes(), chunk), policy, |r| {

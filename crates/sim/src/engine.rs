@@ -16,6 +16,10 @@
 //! over any chunking of a workload is **bit-identical** to the batch run:
 //! same completion records, same nanoseconds, same tie-breaks.
 //!
+//! The chunk loop itself is [`run_chunks`], written once over the
+//! [`ChunkCore`] trait: the engine is one core, and `gqos-core`'s FIFO
+//! lanes (FCFS and Split computed in closed form) are the other.
+//!
 //! # Why popping must wait for the next arrival
 //!
 //! The event queue breaks timestamp ties by event kind, and an arrival
@@ -198,69 +202,14 @@ impl<S: Scheduler> Simulation<S> {
     pub fn run_stream<A: ArrivalStream + ?Sized>(
         &mut self,
         stream: &mut A,
-        mut on_completion: impl FnMut(CompletionRecord),
+        on_completion: impl FnMut(CompletionRecord),
     ) -> Result<StreamRun, StreamError> {
         assert!(
             !self.servers.is_empty(),
             "simulation needs at least one server"
         );
         assert!(!self.started, "a simulation runs once");
-        let mut buf = Vec::new();
-        let (mut chunks, mut peak_chunk_bytes, mut peak_drain_records) = (0, 0, 0);
-        let mut drain = |completions: &mut Vec<CompletionRecord>| {
-            peak_drain_records = peak_drain_records.max(completions.len());
-            completions.drain(..).for_each(&mut on_completion);
-        };
-        loop {
-            let n = stream.next_chunk(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            chunks += 1;
-            peak_chunk_bytes = peak_chunk_bytes.max(n * mem::size_of::<Request>());
-            for &request in &buf {
-                self.offer(request);
-            }
-            drain(&mut self.completions);
-        }
-        self.finish();
-        drain(&mut self.completions);
-        Ok(StreamRun {
-            chunks,
-            peak_chunk_bytes,
-            offered: self.offered,
-            end_time: self.end_time,
-            peak_drain_records,
-        })
-    }
-
-    /// Offers the next arrival. Arrivals must be offered in non-decreasing
-    /// arrival order; the engine processes every event that is already
-    /// unambiguous before returning.
-    fn offer(&mut self, request: Request) {
-        assert!(!self.finished, "offer after finish");
-        if !self.started {
-            self.queue = IndexedEventQueue::new(self.servers.len());
-            self.in_flight = (0..self.servers.len()).map(|_| None).collect();
-            self.started = true;
-        }
-        assert!(
-            request.arrival >= self.last_arrival,
-            "arrivals must be offered in order: {} after {}",
-            request.arrival,
-            self.last_arrival
-        );
-        self.last_arrival = request.arrival;
-        self.offered += 1;
-        self.pending.push_back(request);
-        self.pump();
-    }
-
-    /// Declares the arrival stream exhausted and runs the simulation to
-    /// quiescence. Idempotent; a later offer panics.
-    fn finish(&mut self) {
-        self.finished = true;
-        self.pump();
+        run_chunks(self, stream, on_completion)
     }
 
     /// Processes every event whose order relative to future arrivals is
@@ -397,6 +346,125 @@ impl<S: Scheduler> Simulation<S> {
             Dispatch::Idle => {}
         }
     }
+}
+
+/// What the chunk driver [`run_chunks`] needs of a simulation core: a
+/// run fed arrivals in order, whose completion records are released as
+/// soon as no arrival still to come could precede them.
+///
+/// [`Simulation`] is the general core. A policy whose servers are all
+/// fixed-rate FIFOs can supply a closed-form one instead (`gqos-core`'s
+/// FIFO lanes); both then share this one driver, so the drain-after-chunk
+/// contract and the peak counters have one implementation.
+pub trait ChunkCore {
+    /// Offers the next arrival. Arrivals must be offered in
+    /// non-decreasing arrival order.
+    fn offer(&mut self, request: Request);
+
+    /// Declares the arrival stream exhausted and runs to quiescence.
+    fn finish(&mut self);
+
+    /// Hands every record released so far to `sink`, in completion order
+    /// (ties by server index), and returns how many. Before
+    /// [`finish`](ChunkCore::finish) a record is released once its
+    /// completion is at or before the last offered arrival; after it,
+    /// every record is.
+    fn drain(&mut self, sink: impl FnMut(CompletionRecord)) -> usize;
+
+    /// Requests offered so far.
+    fn offered(&self) -> usize;
+
+    /// Instant of the last event of the run; final once finished.
+    fn end_time(&self) -> SimTime;
+}
+
+impl<S: Scheduler> ChunkCore for Simulation<S> {
+    /// Processes every event that is already unambiguous before
+    /// returning.
+    fn offer(&mut self, request: Request) {
+        assert!(!self.finished, "offer after finish");
+        if !self.started {
+            self.queue = IndexedEventQueue::new(self.servers.len());
+            self.in_flight = (0..self.servers.len()).map(|_| None).collect();
+            self.started = true;
+        }
+        assert!(
+            request.arrival >= self.last_arrival,
+            "arrivals must be offered in order: {} after {}",
+            request.arrival,
+            self.last_arrival
+        );
+        self.last_arrival = request.arrival;
+        self.offered += 1;
+        self.pending.push_back(request);
+        self.pump();
+    }
+
+    /// Declares the arrival stream exhausted and runs the simulation to
+    /// quiescence. Idempotent; a later offer panics.
+    fn finish(&mut self) {
+        self.finished = true;
+        self.pump();
+    }
+
+    fn drain(&mut self, sink: impl FnMut(CompletionRecord)) -> usize {
+        let n = self.completions.len();
+        self.completions.drain(..).for_each(sink);
+        n
+    }
+
+    fn offered(&self) -> usize {
+        self.offered
+    }
+
+    fn end_time(&self) -> SimTime {
+        self.end_time
+    }
+}
+
+/// Runs `stream` through `core` to quiescence: pulls a chunk, offers it,
+/// and hands every record the chunk released to `on_completion`, until
+/// the stream is empty; then finishes the run and hands over the rest.
+/// `on_completion` runs after each chunk and before the next pull, in
+/// completion order.
+///
+/// # Errors
+///
+/// Propagates [`StreamError`] from the source. Records drained before the
+/// failing pull have already been handed to `on_completion`; the run
+/// stops there and `core` is left unfinished.
+pub fn run_chunks<C, A>(
+    core: &mut C,
+    stream: &mut A,
+    mut on_completion: impl FnMut(CompletionRecord),
+) -> Result<StreamRun, StreamError>
+where
+    C: ChunkCore + ?Sized,
+    A: ArrivalStream + ?Sized,
+{
+    let mut buf = Vec::new();
+    let (mut chunks, mut peak_chunk_bytes, mut peak_drain_records) = (0, 0, 0);
+    loop {
+        let n = stream.next_chunk(&mut buf)?;
+        if n == 0 {
+            break;
+        }
+        chunks += 1;
+        peak_chunk_bytes = peak_chunk_bytes.max(n * mem::size_of::<Request>());
+        for &request in &buf {
+            core.offer(request);
+        }
+        peak_drain_records = peak_drain_records.max(core.drain(&mut on_completion));
+    }
+    core.finish();
+    peak_drain_records = peak_drain_records.max(core.drain(&mut on_completion));
+    Ok(StreamRun {
+        chunks,
+        peak_chunk_bytes,
+        offered: core.offered(),
+        end_time: core.end_time(),
+        peak_drain_records,
+    })
 }
 
 /// Convenience wrapper: simulates `workload` under `scheduler` on a single

@@ -7,7 +7,8 @@
 //!   [`Scheduler`] over one or more servers, fed a whole
 //!   [`Workload`](gqos_trace::Workload) by [`Simulation::run`] or an
 //!   [`ArrivalStream`](gqos_trace::ArrivalStream) chunk by chunk by
-//!   [`Simulation::run_stream`] (bit-identical for any chunking);
+//!   [`Simulation::run_stream`] (bit-identical for any chunking), whose
+//!   chunk loop [`run_chunks`] serves any [`ChunkCore`];
 //! - [`ServiceModel`] — pluggable service-time models, with the paper's
 //!   constant-capacity [`FixedRateServer`] built in (the mechanical disk
 //!   model lives in `gqos-disk`);
@@ -52,7 +53,7 @@ mod scheduler;
 mod server;
 
 pub use closed::{closed_loop, ClosedLoopConfig};
-pub use engine::{simulate, Simulation, StreamRun};
+pub use engine::{run_chunks, simulate, ChunkCore, Simulation, StreamRun};
 pub use event::{Event, EventKind, EventQueue, IndexedEventQueue};
 pub use metrics::{CompletionRecord, ResponseStats, RunReport};
 pub use scheduler::{Dispatch, FcfsScheduler, Scheduler, ServiceClass};
