@@ -50,6 +50,11 @@
 //! at most half the engine row (asserted on every run; both rows come from
 //! one process, so the ratio holds on shared hosts).
 //!
+//! `obs/window_feed` is the retention feed of one fixed 600-request
+//! gateway lane (`TenantReport::feed_longterm` into a fresh
+//! `LongTermStore`), in ns per request; `obs/sketch_record` is one
+//! `LatencySketch::record` into a warm sketch.
+//!
 //! A malformed flag prints `error: …` and [`USAGE`] to stderr and exits
 //! with status 2.
 
@@ -60,13 +65,18 @@ use gqos_bench::ExpConfig;
 use gqos_control::{CommandBody, ControlPlane, ControlRequest};
 use gqos_core::{
     decompose, overflow_count, overflow_curve, within_miss_budget, CapacityPlanner,
-    DecomposeScratch, FcfsScheduler, FleetPlacer, QosTarget, QuoteCache, RecombinePolicy,
-    RttClassifier, WorkloadShaper,
+    DecomposeScratch, FcfsScheduler, FleetPlacer, Provision, QosTarget, QuoteCache,
+    RecombinePolicy, RttClassifier, WorkloadShaper,
 };
 use gqos_fairqueue::{FlowId, Sfq};
 use gqos_parallel::WorkerPool;
-use gqos_sim::{simulate, FixedRateServer, LatencySketch, ServiceClass, TraceHandle};
-use gqos_stream::{ArrivalStream, SpcStream, WorkloadStream, DEFAULT_CHUNK};
+use gqos_sim::{
+    simulate, FixedRateServer, LatencySketch, LongTermStore, RetentionConfig, ServiceClass,
+    TraceHandle,
+};
+use gqos_stream::{
+    ArrivalStream, IngestGateway, SpcStream, TenantSpec, WorkloadStream, DEFAULT_CHUNK,
+};
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{spc, Iops, Request, SimDuration, SimTime, TraceSummary, Workload};
 
@@ -443,6 +453,49 @@ fn main() {
          half of shaper/split_observed_engine ({engine_ns:.1} ns) — Split is \
          no longer skipping the event engine"
     );
+
+    // --- Sketches and the retention feed ----------------------------------
+    // One fixed 600-request gateway lane, as `tenant_gateway` runs them:
+    // OpenMail planned at 90% within 50 ms, Split, a 6·⌊Cmin·δ⌋ inbox,
+    // fed at 100 ms windows. The warm sketch already spans its values.
+    let lane_deadline = SimDuration::from_millis(50);
+    let lane_workload = openmail.truncated(600);
+    let lane_cmin = CapacityPlanner::new(&lane_workload, lane_deadline).min_capacity(0.90);
+    let lane_q1 = (lane_cmin.get() * lane_deadline.as_secs_f64()).floor() as usize;
+    let lane = IngestGateway::new(WorkerPool::serial())
+        .run(vec![TenantSpec {
+            name: "lane".into(),
+            workload: lane_workload,
+            shaper: WorkloadShaper::new(
+                Provision::with_default_surplus(lane_cmin, lane_deadline),
+                lane_deadline,
+            ),
+            policy: RecombinePolicy::Split,
+            inbox_bound: (lane_q1 * 6).max(1),
+            chunk: DEFAULT_CHUNK,
+        }])
+        .remove(0);
+    let lane_n = lane.records.len() as u64;
+    let feed_window = SimDuration::from_millis(100);
+    let feed_ns = measure(samples, 200, || {
+        let mut store = LongTermStore::new(RetentionConfig::default_tiers());
+        lane.feed_longterm(feed_window, &mut store);
+        store.resident_sketches()
+    }) / lane_n as f64;
+    push("obs/window_feed", feed_ns, lane_n);
+    let responses: Vec<u64> = lane
+        .records
+        .iter()
+        .map(|r| r.response_time().as_nanos())
+        .collect();
+    let mut warm = LatencySketch::new();
+    responses.iter().for_each(|&v| warm.record(v));
+    let record_ns = measure(samples, 2_000, || {
+        for &v in &responses {
+            warm.record(std::hint::black_box(v));
+        }
+    }) / lane_n as f64;
+    push("obs/sketch_record", record_ns, 1);
 
     // --- Fleet placement --------------------------------------------------
     // The fleet experiment's headline scenario, as trended records: pack

@@ -311,13 +311,11 @@ impl WorkloadShaper {
         A: ArrivalStream + ?Sized,
         F: FnMut(CompletionRecord),
     {
-        let mut sketch = LatencySketch::new();
         let mut primary = LatencySketch::new();
         let mut overflow = LatencySketch::new();
         let mut completed = 0;
         let observe = |record: CompletionRecord| {
             let response = record.response_time().as_nanos();
-            sketch.record(response);
             match record.class {
                 ServiceClass::PRIMARY => primary.record(response),
                 _ => overflow.record(response),
@@ -336,6 +334,11 @@ impl WorkloadShaper {
                 )
                 .run_stream(stream, observe)?,
         };
+        // Merging is exact, so this equals recording every response once
+        // more into a whole-run sketch, at one merge instead of a record
+        // per request.
+        let mut sketch = primary.clone();
+        sketch.merge(&overflow);
         Ok(StreamObservation {
             sketch,
             primary,

@@ -113,8 +113,9 @@ impl RetentionConfig {
 
     /// Upper bound on live sketches **per tenant**: every ring at
     /// capacity, plus one open bucket per tier, plus the cumulative
-    /// sketch. The store's memory is this bound times the tenant count,
-    /// independent of run length.
+    /// sketch. The store's memory is at most this bound times the tenant
+    /// count times one full-span sketch, independent of run length; a
+    /// sketch stores only its occupied bucket span, so most cost less.
     pub fn max_resident_sketches(&self) -> usize {
         self.tiers.iter().map(|t| t.capacity).sum::<usize>() + self.tiers.len() + 1
     }

@@ -15,6 +15,16 @@
 //! into `2^SUB_BITS` equal sub-buckets of width `2^(e-SUB_BITS)`, so a
 //! bucket's upper bound overestimates any member by less than
 //! `width / lower ≤ 1/2^SUB_BITS` of its value.
+//!
+//! # Storage
+//!
+//! There are 1,920 buckets, but a sketch stores only its occupied span:
+//! `counts[i]` holds bucket `lo + i`, and the span is exactly
+//! `bucket_index(min)..=bucket_index(max)` (empty, with `lo = 0`, when
+//! nothing is recorded). `min` and `max` are exact, so the span is a
+//! function of the recorded multiset and the derived `==` compares
+//! recorded contents. An empty sketch allocates nothing; clone, merge,
+//! quantile and `count_at_most` cost O(span), at most 1,920 buckets.
 
 /// Sub-bucket resolution: each octave is split into `2^SUB_BITS` buckets.
 const SUB_BITS: u32 = 5;
@@ -131,7 +141,12 @@ pub fn nearest_rank(q: f64, n: u64) -> u64 {
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LatencySketch {
-    counts: Box<[u64; BUCKETS]>,
+    /// Bucket index of `counts[0]`; 0 when empty.
+    lo: usize,
+    /// Counts of buckets `lo..lo + counts.len()`: exactly the span
+    /// `bucket_index(min)..=bucket_index(max)`, empty when nothing is
+    /// recorded (see the module docs).
+    counts: Vec<u64>,
     total: u64,
     min: u64,
     max: u64,
@@ -148,7 +163,8 @@ impl LatencySketch {
     /// Creates an empty sketch.
     pub fn new() -> Self {
         LatencySketch {
-            counts: vec![0u64; BUCKETS].into_boxed_slice().try_into().unwrap(),
+            lo: 0,
+            counts: Vec::new(),
             total: 0,
             min: u64::MAX,
             max: 0,
@@ -190,10 +206,38 @@ impl LatencySketch {
         }
     }
 
+    /// Widens the stored span to also cover buckets `first..=last`; a
+    /// no-op when it already does.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self, first: usize, last: usize) {
+        debug_assert!(first <= last && last < BUCKETS);
+        if self.counts.is_empty() {
+            self.lo = first;
+            self.counts.resize(last - first + 1, 0);
+            return;
+        }
+        if last >= self.lo + self.counts.len() {
+            self.counts.resize(last - self.lo + 1, 0);
+        }
+        if first < self.lo {
+            let grow = self.lo - first;
+            self.counts.splice(..0, std::iter::repeat_n(0, grow));
+            self.lo = first;
+        }
+    }
+
     /// Records one latency value (nanoseconds).
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::bucket_index(value)] += 1;
+        let index = Self::bucket_index(value);
+        match self.counts.get_mut(index.wrapping_sub(self.lo)) {
+            Some(count) => *count += 1,
+            None => {
+                self.widen(index, index);
+                self.counts[index - self.lo] += 1;
+            }
+        }
         self.total += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
@@ -267,7 +311,7 @@ impl LatencySketch {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Self::bucket_upper(i).min(self.max).max(self.min);
+                return Self::bucket_upper(self.lo + i).min(self.max).max(self.min);
             }
         }
         self.max
@@ -284,6 +328,7 @@ impl LatencySketch {
     /// Bucket upper bounds increase with the index, so the qualifying
     /// buckets are exactly a prefix: everything below the threshold's own
     /// bucket, plus that bucket when its upper bound is `<= threshold`.
+    /// Only the part of that prefix inside the stored span is summed.
     pub fn count_at_most(&self, threshold: u64) -> u64 {
         let own = Self::bucket_index(threshold);
         let end = if Self::bucket_upper(own) <= threshold {
@@ -291,7 +336,11 @@ impl LatencySketch {
         } else {
             own
         };
-        self.counts[..end].iter().sum()
+        let stored = end.saturating_sub(self.lo);
+        if stored >= self.counts.len() {
+            return self.total;
+        }
+        self.counts[..stored].iter().sum()
     }
 
     /// The exact fraction of recorded values `<= threshold`, up to bucket
@@ -308,9 +357,18 @@ impl LatencySketch {
     ///
     /// Bucket counts are added elementwise, so merging per-worker shards is
     /// *exactly* equivalent to having built one sketch over the concatenated
-    /// stream — bit-identical counts, min, max, and sum.
+    /// stream — bit-identical counts, min, max, and sum. The stored span
+    /// widens once, to the union of both spans.
     pub fn merge(&mut self, other: &LatencySketch) {
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
+        if other.is_empty() {
+            return;
+        }
+        let (first, last) = (other.lo, other.lo + other.counts.len() - 1);
+        if self.counts.is_empty() || first < self.lo || last >= self.lo + self.counts.len() {
+            self.widen(first, last);
+        }
+        let dst = &mut self.counts[first - self.lo..=last - self.lo];
+        for (dst, src) in dst.iter_mut().zip(&other.counts) {
             *dst += src;
         }
         self.total += other.total;
@@ -325,7 +383,7 @@ impl LatencySketch {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (Self::bucket_upper(i), c))
+            .map(|(i, &c)| (Self::bucket_upper(self.lo + i), c))
             .collect()
     }
 }
@@ -341,7 +399,9 @@ mod tests {
         if n == 0 {
             return;
         }
-        s.counts[LatencySketch::bucket_index(value)] += n;
+        let index = LatencySketch::bucket_index(value);
+        s.widen(index, index);
+        s.counts[index - s.lo] += n;
         s.total += n;
         s.min = s.min.min(value);
         s.max = s.max.max(value);
@@ -623,7 +683,7 @@ mod tests {
     fn count_at_most_full_scan(sketch: &LatencySketch, threshold: u64) -> u64 {
         let mut below = 0u64;
         for (i, &c) in sketch.counts.iter().enumerate() {
-            if c != 0 && LatencySketch::bucket_upper(i) <= threshold {
+            if c != 0 && LatencySketch::bucket_upper(sketch.lo + i) <= threshold {
                 below += c;
             }
         }

@@ -119,7 +119,6 @@ pub struct WindowedSketch {
     window: SimDuration,
     index: u64,
     current: LatencySketch,
-    cumulative: LatencySketch,
 }
 
 impl WindowedSketch {
@@ -135,7 +134,6 @@ impl WindowedSketch {
             window,
             index: 0,
             current: LatencySketch::new(),
-            cumulative: LatencySketch::new(),
         }
     }
 
@@ -199,15 +197,7 @@ impl WindowedSketch {
         }
         let closed = self.advance_to(at);
         self.current.record(value);
-        self.cumulative.record(value);
         Ok(closed)
-    }
-
-    /// The sketch of **every** value recorded so far, across all windows
-    /// — bit-identical to the merge of all emitted snapshots plus the
-    /// still-open window.
-    pub fn cumulative(&self) -> &LatencySketch {
-        &self.cumulative
     }
 
     /// Closes the still-open window and returns its snapshot, consuming
@@ -267,7 +257,6 @@ mod tests {
         assert_eq!(err.at, SimTime::from_millis(5));
         assert_eq!(err.window_start, SimTime::from_millis(20));
         // Nothing was recorded and no window state moved.
-        assert_eq!(w.cumulative().count(), 1);
         assert_eq!(w.index, 2);
         assert_eq!(w.finish().sketch().count(), 1);
     }

@@ -327,9 +327,12 @@ impl<S: Scheduler> Simulation<S> {
                 // Zero-length service still advances the clock by one tick
                 // so progress is guaranteed.
                 let service = service.max(SimDuration::from_nanos(1));
+                let at = now
+                    .checked_add(service)
+                    .expect("completion instant overflows the simulation clock");
                 in_flight[server] = Some((request, class, now));
                 queue.push(Event {
-                    at: now + service,
+                    at,
                     kind: EventKind::Completion { server },
                 });
             }
@@ -766,6 +769,19 @@ mod tests {
         let mut sim = Simulation::new(FcfsScheduler::new()).server(server());
         sim.finish();
         sim.offer(Request::at(ms(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "completion instant overflows the simulation clock")]
+    fn completion_past_the_clock_end_panics_instead_of_wrapping() {
+        // Regression: `now + service` wrapped in release builds, so two
+        // requests arriving near `SimTime::MAX` on a 1 IOPS server
+        // completed before they arrived.
+        let at = SimTime::from_nanos(u64::MAX - 5);
+        let w = Workload::from_arrivals([at, at]);
+        let _ = Simulation::new(FcfsScheduler::new())
+            .server(FixedRateServer::new(Iops::new(1.0)))
+            .run(&w);
     }
 
     #[test]
