@@ -318,8 +318,10 @@ fn main() {
     );
 
     // Determinism contract: the two menu paths must agree byte for byte.
-    let serial = planner.menu(&fractions);
-    let parallel = planner.menu_parallel(&fractions, &pool);
+    let serial = planner.menu(&fractions).expect("valid fractions");
+    let parallel = planner
+        .menu_parallel(&fractions, &pool)
+        .expect("valid fractions");
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.target, p.target, "menu targets diverged");
         assert_eq!(
@@ -461,7 +463,7 @@ fn main() {
     let lane_deadline = SimDuration::from_millis(50);
     let lane_workload = openmail.truncated(600);
     let lane_cmin = CapacityPlanner::new(&lane_workload, lane_deadline).min_capacity(0.90);
-    let lane_q1 = (lane_cmin.get() * lane_deadline.as_secs_f64()).floor() as usize;
+    let lane_q1 = lane_cmin.requests_within(lane_deadline) as usize;
     let lane = IngestGateway::new(WorkerPool::serial())
         .run(vec![TenantSpec {
             name: "lane".into(),

@@ -45,7 +45,9 @@ fn compute(cfg: &ExpConfig) -> Vec<Fig5Cell> {
         (profile, profile.generate(cfg.span, cfg.seed))
     });
     let menus = cfg.pool().map((0..workloads.len()).collect(), |w: usize| {
-        CapacityPlanner::new(&workloads[w].1, deadline).menu(&FIG5_FRACTIONS)
+        CapacityPlanner::new(&workloads[w].1, deadline)
+            .menu(&FIG5_FRACTIONS)
+            .expect("the Figure 5 fractions are in (0, 1]")
     });
     let grid: Vec<(usize, usize)> = (0..workloads.len())
         .flat_map(|w| (0..FIG5_FRACTIONS.len()).map(move |f| (w, f)))

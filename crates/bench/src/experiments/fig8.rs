@@ -54,7 +54,7 @@ fn compute(cfg: &ExpConfig) -> Vec<Fig8Cell> {
         Fig8Cell {
             pair: i,
             fraction,
-            report: study.compare(&[wa, wb]),
+            report: study.compare(&[wa, wb]).expect("a pair is two clients"),
         }
     })
 }

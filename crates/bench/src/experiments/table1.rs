@@ -31,6 +31,7 @@ fn compute(cfg: &ExpConfig) -> Table1Result {
         let planner = CapacityPlanner::new(&workloads[w].1, SimDuration::from_millis(delta_ms));
         planner
             .menu(&TABLE1_FRACTIONS)
+            .expect("the Table 1 fractions are in (0, 1]")
             .into_iter()
             .map(|quote| quote.cmin.get().round() as u64)
             .collect::<Vec<u64>>()

@@ -133,16 +133,10 @@ impl SloTarget {
     }
 
     /// The smallest share with a non-degenerate RTT bound: `C·δ ≥ 1`,
-    /// i.e. `⌈1/δ⌉` IOPS — the controller never descends below it.
+    /// i.e. `⌈1/δ⌉` IOPS ([`gqos_core::capacity_floor`]) — the controller
+    /// never descends below it.
     pub fn capacity_floor(&self) -> u64 {
-        1_000_000_000u64.div_ceil(self.deadline.as_nanos())
-    }
-
-    /// The per-window target queue length at `share` IOPS: the paper's
-    /// primary-queue bound `⌊C·δ⌋`, in pure integer arithmetic.
-    pub fn target_queue(&self, share: u64) -> u64 {
-        let q = u128::from(share) * u128::from(self.deadline.as_nanos()) / 1_000_000_000;
-        u64::try_from(q).unwrap_or(u64::MAX)
+        gqos_core::capacity_floor(self.deadline)
     }
 }
 
@@ -1132,9 +1126,8 @@ mod tests {
     }
 
     #[test]
-    fn target_queue_is_the_paper_bound() {
+    fn floor_and_slack_deadline() {
         let slo = slo();
-        assert_eq!(slo.target_queue(1000), 20, "⌊1000 IOPS × 20 ms⌋");
         assert_eq!(slo.capacity_floor(), 50, "⌈1 / 20 ms⌉");
         assert_eq!(slo.slack_deadline(), SimDuration::from_millis(15));
     }

@@ -96,7 +96,7 @@ impl CascadeDecomposer {
             .map(|l| LevelState {
                 max_q: l.capacity.requests_within(l.deadline),
                 len_q: 0,
-                service: l.capacity.service_time().max(SimDuration::from_nanos(1)),
+                service: l.capacity.service_time(),
                 next_done: SimTime::ZERO,
             })
             .collect();

@@ -44,7 +44,7 @@ impl Error for ConsolidationError {}
 /// [`ratio`](ConsolidationReport::ratio) or
 /// [`relative_error`](ConsolidationReport::relative_error) divides by
 /// zero. The division-hazard lives one level up, in inputs the planner
-/// cannot price (an empty client list); [`ConsolidationStudy::try_compare`]
+/// cannot price (an empty client list); [`ConsolidationStudy::compare`]
 /// surfaces those as a typed [`ConsolidationError`] instead of a panic.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ConsolidationReport {
@@ -102,7 +102,7 @@ impl fmt::Display for ConsolidationReport {
 /// let a = Workload::from_arrivals(vec![SimTime::ZERO; 5]);
 /// let b = Workload::from_arrivals(vec![SimTime::from_millis(500); 5]);
 /// let study = ConsolidationStudy::new(QosTarget::new(1.0, SimDuration::from_millis(10)));
-/// let report = study.compare(&[&a, &b]);
+/// let report = study.compare(&[&a, &b]).unwrap();
 /// // Non-overlapping bursts: the merged workload needs half the estimate.
 /// assert!(report.ratio() < 0.6);
 /// ```
@@ -124,22 +124,10 @@ impl ConsolidationStudy {
 
     /// The additive estimate: sum of each client's individual `Cmin`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is empty; use
-    /// [`try_estimate`](ConsolidationStudy::try_estimate) for a typed
-    /// error instead.
-    pub fn estimate(&self, clients: &[&Workload]) -> Iops {
-        self.try_estimate(clients)
-            .expect("at least one client is required")
-    }
-
-    /// Fallible form of [`estimate`](ConsolidationStudy::estimate).
-    ///
     /// # Errors
     ///
     /// Returns [`ConsolidationError::NoClients`] for an empty client list.
-    pub fn try_estimate(&self, clients: &[&Workload]) -> Result<Iops, ConsolidationError> {
+    pub fn estimate(&self, clients: &[&Workload]) -> Result<Iops, ConsolidationError> {
         if clients.is_empty() {
             return Err(ConsolidationError::NoClients);
         }
@@ -156,22 +144,10 @@ impl ConsolidationStudy {
 
     /// The true requirement: `Cmin` of the merged arrival stream.
     ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is empty; use
-    /// [`try_actual`](ConsolidationStudy::try_actual) for a typed error
-    /// instead.
-    pub fn actual(&self, clients: &[&Workload]) -> Iops {
-        self.try_actual(clients)
-            .expect("at least one client is required")
-    }
-
-    /// Fallible form of [`actual`](ConsolidationStudy::actual).
-    ///
     /// # Errors
     ///
     /// Returns [`ConsolidationError::NoClients`] for an empty client list.
-    pub fn try_actual(&self, clients: &[&Workload]) -> Result<Iops, ConsolidationError> {
+    pub fn actual(&self, clients: &[&Workload]) -> Result<Iops, ConsolidationError> {
         if clients.is_empty() {
             return Err(ConsolidationError::NoClients);
         }
@@ -182,28 +158,16 @@ impl ConsolidationStudy {
 
     /// Computes both sides of the comparison.
     ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is empty; use
-    /// [`try_compare`](ConsolidationStudy::try_compare) for a typed error
-    /// instead.
-    pub fn compare(&self, clients: &[&Workload]) -> ConsolidationReport {
-        self.try_compare(clients)
-            .expect("at least one client is required")
-    }
-
-    /// Fallible form of [`compare`](ConsolidationStudy::compare).
-    ///
     /// # Errors
     ///
     /// Returns [`ConsolidationError::NoClients`] for an empty client list.
-    pub fn try_compare(
+    pub fn compare(
         &self,
         clients: &[&Workload],
     ) -> Result<ConsolidationReport, ConsolidationError> {
         Ok(ConsolidationReport {
-            estimate: self.try_estimate(clients)?,
-            actual: self.try_actual(clients)?,
+            estimate: self.estimate(clients)?,
+            actual: self.actual(clients)?,
         })
     }
 
@@ -213,6 +177,7 @@ impl ConsolidationStudy {
     pub fn compare_shifted(&self, client: &Workload, shift: SimDuration) -> ConsolidationReport {
         let shifted = client.shifted(shift);
         self.compare(&[client, &shifted])
+            .expect("two clients are never an empty list")
     }
 }
 
@@ -247,7 +212,7 @@ mod tests {
         // (2x individual) is exactly right.
         let w = Workload::from_arrivals(vec![SimTime::ZERO; 10]);
         let study = ConsolidationStudy::new(QosTarget::new(1.0, dms(10)));
-        let report = study.compare(&[&w, &w]);
+        let report = study.compare(&[&w, &w]).unwrap();
         assert_eq!(report.estimate.get(), 2000.0);
         assert_eq!(report.actual.get(), 2000.0);
         assert!((report.ratio() - 1.0).abs() < 1e-9);
@@ -313,25 +278,18 @@ mod tests {
         let study = ConsolidationStudy::new(QosTarget::new(1.0, dms(10)));
         let s1 = w.shifted(SimDuration::from_secs(1));
         let s2 = w.shifted(SimDuration::from_secs(2));
-        let report = study.compare(&[&w, &s1, &s2]);
+        let report = study.compare(&[&w, &s1, &s2]).unwrap();
         assert_eq!(report.estimate.get(), 1800.0);
         assert_eq!(report.actual.get(), 600.0);
     }
 
     #[test]
-    #[should_panic(expected = "at least one client")]
-    fn estimate_requires_clients() {
-        let study = ConsolidationStudy::new(QosTarget::new(1.0, dms(10)));
-        let _ = study.estimate(&[]);
-    }
-
-    #[test]
     fn empty_client_list_is_a_typed_error() {
         let study = ConsolidationStudy::new(QosTarget::new(1.0, dms(10)));
-        assert_eq!(study.try_estimate(&[]), Err(ConsolidationError::NoClients));
-        assert_eq!(study.try_actual(&[]), Err(ConsolidationError::NoClients));
-        assert_eq!(study.try_compare(&[]), Err(ConsolidationError::NoClients));
-        let err = study.try_compare(&[]).unwrap_err();
+        assert_eq!(study.estimate(&[]), Err(ConsolidationError::NoClients));
+        assert_eq!(study.actual(&[]), Err(ConsolidationError::NoClients));
+        assert_eq!(study.compare(&[]), Err(ConsolidationError::NoClients));
+        let err = study.compare(&[]).unwrap_err();
         assert!(err.to_string().contains("at least one client"));
     }
 
@@ -342,7 +300,7 @@ mod tests {
         let empty = Workload::new();
         let study = ConsolidationStudy::new(QosTarget::new(0.9, dms(10)));
         let report = study
-            .try_compare(&[&empty, &empty])
+            .compare(&[&empty, &empty])
             .expect("empty workloads are still one-client-each");
         assert!(report.ratio().is_finite());
         assert!(report.ratio() > 0.0);
@@ -376,15 +334,6 @@ mod tests {
         assert!(!sentinel.ratio().is_nan());
         assert!(!sentinel.relative_error().is_nan());
         assert!(sentinel.relative_error() >= 0.0);
-    }
-
-    #[test]
-    fn fallible_and_panicking_paths_agree() {
-        let w = Workload::from_arrivals(vec![SimTime::ZERO; 10]);
-        let study = ConsolidationStudy::new(QosTarget::new(1.0, dms(10)));
-        let fallible = study.try_compare(&[&w, &w]).unwrap();
-        let panicking = study.compare(&[&w, &w]);
-        assert_eq!(fallible, panicking);
     }
 
     #[test]

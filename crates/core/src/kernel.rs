@@ -90,28 +90,22 @@ impl RttParams {
     /// Non-panicking variant: `None` when `⌊C·δ⌋ = 0` (a degenerate
     /// capacity that can guarantee nothing — every request overflows).
     ///
-    /// When `C·δ` exceeds the 64-bit counter ([`checked_max_queue`] would
-    /// return [`CapacityOverflow`]), the bound **saturates** at `u64::MAX`:
-    /// such a capacity admits every request, and [`RttState::admit`]'s
-    /// arithmetic is itself saturating, so grid sweeps may include absurd
-    /// capacities without pre-filtering or panicking.
-    ///
-    /// [`checked_max_queue`]: crate::rtt::checked_max_queue
-    /// [`CapacityOverflow`]: crate::rtt::CapacityOverflow
+    /// The bound is [`Iops::requests_within`], which **saturates** at
+    /// `u64::MAX` when `C·δ` exceeds the 64-bit counter: such a capacity
+    /// admits every request, and [`RttState::admit`]'s arithmetic is itself
+    /// saturating, so grid sweeps may include absurd capacities without
+    /// pre-filtering or panicking.
     ///
     /// # Panics
     ///
     /// Panics if `deadline` is zero.
     pub(crate) fn try_new(capacity: Iops, deadline: SimDuration) -> Option<Self> {
         assert!(!deadline.is_zero(), "deadline must be positive");
-        let max_q1 = crate::rtt::checked_max_queue(capacity, deadline).unwrap_or(u64::MAX);
+        let max_q1 = capacity.requests_within(deadline);
         if max_q1 == 0 {
             return None;
         }
-        let service_ns = capacity
-            .service_time()
-            .max(SimDuration::from_nanos(1))
-            .as_nanos();
+        let service_ns = capacity.service_time().as_nanos();
         Some(RttParams { max_q1, service_ns })
     }
 }

@@ -18,8 +18,9 @@
 //! and `⌈w/s₀⌉ < maxQ1 ⇔ w ≤ (maxQ1 − 1)·s₀`.
 //!
 //! [`FifoLanes`] reproduces the engine record for record: the same
-//! constants (`Iops::service_time` clamped to 1 ns, as the engine clamps;
-//! `maxQ1` from [`checked_max_queue`], as [`RttClassifier`] computes it),
+//! constants ([`Iops::service_time`], which the engine's clamp leaves as
+//! it is; `maxQ1` from [`Iops::requests_within`], as [`RttClassifier`]
+//! computes it),
 //! the same record order (completion instant, then lane — the engine's
 //! `Completion { server }` tie order), and the same release rule (a record
 //! leaves once its completion is at or before the last offered arrival).
@@ -31,8 +32,6 @@ use std::collections::VecDeque;
 
 use gqos_sim::{ChunkCore, CompletionRecord, RunReport, ServiceClass};
 use gqos_trace::{Iops, Request, SimDuration, SimTime, Workload};
-
-use crate::rtt::checked_max_queue;
 
 /// One fixed-rate FIFO server: its service time, the instant its last
 /// request completes, and the records not yet released, in completion
@@ -48,7 +47,7 @@ struct Lane {
 impl Lane {
     fn new(rate: Iops, class: ServiceClass) -> Self {
         Lane {
-            service: rate.service_time().max(SimDuration::from_nanos(1)),
+            service: rate.service_time(),
             class,
             done: SimTime::ZERO,
             records: VecDeque::new(),
@@ -108,10 +107,11 @@ impl FifoLanes {
     /// the overflow lane at `delta_c`.
     ///
     /// `None` where the lanes cannot stand in for the engine: `⌊Cmin·δ⌋` is
-    /// zero or overflows (the engine's `SplitScheduler` panics with the
-    /// reason), or `maxQ1·s₀` is not representable in `u64` nanoseconds.
+    /// zero (the engine's `SplitScheduler` panics with the reason), or
+    /// `maxQ1·s₀` is not representable in `u64` nanoseconds, as with a
+    /// saturated bound.
     pub(crate) fn split(cmin: Iops, delta_c: Iops, deadline: SimDuration) -> Option<Self> {
-        let max_q1 = checked_max_queue(cmin, deadline).ok().filter(|&m| m >= 1)?;
+        let max_q1 = Some(cmin.requests_within(deadline)).filter(|&m| m >= 1)?;
         let primary = Lane::new(cmin, ServiceClass::PRIMARY);
         let s0 = primary.service.as_nanos();
         max_q1.checked_mul(s0)?;

@@ -84,11 +84,10 @@ pub use fleet::{
 pub use kernel::{overflow_curve, within_miss_budget_curve};
 pub use miser::MiserScheduler;
 pub use offline::{rtt_period_bound, slotted_lower_bound, OptimalityCheck};
-pub use planner::{CapacityPlanner, MenuError, SeedCurve, SlaQuote};
+pub use planner::{capacity_floor, CapacityPlanner, MenuError, SeedCurve, SlaQuote};
 pub use rtt::{
-    checked_max_queue, decompose, decompose_with_budget, optimal_drop_lower_bound, overflow_count,
-    within_miss_budget, CapacityOverflow, DecomposeScratch, Decomposition, RttClassifier,
-    ScratchDecomposition,
+    decompose, decompose_with_budget, optimal_drop_lower_bound, overflow_count, within_miss_budget,
+    DecomposeScratch, Decomposition, RttClassifier, ScratchDecomposition,
 };
 pub use shaper::{RecombinePolicy, StreamObservation, WorkloadShaper};
 pub use split::{SplitScheduler, SPLIT_OVERFLOW_SERVER, SPLIT_PRIMARY_SERVER};

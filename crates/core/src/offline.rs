@@ -25,7 +25,7 @@ use crate::rtt::decompose;
 /// Panics if `deadline` is zero.
 pub fn slotted_lower_bound(workload: &Workload, capacity: Iops, deadline: SimDuration) -> u64 {
     assert!(!deadline.is_zero(), "deadline must be positive");
-    let service = capacity.service_time().max(SimDuration::from_nanos(1));
+    let service = capacity.service_time();
 
     let mut total_bound = 0u64;
     let mut period_max = 0u64;
@@ -85,7 +85,7 @@ pub fn slotted_lower_bound(workload: &Workload, capacity: Iops, deadline: SimDur
 /// Panics if `deadline` is zero or `⌊C·δ⌋` is zero.
 pub fn rtt_period_bound(workload: &Workload, capacity: Iops, deadline: SimDuration) -> u64 {
     assert!(!deadline.is_zero(), "deadline must be positive");
-    let service = capacity.service_time().max(SimDuration::from_nanos(1));
+    let service = capacity.service_time();
     let max_q1 = capacity.requests_within(deadline);
     assert!(max_q1 >= 1, "C x delta admits no requests");
 

@@ -16,11 +16,8 @@ use crate::rtt::{overflow_count, within_miss_budget};
 use crate::target::{Provision, QosTarget};
 
 /// Why an SLA-menu request was rejected: a guaranteed fraction that is not
-/// a real number in `(0, 1]`. Returned by [`CapacityPlanner::try_menu`]
-/// and [`CapacityPlanner::try_menu_parallel`]; the panicking wrappers
-/// ([`menu`](CapacityPlanner::menu),
-/// [`menu_parallel`](CapacityPlanner::menu_parallel)) panic with the same
-/// message.
+/// a real number in `(0, 1]`. Returned by [`CapacityPlanner::menu`] and
+/// [`CapacityPlanner::menu_parallel`].
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum MenuError {
     /// The fraction at `index` is NaN or infinite.
@@ -171,7 +168,7 @@ impl<'w> CapacityPlanner<'w> {
             fraction.is_finite() && fraction > 0.0 && fraction <= 1.0,
             "fraction must be in (0, 1]: {fraction}"
         );
-        let floor = self.capacity_floor();
+        let floor = capacity_floor(self.deadline);
         if self.workload.is_empty() {
             return floor;
         }
@@ -207,11 +204,6 @@ impl<'w> CapacityPlanner<'w> {
         hi
     }
 
-    /// Smallest capacity with a non-degenerate RTT bound: `C·δ ≥ 1`.
-    fn capacity_floor(&self) -> u64 {
-        capacity_floor(self.deadline)
-    }
-
     /// The full provision for a target: `Cmin(f, δ)` plus the default
     /// surplus `ΔC = 1/δ`.
     ///
@@ -235,20 +227,11 @@ impl<'w> CapacityPlanner<'w> {
     /// result warm-starts the next search's lower bracket, so the sweep
     /// does one doubling phase for the whole row instead of one per entry.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with the [`MenuError`] message if any fraction is NaN,
-    /// infinite, or outside `(0, 1]` — use [`try_menu`](Self::try_menu)
-    /// for a non-panicking rejection path.
-    pub fn menu(&self, fractions: &[f64]) -> Vec<SlaQuote> {
-        self.try_menu(fractions).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`menu`](Self::menu) that rejects invalid fractions instead of
-    /// panicking: every fraction must be finite and in `(0, 1]`, otherwise
-    /// the first offender is reported as a [`MenuError`] and no search
-    /// runs.
-    pub fn try_menu(&self, fractions: &[f64]) -> Result<Vec<SlaQuote>, MenuError> {
+    /// Every fraction must be finite and in `(0, 1]`; otherwise the first
+    /// offender is reported as a [`MenuError`] and no search runs.
+    pub fn menu(&self, fractions: &[f64]) -> Result<Vec<SlaQuote>, MenuError> {
         validate_fractions(fractions)?;
         let order = ascending_order(fractions);
         let mut quotes: Vec<Option<SlaQuote>> = vec![None; fractions.len()];
@@ -290,28 +273,17 @@ impl<'w> CapacityPlanner<'w> {
     /// `parallel_menu_is_byte_identical` in the tests. With a serial pool
     /// this *is* the warm-started serial sweep.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with the [`MenuError`] message if any fraction is NaN,
-    /// infinite, or outside `(0, 1]` — use
-    /// [`try_menu_parallel`](Self::try_menu_parallel) for a non-panicking
-    /// rejection path.
-    pub fn menu_parallel(&self, fractions: &[f64], pool: &WorkerPool) -> Vec<SlaQuote> {
-        self.try_menu_parallel(fractions, pool)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`menu_parallel`](Self::menu_parallel) that rejects invalid
-    /// fractions instead of panicking, with the same contract as
-    /// [`try_menu`](Self::try_menu).
-    pub fn try_menu_parallel(
+    /// The same [`MenuError`] as [`menu`](Self::menu).
+    pub fn menu_parallel(
         &self,
         fractions: &[f64],
         pool: &WorkerPool,
     ) -> Result<Vec<SlaQuote>, MenuError> {
         validate_fractions(fractions)?;
         if pool.is_serial() || fractions.len() <= 1 || self.workload.is_empty() {
-            return self.try_menu(fractions);
+            return self.menu(fractions);
         }
 
         // Seed: one fused overflow pass over the doubling grid gives every
@@ -393,10 +365,26 @@ pub(crate) fn miss_budget(total: u64, fraction: f64) -> u64 {
     total - need
 }
 
-/// Smallest capacity with a non-degenerate RTT bound at `deadline`:
-/// `C·δ ≥ 1`.
-pub(crate) fn capacity_floor(deadline: SimDuration) -> u64 {
-    (1.0 / deadline.as_secs_f64()).ceil().max(1.0) as u64
+/// The smallest integer capacity with a non-degenerate RTT bound at
+/// `deadline`, `⌈1/δ⌉` IOPS: the least `C` with `⌊C·δ⌋ ≥ 1`. Every
+/// capacity search starts here.
+///
+/// # Examples
+///
+/// ```
+/// use gqos_core::capacity_floor;
+/// use gqos_trace::SimDuration;
+///
+/// assert_eq!(capacity_floor(SimDuration::from_millis(20)), 50);
+/// assert_eq!(capacity_floor(SimDuration::from_millis(30)), 34);
+/// assert_eq!(capacity_floor(SimDuration::from_secs(5)), 1);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `deadline` is zero.
+pub fn capacity_floor(deadline: SimDuration) -> u64 {
+    1_000_000_000u64.div_ceil(deadline.as_nanos())
 }
 
 /// Wide bisection over a raw arrival column: shrinks the bracket
@@ -591,7 +579,7 @@ mod tests {
         // Evenly spaced arrivals: Cmin barely depends on the fraction.
         let w = Workload::from_arrivals((0..500).map(|i| ms(i * 5)));
         let p = CapacityPlanner::new(&w, dms(10));
-        let menu = p.menu(&[0.9, 0.99, 1.0]);
+        let menu = p.menu(&[0.9, 0.99, 1.0]).unwrap();
         let c90 = menu[0].cmin.get();
         let c100 = menu[2].cmin.get();
         assert!(
@@ -607,7 +595,7 @@ mod tests {
         arrivals.extend(vec![ms(777); 30]);
         let w = Workload::from_arrivals(arrivals);
         let p = CapacityPlanner::new(&w, dms(20));
-        let menu = p.menu(&[0.90, 0.95, 0.99, 1.0]);
+        let menu = p.menu(&[0.90, 0.95, 0.99, 1.0]).unwrap();
         for pair in menu.windows(2) {
             assert!(
                 pair[1].cmin.get() >= pair[0].cmin.get(),
@@ -652,10 +640,10 @@ mod tests {
         let p = CapacityPlanner::new(&w, dms(10));
         // Deliberately unsorted fractions: order must be preserved.
         let fractions = [0.99, 0.90, 1.0, 0.95, 0.999];
-        let serial = p.menu(&fractions);
+        let serial = p.menu(&fractions).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let pool = gqos_parallel::WorkerPool::new(threads);
-            let parallel = p.menu_parallel(&fractions, &pool);
+            let parallel = p.menu_parallel(&fractions, &pool).unwrap();
             assert_eq!(parallel.len(), serial.len());
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.target, b.target, "{threads} threads");
@@ -669,44 +657,28 @@ mod tests {
     }
 
     #[test]
-    fn try_menu_rejects_bad_fractions_without_panicking() {
+    fn menu_rejects_bad_fractions() {
         let w = Workload::from_arrivals([SimTime::ZERO]);
         let p = CapacityPlanner::new(&w, dms(10));
         let pool = WorkerPool::new(4);
         assert!(matches!(
-            p.try_menu(&[0.9, f64::NAN]),
+            p.menu(&[0.9, f64::NAN]),
             Err(MenuError::NotFinite { index: 1, .. })
         ));
         assert!(matches!(
-            p.try_menu(&[0.5, 0.0]),
+            p.menu(&[0.5, 0.0]),
             Err(MenuError::OutOfRange { index: 1, .. })
         ));
         assert!(matches!(
-            p.try_menu_parallel(&[1.5, 0.9], &pool),
+            p.menu_parallel(&[1.5, 0.9], &pool),
             Err(MenuError::OutOfRange { index: 0, .. })
         ));
         assert!(matches!(
-            p.try_menu_parallel(&[0.9, f64::INFINITY], &pool),
+            p.menu_parallel(&[0.9, f64::INFINITY], &pool),
             Err(MenuError::NotFinite { index: 1, .. })
         ));
-        // Valid requests still succeed through the fallible path.
-        let quotes = p.try_menu(&[1.0]).expect("valid fraction");
+        let quotes = p.menu(&[1.0]).expect("valid fraction");
         assert_eq!(quotes[0].cmin.get(), 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be a finite number")]
-    fn menu_panics_on_nan_with_the_documented_message() {
-        let w = Workload::from_arrivals([SimTime::ZERO]);
-        let _ = CapacityPlanner::new(&w, dms(10)).menu(&[f64::NAN]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in (0, 1]")]
-    fn menu_parallel_panics_on_out_of_range_with_the_documented_message() {
-        let w = Workload::from_arrivals([SimTime::ZERO]);
-        let pool = WorkerPool::new(2);
-        let _ = CapacityPlanner::new(&w, dms(10)).menu_parallel(&[-0.25], &pool);
     }
 
     #[test]
@@ -740,10 +712,10 @@ mod tests {
         let w = Workload::from_arrivals(arrivals);
         let p = CapacityPlanner::new(&w, dms(10));
         let fractions = [0.95, 0.90, 0.95, 1.0, 0.99, 0.90, 0.999, 0.93];
-        let serial = p.menu(&fractions);
+        let serial = p.menu(&fractions).unwrap();
         for threads in [2usize, 3, 5, 16] {
             let pool = WorkerPool::new(threads);
-            let parallel = p.menu_parallel(&fractions, &pool);
+            let parallel = p.menu_parallel(&fractions, &pool).unwrap();
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.cmin.get().to_bits(), b.cmin.get().to_bits(), "{threads}");
                 assert_eq!(a.target, b.target, "{threads}");

@@ -16,71 +16,12 @@
 //! structs; the online [`RttClassifier`] remains the per-request admission
 //! rule schedulers embed.
 
-use std::error::Error;
 use std::fmt;
 
 use gqos_sim::ServiceClass;
 use gqos_trace::{Iops, SimDuration, Workload};
 
 use crate::kernel::{scan_overflow, scan_within_budget, RttParams, RttState};
-
-/// Typed overflow error: `⌊C·δ⌋` exceeds the 64-bit primary-queue counter.
-///
-/// The queue bound is an integer; a `(C, δ)` pair whose product reaches
-/// `2^64` cannot be represented (and no physical trace could fill such a
-/// queue anyway). [`checked_max_queue`] reports the offending pair instead
-/// of silently wrapping or saturating.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct CapacityOverflow {
-    /// The capacity of the offending pair.
-    pub capacity: Iops,
-    /// The deadline of the offending pair.
-    pub deadline: SimDuration,
-}
-
-impl fmt::Display for CapacityOverflow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "C x delta = {} x {} overflows the 64-bit queue bound",
-            self.capacity, self.deadline
-        )
-    }
-}
-
-impl Error for CapacityOverflow {}
-
-/// The primary-queue bound `⌊C·δ⌋` with an overflow check: `Err` when the
-/// product does not fit a `u64` instead of a saturating cast.
-///
-/// # Panics
-///
-/// Panics if `deadline` is zero.
-///
-/// # Errors
-///
-/// Returns [`CapacityOverflow`] when `C·δ ≥ 2^64`.
-///
-/// # Examples
-///
-/// ```
-/// use gqos_core::checked_max_queue;
-/// use gqos_trace::{Iops, SimDuration};
-///
-/// let delta = SimDuration::from_millis(20);
-/// assert_eq!(checked_max_queue(Iops::new(100.0), delta), Ok(2));
-/// assert!(checked_max_queue(Iops::new(1e21), SimDuration::from_secs(100)).is_err());
-/// ```
-pub fn checked_max_queue(capacity: Iops, deadline: SimDuration) -> Result<u64, CapacityOverflow> {
-    assert!(!deadline.is_zero(), "deadline must be positive");
-    let product = capacity.get() * deadline.as_secs_f64();
-    // `u64::MAX as f64` rounds up to 2^64 exactly, so `>=` catches every
-    // product the counter cannot hold.
-    if product >= u64::MAX as f64 {
-        return Err(CapacityOverflow { capacity, deadline });
-    }
-    Ok(product as u64)
-}
 
 /// Online RTT classifier: the bounded-queue admission rule, reusable by any
 /// recombination scheduler.
@@ -120,12 +61,11 @@ impl RttClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if `deadline` is zero, if `⌊C·δ⌋` is zero (the capacity
-    /// cannot complete even one request within the deadline, so no request
-    /// could ever be guaranteed), or if `⌊C·δ⌋` overflows the 64-bit queue
-    /// counter (see [`checked_max_queue`]).
+    /// Panics if `⌊C·δ⌋` ([`Iops::requests_within`]) is zero: a zero
+    /// deadline, or a capacity that cannot complete even one request within
+    /// the deadline, so no request could ever be guaranteed.
     pub fn new(capacity: Iops, deadline: SimDuration) -> Self {
-        let max_q1 = checked_max_queue(capacity, deadline).unwrap_or_else(|e| panic!("{e}"));
+        let max_q1 = capacity.requests_within(deadline);
         assert!(
             max_q1 >= 1,
             "C x delta = {} x {} admits no requests; raise capacity or deadline",
@@ -161,21 +101,15 @@ impl RttClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is negative or not finite, or if
-    /// `⌊C_eff·δ⌋` overflows the 64-bit queue counter (only possible with a
-    /// factor far above 1 — see [`checked_max_queue`]).
+    /// Panics if `factor` is negative or not finite.
     pub fn set_degradation(&mut self, factor: f64) {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "degradation factor must be finite and non-negative: {factor}"
         );
         self.degradation = factor;
-        self.max_q1 = match Iops::try_new(self.capacity.get() * factor) {
-            Some(c_eff) => {
-                checked_max_queue(c_eff, self.deadline).unwrap_or_else(|e| panic!("{e}"))
-            }
-            None => 0,
-        };
+        self.max_q1 = Iops::try_new(self.capacity.get() * factor)
+            .map_or(0, |c_eff| c_eff.requests_within(self.deadline));
     }
 
     /// The current degradation factor (1.0 on a healthy server).
@@ -695,38 +629,22 @@ mod tests {
     }
 
     #[test]
-    fn checked_max_queue_matches_float_floor_in_range() {
-        let delta = dms(20);
-        assert_eq!(checked_max_queue(Iops::new(100.0), delta), Ok(2));
-        assert_eq!(checked_max_queue(Iops::new(150.0), dms(10)), Ok(1));
-        // Just inside the counter: ~2^63 slots is absurd but representable.
-        let huge = checked_max_queue(Iops::new(9.2e18), SimDuration::from_secs(1));
-        assert!(huge.is_ok_and(|q| q > u64::MAX / 4), "{huge:?}");
+    fn classifier_saturates_an_unrepresentable_bound() {
+        // 1e19 × 10 s = 1e20 ≥ 2^64: the bound saturates and admits all.
+        let mut rtt = RttClassifier::new(Iops::new(1e19), SimDuration::from_secs(10));
+        assert_eq!(rtt.slack(), u64::MAX);
+        assert_eq!(rtt.classify(), ServiceClass::PRIMARY);
+        assert_eq!(rtt.slack(), u64::MAX - 1);
     }
 
     #[test]
-    fn checked_max_queue_rejects_u64_max_adjacent_products() {
-        // 1e19 × 10 s = 1e20 ≥ 2^64 ≈ 1.8e19: typed error, not a wrap.
-        let err = checked_max_queue(Iops::new(1e19), SimDuration::from_secs(10)).unwrap_err();
-        assert_eq!(err.capacity, Iops::new(1e19));
-        assert_eq!(err.deadline, SimDuration::from_secs(10));
-        assert!(err.to_string().contains("overflows"), "{err}");
-        // Exactly at the boundary the counter cannot hold the bound either.
-        assert!(checked_max_queue(Iops::new(u64::MAX as f64), SimDuration::from_secs(1)).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows the 64-bit queue bound")]
-    fn classifier_rejects_overflowing_bound() {
-        let _ = RttClassifier::new(Iops::new(1e19), SimDuration::from_secs(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows the 64-bit queue bound")]
-    fn renegotiation_rejects_overflowing_bound() {
+    fn renegotiation_saturates_an_unrepresentable_bound() {
         let mut rtt = RttClassifier::new(Iops::new(1e18), SimDuration::from_secs(10));
         // A factor far above 1 pushes C_eff·δ past 2^64.
         rtt.set_degradation(1e6);
+        assert_eq!(rtt.slack(), u64::MAX);
+        rtt.set_degradation(1.0);
+        assert_eq!(rtt.slack(), 10_000_000_000_000_000_000);
     }
 
     #[test]

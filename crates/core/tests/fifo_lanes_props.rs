@@ -19,7 +19,7 @@
 
 use std::cell::Cell;
 
-use gqos_core::{checked_max_queue, CapacityAdaptive, Provision, RecombinePolicy, WorkloadShaper};
+use gqos_core::{CapacityAdaptive, Provision, RecombinePolicy, WorkloadShaper};
 use gqos_sim::{
     CompletionRecord, FixedRateServer, RunReport, ServiceClass, Simulation, StreamRun, TraceHandle,
 };
@@ -78,7 +78,7 @@ impl Rng {
             1 + self.below(8)
         };
         let mut deadline = s0 * slots + self.below(2) * self.below(s0);
-        while checked_max_queue(cmin, SimDuration::from_nanos(deadline)) == Ok(0) {
+        while cmin.requests_within(SimDuration::from_nanos(deadline)) == 0 {
             deadline += 1;
         }
         SimDuration::from_nanos(deadline)
@@ -285,7 +285,7 @@ fn saturated_admission_bound_falls_back_to_the_engine() {
     // sends Split to the engine, and the run still matches it.
     let cmin = Iops::new(6.6e8);
     let deadline = SimDuration::from_nanos(14_000_000_000_000_000_000);
-    let max_q1 = checked_max_queue(cmin, deadline).expect("fits");
+    let max_q1 = cmin.requests_within(deadline);
     assert!(max_q1.checked_mul(2).is_none());
     let shaper = WorkloadShaper::new(Provision::new(cmin, Iops::new(1.0)), deadline);
     let mut rng = Rng(0x1a4e_0002);

@@ -153,10 +153,11 @@ where
                     completion: now,
                 });
                 scheduler.on_completion(&request, class, now);
-                // The owning client thinks, then issues again.
+                // The owning client thinks, then issues again; a think that
+                // runs past the end of the clock retires the client.
                 let client = owners[request.id.as_usize()];
                 queue.push(Event {
-                    at: now + config.think_time,
+                    at: now.checked_add(config.think_time).unwrap_or(SimTime::MAX),
                     kind: EventKind::Arrival { index: client },
                 });
                 poll(
@@ -201,7 +202,9 @@ fn poll<S: Scheduler>(
                 .max(SimDuration::from_nanos(1));
             in_flight[server] = Some((request, class, now));
             queue.push(Event {
-                at: now + service,
+                at: now
+                    .checked_add(service)
+                    .expect("completion instant overflows the simulation clock"),
                 kind: EventKind::Completion { server },
             });
         }
@@ -240,6 +243,31 @@ mod tests {
         for r in report.records() {
             assert_eq!(r.response_time(), dms(10));
         }
+    }
+
+    #[test]
+    fn a_think_past_the_clock_retires_the_client() {
+        let report = closed_loop(
+            ClosedLoopConfig::new(1, SimDuration::MAX, SimDuration::from_secs(1)),
+            FcfsScheduler::new(),
+            FixedRateServer::new(Iops::new(100.0)),
+            |_, t| Request::at(t),
+        );
+        assert_eq!(report.completed(), 1);
+        assert_eq!(report.end_time(), SimTime::from_millis(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "completion instant overflows the simulation clock")]
+    fn a_completion_past_the_clock_is_an_error() {
+        // 10^10 s of service each: the second request would complete at
+        // 2·10^19 ns, past the end of the 64-bit clock.
+        let _ = closed_loop(
+            ClosedLoopConfig::new(2, SimDuration::ZERO, SimDuration::from_secs(1)),
+            FcfsScheduler::new(),
+            FixedRateServer::new(Iops::new(1e-10)),
+            |_, t| Request::at(t),
+        );
     }
 
     #[test]

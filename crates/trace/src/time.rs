@@ -355,15 +355,46 @@ impl Iops {
         self.0
     }
 
-    /// The time to serve one request at this rate, rounded to nanoseconds.
+    /// The time to serve one request at this rate, rounded to nanoseconds
+    /// and at least 1 ns, so a server always makes progress.
     pub fn service_time(self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.0)
+        SimDuration::from_secs_f64(1.0 / self.0).max(SimDuration::from_nanos(1))
     }
 
-    /// The whole number of requests this rate completes within `window`
-    /// (the paper's `C × δ`, i.e. the bound on the primary queue length).
+    /// The whole number of requests this rate completes within `window`:
+    /// the paper's primary-queue bound `maxQ1 = ⌊C·δ⌋`, the one definition
+    /// every admission rule, kernel and planner uses.
+    ///
+    /// The floor is exact for the rate's exact binary value (no rounding of
+    /// `C·δ` in floating point), so an integer rate gives exactly
+    /// `C·δ_ns / 10⁹`. It saturates at `u64::MAX`; a primary queue is a
+    /// `u64` count, so it can never reach a saturated bound and saturation
+    /// decides nothing differently from the exact value.
     pub fn requests_within(self, window: SimDuration) -> u64 {
-        (self.0 * window.as_secs_f64()).floor() as u64
+        // The rate is exactly `m·2^e` with `m < 2^53`, so `m·δ_ns < 2^117`.
+        let bits = self.0.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as i32;
+        let fraction = bits & ((1 << 52) - 1);
+        let (m, e) = if biased == 0 {
+            (fraction, -1074)
+        } else {
+            (fraction | 1 << 52, biased - 1075)
+        };
+        let product = u128::from(m) * u128::from(window.as_nanos());
+        let nanos = u128::from(NANOS_PER_SEC);
+        let q = if product == 0 {
+            0
+        } else if e >= 0 {
+            // `product·2^e ≥ 2^127` puts the quotient far past `u64::MAX`.
+            if e.unsigned_abs() >= product.leading_zeros() {
+                return u64::MAX;
+            }
+            (product << e) / nanos
+        } else {
+            // `⌊⌊x / 10⁹⌋ / 2^k⌋ = ⌊x / (10⁹·2^k)⌋`.
+            (product / nanos).checked_shr(e.unsigned_abs()).unwrap_or(0)
+        };
+        u64::try_from(q).unwrap_or(u64::MAX)
     }
 }
 
@@ -464,6 +495,8 @@ mod tests {
             Iops::new(1_000_000.0).service_time(),
             SimDuration::from_micros(1)
         );
+        // Faster than 2·10⁹ IOPS rounds to 0 ns; the floor keeps 1 ns.
+        assert_eq!(Iops::new(1e12).service_time(), SimDuration::from_nanos(1));
     }
 
     #[test]
@@ -473,6 +506,73 @@ mod tests {
         let c = Iops::new(150.0);
         // 150 IOPS * 10 ms = 1.5 -> 1 request.
         assert_eq!(c.requests_within(SimDuration::from_millis(10)), 1);
+    }
+
+    #[test]
+    fn iops_requests_within_is_exact_for_integer_rates() {
+        let mut wrong = Vec::new();
+        for c in 1..=2000u64 {
+            for ms in 1..=1000u64 {
+                let window = SimDuration::from_millis(ms);
+                let exact = u128::from(c) * u128::from(window.as_nanos()) / 1_000_000_000;
+                let got = Iops::new(c as f64).requests_within(window);
+                if u128::from(got) != exact {
+                    wrong.push((c, ms, got, exact));
+                }
+            }
+        }
+        assert!(
+            wrong.is_empty(),
+            "{} (IOPS, ms) pairs off the exact floor, e.g. {:?}",
+            wrong.len(),
+            &wrong[..wrong.len().min(5)]
+        );
+    }
+
+    #[test]
+    fn iops_requests_within_is_exact_for_dyadic_rates() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..100_000 {
+            let j = (next() % 31) as u32;
+            let k = next() % (1 << 40);
+            let window = SimDuration::from_nanos(next() % 100_000_000_000 + 1);
+            let Some(rate) = Iops::try_new(k as f64 / (1u64 << j) as f64) else {
+                continue;
+            };
+            let exact = u128::from(k) * u128::from(window.as_nanos()) / (1_000_000_000u128 << j);
+            assert_eq!(
+                u128::from(rate.requests_within(window)),
+                exact,
+                "{k} / 2^{j} IOPS over {} ns",
+                window.as_nanos()
+            );
+        }
+    }
+
+    #[test]
+    fn iops_requests_within_saturates_and_underflows() {
+        let ten_s = SimDuration::from_secs(10);
+        assert_eq!(Iops::new(1e30).requests_within(ten_s), u64::MAX);
+        assert_eq!(Iops::new(f64::MAX).requests_within(ten_s), u64::MAX);
+        // 2^61 IOPS x 8 s = 2^64 exactly, one past the counter; 1 ns less
+        // floors to 2^64 − ⌈2^61 / 10⁹⌉.
+        let c = Iops::new(2f64.powi(61));
+        assert_eq!(c.requests_within(SimDuration::from_secs(8)), u64::MAX);
+        let just_under = SimDuration::from_nanos(8_000_000_000 - 1);
+        assert_eq!(c.requests_within(just_under), u64::MAX - 2_305_843_009);
+        assert_eq!(
+            Iops::new(1.8e18).requests_within(ten_s),
+            18_000_000_000_000_000_000
+        );
+        let subnormal = Iops::new(f64::from_bits(1));
+        assert_eq!(subnormal.requests_within(ten_s), 0);
+        assert_eq!(Iops::new(1e6).requests_within(SimDuration::ZERO), 0);
     }
 
     #[test]

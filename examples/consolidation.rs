@@ -29,7 +29,7 @@ fn main() {
     for fraction in [1.0, 0.90] {
         let study = ConsolidationStudy::new(QosTarget::new(fraction, deadline));
         let clients = [&ws, &ft, &om];
-        let report = study.compare(&clients);
+        let report = study.compare(&clients).expect("three clients");
         println!(
             "f = {:>4.0}%: additive estimate {:>6.0} IOPS, true merged need {:>6.0} IOPS \
              (estimate error {:+.0}%)",
@@ -49,7 +49,10 @@ fn main() {
     for (name, w) in &tenants {
         let mut candidate = admitted.clone();
         candidate.push(w);
-        let estimate = study.estimate(&candidate).get();
+        let estimate = study
+            .estimate(&candidate)
+            .expect("one client or more")
+            .get();
         if estimate <= server_capacity {
             admitted = candidate;
             names.push(name);

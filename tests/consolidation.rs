@@ -74,11 +74,11 @@ fn different_workload_pairs_behave_like_figure8() {
         let ws = TraceProfile::WebSearch.generate(span, seed);
         let om = TraceProfile::OpenMail.generate(span, seed.wrapping_add(100));
 
-        let full_report = full.compare(&[&ws, &om]);
-        let deco_report = decomposed.compare(&[&ws, &om]);
+        let full_report = full.compare(&[&ws, &om]).unwrap();
+        let deco_report = decomposed.compare(&[&ws, &om]).unwrap();
 
         // The merged stream needs at least the bigger client's own capacity.
-        let om_alone = full.actual(&[&om]);
+        let om_alone = full.actual(&[&om]).unwrap();
         assert!(full_report.actual.get() >= om_alone.get() - 1.0);
 
         full_err += full_report.relative_error();
@@ -103,9 +103,9 @@ fn different_workload_pairs_behave_like_figure8() {
 fn estimates_scale_with_client_count() {
     let w = TraceProfile::FinTrans.generate(SPAN, 47);
     let study = ConsolidationStudy::new(QosTarget::new(0.90, DEADLINE));
-    let one = study.estimate(&[&w]).get();
+    let one = study.estimate(&[&w]).unwrap().get();
     let s1 = w.shifted(SimDuration::from_secs(1));
     let s2 = w.shifted(SimDuration::from_secs(2));
-    let three = study.estimate(&[&w, &s1, &s2]).get();
+    let three = study.estimate(&[&w, &s1, &s2]).unwrap().get();
     assert!((three - 3.0 * one).abs() / (3.0 * one) < 1e-9);
 }

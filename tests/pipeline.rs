@@ -127,7 +127,7 @@ fn tighter_deadlines_and_fractions_cost_more() {
     assert!(c_tight.get() >= c_loose.get());
 
     let planner = CapacityPlanner::new(&w, SimDuration::from_millis(10));
-    let menu = planner.menu(&[0.90, 0.99, 1.0]);
+    let menu = planner.menu(&[0.90, 0.99, 1.0]).unwrap();
     assert!(menu[0].cmin.get() <= menu[1].cmin.get());
     assert!(menu[1].cmin.get() <= menu[2].cmin.get());
 }
