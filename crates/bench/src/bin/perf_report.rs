@@ -364,12 +364,6 @@ fn main() {
         measure(samples, 3, || TraceSummary::new(&openmail, stats_window)),
         n,
     );
-    let _ = openmail.cached_summary(stats_window);
-    push(
-        "summary/cached",
-        measure(samples, 100_000, || openmail.cached_summary(stats_window)),
-        n,
-    );
 
     // --- Simulation ------------------------------------------------------
     let sim_w: Workload = {

@@ -11,7 +11,9 @@
 use std::fmt;
 
 use gqos_sim::ServiceClass;
-use gqos_trace::{Iops, SimDuration, SimTime, Workload};
+use gqos_trace::{Iops, SimDuration, Workload};
+
+use crate::kernel::{RttParams, RttState};
 
 /// One level of a cascade: a capacity share and its deadline.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -48,7 +50,7 @@ pub struct CascadeLevel {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CascadeDecomposer {
-    levels: Vec<CascadeLevel>,
+    levels: Vec<RttParams>,
 }
 
 impl CascadeDecomposer {
@@ -72,6 +74,10 @@ impl CascadeDecomposer {
                 "level {i} admits no requests (C x delta < 1)"
             );
         }
+        let levels = levels
+            .iter()
+            .map(|l| RttParams::new(l.capacity, l.deadline))
+            .collect();
         CascadeDecomposer { levels }
     }
 
@@ -80,45 +86,25 @@ impl CascadeDecomposer {
         self.levels.len() + 1
     }
 
-    /// Decomposes a workload: each request is assigned the first level with
-    /// a free slot (its own dedicated-capacity emulation per level), else
-    /// the best-effort class.
+    /// Decomposes a workload: each request is offered to the levels in
+    /// order and assigned the first that admits it (each level runs the
+    /// two-class admit rule, [`RttState::admit`], on its own emulated
+    /// dedicated server), else the best-effort class.
+    ///
+    /// A level that an arrival never reaches is not drained then: its next
+    /// `admit` drains every completion since in one closed-form step, so
+    /// the deferral changes no decision.
     pub fn decompose(&self, workload: &Workload) -> CascadeDecomposition {
-        struct LevelState {
-            max_q: u64,
-            len_q: u64,
-            service: SimDuration,
-            next_done: SimTime,
-        }
-        let mut states: Vec<LevelState> = self
-            .levels
-            .iter()
-            .map(|l| LevelState {
-                max_q: l.capacity.requests_within(l.deadline),
-                len_q: 0,
-                service: l.capacity.service_time(),
-                next_done: SimTime::ZERO,
-            })
-            .collect();
-
+        let mut states = vec![RttState::default(); self.levels.len()];
         let mut assignments = Vec::with_capacity(workload.len());
         let mut counts = vec![0u64; self.classes()];
-        for r in workload.iter() {
-            let mut assigned = self.levels.len(); // default: best effort
-            for (i, s) in states.iter_mut().enumerate() {
-                // Drain this level's completions up to the arrival.
-                while s.len_q > 0 && s.next_done <= r.arrival {
-                    s.len_q -= 1;
-                    s.next_done += s.service;
-                }
-                if s.len_q == 0 {
-                    s.next_done = r.arrival + s.service;
-                }
-                if assigned == self.levels.len() && s.len_q < s.max_q {
-                    s.len_q += 1;
-                    assigned = i;
-                }
-            }
+        for &arrival_ns in workload.arrival_column().nanos() {
+            let assigned = self
+                .levels
+                .iter()
+                .zip(&mut states)
+                .position(|(&p, s)| s.admit(p, arrival_ns))
+                .unwrap_or(self.levels.len());
             counts[assigned] += 1;
             assignments.push(ServiceClass::new(assigned as u8));
         }
@@ -168,6 +154,7 @@ impl CascadeDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gqos_trace::SimTime;
 
     fn lvl(c: f64, ms: u64) -> CascadeLevel {
         CascadeLevel {

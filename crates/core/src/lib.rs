@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod admission;
 mod cascade;
 mod consolidate;
 mod degrade;
@@ -70,7 +69,6 @@ mod split;
 mod target;
 mod tenant;
 
-pub use admission::{Admission, AdmissionController, AdmissionError};
 pub use cascade::{CascadeDecomposer, CascadeDecomposition, CascadeLevel};
 pub use consolidate::{merge_all, ConsolidationError, ConsolidationReport, ConsolidationStudy};
 pub use degrade::{

@@ -11,7 +11,7 @@
 
 use gqos_core::{
     decompose, decompose_with_budget, overflow_count, overflow_curve, within_miss_budget,
-    within_miss_budget_curve, DecomposeScratch, RttClassifier,
+    within_miss_budget_curve, CascadeDecomposer, CascadeLevel, DecomposeScratch, RttClassifier,
 };
 use gqos_sim::ServiceClass;
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
@@ -72,6 +72,39 @@ fn legacy_within_budget(w: &Workload, c: Iops, d: SimDuration, budget: u64) -> b
     })
 }
 
+/// The seed's scan loop over a cascade of levels: every level drains its
+/// completions one at a time on every arrival, and the request joins the
+/// first level with a free slot, else the best-effort class
+/// `levels.len()`.
+fn legacy_cascade(workload: &Workload, levels: &[CascadeLevel]) -> Vec<ServiceClass> {
+    let mut states: Vec<(RttClassifier, SimDuration, SimTime)> = levels
+        .iter()
+        .map(|l| {
+            let rtt = RttClassifier::new(l.capacity, l.deadline);
+            let service = l.capacity.service_time().max(SimDuration::from_nanos(1));
+            (rtt, service, SimTime::ZERO)
+        })
+        .collect();
+    let mut assignments = Vec::with_capacity(workload.len());
+    for r in workload.iter() {
+        let mut assigned = levels.len();
+        for (i, (rtt, service, next_done)) in states.iter_mut().enumerate() {
+            while rtt.len_q1() > 0 && *next_done <= r.arrival {
+                rtt.primary_departed();
+                *next_done += *service;
+            }
+            if rtt.len_q1() == 0 {
+                *next_done = r.arrival + *service;
+            }
+            if assigned == levels.len() && rtt.classify() == ServiceClass::PRIMARY {
+                assigned = i;
+            }
+        }
+        assignments.push(ServiceClass::new(assigned as u8));
+    }
+    assignments
+}
+
 prop_compose! {
     /// An arbitrary workload: bursty gap sequence (many zero gaps — i.e.
     /// simultaneous arrivals — plus calm stretches), up to ~6 s long.
@@ -98,8 +131,45 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// One to four cascade levels at strictly increasing deadlines, each
+    /// with C·δ of at least ~1.5 slots.
+    fn arb_levels()(
+        first_ms in 5u64..40,
+        steps in prop::collection::vec((300.0f64..3000.0, 1u64..60), 1..=4),
+    ) -> Vec<CascadeLevel> {
+        let mut deadline_ms = first_ms;
+        steps
+            .into_iter()
+            .map(|(c, step_ms)| {
+                let level = CascadeLevel {
+                    capacity: Iops::new(c),
+                    deadline: SimDuration::from_millis(deadline_ms),
+                };
+                deadline_ms += step_ms;
+                level
+            })
+            .collect()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cascade_matches_multi_level_legacy(w in arb_workload(), levels in arb_levels()) {
+        let cascade = CascadeDecomposer::new(levels.clone());
+        let d = cascade.decompose(&w);
+        let legacy = legacy_cascade(&w, &levels);
+        prop_assert_eq!(d.assignments(), legacy.as_slice());
+        for class in 0..=levels.len() {
+            let n = legacy.iter().filter(|c| usize::from(c.index()) == class).count() as u64;
+            prop_assert_eq!(d.count_of(class as u8), n, "class {}", class);
+        }
+        // Level 0 sees every arrival, so it is plain two-class RTT.
+        let (_, overflow) = legacy_decompose(&w, levels[0].capacity, levels[0].deadline);
+        prop_assert_eq!(d.count_of(0), w.len() as u64 - overflow);
+    }
 
     #[test]
     fn columnar_decompose_matches_legacy(w in arb_workload(), p in arb_params()) {

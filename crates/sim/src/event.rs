@@ -6,13 +6,12 @@
 //! engine-facing facade: the same list plus the engine's uniqueness
 //! bookkeeping (one pending arrival, one pending completion per server).
 //!
-//! Every engine in this workspace holds only a handful of live events: an
-//! open-loop run has the one pending arrival plus one completion or
-//! retry per server, on one server (or two, for Split), and a closed-loop
-//! run has one pending event per client. At that size a sorted vector is
-//! cheap: measured on a 2-core x86-64 host, a simulated request through
-//! the whole single-server engine costs ~90 ns (`sim/requests_per_sec_core`
-//! in `perf_report`); DESIGN.md §13 compares the storages measured.
+//! The engine holds only a handful of live events: the one pending
+//! arrival plus one completion or retry per server, on one server (or
+//! two, for Split). At that size a sorted vector is cheap: measured on a
+//! 2-core x86-64 host, a simulated request through the whole
+//! single-server engine costs ~90 ns (`sim/requests_per_sec_core` in
+//! `perf_report`); DESIGN.md §13 compares the storages measured.
 //!
 //! # Ordering contract
 //!
@@ -21,8 +20,8 @@
 //! yields the same sequence: events equal in `(at, kind)` are identical,
 //! so their relative order cannot be observed. `crates/sim/tests/
 //! event_props.rs` keeps such a heap as the differential oracle. A push
-//! dated before the last pop simply sorts first and fires next; the engines
-//! never make one (`closed_loop` asserts that a retry lies in the future).
+//! dated before the last pop simply sorts first and fires next; the engine
+//! never makes one (it asserts that a retry lies in the future).
 
 use gqos_trace::SimTime;
 

@@ -15,8 +15,6 @@
 //! - [`RunReport`] / [`ResponseStats`] — per-request latency records,
 //!   response-time CDFs, percentiles, and the paper's bucketed histograms;
 //! - [`FcfsScheduler`] — the unshaped baseline policy;
-//! - [`closed_loop`] — a closed, think-time-driven population driver
-//!   (the self-throttling counterpart of the open trace replay);
 //! - [`EventQueue`] / [`IndexedEventQueue`] — the engines' event storage:
 //!   one small vector kept sorted, since no engine holds more than a
 //!   handful of live events.
@@ -45,14 +43,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod closed;
 mod engine;
 mod event;
 mod metrics;
 mod scheduler;
 mod server;
 
-pub use closed::{closed_loop, ClosedLoopConfig};
 pub use engine::{run_chunks, simulate, ChunkCore, Simulation, StreamRun};
 pub use event::{Event, EventKind, EventQueue, IndexedEventQueue};
 pub use metrics::{CompletionRecord, ResponseStats, RunReport};

@@ -263,7 +263,7 @@ impl ResponseStats {
     }
 
     /// The `p`-quantile of observed samples (`p` in `[0, 1]`), using the
-    /// nearest-rank method.
+    /// exact integer nearest rank, [`gqos_obs::nearest_rank`].
     ///
     /// # Panics
     ///
@@ -271,8 +271,8 @@ impl ResponseStats {
     pub fn percentile(&self, p: f64) -> SimDuration {
         assert!((0.0..=1.0).contains(&p), "percentile out of range: {p}");
         assert!(!self.sorted.is_empty(), "no samples");
-        let rank = ((p * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        self.sorted[rank - 1]
+        let rank = gqos_obs::nearest_rank(p, self.sorted.len() as u64);
+        self.sorted[rank as usize - 1]
     }
 
     /// Fractions of the population falling into the buckets
@@ -433,6 +433,14 @@ mod tests {
         assert_eq!(s.percentile(0.5), ms(5));
         assert_eq!(s.percentile(0.95), ms(10));
         assert_eq!(s.percentile(1.0), ms(10));
+    }
+
+    #[test]
+    fn percentile_rank_is_exact_where_the_float_product_rounds_up() {
+        // 0.28 · 25 is 7 exactly, but the f64 product is 7.000000000000001,
+        // whose ceiling would pick the 8th sample.
+        let s = ResponseStats::from_times((1..=25).map(ms), 25);
+        assert_eq!(s.percentile(0.28), ms(7));
     }
 
     #[test]

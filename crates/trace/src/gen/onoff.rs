@@ -175,7 +175,7 @@ impl ArrivalProcess for OnOffGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::BurstStats;
+    use crate::summary::TraceSummary;
     use crate::window::RateSeries;
 
     fn bursty() -> OnOffGen {
@@ -195,8 +195,7 @@ mod tests {
     #[test]
     fn produces_bursts_above_base_rate() {
         let w = bursty().generate(SimDuration::from_secs(120));
-        let series = RateSeries::new(&w, SimDuration::from_millis(100));
-        let stats = BurstStats::new(&series);
+        let stats = TraceSummary::new(&w, SimDuration::from_millis(100));
         assert!(
             stats.peak_to_mean() > 3.0,
             "peak/mean {}",

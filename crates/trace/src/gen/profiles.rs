@@ -221,7 +221,7 @@ fn openmail_with(span: SimDuration, seed: u64) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::BurstStats;
+    use crate::summary::TraceSummary;
     use crate::window::RateSeries;
 
     // Profiles modulate on 1–5 minute timescales, so statistics need the
@@ -229,8 +229,8 @@ mod tests {
     const SPAN: SimDuration = SimDuration::from_secs(1200);
     const SHORT: SimDuration = SimDuration::from_secs(120);
 
-    fn stats(w: &Workload) -> BurstStats {
-        BurstStats::new(&RateSeries::new(w, SimDuration::from_millis(100)))
+    fn stats(w: &Workload) -> TraceSummary {
+        TraceSummary::new(w, SimDuration::from_millis(100))
     }
 
     #[test]

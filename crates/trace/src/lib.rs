@@ -12,7 +12,8 @@
 //! - [`ArrivalCurve`] and [`ServiceAnalysis`] — the paper's analytical model
 //!   (cumulative arrival curve, service-curve limit, Lemma 1 lower bound on
 //!   forced deadline misses);
-//! - [`RateSeries`] and [`stats`] — windowed rates and burstiness metrics;
+//! - [`RateSeries`], [`stats`] and [`TraceSummary`] — windowed rates,
+//!   burstiness metrics and a one-look workload profile;
 //! - [`envelope`] — token-bucket `(σ, ρ)` arrival-curve envelopes;
 //! - [`gen`] — deterministic synthetic generators (Poisson, ON/OFF, MMPP,
 //!   paced, b-model) and [`gen::profiles`] calibrated to the paper's traces;
@@ -27,12 +28,11 @@
 //!
 //! ```
 //! use gqos_trace::gen::profiles::TraceProfile;
-//! use gqos_trace::{BurstStats, RateSeries, SimDuration};
+//! use gqos_trace::{SimDuration, TraceSummary};
 //!
 //! let workload = TraceProfile::OpenMail.generate(SimDuration::from_secs(60), 42);
-//! let series = RateSeries::new(&workload, SimDuration::from_millis(100));
-//! let stats = BurstStats::new(&series);
-//! assert!(stats.peak_to_mean() > 2.0); // bursts dwarf the average rate
+//! let summary = TraceSummary::new(&workload, SimDuration::from_millis(100));
+//! assert!(summary.peak_to_mean() > 2.0); // bursts dwarf the average rate
 //! ```
 
 #![warn(missing_docs)]
@@ -55,7 +55,7 @@ pub use column::ArrivalColumn;
 pub use curve::{ArrivalCurve, BusyPeriod, ServiceAnalysis};
 pub use request::{LogicalBlock, Request, RequestId, RequestKind, DEFAULT_REQUEST_BYTES};
 pub use source::{ArrivalStream, SpcStream, StreamError, WorkloadStream, DEFAULT_CHUNK};
-pub use stats::{BurstEpisode, BurstStats};
+pub use stats::BurstEpisode;
 pub use summary::TraceSummary;
 pub use time::{Iops, SimDuration, SimTime};
 pub use window::RateSeries;

@@ -129,12 +129,6 @@ impl Request {
         self
     }
 
-    /// Returns this request with the given arrival instant.
-    pub fn with_arrival(mut self, arrival: SimTime) -> Self {
-        self.arrival = arrival;
-        self
-    }
-
     /// Returns this request with the given block address.
     pub fn with_block(mut self, block: LogicalBlock) -> Self {
         self.block = block;
@@ -180,12 +174,11 @@ mod tests {
     fn builder_style_setters() {
         let r = Request::at(SimTime::from_secs(1))
             .with_id(RequestId::new(7))
-            .with_arrival(SimTime::from_secs(2))
             .with_block(LogicalBlock::new(512))
             .with_bytes(4096)
             .with_kind(RequestKind::Write);
         assert_eq!(r.id, RequestId::new(7));
-        assert_eq!(r.arrival, SimTime::from_secs(2));
+        assert_eq!(r.arrival, SimTime::from_secs(1));
         assert_eq!(r.block, LogicalBlock::new(512));
         assert_eq!(r.bytes, 4096);
         assert_eq!(r.kind, RequestKind::Write);

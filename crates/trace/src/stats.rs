@@ -10,86 +10,6 @@ use std::fmt;
 use crate::time::{SimDuration, SimTime};
 use crate::window::RateSeries;
 
-/// Summary burstiness statistics of a windowed rate series.
-///
-/// # Examples
-///
-/// ```
-/// use gqos_trace::{BurstStats, RateSeries, SimDuration, SimTime, Workload};
-///
-/// let w = Workload::from_arrivals((0..100).map(|i| SimTime::from_millis(i * 10)));
-/// let series = RateSeries::new(&w, SimDuration::from_millis(100));
-/// let stats = BurstStats::new(&series);
-/// // A perfectly even workload has peak == mean.
-/// assert!((stats.peak_to_mean() - 1.0).abs() < 1e-9);
-/// ```
-#[derive(Clone, PartialEq, Debug)]
-pub struct BurstStats {
-    mean_iops: f64,
-    peak_iops: f64,
-    index_of_dispersion: f64,
-    lag1_autocorrelation: f64,
-}
-
-impl BurstStats {
-    /// Computes statistics over `series`.
-    pub fn new(series: &RateSeries) -> Self {
-        let counts = series.counts();
-        BurstStats {
-            mean_iops: series.mean_iops(),
-            peak_iops: series.peak_iops(),
-            index_of_dispersion: index_of_dispersion(counts),
-            lag1_autocorrelation: autocorrelation(counts, 1),
-        }
-    }
-
-    /// Mean arrival rate in IOPS.
-    pub fn mean_iops(&self) -> f64 {
-        self.mean_iops
-    }
-
-    /// Peak window arrival rate in IOPS.
-    pub fn peak_iops(&self) -> f64 {
-        self.peak_iops
-    }
-
-    /// Peak-to-mean rate ratio; 1.0 for a perfectly smooth workload, large
-    /// for bursty ones (OpenMail in the paper: ≈ 4440 / 534 ≈ 8.3).
-    pub fn peak_to_mean(&self) -> f64 {
-        if self.mean_iops == 0.0 {
-            0.0
-        } else {
-            self.peak_iops / self.mean_iops
-        }
-    }
-
-    /// Index of dispersion for counts (variance/mean of window counts);
-    /// 1.0 for a Poisson process, ≫ 1 for bursty arrivals.
-    pub fn index_of_dispersion(&self) -> f64 {
-        self.index_of_dispersion
-    }
-
-    /// Lag-1 autocorrelation of window counts; near zero for memoryless
-    /// arrivals, positive when bursts persist across windows.
-    pub fn lag1_autocorrelation(&self) -> f64 {
-        self.lag1_autocorrelation
-    }
-}
-
-impl fmt::Display for BurstStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "mean {:.1} IOPS, peak {:.1} IOPS (x{:.2}), IDC {:.2}, rho1 {:.3}",
-            self.mean_iops,
-            self.peak_iops,
-            self.peak_to_mean(),
-            self.index_of_dispersion,
-            self.lag1_autocorrelation
-        )
-    }
-}
-
 /// Variance-to-mean ratio of window counts. Returns zero for fewer than two
 /// windows or a zero mean.
 pub fn index_of_dispersion(counts: &[u64]) -> f64 {
@@ -293,24 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn smooth_series_has_unit_ratios() {
-        let s = series_from_counts(&[5; 50]);
-        let b = BurstStats::new(&s);
-        assert!((b.peak_to_mean() - 1.0).abs() < 1e-9);
-        assert_eq!(b.index_of_dispersion(), 0.0);
-    }
-
-    #[test]
-    fn bursty_series_has_large_dispersion() {
-        let mut counts = vec![1u64; 99];
-        counts.push(101);
-        let s = series_from_counts(&counts);
-        let b = BurstStats::new(&s);
-        assert!(b.peak_to_mean() > 30.0, "ratio {}", b.peak_to_mean());
-        assert!(b.index_of_dispersion() > 10.0);
-    }
-
-    #[test]
     fn index_of_dispersion_poissonish() {
         // Constant counts -> zero variance -> IDC 0.
         assert_eq!(index_of_dispersion(&[3, 3, 3, 3]), 0.0);
@@ -422,11 +324,5 @@ mod tests {
     fn burst_threshold_validated() {
         let s = series_from_counts(&[1, 2]);
         let _ = burst_episodes(&s, f64::NAN);
-    }
-
-    #[test]
-    fn stats_display() {
-        let s = series_from_counts(&[1, 2, 3]);
-        assert!(BurstStats::new(&s).to_string().contains("IOPS"));
     }
 }

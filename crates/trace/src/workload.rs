@@ -7,26 +7,11 @@
 
 use std::fmt;
 use std::slice;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::column::ArrivalColumn;
 use crate::request::{Request, RequestId};
-use crate::summary::TraceSummary;
 use crate::time::{SimDuration, SimTime};
-
-/// Lazily-computed per-workload aggregates, shared by clones.
-///
-/// The requests of a [`Workload`] are immutable once constructed (every
-/// transform builds a new workload; [`Extend`] swaps in a fresh cache), so
-/// derived views can be computed once and handed out by reference: the
-/// [`ArrivalColumn`] that every decomposition kernel scans, and the
-/// [`TraceSummary`] statistics that experiment cells would otherwise
-/// recompute per (deadline, fraction) grid point.
-#[derive(Default, Debug)]
-struct WorkloadCache {
-    column: OnceLock<ArrivalColumn>,
-    summaries: Mutex<Vec<(SimDuration, Arc<TraceSummary>)>>,
-}
 
 /// An immutable, arrival-ordered sequence of requests.
 ///
@@ -50,13 +35,16 @@ struct WorkloadCache {
 #[derive(Clone, Default, Debug)]
 pub struct Workload {
     requests: Vec<Request>,
-    /// Memoised derived views; never compared, shared across clones.
-    cache: Arc<WorkloadCache>,
+    /// The arrival column, computed on first use. The requests are
+    /// immutable once constructed (every transform builds a new workload;
+    /// [`Extend`] swaps in a fresh cell), so clones share it. Never
+    /// compared.
+    column: Arc<OnceLock<ArrivalColumn>>,
 }
 
 impl PartialEq for Workload {
     fn eq(&self, other: &Self) -> bool {
-        // Identity is the request sequence alone; the cache is a derived
+        // Identity is the request sequence alone; the column is a derived
         // view and clones may or may not share one.
         self.requests == other.requests
     }
@@ -96,7 +84,7 @@ impl Workload {
         }
         Workload {
             requests,
-            cache: Arc::default(),
+            column: Arc::default(),
         }
     }
 
@@ -107,23 +95,7 @@ impl Workload {
     /// `gqos-core`: a sorted `u64` nanosecond slice the scan walks instead
     /// of the full request structs.
     pub fn arrival_column(&self) -> &ArrivalColumn {
-        self.cache.column.get_or_init(|| ArrivalColumn::new(self))
-    }
-
-    /// A [`TraceSummary`] over rate windows of width `window`, memoised per
-    /// distinct window so repeated experiment cells profile the trace once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero (propagated from [`TraceSummary::new`]).
-    pub fn cached_summary(&self, window: SimDuration) -> Arc<TraceSummary> {
-        let mut summaries = self.cache.summaries.lock().expect("summary cache poisoned");
-        if let Some((_, summary)) = summaries.iter().find(|(w, _)| *w == window) {
-            return Arc::clone(summary);
-        }
-        let summary = Arc::new(TraceSummary::new(self, window));
-        summaries.push((window, Arc::clone(&summary)));
-        summary
+        self.column.get_or_init(|| ArrivalColumn::new(self))
     }
 
     /// Number of requests.
@@ -287,10 +259,10 @@ impl Extend<Request> for Workload {
         for (i, r) in self.requests.iter_mut().enumerate() {
             r.id = RequestId::new(i as u64);
         }
-        // The requests changed: drop the memoised views. A fresh cache (not
+        // The requests changed: drop the memoised column. A fresh cell (not
         // a clear-in-place) so clones sharing the old Arc keep their still
-        // valid views of the pre-extend workload.
-        self.cache = Arc::default();
+        // valid view of the pre-extend workload.
+        self.column = Arc::default();
     }
 }
 
@@ -532,21 +504,6 @@ mod tests {
         assert_eq!(w.arrival_column().nanos(), &[1_000_000, 5_000_000]);
         // The pre-extend clone still sees its own (valid) cached view.
         assert_eq!(snapshot.arrival_column().nanos(), &[5_000_000]);
-    }
-
-    #[test]
-    fn cached_summary_memoises_per_window() {
-        let w = Workload::from_arrivals((0..100).map(|i| ms(i * 10)));
-        let a = w.cached_summary(SimDuration::from_millis(100));
-        let b = w.cached_summary(SimDuration::from_millis(100));
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "same window reuses");
-        let c = w.cached_summary(SimDuration::from_millis(50));
-        assert!(!std::sync::Arc::ptr_eq(&a, &c), "distinct windows differ");
-        assert_eq!(a.requests(), 100);
-        assert_eq!(
-            *a,
-            crate::TraceSummary::new(&w, SimDuration::from_millis(100))
-        );
     }
 
     #[test]

@@ -1,24 +1,24 @@
 //! Multi-tenant shaping: three clients with different SLAs on one server.
 //!
-//! The paper's data-center setting end to end: plan each tenant's
-//! provision, admit them against a capacity budget, then serve all three
+//! The paper's data-center setting end to end: admit each tenant only if
+//! the exact consolidated requirement of the merged workload fits a
+//! capacity budget, plan each admitted tenant's provision, then serve them
 //! through the two-level scheduler (per-tenant RTT decomposition + fair
 //! queueing across tenants) and verify that every tenant's primary class
 //! meets its own deadline — even while one tenant bursts violently.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
-use gqos::core::{
-    merge_tenants, AdmissionController, MultiTenantScheduler, TenantConfig, TenantId,
-};
+use gqos::core::{merge_tenants, MultiTenantScheduler, ServerBin, TenantConfig, TenantId};
 use gqos::sim::{simulate, FixedRateServer};
 use gqos::trace::gen::profiles::TraceProfile;
-use gqos::{Iops, QosTarget, SimDuration};
+use gqos::{CapacityPlanner, Iops, QosTarget, SimDuration, Workload};
 
 fn main() {
     let span = SimDuration::from_secs(120);
     let deadline = SimDuration::from_millis(20);
     let target = QosTarget::new(0.90, deadline);
+    let budget = Iops::new(2500.0);
 
     // Three tenants with very different workload characters.
     let tenants = [
@@ -27,34 +27,39 @@ fn main() {
         ("mail", TraceProfile::OpenMail.generate(span, 3)),
     ];
 
-    // 1. Admission control: plan each tenant's provision at (90%, 20 ms)
-    //    and admit against a 2500 IOPS server.
-    let mut ctrl = AdmissionController::new(Iops::new(2500.0), target);
-    for (name, workload) in &tenants {
-        match ctrl.try_admit(name, workload) {
-            Ok(adm) => println!(
-                "admitted {name:<7} {} ({} requests, mean {:.0} IOPS)",
-                adm.provision,
+    // 1. Admission control: a tenant joins if `Cmin(90%, 20 ms)` of the
+    //    merged workload, residents plus newcomer, stays within the
+    //    2500 IOPS server.
+    let mut bin = ServerBin::new(target);
+    let mut admitted: Vec<(&str, &Workload)> = Vec::new();
+    for (i, (name, workload)) in tenants.iter().enumerate() {
+        let mut trial = bin.clone();
+        trial.add(TenantId::new(i), workload.arrival_column().nanos());
+        let quote = trial.quote();
+        if quote <= budget {
+            println!(
+                "admitted {name:<7} merged Cmin {quote} ({} requests, mean {:.0} IOPS)",
                 workload.len(),
                 workload.mean_iops()
-            ),
-            Err(e) => println!("rejected {name:<7} {e}"),
+            );
+            bin = trial;
+            admitted.push((name, workload));
+        } else {
+            println!("rejected {name:<7} merged Cmin would be {quote} > {budget}");
         }
     }
-    println!(
-        "committed {:.0} of {:.0} IOPS\n",
-        ctrl.committed(),
-        ctrl.capacity().get()
-    );
+    println!("committed {} of {budget}\n", bin.quote());
 
-    // 2. Serve all admitted tenants on one shared server with the planned
-    //    provisions.
-    let configs: Vec<TenantConfig> = ctrl
-        .admitted()
+    // 2. Serve the admitted tenants on one shared server, each with its
+    //    own planned provision.
+    let configs: Vec<TenantConfig> = admitted
         .iter()
-        .map(|a| TenantConfig::new(a.provision, deadline))
+        .map(|(_, w)| {
+            let provision = CapacityPlanner::new(w, deadline).provision(target);
+            TenantConfig::new(provision, deadline)
+        })
         .collect();
-    let workloads: Vec<&gqos::Workload> = tenants.iter().map(|(_, w)| w).collect();
+    let workloads: Vec<&Workload> = admitted.iter().map(|&(_, w)| w).collect();
     let (merged, owners) = merge_tenants(&workloads);
     let scheduler = MultiTenantScheduler::new(configs, owners);
     let server = FixedRateServer::new(scheduler.required_capacity());
@@ -71,7 +76,7 @@ fn main() {
         "{:<8} {:>9} {:>9} {:>16} {:>16}",
         "tenant", "primary", "overflow", "primary in 20ms", "overflow mean"
     );
-    for (i, (name, _)) in tenants.iter().enumerate() {
+    for (i, (name, _)) in admitted.iter().enumerate() {
         let t = TenantId::new(i);
         let primary = report.stats_for(t.primary_class());
         let overflow = report.stats_for(t.overflow_class());

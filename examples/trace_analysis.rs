@@ -9,7 +9,7 @@
 
 use gqos::trace::gen::profiles::TraceProfile;
 use gqos::trace::stats::burst_episodes;
-use gqos::trace::{spc, RateSeries, ServiceAnalysis};
+use gqos::trace::{spc, RateSeries, ServiceAnalysis, TraceSummary};
 use gqos::{Iops, SimDuration};
 
 fn main() {
@@ -22,9 +22,7 @@ fn main() {
     );
     for profile in TraceProfile::ALL {
         let w = profile.generate(span, 42);
-        // The memoised profile: repeated lookups at the same window reuse
-        // the one computed here.
-        let stats = w.cached_summary(SimDuration::from_millis(100));
+        let stats = TraceSummary::new(&w, SimDuration::from_millis(100));
         let hurst = stats
             .hurst()
             .map(|h| format!("{h:.2}"))
