@@ -6,20 +6,16 @@
 //! kernel with the median ns/op across samples. CI runs a reduced-sample
 //! pass and archives the JSON; trend tooling diffs records by `name`.
 //!
-//! Also asserts the serial-vs-parallel SLA-menu equivalence contract on
-//! every run: `CapacityPlanner::menu` and `menu_parallel` must quote
-//! byte-identical capacities.
+//! Also asserts the SLA-menu contract on every run: each quote of one
+//! `CapacityPlanner::menu` call (one seed curve, warm-started in ascending
+//! order) equals `min_capacity` of its fraction (a fresh search), bit for
+//! bit.
 //!
 //! Usage: `cargo run --release -p gqos-bench --bin perf_report --
 //!         [--out BENCH_core.json] [--samples 9] [--span-secs 60]
-//!         [--threads 4] [--assert-parallel-speedup <ratio>]
-//!         [--assert-fleet-place-ms <ms>] [--assert-fleet-speedup <ratio>]
-//!         [--assert-spc-parse-ns <ns>] [--assert-sim-ns <ns>]`
-//!
-//! With `--assert-parallel-speedup 0.75` the run fails unless
-//! `planner/menu_parallel_5` comes in at or under 0.75× of
-//! `planner/menu_serial_5` — the CI guard against the parallel menu
-//! regressing back to a non-speedup.
+//!         [--threads 4] [--assert-fleet-place-ms <ms>]
+//!         [--assert-fleet-speedup <ratio>] [--assert-spc-parse-ns <ns>]
+//!         [--assert-sim-ns <ns>]`
 //!
 //! The fleet rows carry their own guards: `fleet/quote_cache_hit` must
 //! always cost at most 5% of `fleet/quote_cold` (asserted on every run —
@@ -106,8 +102,8 @@ fn measure<R>(samples: usize, iters: usize, mut op: impl FnMut() -> R) -> f64 {
 
 /// The usage line printed under every command-line error.
 const USAGE: &str = "usage: perf_report [--out <path>] [--samples <n>] [--span-secs <s>] \
-     [--threads <n>] [--assert-parallel-speedup <ratio>] [--assert-fleet-place-ms <ms>] \
-     [--assert-fleet-speedup <ratio>] [--assert-spc-parse-ns <ns>] [--assert-sim-ns <ns>]";
+     [--threads <n>] [--assert-fleet-place-ms <ms>] [--assert-fleet-speedup <ratio>] \
+     [--assert-spc-parse-ns <ns>] [--assert-sim-ns <ns>]";
 
 fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
     let i = args.iter().position(|a| a == flag)?;
@@ -166,7 +162,6 @@ fn main() {
             }
         })
     };
-    let speedup_bound = parse_ratio("--assert-parallel-speedup");
     let fleet_place_ceiling_ms = parse_flag(&args, "--assert-fleet-place-ms");
     let fleet_speedup_floor = parse_ratio("--assert-fleet-speedup");
     let spc_parse_ceiling_ns = parse_flag(&args, "--assert-spc-parse-ns");
@@ -303,50 +298,26 @@ fn main() {
         websearch.len() as u64,
     );
     let fractions = [0.90, 0.95, 0.99, 0.999, 1.0];
-    let menu_serial_ns = measure(samples, 3, || planner.menu(&fractions));
     push(
         "planner/menu_serial_5",
-        menu_serial_ns,
-        websearch.len() as u64,
-    );
-    let pool = WorkerPool::new(threads);
-    let menu_parallel_ns = measure(samples, 3, || planner.menu_parallel(&fractions, &pool));
-    push(
-        "planner/menu_parallel_5",
-        menu_parallel_ns,
+        measure(samples, 3, || planner.menu(&fractions)),
         websearch.len() as u64,
     );
 
-    // Determinism contract: the two menu paths must agree byte for byte.
-    let serial = planner.menu(&fractions).expect("valid fractions");
-    let parallel = planner
-        .menu_parallel(&fractions, &pool)
-        .expect("valid fractions");
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.target, p.target, "menu targets diverged");
+    // Menu contract: one seed curve swept with warm starts quotes exactly
+    // what a fresh search per fraction does.
+    let menu = planner.menu(&fractions).expect("valid fractions");
+    for (quote, &f) in menu.iter().zip(&fractions) {
         assert_eq!(
-            s.cmin.get().to_bits(),
-            p.cmin.get().to_bits(),
-            "serial and parallel menus must quote byte-identical capacities"
+            quote.cmin.get().to_bits(),
+            planner.min_capacity(f).get().to_bits(),
+            "menu quote for f={f} differs from min_capacity"
         );
     }
     println!(
-        "  menu equivalence: serial == parallel ({} fractions, {} threads) ok",
-        fractions.len(),
-        pool.threads()
+        "  menu equivalence: menu == min_capacity ({} fractions) ok",
+        fractions.len()
     );
-    println!(
-        "  menu speedup: parallel is {:.2}x vs serial",
-        menu_serial_ns / menu_parallel_ns
-    );
-    if let Some(bound) = speedup_bound {
-        assert!(
-            menu_parallel_ns <= bound * menu_serial_ns,
-            "menu_parallel_5 ({menu_parallel_ns:.0} ns) exceeded {bound} x \
-             menu_serial_5 ({menu_serial_ns:.0} ns) — the parallel menu regressed"
-        );
-        println!("  menu speedup assertion: parallel <= {bound} x serial ok");
-    }
 
     // --- Fair queueing -----------------------------------------------------
     // The per-request cost of the FairQueue recombination path: a 9:1
@@ -510,6 +481,7 @@ fn main() {
     let fleet_tenants = fleet::fleet_tenants(&fleet_cfg, 1000);
     let fleet_capacity = fleet::size_capacity(&fleet_tenants, 64, fleet_target);
     let fleet_placer = FleetPlacer::new(fleet_target, Iops::new(fleet_capacity as f64));
+    let pool = WorkerPool::new(threads);
 
     let tenant0 = &fleet_tenants[0];
     let quote_cold_ns = measure(samples, 5, || {

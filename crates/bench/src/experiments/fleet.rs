@@ -10,7 +10,7 @@
 //!   under the same capacities, and the baseline's probe counter shows
 //!   the `O(tenants × servers)` blow-up the engine avoids;
 //! - **memoization pays**: the cached packer needs one capacity search
-//!   per quote-cache miss plus at most one lazy warm-hinted resolve per
+//!   per quote-cache miss plus at most one lazy resolve per
 //!   used server, where the cold packer runs a from-scratch search for
 //!   the ordering pass, every candidate probe, and every commit. The
 //!   `search ratio` column counts exactly that (deterministic counters,
@@ -125,7 +125,7 @@ struct FleetCell {
     /// per commit.
     pub cold_searches: u64,
     /// Full searches the cached packer actually ran: one per cache miss
-    /// plus at most one lazy warm-hinted resolve per used server.
+    /// plus at most one lazy resolve per used server.
     pub cached_searches: u64,
     /// The exhaustive cold-costing baseline's counters on the same cell:
     /// `(servers used, unplaced, probes)` — `None` when the cell is above
@@ -267,7 +267,7 @@ pub fn report(cfg: &ExpConfig) -> String {
         "Search counts are deterministic cost ledgers, not wall clock: the\n\
          cold packer runs a full capacity search per ordering quote, per\n\
          candidate probe, and per commit; the cached packer searches only\n\
-         on quote-cache misses plus one lazy warm-hinted resolve per used\n\
+         on quote-cache misses plus one lazy resolve per used\n\
          server. `naive probes` is the exhaustive baseline's counter — it\n\
          re-probes every candidate server per tenant (no bin retirement),\n\
          and every one of those probes is a from-scratch cold search."

@@ -88,7 +88,7 @@ impl CascadeDecomposer {
 
     /// Decomposes a workload: each request is offered to the levels in
     /// order and assigned the first that admits it (each level runs the
-    /// two-class admit rule, [`RttState::admit`], on its own emulated
+    /// two-class admit rule, `RttState::admit`, on its own emulated
     /// dedicated server), else the best-effort class.
     ///
     /// A level that an arrival never reaches is not drained then: its next

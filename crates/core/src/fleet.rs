@@ -20,14 +20,12 @@
 //!    its residents' *merged* arrival column; "tenant T joins server S"
 //!    is a zero-allocation feasibility probe streamed over the two sorted
 //!    columns ([`merged_within_budget`]), and committing an add/remove is
-//!    a linear multiset merge/subtract that marks the cached consolidated
-//!    quote stale; the next quote read re-resolves it by a bisection
-//!    warm-started from the previous value, so a burst of commits pays
-//!    for one search, not one per commit. Equal arrival instants are
-//!    interchangeable to the admit kernel, so the delta-maintained column
-//!    equals the from-scratch merge element for element — the lazily
-//!    re-resolved quote is exactly the cold quote (enforced by the
-//!    `fleet_props` differential suite).
+//!    a linear multiset merge/subtract that drops the cached consolidated
+//!    quote; the next quote read resolves it on a fresh [`SeedCurve`] of
+//!    the merged column, so a burst of commits pays for one search, not
+//!    one per commit. Equal arrival instants are interchangeable to the
+//!    admit kernel, so the delta-maintained column equals the
+//!    from-scratch merge element for element.
 //! 3. **[`FleetPlacer`]** — a first-fit-decreasing packer with *bin
 //!    retirement*: tenants are offered to the open bins in server-index
 //!    order, and an occupied bin that rejects a tenant ahead of the
@@ -68,13 +66,13 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use gqos_parallel::WorkerPool;
 use gqos_trace::{Iops, SimDuration, Workload};
 
-use crate::kernel::{merged_within_budget, within_miss_budget_ns};
-use crate::planner::{capacity_floor, miss_budget, resolve_cmin_ns, CapacityPlanner, SeedCurve};
+use crate::kernel::merged_within_budget;
+use crate::planner::{miss_budget, CapacityPlanner, SeedCurve};
 use crate::target::QosTarget;
 use crate::tenant::TenantId;
 
@@ -204,7 +202,8 @@ impl FleetTenant {
 ///
 /// The first quote for a tenant builds its [`SeedCurve`] (one fused
 /// overflow pass over the doubling grid) and resolves the bracket by wide
-/// bisection; every further fraction reuses the curve, and a fraction
+/// bisection, exactly as [`CapacityPlanner::min_capacity`] does; every
+/// further fraction reuses the memoised curve, and a fraction
 /// whose integer miss budget was already quoted returns the memoized
 /// integer with no probe at all. A quote is invalidated **only** by a
 /// workload change ([`FleetTenant::set_workload`]) — the cache compares
@@ -214,8 +213,8 @@ impl FleetTenant {
 /// at `n + 1` quotes for an `n`-request workload.
 ///
 /// Cached quotes are bit-identical to the cold
-/// [`CapacityPlanner::min_capacity`]: both paths return the unique
-/// minimal integer capacity whose overflow count meets the miss budget.
+/// [`CapacityPlanner::min_capacity`]: both run the same resolver on the
+/// same curve and budget.
 #[derive(Clone, Debug)]
 pub struct QuoteCache {
     deadline: SimDuration,
@@ -268,10 +267,7 @@ impl QuoteCache {
     /// [`quote`](Self::quote) as the raw integer IOPS the searches work
     /// in.
     pub fn quote_int(&mut self, tenant: &FleetTenant, fraction: f64) -> u64 {
-        assert!(
-            fraction.is_finite() && fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]: {fraction}"
-        );
+        let budget = miss_budget(tenant.workload.len() as u64, fraction);
         let deadline = self.deadline;
         let entry = self
             .entries
@@ -289,18 +285,12 @@ impl QuoteCache {
                 seed: SeedCurve::new(&tenant.workload, deadline),
                 quotes: BTreeMap::new(),
             });
-        let budget = miss_budget(tenant.workload.len() as u64, fraction);
         if let Some(&cmin) = entry.quotes.get(&budget) {
             self.hits += 1;
             return cmin;
         }
         self.misses += 1;
-        let (lo, hi) = entry.seed.bracket(budget);
-        let cmin = match lo {
-            // The domain floor meets the budget: it is Cmin by minimality.
-            None => hi,
-            Some(lo) => resolve_cmin_ns(tenant.col(), deadline, budget, lo, hi),
-        };
+        let cmin = entry.seed.cmin(tenant.col(), budget, None);
         entry.quotes.insert(budget, cmin);
         cmin
     }
@@ -312,15 +302,7 @@ impl QuoteCache {
     /// each per-tenant search is self-contained and lands in its own
     /// entry. Each computed quote counts as one miss, exactly as if it
     /// had been demanded serially.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `(0, 1]`.
     fn warm_batch(&mut self, tenants: &[FleetTenant], fraction: f64, pool: &WorkerPool) {
-        assert!(
-            fraction.is_finite() && fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]: {fraction}"
-        );
         let deadline = self.deadline;
         let missing: Vec<(&FleetTenant, u64)> = tenants
             .iter()
@@ -332,10 +314,7 @@ impl QuoteCache {
             .collect();
         let computed = pool.map(missing, |(t, budget)| {
             let seed = SeedCurve::new(&t.workload, deadline);
-            let cmin = match seed.bracket(budget) {
-                (None, hi) => hi,
-                (Some(lo), hi) => resolve_cmin_ns(t.col(), deadline, budget, lo, hi),
-            };
+            let cmin = seed.cmin(t.col(), budget, None);
             (t.id, t.workload_epoch, seed, budget, cmin)
         });
         for (id, workload_epoch, seed, budget, cmin) in computed {
@@ -392,42 +371,23 @@ impl QuoteCache {
 ///
 /// Adding or removing one tenant never re-concatenates the co-located
 /// workloads: the column is updated by a linear two-pointer multiset
-/// merge/subtract, which marks the cached quote **stale** instead of
-/// re-searching on the spot. The next quote read re-resolves it by a
-/// bisection **warm-started** from the previous value — so a pack that
-/// commits fifteen tenants to a bin pays for one consolidated search,
-/// not fifteen. The warm walk brackets in *both* directions — at `f < 1`
-/// adding arrivals also grows the miss budget, so the consolidated quote
-/// may legitimately decrease. Feasibility is monotone in capacity for
-/// any fixed column, so the warm-started search returns the same unique
-/// minimal integer as a cold search (pinned by `fleet_props`).
+/// merge/subtract, which drops the cached quote instead of re-searching
+/// on the spot. The next quote read resolves it on a fresh [`SeedCurve`]
+/// of the merged column — the same resolver
+/// [`CapacityPlanner::min_capacity`] runs — so a pack that commits
+/// fifteen tenants to a bin pays for one consolidated search, not
+/// fifteen.
 ///
-/// The quote cell is atomic so a bin stays `Sync` while parallel admit
-/// probes hold shared references; a racing re-resolve is benign because
-/// every thread computes the identical minimal integer.
-#[derive(Debug)]
+/// The quote cell is a [`OnceLock`], so a bin stays `Sync` while
+/// parallel admit probes hold shared references.
+#[derive(Clone, Debug)]
 pub struct ServerBin {
     target: QosTarget,
     col: Vec<u64>,
     members: Vec<TenantId>,
-    /// Last resolved consolidated quote; serves as the warm hint while
-    /// `stale` is set.
-    quote: AtomicU64,
-    /// Set by [`add`](Self::add)/[`remove`](Self::remove), cleared by the
-    /// next quote read.
-    stale: AtomicBool,
-}
-
-impl Clone for ServerBin {
-    fn clone(&self) -> Self {
-        ServerBin {
-            target: self.target,
-            col: self.col.clone(),
-            members: self.members.clone(),
-            quote: AtomicU64::new(self.quote.load(Ordering::Relaxed)),
-            stale: AtomicBool::new(self.stale.load(Ordering::Relaxed)),
-        }
-    }
+    /// The consolidated quote of `col`, resolved on first read after the
+    /// last [`add`](Self::add) or [`remove`](Self::remove).
+    quote: OnceLock<u64>,
 }
 
 impl ServerBin {
@@ -437,8 +397,7 @@ impl ServerBin {
             target,
             col: Vec::new(),
             members: Vec::new(),
-            quote: AtomicU64::new(capacity_floor(target.deadline())),
-            stale: AtomicBool::new(false),
+            quote: OnceLock::new(),
         }
     }
 
@@ -468,31 +427,19 @@ impl ServerBin {
     }
 
     /// The cached consolidated quote: `Cmin(f, δ)` of the merged resident
-    /// column — identical to cold-planning the merged workload. If
-    /// commits have made the cached value stale, this re-resolves it
-    /// first (bisection warm-started from the stale value) and stores the
-    /// result, so repeated reads are free.
+    /// column — identical to cold-planning the merged workload. The first
+    /// read after a commit resolves it and stores the result, so repeated
+    /// reads are free.
     pub fn quote(&self) -> Iops {
         Iops::new(self.quote_int() as f64)
     }
 
     /// [`quote`](Self::quote) as raw integer IOPS.
     pub fn quote_int(&self) -> u64 {
-        // Acquire pairs with the Release in `resolve`/`add`/`remove`: a
-        // clean flag guarantees the matching quote store is visible.
-        if !self.stale.load(Ordering::Acquire) {
-            return self.quote.load(Ordering::Relaxed);
-        }
-        let hint = self.quote.load(Ordering::Relaxed);
-        let fresh = hinted_cmin(
-            &self.col,
-            self.target.deadline(),
-            miss_budget(self.col.len() as u64, self.target.fraction()),
-            Some(hint),
-        );
-        self.quote.store(fresh, Ordering::Relaxed);
-        self.stale.store(false, Ordering::Release);
-        fresh
+        *self.quote.get_or_init(|| {
+            let budget = miss_budget(self.col.len() as u64, self.target.fraction());
+            SeedCurve::from_nanos(&self.col, self.target.deadline()).cmin(&self.col, budget, None)
+        })
     }
 
     /// Would admitting a tenant with column `tenant_col` keep the
@@ -512,7 +459,7 @@ impl ServerBin {
     }
 
     /// Commits a tenant: linear multiset merge of the columns; the cached
-    /// quote is marked stale and re-resolved lazily on the next read.
+    /// quote is dropped and resolved lazily on the next read.
     pub fn add(&mut self, id: TenantId, tenant_col: &[u64]) {
         let mut merged = Vec::with_capacity(self.col.len() + tenant_col.len());
         let (mut i, mut j) = (0, 0);
@@ -530,19 +477,24 @@ impl ServerBin {
         self.col = merged;
         let at = self.members.partition_point(|&m| m < id);
         self.members.insert(at, id);
-        self.stale.store(true, Ordering::Release);
+        self.quote = OnceLock::new();
     }
 
     /// Removes a resident tenant: multiset-subtracts its column (each of
-    /// the tenant's arrival values is removed once) and marks the quote
-    /// stale for lazy re-resolution. Returns `false` if the tenant was
-    /// not resident.
+    /// the tenant's arrival values is removed once) and drops the cached
+    /// quote. Returns `false` if the tenant was not resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the tenant and leaving the bin unchanged, if
+    /// `tenant_col` is not a sub-multiset of the resident column — the
+    /// caller passed a column other than the one it added (for example,
+    /// after [`FleetTenant::set_workload`] on a placed tenant).
     pub fn remove(&mut self, id: TenantId, tenant_col: &[u64]) -> bool {
         let Ok(at) = self.members.binary_search(&id) else {
             return false;
         };
-        self.members.remove(at);
-        let mut kept = Vec::with_capacity(self.col.len() - tenant_col.len());
+        let mut kept = Vec::with_capacity(self.col.len().saturating_sub(tenant_col.len()));
         let mut j = 0;
         for &v in &self.col {
             if j < tenant_col.len() && v == tenant_col[j] {
@@ -551,56 +503,15 @@ impl ServerBin {
                 kept.push(v);
             }
         }
-        debug_assert_eq!(j, tenant_col.len(), "tenant column was not a subset");
+        assert!(
+            j == tenant_col.len(),
+            "{id}: removed column is not a subset of the bin's resident arrivals"
+        );
+        self.members.remove(at);
         self.col = kept;
-        self.stale.store(true, Ordering::Release);
+        self.quote = OnceLock::new();
         true
     }
-}
-
-/// Warm-started exact `Cmin` search over a raw column: establishes a
-/// `(failing lo, meeting hi]` bracket by geometric walk from `hint`
-/// (downward when the hint meets, upward when it fails — the consolidated
-/// quote can move either way under an add at `f < 1`), then resolves it
-/// by wide bisection. Returns the same unique minimal integer capacity as
-/// a cold search from the floor; the hint only changes how fast the
-/// bracket is found.
-fn hinted_cmin(col: &[u64], deadline: SimDuration, budget: u64, hint: Option<u64>) -> u64 {
-    let floor = capacity_floor(deadline);
-    if col.is_empty() {
-        return floor;
-    }
-    let meets = |c: u64| within_miss_budget_ns(col, Iops::new(c as f64), deadline, budget);
-    if meets(floor) {
-        return floor;
-    }
-    let start = hint.unwrap_or(floor).max(floor);
-    let mut step = 1u64;
-    let (lo, hi) = if start > floor && meets(start) {
-        // Hint meets: walk down geometrically until a capacity fails.
-        let mut hi = start;
-        loop {
-            let cand = start.saturating_sub(step).max(floor);
-            if meets(cand) {
-                hi = cand;
-            } else {
-                break (cand, hi);
-            }
-            step = step.saturating_mul(2);
-        }
-    } else {
-        // Hint fails (or is the failing floor): walk up by doubling.
-        let mut lo = start;
-        loop {
-            let cand = start.checked_add(step).expect("capacity search overflow");
-            if meets(cand) {
-                break (lo, cand);
-            }
-            lo = cand;
-            step = step.checked_mul(2).expect("capacity search overflow");
-        }
-    };
-    resolve_cmin_ns(col, deadline, budget, lo, hi)
 }
 
 /// Deterministic counters of one pack or replan: no wall-clock, so
@@ -826,9 +737,10 @@ impl FleetPlacer {
     /// decreasing, `O(tenants × servers × search)`. Every standalone
     /// quote is a fresh [`CapacityPlanner::min_capacity`] search, and
     /// every candidate — re-probed for every tenant, with no retirement —
-    /// is costed by materialising the merged column and running a full
-    /// cold consolidated search; every commit re-quotes the bin cold. No
-    /// cache, no incremental column, no warm hints, no pool: exactly what
+    /// is costed by materialising the merged column (concatenate and
+    /// sort) and running a full consolidated search on a fresh
+    /// [`SeedCurve`]; every commit re-quotes the bin. No cache, no
+    /// incremental column, no streamed admit probe, no pool: exactly what
     /// a fleet packer looks like without this module's three ingredients,
     /// and the performance baseline `fleet_bench` and `perf_report`
     /// compare against.
@@ -870,12 +782,10 @@ impl FleetPlacer {
             let tcol = tenant.col();
             let mut chosen = None;
             for node in 0..placement.bins.len() {
-                let bin = &placement.bins[node];
-                let mut merged = Vec::with_capacity(bin.col.len() + tcol.len());
-                merged.extend_from_slice(&bin.col);
-                merged.extend_from_slice(tcol);
+                let mut merged = [placement.bins[node].arrivals(), tcol].concat();
                 merged.sort_unstable();
-                let cold = cold_cmin(&merged, deadline, fraction);
+                let budget = miss_budget(merged.len() as u64, fraction);
+                let cold = SeedCurve::from_nanos(&merged, deadline).cmin(&merged, budget, None);
                 placement.stats.probes += 1;
                 if cold <= placement.effective_capacity(node) {
                     chosen = Some(node);
@@ -885,10 +795,9 @@ impl FleetPlacer {
             match chosen {
                 Some(node) => {
                     placement.bins[node].add(tenant.id(), tcol);
-                    // Keep the bin's quote cold too: recompute unhinted.
-                    let cold = cold_cmin(&placement.bins[node].col, deadline, fraction);
-                    placement.bins[node].quote.store(cold, Ordering::Relaxed);
-                    placement.bins[node].stale.store(false, Ordering::Release);
+                    // Re-quote the bin on commit, as a packer without lazy
+                    // bin quotes would.
+                    placement.bins[node].quote_int();
                     placement.assignment.insert(tenant.id(), node);
                     placement.stats.placed += 1;
                 }
@@ -1241,19 +1150,6 @@ impl FleetPlacer {
     }
 }
 
-/// A cold, unhinted consolidated `Cmin` over a raw merged column: seed
-/// grid from scratch plus bracket resolution — the cost profile of
-/// [`CapacityPlanner::min_capacity`] on the materialised merge, used only
-/// by the naive reference packer.
-fn cold_cmin(col: &[u64], deadline: SimDuration, fraction: f64) -> u64 {
-    let budget = miss_budget(col.len() as u64, fraction);
-    let seed = SeedCurve::from_nanos(col, deadline);
-    match seed.bracket(budget) {
-        (None, hi) => hi,
-        (Some(lo), hi) => resolve_cmin_ns(col, deadline, budget, lo, hi),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1385,6 +1281,32 @@ mod tests {
     }
 
     #[test]
+    fn remove_rejects_a_foreign_column_and_leaves_the_bin_unchanged() {
+        let mut bin = ServerBin::new(QosTarget::new(0.9, dms(10)));
+        bin.add(TenantId::new(1), &[10, 20, 30]);
+        bin.add(TenantId::new(2), &[15, 25]);
+        let quote = bin.quote_int();
+        // A same-length column with one wrong value, and a column longer
+        // than the whole bin.
+        for bad in [&[11, 20, 30][..], &[10, 15, 20, 25, 30, 40][..]] {
+            let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                bin.remove(TenantId::new(1), bad)
+            }))
+            .expect_err("a column that is not a subset must be rejected");
+            let message = rejected
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(message.contains("tenant1"), "{message:?} names the tenant");
+            assert_eq!(bin.members(), &[TenantId::new(1), TenantId::new(2)]);
+            assert_eq!(bin.arrivals(), &[10, 15, 20, 25, 30]);
+            assert_eq!(bin.quote_int(), quote);
+        }
+        assert!(bin.remove(TenantId::new(1), &[10, 20, 30]));
+        assert_eq!(bin.arrivals(), &[15, 25]);
+    }
+
+    #[test]
     fn admits_agrees_with_cold_consolidated_quote() {
         let tenants = fleet(4);
         let target = QosTarget::new(0.9, dms(10));
@@ -1403,34 +1325,6 @@ mod tests {
             .get() as u64;
         assert!(bin.admits(candidate.col(), Iops::new(cold as f64)));
         assert!(!bin.admits(candidate.col(), Iops::new((cold - 1) as f64)));
-    }
-
-    #[test]
-    fn hinted_search_matches_cold_from_any_hint() {
-        let tenants = fleet(3);
-        let clients: Vec<&Workload> = tenants.iter().map(FleetTenant::workload).collect();
-        let merged = merge_all(&clients);
-        let col = merged.arrival_column().nanos();
-        for f in [0.9, 1.0] {
-            let budget = miss_budget(col.len() as u64, f);
-            let cold = hinted_cmin(col, dms(10), budget, None);
-            assert_eq!(
-                cold,
-                CapacityPlanner::new(&merged, dms(10)).min_capacity(f).get() as u64
-            );
-            for hint in [1, 100, cold - 1, cold, cold + 1, cold * 7, 1_000_000] {
-                assert_eq!(
-                    hinted_cmin(col, dms(10), budget, Some(hint)),
-                    cold,
-                    "hint={hint} f={f}"
-                );
-            }
-        }
-        assert_eq!(
-            hinted_cmin(&[], dms(10), 0, Some(12345)),
-            100,
-            "empty→floor"
-        );
     }
 
     #[test]

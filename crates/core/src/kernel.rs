@@ -695,29 +695,6 @@ pub(crate) fn within_miss_budget_multi_ns(
     verdicts
 }
 
-/// Single budgeted feasibility probe over a raw sorted arrival column:
-/// `within_miss_budget` for callers that hold a column, not a
-/// [`Workload`]. Degenerate capacities (`⌊C·δ⌋ = 0`) are feasible only
-/// when the whole column fits the budget, matching [`overflow_curve_ns`].
-///
-/// # Panics
-///
-/// Panics if `deadline` is zero.
-pub(crate) fn within_miss_budget_ns(
-    col: &[u64],
-    capacity: Iops,
-    deadline: SimDuration,
-    budget: u64,
-) -> bool {
-    assert!(!deadline.is_zero(), "deadline must be positive");
-    let last = col.last().copied().unwrap_or(0);
-    match lane_form(capacity, deadline, last) {
-        LaneForm::Degenerate => col.len() as u64 <= budget,
-        LaneForm::Work(wp) => work_budget_lane(col, wp, budget),
-        LaneForm::Scalar(p) => scan_within_budget(col, p, budget),
-    }
-}
-
 /// Fused budgeted feasibility probe over a capacity grid at one shared
 /// budget: result `i` is `within_miss_budget(workload, capacities[i],
 /// deadline, budget)`, computed in fused passes over the workload.

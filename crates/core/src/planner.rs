@@ -8,16 +8,14 @@
 
 use std::fmt;
 
-use gqos_parallel::WorkerPool;
 use gqos_trace::{Iops, SimDuration, Workload};
 
 use crate::kernel::{overflow_curve, overflow_curve_ns, within_miss_budget_multi_ns, LANE_BATCH};
-use crate::rtt::{overflow_count, within_miss_budget};
+use crate::rtt::overflow_count;
 use crate::target::{Provision, QosTarget};
 
 /// Why an SLA-menu request was rejected: a guaranteed fraction that is not
-/// a real number in `(0, 1]`. Returned by [`CapacityPlanner::menu`] and
-/// [`CapacityPlanner::menu_parallel`].
+/// a real number in `(0, 1]`. Returned by [`CapacityPlanner::menu`].
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum MenuError {
     /// The fraction at `index` is NaN or infinite.
@@ -138,70 +136,22 @@ impl<'w> CapacityPlanner<'w> {
     /// The minimum integer capacity (IOPS) guaranteeing at least `fraction`
     /// of the workload within the deadline — `Cmin(f, δ)`.
     ///
-    /// Converges by doubling plus binary search in `O(log C)` RTT probes,
-    /// as in the paper. Each probe is budget-bounded
-    /// ([`within_miss_budget`]): it aborts as soon as the overflow count
-    /// exceeds the miss budget `N − ⌈f·N⌉`, so failing probes (most of the
-    /// search) touch only a prefix of the trace.
+    /// Builds the workload's [`SeedCurve`] (one fused overflow pass over
+    /// the doubling grid) and resolves the bracket it gives by wide
+    /// bisection, as every `Cmin` quote in the crate is resolved.
     ///
     /// # Panics
     ///
     /// Panics if `fraction` is outside `(0, 1]`.
     pub fn min_capacity(&self, fraction: f64) -> Iops {
-        Iops::new(self.search_cmin(fraction, None) as f64)
+        let budget = miss_budget(self.workload.len() as u64, fraction);
+        let cmin = SeedCurve::new(self.workload, self.deadline).cmin(self.col(), budget, None);
+        Iops::new(cmin as f64)
     }
 
-    /// The miss budget for `fraction` over this workload: the largest
-    /// overflow count that still leaves a primary fraction of at least
-    /// `fraction` under the exact `primary/total >= fraction` comparison
-    /// [`fraction_guaranteed`](Self::fraction_guaranteed) performs.
-    fn miss_budget(&self, fraction: f64) -> u64 {
-        miss_budget(self.workload.len() as u64, fraction)
-    }
-
-    /// Core capacity search. `warm` is a known lower bracket: a capacity
-    /// that is minimal for some fraction `f' <= fraction` (so `Cmin` here
-    /// is at least `warm`, and `warm − 1` cannot meet the target). The
-    /// menu sweep threads each result into the next fraction's search.
-    fn search_cmin(&self, fraction: f64, warm: Option<u64>) -> u64 {
-        assert!(
-            fraction.is_finite() && fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]: {fraction}"
-        );
-        let floor = capacity_floor(self.deadline);
-        if self.workload.is_empty() {
-            return floor;
-        }
-
-        let budget = self.miss_budget(fraction);
-        let meets =
-            |c: u64| within_miss_budget(self.workload, Iops::new(c as f64), self.deadline, budget);
-
-        // `start` is the least capacity Cmin could be: the domain floor, or
-        // the warm bracket from an easier fraction.
-        let start = warm.map_or(floor, |w| w.max(floor));
-        if meets(start) {
-            return start;
-        }
-
-        // Grow an upper bound by doubling, keeping the last failing
-        // capacity as the lower bracket. The peak burst bounds this: N
-        // simultaneous requests need at most N/δ.
-        let mut lo = start; // invariant: lo fails, hi meets
-        let mut hi = start.max(self.workload.mean_iops().ceil() as u64).max(1);
-        while !meets(hi) {
-            lo = hi;
-            hi = hi.checked_mul(2).expect("capacity search overflow");
-        }
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if meets(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
+    /// The workload's sorted arrival column in nanoseconds.
+    fn col(&self) -> &[u64] {
+        self.workload.arrival_column().nanos()
     }
 
     /// The full provision for a target: `Cmin(f, δ)` plus the default
@@ -222,10 +172,11 @@ impl<'w> CapacityPlanner<'w> {
     /// Evaluates `Cmin` for each fraction, producing one row of the paper's
     /// Table 1.
     ///
-    /// The fractions are swept in ascending order (results are returned in
-    /// input order regardless): because `Cmin` is monotone in `f`, each
-    /// result warm-starts the next search's lower bracket, so the sweep
-    /// does one doubling phase for the whole row instead of one per entry.
+    /// One [`SeedCurve`] serves the whole row. The fractions are resolved
+    /// in ascending order (results are returned in input order
+    /// regardless): because `Cmin` is monotone in `f`, each result
+    /// warm-starts the next fraction's lower bracket. Every entry equals
+    /// [`min_capacity`](Self::min_capacity) of its fraction, bit for bit.
     ///
     /// # Errors
     ///
@@ -233,113 +184,25 @@ impl<'w> CapacityPlanner<'w> {
     /// offender is reported as a [`MenuError`] and no search runs.
     pub fn menu(&self, fractions: &[f64]) -> Result<Vec<SlaQuote>, MenuError> {
         validate_fractions(fractions)?;
-        let order = ascending_order(fractions);
-        let mut quotes: Vec<Option<SlaQuote>> = vec![None; fractions.len()];
-        let mut warm = None;
-        for &i in &order {
-            let cmin = self.search_cmin(fractions[i], warm);
-            warm = Some(cmin);
-            quotes[i] = Some(SlaQuote {
-                target: QosTarget::new(fractions[i], self.deadline),
-                cmin: Iops::new(cmin as f64),
-            });
-        }
-        Ok(quotes
-            .into_iter()
-            .map(|q| q.expect("every entry filled"))
-            .collect())
-    }
-
-    /// [`menu`](Self::menu) with the ascending fraction sweep partitioned
-    /// into contiguous per-worker ranges over `pool` — byte-identical
-    /// quotes, a fraction of the probe work.
-    ///
-    /// One fused [`overflow_curve`] pass over the doubling seed grid
-    /// `⌈1/δ⌉·2^k` (the analytic curve behind
-    /// [`fraction_curve`](Self::fraction_curve)) brackets every fraction's
-    /// `Cmin` between consecutive grid points before any search runs. The
-    /// sorted fractions are then split into contiguous ranges, one per
-    /// worker; within a range each result warm-starts the next fraction's
-    /// lower bracket exactly as the serial sweep does, and each bracket is
-    /// resolved by *wide bisection*: up to eight interior capacities
-    /// probed per fused budgeted-feasibility pass,
-    /// shrinking the bracket ~9× per pass instead of 2×.
-    ///
-    /// Every probe answers the same exact integer feasibility question as
-    /// the serial search (the fused kernels are bit-equal to the scalar
-    /// scans), and both paths return the unique minimal integer capacity
-    /// per fraction, so the output is guaranteed identical to
-    /// [`menu`](Self::menu)'s, entry for entry — see
-    /// `parallel_menu_is_byte_identical` in the tests. With a serial pool
-    /// this *is* the warm-started serial sweep.
-    ///
-    /// # Errors
-    ///
-    /// The same [`MenuError`] as [`menu`](Self::menu).
-    pub fn menu_parallel(
-        &self,
-        fractions: &[f64],
-        pool: &WorkerPool,
-    ) -> Result<Vec<SlaQuote>, MenuError> {
-        validate_fractions(fractions)?;
-        if pool.is_serial() || fractions.len() <= 1 || self.workload.is_empty() {
-            return self.menu(fractions);
-        }
-
-        // Seed: one fused overflow pass over the doubling grid gives every
-        // fraction an exact (failing, meeting] capacity bracket.
         let seed = SeedCurve::new(self.workload, self.deadline);
-
-        // Contiguous per-worker ranges of the ascending sweep.
-        let order = ascending_order(fractions);
-        let workers = pool.threads().max(1);
-        let chunk = order.len().div_ceil(workers);
-        let ranges: Vec<Vec<usize>> = order.chunks(chunk).map(<[usize]>::to_vec).collect();
-
-        let resolved: Vec<Vec<(usize, u64)>> = pool.map(ranges, |range| {
-            let mut out = Vec::with_capacity(range.len());
-            let mut warm = None;
-            for i in range {
-                let cmin = self.resolve_bracket(fractions[i], &seed, warm);
-                warm = Some(cmin);
-                out.push((i, cmin));
-            }
-            out
-        });
-
-        let mut quotes: Vec<Option<SlaQuote>> = vec![None; fractions.len()];
-        for (i, cmin) in resolved.into_iter().flatten() {
-            quotes[i] = Some(SlaQuote {
-                target: QosTarget::new(fractions[i], self.deadline),
-                cmin: Iops::new(cmin as f64),
-            });
+        let mut order: Vec<usize> = (0..fractions.len()).collect();
+        order.sort_by(|&a, &b| fractions[a].total_cmp(&fractions[b]));
+        let mut cmins = vec![0; fractions.len()];
+        let mut warm = None;
+        for i in order {
+            let budget = miss_budget(self.workload.len() as u64, fractions[i]);
+            let cmin = seed.cmin(self.col(), budget, warm);
+            cmins[i] = cmin;
+            warm = Some(cmin);
         }
-        Ok(quotes
-            .into_iter()
-            .map(|q| q.expect("every entry filled"))
+        Ok(fractions
+            .iter()
+            .zip(cmins)
+            .map(|(&fraction, cmin)| SlaQuote {
+                target: QosTarget::new(fraction, self.deadline),
+                cmin: Iops::new(cmin as f64),
+            })
             .collect())
-    }
-
-    /// Resolves one fraction's `Cmin` from its seed bracket by wide
-    /// bisection. `warm` is the previous (easier) fraction's exact `Cmin`
-    /// from the same range: `warm − 1` cannot meet this fraction either
-    /// (budgets shrink as `f` grows), so it tightens the lower bracket.
-    fn resolve_bracket(&self, fraction: f64, seed: &SeedCurve, warm: Option<u64>) -> u64 {
-        let budget = self.miss_budget(fraction);
-        let (seed_lo, hi) = seed.bracket(budget);
-        let Some(seed_lo) = seed_lo else {
-            // The domain floor itself meets the budget: minimal by
-            // construction, exactly as the serial search returns `start`.
-            return hi;
-        };
-        let lo = seed_lo.max(warm.unwrap_or(0).saturating_sub(1));
-        resolve_cmin_ns(
-            self.workload.arrival_column().nanos(),
-            self.deadline,
-            budget,
-            lo,
-            hi,
-        )
     }
 }
 
@@ -351,7 +214,16 @@ impl<'w> CapacityPlanner<'w> {
 /// The smallest integer `need` with `need/total >= fraction` is first
 /// estimated in floating point and then adjusted to match f64 division
 /// exactly, so budget probes and fraction comparisons can never disagree.
+///
+/// # Panics
+///
+/// Panics if `fraction` is outside `(0, 1]`: every `Cmin` quote derives
+/// its budget here, so this is where the fraction is checked.
 pub(crate) fn miss_budget(total: u64, fraction: f64) -> u64 {
+    assert!(
+        fraction.is_finite() && fraction > 0.0 && fraction <= 1.0,
+        "fraction must be in (0, 1]: {fraction}"
+    );
     if total == 0 {
         return 0;
     }
@@ -392,7 +264,8 @@ pub fn capacity_floor(deadline: SimDuration) -> u64 {
 /// `budget`, probing up to [`LANE_BATCH`] interior capacities per fused
 /// [`within_miss_budget_multi_ns`] pass (~9× bracket shrink per pass
 /// instead of 2×). Requires `lo < hi`, `lo` failing and `hi` meeting.
-pub(crate) fn resolve_cmin_ns(
+/// Its one caller is [`SeedCurve::cmin`].
+fn resolve_cmin_ns(
     col: &[u64],
     deadline: SimDuration,
     budget: u64,
@@ -433,11 +306,14 @@ pub(crate) fn resolve_cmin_ns(
 /// `Cmin(f, δ)` for *every* fraction at once:
 /// [`bracket`](Self::bracket) maps a miss budget to the consecutive grid
 /// pair `(failing lo, meeting hi)`, leaving only a narrow bisection to
-/// resolve the exact quote. [`CapacityPlanner::menu_parallel`] seeds its
-/// worker sweeps with one; the fleet [`QuoteCache`](crate::QuoteCache)
-/// keeps one per tenant and memoizes the resolved quotes.
+/// resolve the exact quote. Its crate-private `cmin` is the crate's one
+/// `Cmin` resolver: [`CapacityPlanner::min_capacity`] and
+/// [`menu`](CapacityPlanner::menu) build a seed per call, the fleet
+/// [`QuoteCache`](crate::QuoteCache) keeps one per tenant, and a
+/// [`ServerBin`](crate::ServerBin) builds one over its merged column.
 #[derive(Clone, Debug)]
 pub struct SeedCurve {
+    deadline: SimDuration,
     grid: Vec<u64>,
     counts: Vec<u64>,
 }
@@ -467,7 +343,11 @@ impl SeedCurve {
         }
         let capacities: Vec<Iops> = grid.iter().map(|&c| Iops::new(c as f64)).collect();
         let counts = overflow_curve_ns(col, &capacities, deadline);
-        SeedCurve { grid, counts }
+        SeedCurve {
+            deadline,
+            grid,
+            counts,
+        }
     }
 
     /// The doubling capacity grid (IOPS), ascending from the domain floor
@@ -493,14 +373,26 @@ impl SeedCurve {
             (Some(self.grid[j - 1]), self.grid[j])
         }
     }
-}
 
-/// Indices of `fractions` sorted ascending by value. Callers have already
-/// validated the fractions, so the total order is the numeric order.
-fn ascending_order(fractions: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..fractions.len()).collect();
-    order.sort_by(|&a, &b| fractions[a].total_cmp(&fractions[b]));
-    order
+    /// `Cmin` for `budget` over `col`, the column this curve was built
+    /// from: the least integer capacity whose overflow count is at most
+    /// `budget`. The curve's bracket is resolved by wide bisection; an
+    /// empty column, or any budget the floor meets, brackets to
+    /// `(None, ⌈1/δ⌉)` and returns the floor with no probe.
+    ///
+    /// `warm` is `Cmin` of the same column for a budget at least as large
+    /// (an easier fraction): `warm − 1` cannot meet this one either, so it
+    /// raises the lower end of the bracket. It changes how many probes
+    /// run, never the answer.
+    pub(crate) fn cmin(&self, col: &[u64], budget: u64, warm: Option<u64>) -> u64 {
+        match self.bracket(budget) {
+            (None, floor) => floor,
+            (Some(lo), hi) => {
+                let lo = lo.max(warm.unwrap_or(0).saturating_sub(1));
+                resolve_cmin_ns(col, self.deadline, budget, lo, hi)
+            }
+        }
+    }
 }
 
 /// One entry of an SLA menu: a target and its minimum capacity.
@@ -632,35 +524,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_menu_is_byte_identical() {
-        let mut arrivals: Vec<SimTime> = (0..400).map(|i| ms(i * 6)).collect();
-        arrivals.extend(vec![ms(900); 50]);
-        arrivals.extend(vec![ms(2100); 20]);
-        let w = Workload::from_arrivals(arrivals);
-        let p = CapacityPlanner::new(&w, dms(10));
-        // Deliberately unsorted fractions: order must be preserved.
-        let fractions = [0.99, 0.90, 1.0, 0.95, 0.999];
-        let serial = p.menu(&fractions).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let pool = gqos_parallel::WorkerPool::new(threads);
-            let parallel = p.menu_parallel(&fractions, &pool).unwrap();
-            assert_eq!(parallel.len(), serial.len());
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.target, b.target, "{threads} threads");
-                assert_eq!(
-                    a.cmin.get().to_bits(),
-                    b.cmin.get().to_bits(),
-                    "{threads} threads: quotes must be byte-identical"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn menu_rejects_bad_fractions() {
         let w = Workload::from_arrivals([SimTime::ZERO]);
         let p = CapacityPlanner::new(&w, dms(10));
-        let pool = WorkerPool::new(4);
         assert!(matches!(
             p.menu(&[0.9, f64::NAN]),
             Err(MenuError::NotFinite { index: 1, .. })
@@ -668,14 +534,6 @@ mod tests {
         assert!(matches!(
             p.menu(&[0.5, 0.0]),
             Err(MenuError::OutOfRange { index: 1, .. })
-        ));
-        assert!(matches!(
-            p.menu_parallel(&[1.5, 0.9], &pool),
-            Err(MenuError::OutOfRange { index: 0, .. })
-        ));
-        assert!(matches!(
-            p.menu_parallel(&[0.9, f64::INFINITY], &pool),
-            Err(MenuError::NotFinite { index: 1, .. })
         ));
         let quotes = p.menu(&[1.0]).expect("valid fraction");
         assert_eq!(quotes[0].cmin.get(), 100.0);
@@ -702,28 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_menu_handles_duplicates_wide_menus_and_odd_pools() {
-        // More fractions than workers, duplicates landing in different
-        // worker ranges, and a pool wider than the menu: every shape must
-        // reproduce the serial quotes exactly.
-        let mut arrivals: Vec<SimTime> = (0..300).map(|i| ms(i * 6)).collect();
-        arrivals.extend(vec![ms(450); 40]);
-        arrivals.extend(vec![ms(1800); 15]);
-        let w = Workload::from_arrivals(arrivals);
-        let p = CapacityPlanner::new(&w, dms(10));
-        let fractions = [0.95, 0.90, 0.95, 1.0, 0.99, 0.90, 0.999, 0.93];
-        let serial = p.menu(&fractions).unwrap();
-        for threads in [2usize, 3, 5, 16] {
-            let pool = WorkerPool::new(threads);
-            let parallel = p.menu_parallel(&fractions, &pool).unwrap();
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.cmin.get().to_bits(), b.cmin.get().to_bits(), "{threads}");
-                assert_eq!(a.target, b.target, "{threads}");
-            }
-        }
-    }
-
-    #[test]
     fn seed_curve_brackets_every_fraction() {
         let mut arrivals: Vec<SimTime> = (0..200).map(|i| ms(i * 8)).collect();
         arrivals.extend(vec![ms(333); 25]);
@@ -740,12 +576,19 @@ mod tests {
             "overflow counts non-increasing"
         );
         for f in [0.9, 0.99, 1.0] {
-            let budget = p.miss_budget(f);
-            let (lo, hi) = seed.bracket(budget);
-            let cmin = p.search_cmin(f, None);
+            let (lo, hi) = seed.bracket(miss_budget(w.len() as u64, f));
+            let cmin = p.min_capacity(f).get() as u64;
             assert!(cmin <= hi, "f={f}: Cmin {cmin} above bracket top {hi}");
+            assert!(
+                p.fraction_guaranteed(Iops::new(hi as f64)) >= f,
+                "f={f}: hi fails"
+            );
             if let Some(lo) = lo {
                 assert!(cmin > lo, "f={f}: Cmin {cmin} not above failing lo {lo}");
+                assert!(
+                    p.fraction_guaranteed(Iops::new(lo as f64)) < f,
+                    "f={f}: lo meets"
+                );
             } else {
                 assert_eq!(cmin, hi, "floor meets: Cmin is the floor");
             }
@@ -758,6 +601,7 @@ mod tests {
         let p = CapacityPlanner::new(&w, dms(10));
         assert_eq!(p.min_capacity(1.0).get(), 100.0); // 1/δ
         assert_eq!(p.fraction_guaranteed(Iops::new(100.0)), 1.0);
+        assert_eq!(SeedCurve::new(&w, dms(10)).bracket(0), (None, 100));
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //!    sequences;
 //! 3. [`ServerBin`]'s incrementally-maintained consolidated quote vs
 //!    cold-planning the materialised merge under random add/remove
-//!    sequences.
+//!    sequences, and vs the definition of `Cmin` on that merge (the
+//!    quote meets the fraction, one IOPS less misses it).
 
 use gqos_core::{
-    merge_all, CapacityPlanner, FleetPlacer, FleetTenant, QosTarget, QuoteCache, ServerBin,
-    TenantId,
+    capacity_floor, merge_all, CapacityPlanner, FleetPlacer, FleetTenant, QosTarget, QuoteCache,
+    ServerBin, TenantId,
 };
 use gqos_parallel::WorkerPool;
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
@@ -248,6 +249,21 @@ proptest! {
                     .get() as u64
             };
             prop_assert_eq!(bin.quote_int(), cold, "resident {:?}", resident);
+            // The definition on the merged workload, independent of the
+            // resolver: the quote meets the fraction, one IOPS less (above
+            // the domain floor) misses it.
+            let clients: Vec<&Workload> =
+                resident.iter().map(|&r| tenants[r].workload()).collect();
+            let merged = merge_all(&clients);
+            let planner = CapacityPlanner::new(&merged, deadline);
+            let quote = bin.quote_int();
+            prop_assert!(planner.fraction_guaranteed(Iops::new(quote as f64)) >= fraction);
+            if quote > capacity_floor(deadline) {
+                prop_assert!(
+                    planner.fraction_guaranteed(Iops::new((quote - 1) as f64)) < fraction,
+                    "bin quote {} not minimal, resident {:?}", quote, resident
+                );
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use gqos::core::optimal_drop_lower_bound;
+use gqos::core::{capacity_floor, optimal_drop_lower_bound};
 use gqos::sim::{simulate, FcfsScheduler, FixedRateServer, ServiceClass};
 use gqos::{
     decompose, decompose_with_budget, within_miss_budget, CapacityPlanner, Iops, MiserScheduler,
@@ -42,6 +42,35 @@ fn brute_force_max_kept(w: &Workload, c: Iops, delta: SimDuration) -> u64 {
         best = kept;
     }
     best
+}
+
+/// `Cmin(f, δ)` by definition, checked without the planner's search: RTT
+/// guarantees `f` at `c`, and misses it at `c − 1` whenever `c − 1` is
+/// still a capacity with a non-degenerate bound (at or above `⌈1/δ⌉`).
+fn is_cmin(planner: &CapacityPlanner<'_>, c: Iops, f: f64) -> Result<(), TestCaseError> {
+    let floor = capacity_floor(planner.deadline()) as f64;
+    prop_assert!(
+        c.get() >= floor,
+        "Cmin {} below the floor {}",
+        c.get(),
+        floor
+    );
+    prop_assert!(
+        planner.fraction_guaranteed(c) >= f,
+        "Cmin {} does not guarantee f={}",
+        c.get(),
+        f
+    );
+    let below = c.get() - 1.0;
+    if below >= floor {
+        prop_assert!(
+            planner.fraction_guaranteed(Iops::new(below)) < f,
+            "Cmin {} not minimal for f={}",
+            c.get(),
+            f
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -158,21 +187,29 @@ proptest! {
     }
 
     /// The planner's result is feasible and minimal (at integer-IOPS
-    /// granularity) for any arrival pattern.
+    /// granularity) for any arrival pattern and deadline: `min_capacity`,
+    /// and every entry of one `menu`.
     #[test]
     fn planner_is_feasible_and_minimal(
         ms in arrivals(50, 400),
         frac in 0.5f64..1.0,
+        delta_ms in 1u64..=50,
+        menu in prop::collection::vec(
+            prop_oneof![Just(0.9), Just(1.0), 0.05f64..=1.0],
+            1..=6,
+        ),
     ) {
         let w = Workload::from_arrivals(ms.iter().map(|&m| SimTime::from_millis(m)));
-        let delta = SimDuration::from_millis(10);
+        let delta = SimDuration::from_millis(delta_ms);
         let planner = CapacityPlanner::new(&w, delta);
-        let c = planner.min_capacity(frac);
-        prop_assert!(planner.fraction_guaranteed(c) >= frac);
-        let below = c.get() - 1.0;
-        if below >= 100.0 {
-            prop_assert!(planner.fraction_guaranteed(Iops::new(below)) < frac,
-                "Cmin {} not minimal", c.get());
+        is_cmin(&planner, planner.min_capacity(frac), frac)?;
+        // One menu over unsorted, possibly repeated fractions: every entry
+        // answers the definition on its own, in input order.
+        let quotes = planner.menu(&menu).expect("fractions in (0, 1]");
+        prop_assert_eq!(quotes.len(), menu.len());
+        for (quote, &f) in quotes.iter().zip(&menu) {
+            prop_assert_eq!(quote.target.fraction(), f);
+            is_cmin(&planner, quote.cmin, f)?;
         }
     }
 
