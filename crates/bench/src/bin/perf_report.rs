@@ -60,9 +60,8 @@ use gqos_bench::experiments::fleet;
 use gqos_bench::ExpConfig;
 use gqos_control::{CommandBody, ControlPlane, ControlRequest};
 use gqos_core::{
-    decompose, overflow_count, overflow_curve, within_miss_budget, CapacityPlanner,
-    DecomposeScratch, FcfsScheduler, FleetPlacer, Provision, QosTarget, QuoteCache,
-    RecombinePolicy, RttClassifier, WorkloadShaper,
+    decompose, overflow_count, overflow_curve, CapacityPlanner, FcfsScheduler, FleetPlacer,
+    Provision, QosTarget, QuoteCache, RecombinePolicy, RttClassifier, WorkloadShaper,
 };
 use gqos_fairqueue::{FlowId, Sfq};
 use gqos_parallel::WorkerPool;
@@ -238,27 +237,10 @@ fn main() {
         }),
         n,
     );
-    let mut scratch = DecomposeScratch::new();
-    push(
-        "rtt/decompose_scratch",
-        measure(samples, 20, || {
-            scratch
-                .decompose(&openmail, Iops::new(900.0), delta)
-                .overflow_count()
-        }),
-        n,
-    );
     push(
         "rtt/overflow_count",
         measure(samples, 20, || {
             overflow_count(&openmail, Iops::new(900.0), delta)
-        }),
-        n,
-    );
-    push(
-        "rtt/budget_probe_infeasible",
-        measure(samples, 200, || {
-            within_miss_budget(&openmail, Iops::new(300.0), delta, n / 10)
         }),
         n,
     );

@@ -1,8 +1,9 @@
 //! Epoch-fencing regression suite for the `QuoteCache` invalidation
 //! contract under live SLA renegotiation: an `UpdateSla` bumps exactly
 //! the renegotiated tenant's fencing epoch and evicts nothing, because a
-//! quote depends on the workload alone; only a workload change rebuilds
-//! a tenant's entry (hit/miss counters asserted precisely), and a quote
+//! quote depends on the workload alone; only a replaced workload (a
+//! removed and re-added tenant, whose entry is invalidated) rebuilds a
+//! tenant's entry (hit/miss counters asserted precisely), and a quote
 //! computed for a replaced workload is never served again.
 
 use gqos_control::{Ack, AckDetail, CommandBody, ControlError, ControlPlane, ControlRequest};
@@ -14,6 +15,11 @@ fn workload(seed: u64) -> Workload {
     Workload::from_arrivals((0..80).map(|i| SimTime::from_millis(i * 5 + seed)))
 }
 
+/// `workload(0)`'s rate doubled.
+fn doubled() -> Workload {
+    Workload::from_arrivals((0..160).map(|i| SimTime::from_millis(i * 2)))
+}
+
 fn cold(t: &FleetTenant, deadline: SimDuration, fraction: f64) -> u64 {
     CapacityPlanner::new(t.workload(), deadline)
         .min_capacity(fraction)
@@ -21,7 +27,7 @@ fn cold(t: &FleetTenant, deadline: SimDuration, fraction: f64) -> u64 {
 }
 
 #[test]
-fn bump_epoch_fences_without_evicting_and_set_workload_rebuilds_one_tenant() {
+fn bump_epoch_fences_without_evicting_and_a_replaced_workload_rebuilds_one_tenant() {
     let deadline = SimDuration::from_millis(20);
     let mut cache = QuoteCache::new(deadline);
     let mut a = FleetTenant::new(TenantId::new(0), workload(0));
@@ -45,10 +51,10 @@ fn bump_epoch_fences_without_evicting_and_set_workload_rebuilds_one_tenant() {
     assert_eq!(cache.quote_int(&b, 0.9), qb);
     assert_eq!((cache.hits(), cache.misses()), (4, 2), "b must stay cached");
 
-    // A workload change on `a` rebuilds exactly `a`'s entry: one miss.
-    a.set_workload(Workload::from_arrivals(
-        (0..160).map(|i| SimTime::from_millis(i * 2)),
-    ));
+    // A new workload for `a` is a new incarnation whose entry is
+    // invalidated: exactly `a`'s entry rebuilds, one miss.
+    a = FleetTenant::with_epoch(a.id(), doubled(), a.epoch() + 1);
+    cache.invalidate(a.id());
     let fresh = cache.quote_int(&a, 0.9);
     assert_eq!(fresh, cold(&a, deadline, 0.9));
     assert_eq!((cache.hits(), cache.misses()), (4, 3), "a must rebuild");
@@ -61,25 +67,48 @@ fn bump_epoch_fences_without_evicting_and_set_workload_rebuilds_one_tenant() {
 }
 
 #[test]
-fn stale_epoch_quotes_are_never_served_after_a_workload_change() {
-    let deadline = SimDuration::from_millis(20);
-    let mut cache = QuoteCache::new(deadline);
-    let mut t = FleetTenant::new(TenantId::new(0), workload(0));
-    let before = cache.quote_int(&t, 0.9);
+fn stale_quotes_are_never_served_after_a_remove_and_re_add() {
+    // The control plane replaces a workload by removal and re-admission;
+    // the removal drops the tenant's cached entry, so the re-added
+    // tenant's quote is the cold quote of its new workload.
+    let target = QosTarget::new(0.9, SimDuration::from_millis(20));
+    let placer = FleetPlacer::new(target, Iops::new(4000.0));
+    let mut plane = ControlPlane::new(placer, 4, WorkerPool::serial()).unwrap();
+    let id = TenantId::new(0);
+    let add = |seq, workload| {
+        ControlRequest::new(
+            seq,
+            CommandBody::AddTenant {
+                tenant: id,
+                workload,
+            },
+        )
+    };
+    assert!(plane
+        .apply(&add(1, workload(0)), SimTime::ZERO)
+        .outcome
+        .is_ok());
+    let before = plane.converged_quotes();
+    let remove = ControlRequest::new(
+        2,
+        CommandBody::RemoveTenant {
+            tenant: id,
+            expect_epoch: 0,
+        },
+    );
+    assert!(plane.apply(&remove, SimTime::ZERO).outcome.is_ok());
 
     // The tenant's profile doubles in rate: a stale quote would
     // under-provision it.
-    t.set_workload(Workload::from_arrivals(
-        (0..160).map(|i| SimTime::from_millis(i * 2)),
-    ));
-    let after = cache.quote_int(&t, 0.9);
+    let readd = plane.apply(&add(3, doubled()), SimTime::ZERO);
+    assert_eq!(readd.outcome.map(|ack| ack.epoch), Ok(Some(1)));
+    let after = plane.converged_quotes();
     assert_ne!(after, before, "the stale quote must not be replayed");
-    assert_eq!(cache.misses(), 2, "the epoch mismatch must force a rebuild");
-    assert_eq!(cache.hits(), 0);
-
-    // And the fresh quote is bit-identical to a cold cache's answer.
-    let mut cold = QuoteCache::new(deadline);
-    assert_eq!(cold.quote_int(&t, 0.9), after);
+    let t = FleetTenant::with_epoch(id, doubled(), 1);
+    assert_eq!(
+        after,
+        vec![(id, cold(&t, SimDuration::from_millis(20), 0.9))]
+    );
 }
 
 #[test]

@@ -9,13 +9,13 @@
 //!
 //! 1. **[`QuoteCache`]** — each tenant's standalone overflow curve is
 //!    computed once over the doubling [`SeedCurve`] grid and its
-//!    `Cmin(f, δ)` quotes are memoized by `(workload epoch, miss budget)`;
-//!    a quote is invalidated only when the tenant's workload changes. An
-//!    SLA change fences the tenant's epoch but keeps its quotes, because
-//!    a quote depends on nothing but the workload, δ and f. Cached quotes
-//!    are **bit-identical** to the cold planner's: both are the unique
-//!    minimal integer capacity meeting the miss budget, and every probe
-//!    answers the same exact feasibility question.
+//!    `Cmin(f, δ)` quotes are memoized by `(tenant, miss budget)`; a
+//!    tenant's entry lives until [`QuoteCache::invalidate`] drops it (a
+//!    removed tenant). An SLA change fences the tenant's epoch but keeps
+//!    its quotes, because a quote depends on nothing but the workload, δ
+//!    and f. Cached quotes are **bit-identical** to the cold planner's:
+//!    both are the unique minimal integer capacity meeting the miss
+//!    budget, and every probe answers the same exact feasibility question.
 //! 2. **Incremental consolidation ([`ServerBin`])** — each server keeps
 //!    its residents' *merged* arrival column; "tenant T joins server S"
 //!    is a zero-allocation feasibility probe streamed over the two sorted
@@ -125,20 +125,18 @@ impl fmt::Display for FleetError {
 impl Error for FleetError {}
 
 /// One tenant of the fleet: an identity, its workload profile, and an
-/// **epoch** that advances whenever the workload or SLA changes.
+/// **epoch** that advances whenever the tenant's SLA changes.
 ///
-/// The epoch fences commands. The [`QuoteCache`] keys on a narrower
-/// value: the epoch at which the current workload was installed. Cached
-/// curves and quotes are keyed by `(tenant, workload epoch)`, so a stale
-/// workload can never answer for a changed one, while an SLA-only
-/// [`bump_epoch`](Self::bump_epoch) keeps every quote.
+/// The epoch fences commands; the [`QuoteCache`] ignores it, because a
+/// quote depends on the workload alone. The workload is fixed for the
+/// tenant's lifetime: a new profile is a new incarnation, removed (with
+/// [`FleetPlacer::evict`] and [`QuoteCache::invalidate`]) and re-added
+/// through [`with_epoch`](Self::with_epoch), as the control plane does.
 #[derive(Clone, Debug)]
 pub struct FleetTenant {
     id: TenantId,
     workload: Workload,
     epoch: u64,
-    /// The value of `epoch` when `workload` was installed.
-    workload_epoch: u64,
 }
 
 impl FleetTenant {
@@ -157,7 +155,6 @@ impl FleetTenant {
             id,
             workload,
             epoch,
-            workload_epoch: epoch,
         }
     }
 
@@ -171,17 +168,9 @@ impl FleetTenant {
         &self.workload
     }
 
-    /// The fencing epoch: bumped by every workload or SLA change.
+    /// The fencing epoch: bumped by every SLA change.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Replaces the workload profile and advances the epoch, invalidating
-    /// every cached curve and quote for this tenant.
-    pub fn set_workload(&mut self, workload: Workload) {
-        self.workload = workload;
-        self.epoch += 1;
-        self.workload_epoch = self.epoch;
     }
 
     /// Advances the epoch without touching the workload — the hook for
@@ -198,19 +187,19 @@ impl FleetTenant {
 }
 
 /// Per-tenant seed curve and `Cmin(f, δ)` quote memo keyed by
-/// `(tenant, workload epoch, miss budget)`, at one fixed deadline `δ`.
+/// `(tenant, miss budget)`, at one fixed deadline `δ`.
 ///
 /// The first quote for a tenant builds its [`SeedCurve`] (one fused
 /// overflow pass over the doubling grid) and resolves the bracket by wide
 /// bisection, exactly as [`CapacityPlanner::min_capacity`] does; every
 /// further fraction reuses the memoised curve, and a fraction
 /// whose integer miss budget was already quoted returns the memoized
-/// integer with no probe at all. A quote is invalidated **only** by a
-/// workload change ([`FleetTenant::set_workload`]) — the cache compares
-/// workload epochs on every access and rebuilds the entry when they
-/// differ. An SLA-only [`FleetTenant::bump_epoch`] moves the fencing
-/// epoch and keeps the entry. Keying by budget bounds each entry's memo
-/// at `n + 1` quotes for an `n`-request workload.
+/// integer with no probe at all. An entry is dropped **only** by
+/// [`invalidate`](Self::invalidate), which the owner calls when the tenant
+/// leaves (a tenant's workload never changes in place, see
+/// [`FleetTenant`]). An SLA-only [`FleetTenant::bump_epoch`] moves the
+/// fencing epoch and keeps the entry. Keying by budget bounds each entry's
+/// memo at `n + 1` quotes for an `n`-request workload.
 ///
 /// Cached quotes are bit-identical to the cold
 /// [`CapacityPlanner::min_capacity`]: both run the same resolver on the
@@ -225,7 +214,6 @@ pub struct QuoteCache {
 
 #[derive(Clone, Debug)]
 struct CacheEntry {
-    workload_epoch: u64,
     seed: SeedCurve,
     /// `miss budget → Cmin`. A quote depends on the fraction only through
     /// `miss_budget(n, f)`, so two fractions share a key exactly when the
@@ -254,8 +242,8 @@ impl QuoteCache {
         self.deadline
     }
 
-    /// `Cmin(fraction, δ)` for the tenant — memoized, workload-checked,
-    /// and bit-identical to [`CapacityPlanner::min_capacity`].
+    /// `Cmin(fraction, δ)` for the tenant — memoized and bit-identical to
+    /// [`CapacityPlanner::min_capacity`].
     ///
     /// # Panics
     ///
@@ -269,22 +257,10 @@ impl QuoteCache {
     pub fn quote_int(&mut self, tenant: &FleetTenant, fraction: f64) -> u64 {
         let budget = miss_budget(tenant.workload.len() as u64, fraction);
         let deadline = self.deadline;
-        let entry = self
-            .entries
-            .entry(tenant.id)
-            .and_modify(|e| {
-                if e.workload_epoch != tenant.workload_epoch {
-                    // New workload: every cached curve and quote is stale.
-                    e.workload_epoch = tenant.workload_epoch;
-                    e.seed = SeedCurve::new(&tenant.workload, deadline);
-                    e.quotes.clear();
-                }
-            })
-            .or_insert_with(|| CacheEntry {
-                workload_epoch: tenant.workload_epoch,
-                seed: SeedCurve::new(&tenant.workload, deadline),
-                quotes: BTreeMap::new(),
-            });
+        let entry = self.entries.entry(tenant.id).or_insert_with(|| CacheEntry {
+            seed: SeedCurve::new(&tenant.workload, deadline),
+            quotes: BTreeMap::new(),
+        });
         if let Some(&cmin) = entry.quotes.get(&budget) {
             self.hits += 1;
             return cmin;
@@ -295,8 +271,8 @@ impl QuoteCache {
         cmin
     }
 
-    /// Prefills the cache for every tenant whose `(workload epoch, miss
-    /// budget)` quote is missing, fanning the independent cold searches
+    /// Prefills the cache for every tenant whose miss-budget quote is
+    /// missing, fanning the independent cold searches
     /// out over `pool`. The resulting memo (and every later
     /// [`quote_int`](Self::quote_int)) is identical for any pool width —
     /// each per-tenant search is self-contained and lands in its own
@@ -307,36 +283,28 @@ impl QuoteCache {
         let missing: Vec<(&FleetTenant, u64)> = tenants
             .iter()
             .map(|t| (t, miss_budget(t.workload.len() as u64, fraction)))
-            .filter(|&(t, budget)| match self.entries.get(&t.id) {
-                Some(e) => e.workload_epoch != t.workload_epoch || !e.quotes.contains_key(&budget),
-                None => true,
+            .filter(|&(t, budget)| {
+                self.entries
+                    .get(&t.id)
+                    .is_none_or(|e| !e.quotes.contains_key(&budget))
             })
             .collect();
         let computed = pool.map(missing, |(t, budget)| {
             let seed = SeedCurve::new(&t.workload, deadline);
             let cmin = seed.cmin(t.col(), budget, None);
-            (t.id, t.workload_epoch, seed, budget, cmin)
+            (t.id, seed, budget, cmin)
         });
-        for (id, workload_epoch, seed, budget, cmin) in computed {
+        for (id, seed, budget, cmin) in computed {
             self.misses += 1;
-            match self.entries.get_mut(&id) {
-                // Same workload: keep the entry's other memoized budgets.
-                Some(e) if e.workload_epoch == workload_epoch => {
-                    e.quotes.insert(budget, cmin);
-                }
-                _ => {
-                    let mut quotes = BTreeMap::new();
-                    quotes.insert(budget, cmin);
-                    self.entries.insert(
-                        id,
-                        CacheEntry {
-                            workload_epoch,
-                            seed,
-                            quotes,
-                        },
-                    );
-                }
-            }
+            // An existing entry keeps its seed and other memoized budgets.
+            self.entries
+                .entry(id)
+                .or_insert_with(|| CacheEntry {
+                    seed,
+                    quotes: BTreeMap::new(),
+                })
+                .quotes
+                .insert(budget, cmin);
         }
     }
 
@@ -488,8 +456,7 @@ impl ServerBin {
     ///
     /// Panics, naming the tenant and leaving the bin unchanged, if
     /// `tenant_col` is not a sub-multiset of the resident column — the
-    /// caller passed a column other than the one it added (for example,
-    /// after [`FleetTenant::set_workload`] on a placed tenant).
+    /// caller passed a column other than the one it added.
     pub fn remove(&mut self, id: TenantId, tenant_col: &[u64]) -> bool {
         let Ok(at) = self.members.binary_search(&id) else {
             return false;
@@ -610,6 +577,18 @@ impl Placement {
         (0..self.down.len()).filter(|&n| self.down[n]).collect()
     }
 
+    /// [`FleetError::UnknownServer`] unless `node` indexes a server.
+    fn check_node(&self, node: usize) -> Result<(), FleetError> {
+        if node < self.bins.len() {
+            Ok(())
+        } else {
+            Err(FleetError::UnknownServer {
+                node,
+                servers: self.bins.len(),
+            })
+        }
+    }
+
     /// The server's effective capacity: `⌊nominal × factor⌋`, at least 1.
     fn effective_capacity(&self, node: usize) -> u64 {
         (((self.capacity as f64) * self.factors[node]).floor() as u64).max(1)
@@ -705,27 +684,18 @@ impl FleetPlacer {
         if servers == 0 {
             return Err(FleetError::NoServers);
         }
-        if cache.deadline() != self.target.deadline() {
-            return Err(FleetError::DeadlineMismatch {
-                cache: cache.deadline(),
-                target: self.target.deadline(),
-            });
-        }
+        self.check_cache(cache)?;
         let mut placement = Placement::new(self.target, self.capacity, servers);
         for &node in down {
-            if node >= servers {
-                return Err(FleetError::UnknownServer { node, servers });
-            }
+            placement.check_node(node)?;
             placement.down[node] = true;
         }
         let (hits0, misses0) = (cache.hits(), cache.misses());
         // Fan the independent cold standalone searches out over the pool;
         // the ordering pass below then runs entirely on memo hits.
         cache.warm_batch(tenants, self.target.fraction(), pool);
-        let order = self.decreasing_order(tenants, cache);
         let mut closed = vec![false; servers];
-        for (idx, _) in order {
-            let tenant = &tenants[idx];
+        for tenant in self.decreasing_order(tenants, cache) {
             self.place_one(&mut placement, tenant.id(), tenant.col(), &mut closed, pool);
         }
         placement.stats.cache_hits = cache.hits() - hits0;
@@ -834,48 +804,13 @@ impl FleetPlacer {
         cache: &mut QuoteCache,
         pool: &WorkerPool,
     ) -> Result<PackStats, FleetError> {
-        if node >= placement.bins.len() {
-            return Err(FleetError::UnknownServer {
-                node,
-                servers: placement.bins.len(),
-            });
-        }
+        placement.check_node(node)?;
         if !(factor.is_finite() && factor > 0.0 && factor <= 1.0) {
             return Err(FleetError::BadFactor { value: factor });
         }
-        if cache.deadline() != self.target.deadline() {
-            return Err(FleetError::DeadlineMismatch {
-                cache: cache.deadline(),
-                target: self.target.deadline(),
-            });
-        }
-        let (hits0, misses0) = (cache.hits(), cache.misses());
-        let stats0 = placement.stats;
+        self.check_cache(cache)?;
         placement.factors[node] = factor;
-        let evicted: Vec<TenantId> = placement.bins[node].members().to_vec();
-        placement.bins[node] = ServerBin::new(self.target);
-        for id in &evicted {
-            placement.assignment.remove(id);
-        }
-        let affected: Vec<&FleetTenant> = tenants
-            .iter()
-            .filter(|t| evicted.contains(&t.id()))
-            .collect();
-        let order = self.decreasing_order_of(&affected, cache);
-        // Fresh retirement state: the replan judges today's bins, not the
-        // rejections recorded while the original pack was still filling.
-        let mut closed = vec![false; placement.bins.len()];
-        for (idx, _) in order {
-            let tenant = affected[idx];
-            self.place_one(placement, tenant.id(), tenant.col(), &mut closed, pool);
-        }
-        Ok(PackStats {
-            probes: placement.stats.probes - stats0.probes,
-            placed: placement.stats.placed - stats0.placed,
-            unplaced: placement.stats.unplaced - stats0.unplaced,
-            cache_hits: cache.hits() - hits0,
-            cache_misses: cache.misses() - misses0,
-        })
+        Ok(self.replace_residents(placement, tenants, node, cache, pool))
     }
 
     /// Places one tenant into an existing placement — the `AddTenant`
@@ -918,19 +853,9 @@ impl FleetPlacer {
         cache: &mut QuoteCache,
         pool: &WorkerPool,
     ) -> Result<Option<usize>, FleetError> {
-        if cache.deadline() != self.target.deadline() {
-            return Err(FleetError::DeadlineMismatch {
-                cache: cache.deadline(),
-                target: self.target.deadline(),
-            });
-        }
+        self.check_cache(cache)?;
         for &node in avoid {
-            if node >= placement.bins.len() {
-                return Err(FleetError::UnknownServer {
-                    node,
-                    servers: placement.bins.len(),
-                });
-            }
+            placement.check_node(node)?;
         }
         if let Some(node) = placement.assignment.get(&tenant.id()).copied() {
             return Ok(Some(node));
@@ -983,46 +908,13 @@ impl FleetPlacer {
         cache: &mut QuoteCache,
         pool: &WorkerPool,
     ) -> Result<PackStats, FleetError> {
-        if node >= placement.bins.len() {
-            return Err(FleetError::UnknownServer {
-                node,
-                servers: placement.bins.len(),
-            });
-        }
-        if cache.deadline() != self.target.deadline() {
-            return Err(FleetError::DeadlineMismatch {
-                cache: cache.deadline(),
-                target: self.target.deadline(),
-            });
-        }
+        placement.check_node(node)?;
+        self.check_cache(cache)?;
         if placement.down[node] {
             return Ok(PackStats::default());
         }
-        let (hits0, misses0) = (cache.hits(), cache.misses());
-        let stats0 = placement.stats;
         placement.down[node] = true;
-        let evicted: Vec<TenantId> = placement.bins[node].members().to_vec();
-        placement.bins[node] = ServerBin::new(self.target);
-        for id in &evicted {
-            placement.assignment.remove(id);
-        }
-        let affected: Vec<&FleetTenant> = tenants
-            .iter()
-            .filter(|t| evicted.contains(&t.id()))
-            .collect();
-        let order = self.decreasing_order_of(&affected, cache);
-        let mut closed = vec![false; placement.bins.len()];
-        for (idx, _) in order {
-            let tenant = affected[idx];
-            self.place_one(placement, tenant.id(), tenant.col(), &mut closed, pool);
-        }
-        Ok(PackStats {
-            probes: placement.stats.probes - stats0.probes,
-            placed: placement.stats.placed - stats0.placed,
-            unplaced: placement.stats.unplaced - stats0.unplaced,
-            cache_hits: cache.hits() - hits0,
-            cache_misses: cache.misses() - misses0,
-        })
+        Ok(self.replace_residents(placement, tenants, node, cache, pool))
     }
 
     /// Clears a server's down mark — the `NodeUp` hook. The recovered
@@ -1034,53 +926,75 @@ impl FleetPlacer {
     ///
     /// [`FleetError::UnknownServer`] for an out-of-range node.
     pub fn mark_node_up(&self, placement: &mut Placement, node: usize) -> Result<bool, FleetError> {
-        if node >= placement.bins.len() {
-            return Err(FleetError::UnknownServer {
-                node,
-                servers: placement.bins.len(),
-            });
-        }
+        placement.check_node(node)?;
         let was_down = placement.down[node];
         placement.down[node] = false;
         Ok(was_down)
     }
 
-    /// Standalone quotes for every tenant, ordered by descending quote
-    /// with ties on ascending id.
-    fn decreasing_order(
-        &self,
-        tenants: &[FleetTenant],
-        cache: &mut QuoteCache,
-    ) -> Vec<(usize, u64)> {
-        let mut order: Vec<(usize, u64)> = tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, cache.quote_int(t, self.target.fraction())))
-            .collect();
-        order.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then(tenants[a.0].id().cmp(&tenants[b.0].id()))
-        });
-        order
+    /// [`FleetError::DeadlineMismatch`] unless `cache` answers for the
+    /// target's deadline.
+    fn check_cache(&self, cache: &QuoteCache) -> Result<(), FleetError> {
+        if cache.deadline() == self.target.deadline() {
+            Ok(())
+        } else {
+            Err(FleetError::DeadlineMismatch {
+                cache: cache.deadline(),
+                target: self.target.deadline(),
+            })
+        }
     }
 
-    /// [`decreasing_order`](Self::decreasing_order) over a borrowed
-    /// subset (the replan path).
-    fn decreasing_order_of(
+    /// The tenants ordered by descending standalone quote, ties on
+    /// ascending id.
+    fn decreasing_order<'t>(
         &self,
-        tenants: &[&FleetTenant],
+        tenants: impl IntoIterator<Item = &'t FleetTenant>,
         cache: &mut QuoteCache,
-    ) -> Vec<(usize, u64)> {
-        let mut order: Vec<(usize, u64)> = tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, cache.quote_int(t, self.target.fraction())))
+    ) -> Vec<&'t FleetTenant> {
+        let mut order: Vec<(&FleetTenant, u64)> = tenants
+            .into_iter()
+            .map(|t| (t, cache.quote_int(t, self.target.fraction())))
             .collect();
-        order.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then(tenants[a.0].id().cmp(&tenants[b.0].id()))
-        });
-        order
+        order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.id().cmp(&b.0.id())));
+        order.into_iter().map(|(t, _)| t).collect()
+    }
+
+    /// Evicts every resident of `node` and re-places them, in
+    /// descending-quote order, on the placement as it stands (the replan
+    /// half of [`replan_degraded`](Self::replan_degraded) and
+    /// [`replan_node_down`](Self::replan_node_down), which first record
+    /// the node's new factor or down mark). Returns the replan's counters.
+    fn replace_residents(
+        &self,
+        placement: &mut Placement,
+        tenants: &[FleetTenant],
+        node: usize,
+        cache: &mut QuoteCache,
+        pool: &WorkerPool,
+    ) -> PackStats {
+        let (hits0, misses0) = (cache.hits(), cache.misses());
+        let stats0 = placement.stats;
+        let evicted = std::mem::replace(&mut placement.bins[node], ServerBin::new(self.target));
+        for id in evicted.members() {
+            placement.assignment.remove(id);
+        }
+        let affected = tenants
+            .iter()
+            .filter(|t| evicted.members().contains(&t.id()));
+        // Fresh retirement state: the replan judges today's bins, not the
+        // rejections recorded while the original pack was still filling.
+        let mut closed = vec![false; placement.bins.len()];
+        for tenant in self.decreasing_order(affected, cache) {
+            self.place_one(placement, tenant.id(), tenant.col(), &mut closed, pool);
+        }
+        PackStats {
+            probes: placement.stats.probes - stats0.probes,
+            placed: placement.stats.placed - stats0.placed,
+            unplaced: placement.stats.unplaced - stats0.unplaced,
+            cache_hits: cache.hits() - hits0,
+            cache_misses: cache.misses() - misses0,
+        }
     }
 
     /// Offers one tenant to the open bins in ascending index order,
@@ -1206,16 +1120,15 @@ mod tests {
     }
 
     #[test]
-    fn workload_change_invalidates_and_epoch_bump_keeps_cached_quotes() {
-        let mut tenant = FleetTenant::new(
-            TenantId::new(0),
-            Workload::from_arrivals(vec![SimTime::ZERO; 10]),
-        );
+    fn invalidate_rebuilds_and_epoch_bump_keeps_cached_quotes() {
+        let id = TenantId::new(0);
+        let mut tenant = FleetTenant::new(id, Workload::from_arrivals(vec![SimTime::ZERO; 10]));
         let mut cache = QuoteCache::new(dms(10));
         assert_eq!(cache.quote_int(&tenant, 1.0), 1000);
         assert_eq!(tenant.epoch(), 0);
-        tenant.set_workload(Workload::from_arrivals(vec![SimTime::ZERO; 20]));
-        assert_eq!(tenant.epoch(), 1);
+        // A new profile is a new incarnation: the owner drops the entry.
+        tenant = FleetTenant::with_epoch(id, Workload::from_arrivals(vec![SimTime::ZERO; 20]), 1);
+        cache.invalidate(id);
         assert_eq!(cache.quote_int(&tenant, 1.0), 2000, "stale quote served");
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         // An SLA-only bump fences the tenant but keeps its quotes: the
@@ -1232,11 +1145,7 @@ mod tests {
         // 0.96 of 20 requests leaves the same zero-miss budget as 1.0: a hit.
         assert_eq!(cache.quote_int(&tenant, 0.96), 2000);
         assert_eq!((cache.hits(), cache.misses()), (3, 2));
-        // A workload change after the bump still rebuilds: one miss.
-        tenant.set_workload(Workload::from_arrivals(vec![SimTime::ZERO; 30]));
-        assert_eq!(cache.quote_int(&tenant, 1.0), 3000);
-        assert_eq!((cache.hits(), cache.misses()), (3, 3));
-        cache.invalidate(tenant.id());
+        cache.invalidate(id);
         assert!(cache.is_empty());
     }
 

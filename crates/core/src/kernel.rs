@@ -1,18 +1,26 @@
 //! Allocation-free integer kernels behind the RTT decomposition family.
 //!
-//! Every offline entry point in [`rtt`](crate::rtt) — [`decompose`],
-//! [`within_miss_budget`], the planner's probes — reduces to the same loop:
-//! walk the arrivals in order, emulate the dedicated rate-`C` primary
-//! server, and admit while fewer than `maxQ1 = ⌊C·δ⌋` primary requests are
-//! pending. This module states that loop once, in pure integer arithmetic
-//! over the workload's cached [`ArrivalColumn`](gqos_trace::ArrivalColumn):
+//! Every offline entry point — [`decompose`], [`overflow_count`], the fused
+//! capacity grids, the planner's probes and the fleet placer's merged-column
+//! probe — runs the same loop: walk the arrivals in order, emulate the
+//! dedicated rate-`C` primary server, and admit while fewer than
+//! `maxQ1 = ⌊C·δ⌋` primary requests are pending. This module states that
+//! loop once per form, in pure integer arithmetic over the workload's cached
+//! [`ArrivalColumn`](gqos_trace::ArrivalColumn):
 //!
 //! - [`RttParams`] precomputes `(maxQ1, service_ns)` for one `(C, δ)` pair;
 //! - [`RttState`] is the 16-byte rolling server state with an O(1)
 //!   *bulk-drain* admit step (the seed's per-completion `while` loop is
 //!   replaced by one division — exactly equivalent, see the unit tests);
-//! - [`overflow_curve`] and [`within_miss_budget_curve`] fuse a whole
-//!   capacity grid into a single pass over the arrivals.
+//! - `WorkState` is the same server as a one-word work recurrence (below);
+//! - `count_misses` is the one scalar scan: it feeds one lane, in either
+//!   form, and counts misses until they pass a budget (`u64::MAX` counts
+//!   them all);
+//! - `work_tile` is the one batched form: [`LANE_BATCH`] work lanes per
+//!   sweep, compiled once per ISA tier;
+//! - `budgeted_misses` drives a whole capacity grid through both, and
+//!   [`overflow_curve`] and [`within_miss_budget_curve`] are its public
+//!   faces.
 //!
 //! # The work-recurrence lane form
 //!
@@ -36,10 +44,11 @@
 //! recurrence reproduces [`RttState::admit`] decision-for-decision: four
 //! branch-free integer ops per lane per arrival, no division, and the
 //! per-lane state is one `u64` — exactly the shape the vector units want.
-//! [`LANE_BATCH`] lanes run per sweep, with `#[target_feature]`-compiled
-//! bodies (AVX-512/AVX2 on x86-64) selected once at runtime; every tier
-//! performs the same wrap-free `u64` arithmetic, so results are
-//! bit-identical across ISAs — see `DESIGN.md` §13.
+//! [`LANE_BATCH`] lanes run per sweep through one generic `work_tile`
+//! body; the compiler vectorises it, once per `#[target_feature]` tier
+//! (AVX-512F, AVX2, baseline) selected at runtime. Every tier performs the
+//! same wrap-free `u64` arithmetic, so results are bit-identical across
+//! ISAs — see `DESIGN.md` §13.
 //!
 //! The rewrite is exact only while no intermediate saturates: `RttState`
 //! deliberately clamps completion instants at the `u64::MAX` ns horizon
@@ -48,18 +57,13 @@
 //! `maxQ1·s` and `last_arrival + maxQ1·s` are representable — then
 //! `w ≤ maxQ1·s` and every `RttState` instant stays below the horizon, so
 //! the two forms coincide. Lanes that fail the guard (saturated `maxQ1`,
-//! horizon-adjacent arrivals) fall back to the scalar scans, whose
+//! horizon-adjacent arrivals) fall back to the `RttState` scan, whose
 //! saturation semantics are the documented contract.
 //!
 //! [`decompose`]: crate::rtt::decompose
-//! [`within_miss_budget`]: crate::rtt::within_miss_budget
+//! [`overflow_count`]: crate::rtt::overflow_count
 
 use gqos_trace::{Iops, SimDuration, Workload};
-
-/// Arrivals per tile of the fused *budget* probe: 4096 × 8 B = 32 KiB,
-/// sized to sit in L1d. [`within_miss_budget_curve`] checks lane viability
-/// at tile granularity so busted batches drop out between blocks.
-const TILE: usize = 4096;
 
 /// Precomputed integer parameters of one RTT scan at a fixed `(C, δ)`.
 #[derive(Copy, Clone, Debug)]
@@ -170,47 +174,60 @@ impl RttState {
     }
 }
 
-/// Counts RTT overflow at one capacity — a single allocation-free pass
-/// over a sorted arrival column.
-pub(crate) fn scan_overflow(col: &[u64], p: RttParams) -> u64 {
-    let mut state = RttState::default();
-    let mut overflow = 0u64;
-    for &arrival in col {
-        overflow += u64::from(!state.admit(p, arrival));
-    }
-    overflow
-}
-
-/// Counting budget probe at one capacity: `true` iff RTT diverts at most
-/// `budget` requests. Aborts the scan as soon as the budget is exceeded.
-pub(crate) fn scan_within_budget(col: &[u64], p: RttParams, budget: u64) -> bool {
-    let mut state = RttState::default();
-    let mut overflow = 0u64;
-    for &arrival in col {
-        if !state.admit(p, arrival) {
-            overflow += 1;
-            if overflow > budget {
-                return false;
+/// Feeds `arrivals` in order to one lane's `admit` rule and counts the
+/// rejections (misses), stopping as soon as they exceed `budget`. The
+/// count is exact when it is at most `budget`, and some count above
+/// `budget` otherwise; a `budget` of `u64::MAX` counts every miss.
+///
+/// This is the one scalar scan: [`rtt_misses`] runs it over
+/// [`RttState::admit`], a work-form lane over `WorkState::admit`.
+#[inline(always)]
+fn count_misses(
+    arrivals: impl IntoIterator<Item = u64>,
+    budget: u64,
+    mut admit: impl FnMut(u64) -> bool,
+) -> u64 {
+    let mut misses = 0u64;
+    for arrival in arrivals {
+        if !admit(arrival) {
+            misses += 1;
+            if misses > budget {
+                break;
             }
         }
     }
-    true
+    misses
+}
+
+/// RTT misses at one capacity over sorted `arrivals` on the saturating
+/// [`RttState`] form, stopping once they pass `budget` (see
+/// `count_misses`): the overflow count passes `u64::MAX`.
+pub(crate) fn rtt_misses(
+    arrivals: impl IntoIterator<Item = u64>,
+    p: RttParams,
+    budget: u64,
+) -> u64 {
+    let mut state = RttState::default();
+    count_misses(arrivals, budget, |arrival| state.admit(p, arrival))
 }
 
 /// Budget probe over the *merge* of two sorted columns, without
-/// materialising the merged column: walks `a` and `b` with two cursors,
-/// always consuming the smaller head. Equal instants are interchangeable —
-/// [`RttState::admit`] depends only on the arrival value, so any tie order
+/// materialising the merged column: `true` iff RTT diverts at most
+/// `budget` of the merged arrivals. Equal instants are interchangeable —
+/// both admit rules depend only on the arrival value, so any tie order
 /// yields the same verdict as scanning the materialised merge.
 ///
 /// This is the fleet placer's "tenant T joins server S" feasibility probe:
 /// `a` is the server's resident merged column, `b` the candidate tenant's,
-/// and the probe costs zero allocations and aborts as soon as `budget` is
-/// exceeded. Feeds on the work-recurrence lane when the exactness guard
-/// admits it (the common case), else the saturating scalar scan — both
-/// bit-equal to [`within_miss_budget`](crate::rtt::within_miss_budget) on
-/// the merged workload, pinned by `merged_probe_matches_materialised` and
-/// the `fleet_props` differential suite.
+/// and the probe costs zero allocations and stops as soon as `budget` is
+/// exceeded. It runs the same scalar lane as the grids' remainder, so it
+/// is bit-equal to `overflow_count(merged) <= budget`, pinned by
+/// `merged_probe_matches_materialised` and the `fleet_props` differential
+/// suite. A degenerate capacity (`⌊C·δ⌋ = 0`) misses every arrival.
+///
+/// # Panics
+///
+/// Panics if `deadline` is zero.
 pub(crate) fn merged_within_budget(
     a: &[u64],
     b: &[u64],
@@ -218,85 +235,41 @@ pub(crate) fn merged_within_budget(
     deadline: SimDuration,
     budget: u64,
 ) -> bool {
-    assert!(!deadline.is_zero(), "deadline must be positive");
-    let n = (a.len() + b.len()) as u64;
-    let last = a
-        .last()
-        .copied()
-        .unwrap_or(0)
-        .max(b.last().copied().unwrap_or(0));
-    match lane_form(capacity, deadline, last) {
-        LaneForm::Degenerate => n <= budget,
-        LaneForm::Work(wp) => {
-            let (mut w, mut miss, mut prev) = (0u64, 0u64, 0u64);
-            let mut scan = |arrival: u64| {
-                let gap = arrival - prev;
-                prev = arrival;
-                let drained = w.saturating_sub(gap);
-                if drained <= wp.admit_cap_ns {
-                    w = drained + wp.service_ns;
-                    true
-                } else {
-                    w = drained;
-                    miss += 1;
-                    miss <= budget
-                }
-            };
-            merge_scan(a, b, &mut scan)
-        }
-        LaneForm::Scalar(p) => {
-            let mut state = RttState::default();
-            let mut miss = 0u64;
-            let mut scan = |arrival: u64| {
-                if state.admit(p, arrival) {
-                    true
-                } else {
-                    miss += 1;
-                    miss <= budget
-                }
-            };
-            merge_scan(a, b, &mut scan)
-        }
-    }
+    let last = a.last().max(b.last()).copied().unwrap_or(0);
+    LaneForm::new(capacity, deadline, last).misses(merge(a, b), budget) <= budget
 }
 
-/// Streams the merge of two sorted columns into `visit` in ascending
-/// order, stopping early (returning `false`) when `visit` does.
-fn merge_scan(a: &[u64], b: &[u64], visit: &mut impl FnMut(u64) -> bool) -> bool {
+/// The merge of two sorted columns, ascending.
+fn merge<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
     let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let next = if a[i] <= b[j] {
-            let v = a[i];
-            i += 1;
-            v
-        } else {
-            let v = b[j];
+    std::iter::from_fn(move || match (a.get(i), b.get(j)) {
+        (Some(&x), Some(&y)) if y < x => {
             j += 1;
-            v
-        };
-        if !visit(next) {
-            return false;
+            Some(y)
         }
-    }
-    for &v in &a[i..] {
-        if !visit(v) {
-            return false;
+        (Some(&x), _) => {
+            i += 1;
+            Some(x)
         }
-    }
-    for &v in &b[j..] {
-        if !visit(v) {
-            return false;
+        (None, Some(&y)) => {
+            j += 1;
+            Some(y)
         }
-    }
-    true
+        (None, None) => None,
+    })
 }
 
 /// Lanes per sweep of the fused curves. Eight `u64` states fill one
 /// AVX-512 register (two AVX2 registers), and eight independent
 /// recurrences are enough to hide the compare/blend latency even on the
-/// scalar tier. Grids are processed `⌈k/8⌉` batches at a time with a
+/// baseline tier. Grids are processed `⌈k/8⌉` batches at a time with a
 /// scalar remainder loop for the last `k mod 8` lanes.
 pub(crate) const LANE_BATCH: usize = 8;
+
+/// Arrivals per tile of a batched sweep: 4096 × 8 B = 32 KiB, sized to
+/// sit in L1d. `budgeted_misses` checks lane viability at tile
+/// granularity so busted batches drop out between blocks.
+const TILE: usize = 4096;
 
 /// Per-lane constants of the work-recurrence form (module docs): the
 /// service time `s` and the admit threshold `T = (maxQ1 − 1)·s`.
@@ -312,7 +285,7 @@ impl WorkParams {
     /// `maxQ1·s` or `last_arrival + maxQ1·s` overflows `u64`, the regime
     /// where [`RttState`]'s saturating "busy past the horizon" semantics
     /// (which the work form does not model) can engage. Callers must route
-    /// `None` lanes to the scalar scans.
+    /// `None` lanes to [`rtt_misses`].
     fn try_from_rtt(p: RttParams, last_arrival_ns: u64) -> Option<Self> {
         let worst_backlog = p.max_q1.checked_mul(p.service_ns)?;
         last_arrival_ns.checked_add(worst_backlog)?;
@@ -323,12 +296,38 @@ impl WorkParams {
     }
 }
 
+/// One scalar lane of the work recurrence: the remaining work `w` and the
+/// previous arrival instant, which carries the gap chain.
+#[derive(Copy, Clone, Default, Debug)]
+struct WorkState {
+    w: u64,
+    prev: u64,
+}
+
+impl WorkState {
+    /// Processes one arrival (module docs): `true` if it is admitted.
+    #[inline(always)]
+    fn admit(&mut self, p: WorkParams, arrival_ns: u64) -> bool {
+        // The column is sorted ascending (ArrivalColumn invariant), so the
+        // gap never underflows.
+        let drained = self.w.saturating_sub(arrival_ns - self.prev);
+        self.prev = arrival_ns;
+        let admit = drained <= p.admit_cap_ns;
+        self.w = if admit {
+            drained + p.service_ns
+        } else {
+            drained
+        };
+        admit
+    }
+}
+
 /// One tile of the work recurrence over `K` lanes: streams `block`,
 /// updating per-lane backlog `w` and miss counters in place. `prev` is the
 /// previous arrival instant (0 before the first tile) and carries the gap
 /// chain across tiles. The inner `K`-lane loop is branch-free (compare →
-/// mask → blend), which is what lets the `#[target_feature]` wrappers
-/// vectorise it.
+/// mask → blend), which is what lets the compiler vectorise it inside each
+/// `#[target_feature]` wrapper.
 #[inline(always)]
 fn work_tile<const K: usize>(
     block: &[u64],
@@ -340,8 +339,6 @@ fn work_tile<const K: usize>(
 ) {
     let mut last = *prev;
     for &arrival in block {
-        // The column is sorted ascending (ArrivalColumn invariant), so the
-        // gap never underflows.
         let gap = arrival - last;
         last = arrival;
         for l in 0..K {
@@ -354,19 +351,11 @@ fn work_tile<const K: usize>(
     *prev = last;
 }
 
-/// `work_tile` hand-vectorised for AVX-512F: all eight `u64` lanes of the
-/// batch live in one zmm register per state array. `max(w, gap) − gap` is
-/// the branch-free saturating subtraction; admits are a `cmple` mask
-/// driving two masked adds. Identical u64 arithmetic to [`work_tile`],
-/// instruction for instruction in value terms — only the lane width
-/// differs.
-///
-/// # Safety
-///
-/// The caller must have verified `avx512f` support at runtime.
+/// [`work_tile`] compiled for AVX-512F: the eight `u64` lanes fit one zmm
+/// register, and unsigned 64-bit max/compare are native.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn work_tile_avx512(
+fn work_tile_avx512(
     block: &[u64],
     service: &[u64; LANE_BATCH],
     cap: &[u64; LANE_BATCH],
@@ -374,44 +363,14 @@ unsafe fn work_tile_avx512(
     miss: &mut [u64; LANE_BATCH],
     prev: &mut u64,
 ) {
-    use std::arch::x86_64::*;
-    // SAFETY: loadu/storeu have no alignment requirement and the arrays
-    // are exactly LANE_BATCH = 8 u64s = 64 bytes, one zmm register.
-    unsafe {
-        let one = _mm512_set1_epi64(1);
-        let vs = _mm512_loadu_si512(service.as_ptr().cast());
-        let vc = _mm512_loadu_si512(cap.as_ptr().cast());
-        let mut vw = _mm512_loadu_si512(w.as_ptr().cast());
-        let mut vm = _mm512_loadu_si512(miss.as_ptr().cast());
-        let mut last = *prev;
-        for &arrival in block {
-            let gap = arrival - last;
-            last = arrival;
-            let vg = _mm512_set1_epi64(gap as i64);
-            let drained = _mm512_sub_epi64(_mm512_max_epu64(vw, vg), vg);
-            let admit = _mm512_cmple_epu64_mask(drained, vc);
-            vm = _mm512_mask_add_epi64(vm, !admit, vm, one);
-            vw = _mm512_mask_add_epi64(drained, admit, drained, vs);
-        }
-        _mm512_storeu_si512(w.as_mut_ptr().cast(), vw);
-        _mm512_storeu_si512(miss.as_mut_ptr().cast(), vm);
-        *prev = last;
-    }
+    work_tile(block, service, cap, w, miss, prev);
 }
 
-/// `work_tile` hand-vectorised for AVX2: the eight lanes split across two
-/// ymm halves. AVX2 has no unsigned 64-bit compare, so operands are
-/// sign-flipped (`x ^ 2⁶³`) before the signed `cmpgt`; the saturating
-/// subtraction is `(w − gap) & (w > gap)` and misses accumulate by
-/// subtracting the all-ones `!admit` mask. Same u64 values as the scalar
-/// tier throughout.
-///
-/// # Safety
-///
-/// The caller must have verified `avx2` support at runtime.
+/// [`work_tile`] compiled for AVX2: the eight lanes split across two ymm
+/// registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn work_tile_avx2(
+fn work_tile_avx2(
     block: &[u64],
     service: &[u64; LANE_BATCH],
     cap: &[u64; LANE_BATCH],
@@ -419,51 +378,13 @@ unsafe fn work_tile_avx2(
     miss: &mut [u64; LANE_BATCH],
     prev: &mut u64,
 ) {
-    use std::arch::x86_64::*;
-    // SAFETY: loadu/storeu have no alignment requirement; each half is
-    // four u64s = 32 bytes, one ymm register.
-    unsafe {
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        let load =
-            |a: &[u64; LANE_BATCH], h: usize| _mm256_loadu_si256(a.as_ptr().add(4 * h).cast());
-        let vs = [load(service, 0), load(service, 1)];
-        // The admit threshold, pre-flipped for the signed compare.
-        let vcf = [
-            _mm256_xor_si256(load(cap, 0), sign),
-            _mm256_xor_si256(load(cap, 1), sign),
-        ];
-        let mut vw = [load(w, 0), load(w, 1)];
-        let mut vm = [load(miss, 0), load(miss, 1)];
-        let mut last = *prev;
-        for &arrival in block {
-            let gap = arrival - last;
-            last = arrival;
-            let vg = _mm256_set1_epi64x(gap as i64);
-            let vgf = _mm256_xor_si256(vg, sign);
-            for h in 0..2 {
-                let wf = _mm256_xor_si256(vw[h], sign);
-                let pos = _mm256_cmpgt_epi64(wf, vgf); // w > gap, unsigned
-                let diff = _mm256_sub_epi64(vw[h], vg);
-                let drained = _mm256_and_si256(diff, pos); // max(w − gap, 0)
-                let df = _mm256_xor_si256(drained, sign);
-                let no_admit = _mm256_cmpgt_epi64(df, vcf[h]); // drained > cap
-                vm[h] = _mm256_sub_epi64(vm[h], no_admit); // −(−1) per miss
-                let add = _mm256_andnot_si256(no_admit, vs[h]);
-                vw[h] = _mm256_add_epi64(drained, add);
-            }
-        }
-        for h in 0..2 {
-            _mm256_storeu_si256(w.as_mut_ptr().add(4 * h).cast(), vw[h]);
-            _mm256_storeu_si256(miss.as_mut_ptr().add(4 * h).cast(), vm[h]);
-        }
-        *prev = last;
-    }
+    work_tile(block, service, cap, w, miss, prev);
 }
 
 /// Runtime-dispatched `work_tile`: picks the widest ISA tier the host
-/// supports. Every tier runs the identical wrap-free `u64` recurrence, so
+/// supports. Every tier compiles the same wrap-free `u64` recurrence, so
 /// the choice affects speed only, never results — pinned by
-/// `batched_tiers_match_the_scalar_lane_bit_for_bit` and the
+/// `every_tile_tier_matches_the_scalar_lane_bit_for_bit` and the
 /// `simd_props` differential suite.
 #[inline]
 fn work_tile_dispatch(
@@ -488,62 +409,115 @@ fn work_tile_dispatch(
     work_tile(block, service, cap, w, miss, prev);
 }
 
-/// Scalar (single-lane) work recurrence: the remainder loop of the fused
-/// curves, and the reference the batched tiers are pinned against in the
-/// differential tests.
-fn work_overflow_lane(col: &[u64], p: WorkParams) -> u64 {
-    let (mut w, mut miss, mut prev) = (0u64, 0u64, 0u64);
-    for &arrival in col {
-        let gap = arrival - prev;
-        prev = arrival;
-        let drained = w.saturating_sub(gap);
-        if drained <= p.admit_cap_ns {
-            w = drained + p.service_ns;
-        } else {
-            w = drained;
-            miss += 1;
-        }
-    }
-    miss
-}
-
-/// Scalar budgeted work recurrence: aborts as soon as `budget` is
-/// exceeded, mirroring [`scan_within_budget`].
-fn work_budget_lane(col: &[u64], p: WorkParams, budget: u64) -> bool {
-    let (mut w, mut miss, mut prev) = (0u64, 0u64, 0u64);
-    for &arrival in col {
-        let gap = arrival - prev;
-        prev = arrival;
-        let drained = w.saturating_sub(gap);
-        if drained <= p.admit_cap_ns {
-            w = drained + p.service_ns;
-        } else {
-            w = drained;
-            miss += 1;
-            if miss > budget {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// How a grid lane is evaluated: the vectorisable work form, the scalar
-/// saturating scan (horizon-adjacent regimes), or degenerate (`⌊C·δ⌋ = 0`).
+/// How a grid lane is evaluated: the vectorisable work form, the
+/// saturating `RttState` scan (horizon-adjacent regimes), or degenerate
+/// (`⌊C·δ⌋ = 0`).
+#[derive(Copy, Clone, Debug)]
 enum LaneForm {
     Work(WorkParams),
     Scalar(RttParams),
     Degenerate,
 }
 
-fn lane_form(capacity: Iops, deadline: SimDuration, last_arrival_ns: u64) -> LaneForm {
-    match RttParams::try_new(capacity, deadline) {
-        None => LaneForm::Degenerate,
-        Some(p) => match WorkParams::try_from_rtt(p, last_arrival_ns) {
-            Some(wp) => LaneForm::Work(wp),
-            None => LaneForm::Scalar(p),
-        },
+impl LaneForm {
+    /// The form of the lane at `(capacity, deadline)` over a column whose
+    /// last arrival is `last_arrival_ns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deadline` is zero.
+    fn new(capacity: Iops, deadline: SimDuration, last_arrival_ns: u64) -> Self {
+        match RttParams::try_new(capacity, deadline) {
+            None => LaneForm::Degenerate,
+            Some(p) => match WorkParams::try_from_rtt(p, last_arrival_ns) {
+                Some(wp) => LaneForm::Work(wp),
+                None => LaneForm::Scalar(p),
+            },
+        }
     }
+
+    /// This lane's misses over sorted `arrivals`, one lane at a time,
+    /// stopping once they pass `budget` (see `count_misses`). A degenerate
+    /// lane misses every arrival.
+    fn misses(self, arrivals: impl Iterator<Item = u64>, budget: u64) -> u64 {
+        match self {
+            LaneForm::Work(p) => {
+                let mut state = WorkState::default();
+                count_misses(arrivals, budget, |arrival| state.admit(p, arrival))
+            }
+            LaneForm::Scalar(p) => rtt_misses(arrivals, p, budget),
+            LaneForm::Degenerate => arrivals.count() as u64,
+        }
+    }
+}
+
+/// RTT miss counts for a set of `(capacity, budget)` probes over one
+/// sorted column, in fused passes: count `i` is exact when it is at most
+/// `probes[i].1`, and some count above it otherwise (see
+/// `count_misses`), so probe `i` is met iff count `i` is at most its
+/// budget. Degenerate capacities (`⌊C·δ⌋ = 0`) miss every arrival. Per-lane
+/// budgets are what the planner's wide bisection needs: one pass answers
+/// eight *different* capacities' probes at once.
+///
+/// Work-form lanes run [`LANE_BATCH`] at a time through `work_tile`, each
+/// batch sweeping the column once with its eight 8-byte states in
+/// registers. Early exit is at batch granularity: the column is streamed
+/// in [`TILE`]-sized blocks and a batch stops as soon as *every* lane in
+/// it has exceeded its budget (each lane's verdict depends only on its own
+/// running count, so letting a busted lane ride along is harmless).
+/// Overflow counts are non-increasing in `C` (see
+/// `overflow_is_monotone_in_capacity` in the tests), so sorted grids bust
+/// from the bottom up and an infeasible batch costs one budget-bounded
+/// prefix, not eight full scans. The last `k mod 8` work lanes and the
+/// guard's `RttState` lanes run one at a time through
+/// [`LaneForm::misses`].
+///
+/// # Panics
+///
+/// Panics if `deadline` is zero.
+pub(crate) fn budgeted_misses(
+    col: &[u64],
+    probes: &[(Iops, u64)],
+    deadline: SimDuration,
+) -> Vec<u64> {
+    assert!(!deadline.is_zero(), "deadline must be positive");
+    let last_arrival = col.last().copied().unwrap_or(0);
+    let mut misses = vec![0u64; probes.len()];
+    let mut batched: Vec<(usize, WorkParams, u64)> = Vec::with_capacity(probes.len());
+    for (i, &(c, budget)) in probes.iter().enumerate() {
+        match LaneForm::new(c, deadline, last_arrival) {
+            LaneForm::Work(wp) => batched.push((i, wp, budget)),
+            form => misses[i] = form.misses(col.iter().copied(), budget),
+        }
+    }
+    let mut batches = batched.chunks_exact(LANE_BATCH);
+    for batch in &mut batches {
+        let mut service = [0u64; LANE_BATCH];
+        let mut cap = [0u64; LANE_BATCH];
+        let mut budget = [0u64; LANE_BATCH];
+        for (l, &(_, wp, b)) in batch.iter().enumerate() {
+            service[l] = wp.service_ns;
+            cap[l] = wp.admit_cap_ns;
+            budget[l] = b;
+        }
+        let mut w = [0u64; LANE_BATCH];
+        let mut miss = [0u64; LANE_BATCH];
+        let mut prev = 0u64;
+        for block in col.chunks(TILE) {
+            work_tile_dispatch(block, &service, &cap, &mut w, &mut miss, &mut prev);
+            if (0..LANE_BATCH).all(|l| miss[l] > budget[l]) {
+                // Whole batch busted: drop the remaining tiles.
+                break;
+            }
+        }
+        for (l, &(i, _, _)) in batch.iter().enumerate() {
+            misses[i] = miss[l];
+        }
+    }
+    for &(i, wp, b) in batches.remainder() {
+        misses[i] = LaneForm::Work(wp).misses(col.iter().copied(), b);
+    }
+    misses
 }
 
 /// Evaluates RTT overflow counts for a whole capacity grid in one fused
@@ -572,10 +546,8 @@ pub fn overflow_curve(workload: &Workload, capacities: &[Iops], deadline: SimDur
     overflow_curve_ns(workload.arrival_column().nanos(), capacities, deadline)
 }
 
-/// [`overflow_curve`] over a raw sorted arrival column (nanoseconds). The
-/// fleet placer's incremental consolidation kernel maintains per-server
-/// merged columns directly and probes them here without materialising a
-/// [`Workload`] per probe.
+/// [`overflow_curve`] over a raw sorted arrival column (nanoseconds), the
+/// form the planner's seed curves build on.
 ///
 /// The column must be sorted ascending (an [`ArrivalColumn`] invariant;
 /// merged server columns preserve it by construction).
@@ -586,118 +558,15 @@ pub fn overflow_curve(workload: &Workload, capacities: &[Iops], deadline: SimDur
 ///
 /// Panics if `deadline` is zero.
 pub fn overflow_curve_ns(col: &[u64], capacities: &[Iops], deadline: SimDuration) -> Vec<u64> {
-    assert!(!deadline.is_zero(), "deadline must be positive");
-    let n = col.len() as u64;
-    let last_arrival = col.last().copied().unwrap_or(0);
-    let mut overflow = vec![0u64; capacities.len()];
-    let mut fast: Vec<(usize, WorkParams)> = Vec::with_capacity(capacities.len());
-    for (i, &c) in capacities.iter().enumerate() {
-        match lane_form(c, deadline, last_arrival) {
-            LaneForm::Work(wp) => fast.push((i, wp)),
-            LaneForm::Scalar(p) => overflow[i] = scan_overflow(col, p),
-            LaneForm::Degenerate => overflow[i] = n,
-        }
-    }
-    let mut batches = fast.chunks_exact(LANE_BATCH);
-    for batch in &mut batches {
-        let mut service = [0u64; LANE_BATCH];
-        let mut cap = [0u64; LANE_BATCH];
-        for (l, &(_, wp)) in batch.iter().enumerate() {
-            service[l] = wp.service_ns;
-            cap[l] = wp.admit_cap_ns;
-        }
-        let mut w = [0u64; LANE_BATCH];
-        let mut miss = [0u64; LANE_BATCH];
-        let mut prev = 0u64;
-        work_tile_dispatch(col, &service, &cap, &mut w, &mut miss, &mut prev);
-        for (l, &(i, _)) in batch.iter().enumerate() {
-            overflow[i] = miss[l];
-        }
-    }
-    // Scalar remainder: the last `k mod LANE_BATCH` lanes sweep one by one.
-    for &(i, wp) in batches.remainder() {
-        overflow[i] = work_overflow_lane(col, wp);
-    }
-    overflow
-}
-
-/// Fused budgeted feasibility probes over a set of `(capacity, budget)`
-/// pairs: result `i` is `within_miss_budget(workload, probes[i].0,
-/// deadline, probes[i].1)`, with degenerate capacities (`⌊C·δ⌋ = 0`)
-/// feasible only when the whole workload fits the budget, matching the
-/// [`overflow_curve`] convention. Per-lane budgets are what the planner's
-/// wide bisection needs: one pass answers eight *different* fractions'
-/// probes at once.
-///
-/// Early exit is at batch granularity: the column is streamed in
-/// [`TILE`]-sized blocks and a batch stops as soon as *every* lane in it
-/// has exceeded its budget (each lane's verdict depends only on its own
-/// running count, so letting a busted lane ride along is harmless).
-/// Overflow counts are non-increasing in `C` (see
-/// `overflow_is_monotone_in_capacity` in the tests), so sorted grids bust
-/// from the bottom up and an infeasible batch costs one budget-bounded
-/// prefix, not eight full scans.
-pub(crate) fn within_miss_budget_multi(
-    workload: &Workload,
-    probes: &[(Iops, u64)],
-    deadline: SimDuration,
-) -> Vec<bool> {
-    within_miss_budget_multi_ns(workload.arrival_column().nanos(), probes, deadline)
-}
-
-/// [`within_miss_budget_multi`] over a raw sorted arrival column — the
-/// form the planner's wide bisection and the fleet placer's consolidated
-/// quote resolution share.
-pub(crate) fn within_miss_budget_multi_ns(
-    col: &[u64],
-    probes: &[(Iops, u64)],
-    deadline: SimDuration,
-) -> Vec<bool> {
-    assert!(!deadline.is_zero(), "deadline must be positive");
-    let n = col.len() as u64;
-    let last_arrival = col.last().copied().unwrap_or(0);
-    let mut verdicts = vec![false; probes.len()];
-    let mut fast: Vec<(usize, WorkParams, u64)> = Vec::with_capacity(probes.len());
-    for (i, &(c, budget)) in probes.iter().enumerate() {
-        match lane_form(c, deadline, last_arrival) {
-            LaneForm::Work(wp) => fast.push((i, wp, budget)),
-            LaneForm::Scalar(p) => verdicts[i] = scan_within_budget(col, p, budget),
-            LaneForm::Degenerate => verdicts[i] = n <= budget,
-        }
-    }
-    let mut batches = fast.chunks_exact(LANE_BATCH);
-    for batch in &mut batches {
-        let mut service = [0u64; LANE_BATCH];
-        let mut cap = [0u64; LANE_BATCH];
-        let mut budget = [0u64; LANE_BATCH];
-        for (l, &(_, wp, b)) in batch.iter().enumerate() {
-            service[l] = wp.service_ns;
-            cap[l] = wp.admit_cap_ns;
-            budget[l] = b;
-        }
-        let mut w = [0u64; LANE_BATCH];
-        let mut miss = [0u64; LANE_BATCH];
-        let mut prev = 0u64;
-        for block in col.chunks(TILE) {
-            work_tile_dispatch(block, &service, &cap, &mut w, &mut miss, &mut prev);
-            if (0..LANE_BATCH).all(|l| miss[l] > budget[l]) {
-                // Whole batch busted: drop the remaining tiles.
-                break;
-            }
-        }
-        for (l, &(i, _, b)) in batch.iter().enumerate() {
-            verdicts[i] = miss[l] <= b;
-        }
-    }
-    for &(i, wp, b) in batches.remainder() {
-        verdicts[i] = work_budget_lane(col, wp, b);
-    }
-    verdicts
+    let probes: Vec<(Iops, u64)> = capacities.iter().map(|&c| (c, u64::MAX)).collect();
+    budgeted_misses(col, &probes, deadline)
 }
 
 /// Fused budgeted feasibility probe over a capacity grid at one shared
-/// budget: result `i` is `within_miss_budget(workload, capacities[i],
-/// deadline, budget)`, computed in fused passes over the workload.
+/// budget: result `i` is `overflow_count(workload, capacities[i],
+/// deadline) <= budget` (with the [`overflow_curve`] convention for
+/// degenerate capacities), computed in fused passes over the workload that
+/// stop early once every lane of a batch is past the budget.
 ///
 /// # Panics
 ///
@@ -709,13 +578,16 @@ pub fn within_miss_budget_curve(
     budget: u64,
 ) -> Vec<bool> {
     let probes: Vec<(Iops, u64)> = capacities.iter().map(|&c| (c, budget)).collect();
-    within_miss_budget_multi(workload, &probes, deadline)
+    budgeted_misses(workload.arrival_column().nanos(), &probes, deadline)
+        .into_iter()
+        .map(|misses| misses <= budget)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rtt::{decompose, within_miss_budget};
+    use crate::rtt::{decompose, overflow_count};
     use gqos_trace::SimTime;
 
     fn ms(v: u64) -> SimTime {
@@ -730,6 +602,32 @@ mod tests {
         let mut arrivals: Vec<SimTime> = (0..400).map(|i| ms(i * 7)).collect();
         arrivals.extend(vec![ms(500); 25]);
         arrivals.extend(vec![ms(1700); 60]);
+        Workload::from_arrivals(arrivals)
+    }
+
+    /// A seeded column with runs of equal instants and long idle gaps
+    /// (splitmix64, so a failure replays exactly).
+    fn random_column(len: usize, seed: u64) -> Workload {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut t = 0u64;
+        let arrivals: Vec<SimTime> = (0..len)
+            .map(|_| {
+                t += match next(10) {
+                    0..=4 => next(3_000_000),  // ≤ 3 ms
+                    5..=7 => 0,                // a tie (burst)
+                    8 => next(300_000_000),    // ≤ 300 ms idle
+                    _ => next(20_000_000_000), // ≤ 20 s idle
+                };
+                SimTime::from_nanos(t)
+            })
+            .collect();
         Workload::from_arrivals(arrivals)
     }
 
@@ -769,17 +667,10 @@ mod tests {
             let p = RttParams::new(Iops::new(c), dms(20));
             let wp = WorkParams::try_from_rtt(p, u64::MAX / 4).expect("guard passes");
             let mut state = RttState::default();
-            let (mut work, mut prev) = (0u64, 0u64);
+            let mut work = WorkState::default();
             for &a in w.arrival_column().nanos() {
-                let gap = a - prev;
-                prev = a;
-                work = work.saturating_sub(gap);
-                let work_admit = work <= wp.admit_cap_ns;
-                if work_admit {
-                    work += wp.service_ns;
-                }
-                assert_eq!(state.admit(p, a), work_admit, "C={c} arrival={a}");
-                assert_eq!(state.len_q1, work.div_ceil(wp.service_ns), "C={c}");
+                assert_eq!(state.admit(p, a), work.admit(wp, a), "C={c} arrival={a}");
+                assert_eq!(state.len_q1, work.w.div_ceil(wp.service_ns), "C={c}");
             }
         }
     }
@@ -799,28 +690,87 @@ mod tests {
     }
 
     #[test]
-    fn batched_tiers_match_the_scalar_lane_bit_for_bit() {
-        // The same eight lanes through the dispatched batch and the scalar
-        // remainder loop: counts must be bit-identical (the SIMD
-        // determinism guarantee, DESIGN.md §13).
+    fn every_tile_tier_matches_the_scalar_lane_bit_for_bit() {
+        // The generic tile and every `#[target_feature]` wrapper this host
+        // can run, against eight scalar work lanes: miss counts, final
+        // backlogs and the gap chain must be bit-identical (the SIMD
+        // determinism guarantee, DESIGN.md §13). The columns are the bursty
+        // one and a seeded one with ties and long idle gaps, each fed in
+        // one block and in odd-sized blocks so the chain crosses blocks.
+        type Tile = fn(
+            &[u64],
+            &[u64; LANE_BATCH],
+            &[u64; LANE_BATCH],
+            &mut [u64; LANE_BATCH],
+            &mut [u64; LANE_BATCH],
+            &mut u64,
+        );
+        let mut tiers: Vec<(&str, Tile)> = vec![("generic", work_tile::<LANE_BATCH>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: avx512f support was just verified.
+                tiers.push(("avx512f", |b, s, c, w, m, p| unsafe {
+                    work_tile_avx512(b, s, c, w, m, p)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: avx2 support was just verified.
+                tiers.push(("avx2", |b, s, c, w, m, p| unsafe {
+                    work_tile_avx2(b, s, c, w, m, p)
+                }));
+            }
+        }
+        let caps: [f64; LANE_BATCH] = [110.0, 150.0, 250.0, 333.0, 410.0, 800.0, 1500.0, 6000.0];
+        for workload in [bursty(), random_column(3 * TILE + 11, 7)] {
+            let col = workload.arrival_column().nanos();
+            let last = *col.last().unwrap();
+            let mut service = [0u64; LANE_BATCH];
+            let mut cap = [0u64; LANE_BATCH];
+            let mut scalar = [(0u64, WorkState::default()); LANE_BATCH];
+            for (l, &c) in caps.iter().enumerate() {
+                let p = RttParams::new(Iops::new(c), dms(10));
+                let wp = WorkParams::try_from_rtt(p, last).unwrap();
+                service[l] = wp.service_ns;
+                cap[l] = wp.admit_cap_ns;
+                let (misses, state) = &mut scalar[l];
+                *misses = count_misses(col.iter().copied(), u64::MAX, |a| state.admit(wp, a));
+            }
+            assert!(scalar.iter().any(|&(m, _)| m > 0), "lanes must miss");
+            for &(tier, tile) in &tiers {
+                for block_len in [col.len(), 777] {
+                    let mut w = [0u64; LANE_BATCH];
+                    let mut miss = [0u64; LANE_BATCH];
+                    let mut prev = 0u64;
+                    for block in col.chunks(block_len) {
+                        tile(block, &service, &cap, &mut w, &mut miss, &mut prev);
+                    }
+                    assert_eq!(prev, last, "{tier}");
+                    for (l, &(misses, state)) in scalar.iter().enumerate() {
+                        assert_eq!((miss[l], w[l]), (misses, state.w), "{tier} lane {l}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_scans_stop_one_past_the_budget() {
+        // Both scalar forms count exactly up to the budget and stop at the
+        // first miss past it; `u64::MAX` counts every miss.
         let w = bursty();
         let col = w.arrival_column().nanos();
-        let caps: [f64; LANE_BATCH] = [110.0, 150.0, 250.0, 333.0, 410.0, 800.0, 1500.0, 6000.0];
-        let mut service = [0u64; LANE_BATCH];
-        let mut cap = [0u64; LANE_BATCH];
-        let mut scalar = [0u64; LANE_BATCH];
-        for (l, &c) in caps.iter().enumerate() {
-            let p = RttParams::new(Iops::new(c), dms(10));
-            let wp = WorkParams::try_from_rtt(p, *col.last().unwrap()).unwrap();
-            service[l] = wp.service_ns;
-            cap[l] = wp.admit_cap_ns;
-            scalar[l] = work_overflow_lane(col, wp);
+        let p = RttParams::new(Iops::new(300.0), dms(10));
+        let form = LaneForm::new(Iops::new(300.0), dms(10), *col.last().unwrap());
+        assert!(matches!(form, LaneForm::Work(_)));
+        let total = rtt_misses(col.iter().copied(), p, u64::MAX);
+        assert!(total > 10);
+        assert_eq!(total, overflow_count(&w, Iops::new(300.0), dms(10)));
+        for budget in [0, 3, total - 1, total, total + 5] {
+            let expected = total.min(budget + 1);
+            assert_eq!(rtt_misses(col.iter().copied(), p, budget), expected);
+            assert_eq!(form.misses(col.iter().copied(), budget), expected);
         }
-        let mut wstate = [0u64; LANE_BATCH];
-        let mut miss = [0u64; LANE_BATCH];
-        let mut prev = 0u64;
-        work_tile_dispatch(col, &service, &cap, &mut wstate, &mut miss, &mut prev);
-        assert_eq!(miss, scalar);
     }
 
     #[test]
@@ -897,7 +847,7 @@ mod tests {
             for (i, &c) in grid.iter().enumerate() {
                 assert_eq!(
                     fused[i],
-                    within_miss_budget(&w, c, delta, budget),
+                    overflow_count(&w, c, delta) <= budget,
                     "C={c} budget={budget}"
                 );
             }
@@ -907,16 +857,20 @@ mod tests {
     #[test]
     fn budget_multi_honours_per_lane_budgets() {
         // A full batch plus remainder where every lane carries a different
-        // budget; each verdict must match the scalar probe at that lane's
+        // budget; each verdict must match the scalar count at that lane's
         // own budget.
         let w = bursty();
         let delta = dms(10);
         let probes: Vec<(Iops, u64)> = (0..11)
             .map(|i| (Iops::new(120.0 + 90.0 * i as f64), (i * i) as u64))
             .collect();
-        let fused = within_miss_budget_multi(&w, &probes, delta);
+        let fused = budgeted_misses(w.arrival_column().nanos(), &probes, delta);
         for (i, &(c, b)) in probes.iter().enumerate() {
-            assert_eq!(fused[i], within_miss_budget(&w, c, delta, b), "C={c} b={b}");
+            let misses = overflow_count(&w, c, delta);
+            assert_eq!(fused[i] <= b, misses <= b, "C={c} b={b}");
+            if misses <= b {
+                assert_eq!(fused[i], misses, "an in-budget count is exact");
+            }
         }
     }
 
@@ -954,11 +908,11 @@ mod tests {
         for (i, &c) in grid.iter().enumerate() {
             assert_eq!(fused[i], decompose(&w, c, delta).overflow_count(), "C={c}");
         }
+        let batch = [Iops::new(250.0); LANE_BATCH];
+        let misses = overflow_count(&w, batch[0], delta);
         for budget in [0u64, 100, 5000] {
-            let fused = within_miss_budget_curve(&w, &grid, delta, budget);
-            for (i, &c) in grid.iter().enumerate() {
-                assert_eq!(fused[i], within_miss_budget(&w, c, delta, budget), "C={c}");
-            }
+            let fused = within_miss_budget_curve(&w, &batch, delta, budget);
+            assert_eq!(fused, vec![misses <= budget; LANE_BATCH], "budget={budget}");
         }
     }
 
@@ -971,13 +925,14 @@ mod tests {
     #[test]
     fn overflowing_capacity_saturates_and_admits_everything() {
         // C·δ = 1e30 × 10 s ≫ 2^64: the bound saturates at u64::MAX, the
-        // work-form guard rejects the lane, and the scalar fallback must
+        // work-form guard rejects the lane, and the RttState fallback must
         // neither wrap nor panic — nothing overflows Q1.
         let w = bursty();
         let p = RttParams::try_new(Iops::new(1e30), SimDuration::from_secs(10))
             .expect("saturated bound is not degenerate");
         assert_eq!(p.max_q1, u64::MAX);
-        assert_eq!(scan_overflow(w.arrival_column().nanos(), p), 0);
+        let col = w.arrival_column().nanos();
+        assert_eq!(rtt_misses(col.iter().copied(), p, u64::MAX), 0);
         assert_eq!(
             overflow_curve(&w, &[Iops::new(1e30)], SimDuration::from_secs(10)),
             vec![0]
@@ -988,7 +943,7 @@ mod tests {
     fn horizon_adjacent_columns_use_the_saturating_scalar_path() {
         // Arrivals at the clock horizon: the work form is not exact there
         // (RttState deliberately saturates), so the curve must agree with
-        // the scalar scan — the guard routes these lanes to it.
+        // the RttState scan — the guard routes these lanes to it.
         let arrivals: Vec<SimTime> = (0..50)
             .map(|i| SimTime::from_nanos(u64::MAX - 500 + 10 * (i / 5)))
             .collect();
@@ -996,12 +951,7 @@ mod tests {
         let grid = [Iops::new(100.0), Iops::new(1e6)];
         let fused = overflow_curve(&w, &grid, dms(20));
         for (i, &c) in grid.iter().enumerate() {
-            let p = RttParams::new(c, dms(20));
-            assert_eq!(
-                fused[i],
-                scan_overflow(w.arrival_column().nanos(), p),
-                "C={c}"
-            );
+            assert_eq!(fused[i], overflow_count(&w, c, dms(20)), "C={c}");
         }
     }
 
@@ -1043,9 +993,9 @@ mod tests {
 
     #[test]
     fn merged_probe_matches_materialised() {
-        // The streamed two-cursor probe must agree with the scalar budget
-        // probe on the materialised merge — including tie-heavy columns
-        // (equal instants split across the two inputs), empty sides, the
+        // The streamed two-cursor probe must agree with the RttState count
+        // on the materialised merge — including tie-heavy columns (equal
+        // instants split across the two inputs), empty sides, the
         // degenerate form, and a capacity saturating the work-form guard.
         let a = bursty();
         let b = Workload::from_arrivals(
@@ -1056,18 +1006,20 @@ mod tests {
         );
         let merged = a.merged(&b);
         let (an, bn) = (a.arrival_column().nanos(), b.arrival_column().nanos());
+        assert!(merge(an, bn).eq(merged.arrival_column().nanos().iter().copied()));
         let grid = [150.0, 400.0, 1200.0, 1e30].map(Iops::new);
         for c in grid {
+            let misses = overflow_count(&merged, c, dms(10));
             for budget in [0u64, 3, 25, merged.len() as u64] {
                 assert_eq!(
                     merged_within_budget(an, bn, c, dms(10), budget),
-                    within_miss_budget(&merged, c, dms(10), budget),
+                    misses <= budget,
                     "C={c} budget={budget}"
                 );
             }
         }
         // Degenerate capacity (⌊C·δ⌋ = 0): everything overflows, so the
-        // verdict is just `n ≤ budget` — the scalar probe panics here, the
+        // verdict is just `n ≤ budget` — `overflow_count` panics here, the
         // merged form reports gracefully.
         let n = merged.len() as u64;
         assert!(!merged_within_budget(
@@ -1079,15 +1031,16 @@ mod tests {
         ));
         assert!(merged_within_budget(an, bn, Iops::new(10.0), dms(10), n));
         // Empty sides reduce to the single-column probe.
+        let c = Iops::new(150.0);
         assert_eq!(
-            merged_within_budget(an, &[], Iops::new(150.0), dms(10), 10),
-            within_miss_budget(&a, Iops::new(150.0), dms(10), 10)
+            merged_within_budget(an, &[], c, dms(10), 10),
+            overflow_count(&a, c, dms(10)) <= 10
         );
         assert_eq!(
-            merged_within_budget(&[], bn, Iops::new(150.0), dms(10), 0),
-            within_miss_budget(&b, Iops::new(150.0), dms(10), 0)
+            merged_within_budget(&[], bn, c, dms(10), 0),
+            overflow_count(&b, c, dms(10)) == 0
         );
-        assert!(merged_within_budget(&[], &[], Iops::new(150.0), dms(10), 0));
+        assert!(merged_within_budget(&[], &[], c, dms(10), 0));
     }
 
     #[test]
@@ -1099,7 +1052,7 @@ mod tests {
             .collect();
         let w = Workload::from_arrivals(arrivals);
         let p = RttParams::new(Iops::new(100.0), dms(20));
-        let overflow = scan_overflow(w.arrival_column().nanos(), p);
+        let overflow = rtt_misses(w.arrival_column().nanos().iter().copied(), p, u64::MAX);
         assert!(
             overflow >= 100 - p.max_q1,
             "Q1 is bounded even at the horizon"

@@ -83,10 +83,7 @@ pub use kernel::{overflow_curve, within_miss_budget_curve};
 pub use miser::MiserScheduler;
 pub use offline::{rtt_period_bound, slotted_lower_bound, OptimalityCheck};
 pub use planner::{capacity_floor, CapacityPlanner, MenuError, SeedCurve, SlaQuote};
-pub use rtt::{
-    decompose, decompose_with_budget, optimal_drop_lower_bound, overflow_count, within_miss_budget,
-    DecomposeScratch, Decomposition, RttClassifier, ScratchDecomposition,
-};
+pub use rtt::{decompose, optimal_drop_lower_bound, overflow_count, Decomposition, RttClassifier};
 pub use shaper::{RecombinePolicy, StreamObservation, WorkloadShaper};
 pub use split::{SplitScheduler, SPLIT_OVERFLOW_SERVER, SPLIT_PRIMARY_SERVER};
 pub use target::{Provision, QosTarget};

@@ -10,7 +10,7 @@ use std::fmt;
 
 use gqos_trace::{Iops, SimDuration, Workload};
 
-use crate::kernel::{overflow_curve, overflow_curve_ns, within_miss_budget_multi_ns, LANE_BATCH};
+use crate::kernel::{budgeted_misses, overflow_curve, overflow_curve_ns, LANE_BATCH};
 use crate::rtt::overflow_count;
 use crate::target::{Provision, QosTarget};
 
@@ -262,7 +262,7 @@ pub fn capacity_floor(deadline: SimDuration) -> u64 {
 /// Wide bisection over a raw arrival column: shrinks the bracket
 /// `(lo fails, hi meets]` to the unique minimal integer capacity meeting
 /// `budget`, probing up to [`LANE_BATCH`] interior capacities per fused
-/// [`within_miss_budget_multi_ns`] pass (~9× bracket shrink per pass
+/// [`budgeted_misses`] pass (~9× bracket shrink per pass
 /// instead of 2×). Requires `lo < hi`, `lo` failing and `hi` meeting.
 /// Its one caller is [`SeedCurve::cmin`].
 fn resolve_cmin_ns(
@@ -279,14 +279,14 @@ fn resolve_cmin_ns(
         let probes: Vec<(Iops, u64)> = (1..=m)
             .map(|i| (Iops::new(point(i) as f64), budget))
             .collect();
-        let verdicts = within_miss_budget_multi_ns(col, &probes, deadline);
+        let misses = budgeted_misses(col, &probes, deadline);
         // Overflow is monotone in capacity: the verdicts flip from
         // failing to meeting exactly once across the probes.
         let mut new_lo = lo;
         let mut new_hi = hi;
-        for (k, &meets) in verdicts.iter().enumerate() {
+        for (k, &count) in misses.iter().enumerate() {
             let c = point(k as u64 + 1);
-            if meets {
+            if count <= budget {
                 new_hi = c;
                 break;
             }

@@ -9,19 +9,20 @@
 //! (Lemmas 1–3 of the paper; verified against brute force and the Lemma 1
 //! bound in this module's tests).
 //!
-//! The offline entry points ([`decompose`], [`within_miss_budget`],
-//! [`overflow_count`], [`DecomposeScratch`]) run on the crate's
-//! allocation-free integer kernels, scanning the workload's cached columnar
-//! arrival view ([`Workload::arrival_column`]) instead of the request
-//! structs; the online [`RttClassifier`] remains the per-request admission
-//! rule schedulers embed.
+//! The offline entry points ([`decompose`], [`overflow_count`]) run the
+//! crate's integer admit step over the workload's cached columnar arrival
+//! view ([`Workload::arrival_column`]) instead of the request structs:
+//! [`overflow_count`] is the kernel's one scalar scan, and [`decompose`]
+//! runs the same step while it records each request's class. The online
+//! [`RttClassifier`] remains the per-request admission rule schedulers
+//! embed.
 
 use std::fmt;
 
 use gqos_sim::ServiceClass;
 use gqos_trace::{Iops, SimDuration, Workload};
 
-use crate::kernel::{scan_overflow, scan_within_budget, RttParams, RttState};
+use crate::kernel::{rtt_misses, RttParams, RttState};
 
 /// Online RTT classifier: the bounded-queue admission rule, reusable by any
 /// recombination scheduler.
@@ -271,264 +272,43 @@ impl fmt::Display for Decomposition {
 /// assert_eq!(d.overflow_count(), 1);
 /// ```
 pub fn decompose(workload: &Workload, capacity: Iops, deadline: SimDuration) -> Decomposition {
-    let mut scratch = DecomposeScratch::new();
-    let (primary, overflow) = scratch
-        .run(workload, RttParams::new(capacity, deadline), u64::MAX)
-        .expect("unbudgeted scan always completes");
+    let p = RttParams::new(capacity, deadline);
+    let arrivals = workload.arrival_column().nanos();
+    let mut assignments = Vec::with_capacity(arrivals.len());
+    let mut state = RttState::default();
+    let mut overflow = 0u64;
+    for &arrival in arrivals {
+        if state.admit(p, arrival) {
+            assignments.push(ServiceClass::PRIMARY);
+        } else {
+            overflow += 1;
+            assignments.push(ServiceClass::OVERFLOW);
+        }
+    }
     Decomposition {
-        assignments: scratch.assignments,
-        primary,
+        assignments,
+        primary: arrivals.len() as u64 - overflow,
         overflow,
         capacity,
         deadline,
     }
 }
 
-/// Like [`decompose`], but aborts as soon as the overflow count exceeds
-/// `budget` (the planner's miss budget `N − ⌈f·N⌉`), returning `None`.
-///
-/// When it returns `Some`, the decomposition is identical to what
-/// [`decompose`] produces and its overflow count is at most `budget`. The
-/// early exit is what makes the capacity search cheap on failing probes: a
-/// capacity far below `Cmin` diverts requests from the start of the trace,
-/// so the probe touches only a small prefix instead of scanning all `N`
-/// requests.
-///
-/// # Panics
-///
-/// Panics if `deadline` is zero or `⌊C·δ⌋ = 0` (see [`RttClassifier::new`]).
-///
-/// # Examples
-///
-/// ```
-/// use gqos_core::{decompose, decompose_with_budget};
-/// use gqos_trace::{Iops, SimDuration, SimTime, Workload};
-///
-/// let w = Workload::from_arrivals(vec![SimTime::ZERO; 3]);
-/// let (c, d) = (Iops::new(100.0), SimDuration::from_millis(20));
-/// // Capacity for two of three: one overflow.
-/// assert!(decompose_with_budget(&w, c, d, 0).is_none());
-/// let full = decompose_with_budget(&w, c, d, 1).expect("within budget");
-/// assert_eq!(full.assignments(), decompose(&w, c, d).assignments());
-/// ```
-pub fn decompose_with_budget(
-    workload: &Workload,
-    capacity: Iops,
-    deadline: SimDuration,
-    budget: u64,
-) -> Option<Decomposition> {
-    let mut scratch = DecomposeScratch::new();
-    let counts = scratch.run(workload, RttParams::new(capacity, deadline), budget)?;
-    let (primary, overflow) = counts;
-    Some(Decomposition {
-        assignments: scratch.assignments,
-        primary,
-        overflow,
-        capacity,
-        deadline,
-    })
-}
-
-/// Counting-only budget probe: does RTT at this capacity divert at most
-/// `budget` requests? Equivalent to
-/// `decompose_with_budget(..).is_some()` without allocating the
-/// per-request assignment vector — the planner's inner-loop primitive.
-///
-/// # Panics
-///
-/// Panics if `deadline` is zero or `⌊C·δ⌋ = 0` (see [`RttClassifier::new`]).
-pub fn within_miss_budget(
-    workload: &Workload,
-    capacity: Iops,
-    deadline: SimDuration,
-    budget: u64,
-) -> bool {
-    scan_within_budget(
-        workload.arrival_column().nanos(),
-        RttParams::new(capacity, deadline),
-        budget,
-    )
-}
-
 /// The overflow count of [`decompose`] without materialising the
 /// decomposition — a single allocation-free pass over the arrival column,
-/// used by [`CapacityPlanner::fraction_guaranteed`](crate::CapacityPlanner::fraction_guaranteed).
+/// used by [`CapacityPlanner::fraction_guaranteed`](crate::CapacityPlanner::fraction_guaranteed)
+/// and the scalar oracle the fused grids are tested against. A miss
+/// budget `b` is met exactly when `overflow_count(..) <= b`.
 ///
 /// # Panics
 ///
 /// Panics if `deadline` is zero or `⌊C·δ⌋ = 0` (see [`RttClassifier::new`]).
 pub fn overflow_count(workload: &Workload, capacity: Iops, deadline: SimDuration) -> u64 {
-    scan_overflow(
-        workload.arrival_column().nanos(),
+    rtt_misses(
+        workload.arrival_column().nanos().iter().copied(),
         RttParams::new(capacity, deadline),
+        u64::MAX,
     )
-}
-
-/// Reusable storage for offline decompositions: run many probes, allocate
-/// (at most) once.
-///
-/// [`decompose`] allocates a fresh assignment vector per call — fine for a
-/// one-shot analysis, wasteful inside a planner loop or an experiment grid
-/// that decomposes the same trace at hundreds of capacities. A scratch
-/// holds the vector across calls; each call clears and refills it, growing
-/// only when a workload is larger than anything seen before.
-///
-/// # Examples
-///
-/// ```
-/// use gqos_core::{decompose, DecomposeScratch};
-/// use gqos_trace::{Iops, SimDuration, SimTime, Workload};
-///
-/// let w = Workload::from_arrivals(vec![SimTime::ZERO; 3]);
-/// let (c, d) = (Iops::new(100.0), SimDuration::from_millis(20));
-/// let mut scratch = DecomposeScratch::new();
-/// let view = scratch.decompose(&w, c, d);
-/// assert_eq!(view.overflow_count(), 1);
-/// assert_eq!(view.assignments(), decompose(&w, c, d).assignments());
-/// ```
-#[derive(Clone, Default, Debug)]
-pub struct DecomposeScratch {
-    assignments: Vec<ServiceClass>,
-}
-
-impl DecomposeScratch {
-    /// Creates an empty scratch (first use allocates).
-    pub fn new() -> Self {
-        DecomposeScratch::default()
-    }
-
-    /// Creates a scratch pre-sized for workloads of `capacity` requests.
-    pub fn with_capacity(capacity: usize) -> Self {
-        DecomposeScratch {
-            assignments: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Decomposes `workload` into this scratch, returning a borrowed view
-    /// with the same contents [`decompose`] would produce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` is zero or `⌊C·δ⌋ = 0` (see
-    /// [`RttClassifier::new`]).
-    pub fn decompose(
-        &mut self,
-        workload: &Workload,
-        capacity: Iops,
-        deadline: SimDuration,
-    ) -> ScratchDecomposition<'_> {
-        let (primary, overflow) = self
-            .run(workload, RttParams::new(capacity, deadline), u64::MAX)
-            .expect("unbudgeted scan always completes");
-        ScratchDecomposition {
-            assignments: &self.assignments,
-            primary,
-            overflow,
-            capacity,
-            deadline,
-        }
-    }
-
-    /// Budgeted variant: like [`decompose_with_budget`], `None` as soon as
-    /// the overflow count exceeds `budget` (the scratch then holds only the
-    /// scanned prefix and is ready for reuse).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` is zero or `⌊C·δ⌋ = 0` (see
-    /// [`RttClassifier::new`]).
-    pub fn decompose_with_budget(
-        &mut self,
-        workload: &Workload,
-        capacity: Iops,
-        deadline: SimDuration,
-        budget: u64,
-    ) -> Option<ScratchDecomposition<'_>> {
-        let (primary, overflow) = self.run(workload, RttParams::new(capacity, deadline), budget)?;
-        Some(ScratchDecomposition {
-            assignments: &self.assignments,
-            primary,
-            overflow,
-            capacity,
-            deadline,
-        })
-    }
-
-    /// Algorithm 1 over the cached arrival column: fills `assignments` and
-    /// returns `(primary, overflow)` counts, or `None` once overflow
-    /// exceeds `budget`.
-    fn run(&mut self, workload: &Workload, params: RttParams, budget: u64) -> Option<(u64, u64)> {
-        self.assignments.clear();
-        let arrivals = workload.arrival_column().nanos();
-        self.assignments.reserve(arrivals.len());
-        let mut state = RttState::default();
-        let mut primary = 0u64;
-        let mut overflow = 0u64;
-        for &arrival in arrivals {
-            if state.admit(params, arrival) {
-                primary += 1;
-                self.assignments.push(ServiceClass::PRIMARY);
-            } else {
-                overflow += 1;
-                if overflow > budget {
-                    return None;
-                }
-                self.assignments.push(ServiceClass::OVERFLOW);
-            }
-        }
-        Some((primary, overflow))
-    }
-}
-
-/// A decomposition whose assignment storage is borrowed from a
-/// [`DecomposeScratch`] — the counts and accessors of [`Decomposition`]
-/// without owning the vector.
-#[derive(Copy, Clone, Debug)]
-pub struct ScratchDecomposition<'s> {
-    assignments: &'s [ServiceClass],
-    primary: u64,
-    overflow: u64,
-    capacity: Iops,
-    deadline: SimDuration,
-}
-
-impl ScratchDecomposition<'_> {
-    /// Class of each request, indexed by
-    /// [`RequestId`](gqos_trace::RequestId) position.
-    pub fn assignments(&self) -> &[ServiceClass] {
-        self.assignments
-    }
-
-    /// Number of requests admitted to the primary class.
-    pub fn primary_count(&self) -> u64 {
-        self.primary
-    }
-
-    /// Number of requests diverted to the overflow class.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Fraction of the workload in the primary class, in `[0, 1]`
-    /// (1.0 for an empty workload).
-    pub fn primary_fraction(&self) -> f64 {
-        let total = self.primary + self.overflow;
-        if total == 0 {
-            1.0
-        } else {
-            self.primary as f64 / total as f64
-        }
-    }
-
-    /// The capacity used for the decomposition.
-    pub fn capacity(&self) -> Iops {
-        self.capacity
-    }
-
-    /// The deadline used for the decomposition.
-    pub fn deadline(&self) -> SimDuration {
-        self.deadline
-    }
 }
 
 /// The smallest number of requests that must be diverted at this capacity
@@ -783,41 +563,6 @@ mod tests {
         let d = decompose(&w, Iops::new(150.0), dms(20));
         assert_eq!(d.capacity().get(), 150.0);
         assert_eq!(d.deadline(), dms(20));
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_decompose() {
-        let bursty = {
-            let mut arrivals: Vec<SimTime> = (0..100).map(|i| ms(i * 3)).collect();
-            arrivals.extend(vec![ms(50); 15]);
-            Workload::from_arrivals(arrivals)
-        };
-        let small = Workload::from_arrivals(vec![SimTime::ZERO; 4]);
-        let (c, delta) = (Iops::new(400.0), dms(10));
-        let mut scratch = DecomposeScratch::with_capacity(8);
-        for w in [&bursty, &small, &bursty] {
-            let fresh = decompose(w, c, delta);
-            let view = scratch.decompose(w, c, delta);
-            assert_eq!(view.assignments(), fresh.assignments());
-            assert_eq!(view.primary_count(), fresh.primary_count());
-            assert_eq!(view.overflow_count(), fresh.overflow_count());
-            assert_eq!(view.primary_fraction(), fresh.primary_fraction());
-            assert_eq!(view.capacity(), c);
-            assert_eq!(view.deadline(), delta);
-        }
-    }
-
-    #[test]
-    fn scratch_budget_abort_then_reuse() {
-        let w = Workload::from_arrivals(vec![SimTime::ZERO; 10]);
-        let (c, delta) = (Iops::new(300.0), dms(10)); // 3 slots, 7 overflow
-        let mut scratch = DecomposeScratch::new();
-        assert!(scratch.decompose_with_budget(&w, c, delta, 6).is_none());
-        let ok = scratch
-            .decompose_with_budget(&w, c, delta, 7)
-            .expect("within budget");
-        assert_eq!(ok.overflow_count(), 7);
-        assert_eq!(ok.assignments(), decompose(&w, c, delta).assignments());
     }
 
     #[test]

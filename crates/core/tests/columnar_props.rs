@@ -10,8 +10,8 @@
 //! planner quotes are required to stay byte-identical across the rewrite.
 
 use gqos_core::{
-    decompose, decompose_with_budget, overflow_count, overflow_curve, within_miss_budget,
-    within_miss_budget_curve, CascadeDecomposer, CascadeLevel, DecomposeScratch, RttClassifier,
+    decompose, overflow_count, overflow_curve, within_miss_budget_curve, CascadeDecomposer,
+    CascadeLevel, RttClassifier,
 };
 use gqos_sim::ServiceClass;
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
@@ -183,41 +183,6 @@ proptest! {
             w.len() as u64
         );
         prop_assert_eq!(overflow_count(&w, c, d), legacy_overflow);
-    }
-
-    #[test]
-    fn scratch_reuse_matches_legacy(w in arb_workload(), p in arb_params()) {
-        let (c, d) = p;
-        let (legacy_assignments, legacy_overflow) = legacy_decompose(&w, c, d);
-        // A dirty scratch (pre-filled from an unrelated workload) must not
-        // leak state into the next run.
-        let mut scratch = DecomposeScratch::new();
-        let warmup = Workload::from_arrivals(vec![SimTime::ZERO; 7]);
-        let _ = scratch.decompose(&warmup, Iops::new(500.0), SimDuration::from_millis(10));
-        let view = scratch.decompose(&w, c, d);
-        prop_assert_eq!(view.assignments(), legacy_assignments.as_slice());
-        prop_assert_eq!(view.overflow_count(), legacy_overflow);
-    }
-
-    #[test]
-    fn budget_early_exit_matches_legacy(
-        w in arb_workload(),
-        p in arb_params(),
-        budget in 0u64..140,
-    ) {
-        let (c, d) = p;
-        prop_assert_eq!(
-            within_miss_budget(&w, c, d, budget),
-            legacy_within_budget(&w, c, d, budget)
-        );
-        let budgeted = decompose_with_budget(&w, c, d, budget);
-        prop_assert_eq!(budgeted.is_some(), legacy_within_budget(&w, c, d, budget));
-        if let Some(full) = budgeted {
-            let (legacy_assignments, legacy_overflow) = legacy_decompose(&w, c, d);
-            prop_assert_eq!(full.assignments(), legacy_assignments.as_slice());
-            prop_assert_eq!(full.overflow_count(), legacy_overflow);
-            prop_assert!(full.overflow_count() <= budget);
-        }
     }
 
     #[test]

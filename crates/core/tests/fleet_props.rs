@@ -8,7 +8,7 @@
 //!    optimal-or-within-one whenever the fleet is packable at all, and
 //!    every bin's consolidated quote meets `(f, δ)` under its capacity;
 //! 2. [`QuoteCache`] quotes vs cold [`CapacityPlanner::min_capacity`]
-//!    bit-identity under random quote/workload-change/epoch-bump
+//!    bit-identity under random quote/workload-replacement/epoch-bump
 //!    sequences;
 //! 3. [`ServerBin`]'s incrementally-maintained consolidated quote vs
 //!    cold-planning the materialised merge under random add/remove
@@ -172,7 +172,8 @@ proptest! {
     }
 
     /// Cached quotes are bit-identical to cold `min_capacity` under random
-    /// interleavings of quotes, workload changes, and SLA epoch bumps.
+    /// interleavings of quotes, workload replacements (re-added tenants
+    /// with invalidated entries), and SLA epoch bumps.
     #[test]
     fn cache_is_bit_identical_under_mutation_sequences(
         mut tenants in arb_fleet(),
@@ -197,7 +198,14 @@ proptest! {
                         "tenant {} f={}", idx, f
                     );
                 }
-                1 => tenants[idx].set_workload(replacements[which].clone()),
+                1 => {
+                    // A new profile is a new incarnation: the owner drops
+                    // the retired one's entry, as the control plane does.
+                    let id = tenants[idx].id();
+                    let epoch = tenants[idx].epoch() + 1;
+                    tenants[idx] = FleetTenant::with_epoch(id, replacements[which].clone(), epoch);
+                    cache.invalidate(id);
+                }
                 _ => tenants[idx].bump_epoch(),
             }
         }

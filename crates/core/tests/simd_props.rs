@@ -1,14 +1,15 @@
 //! Differential property tests: the batched (SIMD) grid kernels —
 //! [`overflow_curve`] and [`within_miss_budget_curve`] — must be
-//! bit-identical to the scalar single-capacity oracles
-//! ([`overflow_count`], [`within_miss_budget`]) for every grid length
+//! bit-identical to the scalar single-capacity oracle [`overflow_count`]
+//! (a budget is met exactly when `overflow_count(..) <= budget`) for every
+//! grid length
 //! around the lane width (0 ..= 2×8 covers full batches, empty grids, and
 //! every scalar-remainder size), over randomised bursty workloads,
 //! including lanes that must fall back to the saturating scalar path.
 //! No external property-testing crate: a deterministic splitmix-style
 //! generator drives the rounds.
 
-use gqos_core::{overflow_count, overflow_curve, within_miss_budget, within_miss_budget_curve};
+use gqos_core::{overflow_count, overflow_curve, within_miss_budget_curve};
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
 
 /// Deterministic 64-bit generator (splitmix64) so failures replay exactly.
@@ -89,7 +90,7 @@ fn budget_curve_is_bit_identical_to_the_scalar_oracle() {
             let batched = within_miss_budget_curve(&workload, &grid, DEADLINE, budget);
             let scalar: Vec<bool> = grid
                 .iter()
-                .map(|&c| within_miss_budget(&workload, c, DEADLINE, budget))
+                .map(|&c| overflow_count(&workload, c, DEADLINE) <= budget)
                 .collect();
             assert_eq!(batched, scalar, "round {round}, grid length {len}");
         }

@@ -43,8 +43,7 @@ pub use gqos_sim as sim;
 pub use gqos_trace as trace;
 
 pub use gqos_core::{
-    decompose, decompose_with_budget, within_miss_budget, CapacityPlanner, CascadeDecomposer,
-    ConsolidationStudy, MiserScheduler, Provision, QosTarget, RecombinePolicy, RttClassifier,
-    WorkloadShaper,
+    decompose, CapacityPlanner, CascadeDecomposer, ConsolidationStudy, MiserScheduler, Provision,
+    QosTarget, RecombinePolicy, RttClassifier, WorkloadShaper,
 };
 pub use gqos_trace::{Iops, Request, SimDuration, SimTime, Workload};
