@@ -39,12 +39,14 @@
 //! per simulated request through FCFS, the event queue and the metrics.
 //! `--assert-sim-ns 160` fails the run when it comes in above 160 ns.
 //!
-//! `shaper/split_observed_lanes` and `shaper/split_observed_engine` are one
-//! observed Split run over the OpenMail trace, in ns per request: through
-//! `WorkloadShaper::run_observed` (the FIFO-lane recurrence), and the same
-//! run built explicitly on the event engine. The lane row must always cost
-//! at most half the engine row (asserted on every run; both rows come from
-//! one process, so the ratio holds on shared hosts).
+//! `shaper/{split,fairqueue,miser}_observed_{lanes,engine}` are one
+//! observed run of each policy over the OpenMail trace, in ns per request:
+//! through `WorkloadShaper::run_observed` (the engine-free lanes), and the
+//! same run built explicitly on the event engine, observed exactly as
+//! `run_observed` observes. A lanes row must always cost at most half its
+//! engine row for Split and 0.8 of it for FairQueue and Miser (asserted on
+//! every run; both rows come from one process, so the ratio holds on
+//! shared hosts).
 //!
 //! `obs/window_feed` is the retention feed of one fixed 600-request
 //! gateway lane (`TenantReport::feed_longterm` into a fresh
@@ -117,6 +119,29 @@ fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
         ),
     }
 }
+
+/// The lanes-vs-engine rows: each policy's observed run on its lanes and
+/// on the engine, and the largest lanes/engine cost ratio allowed.
+const SHAPER_ROWS: [(RecombinePolicy, &str, &str, f64); 3] = [
+    (
+        RecombinePolicy::Split,
+        "shaper/split_observed_lanes",
+        "shaper/split_observed_engine",
+        0.5,
+    ),
+    (
+        RecombinePolicy::FairQueue,
+        "shaper/fairqueue_observed_lanes",
+        "shaper/fairqueue_observed_engine",
+        0.8,
+    ),
+    (
+        RecombinePolicy::Miser,
+        "shaper/miser_observed_lanes",
+        "shaper/miser_observed_engine",
+        0.8,
+    ),
+];
 
 /// Requests one fair-queue cycle enqueues and drains.
 const FAIRQUEUE_CYCLE: usize = 10_000;
@@ -355,53 +380,60 @@ fn main() {
         println!("  sim assertion: sim/requests_per_sec_core <= {ceiling_ns} ns ok");
     }
 
-    // --- Shaped Split: FIFO lanes vs the engine ----------------------------
-    // One observed Split run over the OpenMail trace, streamed in
-    // `DEFAULT_CHUNK`s into per-class sketches: through `run_observed`
-    // (the FIFO-lane recurrence), and built explicitly on the engine.
+    // --- Shaped policies: lanes vs the engine -----------------------------
+    // One observed run over the OpenMail trace, streamed in `DEFAULT_CHUNK`s
+    // into per-class sketches: through `run_observed` (the engine-free
+    // lanes), and built explicitly on the engine and observed as
+    // `run_observed` observes (one class sketch per record, one merge).
+    // Each lanes row must cost at most its share of the engine row; both
+    // come from one process, so the ratio holds on shared hosts.
     let shaper = WorkloadShaper::plan(&openmail, QosTarget::new(0.90, delta));
-    let lanes_ns = measure(samples, 3, || {
-        let mut stream = WorkloadStream::new(openmail.clone(), DEFAULT_CHUNK);
-        shaper
-            .run_observed(&mut stream, RecombinePolicy::Split, |_| {})
-            .expect("workload stream")
-            .completed
-    }) / n as f64;
-    let engine_ns = measure(samples, 3, || {
-        let mut stream = WorkloadStream::new(openmail.clone(), DEFAULT_CHUNK);
-        let mut sketch = LatencySketch::new();
-        let mut primary = LatencySketch::new();
-        let mut overflow = LatencySketch::new();
-        shaper
-            .simulation(
-                RecombinePolicy::Split,
-                TraceHandle::disabled(),
-                |s, _| s,
-                FixedRateServer::new,
-            )
-            .run_stream(&mut stream, |r| {
-                let response = r.response_time().as_nanos();
-                sketch.record(response);
-                match r.class {
-                    ServiceClass::PRIMARY => primary.record(response),
-                    _ => overflow.record(response),
-                }
-            })
-            .expect("workload stream")
-            .offered
-    }) / n as f64;
-    push("shaper/split_observed_lanes", lanes_ns, n);
-    push("shaper/split_observed_engine", engine_ns, n);
-    println!(
-        "  shaper: Split on FIFO lanes costs {:.2}x of the engine",
-        lanes_ns / engine_ns
-    );
-    assert!(
-        lanes_ns <= 0.5 * engine_ns,
-        "shaper/split_observed_lanes ({lanes_ns:.1} ns per request) exceeded \
-         half of shaper/split_observed_engine ({engine_ns:.1} ns) — Split is \
-         no longer skipping the event engine"
-    );
+    for (policy, lanes_row, engine_row, max_ratio) in SHAPER_ROWS {
+        let lanes_ns = measure(samples, 3, || {
+            let mut stream = WorkloadStream::new(openmail.clone(), DEFAULT_CHUNK);
+            shaper
+                .run_observed(&mut stream, policy, |_| {})
+                .expect("workload stream")
+                .completed
+        }) / n as f64;
+        let engine_ns = measure(samples, 3, || {
+            let mut stream = WorkloadStream::new(openmail.clone(), DEFAULT_CHUNK);
+            let mut primary = LatencySketch::new();
+            let mut overflow = LatencySketch::new();
+            let mut completed = 0usize;
+            shaper
+                .simulation(
+                    policy,
+                    TraceHandle::disabled(),
+                    |s, _| s,
+                    FixedRateServer::new,
+                )
+                .run_stream(&mut stream, |r| {
+                    let response = r.response_time().as_nanos();
+                    match r.class {
+                        ServiceClass::PRIMARY => primary.record(response),
+                        _ => overflow.record(response),
+                    }
+                    completed += 1;
+                })
+                .expect("workload stream");
+            let mut sketch = primary.clone();
+            sketch.merge(&overflow);
+            (sketch, completed)
+        }) / n as f64;
+        push(lanes_row, lanes_ns, n);
+        push(engine_row, engine_ns, n);
+        println!(
+            "  shaper: {policy} on lanes costs {:.2}x of the engine",
+            lanes_ns / engine_ns
+        );
+        assert!(
+            lanes_ns <= max_ratio * engine_ns,
+            "{lanes_row} ({lanes_ns:.1} ns per request) exceeded {max_ratio} of \
+             {engine_row} ({engine_ns:.1} ns) — {policy} is no longer skipping \
+             the event engine"
+        );
+    }
 
     // --- Sketches and the retention feed ----------------------------------
     // One fixed 600-request gateway lane, as `tenant_gateway` runs them:

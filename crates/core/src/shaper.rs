@@ -2,22 +2,25 @@
 //!
 //! Ties decomposition and recombination together: pick a QoS target, plan
 //! (or supply) a provision, choose a recombination policy, and run the
-//! shaped workload through the simulation engine — whole, or streamed
-//! chunk by chunk from an [`ArrivalStream`] in `O(maxQ1 + chunk)` memory.
-//! Both feed the same [`Simulation`], so a streamed run is bit-identical
-//! to the batch run for any chunking.
+//! shaped workload through a simulation core — whole, or streamed chunk
+//! by chunk from an [`ArrivalStream`] in `O(maxQ1 + chunk)` memory. Both
+//! feed the same core (a lane, or the engine [`Simulation`]), so a
+//! streamed run is bit-identical to the batch run for any chunking.
 //!
-//! Untraced fixed-rate FCFS and Split runs ([`run`](WorkloadShaper::run),
-//! [`run_observed`](WorkloadShaper::run_observed)) skip the event engine:
-//! their servers are plain FIFOs, which the FIFO-lane recurrence
-//! (`lanes.rs`) computes record for record as the engine would.
+//! Untraced runs on fixed-rate servers ([`run`](WorkloadShaper::run),
+//! [`run_observed`](WorkloadShaper::run_observed)) skip the event engine
+//! for every policy (`lanes.rs`): FCFS and Split as FIFO-lane
+//! recurrences, FairQueue and Miser on one server that drives the
+//! policy's own scheduler. Both compute the engine's records, record for
+//! record. The engine still serves traced and faulted runs, gateway and
+//! drain lanes, disk models, and Split where its lane guard fails.
 
 use std::fmt;
 
 use gqos_faults::FaultSchedule;
 use gqos_sim::{
-    run_chunks, CompletionRecord, FcfsScheduler, FixedRateServer, LatencySketch, ModulatedServer,
-    RunReport, Scheduler, ServiceClass, ServiceModel, Simulation, TraceHandle,
+    CompletionRecord, FcfsScheduler, FixedRateServer, LatencySketch, ModulatedServer, RunReport,
+    Scheduler, ServiceClass, ServiceModel, Simulation, TraceHandle,
 };
 use gqos_trace::{ArrivalStream, Iops, SimDuration, SimTime, StreamError, Workload};
 
@@ -26,7 +29,7 @@ use crate::degrade::{
     DegradationPolicy,
 };
 use crate::fair::FairQueueScheduler;
-use crate::lanes::FifoLanes;
+use crate::lanes::{FifoLanes, Lanes, OneServer};
 use crate::miser::MiserScheduler;
 use crate::planner::CapacityPlanner;
 use crate::split::SplitScheduler;
@@ -90,21 +93,30 @@ impl RecombinePolicy {
         }
     }
 
-    /// The FIFO-lane core that stands in for [`parts`](Self::parts) on
-    /// plain fixed-rate servers: one lane of `Cmin + ΔC` for FCFS, lanes
-    /// of `Cmin` and `ΔC` under RTT admission for Split. `None` sends the
-    /// run through the engine: FairQueue and Miser share one server, and
-    /// Split keeps the engine where the lane guard fails.
+    /// The engine-free core that stands in for [`parts`](Self::parts) on
+    /// plain fixed-rate servers: one FIFO lane of `Cmin + ΔC` for FCFS,
+    /// lanes of `Cmin` and `ΔC` under RTT admission for Split, and one
+    /// server of `Cmin + ΔC` driving the policy's own untraced scheduler
+    /// for FairQueue and Miser. `None` sends the run through the engine:
+    /// only Split, where the lane guard fails.
     ///
     /// Only untraced, unwrapped runs on [`FixedRateServer`]s ask:
     /// [`WorkloadShaper::run`] and [`WorkloadShaper::run_observed`].
-    fn lanes(self, provision: Provision, deadline: SimDuration) -> Option<FifoLanes> {
+    fn lanes(self, provision: Provision, deadline: SimDuration) -> Option<Lanes> {
+        let one_server = provision.total();
         match self {
-            RecombinePolicy::Fcfs => Some(FifoLanes::fcfs(provision.total())),
+            RecombinePolicy::Fcfs => Some(Lanes::Fifo(FifoLanes::fcfs(one_server))),
             RecombinePolicy::Split => {
-                FifoLanes::split(provision.cmin(), provision.delta_c(), deadline)
+                FifoLanes::split(provision.cmin(), provision.delta_c(), deadline).map(Lanes::Fifo)
             }
-            RecombinePolicy::FairQueue | RecombinePolicy::Miser => None,
+            RecombinePolicy::FairQueue => Some(Lanes::FairQueue(OneServer::new(
+                FairQueueScheduler::new(provision, deadline),
+                one_server,
+            ))),
+            RecombinePolicy::Miser => Some(Lanes::Miser(OneServer::new(
+                MiserScheduler::new(provision, deadline),
+                one_server,
+            ))),
         }
     }
 }
@@ -221,12 +233,12 @@ impl WorkloadShaper {
     /// in [`ServerId`](gqos_sim::ServerId) order. The engine emits into
     /// `trace` too and judges completions against the shaper's deadline.
     ///
-    /// Every engine run is assembled here: traced and faulted runs, plain
-    /// and observed FairQueue and Miser runs, gateway and drain lanes
-    /// (`wrap` adds an inbox), and runs on other service models (`server`
-    /// builds a disk). Identity parts are `|scheduler, _| scheduler` and
+    /// Every engine run is assembled here: traced and faulted runs,
+    /// gateway and drain lanes (`wrap` adds an inbox), runs on other
+    /// service models (`server` builds a disk), and Split where its lane
+    /// guard fails. Identity parts are `|scheduler, _| scheduler` and
     /// `FixedRateServer::new`; built with them, the engine is the oracle
-    /// the FIFO lanes of [`run`](Self::run) and
+    /// the lanes of [`run`](Self::run) and
     /// [`run_observed`](Self::run_observed) are checked against.
     pub fn simulation<S, M>(
         &self,
@@ -257,8 +269,11 @@ impl WorkloadShaper {
     /// no decomposition); under the other policies, per-class statistics
     /// are available via [`RunReport::stats_for`].
     ///
-    /// FCFS and Split run on the FIFO lanes (the engine's report, computed
-    /// in closed form); FairQueue and Miser run on the engine.
+    /// Every policy runs on its lanes (the engine's report, computed
+    /// without the event queue): FIFO lanes for FCFS and Split, one
+    /// server driving the policy's scheduler for FairQueue and Miser.
+    /// Split keeps the engine where its lane guard fails, and a FIFO run
+    /// where its last completion could pass the clock.
     pub fn run(&self, workload: &Workload, policy: RecombinePolicy) -> RunReport {
         match policy.lanes(self.provision, self.deadline) {
             Some(lanes) if lanes.covers(workload) => lanes.run(workload),
@@ -290,8 +305,9 @@ impl WorkloadShaper {
     /// `|_| {}` to discard) instead of accumulating. The aggregate sketch
     /// is bit-identical to [`RunReport::response_sketch`] of the batch
     /// run; peak footprint is one chunk of requests plus the drained
-    /// backlog, not the whole trace. FCFS and Split run on the FIFO lanes,
-    /// through the same chunk driver as the engine.
+    /// backlog, not the whole trace. Every policy runs on its lanes (as
+    /// in [`run`](Self::run)), through the same chunk driver as the
+    /// engine.
     ///
     /// # Errors
     ///
@@ -324,7 +340,7 @@ impl WorkloadShaper {
             sink(record);
         };
         let run = match policy.lanes(self.provision, self.deadline) {
-            Some(mut lanes) => run_chunks(&mut lanes, stream, observe)?,
+            Some(lanes) => lanes.run_stream(stream, observe)?,
             None => self
                 .simulation(
                     policy,
@@ -578,7 +594,7 @@ mod tests {
     }
 
     /// The engine of `policy` at `shaper`'s provision, untraced on plain
-    /// fixed-rate servers: the oracle the FIFO lanes must match.
+    /// fixed-rate servers: the oracle the lanes must match.
     fn engine(
         shaper: &WorkloadShaper,
         policy: RecombinePolicy,
@@ -730,8 +746,8 @@ mod tests {
                 .count();
             assert_eq!(before_kth_pull, released, "{policy}");
 
-            // The observed run (FIFO lanes for FCFS and Split) drains the
-            // same records before the failing pull as the engine.
+            // The observed run (on the lanes) drains the same records
+            // before the failing pull as the engine.
             let mut received = Vec::new();
             let err = shaper
                 .run_observed(&mut SpcStream::new(broken.as_bytes(), chunk), policy, |r| {

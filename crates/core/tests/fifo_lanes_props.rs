@@ -1,19 +1,22 @@
-//! Differential property tests: the FIFO-lane recurrence against the
-//! event engine.
+//! Differential property tests: the engine-free lanes of all four
+//! policies against the event engine.
 //!
-//! Untraced fixed-rate FCFS and Split runs skip the engine:
-//! `WorkloadShaper::run` and `WorkloadShaper::run_observed` compute them as
-//! Lindley recurrences (`crates/core/src/lanes.rs`). The engine, built
-//! explicitly through `WorkloadShaper::simulation(.., FixedRateServer::new)`,
-//! stays the oracle. Both drivers must match it exactly: the same records
-//! in the same order, the same records released before every pull of the
-//! stream, the same run counters, the same reports and per-class sketches.
+//! Untraced runs on fixed-rate servers skip the engine:
+//! `WorkloadShaper::run` and `WorkloadShaper::run_observed` compute FCFS
+//! and Split as Lindley recurrences, and FairQueue and Miser on one server
+//! that drives the policy's own scheduler (`crates/core/src/lanes.rs`).
+//! The engine, built explicitly through
+//! `WorkloadShaper::simulation(.., FixedRateServer::new)`, stays the
+//! oracle. Both drivers must match it exactly: the same records in the
+//! same order, the same records released before every pull of the stream,
+//! the same run counters, the same reports and per-class sketches.
 //!
-//! Workloads are bursty, with many zero gaps. Half the rounds put service
-//! times and gaps on one time unit, so arrivals land on completion instants
-//! and the two Split lanes complete at the same instant; the others use
-//! arbitrary rates. Capacities include `Cmin·δ` near 1 (`maxQ1` = 1 or 2)
-//! and rates whose service time clamps to 1 ns. No external
+//! Workloads are bursty, with many zero gaps, so Q1 fills to `maxQ1` and
+//! Miser's slacks sit at zero for stretches. Half the rounds put service
+//! times and gaps on one time unit, so arrivals land on completion
+//! instants and the two Split lanes complete at the same instant; the
+//! others use arbitrary rates. Capacities include `Cmin·δ` near 1 (`maxQ1`
+//! = 1 or 2) and rates whose service time clamps to 1 ns. No external
 //! property-testing crate: a deterministic splitmix generator drives the
 //! rounds, so a failure replays exactly.
 
@@ -26,9 +29,6 @@ use gqos_sim::{
 use gqos_trace::{
     ArrivalStream, Iops, Request, SimDuration, SimTime, StreamError, Workload, WorkloadStream,
 };
-
-/// The policies the FIFO lanes serve.
-const LANE_POLICIES: [RecombinePolicy; 2] = [RecombinePolicy::Fcfs, RecombinePolicy::Split];
 
 /// Deterministic 64-bit generator (splitmix64) so failures replay exactly.
 struct Rng(u64);
@@ -236,13 +236,24 @@ fn lanes_match_the_engine_on_random_workloads() {
         let chunks = [1, 7, 1 + rng.below(50) as usize, w.len()];
         let split = WorkloadShaper::new(Provision::new(cmin, delta_c), deadline);
         check(&split, RecombinePolicy::Split, &w, &chunks);
-        // FCFS on a total rate of its own (aligned rounds keep it on the
-        // unit): Cmin + ΔC = total.
-        let fcfs = WorkloadShaper::new(
-            Provision::new(Iops::new(total.get() * 0.75), Iops::new(total.get() * 0.25)),
-            deadline,
+        // FCFS, FairQueue and Miser on one server of a total rate of its
+        // own (aligned rounds keep it on the unit): Cmin + ΔC = total, with
+        // RTT bounded at a share of it.
+        let share = [0.5, 0.75, 0.875][rng.below(3) as usize];
+        let shared_cmin = Iops::new(total.get() * share);
+        let one_server = WorkloadShaper::new(
+            Provision::new(shared_cmin, Iops::new(total.get() * (1.0 - share))),
+            rng.deadline(shared_cmin),
         );
-        check(&fcfs, RecombinePolicy::Fcfs, &w, &chunks);
+        let s = one_server.provision().total().service_time().as_nanos();
+        let w = rng.workload(len, unit.min(s), s);
+        for policy in [
+            RecombinePolicy::Fcfs,
+            RecombinePolicy::FairQueue,
+            RecombinePolicy::Miser,
+        ] {
+            check(&one_server, policy, &w, &chunks);
+        }
     }
 }
 
@@ -273,7 +284,7 @@ fn lane_ties_release_the_primary_server_first() {
             (3, ServiceClass::PRIMARY, ms(30)),
         ]
     );
-    for policy in LANE_POLICIES {
+    for policy in RecombinePolicy::ALL {
         check(&shaper, policy, &w, &[1, 2, 3, 4]);
     }
 }
@@ -290,7 +301,7 @@ fn saturated_admission_bound_falls_back_to_the_engine() {
     let shaper = WorkloadShaper::new(Provision::new(cmin, Iops::new(1.0)), deadline);
     let mut rng = Rng(0x1a4e_0002);
     let w = rng.workload(200, 1, 2);
-    for policy in LANE_POLICIES {
+    for policy in RecombinePolicy::ALL {
         check(&shaper, policy, &w, &[1, 7, w.len()]);
     }
 }

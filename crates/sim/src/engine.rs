@@ -17,8 +17,9 @@
 //! same completion records, same nanoseconds, same tie-breaks.
 //!
 //! The chunk loop itself is [`run_chunks`], written once over the
-//! [`ChunkCore`] trait: the engine is one core, and `gqos-core`'s FIFO
-//! lanes (FCFS and Split computed in closed form) are the other.
+//! [`ChunkCore`] trait: the engine is one core, and `gqos-core`'s lanes
+//! (FCFS and Split in closed form, FairQueue and Miser on one server
+//! driving their own schedulers) are the others.
 //!
 //! # Why popping must wait for the next arrival
 //!
@@ -355,10 +356,10 @@ impl<S: Scheduler> Simulation<S> {
 /// run fed arrivals in order, whose completion records are released as
 /// soon as no arrival still to come could precede them.
 ///
-/// [`Simulation`] is the general core. A policy whose servers are all
-/// fixed-rate FIFOs can supply a closed-form one instead (`gqos-core`'s
-/// FIFO lanes); both then share this one driver, so the drain-after-chunk
-/// contract and the peak counters have one implementation.
+/// [`Simulation`] is the general core. A policy on plain fixed-rate
+/// servers can supply a leaner one instead (`gqos-core`'s lanes); all
+/// then share this one driver, so the drain-after-chunk contract and the
+/// peak counters have one implementation.
 pub trait ChunkCore {
     /// Offers the next arrival. Arrivals must be offered in
     /// non-decreasing arrival order.
