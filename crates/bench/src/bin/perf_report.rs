@@ -35,18 +35,19 @@
 //! `SpcStream` at `DEFAULT_CHUNK`. `--assert-spc-parse-ns 200` fails the
 //! run when it comes in above 200 ns per record.
 //!
-//! `sim/requests_per_sec_core` is the single-server engine on its own: ns
-//! per simulated request through FCFS, the event queue and the metrics.
+//! `sim/requests_per_sec_core` is the single-server simulation core on its
+//! own: ns per simulated request through FCFS, the core and the metrics.
 //! `--assert-sim-ns 160` fails the run when it comes in above 160 ns.
 //!
 //! `shaper/{split,fairqueue,miser}_observed_{lanes,engine}` are one
 //! observed run of each policy over the OpenMail trace, in ns per request:
-//! through `WorkloadShaper::run_observed` (the engine-free lanes), and the
-//! same run built explicitly on the event engine, observed exactly as
-//! `run_observed` observes. A lanes row must always cost at most half its
-//! engine row for Split and 0.8 of it for FairQueue and Miser (asserted on
-//! every run; both rows come from one process, so the ratio holds on
-//! shared hosts).
+//! through `WorkloadShaper::run_observed` (the lanes: the FIFO lanes for
+//! Split, the unboxed simulation core for FairQueue and Miser), and the
+//! same run built through `WorkloadShaper::simulation` (the boxed
+//! scheduler on the simulation core), observed exactly as `run_observed`
+//! observes. Split's lanes row must always cost at most 0.8 of its engine
+//! row (asserted on every run; both rows come from one process, so the
+//! ratio holds on shared hosts).
 //!
 //! `obs/window_feed` is the retention feed of one fixed 600-request
 //! gateway lane (`TenantReport::feed_longterm` into a fresh
@@ -121,25 +122,26 @@ fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
 }
 
 /// The lanes-vs-engine rows: each policy's observed run on its lanes and
-/// on the engine, and the largest lanes/engine cost ratio allowed.
-const SHAPER_ROWS: [(RecombinePolicy, &str, &str, f64); 3] = [
+/// through `WorkloadShaper::simulation`, and the largest lanes/engine cost
+/// ratio allowed, where one is asserted.
+const SHAPER_ROWS: [(RecombinePolicy, &str, &str, Option<f64>); 3] = [
     (
         RecombinePolicy::Split,
         "shaper/split_observed_lanes",
         "shaper/split_observed_engine",
-        0.5,
+        Some(0.8),
     ),
     (
         RecombinePolicy::FairQueue,
         "shaper/fairqueue_observed_lanes",
         "shaper/fairqueue_observed_engine",
-        0.8,
+        None,
     ),
     (
         RecombinePolicy::Miser,
         "shaper/miser_observed_lanes",
         "shaper/miser_observed_engine",
-        0.8,
+        None,
     ),
 ];
 
@@ -359,7 +361,7 @@ fn main() {
     });
     push("sim/fcfs_openmail", sim_run_ns, sim_w.len() as u64);
     // The simulated-throughput headline: wall-clock ns per simulated
-    // request through the full engine (event queue, scheduler, server,
+    // request through the whole simulation core (scheduler, server,
     // records). Requests per second = 1e9 / median_ns.
     let ns_per_request = sim_run_ns / sim_w.len() as f64;
     push(
@@ -382,11 +384,11 @@ fn main() {
 
     // --- Shaped policies: lanes vs the engine -----------------------------
     // One observed run over the OpenMail trace, streamed in `DEFAULT_CHUNK`s
-    // into per-class sketches: through `run_observed` (the engine-free
-    // lanes), and built explicitly on the engine and observed as
+    // into per-class sketches: through `run_observed` (the lanes), and
+    // built through `WorkloadShaper::simulation` and observed as
     // `run_observed` observes (one class sketch per record, one merge).
-    // Each lanes row must cost at most its share of the engine row; both
-    // come from one process, so the ratio holds on shared hosts.
+    // Split's FIFO lanes must cost at most their share of the engine row;
+    // both come from one process, so the ratio holds on shared hosts.
     let shaper = WorkloadShaper::plan(&openmail, QosTarget::new(0.90, delta));
     for (policy, lanes_row, engine_row, max_ratio) in SHAPER_ROWS {
         let lanes_ns = measure(samples, 3, || {
@@ -427,12 +429,14 @@ fn main() {
             "  shaper: {policy} on lanes costs {:.2}x of the engine",
             lanes_ns / engine_ns
         );
-        assert!(
-            lanes_ns <= max_ratio * engine_ns,
-            "{lanes_row} ({lanes_ns:.1} ns per request) exceeded {max_ratio} of \
-             {engine_row} ({engine_ns:.1} ns) — {policy} is no longer skipping \
-             the event engine"
-        );
+        if let Some(max_ratio) = max_ratio {
+            assert!(
+                lanes_ns <= max_ratio * engine_ns,
+                "{lanes_row} ({lanes_ns:.1} ns per request) exceeded {max_ratio} of \
+                 {engine_row} ({engine_ns:.1} ns) — {policy} is no longer on its \
+                 closed-form lanes"
+            );
+        }
     }
 
     // --- Sketches and the retention feed ----------------------------------

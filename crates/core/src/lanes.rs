@@ -1,5 +1,5 @@
-//! Lanes — every recombination policy on a plain fixed-rate server,
-//! without the event engine.
+//! Lanes — every recombination policy on plain fixed-rate servers, each
+//! on the leanest core that reproduces it.
 //!
 //! In the paper's service model every server has a fixed rate `C` and a
 //! deterministic service time `s = 1/C`. Two shapes of core follow.
@@ -19,44 +19,32 @@
 //! holds `w = max(done₀ − t, 0)` ns of work, the pending count is `⌈w/s₀⌉`,
 //! and `⌈w/s₀⌉ < maxQ1 ⇔ w ≤ (maxQ1 − 1)·s₀`.
 //!
-//! **One server** ([`OneServer`]) serves FairQueue and Miser: one server
-//! of `Cmin + ΔC` with two queues, whose order is the policy's own
-//! [`Scheduler`] — the same [`FairQueueScheduler`] or [`MiserScheduler`]
-//! the engine drives, held by value and untraced. The core keeps only the
-//! request in service and its `done` instant. Before an arrival at `t`
-//! reaches the scheduler, every completion at or before `t` is recorded,
-//! reported with `on_completion` and followed by `next_for(done)`; after
-//! it, an idle server asks `next_for(t)`. That is the engine's event order
-//! on one server (a completion before an arrival at the same instant),
-//! without its event queue, pending deque, boxed scheduler or boxed
-//! service model. RTT admission, the SFQ tags and Miser's slack debit
-//! keep their one definition in the scheduler.
+//! **The simulation core** serves FairQueue and Miser: one server of
+//! `Cmin + ΔC` with two queues, whose order is the policy's own
+//! [`Scheduler`](gqos_sim::Scheduler). [`Lanes`] holds a
+//! [`Simulation`] of the [`FairQueueScheduler`] or [`MiserScheduler`] on
+//! one [`FixedRateServer`], by value and untraced, so no call goes through
+//! a box. RTT admission, the SFQ tags and Miser's slack debit keep their
+//! one definition in the scheduler.
 //!
-//! Both reproduce the engine record for record: the same constants
-//! ([`Iops::service_time`], which the engine's clamp leaves as it is;
-//! `maxQ1` from [`Iops::requests_within`], as [`RttClassifier`] computes
-//! it), the same record order (completion instant, then server — the
-//! engine's `Completion { server }` tie order), and the same release rule
-//! (a record leaves once its completion is at or before the last offered
-//! arrival). [`Lanes`] is the one core type
-//! [`RecombinePolicy::lanes`](crate::RecombinePolicy) hands the shaper.
-//! `crates/core/tests/fifo_lanes_props.rs` checks all four policies
-//! against the engine.
-//!
-//! The engine still serves traced and faulted runs, gateway and drain
-//! lanes, disk models, and Split where its lane guard fails. Traced runs
-//! could move to the one-server lane, whose traced scheduler would emit
-//! its own events at the engine's instants while the lane added only
-//! `Arrival` and `Completed`; the FIFO lanes would need Split's and
-//! FCFS's events emitted a second way.
+//! The FIFO lanes reproduce the simulation core record for record: the
+//! same constants ([`Iops::service_time`], which the core's 1 ns floor
+//! leaves as it is; `maxQ1` from [`Iops::requests_within`], as
+//! [`RttClassifier`] computes it), the same record order (completion
+//! instant, then server), and the same release rule (a record leaves once
+//! its completion is at or before the last offered arrival). [`Lanes`] is
+//! the one core type [`RecombinePolicy::lanes`](crate::RecombinePolicy)
+//! hands the shaper. `crates/core/tests/fifo_lanes_props.rs` checks all
+//! four policies against the simulation core as the shaper builds it for
+//! traced runs.
 //!
 //! [`RttClassifier`]: crate::RttClassifier
 
 use std::collections::VecDeque;
 
 use gqos_sim::{
-    run_chunks, ChunkCore, CompletionRecord, Dispatch, RunReport, Scheduler, ServerId,
-    ServiceClass, StreamRun,
+    run_chunks, ChunkCore, CompletionRecord, FixedRateServer, RunReport, ServiceClass, Simulation,
+    StreamRun,
 };
 use gqos_trace::{ArrivalStream, Iops, Request, SimDuration, SimTime, StreamError, Workload};
 
@@ -229,136 +217,24 @@ impl ChunkCore for FifoLanes {
     }
 }
 
-/// One fixed-rate server shared by two classes, in the order of the
-/// policy's own scheduler: FairQueue or Miser without the event engine.
-/// Fed like [`FifoLanes`]; see the module docs for the event order.
-#[derive(Debug)]
-pub(crate) struct OneServer<S> {
-    scheduler: S,
-    service: SimDuration,
-    /// The request in service: `(request, class, dispatched, done)`.
-    in_flight: Option<(Request, ServiceClass, SimTime, SimTime)>,
-    /// Completed and released: every record is at or before the last
-    /// offered arrival.
-    records: Vec<CompletionRecord>,
-    offered: usize,
-    last_arrival: SimTime,
-    last_completion: SimTime,
-    finished: bool,
-}
-
-impl<S: Scheduler> OneServer<S> {
-    /// `scheduler` alone on one server of `rate`.
-    pub(crate) fn new(scheduler: S, rate: Iops) -> Self {
-        OneServer {
-            scheduler,
-            service: rate.service_time(),
-            in_flight: None,
-            records: Vec::new(),
-            offered: 0,
-            last_arrival: SimTime::ZERO,
-            last_completion: SimTime::ZERO,
-            finished: false,
-        }
-    }
-
-    /// Completes every request done by `t`, handing the server its next
-    /// request at each completion instant.
-    #[inline]
-    fn complete_until(&mut self, t: SimTime) {
-        while let Some((request, class, dispatched, done)) = self.in_flight {
-            if done > t {
-                return;
-            }
-            self.records.push(CompletionRecord {
-                id: request.id,
-                class,
-                arrival: request.arrival,
-                dispatched,
-                completion: done,
-            });
-            self.last_completion = done;
-            self.scheduler.on_completion(&request, class, done);
-            self.dispatch(done);
-        }
-    }
-
-    /// Asks the scheduler for the idle server's next request at `now`.
-    #[inline]
-    fn dispatch(&mut self, now: SimTime) {
-        self.in_flight = match self.scheduler.next_for(ServerId::new(0), now) {
-            Dispatch::Serve(request, class) => {
-                let done = now
-                    .checked_add(self.service)
-                    .expect("completion instant overflows the simulation clock");
-                Some((request, class, now, done))
-            }
-            Dispatch::Idle => None,
-            Dispatch::After(when) => panic!(
-                "one-server lane: the scheduler deferred to {when}; only the \
-                 engine serves non-work-conserving schedulers"
-            ),
-        };
-    }
-}
-
-impl<S: Scheduler> ChunkCore for OneServer<S> {
-    #[inline]
-    fn offer(&mut self, request: Request) {
-        assert!(!self.finished, "offer after finish");
-        let t = request.arrival;
-        assert!(
-            t >= self.last_arrival,
-            "arrivals must be offered in order: {} after {}",
-            t,
-            self.last_arrival
-        );
-        self.last_arrival = t;
-        self.offered += 1;
-        self.complete_until(t);
-        self.scheduler.on_arrival(request, t);
-        if self.in_flight.is_none() {
-            self.dispatch(t);
-        }
-    }
-
-    fn finish(&mut self) {
-        self.finished = true;
-        self.complete_until(SimTime::MAX);
-    }
-
-    fn drain(&mut self, sink: impl FnMut(CompletionRecord)) -> usize {
-        let n = self.records.len();
-        self.records.drain(..).for_each(sink);
-        n
-    }
-
-    fn offered(&self) -> usize {
-        self.offered
-    }
-
-    fn end_time(&self) -> SimTime {
-        self.last_arrival.max(self.last_completion)
-    }
-}
-
-/// The engine-free core of a policy on plain fixed-rate servers, as
-/// [`RecombinePolicy::lanes`](crate::RecombinePolicy) builds it.
+/// The core of a policy on plain fixed-rate servers, as
+/// [`RecombinePolicy::lanes`](crate::RecombinePolicy) builds it. Each
+/// variant holds its core by value, so every offer loop is its own.
 #[derive(Debug)]
 pub(crate) enum Lanes {
     /// FCFS or Split.
     Fifo(FifoLanes),
     /// FairQueue on one server of `Cmin + ΔC`.
-    FairQueue(OneServer<FairQueueScheduler>),
+    FairQueue(Simulation<FairQueueScheduler, FixedRateServer>),
     /// Miser on one server of `Cmin + ΔC`.
-    Miser(OneServer<MiserScheduler>),
+    Miser(Simulation<MiserScheduler, FixedRateServer>),
 }
 
 impl Lanes {
-    /// Whether the lanes can run `workload` where the engine can. Only
-    /// the FIFO recurrence needs the check ([`FifoLanes::covers`]); one
-    /// server computes each completion as the engine does, and so panics
-    /// where it does.
+    /// Whether the lanes can run `workload` where the simulation core
+    /// can. Only the FIFO recurrence needs the check
+    /// ([`FifoLanes::covers`]); the core itself panics where the clock
+    /// overflows.
     pub(crate) fn covers(&self, workload: &Workload) -> bool {
         match self {
             Lanes::Fifo(lanes) => lanes.covers(workload),
@@ -366,18 +242,17 @@ impl Lanes {
         }
     }
 
-    /// Runs `workload` to quiescence and returns the report the engine
-    /// would.
+    /// Runs `workload` to quiescence and returns the report.
     pub(crate) fn run(self, workload: &Workload) -> RunReport {
         match self {
             Lanes::Fifo(core) => run_workload(core, workload),
-            Lanes::FairQueue(core) => run_workload(core, workload),
-            Lanes::Miser(core) => run_workload(core, workload),
+            Lanes::FairQueue(sim) => sim.run(workload),
+            Lanes::Miser(sim) => sim.run(workload),
         }
     }
 
-    /// Runs `stream` through [`run_chunks`], as the engine's
-    /// [`run_stream`](gqos_sim::Simulation::run_stream) does.
+    /// Runs `stream` through [`run_chunks`], as
+    /// [`Simulation::run_stream`] does.
     ///
     /// # Errors
     ///
@@ -387,18 +262,17 @@ impl Lanes {
         stream: &mut A,
         on_completion: impl FnMut(CompletionRecord),
     ) -> Result<StreamRun, StreamError> {
-        // One match per run, so each core's offer loop is its own.
         match self {
             Lanes::Fifo(mut core) => run_chunks(&mut core, stream, on_completion),
-            Lanes::FairQueue(mut core) => run_chunks(&mut core, stream, on_completion),
-            Lanes::Miser(mut core) => run_chunks(&mut core, stream, on_completion),
+            Lanes::FairQueue(mut sim) => sim.run_stream(stream, on_completion),
+            Lanes::Miser(mut sim) => sim.run_stream(stream, on_completion),
         }
     }
 }
 
-/// Offers all of `workload` to `core`, finishes it and collects the
-/// report.
-fn run_workload(mut core: impl ChunkCore, workload: &Workload) -> RunReport {
+/// Offers all of `workload` to the FIFO lanes, finishes them and collects
+/// the report.
+fn run_workload(mut core: FifoLanes, workload: &Workload) -> RunReport {
     for &request in workload.requests() {
         core.offer(request);
     }
@@ -412,6 +286,7 @@ fn run_workload(mut core: impl ChunkCore, workload: &Workload) -> RunReport {
 mod tests {
     use super::*;
     use crate::target::Provision;
+    use gqos_sim::Scheduler;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -451,18 +326,20 @@ mod tests {
     }
 
     /// `(id, class, dispatched, completion)` of every record of `arrivals`
-    /// served by `core`, in completion order.
+    /// served by `scheduler` on one server of `rate`, in completion order.
     fn served<S: Scheduler>(
-        mut core: OneServer<S>,
+        scheduler: S,
+        rate: Iops,
         arrivals: &[SimTime],
     ) -> Vec<(u64, ServiceClass, SimTime, SimTime)> {
-        for &r in Workload::from_arrivals(arrivals.iter().copied()).requests() {
-            core.offer(r);
-        }
-        core.finish();
-        let mut records = Vec::new();
-        core.drain(|r| records.push((r.id.index(), r.class, r.dispatched, r.completion)));
-        records
+        let report = Simulation::new(scheduler)
+            .server(FixedRateServer::new(rate))
+            .run(&Workload::from_arrivals(arrivals.iter().copied()));
+        report
+            .records()
+            .iter()
+            .map(|r| (r.id.index(), r.class, r.dispatched, r.completion))
+            .collect()
     }
 
     #[test]
@@ -474,13 +351,10 @@ mod tests {
         // so request 3 is admitted as a primary — after the server has
         // already taken request 2 at 5 ms.
         let p = Provision::new(Iops::new(100.0), Iops::new(100.0));
-        let core = OneServer::new(
-            FairQueueScheduler::new(p, SimDuration::from_millis(20)),
-            p.total(),
-        );
+        let scheduler = FairQueueScheduler::new(p, SimDuration::from_millis(20));
         let (primary, overflow) = (ServiceClass::PRIMARY, ServiceClass::OVERFLOW);
         assert_eq!(
-            served(core, &[ms(0), ms(0), ms(0), ms(5)]),
+            served(scheduler, p.total(), &[ms(0), ms(0), ms(0), ms(5)]),
             vec![
                 (0, primary, ms(0), ms(5)),
                 (2, overflow, ms(5), ms(10)),
@@ -499,13 +373,10 @@ mod tests {
         // primaries pending, so it is admitted with slack 3 − 2 = 1, and
         // at 15 ms that slack lets request 3 go first.
         let p = Provision::new(Iops::new(100.0), Iops::new(100.0));
-        let core = OneServer::new(
-            MiserScheduler::new(p, SimDuration::from_millis(30)),
-            p.total(),
-        );
+        let scheduler = MiserScheduler::new(p, SimDuration::from_millis(30));
         let (primary, overflow) = (ServiceClass::PRIMARY, ServiceClass::OVERFLOW);
         assert_eq!(
-            served(core, &[ms(0), ms(0), ms(0), ms(0), ms(10)]),
+            served(scheduler, p.total(), &[ms(0), ms(0), ms(0), ms(0), ms(10)]),
             vec![
                 (0, primary, ms(0), ms(5)),
                 (1, primary, ms(5), ms(10)),

@@ -4,16 +4,18 @@
 //! (or supply) a provision, choose a recombination policy, and run the
 //! shaped workload through a simulation core — whole, or streamed chunk
 //! by chunk from an [`ArrivalStream`] in `O(maxQ1 + chunk)` memory. Both
-//! feed the same core (a lane, or the engine [`Simulation`]), so a
-//! streamed run is bit-identical to the batch run for any chunking.
+//! feed the same core (a FIFO lane, or the simulation core
+//! [`Simulation`]), so a streamed run is bit-identical to the batch run
+//! for any chunking.
 //!
 //! Untraced runs on fixed-rate servers ([`run`](WorkloadShaper::run),
-//! [`run_observed`](WorkloadShaper::run_observed)) skip the event engine
-//! for every policy (`lanes.rs`): FCFS and Split as FIFO-lane
-//! recurrences, FairQueue and Miser on one server that drives the
-//! policy's own scheduler. Both compute the engine's records, record for
-//! record. The engine still serves traced and faulted runs, gateway and
-//! drain lanes, disk models, and Split where its lane guard fails.
+//! [`run_observed`](WorkloadShaper::run_observed)) take the leanest core
+//! of each policy (`lanes.rs`): FCFS and Split as FIFO-lane recurrences,
+//! FairQueue and Miser as a [`Simulation`] of the policy's own scheduler,
+//! unboxed. The FIFO lanes compute the simulation core's records, record
+//! for record. Traced and faulted runs, gateway and drain lanes, disk
+//! models, and Split where its lane guard fails run on the simulation
+//! core through [`WorkloadShaper::simulation`].
 
 use std::fmt;
 
@@ -29,7 +31,7 @@ use crate::degrade::{
     DegradationPolicy,
 };
 use crate::fair::FairQueueScheduler;
-use crate::lanes::{FifoLanes, Lanes, OneServer};
+use crate::lanes::{FifoLanes, Lanes};
 use crate::miser::MiserScheduler;
 use crate::planner::CapacityPlanner;
 use crate::split::SplitScheduler;
@@ -93,12 +95,13 @@ impl RecombinePolicy {
         }
     }
 
-    /// The engine-free core that stands in for [`parts`](Self::parts) on
-    /// plain fixed-rate servers: one FIFO lane of `Cmin + ΔC` for FCFS,
-    /// lanes of `Cmin` and `ΔC` under RTT admission for Split, and one
-    /// server of `Cmin + ΔC` driving the policy's own untraced scheduler
-    /// for FairQueue and Miser. `None` sends the run through the engine:
-    /// only Split, where the lane guard fails.
+    /// The lean core that stands in for [`parts`](Self::parts) on plain
+    /// fixed-rate servers: one FIFO lane of `Cmin + ΔC` for FCFS, lanes of
+    /// `Cmin` and `ΔC` under RTT admission for Split, and a simulation of
+    /// the policy's own untraced scheduler, unboxed, on one server of
+    /// `Cmin + ΔC` for FairQueue and Miser. `None` sends the run through
+    /// [`WorkloadShaper::simulation`]: only Split, where the lane guard
+    /// fails.
     ///
     /// Only untraced, unwrapped runs on [`FixedRateServer`]s ask:
     /// [`WorkloadShaper::run`] and [`WorkloadShaper::run_observed`].
@@ -109,14 +112,14 @@ impl RecombinePolicy {
             RecombinePolicy::Split => {
                 FifoLanes::split(provision.cmin(), provision.delta_c(), deadline).map(Lanes::Fifo)
             }
-            RecombinePolicy::FairQueue => Some(Lanes::FairQueue(OneServer::new(
-                FairQueueScheduler::new(provision, deadline),
-                one_server,
-            ))),
-            RecombinePolicy::Miser => Some(Lanes::Miser(OneServer::new(
-                MiserScheduler::new(provision, deadline),
-                one_server,
-            ))),
+            RecombinePolicy::FairQueue => Some(Lanes::FairQueue(
+                Simulation::new(FairQueueScheduler::new(provision, deadline))
+                    .server(FixedRateServer::new(one_server)),
+            )),
+            RecombinePolicy::Miser => Some(Lanes::Miser(
+                Simulation::new(MiserScheduler::new(provision, deadline))
+                    .server(FixedRateServer::new(one_server)),
+            )),
         }
     }
 }
@@ -230,15 +233,16 @@ impl WorkloadShaper {
     /// Builds the simulation of `policy` at this shaper's provision: the
     /// policy's scheduler (emitting its events into `trace`), handed with
     /// its server rates to `wrap`, over one `server(rate)` model per rate
-    /// in [`ServerId`](gqos_sim::ServerId) order. The engine emits into
-    /// `trace` too and judges completions against the shaper's deadline.
+    /// in [`ServerId`](gqos_sim::ServerId) order. The simulation emits
+    /// into `trace` too and judges completions against the shaper's
+    /// deadline.
     ///
-    /// Every engine run is assembled here: traced and faulted runs,
+    /// Every boxed-policy run is assembled here: traced and faulted runs,
     /// gateway and drain lanes (`wrap` adds an inbox), runs on other
     /// service models (`server` builds a disk), and Split where its lane
     /// guard fails. Identity parts are `|scheduler, _| scheduler` and
-    /// `FixedRateServer::new`; built with them, the engine is the oracle
-    /// the lanes of [`run`](Self::run) and
+    /// `FixedRateServer::new`; built with them, the simulation is the
+    /// oracle the FIFO lanes of [`run`](Self::run) and
     /// [`run_observed`](Self::run_observed) are checked against.
     pub fn simulation<S, M>(
         &self,
@@ -246,10 +250,10 @@ impl WorkloadShaper {
         trace: TraceHandle,
         wrap: impl FnOnce(Box<dyn CapacityAdaptive>, &[Iops]) -> S,
         server: impl FnMut(Iops) -> M,
-    ) -> Simulation<S>
+    ) -> Simulation<S, M>
     where
         S: Scheduler,
-        M: ServiceModel + 'static,
+        M: ServiceModel,
     {
         let (scheduler, rates) = policy.parts(self.provision, self.deadline, &trace);
         let mut sim = Simulation::new(wrap(scheduler, &rates))
@@ -269,11 +273,11 @@ impl WorkloadShaper {
     /// no decomposition); under the other policies, per-class statistics
     /// are available via [`RunReport::stats_for`].
     ///
-    /// Every policy runs on its lanes (the engine's report, computed
-    /// without the event queue): FIFO lanes for FCFS and Split, one
-    /// server driving the policy's scheduler for FairQueue and Miser.
-    /// Split keeps the engine where its lane guard fails, and a FIFO run
-    /// where its last completion could pass the clock.
+    /// Every policy runs on its lanes: FIFO lanes for FCFS and Split (the
+    /// simulation core's report in closed form), an unboxed simulation of
+    /// the policy's scheduler for FairQueue and Miser. Split keeps the
+    /// boxed simulation where its lane guard fails, and a FIFO run where
+    /// its last completion could pass the clock.
     pub fn run(&self, workload: &Workload, policy: RecombinePolicy) -> RunReport {
         match policy.lanes(self.provision, self.deadline) {
             Some(lanes) if lanes.covers(workload) => lanes.run(workload),
@@ -282,7 +286,7 @@ impl WorkloadShaper {
     }
 
     /// Like [`run`](WorkloadShaper::run), but with the full event trace
-    /// routed into `trace`: the engine emits `Arrival`/`Completed` (the
+    /// routed into `trace`: the simulation emits `Arrival`/`Completed` (the
     /// latter judged against the shaper's deadline), the policy scheduler
     /// emits `Admitted`/`Diverted`/`Dispatched`.
     ///
@@ -306,8 +310,7 @@ impl WorkloadShaper {
     /// is bit-identical to [`RunReport::response_sketch`] of the batch
     /// run; peak footprint is one chunk of requests plus the drained
     /// backlog, not the whole trace. Every policy runs on its lanes (as
-    /// in [`run`](Self::run)), through the same chunk driver as the
-    /// engine.
+    /// in [`run`](Self::run)), through the one chunk driver.
     ///
     /// # Errors
     ///
@@ -593,12 +596,12 @@ mod tests {
         Workload::from_arrivals(arrivals)
     }
 
-    /// The engine of `policy` at `shaper`'s provision, untraced on plain
-    /// fixed-rate servers: the oracle the lanes must match.
+    /// The boxed simulation of `policy` at `shaper`'s provision, untraced
+    /// on plain fixed-rate servers: the oracle the lanes must match.
     fn engine(
         shaper: &WorkloadShaper,
         policy: RecombinePolicy,
-    ) -> Simulation<Box<dyn CapacityAdaptive>> {
+    ) -> Simulation<Box<dyn CapacityAdaptive>, FixedRateServer> {
         shaper.simulation(
             policy,
             TraceHandle::disabled(),

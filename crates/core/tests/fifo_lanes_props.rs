@@ -95,7 +95,7 @@ fn rate(service_ns: u64) -> Iops {
 fn engine(
     shaper: &WorkloadShaper,
     policy: RecombinePolicy,
-) -> Simulation<Box<dyn CapacityAdaptive>> {
+) -> Simulation<Box<dyn CapacityAdaptive>, FixedRateServer> {
     shaper.simulation(
         policy,
         TraceHandle::disabled(),

@@ -1,6 +1,6 @@
-//! The discrete-event simulation engine.
+//! The simulation core.
 //!
-//! [`Simulation`] is the one engine: a scheduler over one or more servers,
+//! [`Simulation`] is the one core: a scheduler over one or more servers,
 //! fed arrivals in order and run to quiescence. Every request is either
 //! completed or left undispatched by the scheduler (a drop). Two drivers
 //! feed it:
@@ -12,39 +12,62 @@
 //!   every chunk, so a caller that keeps no records holds `O(chunk)` of
 //!   them at a time.
 //!
-//! Both offer the same requests to the same event loop, so a streamed run
-//! over any chunking of a workload is **bit-identical** to the batch run:
-//! same completion records, same nanoseconds, same tie-breaks.
+//! Both offer the same requests to the same core, so a streamed run over
+//! any chunking of a workload is **bit-identical** to the batch run: same
+//! completion records, same nanoseconds, same tie-breaks.
 //!
 //! The chunk loop itself is [`run_chunks`], written once over the
-//! [`ChunkCore`] trait: the engine is one core, and `gqos-core`'s lanes
-//! (FCFS and Split in closed form, FairQueue and Miser on one server
-//! driving their own schedulers) are the others.
+//! [`ChunkCore`] trait: the simulation is one core, and `gqos-core`'s
+//! FIFO lanes (FCFS and Split in closed form) are the other.
 //!
-//! # Why popping must wait for the next arrival
+//! # Event order
 //!
-//! The event queue breaks timestamp ties by event kind, and an arrival
-//! pops after a completion at the same instant. A completion at time `T`
-//! may therefore only be processed once the engine knows no arrival at a
-//! time `<= T` is still to come. The engine enforces this with a simple
-//! invariant: it pops events only while the next arrival is already
-//! queued, or after the arrival stream has ended. In between, pending
-//! completions and retries simply stay queued — the per-offer state is
-//! `O(servers)` events plus whatever backlog the scheduler itself holds.
+//! A server holds one request at a time, so a run has at most one pending
+//! arrival and one pending completion per server, and the core orders them
+//! directly. An offer at `t` first completes every request done at or
+//! before `t`, always the earliest `(done, server)` next: it records the
+//! request, reports it to the scheduler with `on_completion`, and asks
+//! `next_for(done)` for that server. Only then does the arrival reach the
+//! scheduler, and every idle server, in index order, asks `next_for(t)`.
+//! So a completion comes before an arrival at the same instant (a request
+//! arriving as a server frees up sees the freed slot, the convention the
+//! paper's queue-length argument assumes), and the lower server comes
+//! first among completions at one instant.
+//!
+//! A completion at `T` is processed only once an arrival at or after `T`
+//! is offered, or the run finishes: until then an arrival that ties with
+//! it could still come. The per-offer state is one in-flight request per
+//! server plus whatever backlog the scheduler itself holds.
+//! `crates/core/tests/engine_reference.rs` pins this order against an
+//! event-driven reference engine.
 
-use std::collections::VecDeque;
 use std::mem;
 
 use gqos_obs::{TraceEvent, TraceHandle};
 use gqos_trace::{ArrivalStream, Request, SimDuration, SimTime, StreamError, Workload};
 
-use crate::event::{Event, EventKind, IndexedEventQueue};
 use crate::metrics::{CompletionRecord, RunReport};
 use crate::scheduler::{Dispatch, Scheduler, ServiceClass};
 use crate::server::{ServerId, ServiceModel};
 
-/// A configured simulation: one scheduler, one or more servers, an
-/// optional trace handle and deadline.
+/// A request in service on one server.
+#[derive(Copy, Clone, Debug)]
+struct InService {
+    request: Request,
+    class: ServiceClass,
+    dispatched: SimTime,
+    done: SimTime,
+}
+
+/// One server: its service model and the request it is serving.
+#[derive(Debug)]
+struct Server<M> {
+    model: M,
+    in_service: Option<InService>,
+}
+
+/// A configured simulation: one scheduler, one or more servers of one
+/// service model, an optional trace handle and deadline.
 ///
 /// # Examples
 ///
@@ -60,25 +83,15 @@ use crate::server::{ServerId, ServiceModel};
 /// // Second request waits for the first: 10 ms + 10 ms.
 /// assert_eq!(report.stats().max(), Some(SimDuration::from_millis(20)));
 /// ```
-pub struct Simulation<S> {
+pub struct Simulation<S, M> {
     scheduler: S,
-    servers: Vec<Box<dyn ServiceModel>>,
+    servers: Vec<Server<M>>,
     trace: TraceHandle,
     deadline: Option<SimDuration>,
-    queue: IndexedEventQueue,
-    /// `(request, class, dispatch time)` in flight per server.
-    in_flight: Vec<Option<(Request, ServiceClass, SimTime)>>,
-    /// Arrivals offered but not yet injected into the event queue. Holds at
-    /// most the requests offered since the last pump made progress; with an
-    /// eagerly-pumping caller it stays at one element.
-    pending: VecDeque<Request>,
-    /// The request whose arrival event is currently queued.
-    queued_arrival: Option<Request>,
     completions: Vec<CompletionRecord>,
-    end_time: SimTime,
     offered: usize,
     last_arrival: SimTime,
-    started: bool,
+    last_completion: SimTime,
     finished: bool,
 }
 
@@ -102,7 +115,7 @@ pub struct StreamRun {
     pub peak_drain_records: usize,
 }
 
-impl<S> std::fmt::Debug for Simulation<S> {
+impl<S, M> std::fmt::Debug for Simulation<S, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("servers", &self.servers.len())
@@ -112,7 +125,7 @@ impl<S> std::fmt::Debug for Simulation<S> {
     }
 }
 
-impl<S: Scheduler> Simulation<S> {
+impl<S: Scheduler, M: ServiceModel> Simulation<S, M> {
     /// Creates a simulation under `scheduler` with no servers yet; add at
     /// least one with [`server`](Simulation::server).
     pub fn new(scheduler: S) -> Self {
@@ -121,15 +134,10 @@ impl<S: Scheduler> Simulation<S> {
             servers: Vec::new(),
             trace: TraceHandle::disabled(),
             deadline: None,
-            queue: IndexedEventQueue::new(0),
-            in_flight: Vec::new(),
-            pending: VecDeque::new(),
-            queued_arrival: None,
             completions: Vec::new(),
-            end_time: SimTime::ZERO,
             offered: 0,
             last_arrival: SimTime::ZERO,
-            started: false,
+            last_completion: SimTime::ZERO,
             finished: false,
         }
     }
@@ -137,12 +145,15 @@ impl<S: Scheduler> Simulation<S> {
     /// Adds a server with the given service model. Servers are identified
     /// by the order they are added ([`ServerId::new(0)`](crate::ServerId::new)
     /// first).
-    pub fn server<M: ServiceModel + 'static>(mut self, model: M) -> Self {
-        self.servers.push(Box::new(model));
+    pub fn server(mut self, model: M) -> Self {
+        self.servers.push(Server {
+            model,
+            in_service: None,
+        });
         self
     }
 
-    /// Attaches a trace handle; the engine emits `Arrival` and `Completed`
+    /// Attaches a trace handle; the core emits `Arrival` and `Completed`
     /// events into it (schedulers emit their own admit/divert/dispatch
     /// events through their own handles). A disabled handle — the default —
     /// costs one untaken branch per event, so untraced runs are unchanged.
@@ -169,19 +180,15 @@ impl<S: Scheduler> Simulation<S> {
     ///
     /// # Panics
     ///
-    /// Panics if no server was added, or if the scheduler requests a retry
-    /// at a non-future instant.
+    /// Panics if no server was added.
     pub fn run(mut self, workload: &Workload) -> RunReport {
-        assert!(
-            !self.servers.is_empty(),
-            "simulation needs at least one server"
-        );
         self.completions.reserve_exact(workload.len());
         for &request in workload.requests() {
             self.offer(request);
         }
         self.finish();
-        RunReport::new(self.completions, self.offered, self.end_time)
+        let end_time = self.end_time();
+        RunReport::new(self.completions, self.offered, end_time)
     }
 
     /// Runs `stream` to quiescence: pulls a chunk, offers it, and hands
@@ -198,157 +205,102 @@ impl<S: Scheduler> Simulation<S> {
     ///
     /// # Panics
     ///
-    /// Panics if no server was added, if the simulation has already run,
-    /// or if the scheduler requests a retry at a non-future instant.
+    /// Panics if no server was added, or if the simulation has already run.
     pub fn run_stream<A: ArrivalStream + ?Sized>(
         &mut self,
         stream: &mut A,
         on_completion: impl FnMut(CompletionRecord),
     ) -> Result<StreamRun, StreamError> {
         assert!(
-            !self.servers.is_empty(),
-            "simulation needs at least one server"
+            self.offered == 0 && !self.finished,
+            "a simulation runs once"
         );
-        assert!(!self.started, "a simulation runs once");
         run_chunks(self, stream, on_completion)
     }
 
-    /// Processes every event whose order relative to future arrivals is
-    /// already determined (see the module docs for the invariant).
-    fn pump(&mut self) {
+    fn assert_has_servers(&self) {
+        assert!(
+            !self.servers.is_empty(),
+            "simulation needs at least one server"
+        );
+    }
+
+    /// Completes every request done at or before `t`, the earliest
+    /// `(done, server)` first.
+    #[inline]
+    fn complete_until(&mut self, t: SimTime) {
         loop {
-            if self.queued_arrival.is_none() {
-                match self.pending.pop_front() {
-                    Some(request) => {
-                        self.queue.push(Event {
-                            at: request.arrival,
-                            // The index is informational in streaming mode:
-                            // the queue holds at most one arrival, so it
-                            // never participates in ordering.
-                            kind: EventKind::Arrival {
-                                index: self.offered - self.pending.len() - 1,
-                            },
-                        });
-                        self.queued_arrival = Some(request);
-                    }
-                    None if self.finished => {}
-                    // A completion or retry here might still be preceded by
-                    // (or tie with) an arrival that has not been offered
-                    // yet; stop until the caller offers it or finishes.
-                    None => return,
-                }
-            }
-            let Some(Event { at: now, kind }) = self.queue.pop() else {
-                return;
-            };
-            self.end_time = self.end_time.max(now);
-            match kind {
-                EventKind::Arrival { .. } => {
-                    let request = self
-                        .queued_arrival
-                        .take()
-                        .expect("arrival event without a queued request");
-                    self.trace.emit_with(|| TraceEvent::Arrival {
-                        at: now,
-                        id: request.id.index(),
-                    });
-                    self.scheduler.on_arrival(request, now);
-                    for server in 0..self.servers.len() {
-                        if self.in_flight[server].is_none() {
-                            Self::poll_server(
-                                &mut self.scheduler,
-                                &mut self.servers,
-                                &mut self.in_flight,
-                                &mut self.queue,
-                                server,
-                                now,
-                            );
-                        }
-                    }
-                }
-                EventKind::Completion { server } => {
-                    let (request, class, dispatched) = self.in_flight[server]
-                        .take()
-                        .expect("completion event for idle server");
-                    self.completions.push(CompletionRecord {
-                        id: request.id,
-                        class,
-                        arrival: request.arrival,
-                        dispatched,
-                        completion: now,
-                    });
-                    self.trace.emit_with(|| {
-                        let response = now - request.arrival;
-                        TraceEvent::Completed {
-                            at: now,
-                            id: request.id.index(),
-                            class: class.index(),
-                            response,
-                            deadline_met: self.deadline.map(|d| response <= d),
-                        }
-                    });
-                    self.scheduler.on_completion(&request, class, now);
-                    Self::poll_server(
-                        &mut self.scheduler,
-                        &mut self.servers,
-                        &mut self.in_flight,
-                        &mut self.queue,
-                        server,
-                        now,
-                    );
-                }
-                EventKind::Retry { server } => {
-                    if self.in_flight[server].is_none() {
-                        Self::poll_server(
-                            &mut self.scheduler,
-                            &mut self.servers,
-                            &mut self.in_flight,
-                            &mut self.queue,
-                            server,
-                            now,
-                        );
-                    }
-                }
+            let next = self
+                .servers
+                .iter()
+                .enumerate()
+                .filter_map(|(server, s)| s.in_service.as_ref().map(|job| (job.done, server)))
+                .min();
+            match next {
+                Some((done, server)) if done <= t => self.complete(server),
+                _ => return,
             }
         }
     }
 
-    fn poll_server(
-        scheduler: &mut S,
-        servers: &mut [Box<dyn ServiceModel>],
-        in_flight: &mut [Option<(Request, ServiceClass, SimTime)>],
-        queue: &mut IndexedEventQueue,
-        server: usize,
-        now: SimTime,
-    ) {
-        debug_assert!(in_flight[server].is_none());
-        match scheduler.next_for(ServerId::new(server), now) {
-            Dispatch::Serve(request, class) => {
-                let service = servers[server].service_time(&request, now);
-                // Zero-length service still advances the clock by one tick
-                // so progress is guaranteed.
-                let service = service.max(SimDuration::from_nanos(1));
-                let at = now
-                    .checked_add(service)
-                    .expect("completion instant overflows the simulation clock");
-                in_flight[server] = Some((request, class, now));
-                queue.push(Event {
-                    at,
-                    kind: EventKind::Completion { server },
-                });
+    /// Records `server`'s request as completed and hands the server its
+    /// next request at the completion instant.
+    #[inline]
+    fn complete(&mut self, server: usize) {
+        let InService {
+            request,
+            class,
+            dispatched,
+            done,
+        } = self.servers[server]
+            .in_service
+            .take()
+            .expect("completing an idle server");
+        self.completions.push(CompletionRecord {
+            id: request.id,
+            class,
+            arrival: request.arrival,
+            dispatched,
+            completion: done,
+        });
+        self.last_completion = done;
+        self.trace.emit_with(|| {
+            let response = done - request.arrival;
+            TraceEvent::Completed {
+                at: done,
+                id: request.id.index(),
+                class: class.index(),
+                response,
+                deadline_met: self.deadline.map(|d| response <= d),
             }
-            Dispatch::After(when) => {
-                assert!(
-                    when > now,
-                    "scheduler requested retry at {when} which is not after {now}"
-                );
-                queue.push(Event {
-                    at: when,
-                    kind: EventKind::Retry { server },
-                });
-            }
-            Dispatch::Idle => {}
-        }
+        });
+        self.scheduler.on_completion(&request, class, done);
+        self.dispatch(server, done);
+    }
+
+    /// Asks the scheduler for idle `server`'s next request at `now`.
+    #[inline]
+    fn dispatch(&mut self, server: usize, now: SimTime) {
+        let Dispatch::Serve(request, class) = self.scheduler.next_for(ServerId::new(server), now)
+        else {
+            return;
+        };
+        let slot = &mut self.servers[server];
+        // Zero-length service still advances the clock by one tick so
+        // progress is guaranteed.
+        let service = slot
+            .model
+            .service_time(&request, now)
+            .max(SimDuration::from_nanos(1));
+        let done = now
+            .checked_add(service)
+            .expect("completion instant overflows the simulation clock");
+        slot.in_service = Some(InService {
+            request,
+            class,
+            dispatched: now,
+            done,
+        });
     }
 }
 
@@ -356,10 +308,10 @@ impl<S: Scheduler> Simulation<S> {
 /// run fed arrivals in order, whose completion records are released as
 /// soon as no arrival still to come could precede them.
 ///
-/// [`Simulation`] is the general core. A policy on plain fixed-rate
-/// servers can supply a leaner one instead (`gqos-core`'s lanes); all
-/// then share this one driver, so the drain-after-chunk contract and the
-/// peak counters have one implementation.
+/// [`Simulation`] is the general core. A policy whose servers are all
+/// fixed-rate FIFOs can supply a closed-form one instead (`gqos-core`'s
+/// FIFO lanes); both share this one driver, so the drain-after-chunk
+/// contract and the peak counters have one implementation.
 pub trait ChunkCore {
     /// Offers the next arrival. Arrivals must be offered in
     /// non-decreasing arrival order.
@@ -382,33 +334,51 @@ pub trait ChunkCore {
     fn end_time(&self) -> SimTime;
 }
 
-impl<S: Scheduler> ChunkCore for Simulation<S> {
-    /// Processes every event that is already unambiguous before
-    /// returning.
+impl<S: Scheduler, M: ServiceModel> ChunkCore for Simulation<S, M> {
+    /// Completes what the arrival's instant settles, then hands the
+    /// arrival to the scheduler (see the module docs for the order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no server was added, after
+    /// [`finish`](ChunkCore::finish), or if `request` arrives before the
+    /// last offered arrival.
+    #[inline]
     fn offer(&mut self, request: Request) {
+        self.assert_has_servers();
         assert!(!self.finished, "offer after finish");
-        if !self.started {
-            self.queue = IndexedEventQueue::new(self.servers.len());
-            self.in_flight = (0..self.servers.len()).map(|_| None).collect();
-            self.started = true;
-        }
+        let now = request.arrival;
         assert!(
-            request.arrival >= self.last_arrival,
+            now >= self.last_arrival,
             "arrivals must be offered in order: {} after {}",
-            request.arrival,
+            now,
             self.last_arrival
         );
-        self.last_arrival = request.arrival;
+        self.last_arrival = now;
         self.offered += 1;
-        self.pending.push_back(request);
-        self.pump();
+        self.complete_until(now);
+        self.trace.emit_with(|| TraceEvent::Arrival {
+            at: now,
+            id: request.id.index(),
+        });
+        self.scheduler.on_arrival(request, now);
+        for server in 0..self.servers.len() {
+            if self.servers[server].in_service.is_none() {
+                self.dispatch(server, now);
+            }
+        }
     }
 
     /// Declares the arrival stream exhausted and runs the simulation to
     /// quiescence. Idempotent; a later offer panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no server was added.
     fn finish(&mut self) {
+        self.assert_has_servers();
         self.finished = true;
-        self.pump();
+        self.complete_until(SimTime::MAX);
     }
 
     fn drain(&mut self, sink: impl FnMut(CompletionRecord)) -> usize {
@@ -421,8 +391,9 @@ impl<S: Scheduler> ChunkCore for Simulation<S> {
         self.offered
     }
 
+    /// The later of the last arrival and the last completion.
     fn end_time(&self) -> SimTime {
-        self.end_time
+        self.last_arrival.max(self.last_completion)
     }
 }
 
@@ -488,7 +459,7 @@ where
 pub fn simulate<S, M>(workload: &Workload, scheduler: S, model: M) -> RunReport
 where
     S: Scheduler,
-    M: ServiceModel + 'static,
+    M: ServiceModel,
 {
     Simulation::new(scheduler).server(model).run(workload)
 }
@@ -570,7 +541,7 @@ mod tests {
     #[should_panic(expected = "at least one server")]
     fn requires_a_server() {
         let w = Workload::new();
-        let _ = Simulation::new(FcfsScheduler::new()).run(&w);
+        let _ = Simulation::<_, FixedRateServer>::new(FcfsScheduler::new()).run(&w);
     }
 
     /// A scheduler that drops every second request (never dispatches it).
@@ -608,53 +579,6 @@ mod tests {
         );
         assert_eq!(report.completed(), 2);
         assert_eq!(report.unfinished(), 2);
-    }
-
-    /// A non-work-conserving scheduler: releases each request only at a
-    /// fixed eligibility time after arrival.
-    struct DelayRelease {
-        queue: std::collections::VecDeque<Request>,
-        hold: SimDuration,
-    }
-
-    impl Scheduler for DelayRelease {
-        fn on_arrival(&mut self, request: Request, _now: SimTime) {
-            self.queue.push_back(request);
-        }
-        fn next_for(&mut self, _server: ServerId, now: SimTime) -> Dispatch {
-            match self.queue.front() {
-                Some(r) => {
-                    let eligible = r.arrival + self.hold;
-                    if eligible <= now {
-                        let r = self.queue.pop_front().expect("non-empty");
-                        Dispatch::Serve(r, ServiceClass::PRIMARY)
-                    } else {
-                        Dispatch::After(eligible)
-                    }
-                }
-                None => Dispatch::Idle,
-            }
-        }
-        fn pending(&self) -> usize {
-            self.queue.len()
-        }
-    }
-
-    #[test]
-    fn retry_events_respect_eligibility_times() {
-        let w = Workload::from_arrivals([ms(0), ms(1)]);
-        let report = simulate(
-            &w,
-            DelayRelease {
-                queue: Default::default(),
-                hold: dur_ms(20),
-            },
-            FixedRateServer::new(Iops::new(1000.0)),
-        );
-        assert_eq!(report.completed(), 2);
-        for r in report.records() {
-            assert_eq!(r.dispatched, r.arrival + dur_ms(20));
-        }
     }
 
     #[test]
@@ -752,8 +676,8 @@ mod tests {
         let mut sim = Simulation::new(FcfsScheduler::new()).server(server());
         sim.finish();
         sim.finish();
-        assert_eq!(sim.offered, 0);
-        assert_eq!(sim.end_time, SimTime::ZERO);
+        assert_eq!(sim.offered(), 0);
+        assert_eq!(sim.end_time(), SimTime::ZERO);
     }
 
     #[test]
@@ -788,8 +712,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one server")]
     fn stream_driver_requires_a_server() {
-        let mut sim = Simulation::new(FcfsScheduler::new());
+        let mut sim = Simulation::<_, FixedRateServer>::new(FcfsScheduler::new());
         let w = Workload::from_arrivals([ms(0)]);
         let _ = sim.run_stream(&mut WorkloadStream::new(w, 1), |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation needs at least one server")]
+    fn chunk_driver_requires_a_server() {
+        // Regression: only `run` and `run_stream` checked, so the chunk
+        // driver accepted every arrival, completed none and returned `Ok`.
+        let mut sim = Simulation::<_, FixedRateServer>::new(FcfsScheduler::new());
+        let w = Workload::from_arrivals([ms(0), ms(1)]);
+        let _ = run_chunks(&mut sim, &mut WorkloadStream::new(w, 1), |_| {});
     }
 }

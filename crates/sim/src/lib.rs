@@ -3,8 +3,9 @@
 //! The discrete-event substrate of the `gqos` workspace (the stand-in for
 //! the DiskSim-based evaluation in the ICDCS 2009 paper). It provides:
 //!
-//! - [`Simulation`] / [`simulate`] — the one event-driven engine: a
-//!   [`Scheduler`] over one or more servers, fed a whole
+//! - [`Simulation`] / [`simulate`] — the one simulation core: a
+//!   [`Scheduler`] driven directly over one or more servers of one
+//!   [`ServiceModel`], with no event queue, fed a whole
 //!   [`Workload`](gqos_trace::Workload) by [`Simulation::run`] or an
 //!   [`ArrivalStream`](gqos_trace::ArrivalStream) chunk by chunk by
 //!   [`Simulation::run_stream`] (bit-identical for any chunking), whose
@@ -14,14 +15,10 @@
 //!   model lives in `gqos-disk`);
 //! - [`RunReport`] / [`ResponseStats`] — per-request latency records,
 //!   response-time CDFs, percentiles, and the paper's bucketed histograms;
-//! - [`FcfsScheduler`] — the unshaped baseline policy;
-//! - [`EventQueue`] / [`IndexedEventQueue`] — the engines' event storage:
-//!   one small vector kept sorted, since no engine holds more than a
-//!   handful of live events.
+//! - [`FcfsScheduler`] — the unshaped baseline policy.
 //!
-//! Simulations are fully deterministic: ties in event time are broken by a
-//! fixed event-kind order (completions before retries before arrivals,
-//! lower server or request index first).
+//! Simulations are fully deterministic: at one instant a completion comes
+//! before an arrival, and the lower server's completion first.
 //!
 //! # Examples
 //!
@@ -44,13 +41,11 @@
 #![warn(missing_debug_implementations)]
 
 mod engine;
-mod event;
 mod metrics;
 mod scheduler;
 mod server;
 
 pub use engine::{run_chunks, simulate, ChunkCore, Simulation, StreamRun};
-pub use event::{Event, EventKind, EventQueue, IndexedEventQueue};
 pub use metrics::{CompletionRecord, ResponseStats, RunReport};
 pub use scheduler::{Dispatch, FcfsScheduler, Scheduler, ServiceClass};
 pub use server::{CapacityModulation, FixedRateServer, ModulatedServer, ServerId, ServiceModel};

@@ -50,9 +50,6 @@ impl fmt::Display for ServiceClass {
 pub enum Dispatch {
     /// Serve this request under this class.
     Serve(Request, ServiceClass),
-    /// Nothing is eligible before the given instant; poll again then.
-    /// Used by non-work-conserving schedulers (e.g. token-bucket shaping).
-    After(SimTime),
     /// Nothing is pending for this server.
     Idle,
 }
@@ -60,9 +57,10 @@ pub enum Dispatch {
 /// A QoS scheduler, driven by the simulation engine.
 ///
 /// The engine calls [`on_arrival`] for every request in timestamp order and
-/// [`next_for`] whenever a server becomes free (and once at start / on each
-/// arrival while servers idle). [`on_completion`] fires when a dispatched
-/// request finishes.
+/// [`next_for`] whenever a server becomes free and on each arrival while a
+/// server idles. [`on_completion`] fires when a dispatched request
+/// finishes. Schedulers are work-conserving: a server that hears
+/// [`Dispatch::Idle`] is asked again only at the next arrival.
 ///
 /// Multi-server schedulers (the paper's *Split* policy) route different
 /// queues to different [`ServerId`]s; single-server schedulers ignore the id.

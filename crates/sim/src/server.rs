@@ -35,21 +35,11 @@ impl fmt::Display for ServerId {
 pub trait ServiceModel {
     /// Time to serve `request` when dispatched at `now`.
     fn service_time(&mut self, request: &Request, now: SimTime) -> SimDuration;
-
-    /// The model's nominal throughput in IOPS, if it has one. Used for
-    /// reporting only.
-    fn nominal_rate(&self) -> Option<Iops> {
-        None
-    }
 }
 
 impl<M: ServiceModel + ?Sized> ServiceModel for Box<M> {
     fn service_time(&mut self, request: &Request, now: SimTime) -> SimDuration {
         (**self).service_time(request, now)
-    }
-
-    fn nominal_rate(&self) -> Option<Iops> {
-        (**self).nominal_rate()
     }
 }
 
@@ -90,10 +80,6 @@ impl FixedRateServer {
 impl ServiceModel for FixedRateServer {
     fn service_time(&mut self, _request: &Request, _now: SimTime) -> SimDuration {
         self.per_request
-    }
-
-    fn nominal_rate(&self) -> Option<Iops> {
-        Some(self.rate)
     }
 }
 
@@ -171,10 +157,6 @@ impl<M: ServiceModel> ServiceModel for ModulatedServer<M> {
         debug_assert!(finish >= now, "modulation finished before dispatch");
         finish.saturating_duration_since(now)
     }
-
-    fn nominal_rate(&self) -> Option<Iops> {
-        self.inner.nominal_rate()
-    }
 }
 
 #[cfg(test)]
@@ -199,9 +181,8 @@ mod tests {
     }
 
     #[test]
-    fn nominal_rate_reported() {
+    fn rate_reported() {
         let s = FixedRateServer::new(Iops::new(100.0));
-        assert_eq!(s.nominal_rate().unwrap().get(), 100.0);
         assert_eq!(s.rate().get(), 100.0);
     }
 
@@ -235,7 +216,6 @@ mod tests {
             s.service_time(&r, SimTime::from_secs(3)),
             SimDuration::from_millis(20)
         );
-        assert_eq!(s.nominal_rate(), Some(Iops::new(100.0)));
         assert_eq!(s.inner().rate(), Iops::new(100.0));
     }
 
@@ -262,6 +242,5 @@ mod tests {
             s.service_time(&r, SimTime::ZERO),
             SimDuration::from_millis(2)
         );
-        assert!(s.nominal_rate().is_some());
     }
 }

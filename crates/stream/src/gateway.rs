@@ -15,8 +15,7 @@
 //! the inbox full is *shed*: it is never dropped, but demoted past the
 //! policy's own decomposition into a best-effort FIFO served at
 //! [`ServiceClass::OVERFLOW`] only when the policy has nothing eligible
-//! (work-conserving, never pre-empting a policy decision and never
-//! overriding a non-work-conserving policy's `After` holdback). Every
+//! (work-conserving, never pre-empting a policy decision). Every
 //! shed is counted and, when a trace is attached, emitted as a
 //! [`TraceEvent::Diverted`] with the full queue depth at the instant of
 //! the shed.

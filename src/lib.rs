@@ -7,7 +7,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`trace`] | `gqos-trace` | workload model, synthetic generators, SPC I/O, chunked arrival streams, burstiness statistics |
-//! | [`sim`] | `gqos-sim` | the one deterministic discrete-event engine (batch and chunked drivers), servers, latency metrics |
+//! | [`sim`] | `gqos-sim` | the one deterministic simulation core (batch and chunked drivers), servers, latency metrics |
 //! | [`fairqueue`] | `gqos-fairqueue` | SFQ / token bucket |
 //! | [`disk`] | `gqos-disk` | mechanical disk model, SSTF / SCAN / C-LOOK |
 //! | [`core`] | `gqos-core` | RTT decomposition, Miser / Split / FairQueue recombination, the one workload shaper (batch, streamed, faulted), capacity planning, consolidation |
