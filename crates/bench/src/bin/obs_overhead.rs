@@ -1,19 +1,21 @@
 //! Observability overhead smoke: instrumentation must be free when off.
 //!
 //! Runs the same shaped WebSearch workload through every recombination
-//! policy three ways — untraced, traced into the [`TraceHandle::null`] fast
-//! path, and traced through the full instrumented path into a `NullSink` —
-//! and compares best-of-N wall times (samples interleaved A/B/A/B so clock
+//! policy three ways — untraced, traced into a disabled handle, and
+//! traced through the full instrumented path into a `NullSink` — and
+//! compares best-of-N wall times (samples interleaved A/B/A/B so clock
 //! drift hits both sides equally; the minimum is the robust estimator here
 //! because scheduler interference can only add time to a deterministic
 //! workload). Also times the `rtt/decompose` planner kernel, which carries
 //! no instrumentation at all, under the same interleaving. Contracts
 //! asserted:
 //!
-//! - **identical results**: traced runs' completion records equal the
-//!   untraced run's, event for event (tracing observes, never steers);
-//! - **free when off**: the null fast path is within `--max-overhead-pct`
-//!   (default 2%) of untraced, summed across policies;
+//! - **identical results**: runs traced into a disabled handle, a
+//!   `NullSink` and a `MemorySink` produce the untraced run's completion
+//!   records, record for record (tracing observes, never steers);
+//! - **free when off**: a disabled handle is within `--max-overhead-pct`
+//!   (default 2%) of untraced, summed across policies; both should run
+//!   the same lanes, so this catches an off path forked from `run` again;
 //! - **no kernel pollution**: `rtt/decompose` with a live trace context in
 //!   the process stays within the same bound of its baseline.
 //!
@@ -96,22 +98,22 @@ fn main() {
         workload.len()
     );
 
-    // Result contract: neither the null fast path nor the full instrumented
-    // path may perturb a single completion record.
+    // Result contract: no handle, with or without a sink, may perturb a
+    // single completion record.
     for policy in RecombinePolicy::ALL {
         let plain = shaper.run(&workload, policy);
-        let nulled = shaper.run_traced(&workload, policy, TraceHandle::null());
-        let instrumented = shaper.run_traced(&workload, policy, TraceHandle::new(NullSink));
-        assert_eq!(
-            plain.records(),
-            nulled.records(),
-            "{policy}: null-traced run diverged from the untraced run"
-        );
-        assert_eq!(
-            plain.records(),
-            instrumented.records(),
-            "{policy}: instrumented run diverged from the untraced run"
-        );
+        let handles = [
+            ("disabled", TraceHandle::disabled()),
+            ("instrumented", TraceHandle::new(NullSink)),
+            ("memory", TraceHandle::memory().0),
+        ];
+        for (name, trace) in handles {
+            assert_eq!(
+                plain.records(),
+                shaper.run_traced(&workload, policy, trace).records(),
+                "{policy}: {name}-traced run diverged from the untraced run"
+            );
+        }
     }
     println!("  result identity: traced == untraced for all four policies ok");
 
@@ -120,16 +122,16 @@ fn main() {
     // fails every attempt.
     const ATTEMPTS: usize = 3;
     for attempt in 1..=ATTEMPTS {
-        // Free-when-off: untraced vs the null fast path, per policy.
+        // Free-when-off: untraced vs a disabled handle, per policy.
         let mut untraced_total = 0.0;
-        let mut nulled_total = 0.0;
+        let mut off_total = 0.0;
         for policy in RecombinePolicy::ALL {
-            let (untraced, nulled) = best_of_interleaved(
+            let (untraced, off) = best_of_interleaved(
                 samples,
                 || shaper.run(&workload, policy).completed(),
                 || {
                     shaper
-                        .run_traced(&workload, policy, TraceHandle::null())
+                        .run_traced(&workload, policy, TraceHandle::disabled())
                         .completed()
                 },
             );
@@ -143,16 +145,16 @@ fn main() {
                 },
             );
             println!(
-                "  {policy:<10} untraced {untraced:>12.0} ns   null {:+6.2}%   \
+                "  {policy:<10} untraced {untraced:>12.0} ns   off {:+6.2}%   \
                  instrumented {:+6.2}%",
-                pct(nulled, untraced),
+                pct(off, untraced),
                 pct(instrumented, untraced),
             );
             untraced_total += untraced;
-            nulled_total += nulled;
+            off_total += off;
         }
-        let engine_pct = pct(nulled_total, untraced_total);
-        println!("  engine null-path overhead: {engine_pct:+.2}% (bound {max_overhead_pct:.1}%)");
+        let engine_pct = pct(off_total, untraced_total);
+        println!("  tracing-off overhead: {engine_pct:+.2}% (bound {max_overhead_pct:.1}%)");
 
         // Kernel pollution: rtt/decompose carries no instrumentation; with
         // a live trace handle in scope its timing must not move.

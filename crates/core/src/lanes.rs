@@ -34,9 +34,9 @@
 //! instant, then server), and the same release rule (a record leaves once
 //! its completion is at or before the last offered arrival). [`Lanes`] is
 //! the one core type [`RecombinePolicy::lanes`](crate::RecombinePolicy)
-//! hands the shaper. `crates/core/tests/fifo_lanes_props.rs` checks all
-//! four policies against the simulation core as the shaper builds it for
-//! traced runs.
+//! hands the shaper for every run with no trace sink.
+//! `crates/core/tests/fifo_lanes_props.rs` checks all four policies
+//! against the simulation core as the shaper builds it for traced runs.
 //!
 //! [`RttClassifier`]: crate::RttClassifier
 
@@ -231,24 +231,16 @@ pub(crate) enum Lanes {
 }
 
 impl Lanes {
-    /// Whether the lanes can run `workload` where the simulation core
-    /// can. Only the FIFO recurrence needs the check
-    /// ([`FifoLanes::covers`]); the core itself panics where the clock
-    /// overflows.
-    pub(crate) fn covers(&self, workload: &Workload) -> bool {
-        match self {
-            Lanes::Fifo(lanes) => lanes.covers(workload),
-            Lanes::FairQueue(_) | Lanes::Miser(_) => true,
-        }
-    }
-
-    /// Runs `workload` to quiescence and returns the report.
-    pub(crate) fn run(self, workload: &Workload) -> RunReport {
-        match self {
+    /// Runs `workload` to quiescence and returns the report, or `None`
+    /// where the FIFO lanes do not [cover](FifoLanes::covers) it; the
+    /// core itself panics where the clock overflows.
+    pub(crate) fn run(self, workload: &Workload) -> Option<RunReport> {
+        Some(match self {
+            Lanes::Fifo(core) if !core.covers(workload) => return None,
             Lanes::Fifo(core) => run_workload(core, workload),
             Lanes::FairQueue(sim) => sim.run(workload),
             Lanes::Miser(sim) => sim.run(workload),
-        }
+        })
     }
 
     /// Runs `stream` through [`run_chunks`], as

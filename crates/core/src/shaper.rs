@@ -8,14 +8,18 @@
 //! [`Simulation`]), so a streamed run is bit-identical to the batch run
 //! for any chunking.
 //!
-//! Untraced runs on fixed-rate servers ([`run`](WorkloadShaper::run),
-//! [`run_observed`](WorkloadShaper::run_observed)) take the leanest core
+//! Fixed-rate runs with no trace sink ([`run_traced`] into a disabled
+//! handle, and so [`run`], and [`run_observed`]) take the leanest core
 //! of each policy (`lanes.rs`): FCFS and Split as FIFO-lane recurrences,
 //! FairQueue and Miser as a [`Simulation`] of the policy's own scheduler,
 //! unboxed. The FIFO lanes compute the simulation core's records, record
 //! for record. Traced and faulted runs, gateway and drain lanes, disk
 //! models, and Split where its lane guard fails run on the simulation
 //! core through [`WorkloadShaper::simulation`].
+//!
+//! [`run`]: WorkloadShaper::run
+//! [`run_traced`]: WorkloadShaper::run_traced
+//! [`run_observed`]: WorkloadShaper::run_observed
 
 use std::fmt;
 
@@ -103,8 +107,8 @@ impl RecombinePolicy {
     /// [`WorkloadShaper::simulation`]: only Split, where the lane guard
     /// fails.
     ///
-    /// Only untraced, unwrapped runs on [`FixedRateServer`]s ask:
-    /// [`WorkloadShaper::run`] and [`WorkloadShaper::run_observed`].
+    /// Every unwrapped run on [`FixedRateServer`]s with no trace sink asks:
+    /// [`WorkloadShaper::run_traced`] and [`WorkloadShaper::run_observed`].
     fn lanes(self, provision: Provision, deadline: SimDuration) -> Option<Lanes> {
         let one_server = provision.total();
         match self {
@@ -273,16 +277,10 @@ impl WorkloadShaper {
     /// no decomposition); under the other policies, per-class statistics
     /// are available via [`RunReport::stats_for`].
     ///
-    /// Every policy runs on its lanes: FIFO lanes for FCFS and Split (the
-    /// simulation core's report in closed form), an unboxed simulation of
-    /// the policy's scheduler for FairQueue and Miser. Split keeps the
-    /// boxed simulation where its lane guard fails, and a FIFO run where
-    /// its last completion could pass the clock.
+    /// This is [`run_traced`](Self::run_traced) with a
+    /// [`disabled`](TraceHandle::disabled) handle.
     pub fn run(&self, workload: &Workload, policy: RecombinePolicy) -> RunReport {
-        match policy.lanes(self.provision, self.deadline) {
-            Some(lanes) if lanes.covers(workload) => lanes.run(workload),
-            _ => self.run_traced(workload, policy, TraceHandle::disabled()),
-        }
+        self.run_traced(workload, policy, TraceHandle::disabled())
     }
 
     /// Like [`run`](WorkloadShaper::run), but with the full event trace
@@ -290,17 +288,36 @@ impl WorkloadShaper {
     /// latter judged against the shaper's deadline), the policy scheduler
     /// emits `Admitted`/`Diverted`/`Dispatched`.
     ///
-    /// Tracing never changes scheduling decisions — a run traced into any
-    /// sink produces a [`RunReport`] identical to the untraced
-    /// [`run`](WorkloadShaper::run).
+    /// A handle with no sink runs every policy on its lanes: FIFO lanes
+    /// for FCFS and Split (the simulation core's report in closed form),
+    /// an unboxed simulation of the policy's scheduler for FairQueue and
+    /// Miser. A live sink, Split where its lane guard fails, and a FIFO
+    /// run whose last completion could pass the clock take the boxed
+    /// simulation, whose report is identical: tracing never changes
+    /// scheduling decisions.
     pub fn run_traced(
         &self,
         workload: &Workload,
         policy: RecombinePolicy,
         trace: TraceHandle,
     ) -> RunReport {
+        if !trace.is_enabled() {
+            let lanes = policy.lanes(self.provision, self.deadline);
+            if let Some(report) = lanes.and_then(|lanes| lanes.run(workload)) {
+                return report;
+            }
+        }
+        self.boxed(policy, trace).run(workload)
+    }
+
+    /// The boxed simulation of `policy` on plain fixed-rate servers,
+    /// emitting into `trace`: the core the lanes stand in for.
+    fn boxed(
+        &self,
+        policy: RecombinePolicy,
+        trace: TraceHandle,
+    ) -> Simulation<Box<dyn CapacityAdaptive>, FixedRateServer> {
         self.simulation(policy, trace, |s, _| s, FixedRateServer::new)
-            .run(workload)
     }
 
     /// Streams every chunk of `stream` through `policy` in bounded memory:
@@ -345,12 +362,7 @@ impl WorkloadShaper {
         let run = match policy.lanes(self.provision, self.deadline) {
             Some(lanes) => lanes.run_stream(stream, observe)?,
             None => self
-                .simulation(
-                    policy,
-                    TraceHandle::disabled(),
-                    |s, _| s,
-                    FixedRateServer::new,
-                )
+                .boxed(policy, TraceHandle::disabled())
                 .run_stream(stream, observe)?,
         };
         // Merging is exact, so this equals recording every response once
@@ -596,26 +608,12 @@ mod tests {
         Workload::from_arrivals(arrivals)
     }
 
-    /// The boxed simulation of `policy` at `shaper`'s provision, untraced
-    /// on plain fixed-rate servers: the oracle the lanes must match.
-    fn engine(
-        shaper: &WorkloadShaper,
-        policy: RecombinePolicy,
-    ) -> Simulation<Box<dyn CapacityAdaptive>, FixedRateServer> {
-        shaper.simulation(
-            policy,
-            TraceHandle::disabled(),
-            |s, _| s,
-            FixedRateServer::new,
-        )
-    }
-
     #[test]
     fn observed_run_sketches_match_offline_report() {
         let w = streamed_workload();
         let shaper = stream_shaper();
         for policy in RecombinePolicy::ALL {
-            let reference = engine(&shaper, policy).run(&w);
+            let reference = shaper.boxed(policy, TraceHandle::disabled()).run(&w);
             let mut forwarded = 0usize;
             let obs = shaper
                 .run_observed(&mut WorkloadStream::new(w.clone(), 7), policy, |_| {
@@ -674,12 +672,7 @@ mod tests {
         let streamed = |trace: TraceHandle| {
             let mut records = Vec::new();
             shaper
-                .simulation(
-                    RecombinePolicy::Miser,
-                    trace,
-                    |s, _| s,
-                    FixedRateServer::new,
-                )
+                .boxed(RecombinePolicy::Miser, trace)
                 .run_stream(&mut WorkloadStream::new(w.clone(), 9), |r| records.push(r))
                 .unwrap();
             records
@@ -728,7 +721,8 @@ mod tests {
                 at_pull: Vec::new(),
             };
             let mut clean_records = Vec::new();
-            engine(&shaper, policy)
+            shaper
+                .boxed(policy, TraceHandle::disabled())
                 .run_stream(&mut probe, |r| {
                     sunk.set(sunk.get() + 1);
                     clean_records.push(r);

@@ -402,9 +402,7 @@ proptest! {
 
         // The degradation loop on faulted servers, one policy per case.
         let which = (seed % 4) as usize;
-        // Generated windows are fractions of the span, so it must be wide
-        // enough that every window lasts at least a nanosecond.
-        let span = w.requests().last().map_or(0, |r| r.arrival.as_nanos()).max(10_000);
+        let span = w.requests().last().map_or(0, |r| r.arrival.as_nanos()).max(1);
         let schedule = FaultSchedule::generate(seed, SimDuration::from_nanos(span), 0.8);
         compare(&format!("adaptive {}", POLICIES[which]), &w, None, |t| {
             let (inner, rates) = policy(which, split, shared, t);

@@ -332,15 +332,21 @@ impl ChannelFaultSchedule {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0A7_C0A7_C0A7_C0A7);
         let at = |frac: f64| SimTime::ZERO + span.mul_f64(frac);
 
+        // A window that rounds to 0 ns is left out, after its draws, so
+        // the remaining draws do not shift.
         // Early loss: retries must punch through it.
         let start = rng.gen_range(0.05f64..0.25);
-        let dur = rng.gen_range(0.15f64..0.30);
-        s = s.with_drop(at(start), span.mul_f64(dur), 0.6 * severity);
+        let dur = span.mul_f64(rng.gen_range(0.15f64..0.30));
+        if !dur.is_zero() {
+            s = s.with_drop(at(start), dur, 0.6 * severity);
+        }
 
         // Mid-run duplication: dedup must absorb it.
         let start = rng.gen_range(0.35f64..0.55);
-        let dur = rng.gen_range(0.15f64..0.25);
-        s = s.with_duplicate(at(start), span.mul_f64(dur), 0.5 * severity);
+        let dur = span.mul_f64(rng.gen_range(0.15f64..0.25));
+        if !dur.is_zero() {
+            s = s.with_duplicate(at(start), dur, 0.5 * severity);
+        }
 
         // Late delay: reordering across in-flight commands.
         let start = rng.gen_range(0.60f64..0.80);

@@ -378,24 +378,29 @@ impl FaultSchedule {
         let at = |frac: f64| SimTime::ZERO + span.mul_f64(frac);
         let mut s = FaultSchedule::new(seed);
 
+        // A window left out (at a lower severity, or rounding to 0 ns) is
+        // still drawn, so the remaining draws do not shift.
         // A transient slowdown early in the run.
         let start = rng.gen_range(0.05f64..0.35);
-        let dur = rng.gen_range(0.05f64..0.15);
+        let dur = span.mul_f64(rng.gen_range(0.05f64..0.15));
         let factor = 1.0 + (1.0 + rng.gen_range(0.0f64..3.0)) * severity;
-        s = s.with_slowdown(at(start), span.mul_f64(dur), factor);
+        if !dur.is_zero() {
+            s = s.with_slowdown(at(start), dur, factor);
+        }
 
         // A rebuild ramp mid-run.
         let start = rng.gen_range(0.40f64..0.55);
-        let dur = rng.gen_range(0.10f64..0.25);
+        let dur = span.mul_f64(rng.gen_range(0.10f64..0.25));
         let floor = (1.0 - 0.9 * severity * rng.gen_range(0.5f64..1.0)).max(0.05);
-        s = s.with_rebuild(at(start), span.mul_f64(dur), floor);
+        if !dur.is_zero() {
+            s = s.with_rebuild(at(start), dur, floor);
+        }
 
-        // A short full outage only at high severity. Draw unconditionally
-        // so lower severities do not shift the remaining draws.
+        // A short full outage only at high severity.
         let start = rng.gen_range(0.70f64..0.85);
-        let dur = 0.01 + 0.04 * severity * rng.gen_range(0.0f64..1.0);
-        if severity > 0.5 {
-            s = s.with_outage(at(start), span.mul_f64(dur));
+        let dur = span.mul_f64(0.01 + 0.04 * severity * rng.gen_range(0.0f64..1.0));
+        if severity > 0.5 && !dur.is_zero() {
+            s = s.with_outage(at(start), dur);
         }
 
         // Late-run dispatch jitter proportional to severity.
@@ -558,6 +563,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChannelFaultSchedule;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -734,6 +740,20 @@ mod tests {
         assert!(ScheduleError::BadCorrelation { correlation: 2.0 }
             .to_string()
             .contains("[0, 1]"));
+    }
+
+    #[test]
+    fn generators_leave_out_windows_that_round_to_zero() {
+        // A window that rounds to 0 ns is left out, not a constructor panic.
+        for nanos in 1..=100 {
+            let span = SimDuration::from_nanos(nanos);
+            for severity in [0.3, 0.8, 1.0] {
+                for seed in 0..200 {
+                    assert!(FaultSchedule::try_generate(seed, span, severity).is_ok());
+                    assert!(ChannelFaultSchedule::try_generate(seed, span, severity).is_ok());
+                }
+            }
+        }
     }
 
     #[test]

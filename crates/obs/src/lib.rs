@@ -1,7 +1,7 @@
 //! Observability for gqos: structured run tracing, mergeable latency
 //! sketches, and trace replay.
 //!
-//! The crate has three pieces:
+//! The crate has five pieces:
 //!
 //! - **Tracing** ([`TraceEvent`], [`TraceSink`], [`TraceHandle`]): typed,
 //!   `Copy` events covering a request's whole lifecycle (arrival, RTT
@@ -9,8 +9,9 @@
 //!   completion with deadline verdict) plus degradation rung changes.
 //!   Sinks: [`NullSink`] (instrumented path, events discarded),
 //!   [`MemorySink`] (bounded ring buffer), [`FileSink`] (JSONL stream).
-//!   A disabled [`TraceHandle`] costs one branch per emission site and
-//!   never constructs the event — observability is free when off.
+//!   A [`TraceHandle`] with no sink costs one branch per emission site,
+//!   never constructs the event and runs on the untraced lanes —
+//!   observability is free when off.
 //! - **Sketches** ([`LatencySketch`]): log-linear bucketed histograms over
 //!   nanosecond latencies with a guaranteed one-sided relative quantile
 //!   error of [`RELATIVE_ERROR_BOUND`] (3.125%), pure integer bucketing,

@@ -1,14 +1,13 @@
 //! Trace sinks and the shared [`TraceHandle`] the instrumented layers hold.
 //!
-//! The design goal is that **observability is free when off**: an inactive
-//! [`TraceHandle`] — [`disabled`](TraceHandle::disabled) or the
-//! [`null`](TraceHandle::null) fast path — reduces every emission site to one
-//! branch; the event closure is never evaluated. To pay for the full
+//! The design goal is that **observability is free when off**: a
+//! [`TraceHandle`] is enabled iff it holds a sink. A
+//! [`disabled`](TraceHandle::disabled) handle reduces every emission site to
+//! one branch and never evaluates the event closure, and the shaper runs a
+//! disabled handle on the same lanes as an untraced run. To pay for the full
 //! instrumented path (event construction + dynamic dispatch) while still
-//! discarding the events, wrap [`NullSink`] explicitly with
-//! [`TraceHandle::new`] — that is what the overhead benchmark compares
-//! against. Either way, sinks only observe: traced runs are byte-identical
-//! to untraced ones.
+//! discarding the events, wrap [`NullSink`] with [`TraceHandle::new`]. Either
+//! way, sinks only observe: traced runs are byte-identical to untraced ones.
 
 use std::cell::RefCell;
 use std::io::{self, Write};
@@ -33,11 +32,8 @@ pub trait TraceSink {
 
 /// A sink that drops every event.
 ///
-/// [`TraceHandle::null`] short-circuits before event construction, so a null
-/// handle costs the same as a disabled one. Wrapping `NullSink` with
-/// [`TraceHandle::new`] instead keeps the full instrumented path (event
-/// construction + dynamic dispatch) live without any storage cost — the
-/// configuration the overhead benchmark measures.
+/// Wrapped with [`TraceHandle::new`], it keeps the full instrumented path
+/// (event construction + dynamic dispatch) live without any storage cost.
 #[derive(Copy, Clone, Default, Debug)]
 pub struct NullSink;
 
@@ -168,18 +164,14 @@ impl<W: Write> TraceSink for FileSink<W> {
 
 /// A cheap, cloneable handle to an optional trace sink.
 ///
-/// This is what the engine and schedulers store. An inactive handle
-/// (disabled, or the [`null`](TraceHandle::null) fast path) makes
+/// This is what the engine and schedulers store. A handle with no sink
+/// ([`disabled`](TraceHandle::disabled), the default) makes
 /// [`emit_with`](TraceHandle::emit_with) a single branch and never calls the
 /// event-constructing closure — the "observability is free when off"
 /// contract.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     sink: Option<Rc<RefCell<dyn TraceSink>>>,
-    /// Whether emission sites construct and forward events. Always `true`
-    /// when a sink was attached via [`TraceHandle::new`]; `false` for
-    /// [`disabled`](TraceHandle::disabled) and [`null`](TraceHandle::null).
-    active: bool,
 }
 
 impl std::fmt::Debug for TraceHandle {
@@ -193,29 +185,13 @@ impl std::fmt::Debug for TraceHandle {
 impl TraceHandle {
     /// A disabled handle: emissions are a single untaken branch.
     pub fn disabled() -> Self {
-        TraceHandle {
-            sink: None,
-            active: false,
-        }
+        TraceHandle { sink: None }
     }
 
     /// Wraps any sink in a shareable handle.
     pub fn new<S: TraceSink + 'static>(sink: S) -> Self {
         TraceHandle {
             sink: Some(Rc::new(RefCell::new(sink))),
-            active: true,
-        }
-    }
-
-    /// A handle over [`NullSink`] taking the no-op fast path: emission sites
-    /// short-circuit exactly like [`disabled`](TraceHandle::disabled), so a
-    /// null-traced run costs the same as an untraced one. Use
-    /// `TraceHandle::new(NullSink)` to keep the full instrumented path live
-    /// while discarding events.
-    pub fn null() -> Self {
-        TraceHandle {
-            sink: Some(Rc::new(RefCell::new(NullSink))),
-            active: false,
         }
     }
 
@@ -230,27 +206,25 @@ impl TraceHandle {
         let sink = Rc::new(RefCell::new(MemorySink::with_capacity(capacity)));
         let handle = TraceHandle {
             sink: Some(sink.clone() as Rc<RefCell<dyn TraceSink>>),
-            active: true,
         };
         (handle, sink)
     }
 
-    /// `true` when emission sites construct and record events.
-    fn is_enabled(&self) -> bool {
-        self.active
+    /// `true` iff the handle holds a sink: emission sites then construct
+    /// and record events.
+    pub fn is_enabled(&self) -> bool {
+        self.sink.is_some()
     }
 
-    /// Emits the event produced by `make` iff the handle is active.
+    /// Emits the event produced by `make` iff the handle holds a sink.
     ///
-    /// The closure runs only on the active path, so callers may compute
+    /// The closure runs only when a sink is attached, so callers may compute
     /// event fields (queue depths, slack) inside it without cost when
     /// tracing is off.
     #[inline]
     pub fn emit_with<F: FnOnce() -> TraceEvent>(&self, make: F) {
-        if self.active {
-            if let Some(sink) = &self.sink {
-                sink.borrow_mut().emit(make());
-            }
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().emit(make());
         }
     }
 
@@ -277,18 +251,11 @@ mod tests {
 
     #[test]
     fn disabled_handle_never_runs_the_closure() {
-        let handle = TraceHandle::disabled();
-        assert!(!handle.is_enabled());
-        handle.emit_with(|| unreachable!("closure must not run when disabled"));
-        assert!(handle.flush().is_ok());
-    }
-
-    #[test]
-    fn null_handle_takes_the_disabled_fast_path() {
-        let handle = TraceHandle::null();
-        assert!(!handle.is_enabled());
-        handle.emit_with(|| unreachable!("null fast path must not build events"));
-        assert!(handle.flush().is_ok());
+        for handle in [TraceHandle::disabled(), TraceHandle::default()] {
+            assert!(!handle.is_enabled());
+            handle.emit_with(|| unreachable!("closure must not run when disabled"));
+            assert!(handle.flush().is_ok());
+        }
     }
 
     #[test]
@@ -306,6 +273,7 @@ mod tests {
     #[test]
     fn memory_sink_preserves_order() {
         let (handle, sink) = TraceHandle::memory();
+        assert!(handle.is_enabled());
         for id in 0..5 {
             handle.emit_with(|| arrival(id));
         }

@@ -20,7 +20,7 @@
 //! [`TraceEvent::Diverted`] with the full queue depth at the instant of
 //! the shed.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use gqos_core::{RecombinePolicy, WorkloadShaper};
@@ -61,8 +61,9 @@ pub struct ShedScheduler<S> {
     bound: usize,
     shed: VecDeque<Request>,
     /// Ids of shed requests currently in service, so their completions are
-    /// not reflected into the inner scheduler (which never saw them).
-    in_service: HashSet<u64>,
+    /// not reflected into the inner scheduler (which never saw them): at
+    /// most one per server.
+    in_service: Vec<u64>,
     shed_count: usize,
     /// When set, every arrival at or after this instant is shed regardless
     /// of inbox depth — the handoff window of a drain-and-migrate.
@@ -92,7 +93,7 @@ impl<S: Scheduler> ShedScheduler<S> {
             inner,
             bound,
             shed: VecDeque::new(),
-            in_service: HashSet::new(),
+            in_service: Vec::new(),
             shed_count: 0,
             drain_from: None,
             trace,
@@ -141,7 +142,7 @@ impl<S: Scheduler> Scheduler for ShedScheduler<S> {
         match self.inner.next_for(server, now) {
             Dispatch::Idle => match self.shed.pop_front() {
                 Some(request) => {
-                    self.in_service.insert(request.id.index());
+                    self.in_service.push(request.id.index());
                     Dispatch::Serve(request, ServiceClass::OVERFLOW)
                 }
                 None => Dispatch::Idle,
@@ -151,7 +152,10 @@ impl<S: Scheduler> Scheduler for ShedScheduler<S> {
     }
 
     fn on_completion(&mut self, request: &Request, class: ServiceClass, now: SimTime) {
-        if !self.in_service.remove(&request.id.index()) {
+        let id = request.id.index();
+        if let Some(slot) = self.in_service.iter().position(|&held| held == id) {
+            self.in_service.swap_remove(slot);
+        } else {
             self.inner.on_completion(request, class, now);
         }
     }
@@ -365,7 +369,7 @@ mod tests {
     use super::*;
     use gqos_core::Provision;
     use gqos_sim::FcfsScheduler;
-    use gqos_trace::{Iops, SimDuration};
+    use gqos_trace::{Iops, RequestId, SimDuration};
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -499,6 +503,27 @@ mod tests {
         s.on_completion(&second, class, ms(2));
         assert_eq!(s.pending(), 0);
         assert_eq!(s.next_for(ServerId::new(0), ms(2)), Dispatch::Idle);
+    }
+
+    #[test]
+    fn shed_requests_can_occupy_both_split_servers() {
+        let split = gqos_core::SplitScheduler::new(shaper().provision(), shaper().deadline());
+        let mut s = ShedScheduler::new(split, 1).with_drain_from(ms(0));
+        for i in 0..3u64 {
+            s.on_arrival(Request::at(ms(0)).with_id(RequestId::new(i)), ms(0));
+        }
+        let mut serve = |server| match s.next_for(ServerId::new(server), ms(0)) {
+            Dispatch::Serve(request, ServiceClass::OVERFLOW) => request,
+            other => panic!("expected a shed dispatch, got {other:?}"),
+        };
+        let (first, second) = (serve(0), serve(1));
+        assert_eq!(s.in_service, vec![0, 1]);
+        // Completions in either order free exactly their own slot.
+        s.on_completion(&second, ServiceClass::OVERFLOW, ms(1));
+        assert_eq!(s.in_service, vec![0]);
+        s.on_completion(&first, ServiceClass::OVERFLOW, ms(1));
+        assert!(s.in_service.is_empty());
+        assert_eq!((s.pending(), s.inner().pending()), (1, 0));
     }
 
     #[test]

@@ -92,38 +92,31 @@ fn different_seeds_change_the_workload_but_not_the_laws() {
 
 #[test]
 fn traced_runs_are_byte_identical_to_untraced_runs() {
-    // The golden observability contract: attaching a trace — the null fast
-    // path, the fully instrumented NullSink path, or a recording
-    // MemorySink — never changes a single completion record, for any
-    // policy. Sinks observe; they never steer.
+    // The golden observability contract: a trace handle — disabled, the
+    // fully instrumented NullSink path, or a recording MemorySink — never
+    // changes a single completion record, for any policy. Sinks observe;
+    // they never steer.
     use gqos::sim::{NullSink, TraceHandle};
 
     let w = TraceProfile::OpenMail.generate(SPAN, 5);
     let shaper = WorkloadShaper::plan(&w, QosTarget::new(0.9, SimDuration::from_millis(10)));
     for policy in RecombinePolicy::ALL {
         let plain = shaper.run(&w, policy);
-        let nulled = shaper.run_traced(&w, policy, TraceHandle::null());
-        assert_eq!(
-            plain.records(),
-            nulled.records(),
-            "{policy}: null-traced run diverged"
-        );
-        assert_eq!(plain.end_time(), nulled.end_time(), "{policy}");
-
-        let instrumented = shaper.run_traced(&w, policy, TraceHandle::new(NullSink));
-        assert_eq!(
-            plain.records(),
-            instrumented.records(),
-            "{policy}: instrumented run diverged"
-        );
-
-        let (handle, sink) = TraceHandle::memory();
-        let recorded = shaper.run_traced(&w, policy, handle);
-        assert_eq!(
-            plain.records(),
-            recorded.records(),
-            "{policy}: memory-traced run diverged"
-        );
+        let (memory, sink) = TraceHandle::memory();
+        let handles = [
+            ("disabled", TraceHandle::disabled()),
+            ("instrumented", TraceHandle::new(NullSink)),
+            ("memory", memory),
+        ];
+        for (name, trace) in handles {
+            let traced = shaper.run_traced(&w, policy, trace);
+            assert_eq!(
+                plain.records(),
+                traced.records(),
+                "{policy}: {name}-traced run diverged"
+            );
+            assert_eq!(plain.end_time(), traced.end_time(), "{policy}: {name}");
+        }
         assert!(!sink.borrow().is_empty(), "{policy}: no events captured");
     }
 }
