@@ -7,13 +7,15 @@
 //! that fit nowhere land in best-effort. This yields a full response-time
 //! *distribution* SLA — e.g. 90% within 10 ms, 98% within 50 ms, rest best
 //! effort — from the same bounded-counter machinery as two-class RTT.
+//! Each level runs the kernel's one admit step (`kernel.rs`) on its own
+//! emulated dedicated server.
 
 use std::fmt;
 
 use gqos_sim::ServiceClass;
 use gqos_trace::{Iops, SimDuration, Workload};
 
-use crate::kernel::{RttParams, RttState};
+use crate::kernel::{RttParams, WorkState};
 
 /// One level of a cascade: a capacity share and its deadline.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -68,15 +70,13 @@ impl CascadeDecomposer {
                 "cascade deadlines must be strictly increasing"
             );
         }
-        for (i, level) in levels.iter().enumerate() {
-            assert!(
-                level.capacity.requests_within(level.deadline) >= 1,
-                "level {i} admits no requests (C x delta < 1)"
-            );
-        }
         let levels = levels
             .iter()
-            .map(|l| RttParams::new(l.capacity, l.deadline))
+            .enumerate()
+            .map(|(i, l)| {
+                RttParams::try_new(l.capacity, l.deadline)
+                    .unwrap_or_else(|| panic!("level {i} admits no requests (C x delta < 1)"))
+            })
             .collect();
         CascadeDecomposer { levels }
     }
@@ -88,14 +88,14 @@ impl CascadeDecomposer {
 
     /// Decomposes a workload: each request is offered to the levels in
     /// order and assigned the first that admits it (each level runs the
-    /// two-class admit rule, `RttState::admit`, on its own emulated
+    /// two-class admit rule, `WorkState::admit`, on its own emulated
     /// dedicated server), else the best-effort class.
     ///
     /// A level that an arrival never reaches is not drained then: its next
-    /// `admit` drains every completion since in one closed-form step, so
-    /// the deferral changes no decision.
+    /// `admit` drains all the work done since in one step, so the deferral
+    /// changes no decision.
     pub fn decompose(&self, workload: &Workload) -> CascadeDecomposition {
-        let mut states = vec![RttState::default(); self.levels.len()];
+        let mut states = vec![WorkState::default(); self.levels.len()];
         let mut assignments = Vec::with_capacity(workload.len());
         let mut counts = vec![0u64; self.classes()];
         for &arrival_ns in workload.arrival_column().nanos() {

@@ -14,10 +14,13 @@
 //!
 //! FCFS is one such lane at `Cmin + ΔC`. Split is two, `Cmin` and `ΔC`,
 //! with RTT (Algorithm 1) choosing the lane. RTT's test "fewer than
-//! `maxQ1` primaries pending" is the work form of the kernel
-//! (`kernel.rs`, "the work-recurrence lane form"): at arrival `t` lane 0
-//! holds `w = max(done₀ − t, 0)` ns of work, the pending count is `⌈w/s₀⌉`,
-//! and `⌈w/s₀⌉ < maxQ1 ⇔ w ≤ (maxQ1 − 1)·s₀`.
+//! `maxQ1` primaries pending" is the kernel's work recurrence (`kernel.rs`,
+//! "the work recurrence"): at arrival `t` lane 0 holds
+//! `w = max(done₀ − t, 0)` ns of work, and the arrival joins it iff `w` is
+//! at most the admit cap of the kernel's `RttParams` at `(Cmin, δ)`,
+//! `(maxQ1 − 1)·s₀` wherever `maxQ1·s₀` fits a `u64`. Beyond that the cap
+//! diverts only an arrival whose primary completion would pass the clock,
+//! where the simulation core panics.
 //!
 //! **The simulation core** serves FairQueue and Miser: one server of
 //! `Cmin + ΔC` with two queues, whose order is the policy's own
@@ -31,10 +34,12 @@
 //! same constants ([`Iops::service_time`], which the core's 1 ns floor
 //! leaves as it is; `maxQ1` from [`Iops::requests_within`], as
 //! [`RttClassifier`] computes it), the same record order (completion
-//! instant, then server), and the same release rule (a record leaves once
-//! its completion is at or before the last offered arrival). [`Lanes`] is
-//! the one core type [`RecombinePolicy::lanes`](crate::RecombinePolicy)
-//! hands the shaper for every run with no trace sink.
+//! instant, then server), the same release rule (a record leaves once its
+//! completion is at or before the last offered arrival) and the same
+//! panics: a degenerate Split (`⌊Cmin·δ⌋ = 0`) and a completion past the
+//! `u64` clock panic with the core's messages. [`Lanes`] is the one core
+//! type [`RecombinePolicy::lanes`](crate::RecombinePolicy) hands the
+//! shaper for every run with no trace sink.
 //! `crates/core/tests/fifo_lanes_props.rs` checks all four policies
 //! against the simulation core as the shaper builds it for traced runs.
 //!
@@ -49,6 +54,7 @@ use gqos_sim::{
 use gqos_trace::{ArrivalStream, Iops, Request, SimDuration, SimTime, StreamError, Workload};
 
 use crate::fair::FairQueueScheduler;
+use crate::kernel::RttParams;
 use crate::miser::MiserScheduler;
 
 /// One fixed-rate FIFO server: its service time, the instant its last
@@ -97,8 +103,9 @@ impl Lane {
 pub(crate) struct FifoLanes {
     /// Lane 0 first; the index is the engine's server index.
     lanes: Vec<Lane>,
-    /// Split's admission limit `(maxQ1 − 1)·s₀` on lane 0's work, in ns;
-    /// `None` for FCFS, whose one lane takes every arrival.
+    /// Split's admit cap on lane 0's work, in ns (the kernel's
+    /// `RttParams::admit_cap_ns`); `None` for FCFS, whose one lane takes
+    /// every arrival.
     admit_work: Option<u64>,
     offered: usize,
     last_arrival: SimTime,
@@ -124,36 +131,19 @@ impl FifoLanes {
     /// Split: the primary lane at `cmin` behind RTT's bound at `deadline`,
     /// the overflow lane at `delta_c`.
     ///
-    /// `None` where the lanes cannot stand in for the engine: `⌊Cmin·δ⌋` is
-    /// zero (the engine's `SplitScheduler` panics with the reason), or
-    /// `maxQ1·s₀` is not representable in `u64` nanoseconds, as with a
-    /// saturated bound.
-    pub(crate) fn split(cmin: Iops, delta_c: Iops, deadline: SimDuration) -> Option<Self> {
-        let max_q1 = Some(cmin.requests_within(deadline)).filter(|&m| m >= 1)?;
-        let primary = Lane::new(cmin, ServiceClass::PRIMARY);
-        let s0 = primary.service.as_nanos();
-        max_q1.checked_mul(s0)?;
-        let overflow = Lane::new(delta_c, ServiceClass::OVERFLOW);
-        Some(FifoLanes::new(
-            vec![primary, overflow],
-            Some((max_q1 - 1) * s0),
-        ))
-    }
-
-    /// Whether every completion instant of `workload` is representable:
-    /// `last arrival + n·s` fits a `u64` for every lane. Beyond it
-    /// the engine's clock overflows too, so the caller keeps the engine.
-    pub(crate) fn covers(&self, workload: &Workload) -> bool {
-        let last = workload
-            .requests()
-            .last()
-            .map_or(0, |r| r.arrival.as_nanos());
-        self.lanes.iter().all(|lane| {
-            (workload.len() as u64)
-                .checked_mul(lane.service.as_nanos())
-                .and_then(|work| work.checked_add(last))
-                .is_some()
-        })
+    /// # Panics
+    ///
+    /// Panics if `⌊Cmin·δ⌋ = 0`, with the message of the simulation core's
+    /// `SplitScheduler`.
+    pub(crate) fn split(cmin: Iops, delta_c: Iops, deadline: SimDuration) -> Self {
+        let p = RttParams::new(cmin, deadline);
+        FifoLanes::new(
+            vec![
+                Lane::new(cmin, ServiceClass::PRIMARY),
+                Lane::new(delta_c, ServiceClass::OVERFLOW),
+            ],
+            Some(p.admit_cap_ns),
+        )
     }
 }
 
@@ -231,16 +221,17 @@ pub(crate) enum Lanes {
 }
 
 impl Lanes {
-    /// Runs `workload` to quiescence and returns the report, or `None`
-    /// where the FIFO lanes do not [cover](FifoLanes::covers) it; the
-    /// core itself panics where the clock overflows.
-    pub(crate) fn run(self, workload: &Workload) -> Option<RunReport> {
-        Some(match self {
-            Lanes::Fifo(core) if !core.covers(workload) => return None,
+    /// Runs `workload` to quiescence and returns the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a completion instant passes the `u64` nanosecond clock.
+    pub(crate) fn run(self, workload: &Workload) -> RunReport {
+        match self {
             Lanes::Fifo(core) => run_workload(core, workload),
             Lanes::FairQueue(sim) => sim.run(workload),
             Lanes::Miser(sim) => sim.run(workload),
-        })
+        }
     }
 
     /// Runs `stream` through [`run_chunks`], as
@@ -278,7 +269,9 @@ fn run_workload(mut core: FifoLanes, workload: &Workload) -> RunReport {
 mod tests {
     use super::*;
     use crate::target::Provision;
-    use gqos_sim::Scheduler;
+    use crate::{RecombinePolicy, WorkloadShaper};
+    use gqos_sim::{Scheduler, TraceHandle};
+    use gqos_trace::WorkloadStream;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -291,8 +284,7 @@ mod tests {
             Iops::new(100.0),
             Iops::new(50.0),
             SimDuration::from_millis(20),
-        )
-        .expect("representable");
+        );
         for &r in Workload::from_arrivals([ms(0), ms(0), ms(0), ms(10)]).requests() {
             lanes.offer(r);
         }
@@ -391,19 +383,63 @@ mod tests {
         assert_eq!(lanes.drain(|_| {}), 2);
     }
 
+    /// The message `run` panics with.
+    fn panic_message(run: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the run must panic");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .expect("a text panic")
+                .to_string(),
+        }
+    }
+
     #[test]
-    fn guards_send_unrepresentable_runs_to_the_engine() {
+    fn lanes_panic_where_the_core_panics() {
         let d = SimDuration::from_millis(20);
-        // ⌊Cmin·δ⌋ = 0: the engine's SplitScheduler reports it.
-        assert!(FifoLanes::split(Iops::new(10.0), Iops::new(1.0), d).is_none());
-        // 1/C = 1.5 ns rounds to s₀ = 2 ns, so maxQ1·s₀ ≈ 1.33·δ overflows
-        // for δ near the top of the clock while ⌊C·δ⌋ itself still fits.
-        let huge = SimDuration::from_nanos(14_000_000_000_000_000_000);
-        assert!(FifoLanes::split(Iops::new(6.6e8), Iops::new(1.0), huge).is_none());
-        assert!(FifoLanes::split(Iops::new(6.6e8), Iops::new(1.0), d).is_some());
-        // A workload whose last completion passes the clock.
         let late = Workload::from_arrivals([SimTime::from_nanos(u64::MAX - 5); 2]);
-        assert!(!FifoLanes::fcfs(Iops::new(1.0)).covers(&late));
-        assert!(FifoLanes::fcfs(Iops::new(1.0)).covers(&Workload::from_arrivals([ms(1); 2])));
+        let clock = "completion instant overflows the simulation clock";
+        let cases = [
+            // ⌊Cmin·δ⌋ = 0: the core's SplitScheduler rejects it.
+            (10.0, RecombinePolicy::Split, "admits no requests"),
+            // Last completions past the clock, on one lane and on lane 0.
+            (1.0, RecombinePolicy::Fcfs, clock),
+            (100.0, RecombinePolicy::Split, clock),
+        ];
+        for (cmin, policy, expected) in cases {
+            let shaper = WorkloadShaper::new(Provision::new(Iops::new(cmin), Iops::new(1.0)), d);
+            let core = panic_message(|| {
+                shaper
+                    .simulation(
+                        policy,
+                        TraceHandle::disabled(),
+                        |s, _| s,
+                        FixedRateServer::new,
+                    )
+                    .run(&late);
+            });
+            assert!(core.contains(expected), "{policy}: {core}");
+            let runs = [
+                ("run", panic_message(|| drop(shaper.run(&late, policy)))),
+                (
+                    "run_traced",
+                    panic_message(|| {
+                        drop(shaper.run_traced(&late, policy, TraceHandle::disabled()));
+                    }),
+                ),
+                (
+                    "run_observed",
+                    panic_message(|| {
+                        let mut stream = WorkloadStream::new(late.clone(), 1);
+                        drop(shaper.run_observed(&mut stream, policy, |_| {}));
+                    }),
+                ),
+            ];
+            for (name, message) in runs {
+                assert_eq!(message, core, "{policy} {name}");
+            }
+        }
     }
 }

@@ -10,8 +10,9 @@ use std::fmt;
 
 use gqos_trace::{Iops, SimDuration, Workload};
 
-use crate::kernel::{budgeted_misses, overflow_curve, overflow_curve_ns, LANE_BATCH};
-use crate::rtt::overflow_count;
+use crate::kernel::{
+    budgeted_misses, count_misses, overflow_curve, overflow_curve_ns, RttParams, LANE_BATCH,
+};
 use crate::target::{Provision, QosTarget};
 
 /// Why an SLA-menu request was rejected: a guaranteed fraction that is not
@@ -103,17 +104,20 @@ impl<'w> CapacityPlanner<'w> {
     /// Fraction of the workload RTT places in the primary class at
     /// `capacity` (1.0 for an empty workload).
     ///
-    /// Runs on the counting kernel ([`overflow_count`]): one allocation-free
-    /// pass over the arrival column, no assignment vector.
+    /// Runs the kernel's one scalar scan, as
+    /// [`overflow_count`](crate::overflow_count) does: one allocation-free
+    /// pass over the arrival column, no assignment vector. A degenerate
+    /// capacity (`⌊C·δ⌋ = 0`) guarantees nothing (0.0).
     pub fn fraction_guaranteed(&self, capacity: Iops) -> f64 {
-        if capacity.requests_within(self.deadline) == 0 {
-            return if self.workload.is_empty() { 1.0 } else { 0.0 };
-        }
         let total = self.workload.len() as u64;
         if total == 0 {
             return 1.0;
         }
-        let primary = total - overflow_count(self.workload, capacity, self.deadline);
+        let Some(p) = RttParams::try_new(capacity, self.deadline) else {
+            return 0.0;
+        };
+        let col = self.workload.arrival_column().nanos();
+        let primary = total - count_misses(col.iter().copied(), p, u64::MAX);
         primary as f64 / total as f64
     }
 

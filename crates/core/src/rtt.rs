@@ -9,20 +9,21 @@
 //! (Lemmas 1–3 of the paper; verified against brute force and the Lemma 1
 //! bound in this module's tests).
 //!
-//! The offline entry points ([`decompose`], [`overflow_count`]) run the
-//! crate's integer admit step over the workload's cached columnar arrival
-//! view ([`Workload::arrival_column`]) instead of the request structs:
+//! The offline entry points ([`decompose`], [`overflow_count`]) emulate
+//! the dedicated primary server as the kernel's work recurrence
+//! (`kernel.rs`) over the workload's cached columnar arrival view
+//! ([`Workload::arrival_column`]) instead of the request structs:
 //! [`overflow_count`] is the kernel's one scalar scan, and [`decompose`]
-//! runs the same step while it records each request's class. The online
-//! [`RttClassifier`] remains the per-request admission rule schedulers
-//! embed.
+//! runs the same admit step while it records each request's class. The
+//! online [`RttClassifier`] remains the per-request admission rule
+//! schedulers embed.
 
 use std::fmt;
 
 use gqos_sim::ServiceClass;
 use gqos_trace::{Iops, SimDuration, Workload};
 
-use crate::kernel::{rtt_misses, RttParams, RttState};
+use crate::kernel::{count_misses, RttParams, WorkState};
 
 /// Online RTT classifier: the bounded-queue admission rule, reusable by any
 /// recombination scheduler.
@@ -275,7 +276,7 @@ pub fn decompose(workload: &Workload, capacity: Iops, deadline: SimDuration) -> 
     let p = RttParams::new(capacity, deadline);
     let arrivals = workload.arrival_column().nanos();
     let mut assignments = Vec::with_capacity(arrivals.len());
-    let mut state = RttState::default();
+    let mut state = WorkState::default();
     let mut overflow = 0u64;
     for &arrival in arrivals {
         if state.admit(p, arrival) {
@@ -304,7 +305,7 @@ pub fn decompose(workload: &Workload, capacity: Iops, deadline: SimDuration) -> 
 ///
 /// Panics if `deadline` is zero or `⌊C·δ⌋ = 0` (see [`RttClassifier::new`]).
 pub fn overflow_count(workload: &Workload, capacity: Iops, deadline: SimDuration) -> u64 {
-    rtt_misses(
+    count_misses(
         workload.arrival_column().nanos().iter().copied(),
         RttParams::new(capacity, deadline),
         u64::MAX,

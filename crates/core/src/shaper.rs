@@ -13,9 +13,9 @@
 //! of each policy (`lanes.rs`): FCFS and Split as FIFO-lane recurrences,
 //! FairQueue and Miser as a [`Simulation`] of the policy's own scheduler,
 //! unboxed. The FIFO lanes compute the simulation core's records, record
-//! for record. Traced and faulted runs, gateway and drain lanes, disk
-//! models, and Split where its lane guard fails run on the simulation
-//! core through [`WorkloadShaper::simulation`].
+//! for record, and panic where it panics. Traced and faulted runs, gateway
+//! and drain lanes, and disk models run on the simulation core through
+//! [`WorkloadShaper::simulation`].
 //!
 //! [`run`]: WorkloadShaper::run
 //! [`run_traced`]: WorkloadShaper::run_traced
@@ -103,27 +103,32 @@ impl RecombinePolicy {
     /// fixed-rate servers: one FIFO lane of `Cmin + ΔC` for FCFS, lanes of
     /// `Cmin` and `ΔC` under RTT admission for Split, and a simulation of
     /// the policy's own untraced scheduler, unboxed, on one server of
-    /// `Cmin + ΔC` for FairQueue and Miser. `None` sends the run through
-    /// [`WorkloadShaper::simulation`]: only Split, where the lane guard
-    /// fails.
+    /// `Cmin + ΔC` for FairQueue and Miser.
     ///
     /// Every unwrapped run on [`FixedRateServer`]s with no trace sink asks:
     /// [`WorkloadShaper::run_traced`] and [`WorkloadShaper::run_observed`].
-    fn lanes(self, provision: Provision, deadline: SimDuration) -> Option<Lanes> {
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`parts`](Self::parts) does: a Split with
+    /// `⌊Cmin·δ⌋ = 0` admits no requests.
+    fn lanes(self, provision: Provision, deadline: SimDuration) -> Lanes {
         let one_server = provision.total();
         match self {
-            RecombinePolicy::Fcfs => Some(Lanes::Fifo(FifoLanes::fcfs(one_server))),
-            RecombinePolicy::Split => {
-                FifoLanes::split(provision.cmin(), provision.delta_c(), deadline).map(Lanes::Fifo)
-            }
-            RecombinePolicy::FairQueue => Some(Lanes::FairQueue(
+            RecombinePolicy::Fcfs => Lanes::Fifo(FifoLanes::fcfs(one_server)),
+            RecombinePolicy::Split => Lanes::Fifo(FifoLanes::split(
+                provision.cmin(),
+                provision.delta_c(),
+                deadline,
+            )),
+            RecombinePolicy::FairQueue => Lanes::FairQueue(
                 Simulation::new(FairQueueScheduler::new(provision, deadline))
                     .server(FixedRateServer::new(one_server)),
-            )),
-            RecombinePolicy::Miser => Some(Lanes::Miser(
+            ),
+            RecombinePolicy::Miser => Lanes::Miser(
                 Simulation::new(MiserScheduler::new(provision, deadline))
                     .server(FixedRateServer::new(one_server)),
-            )),
+            ),
         }
     }
 }
@@ -131,10 +136,10 @@ impl RecombinePolicy {
 impl fmt::Display for RecombinePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecombinePolicy::Fcfs => f.write_str("FCFS"),
-            RecombinePolicy::Split => f.write_str("Split"),
-            RecombinePolicy::FairQueue => f.write_str("FairQueue"),
-            RecombinePolicy::Miser => f.write_str("Miser"),
+            RecombinePolicy::Fcfs => f.pad("FCFS"),
+            RecombinePolicy::Split => f.pad("Split"),
+            RecombinePolicy::FairQueue => f.pad("FairQueue"),
+            RecombinePolicy::Miser => f.pad("Miser"),
         }
     }
 }
@@ -242,9 +247,9 @@ impl WorkloadShaper {
     /// deadline.
     ///
     /// Every boxed-policy run is assembled here: traced and faulted runs,
-    /// gateway and drain lanes (`wrap` adds an inbox), runs on other
-    /// service models (`server` builds a disk), and Split where its lane
-    /// guard fails. Identity parts are `|scheduler, _| scheduler` and
+    /// gateway and drain lanes (`wrap` adds an inbox), and runs on other
+    /// service models (`server` builds a disk). Identity parts are
+    /// `|scheduler, _| scheduler` and
     /// `FixedRateServer::new`; built with them, the simulation is the
     /// oracle the FIFO lanes of [`run`](Self::run) and
     /// [`run_observed`](Self::run_observed) are checked against.
@@ -291,23 +296,23 @@ impl WorkloadShaper {
     /// A handle with no sink runs every policy on its lanes: FIFO lanes
     /// for FCFS and Split (the simulation core's report in closed form),
     /// an unboxed simulation of the policy's scheduler for FairQueue and
-    /// Miser. A live sink, Split where its lane guard fails, and a FIFO
-    /// run whose last completion could pass the clock take the boxed
-    /// simulation, whose report is identical: tracing never changes
-    /// scheduling decisions.
+    /// Miser. A live sink takes the boxed simulation, whose report is
+    /// identical: tracing never changes scheduling decisions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `⌊Cmin·δ⌋ = 0` under [`RecombinePolicy::Split`], or if a
+    /// completion instant passes the `u64` nanosecond clock.
     pub fn run_traced(
         &self,
         workload: &Workload,
         policy: RecombinePolicy,
         trace: TraceHandle,
     ) -> RunReport {
-        if !trace.is_enabled() {
-            let lanes = policy.lanes(self.provision, self.deadline);
-            if let Some(report) = lanes.and_then(|lanes| lanes.run(workload)) {
-                return report;
-            }
+        if trace.is_enabled() {
+            return self.boxed(policy, trace).run(workload);
         }
-        self.boxed(policy, trace).run(workload)
+        policy.lanes(self.provision, self.deadline).run(workload)
     }
 
     /// The boxed simulation of `policy` on plain fixed-rate servers,
@@ -336,7 +341,7 @@ impl WorkloadShaper {
     ///
     /// # Panics
     ///
-    /// Panics if a completion instant passes the `u64` nanosecond clock.
+    /// Panics as [`run_traced`](Self::run_traced) does.
     pub fn run_observed<A, F>(
         &self,
         stream: &mut A,
@@ -359,12 +364,9 @@ impl WorkloadShaper {
             completed += 1;
             sink(record);
         };
-        let run = match policy.lanes(self.provision, self.deadline) {
-            Some(lanes) => lanes.run_stream(stream, observe)?,
-            None => self
-                .boxed(policy, TraceHandle::disabled())
-                .run_stream(stream, observe)?,
-        };
+        let run = policy
+            .lanes(self.provision, self.deadline)
+            .run_stream(stream, observe)?;
         // Merging is exact, so this equals recording every response once
         // more into a whole-run sketch, at one merge instead of a record
         // per request.
@@ -529,6 +531,13 @@ mod tests {
     fn policy_display_names_match_paper() {
         let names: Vec<String> = RecombinePolicy::ALL.iter().map(|p| p.to_string()).collect();
         assert_eq!(names, vec!["FCFS", "Split", "FairQueue", "Miser"]);
+    }
+
+    #[test]
+    fn policy_display_honours_width_and_alignment() {
+        assert_eq!(format!("{:<10}|", RecombinePolicy::Fcfs), "FCFS      |");
+        assert_eq!(format!("{:>6}|", RecombinePolicy::Split), " Split|");
+        assert_eq!(format!("{:^7}|", RecombinePolicy::Miser), " Miser |");
     }
 
     #[test]

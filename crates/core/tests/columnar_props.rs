@@ -3,11 +3,13 @@
 //!
 //! The seed implementation walked `Vec<Request>` with a per-completion
 //! drain loop around [`RttClassifier`]; the kernels replaced it with a
-//! bulk-drain integer scan over the cached arrival column. `legacy_scan`
-//! below is a literal transcription of the seed loop (kept *here*, outside
-//! the library, as the reference semantics) — assignments, counts, and
-//! budget early-exits must coincide exactly, because experiment outputs and
-//! planner quotes are required to stay byte-identical across the rewrite.
+//! work recurrence over the cached arrival column. `legacy_scan` below is
+//! a literal transcription of the seed loop (kept *here*, outside the
+//! library, as the reference semantics, and the one oracle for
+//! `decompose`, `overflow_count` and the cascade that does not share the
+//! kernel's admit step) — assignments, counts, and budget early-exits must
+//! coincide exactly, because experiment outputs and planner quotes are
+//! required to stay byte-identical across the rewrite.
 
 use gqos_core::{
     decompose, overflow_count, overflow_curve, within_miss_budget_curve, CascadeDecomposer,

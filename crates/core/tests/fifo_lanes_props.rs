@@ -16,7 +16,8 @@
 //! times and gaps on one time unit, so arrivals land on completion
 //! instants and the two Split lanes complete at the same instant; the
 //! others use arbitrary rates. Capacities include `Cmin·δ` near 1 (`maxQ1`
-//! = 1 or 2) and rates whose service time clamps to 1 ns. No external
+//! = 1 or 2) and rates whose service time clamps to 1 ns, and deadlines
+//! reach the top of the clock, where `maxQ1·s₀` passes `u64::MAX`. No external
 //! property-testing crate: a deterministic splitmix generator drives the
 //! rounds, so a failure replays exactly.
 
@@ -290,18 +291,35 @@ fn lane_ties_release_the_primary_server_first() {
 }
 
 #[test]
-fn saturated_admission_bound_falls_back_to_the_engine() {
-    // 1/Cmin = 1.5 ns rounds to a 2 ns service, so maxQ1·s₀ ≈ 1.33·δ
-    // passes 2^64 ns while ⌊Cmin·δ⌋ itself still fits: the lane guard
-    // sends Split to the engine, and the run still matches it.
-    let cmin = Iops::new(6.6e8);
-    let deadline = SimDuration::from_nanos(14_000_000_000_000_000_000);
-    let max_q1 = cmin.requests_within(deadline);
-    assert!(max_q1.checked_mul(2).is_none());
-    let shaper = WorkloadShaper::new(Provision::new(cmin, Iops::new(1.0)), deadline);
+fn overflowing_admission_bounds_match_the_engine() {
+    // 1/Cmin between k − 0.5 and k ns rounds up to s₀ = k, so near the top
+    // of the clock maxQ1·s₀ passes 2^64 ns while ⌊Cmin·δ⌋ itself still
+    // fits (at Cmin = 6.6·10⁸, from δ ≈ 1.4·10¹⁹ ns). The lanes' admit cap
+    // is then u64::MAX − s₀; short bursts near t = 0 never reach it, and
+    // every policy must still match the engine record for record.
     let mut rng = Rng(0x1a4e_0002);
-    let w = rng.workload(200, 1, 2);
-    for policy in RecombinePolicy::ALL {
-        check(&shaper, policy, &w, &[1, 7, w.len()]);
+    for round in 0..40 {
+        let k = 2 + rng.below(3);
+        let service_ns = k as f64 - 0.5 + rng.below(400) as f64 / 1000.0;
+        let cmin = if round == 0 {
+            Iops::new(6.6e8)
+        } else {
+            Iops::new(1e9 / service_ns)
+        };
+        let s0 = cmin.service_time().as_nanos();
+        // The smallest δ at which maxQ1·s₀ overflows, with a margin for
+        // the float estimate; then anywhere from there to the clock's end.
+        let lowest = (u64::MAX as f64 / (cmin.get() * s0 as f64 / 1e9) * (1.0 + 1e-9)) as u64;
+        let deadline = SimDuration::from_nanos(u64::MAX - rng.below(u64::MAX - lowest));
+        let max_q1 = cmin.requests_within(deadline);
+        assert!(max_q1.checked_mul(s0).is_none(), "round {round}");
+        let len = 1 + rng.below(200) as usize;
+        let w = rng.workload(len, 1, s0);
+        let chunks = [1, 7, 1 + rng.below(50) as usize, w.len()];
+        let delta_c = Iops::new(1.0 + rng.below(2_000_000_000) as f64);
+        let shaper = WorkloadShaper::new(Provision::new(cmin, delta_c), deadline);
+        for policy in RecombinePolicy::ALL {
+            check(&shaper, policy, &w, &chunks);
+        }
     }
 }

@@ -5,9 +5,11 @@
 //! grid length
 //! around the lane width (0 ..= 2×8 covers full batches, empty grids, and
 //! every scalar-remainder size), over randomised bursty workloads,
-//! including lanes that must fall back to the saturating scalar path.
-//! No external property-testing crate: a deterministic splitmix-style
-//! generator drives the rounds.
+//! including workloads whose emulated completions pass the end of the
+//! `u64` clock. The batched tiles and the scalar scan run the same work
+//! recurrence; `columnar_props` holds both to an independent
+//! per-completion loop. No external property-testing crate: a
+//! deterministic splitmix-style generator drives the rounds.
 
 use gqos_core::{overflow_count, overflow_curve, within_miss_budget_curve};
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
@@ -97,23 +99,30 @@ fn budget_curve_is_bit_identical_to_the_scalar_oracle() {
     }
 }
 
-/// Arrivals close to the end of representable time force the kernel's
-/// overflow guard to reroute lanes to the saturating scalar scan; mixed
-/// grids must still agree element-wise with the oracle.
+/// Arrivals in the last 40 s of representable time, and the same
+/// arrivals shifted so the last lands on `u64::MAX` (their emulated
+/// completions pass the clock), run on the batched lanes like any other;
+/// every grid shape must still agree element-wise with the oracle.
 #[test]
 fn horizon_adjacent_workloads_still_match_the_oracle() {
     let mut rng = Rng(0xf00d_0003);
     let start = u64::MAX - 40_000_000_000; // 40 s of headroom before the horizon
     for round in 0..20 {
         let workload = rng.workload(50, start);
+        let col = workload.arrival_column().nanos();
+        let shift = u64::MAX - col.last().expect("non-empty");
+        let at_the_end =
+            Workload::from_arrivals(col.iter().map(|&t| SimTime::from_nanos(t + shift)));
         for len in [1, 7, 8, 9, 16] {
             let grid = rng.grid(len);
-            let batched = overflow_curve(&workload, &grid, DEADLINE);
-            let scalar: Vec<u64> = grid
-                .iter()
-                .map(|&c| overflow_count(&workload, c, DEADLINE))
-                .collect();
-            assert_eq!(batched, scalar, "round {round}, grid length {len}");
+            for workload in [&workload, &at_the_end] {
+                let batched = overflow_curve(workload, &grid, DEADLINE);
+                let scalar: Vec<u64> = grid
+                    .iter()
+                    .map(|&c| overflow_count(workload, c, DEADLINE))
+                    .collect();
+                assert_eq!(batched, scalar, "round {round}, grid length {len}");
+            }
         }
     }
 }
