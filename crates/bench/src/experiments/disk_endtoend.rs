@@ -20,9 +20,9 @@ use crate::config::ExpConfig;
 use crate::outln;
 use crate::output::{CsvWriter, Table};
 
-fn disk(seed: u64) -> CachedDisk<DiskModel> {
+fn disk() -> CachedDisk<DiskModel> {
     CachedDisk::new(
-        DiskModel::builder().seed(seed).build(),
+        DiskModel::builder().build(),
         4096,
         SimDuration::from_micros(60),
     )
@@ -49,21 +49,12 @@ pub fn report(cfg: &ExpConfig) -> String {
     );
     outln!(out);
 
-    // Each policy's servers become disks, seeded 1, 2, … in server order.
+    // Each policy's servers become fresh, identical cached disks.
     let shaper = WorkloadShaper::new(provision, deadline);
-    let mut seed = 0;
     let runs: Vec<(RecombinePolicy, RunReport)> = RecombinePolicy::ALL
         .iter()
         .map(|&policy| {
-            let sim = shaper.simulation(
-                policy,
-                TraceHandle::disabled(),
-                |s, _| s,
-                |_| {
-                    seed += 1;
-                    disk(seed)
-                },
-            );
+            let sim = shaper.simulation(policy, TraceHandle::disabled(), |s, _| s, |_| disk());
             (policy, sim.run(&workload))
         })
         .collect();

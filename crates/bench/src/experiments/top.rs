@@ -19,6 +19,7 @@
 //!
 //! [`LongTermStore`]: gqos_sim::LongTermStore
 
+use gqos_control::SloTarget;
 use gqos_sim::SeriesPoint;
 use gqos_trace::{SimDuration, SimTime};
 
@@ -51,17 +52,18 @@ fn spark(point: &SeriesPoint, max: u64) -> char {
 }
 
 /// The graduated-QoS rung of one cell, judged from its p99 against the
-/// deadline δ: `slack` within 3δ/4, `meet` within δ, `miss` beyond.
-fn rung(point: &SeriesPoint, deadline: SimDuration) -> &'static str {
+/// deadline δ of `slo`: `slack` within [`SloTarget::slack_deadline`],
+/// `meet` within δ, `miss` beyond.
+fn rung(point: &SeriesPoint, slo: SloTarget) -> &'static str {
     if !point.covered {
         return "evicted";
     }
     match point.quantile {
         None => "quiet",
         Some(q) => {
-            if q <= deadline.as_nanos() / 4 * 3 {
+            if q <= slo.slack_deadline().as_nanos() {
                 "slack"
-            } else if q <= deadline.as_nanos() {
+            } else if q <= slo.deadline().as_nanos() {
                 "meet"
             } else {
                 "miss"
@@ -74,7 +76,8 @@ fn rung(point: &SeriesPoint, deadline: SimDuration) -> &'static str {
 pub fn report(cfg: &ExpConfig) -> String {
     let mut out = String::new();
     let outcome = longterm_stats::compute(cfg);
-    let deadline = SimDuration::from_millis(LONGTERM_DEADLINE_MS);
+    // The rung judges p99: an SLO of 99% within δ.
+    let slo = SloTarget::new(SimDuration::from_millis(LONGTERM_DEADLINE_MS), 990_000);
     let res = outcome.resolution;
     let total_cells = (outcome.end.as_nanos() / res.as_nanos()).max(1);
     outln!(
@@ -141,7 +144,7 @@ pub fn report(cfg: &ExpConfig) -> String {
                 latest
                     .quantile
                     .map_or("-".to_string(), |q| (q / 1_000).to_string()),
-                rung(latest, deadline).to_string(),
+                rung(latest, slo).to_string(),
                 drift,
             ]);
         }
@@ -156,7 +159,7 @@ pub fn report(cfg: &ExpConfig) -> String {
             .map(|(series, r)| {
                 let worst = series
                     .iter()
-                    .map(|p| rung(p, deadline))
+                    .map(|p| rung(p, slo))
                     .max_by_key(|&label| match label {
                         "miss" => 3,
                         "meet" => 2,

@@ -21,7 +21,7 @@
 //! share axis: `lo` is the largest share observed to miss, `hi` the
 //! smallest observed to meet. Misses bisect upward toward `hi` (or grow
 //! multiplicatively by the integer gain `growth_num/8` while unbracketed);
-//! a run of `slack_patience` Slack windows opens a descent that bisects
+//! a run of two Slack windows opens a descent that bisects
 //! down toward `lo`. Because the verdict predicate is exactly the
 //! miss-budget test [`CapacityPlanner::min_capacity`] bisects on, a
 //! stationary workload converges the loop to the static
@@ -29,7 +29,7 @@
 //! pin. Anti-flap rules keep steady state silent:
 //!
 //! - a tenant whose bracket proves minimality (`lo + 1 == share`) never
-//!   re-descends until the bracket ages past `bracket_ttl` windows;
+//!   re-descends until the bracket ages past eight windows;
 //! - a Meet issues nothing; a zero-error steady state is byte-identical
 //!   to an uncontrolled run;
 //! - while the server-side [`DegradationController`] ladder sits below
@@ -55,8 +55,7 @@
 use std::collections::BTreeMap;
 
 use gqos_core::{
-    overflow_curve, CapacityPlanner, DegradationController, DegradationPolicy, FleetPlacer,
-    QosTarget, TenantId,
+    overflow_curve, CapacityPlanner, DegradationController, FleetPlacer, QosTarget, TenantId,
 };
 use gqos_faults::{splitmix64, ChannelFaultSchedule};
 use gqos_obs::{LatencySketch, WindowSnapshot};
@@ -80,6 +79,12 @@ const CHANNEL_SALT: u64 = 0x51_0C4A_77E1_5EED;
 /// Command-id namespace for controller-issued renegotiations — above any
 /// scenario setup id.
 const SLO_CMD_BASE: u64 = 0x5107_0000;
+/// Consecutive Slack windows required before a descent opens.
+const SLACK_PATIENCE: u32 = 2;
+/// Windows a minimality proof (`lo + 1 == share`) stays trusted; an older
+/// bracket is discarded so sustained slack can reclaim share after
+/// downward drift.
+const BRACKET_TTL: u32 = 8;
 
 /// A tenant's service-level objective in integer form: at least
 /// `fraction_ppm` parts-per-million of each window's requests must
@@ -127,9 +132,11 @@ impl SloTarget {
         f64::from(self.fraction_ppm) / 1_000_000.0
     }
 
-    /// The shrunk deadline `3δ/4` that separates Meet from Slack.
+    /// The shrunk deadline `⌊3δ/4⌋` that separates Meet from Slack,
+    /// computed as `δ − ⌈δ/4⌉` so it cannot overflow, and at least 1 ns.
     pub fn slack_deadline(&self) -> SimDuration {
-        SimDuration::from_nanos((self.deadline.as_nanos() / 4).saturating_mul(3).max(1))
+        let delta = self.deadline.as_nanos();
+        SimDuration::from_nanos((delta - delta.div_ceil(4)).max(1))
     }
 
     /// The smallest share with a non-degenerate RTT bound: `C·δ ≥ 1`,
@@ -196,23 +203,16 @@ impl WindowVerdict {
 /// design.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct SloConfig {
-    /// Total fleet capacity in IOPS — intended shares never sum past it.
+    /// Total fleet capacity in IOPS — intended shares never sum past it,
+    /// and no one tenant's share exceeds it.
     pub fleet_capacity: u64,
-    /// Per-tenant share ceiling (defaults to the fleet capacity).
-    pub max_share: u64,
     /// Integer growth gain numerator over [`GROWTH_DEN`]: an unbracketed
     /// miss multiplies the share by `growth_num / 8` (16 = double).
     pub growth_num: u32,
-    /// Consecutive Slack windows required before a descent opens.
-    pub slack_patience: u32,
-    /// Windows a minimality proof (`lo + 1 == share`) stays trusted; an
-    /// older bracket is discarded so sustained slack can reclaim share
-    /// after downward drift.
-    pub bracket_ttl: u32,
 }
 
 impl SloConfig {
-    /// Defaults: gain 16 (doubling), patience 2, bracket TTL 8.
+    /// Default gain 16 (doubling).
     ///
     /// # Panics
     ///
@@ -221,10 +221,7 @@ impl SloConfig {
         assert!(fleet_capacity > 0, "fleet capacity must be positive");
         SloConfig {
             fleet_capacity,
-            max_share: fleet_capacity,
             growth_num: 16,
-            slack_patience: 2,
-            bracket_ttl: 8,
         }
     }
 
@@ -315,18 +312,13 @@ impl SloController {
         }
     }
 
-    /// The controller's tuning.
-    pub fn config(&self) -> SloConfig {
-        self.config
-    }
-
     /// The run counters.
     pub fn stats(&self) -> SloStats {
         self.stats
     }
 
     /// Starts a loop for `tenant` at `initial_share` (clamped to the
-    /// SLO's capacity floor and the per-tenant ceiling), fenced at
+    /// SLO's capacity floor and the fleet capacity), fenced at
     /// `epoch`.
     ///
     /// # Panics
@@ -334,7 +326,7 @@ impl SloController {
     /// Panics when the tenant is already registered.
     pub fn register(&mut self, tenant: TenantId, slo: SloTarget, initial_share: u64, epoch: u64) {
         let floor = slo.capacity_floor();
-        let share = initial_share.clamp(floor, self.config.max_share.max(floor));
+        let share = initial_share.clamp(floor, self.config.fleet_capacity.max(floor));
         let fresh = self
             .loops
             .insert(
@@ -513,14 +505,14 @@ impl SloController {
                 } else if verdict == WindowVerdict::Slack {
                     lp.slack_run += 1;
                     let proven_minimal = lp.lo + 1 == lp.share;
-                    if proven_minimal && lp.bracket_age >= self.config.bracket_ttl {
+                    if proven_minimal && lp.bracket_age >= BRACKET_TTL {
                         // The minimality proof predates possible drift:
                         // discard it so sustained slack can reclaim.
                         lp.lo = 0;
                     } else if proven_minimal {
                         return None;
                     }
-                    if lp.slack_run < self.config.slack_patience || lp.share <= lp.floor {
+                    if lp.slack_run < SLACK_PATIENCE || lp.share <= lp.floor {
                         return None;
                     }
                     lp.slack_run = 0;
@@ -536,7 +528,7 @@ impl SloController {
                 }
             }
         };
-        let ceiling = headroom.min(self.config.max_share).max(lp.floor);
+        let ceiling = headroom.max(lp.floor);
         let next = proposed.clamp(lp.floor, ceiling);
         if next == lp.share {
             return None;
@@ -848,7 +840,7 @@ impl SloScenario {
             .with_base(rtt + SimDuration::from_millis(1))
             .with_cap(rtt + SimDuration::from_millis(50));
         let driver = ControlDriver::new(&self.channel, policy);
-        let mut ladder = DegradationController::new(DegradationPolicy::default(), 4);
+        let mut ladder = DegradationController::new(4);
         let nominal = SimDuration::from_micros(500);
         let mut records = Vec::new();
         let mut committed = Vec::new();
@@ -1130,6 +1122,12 @@ mod tests {
         let slo = slo();
         assert_eq!(slo.capacity_floor(), 50, "⌈1 / 20 ms⌉");
         assert_eq!(slo.slack_deadline(), SimDuration::from_millis(15));
+        // ⌊3·7/4⌋ = 5 exactly, not ⌊7/4⌋·3 = 3.
+        let odd = SloTarget::new(SimDuration::from_nanos(7), 990_000);
+        assert_eq!(odd.slack_deadline(), SimDuration::from_nanos(5));
+        // ⌊3/4⌋ = 0 is floored at 1 ns.
+        let tiny = SloTarget::new(SimDuration::from_nanos(1), 990_000);
+        assert_eq!(tiny.slack_deadline(), SimDuration::from_nanos(1));
     }
 
     #[test]
@@ -1245,7 +1243,7 @@ mod tests {
         assert_eq!(c.share_of(t), Some(400));
         // Sustained slack: the fresh minimality proof (399 missed)
         // suppresses any descent until the bracket ages past the TTL...
-        let ttl = c.config().bracket_ttl;
+        let ttl = BRACKET_TTL;
         let mut probed_at = None;
         for w in 0..2 * ttl {
             if c.observe_verdict(t, WindowVerdict::Slack, false).is_some() {

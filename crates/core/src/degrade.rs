@@ -7,7 +7,7 @@
 //! converts the guarantee into a lie. The graceful alternative implemented
 //! here renegotiates the guarantee *downward in graduated steps*: a
 //! [`DegradationController`] tracks `C_eff/C` from observed service times
-//! (via [`CapacityEstimator`]) and walks a [`DegradationPolicy`] ladder;
+//! (via [`CapacityEstimator`]) and walks the [`DEGRADATION_STEPS`] ladder;
 //! every step change calls [`CapacityAdaptive::renegotiate`] on the
 //! scheduler, which shrinks the RTT bound to `⌊C_eff·δ⌋` — shedding *new*
 //! arrivals to Q2 rather than letting queued Q1 requests miss — and
@@ -28,86 +28,32 @@ use gqos_sim::{
 use gqos_trace::{Iops, Request, RequestId, SimDuration, SimTime};
 
 /// The graduated ladder of renegotiated capacity fractions, descending from
-/// 1.0 (healthy), plus the headroom margin used when climbing back up.
+/// 1.0 (healthy).
 ///
 /// Degradation is immediate (jump straight to the step matching the
 /// estimate — shedding late is how deadlines get missed) while recovery is
-/// deliberate: one step at a time, and only after `recovery_patience`
-/// consecutive healthy observations, so a flapping server does not
-/// whipsaw the admission bound.
-#[derive(Clone, PartialEq, Debug)]
-pub struct DegradationPolicy {
-    steps: Vec<f64>,
-    margin: f64,
-    recovery_patience: u32,
-}
+/// deliberate: one step at a time, and only after a run of consecutive
+/// healthy observations, so a flapping server does not whipsaw the
+/// admission bound.
+pub const DEGRADATION_STEPS: [f64; 6] = [1.0, 0.9, 0.75, 0.5, 0.25, 0.1];
 
-impl DegradationPolicy {
-    /// Creates a policy from a descending ladder of capacity fractions.
-    ///
-    /// `margin` is the relative headroom for step selection (a step `s`
-    /// matches an estimate `e` when `s ≤ e·(1 + margin)`), and
-    /// `recovery_patience` the number of consecutive better-than-current
-    /// observations required before climbing one step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is empty, does not start at 1.0, is not strictly
-    /// descending, contains a non-positive entry, or `margin` is negative.
-    pub fn new(steps: Vec<f64>, margin: f64, recovery_patience: u32) -> Self {
-        assert!(!steps.is_empty(), "degradation ladder must not be empty");
-        assert_eq!(steps[0], 1.0, "degradation ladder must start at 1.0");
-        assert!(
-            steps.windows(2).all(|w| w[0] > w[1]),
-            "degradation ladder must be strictly descending"
-        );
-        assert!(
-            steps.iter().all(|&s| s.is_finite() && s > 0.0),
-            "degradation steps must be finite and positive"
-        );
-        assert!(
-            margin.is_finite() && margin >= 0.0,
-            "margin must be finite and non-negative"
-        );
-        DegradationPolicy {
-            steps,
-            margin,
-            recovery_patience,
-        }
-    }
+/// Relative headroom for step selection: a step `s` matches an estimate
+/// `e` when `s ≤ e·(1 + MARGIN)`, so a near-healthy estimate counts as
+/// healthy.
+const MARGIN: f64 = 0.02;
 
-    /// The ladder of capacity fractions, descending from 1.0.
-    pub fn steps(&self) -> &[f64] {
-        &self.steps
-    }
+/// Consecutive better-than-current observations required before the
+/// controller climbs one step.
+const RECOVERY_PATIENCE: u32 = 8;
 
-    /// The capacity fraction at `level` (0 = healthy).
-    fn factor_at(&self, level: usize) -> f64 {
-        self.steps[level]
-    }
-
-    /// The deepest (most conservative) ladder level whose fraction the
-    /// estimate still supports, with headroom `margin`.
-    fn level_for(&self, estimate: f64) -> usize {
-        let ceiling = estimate * (1.0 + self.margin);
-        self.steps
-            .iter()
-            .position(|&s| s <= ceiling)
-            .unwrap_or(self.steps.len() - 1)
-    }
-
-    /// Number of healthy observations required before climbing a step.
-    fn recovery_patience(&self) -> u32 {
-        self.recovery_patience
-    }
-}
-
-impl Default for DegradationPolicy {
-    /// The ladder used throughout the experiments:
-    /// `[1.0, 0.9, 0.75, 0.5, 0.25, 0.1]`, 2% headroom, patience 8.
-    fn default() -> Self {
-        DegradationPolicy::new(vec![1.0, 0.9, 0.75, 0.5, 0.25, 0.1], 0.02, 8)
-    }
+/// The deepest (most conservative) ladder level whose fraction the
+/// estimate still supports, with headroom [`MARGIN`].
+fn level_for(estimate: f64) -> usize {
+    let ceiling = estimate * (1.0 + MARGIN);
+    DEGRADATION_STEPS
+        .iter()
+        .position(|&s| s <= ceiling)
+        .unwrap_or(DEGRADATION_STEPS.len() - 1)
 }
 
 /// Tracks the effective capacity online and decides when to renegotiate.
@@ -120,17 +66,16 @@ impl Default for DegradationPolicy {
 /// which is what keeps fault-free runs byte-identical to unadapted ones.
 #[derive(Clone, Debug)]
 pub struct DegradationController {
-    policy: DegradationPolicy,
     estimator: CapacityEstimator,
     level: usize,
     recovery_streak: u32,
 }
 
 impl DegradationController {
-    /// Creates a controller with the given policy and estimator window.
-    pub fn new(policy: DegradationPolicy, window: usize) -> Self {
+    /// Creates a controller over [`DEGRADATION_STEPS`] with the given
+    /// estimator window.
+    pub fn new(window: usize) -> Self {
         DegradationController {
-            policy,
             estimator: CapacityEstimator::new(window),
             level: 0,
             recovery_streak: 0,
@@ -140,7 +85,7 @@ impl DegradationController {
     /// The current renegotiated capacity fraction `φ̂` — what admission
     /// control believes the server can sustain.
     pub fn factor(&self) -> f64 {
-        self.policy.factor_at(self.level)
+        DEGRADATION_STEPS[self.level]
     }
 
     /// The raw capacity estimate `C_eff/C` the ladder quantises.
@@ -161,7 +106,7 @@ impl DegradationController {
     /// the graduated level changed.
     pub fn observe(&mut self, observed: SimDuration, nominal: SimDuration) -> Option<f64> {
         let estimate = self.estimator.observe(observed, nominal);
-        let target = self.policy.level_for(estimate);
+        let target = level_for(estimate);
         if target > self.level {
             // Degrade immediately, straight to the supported level.
             self.level = target;
@@ -170,7 +115,7 @@ impl DegradationController {
         }
         if target < self.level {
             self.recovery_streak += 1;
-            if self.recovery_streak > self.policy.recovery_patience() {
+            if self.recovery_streak > RECOVERY_PATIENCE {
                 // Recover gradually: one rung per patience run.
                 self.level -= 1;
                 self.recovery_streak = 0;
@@ -396,21 +341,24 @@ mod tests {
     }
 
     #[test]
+    fn ladder_starts_healthy_and_descends() {
+        assert_eq!(DEGRADATION_STEPS[0], 1.0);
+        assert!(DEGRADATION_STEPS.windows(2).all(|w| w[0] > w[1]));
+        assert!(DEGRADATION_STEPS.iter().all(|&s| s.is_finite() && s > 0.0));
+    }
+
+    #[test]
     fn ladder_selection_with_margin() {
-        let p = DegradationPolicy::default();
-        assert_eq!(p.level_for(1.0), 0);
+        assert_eq!(level_for(1.0), 0);
         // 2% headroom lets a near-healthy estimate count as healthy.
-        assert_eq!(p.level_for(0.985), 0);
-        assert_eq!(p.level_for(0.6), 3); // 0.5 rung
-        assert_eq!(p.level_for(0.05), 5); // below the ladder: deepest rung
-        assert_eq!(p.factor_at(5), 0.1);
-        assert_eq!(p.steps().len(), 6);
-        assert_eq!(p.recovery_patience(), 8);
+        assert_eq!(level_for(0.985), 0);
+        assert_eq!(level_for(0.6), 3); // 0.5 rung
+        assert_eq!(level_for(0.05), 5); // below the ladder: deepest rung
     }
 
     #[test]
     fn controller_degrades_fast_and_recovers_slowly() {
-        let mut c = DegradationController::new(DegradationPolicy::default(), 4);
+        let mut c = DegradationController::new(4);
         assert_eq!(c.factor(), 1.0);
         // A burst of 4x service times: degrade within a few completions.
         let mut changed = None;
@@ -440,7 +388,7 @@ mod tests {
 
     #[test]
     fn healthy_observations_never_fire() {
-        let mut c = DegradationController::new(DegradationPolicy::default(), 16);
+        let mut c = DegradationController::new(16);
         for _ in 0..10_000 {
             assert_eq!(c.observe(dms(10), dms(10)), None);
         }
@@ -454,7 +402,7 @@ mod tests {
         // shrink the bound and start shedding.
         let p = Provision::new(Iops::new(100.0), Iops::new(100.0));
         let inner = MiserScheduler::new(p, dms(50));
-        let controller = DegradationController::new(DegradationPolicy::default(), 4);
+        let controller = DegradationController::new(4);
         let (mut s, log) =
             AdaptiveScheduler::new(inner, controller, &[p.total()]).with_admission_log();
 
@@ -487,17 +435,5 @@ mod tests {
         s.renegotiate(0.1);
         assert_eq!(s.degradation_factor(), 1.0);
         assert_eq!(s.primary_backlog(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must start at 1.0")]
-    fn ladder_must_start_healthy() {
-        let _ = DegradationPolicy::new(vec![0.9, 0.5], 0.0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly descending")]
-    fn ladder_must_descend() {
-        let _ = DegradationPolicy::new(vec![1.0, 0.5, 0.5], 0.0, 1);
     }
 }

@@ -73,7 +73,7 @@ pub use cascade::{CascadeDecomposer, CascadeDecomposition, CascadeLevel};
 pub use consolidate::{merge_all, ConsolidationError, ConsolidationReport, ConsolidationStudy};
 pub use degrade::{
     AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
-    DegradationPolicy,
+    DEGRADATION_STEPS,
 };
 pub use fair::FairQueueScheduler;
 pub use fleet::{
@@ -81,7 +81,7 @@ pub use fleet::{
 };
 pub use kernel::{overflow_curve, within_miss_budget_curve};
 pub use miser::MiserScheduler;
-pub use offline::{rtt_period_bound, slotted_lower_bound, OptimalityCheck};
+pub use offline::{rtt_period_bound, slotted_lower_bound};
 pub use planner::{capacity_floor, CapacityPlanner, MenuError, SeedCurve, SlaQuote};
 pub use rtt::{decompose, optimal_drop_lower_bound, overflow_count, Decomposition, RttClassifier};
 pub use shaper::{RecombinePolicy, StreamObservation, WorkloadShaper};

@@ -32,7 +32,6 @@ use gqos_trace::{ArrivalStream, Iops, SimDuration, SimTime, StreamError, Workloa
 
 use crate::degrade::{
     AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
-    DegradationPolicy,
 };
 use crate::fair::FairQueueScheduler;
 use crate::lanes::{FifoLanes, Lanes};
@@ -406,8 +405,7 @@ impl WorkloadShaper {
         policy: RecombinePolicy,
         schedule: &FaultSchedule,
     ) -> (RunReport, Vec<AdmissionRecord>) {
-        let controller =
-            DegradationController::new(DegradationPolicy::default(), DEGRADATION_WINDOW);
+        let controller = DegradationController::new(DEGRADATION_WINDOW);
         let mut log = AdmissionLog::default();
         let report = self
             .simulation(

@@ -7,7 +7,7 @@
 //! its job) but must never let an honestly-admitted primary miss.
 
 use gqos_core::{
-    DegradationController, DegradationPolicy, Provision, RecombinePolicy, WorkloadShaper,
+    DegradationController, Provision, RecombinePolicy, WorkloadShaper, DEGRADATION_STEPS,
 };
 use gqos_faults::FaultSchedule;
 use gqos_trace::{Iops, SimDuration, SimTime, Workload};
@@ -133,7 +133,7 @@ proptest! {
 
     /// The oscillation guard: once the controller has settled on a rung,
     /// borderline observations alternating around that rung's capacity
-    /// fraction — strictly inside the policy's 2% headroom margin — must
+    /// fraction — strictly inside the ladder's 2% headroom margin — must
     /// never change the level. No `Some` from `observe`, no factor
     /// drift; the ladder only moves when the estimate genuinely leaves
     /// the rung's band.
@@ -145,9 +145,8 @@ proptest! {
         window in 4usize..32,
         wobble in 50usize..300,
     ) {
-        let policy = DegradationPolicy::default();
-        let s = policy.steps()[level];
-        let mut controller = DegradationController::new(policy, window);
+        let s = DEGRADATION_STEPS[level];
+        let mut controller = DegradationController::new(window);
 
         // Settle: a sustained fault at exactly `s` walks the controller
         // down the ladder. Degradation is monotone on the way — every

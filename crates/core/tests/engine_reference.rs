@@ -28,8 +28,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use proptest::prelude::*;
 
 use gqos_core::{
-    AdaptiveScheduler, CapacityAdaptive, DegradationController, DegradationPolicy,
-    FairQueueScheduler, MiserScheduler, Provision, SplitScheduler,
+    AdaptiveScheduler, CapacityAdaptive, DegradationController, FairQueueScheduler, MiserScheduler,
+    Provision, SplitScheduler,
 };
 use gqos_faults::FaultSchedule;
 use gqos_sim::{
@@ -406,7 +406,7 @@ proptest! {
         let schedule = FaultSchedule::generate(seed, SimDuration::from_nanos(span), 0.8);
         compare(&format!("adaptive {}", POLICIES[which]), &w, None, |t| {
             let (inner, rates) = policy(which, split, shared, t);
-            let controller = DegradationController::new(DegradationPolicy::default(), 8);
+            let controller = DegradationController::new(8);
             let models = rates
                 .iter()
                 .map(|&r| ModulatedServer::new(FixedRateServer::new(r), schedule.clone()))

@@ -9,7 +9,7 @@
 //! diverge here record for record.
 
 use gqos_core::{
-    AdaptiveScheduler, AdmissionRecord, CapacityAdaptive, DegradationController, DegradationPolicy,
+    AdaptiveScheduler, AdmissionRecord, CapacityAdaptive, DegradationController,
     FairQueueScheduler, MiserScheduler, QosTarget, RecombinePolicy, SplitScheduler, WorkloadShaper,
 };
 use gqos_faults::FaultSchedule;
@@ -63,7 +63,7 @@ fn faulted<S: CapacityAdaptive>(
     rates: &[Iops],
     schedule: &FaultSchedule,
 ) -> (RunReport, Vec<AdmissionRecord>) {
-    let controller = DegradationController::new(DegradationPolicy::default(), DEGRADATION_WINDOW);
+    let controller = DegradationController::new(DEGRADATION_WINDOW);
     let (scheduler, log) =
         AdaptiveScheduler::new(scheduler, controller, rates).with_admission_log();
     let mut sim = Simulation::new(scheduler);

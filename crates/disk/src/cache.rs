@@ -1,10 +1,8 @@
 //! A deterministic LRU block cache in front of a service model.
 //!
-//! [`DiskModel`](crate::DiskModel) offers a *probabilistic* cache for quick
-//! what-ifs; this wrapper models the real thing: an LRU-managed set of
-//! cache lines keyed by block address, write-through on writes. Hit rates
-//! emerge from the workload's actual locality instead of a dialled-in
-//! probability.
+//! The workspace's one disk cache: an LRU-managed set of cache lines keyed
+//! by block address, write-through on writes. Hit rates emerge from the
+//! workload's actual locality, not from a dialled-in probability.
 
 use std::collections::HashMap;
 use std::fmt;

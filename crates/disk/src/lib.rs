@@ -7,9 +7,9 @@
 //! - [`DiskGeometry`] — platters, tracks, sectors, rotation;
 //! - [`SeekProfile`] — the classic square-root seek-time curve;
 //! - [`DiskModel`] — a stateful [`ServiceModel`](gqos_sim::ServiceModel):
-//!   seek + rotational latency + transfer, with an optional cache. Unlike
-//!   the constant-rate server used for the paper's capacity analysis, its
-//!   throughput depends on request locality;
+//!   seek + rotational latency + transfer. Unlike the constant-rate server
+//!   used for the paper's capacity analysis, its throughput depends on
+//!   request locality;
 //! - [`SstfScheduler`] / [`ScanScheduler`] — the throughput-maximising
 //!   low-level orderings the paper assumes beneath the QoS layer;
 //! - [`CachedDisk`] — a deterministic LRU block cache wrapper.

@@ -2,9 +2,6 @@
 
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use gqos_sim::ServiceModel;
 use gqos_trace::{Request, SimDuration, SimTime};
 
@@ -13,8 +10,8 @@ use crate::seek::SeekProfile;
 
 /// A stateful mechanical disk: service time = seek (head movement from the
 /// previous request's cylinder) + average rotational latency + media
-/// transfer, with an optional on-board cache that absorbs a fraction of
-/// requests at near-zero cost.
+/// transfer. Wrap it in [`CachedDisk`](crate::CachedDisk) for an on-board
+/// cache.
 ///
 /// This is the workspace's DiskSim stand-in: unlike
 /// [`FixedRateServer`](gqos_sim::FixedRateServer), throughput depends on
@@ -37,10 +34,7 @@ use crate::seek::SeekProfile;
 pub struct DiskModel {
     geometry: DiskGeometry,
     seek: SeekProfile,
-    cache_hit_rate: f64,
-    cache_hit_time: SimDuration,
     current_cylinder: u64,
-    rng: StdRng,
 }
 
 /// Configures a [`DiskModel`]; created by [`DiskModel::builder`].
@@ -48,21 +42,14 @@ pub struct DiskModel {
 pub struct DiskModelBuilder {
     geometry: DiskGeometry,
     seek: SeekProfile,
-    cache_hit_rate: f64,
-    cache_hit_time: SimDuration,
-    seed: u64,
 }
 
 impl DiskModel {
-    /// Starts building a disk with default enterprise-class parameters and
-    /// no cache.
+    /// Starts building a disk with default enterprise-class parameters.
     pub fn builder() -> DiskModelBuilder {
         DiskModelBuilder {
             geometry: DiskGeometry::default(),
             seek: SeekProfile::default(),
-            cache_hit_rate: 0.0,
-            cache_hit_time: SimDuration::from_micros(50),
-            seed: 0,
         }
     }
 
@@ -85,45 +72,18 @@ impl DiskModelBuilder {
         self
     }
 
-    /// Enables a cache absorbing `hit_rate` of requests at `hit_time` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hit_rate` is outside `[0, 1]`.
-    pub fn cache(mut self, hit_rate: f64, hit_time: SimDuration) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&hit_rate),
-            "cache hit rate must be in [0, 1]: {hit_rate}"
-        );
-        self.cache_hit_rate = hit_rate;
-        self.cache_hit_time = hit_time;
-        self
-    }
-
-    /// Seed for the cache-hit draw; identical seeds reproduce runs exactly.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Finishes the disk model.
     pub fn build(self) -> DiskModel {
         DiskModel {
             geometry: self.geometry,
             seek: self.seek,
-            cache_hit_rate: self.cache_hit_rate,
-            cache_hit_time: self.cache_hit_time,
             current_cylinder: 0,
-            rng: StdRng::seed_from_u64(self.seed),
         }
     }
 }
 
 impl ServiceModel for DiskModel {
     fn service_time(&mut self, request: &Request, _now: SimTime) -> SimDuration {
-        if self.cache_hit_rate > 0.0 && self.rng.gen_bool(self.cache_hit_rate) {
-            return self.cache_hit_time;
-        }
         let target = self.geometry.cylinder_of(request.block);
         let distance = target.abs_diff(self.current_cylinder);
         self.current_cylinder = target;
@@ -135,13 +95,7 @@ impl ServiceModel for DiskModel {
 
 impl fmt::Display for DiskModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "disk[{}, {}, cache {:.0}%]",
-            self.geometry,
-            self.seek,
-            self.cache_hit_rate * 100.0
-        )
+        write!(f, "disk[{}, {}]", self.geometry, self.seek)
     }
 }
 
@@ -213,59 +167,5 @@ mod tests {
         let mean_ms = sum.as_millis_f64() / n as f64;
         let iops = 1000.0 / mean_ms;
         assert!((80.0..400.0).contains(&iops), "random IOPS {iops:.0}");
-    }
-
-    #[test]
-    fn cache_hits_shortcut_the_mechanics() {
-        let mut disk = DiskModel::builder()
-            .cache(1.0, SimDuration::from_micros(50))
-            .build();
-        let t = disk.service_time(&req_at_block(999_999), SimTime::ZERO);
-        assert_eq!(t, SimDuration::from_micros(50));
-    }
-
-    #[test]
-    fn cache_rate_is_respected_statistically() {
-        let mut disk = DiskModel::builder()
-            .cache(0.5, SimDuration::from_micros(50))
-            .seed(42)
-            .build();
-        let mut hits = 0;
-        for i in 0..400u64 {
-            let t = disk.service_time(&req_at_block(i * 1000), SimTime::ZERO);
-            if t == SimDuration::from_micros(50) {
-                hits += 1;
-            }
-        }
-        assert!((140..=260).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let run = |seed| {
-            let mut disk = DiskModel::builder()
-                .cache(0.3, SimDuration::from_micros(50))
-                .seed(seed)
-                .build();
-            (0..50u64)
-                .map(|i| disk.service_time(&req_at_block(i * 777_777), SimTime::ZERO))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "cache hit rate")]
-    fn bad_cache_rate_rejected() {
-        let _ = DiskModel::builder().cache(1.5, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn display_mentions_cache() {
-        let disk = DiskModel::builder()
-            .cache(0.25, SimDuration::from_micros(50))
-            .build();
-        assert!(disk.to_string().contains("cache 25%"));
     }
 }

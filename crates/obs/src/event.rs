@@ -1,8 +1,8 @@
 //! The typed, fixed-size trace events the instrumented layers emit.
 //!
-//! Events are `Copy` and carry no heap data, so emitting one never
-//! allocates: recording into a [`MemorySink`](crate::MemorySink) is an
-//! array write, and the disabled path (a [`TraceHandle`](crate::TraceHandle)
+//! Events are `Copy` and carry no heap data, so building one never
+//! allocates: recording into a [`MemorySink`](crate::MemorySink) is a
+//! `Vec` push, and the disabled path (a [`TraceHandle`](crate::TraceHandle)
 //! holding no sink) is a single branch.
 
 use std::fmt;

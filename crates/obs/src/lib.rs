@@ -8,7 +8,8 @@
 //!   admit/divert with queue depth, dispatch with policy and slack,
 //!   completion with deadline verdict) plus degradation rung changes.
 //!   Sinks: [`NullSink`] (instrumented path, events discarded),
-//!   [`MemorySink`] (bounded ring buffer), [`FileSink`] (JSONL stream).
+//!   [`MemorySink`] (unbounded, read back after the run), [`FileSink`]
+//!   (JSONL stream).
 //!   A [`TraceHandle`] with no sink costs one branch per emission site,
 //!   never constructs the event and runs on the untraced lanes —
 //!   observability is free when off.

@@ -54,9 +54,9 @@ pub struct DrainRecord {
 impl ReplayedRun {
     /// Rebuilds per-request lifecycles from an event stream.
     ///
-    /// Later events win on conflict (a ring-truncated trace keeps the most
+    /// Later events win on conflict (a truncated trace keeps the most
     /// recent view of each request); the caller should check
-    /// [`EventCounts`] and `MemorySink::dropped` when completeness matters.
+    /// [`EventCounts`] when completeness matters.
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut run = ReplayedRun {
             counts: EventCounts::tally(events),

@@ -42,37 +42,15 @@ impl TraceSink for NullSink {
     fn emit(&mut self, _event: TraceEvent) {}
 }
 
-/// A bounded in-memory ring buffer of events.
-///
-/// Once `capacity` events are stored, each new event evicts the oldest;
-/// [`dropped`](MemorySink::dropped) counts evictions so replay code can tell
-/// a complete trace from a truncated one. Events are `Copy`, so recording is
-/// a plain array write with no allocation after the buffer reaches capacity.
-#[derive(Clone, Debug)]
+/// An unbounded in-memory record of events, read back after the run
+/// through the typed reference [`TraceHandle::memory`] returns. Events are
+/// `Copy`, so recording is a plain `Vec` push.
+#[derive(Clone, Default, Debug)]
 pub struct MemorySink {
     buf: Vec<TraceEvent>,
-    capacity: usize,
-    /// Index of the oldest event once the ring has wrapped.
-    head: usize,
-    dropped: u64,
 }
 
 impl MemorySink {
-    /// Creates a ring buffer holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "MemorySink capacity must be positive");
-        MemorySink {
-            buf: Vec::new(),
-            capacity,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
     /// Number of events currently stored.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -83,23 +61,15 @@ impl MemorySink {
         self.buf.is_empty()
     }
 
-    /// Number of events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The stored events in emission order (oldest first).
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
+        self.buf.clone()
     }
 
     /// Renders the stored events as JSONL, one event per line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for event in self.events() {
+        for event in &self.buf {
             event.write_jsonl(&mut out);
             out.push('\n');
         }
@@ -110,16 +80,7 @@ impl MemorySink {
 impl TraceSink for MemorySink {
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
-            self.dropped += 1;
-        }
+        self.buf.push(event);
     }
 }
 
@@ -198,12 +159,7 @@ impl TraceHandle {
     /// An unbounded in-memory handle plus a typed reference for reading the
     /// captured events back after the run.
     pub fn memory() -> (Self, Rc<RefCell<MemorySink>>) {
-        TraceHandle::memory_with_capacity(usize::MAX)
-    }
-
-    /// Like [`memory`](TraceHandle::memory) with a bounded ring capacity.
-    fn memory_with_capacity(capacity: usize) -> (Self, Rc<RefCell<MemorySink>>) {
-        let sink = Rc::new(RefCell::new(MemorySink::with_capacity(capacity)));
+        let sink = Rc::new(RefCell::new(MemorySink::default()));
         let handle = TraceHandle {
             sink: Some(sink.clone() as Rc<RefCell<dyn TraceSink>>),
         };
@@ -282,26 +238,7 @@ mod tests {
         for (i, e) in events.iter().enumerate() {
             assert_eq!(*e, arrival(i as u64));
         }
-        assert_eq!(sink.borrow().dropped(), 0);
         assert!(!sink.borrow().is_empty());
-    }
-
-    #[test]
-    fn memory_ring_evicts_oldest_and_counts_drops() {
-        let (handle, sink) = TraceHandle::memory_with_capacity(3);
-        for id in 0..7 {
-            handle.emit_with(|| arrival(id));
-        }
-        let sink = sink.borrow();
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 4);
-        assert_eq!(sink.events(), vec![arrival(4), arrival(5), arrival(6)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = MemorySink::with_capacity(0);
     }
 
     #[test]

@@ -37,12 +37,6 @@ pub trait ServiceModel {
     fn service_time(&mut self, request: &Request, now: SimTime) -> SimDuration;
 }
 
-impl<M: ServiceModel + ?Sized> ServiceModel for Box<M> {
-    fn service_time(&mut self, request: &Request, now: SimTime) -> SimDuration {
-        (**self).service_time(request, now)
-    }
-}
-
 /// The paper's service model: a server of constant capacity `C` IOPS, i.e.
 /// a deterministic service time of `1/C` per request.
 ///
@@ -232,15 +226,5 @@ mod tests {
                 "identity wrapper diverged at t={t}"
             );
         }
-    }
-
-    #[test]
-    fn boxed_model_delegates() {
-        let mut s: Box<dyn ServiceModel> = Box::new(FixedRateServer::new(Iops::new(500.0)));
-        let r = Request::at(SimTime::ZERO);
-        assert_eq!(
-            s.service_time(&r, SimTime::ZERO),
-            SimDuration::from_millis(2)
-        );
     }
 }

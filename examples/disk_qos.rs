@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example disk_qos`
 
-use gqos::disk::{DiskModel, ScanScheduler, SstfScheduler, SweepMode};
+use gqos::disk::{CachedDisk, DiskModel, ScanScheduler, SstfScheduler, SweepMode};
 use gqos::sim::{FcfsScheduler, ServiceClass, Simulation, TraceHandle};
 use gqos::trace::gen::profiles::TraceProfile;
 use gqos::{Iops, Provision, RecombinePolicy, SimDuration, WorkloadShaper};
@@ -65,14 +65,16 @@ fn main() {
     );
 
     // 2. The QoS layer on the disk: Miser shaping with a provision sized to
-    //    the disk's random-access throughput (with a cache absorbing hits).
+    //    the disk's random-access throughput (with an LRU cache absorbing
+    //    re-reads).
     let deadline = SimDuration::from_millis(50);
     let provision = Provision::new(Iops::new(150.0), Iops::new(150.0));
     let disk = |_| {
-        DiskModel::builder()
-            .cache(0.35, SimDuration::from_micros(60))
-            .seed(4)
-            .build()
+        CachedDisk::new(
+            DiskModel::builder().build(),
+            4096,
+            SimDuration::from_micros(60),
+        )
     };
     let report = WorkloadShaper::new(provision, deadline)
         .simulation(

@@ -1,7 +1,7 @@
 //! Reproducibility: identical seeds must reproduce identical workloads,
 //! simulations, and experiment results bit for bit, across every layer.
 
-use gqos::disk::DiskModel;
+use gqos::disk::{CachedDisk, DiskModel};
 use gqos::sim::{simulate, FcfsScheduler, ServiceClass, Simulation};
 use gqos::trace::gen::profiles::TraceProfile;
 use gqos::{
@@ -10,6 +10,15 @@ use gqos::{
 };
 
 const SPAN: SimDuration = SimDuration::from_secs(60);
+
+/// A mechanical disk behind a 1,024-line LRU cache.
+fn cached_disk() -> CachedDisk<DiskModel> {
+    CachedDisk::new(
+        DiskModel::builder().build(),
+        1024,
+        SimDuration::from_micros(50),
+    )
+}
 
 #[test]
 fn profile_generation_is_bit_reproducible() {
@@ -47,12 +56,7 @@ fn disk_model_simulation_is_reproducible() {
     let w = TraceProfile::FinTrans.generate(SPAN, 3).time_scaled(3.0);
     let run = || {
         Simulation::new(FcfsScheduler::new())
-            .server(
-                DiskModel::builder()
-                    .cache(0.3, SimDuration::from_micros(50))
-                    .seed(12)
-                    .build(),
-            )
+            .server(cached_disk())
             .run(&w)
     };
     let a = run();
@@ -68,7 +72,7 @@ fn miser_on_disk_is_reproducible_and_complete() {
         simulate(
             &w,
             MiserScheduler::new(p, SimDuration::from_millis(100)),
-            DiskModel::builder().seed(2).build(),
+            cached_disk(),
         )
     };
     let a = run();
