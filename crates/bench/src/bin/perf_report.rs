@@ -32,8 +32,8 @@
 //!
 //! `trace/spc_parse` is the SPC ingest stage on its own: ns per record to
 //! drain a fixed-seed OpenMail trace, serialised as SPC text, through
-//! `SpcStream` at `DEFAULT_CHUNK`. `--assert-spc-parse-ns 200` fails the
-//! run when it comes in above 200 ns per record.
+//! `SpcStream` at `DEFAULT_CHUNK`. `--assert-spc-parse-ns 150` fails the
+//! run when it comes in above 150 ns per record.
 //!
 //! `sim/requests_per_sec_core` is the single-server simulation core on its
 //! own: ns per simulated request through FCFS, the core and the metrics.

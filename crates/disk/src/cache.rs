@@ -4,7 +4,7 @@
 //! by block address, write-through on writes. Hit rates emerge from the
 //! workload's actual locality, not from a dialled-in probability.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use gqos_sim::ServiceModel;
@@ -37,6 +37,9 @@ pub struct CachedDisk<M> {
     hit_time: SimDuration,
     /// Block -> LRU stamp; evict the smallest stamp when full.
     lines: HashMap<u64, u64>,
+    /// The same lines by stamp, so the least recently used is the first.
+    /// Stamps are unique, so it names the victim a scan of `lines` would.
+    order: BTreeMap<u64, u64>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -56,6 +59,7 @@ impl<M> CachedDisk<M> {
             capacity,
             hit_time,
             lines: HashMap::with_capacity(capacity),
+            order: BTreeMap::new(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -94,13 +98,18 @@ impl<M> CachedDisk<M> {
 
     fn touch(&mut self, block: u64) {
         self.clock += 1;
-        if self.lines.len() >= self.capacity && !self.lines.contains_key(&block) {
-            // Evict the least recently used line.
-            if let Some((&victim, _)) = self.lines.iter().min_by_key(|&(_, &stamp)| stamp) {
+        if let Some(stamp) = self.lines.get_mut(&block) {
+            self.order.remove(stamp);
+            *stamp = self.clock;
+        } else {
+            if self.lines.len() >= self.capacity {
+                // Evict the least recently used line.
+                let (_, victim) = self.order.pop_first().expect("a full cache has lines");
                 self.lines.remove(&victim);
             }
+            self.lines.insert(block, self.clock);
         }
-        self.lines.insert(block, self.clock);
+        self.order.insert(self.clock, block);
     }
 }
 
@@ -147,6 +156,7 @@ mod tests {
     use super::*;
     use crate::model::DiskModel;
     use gqos_trace::LogicalBlock;
+    use proptest::prelude::*;
 
     fn read_at(lba: u64) -> Request {
         Request::at(SimTime::ZERO).with_block(LogicalBlock::new(lba))
@@ -240,6 +250,43 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = cache(0);
+    }
+
+    /// The eviction rule as a linear scan: on a miss into a full cache,
+    /// drop the line with the smallest stamp. Returns whether `block` hit.
+    fn scan_touch(lines: &mut HashMap<u64, u64>, clock: u64, capacity: usize, block: u64) -> bool {
+        let hit = lines.contains_key(&block);
+        if lines.len() >= capacity && !hit {
+            let (&victim, _) = lines.iter().min_by_key(|&(_, &stamp)| stamp).unwrap();
+            lines.remove(&victim);
+        }
+        lines.insert(block, clock);
+        hit
+    }
+
+    proptest! {
+        /// The ordered index evicts the victims of the linear scan: the
+        /// same hits, the same resident lines with the same stamps.
+        #[test]
+        fn ordered_eviction_matches_linear_scan(
+            capacity in prop_oneof![Just(1usize), Just(2usize), Just(64usize)],
+            accesses in prop::collection::vec((0u64..160, any::<bool>()), 0..600),
+        ) {
+            let mut c = cache(capacity);
+            let mut lines = HashMap::new();
+            let blocks = 3 * capacity as u64 + 2;
+            for (clock, (lba, write)) in (1..).zip(accesses) {
+                let request = if write { write_at(lba % blocks) } else { read_at(lba % blocks) };
+                let hits = c.hits();
+                c.service_time(&request, SimTime::ZERO);
+                let hit = scan_touch(&mut lines, clock, capacity, request.block.get());
+                if !write {
+                    prop_assert_eq!(c.hits() - hits, u64::from(hit));
+                }
+                prop_assert_eq!(&c.lines, &lines);
+                prop_assert_eq!(c.order.len(), lines.len());
+            }
+        }
     }
 
     #[test]

@@ -84,10 +84,20 @@ impl From<io::Error> for ParseSpcError {
 /// `read_trace` does so globally, the chunked `gqos-stream` adapter per
 /// chunk.
 ///
-/// Reading allocates nothing per record. A line that lies whole in the
-/// reader's buffer is parsed in place; one that straddles the buffer's end
-/// is gathered in a spill buffer reused from line to line. Each line then
-/// reads exactly as `BufRead::lines` would give it:
+/// Reading allocates nothing per record. Each record is first tried by one
+/// forward scan of the reader's buffer that builds its request as it goes.
+/// The scan takes only the canonical record `ASU,LBA,Size,Op,Timestamp`
+/// ended by `\n` or `\r\n`: `ASU` and `LBA` of 1 to 19 digits, `Size` of
+/// 1 to 9, `Op` one of `R`, `r`, `W`, `w`, and `Timestamp` `int[.frac]`
+/// with at most 15 digits in all and at most 9 after the point. It
+/// declines anything else, a line not whole in the buffer, and a
+/// timestamp the clock cannot hold.
+///
+/// A declined line takes the general path, which gives it the values,
+/// errors and line count it would have had without the scan. A line that
+/// lies whole in the buffer is parsed in place there; one that straddles
+/// the buffer's end is gathered in a spill buffer reused from line to
+/// line. Each line then reads exactly as `BufRead::lines` would give it:
 ///
 /// - its `\n` or `\r\n` ending is removed;
 /// - it is validated as UTF-8 once; invalid UTF-8 is an
@@ -98,8 +108,14 @@ impl From<io::Error> for ParseSpcError {
 ///
 /// Fields are split on the byte offsets of `,`. `LBA` and `Size` take a
 /// digits-only fast path, and `Timestamp` Clinger's exact one (at most 15
-/// digits as `int[.frac]`, one IEEE division); any other text goes to the
-/// std parser, so values and error messages are those of `str::parse`.
+/// digits as `int[.frac]`); any other text goes to the std parser, so
+/// values and error messages are those of `str::parse`.
+///
+/// Both paths convert a timestamp the same way. With at most 9 fraction
+/// digits and below 2^50 ns (about 13 days) it is counted in integer
+/// nanoseconds, provably the instant the float route
+/// `SimTime::from_secs_f64(m / 10^k)` rounds to; any other takes that
+/// float route.
 ///
 /// # Examples
 ///
@@ -152,6 +168,11 @@ impl<R: Read> Iterator for Records<R> {
             };
             if available.is_empty() {
                 return None;
+            }
+            if let Some((len, request)) = scan(available) {
+                self.reader.consume(len);
+                self.line_no += 1;
+                return Some(Ok(request));
             }
             let item = match available.iter().position(|&b| b == b'\n') {
                 Some(end) => {
@@ -259,27 +280,91 @@ fn parse_record(record: &[u8], line: usize) -> Result<Request, ParseSpcError> {
         other => return Err(malformed(4, format!("bad opcode `{}`", text(other)))),
     };
     let ts = field(5, "timestamp")?;
-    let ts: f64 = exact_decimal(ts)
-        .map_or_else(|| std_parse(ts), Ok)
-        .map_err(|e| malformed(5, format!("bad timestamp: {e}")))?;
-    if !ts.is_finite() || ts < 0.0 {
-        return Err(malformed(
-            5,
-            format!("negative or non-finite timestamp {ts}"),
-        ));
+    let arrival = match exact_decimal(ts) {
+        Some((m, k)) => arrival(m, k),
+        None => std_parse(ts)
+            .map_err(|e| format!("bad timestamp: {e}"))
+            .and_then(seconds),
     }
-    // Pre-empt the SimTime constructor's panic on unrepresentable instants.
-    if ts > MAX_TIMESTAMP_SECS {
-        return Err(malformed(
-            5,
-            format!("timestamp {ts} overflows the nanosecond clock"),
-        ));
-    }
+    .map_err(|reason| malformed(5, reason))?;
 
-    Ok(Request::at(SimTime::from_secs_f64(ts))
+    Ok(Request::at(arrival)
         .with_block(LogicalBlock::new(lba))
         .with_bytes(size)
         .with_kind(kind))
+}
+
+/// One forward pass over the canonical record at the head of `buf`:
+/// `ASU,LBA,Size,Op,Timestamp` ended by `\n` or `\r\n`, where `ASU` and
+/// `LBA` are 1 to 19 digits, `Size` 1 to 9, `Op` one of `RrWw`, and
+/// `Timestamp` is `int[.frac]` with at most 15 digits in all and at most 9
+/// after the point. Returns the record's length, ending included, and its
+/// request.
+///
+/// Any other byte, a line not whole in `buf`, or a timestamp the clock
+/// cannot hold declines with `None`, and the general path parses the line
+/// instead. A canonical line is ASCII with nothing to trim, so wherever
+/// the scan accepts, the general path would build the same request.
+fn scan(buf: &[u8]) -> Option<(usize, Request)> {
+    let mut at = 0;
+    digit_run(buf, &mut at, 0, 19)?;
+    comma(buf, &mut at)?;
+    let (lba, _) = digit_run(buf, &mut at, 0, 19)?;
+    comma(buf, &mut at)?;
+    let (size, _) = digit_run(buf, &mut at, 0, 9)?;
+    comma(buf, &mut at)?;
+    let kind = match buf.get(at)? {
+        b'R' | b'r' => RequestKind::Read,
+        b'W' | b'w' => RequestKind::Write,
+        _ => return None,
+    };
+    at += 1;
+    comma(buf, &mut at)?;
+    let (mut m, int_digits) = digit_run(buf, &mut at, 0, 15)?;
+    let mut k = 0;
+    if buf.get(at) == Some(&b'.') {
+        at += 1;
+        (m, k) = digit_run(buf, &mut at, m, (15 - int_digits).min(9))?;
+    }
+    let len = match buf.get(at)? {
+        b'\n' => at + 1,
+        b'\r' if buf.get(at + 1) == Some(&b'\n') => at + 2,
+        _ => return None,
+    };
+    let request = Request::at(arrival(m, k).ok()?)
+        .with_block(LogicalBlock::new(lba))
+        .with_bytes(size as u32)
+        .with_kind(kind);
+    Some((len, request))
+}
+
+/// Reads the run of ASCII digits at `buf[*at..]` onto `acc` as further
+/// decimal digits. Returns the value and the run's length, or `None` if
+/// the run is empty or longer than `max`. The length is checked before
+/// each digit is taken, so `acc` grows by at most `max` digits and, for
+/// the callers' bounds, never wraps.
+#[inline(always)]
+fn digit_run(buf: &[u8], at: &mut usize, mut acc: u64, max: usize) -> Option<(u64, usize)> {
+    let start = *at;
+    while let Some(&b) = buf.get(*at) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        if *at - start == max {
+            return None;
+        }
+        acc = acc * 10 + u64::from(digit);
+        *at += 1;
+    }
+    let len = *at - start;
+    (len > 0).then_some((acc, len))
+}
+
+/// Steps over the `,` at `buf[*at]`, or `None` if it is not there.
+#[inline(always)]
+fn comma(buf: &[u8], at: &mut usize) -> Option<()> {
+    (buf.get(*at) == Some(&b',')).then(|| *at += 1)
 }
 
 /// A field or record of a line already checked to be UTF-8, as text.
@@ -338,15 +423,71 @@ const POW10: [f64; 16] = [
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
 ];
 
+/// `10^e` for `e <= 9`: `POW10_U64[9 - k]` is the nanoseconds in one unit
+/// of the `k`-th digit after the point.
+const POW10_U64: [u64; 10] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+    1_000_000_000,
+];
+
+/// 2^50 ns, about 13 days: below it [`arrival`] counts nanoseconds in
+/// integers, with the float route's result.
+const EXACT_NANOS: u64 = 1 << 50;
+
+/// The arrival instant of the timestamp `m / 10^k`, the value of a field
+/// [`exact_decimal`] read (so `m < 10^15` and `k <= 15`), or the reason
+/// the record is malformed.
+///
+/// When `k <= 9` and `N = m·10^(9−k)` is below 2^50 the instant is `N`
+/// ns, with no float arithmetic. That is bit for bit the float route
+/// `SimTime::from_secs_f64(m / 10^k)`: with `u = 2^-53`, the quotient
+/// `m / 10^k` is correctly rounded (Clinger's case, see
+/// [`exact_decimal`]) and `from_secs_f64`'s `·1e9` rounds once more, so
+/// its product `x` is `N·(1+e1)(1+e2)` with `|e1|, |e2| <= u`, and
+/// `|x − N| <= N·(2u + u²) < 0.25` for `N < 2^50`; `round(x)` is then `N`.
+/// The scale is a `checked_mul`, so a product past `u64` takes the float
+/// route too, which rejects it as past the clock's end.
+fn arrival(m: u64, k: usize) -> Result<SimTime, String> {
+    let nanos = 9usize
+        .checked_sub(k)
+        .and_then(|e| m.checked_mul(POW10_U64[e]))
+        .filter(|&n| n < EXACT_NANOS);
+    match nanos {
+        Some(n) => Ok(SimTime::from_nanos(n)),
+        None => seconds(m as f64 / POW10[k]),
+    }
+}
+
+/// The arrival instant of a timestamp of `ts` seconds, or the reason no
+/// clock instant is one.
+fn seconds(ts: f64) -> Result<SimTime, String> {
+    if !ts.is_finite() || ts < 0.0 {
+        return Err(format!("negative or non-finite timestamp {ts}"));
+    }
+    // Pre-empt the SimTime constructor's panic on unrepresentable instants.
+    if ts > MAX_TIMESTAMP_SECS {
+        return Err(format!("timestamp {ts} overflows the nanosecond clock"));
+    }
+    Ok(SimTime::from_secs_f64(ts))
+}
+
 /// Clinger's exact case of decimal-to-binary conversion.
 ///
 /// For `int[.frac]` text of at most 15 digits in all, with no sign or
 /// exponent, the digits form an integer `m < 10^15 < 2^53` and the scale
 /// is `10^k` with `k <= 15`. Both are exact in an `f64`, so the one
 /// correctly rounded division `m / 10^k` is the correctly rounded value of
-/// the text: bit for bit what `str::parse::<f64>` returns. Any other text
-/// gives `None`, for the std fallback.
-fn exact_decimal(field: &[u8]) -> Option<f64> {
+/// the text: bit for bit what `str::parse::<f64>` returns. Returns
+/// `(m, k)`, or `None` for any other text, for the std fallback.
+fn exact_decimal(field: &[u8]) -> Option<(u64, usize)> {
     // 15 digits and a point at most, which also keeps `m` from overflowing.
     if field.len() > 16 {
         return None;
@@ -366,7 +507,7 @@ fn exact_decimal(field: &[u8]) -> Option<f64> {
         return None;
     }
     let scale = point.map_or(0, |p| field.len() - 1 - p);
-    Some(m as f64 / POW10[scale])
+    Some((m, scale))
 }
 
 /// Writes `workload` in SPC format. All requests are emitted under ASU 0.
@@ -606,20 +747,88 @@ mod tests {
             let std: f64 = text.parse().unwrap();
             let digits = text.bytes().filter(u8::is_ascii_digit).count();
             match exact_decimal(text.as_bytes()) {
-                Some(fast) => {
+                Some((m, k)) => {
                     prop_assert!(digits <= 15, "{} took the exact path", text);
+                    let fast = m as f64 / POW10[k];
                     prop_assert_eq!(fast.to_bits(), std.to_bits(), "{}", text);
                 }
                 None => prop_assert!(digits > 15, "{} missed the exact path", text),
             }
             let record = format!("0,1,512,R,{text}");
             let parsed = parse_record(record.as_bytes(), 1);
+            let scanned = scan(format!("{record}\n").as_bytes());
             if std <= MAX_TIMESTAMP_SECS {
-                prop_assert_eq!(parsed.unwrap().arrival, SimTime::from_secs_f64(std));
+                let parsed = parsed.unwrap();
+                prop_assert_eq!(parsed.arrival, SimTime::from_secs_f64(std));
+                if let Some((len, request)) = scanned {
+                    prop_assert_eq!(len, record.len() + 1);
+                    prop_assert_eq!(request, parsed);
+                }
             } else {
                 prop_assert!(parsed.is_err(), "{} fits no clock", text);
+                prop_assert!(scanned.is_none(), "{} was scanned", text);
             }
         }
+
+        /// The integer route of `arrival` is the float route bit for bit,
+        /// at every scale and up to the 2^50 ns bound, with the largest
+        /// mantissas below it drawn most often.
+        #[test]
+        fn integer_route_matches_float_route(
+            k in 0usize..=9,
+            near_bound in any::<bool>(),
+            raw in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let scale = POW10_U64[9 - k];
+            let top = (EXACT_NANOS - 1) / scale;
+            let m = if near_bound {
+                top - (raw % 4096).min(top)
+            } else {
+                (raw >> shift) % (top + 1)
+            };
+            let exact = arrival(m, k).unwrap();
+            prop_assert_eq!(exact.as_nanos(), m * scale);
+            let float = SimTime::from_secs_f64(m as f64 / POW10[k]);
+            prop_assert_eq!(exact, float, "{} / 10^{}", m, k);
+        }
+    }
+
+    #[test]
+    fn scan_takes_canonical_records_only() {
+        let take = |line: &str| scan(line.as_bytes()).map(|(len, _)| len);
+        assert_eq!(take("0,47126,8192,R,0.011413\n"), Some(24));
+        assert_eq!(take("0,47126,8192,w,7\r\nnext"), Some(18));
+        assert_eq!(take("0,1,512,R,0.123456789\n"), Some(22));
+        for declined in [
+            "0,47126,8192,R,0.011413",       // not whole in the buffer
+            "0,47126,8192,R,0.011413\r",     // nor here
+            "0, 1,512,R,0.5\n",              // padding
+            "0,1,512,R,0.5,extra\n",         // a sixth field
+            "0,1,512,X,0.5\n",               // opcode
+            "0,1,1234567890,R,0.5\n",        // 10-digit size
+            "0,1,512,R,0.1234567891\n",      // 10 fraction digits
+            "0,1,512,R,1234567890.123456\n", // 16 digits
+            "0,1,512,R,1.\n",
+            "0,1,512,R,.5\n",
+            "0,1,512,R,1e3\n",
+            "0,1,512,R,18446744074\n",    // m·10^9 wraps a u64
+            "0,1,512,R,99999999999999\n", // past the clock's end
+            "00000000000000000000,1,512,R,0\n",
+        ] {
+            assert_eq!(take(declined), None, "{declined:?}");
+        }
+        // The general path builds what the scan builds, on both sides of
+        // the 2^50 ns bound, and rejects what it declines past the clock.
+        for text in ["1125899.906842", "1125899.906843"] {
+            let line = format!("0,47126,8192,R,{text}");
+            let (_, scanned) = scan(format!("{line}\n").as_bytes()).unwrap();
+            assert_eq!(scanned, parse_record(line.as_bytes(), 1).unwrap());
+        }
+        let (_, below) = scan(b"0,1,512,R,1125899.906842\n").unwrap();
+        assert_eq!(below.arrival.as_nanos(), 1_125_899_906_842_000);
+        let err = parse_record(b"0,1,512,R,18446744074", 1).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]
@@ -629,7 +838,10 @@ mod tests {
         let text = "9096268.740390149";
         assert_eq!(exact_decimal(text.as_bytes()), None);
         assert_eq!(exact_decimal(b"1234567890.123456"), None);
-        assert_eq!(exact_decimal(b"123456789.012345"), Some(123456789.012345));
+        assert_eq!(
+            exact_decimal(b"123456789.012345"),
+            Some((123456789012345, 6))
+        );
         let std: f64 = text.parse().unwrap();
         assert_ne!((9096268740390149u64 as f64 / 1e9).to_bits(), std.to_bits());
         let record = format!("0,1,512,R,{text}");

@@ -130,6 +130,56 @@ fn integer() -> impl Strategy<Value = String> {
     ]
 }
 
+/// 2^50 ns, the bound below which a timestamp of at most 9 fraction
+/// digits converts to nanoseconds in integers.
+const EXACT_NANOS: u64 = 1 << 50;
+
+/// `nanos` as seconds with `places` (1 to 9) fraction digits, rounded to
+/// nearest (ties up) in integers.
+fn seconds_text(nanos: u64, places: u32) -> String {
+    let unit = 10u64.pow(9 - places);
+    let ticks = nanos / unit + u64::from(nanos % unit >= unit.div_ceil(2));
+    let per_sec = 10u64.pow(places);
+    let width = places as usize;
+    format!("{}.{:0width$}", ticks / per_sec, ticks % per_sec)
+}
+
+/// Timestamps at the edges of the integer-nanosecond conversion: 2^50 ns,
+/// its neighbours and its surroundings with 6 and with 9 fraction digits,
+/// 15-digit instants past 2^50 ns (where the float route no longer lands
+/// on whole nanoseconds), 9- and 10-digit fractions, and integers whose
+/// `×10^9` wraps a `u64`.
+fn exact_edge() -> impl Strategy<Value = String> {
+    let places = || prop_oneof![Just(6u32), Just(9u32)];
+    prop_oneof![
+        (EXACT_NANOS - 1..=EXACT_NANOS + 1, places()).prop_map(|(n, p)| seconds_text(n, p)),
+        (EXACT_NANOS - 1_000_000..EXACT_NANOS + 1_000_000, places())
+            .prop_map(|(n, p)| seconds_text(n, p)),
+        (EXACT_NANOS / 1_000..1_000_000_000_000_000)
+            .prop_map(|micros| seconds_text(micros * 1_000, 6)),
+        (any::<u64>(), 0u32..64).prop_map(|(v, shift)| seconds_text((v >> shift) % EXACT_NANOS, 9)),
+        (0u64..100_000, 0u64..10_000_000_000).prop_map(|(int, frac)| format!("{int}.{frac:010}")),
+        Just("0.123456789".to_string()),
+        Just("0.1234567891".to_string()),
+        Just("123456.123456789".to_string()),
+        Just("18446744074".to_string()),
+        Just("99999999999999".to_string()),
+        Just("18446744073709551".to_string()),
+    ]
+}
+
+/// A line the one-pass scan takes whole when its value fits: five fields
+/// of plain digits, an opcode of `RrWw` and an `int[.frac]` timestamp.
+fn canonical() -> impl Strategy<Value = Vec<u8>> {
+    let op = prop_oneof![Just('R'), Just('r'), Just('W'), Just('w')];
+    let ts = prop_oneof![timestamp(), exact_edge()];
+    (any::<u64>(), any::<u64>(), 0u32..1_000_000_000, op, ts).prop_map(
+        |(asu, lba, size, op, ts)| {
+            format!("{},{},{size},{op},{ts}", asu % 10, lba >> (asu % 64)).into_bytes()
+        },
+    )
+}
+
 /// A timestamp field: `write_trace`-style values, both sides of the exact
 /// path, the clock's edge, and whatever else `str::parse` accepts.
 fn timestamp() -> impl Strategy<Value = String> {
@@ -139,6 +189,7 @@ fn timestamp() -> impl Strategy<Value = String> {
             v / 1_000_000,
             v % 1_000_000
         )),
+        exact_edge(),
         Just("9096268.740390149".to_string()),
         Just("18446744073.709551".to_string()),
         Just("18446744074".to_string()),
@@ -174,7 +225,7 @@ fn document() -> impl Strategy<Value = Vec<u8>> {
         invalid_utf8(),
     ];
     let soup = prop::collection::vec(piece, 0..7).prop_map(|pieces| pieces.join(&b','));
-    let line = prop_oneof![soup, record()];
+    let line = prop_oneof![soup, record(), canonical()];
     let ending = prop_oneof![Just("\n"), Just("\n"), Just("\r\n"), Just("\r")];
     let lines = prop::collection::vec((line, ending), 0..14);
     (lines, any::<bool>()).prop_map(|(lines, unterminated)| {
@@ -235,11 +286,12 @@ fn reader() -> impl Strategy<Value = (Vec<usize>, usize, io::ErrorKind)> {
 }
 
 /// Everything an item carries that a caller can observe: the request bit
-/// for bit, or the error's variant, position, reason and i/o kind.
+/// for bit (its arrival in nanoseconds, which its `Debug` rounds to the
+/// microsecond), or the error's variant, position, reason and i/o kind.
 fn observe(item: Option<Result<gqos_trace::Request, ParseSpcError>>) -> String {
     match item {
         None => "end".to_string(),
-        Some(Ok(request)) => format!("{request:?}"),
+        Some(Ok(request)) => format!("{request:?} at {} ns", request.arrival.as_nanos()),
         Some(Err(ParseSpcError::Io(e))) => format!("Io({:?}: {e})", e.kind()),
         Some(Err(ParseSpcError::Malformed {
             line,
