@@ -15,7 +15,7 @@
 //!         [--out BENCH_core.json] [--samples 9] [--span-secs 60]
 //!         [--threads 4] [--assert-fleet-place-ms <ms>]
 //!         [--assert-fleet-speedup <ratio>] [--assert-spc-parse-ns <ns>]
-//!         [--assert-sim-ns <ns>]`
+//!         [--assert-sim-ns <ns>] [--assert-window-feed-ns <ns>]`
 //!
 //! The fleet rows carry their own guards: `fleet/quote_cache_hit` must
 //! always cost at most 5% of `fleet/quote_cold` (asserted on every run —
@@ -53,6 +53,10 @@
 //! gateway lane (`TenantReport::feed_longterm` into a fresh
 //! `LongTermStore`), in ns per request; `obs/sketch_record` is one
 //! `LatencySketch::record` into a warm sketch.
+//! `--assert-window-feed-ns 45` fails the run when the feed comes in
+//! above 45 ns per request: about 2x the one-pass fold (12-23 ns on a
+//! shared 2-core x86-64 host), and below the ~60 ns median (44-68 ns) of
+//! the per-window snapshot route it replaced.
 //!
 //! A malformed flag prints `error: …` and [`USAGE`] to stderr and exits
 //! with status 2.
@@ -105,7 +109,7 @@ fn measure<R>(samples: usize, iters: usize, mut op: impl FnMut() -> R) -> f64 {
 /// The usage line printed under every command-line error.
 const USAGE: &str = "usage: perf_report [--out <path>] [--samples <n>] [--span-secs <s>] \
      [--threads <n>] [--assert-fleet-place-ms <ms>] [--assert-fleet-speedup <ratio>] \
-     [--assert-spc-parse-ns <ns>] [--assert-sim-ns <ns>]";
+     [--assert-spc-parse-ns <ns>] [--assert-sim-ns <ns>] [--assert-window-feed-ns <ns>]";
 
 fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
     let i = args.iter().position(|a| a == flag)?;
@@ -192,6 +196,7 @@ fn main() {
     let fleet_speedup_floor = parse_ratio("--assert-fleet-speedup");
     let spc_parse_ceiling_ns = parse_flag(&args, "--assert-spc-parse-ns");
     let sim_ceiling_ns = parse_flag(&args, "--assert-sim-ns");
+    let window_feed_ceiling_ns = parse_flag(&args, "--assert-window-feed-ns");
 
     let openmail = TraceProfile::OpenMail.generate(span, 1);
     let websearch = TraceProfile::WebSearch.generate(span, 1);
@@ -468,6 +473,14 @@ fn main() {
         store.resident_sketches()
     }) / lane_n as f64;
     push("obs/window_feed", feed_ns, lane_n);
+    if let Some(ceiling_ns) = window_feed_ceiling_ns {
+        assert!(
+            feed_ns <= ceiling_ns as f64,
+            "obs/window_feed ({feed_ns:.1} ns per request) exceeded the \
+             {ceiling_ns} ns ceiling"
+        );
+        println!("  window feed assertion: obs/window_feed <= {ceiling_ns} ns ok");
+    }
     let responses: Vec<u64> = lane
         .records
         .iter()

@@ -1,10 +1,10 @@
 //! Long-horizon retention — the tiered store fed from the gateway tap.
 //!
 //! Runs the multi-tenant [`IngestGateway`] over shifted OpenMail lanes
-//! (the `stream` experiment's fleet), feeds every lane's
-//! `window_feedback` snapshots into one [`LongTermStore`] via
-//! `TenantReport::feed_longterm`, and renders the evidence for the
-//! store's three contracts:
+//! (the `stream` experiment's fleet), feeds every lane's completions,
+//! filed at the start of their 250 ms feed windows, into one
+//! [`LongTermStore`] via `TenantReport::feed_longterm`, and renders the
+//! evidence for the store's three contracts:
 //!
 //! - **losslessness** — each tenant's cumulative store sketch must equal
 //!   the lane's own [`TenantReport::sketch`] bit for bit: tiered

@@ -24,12 +24,20 @@
 //!
 //! # Feeding and querying
 //!
-//! Values enter through [`LongTermStore::record`] (one value at a time,
-//! e.g. from a `WorkloadShaper::run_observed` completion tap) or
-//! [`LongTermStore::ingest_snapshot`] (a whole window sketch, e.g. an
-//! `IngestGateway` `window_feedback` snapshot). Both are ordered per
-//! tenant: an instant from an already-closed tier-0 bucket is a typed
-//! [`OutOfOrderInstant`], never a silent misfile. Queries — [`LongTermStore::series`],
+//! Values enter through [`LongTermStore::record_all`], one pass over a
+//! tenant's `(instant, value)` stream that looks the tenant up once and
+//! keeps the open tier-0 bucket's bounds in nanoseconds;
+//! [`LongTermStore::record`] is its one-value call (e.g. from a
+//! `WorkloadShaper::run_observed` completion tap). A gateway lane's
+//! `TenantReport::feed_longterm` folds its completions straight in,
+//! each filed at the start of its feed window, and ends with the same
+//! store, bit for bit, as merging every `window_feedback` snapshot
+//! through [`LongTermStore::ingest_snapshot`]: merge is recording the
+//! concatenated stream, and every value of a snapshot lands in the
+//! tier-0 bucket holding the snapshot's start
+//! (`crates/stream/tests/feed_props.rs` pins this). Every feed is
+//! ordered per tenant: an instant from an already-closed tier-0 bucket
+//! is a typed [`OutOfOrderInstant`], never a silent misfile. Queries — [`LongTermStore::series`],
 //! [`LongTermStore::p99_over`], [`LongTermStore::heatmap`] — pick, per
 //! requested cell, the finest tier that still covers that cell's range
 //! and merge its buckets; cells older than every tier's retention come
@@ -289,42 +297,79 @@ impl<K: Ord + Clone> LongTermStore<K> {
         (&self.config, history)
     }
 
-    /// Records one latency value observed at instant `at`.
+    /// Records one latency value observed at instant `at`: a one-value
+    /// [`record_all`](LongTermStore::record_all).
     ///
     /// Ordered per tenant at tier-0 resolution: an `at` from a tier-0
     /// bucket that has already closed is a typed [`OutOfOrderInstant`]
     /// and changes nothing. Instants within the open bucket may arrive
     /// in any order.
     pub fn record(&mut self, tenant: &K, at: SimTime, value: u64) -> Result<(), OutOfOrderInstant> {
-        let (config, history) = self.parts_mut(tenant);
-        let width = config.tiers[0].width;
-        let index = at.as_nanos() / width.as_nanos();
-        if index < history.tiers[0].open_index {
-            return Err(OutOfOrderInstant {
-                at,
-                window_start: SimTime::from_nanos(history.tiers[0].open_index * width.as_nanos()),
-            });
-        }
-        history.advance_tier(config, 0, index);
-        history.tiers[0].open.record(value);
-        history.cumulative.record(value);
-        Ok(())
+        self.record_all(tenant, [(at, value)])
     }
 
-    /// Merges a whole window sketch observed at instant `at` — e.g. one
-    /// gateway feedback window. The sketch lands in the tier-0 bucket
-    /// containing `at`; keep the feed window no wider than tier 0 (and
-    /// aligned to it) for exact attribution. Empty sketches are ordered
-    /// no-ops. Same ordering contract as [`record`](LongTermStore::record).
-    fn ingest(
+    /// Records a stream of `(instant, value)` observations for one
+    /// tenant, in order — the same store as calling
+    /// [`record`](LongTermStore::record) once per pair. The tenant is
+    /// looked up once and the open tier-0 bucket's bounds are kept in
+    /// nanoseconds, so a value inside the open bucket costs two compares
+    /// plus the two sketch records; the bucket index is recomputed only
+    /// when the stream leaves the bucket. An empty stream leaves the
+    /// store untouched (it does not materialise the tenant).
+    ///
+    /// Stops at the first value whose instant lies in an already-closed
+    /// tier-0 bucket, returning its [`OutOfOrderInstant`]: every value
+    /// before it stays recorded, and it and every value after it are not.
+    pub fn record_all(
         &mut self,
         tenant: &K,
-        at: SimTime,
-        sketch: &LatencySketch,
+        values: impl IntoIterator<Item = (SimTime, u64)>,
     ) -> Result<(), OutOfOrderInstant> {
+        let mut values = values.into_iter();
+        let Some((mut at, mut value)) = values.next() else {
+            return Ok(());
+        };
+        let (config, history) = self.parts_mut(tenant);
+        let width = config.tiers[0].width.as_nanos();
+        let mut start = history.tiers[0].open_index * width;
+        let mut end = start.saturating_add(width);
+        loop {
+            let t = at.as_nanos();
+            if t < start {
+                return Err(OutOfOrderInstant {
+                    at,
+                    window_start: SimTime::from_nanos(start),
+                });
+            }
+            if t >= end {
+                let index = t / width;
+                history.advance_tier(config, 0, index);
+                start = index * width;
+                end = start.saturating_add(width);
+            }
+            history.tiers[0].open.record(value);
+            history.cumulative.record(value);
+            let Some(next) = values.next() else {
+                return Ok(());
+            };
+            (at, value) = next;
+        }
+    }
+
+    /// Merges a closed window snapshot — e.g. one
+    /// `TenantReport::window_feedback` window or a `WindowedSketch` tap —
+    /// at its own start instant: the sketch lands in the tier-0 bucket
+    /// holding that start. Keep the window no wider than tier 0 (and
+    /// aligned to it) for exact time attribution. Empty snapshots are
+    /// ordered no-ops that do not materialise the tenant. Same ordering
+    /// contract as [`record`](LongTermStore::record).
+    pub fn ingest_snapshot(
+        &mut self,
+        tenant: &K,
+        snapshot: &WindowSnapshot,
+    ) -> Result<(), OutOfOrderInstant> {
+        let (at, sketch) = (snapshot.start(), snapshot.sketch());
         if sketch.is_empty() {
-            // An empty snapshot carries no information: leave the store
-            // untouched (it must not even materialise the tenant).
             return Ok(());
         }
         let (config, history) = self.parts_mut(tenant);
@@ -340,17 +385,6 @@ impl<K: Ord + Clone> LongTermStore<K> {
         history.tiers[0].open.merge(sketch);
         history.cumulative.merge(sketch);
         Ok(())
-    }
-
-    /// `ingest` of a closed window snapshot at
-    /// its own start instant — the natural feed from
-    /// `TenantReport::window_feedback` and `WindowedSketch` taps.
-    pub fn ingest_snapshot(
-        &mut self,
-        tenant: &K,
-        snapshot: &WindowSnapshot,
-    ) -> Result<(), OutOfOrderInstant> {
-        self.ingest(tenant, snapshot.start(), snapshot.sketch())
     }
 
     /// The sketch of everything this tenant ever recorded, exact and
@@ -648,6 +682,47 @@ mod tests {
         store
             .record(&"t", SimTime::from_nanos(10_000_000_000), 4)
             .unwrap();
+    }
+
+    #[test]
+    fn record_all_is_repeated_record_up_to_the_first_out_of_order_value() {
+        let config = two_tier(2);
+        let values = [
+            (SimTime::from_millis(200), 10),
+            (SimTime::from_millis(900), 20),
+            (SimTime::from_millis(1_500), 30),
+            (SimTime::from_millis(4_000), 40),
+            (SimTime::from_millis(4_000), 50),
+            (SimTime::from_millis(3_999), 60), // back into closed bucket 3
+            (SimTime::from_millis(5_000), 70),
+        ];
+        let mut one_by_one: LongTermStore<&str> = LongTermStore::new(config.clone());
+        let mut first_err = None;
+        for &(at, v) in &values {
+            if let Err(e) = one_by_one.record(&"t", at, v) {
+                first_err = Some(e);
+                break;
+            }
+        }
+        let mut folded: LongTermStore<&str> = LongTermStore::new(config.clone());
+        let err = folded.record_all(&"t", values).unwrap_err();
+        assert_eq!(Some(err), first_err);
+        assert_eq!(err.at, SimTime::from_millis(3_999));
+        assert_eq!(err.window_start, SimTime::from_secs(4));
+        // The five values before the error stay recorded; none after it.
+        assert_eq!(folded, one_by_one);
+        assert_eq!(folded.cumulative(&"t").unwrap().count(), 5);
+        assert_eq!(folded.open_bucket(&"t", 0).unwrap().0, 4);
+
+        // An in-order stream agrees too, and an empty one touches nothing.
+        let ordered = values[..5].iter().chain(&values[6..]).copied();
+        let mut a: LongTermStore<&str> = LongTermStore::new(config.clone());
+        let mut b: LongTermStore<&str> = LongTermStore::new(config);
+        a.record_all(&"t", ordered.clone()).unwrap();
+        ordered.for_each(|(at, v)| b.record(&"t", at, v).unwrap());
+        assert_eq!(a, b);
+        a.record_all(&"u", []).unwrap();
+        assert_eq!(a.tenants().count(), 1);
     }
 
     #[test]

@@ -220,6 +220,50 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `record_all` is `record` once per value: on a stream that may step
+    /// back into a closed tier-0 bucket, both stop at the same value with
+    /// the same error and leave equal stores — every value before it
+    /// recorded, none after. The stream is fed in two calls so the second
+    /// starts from a store the first left mid-bucket.
+    #[test]
+    fn record_all_is_repeated_record(
+        steps in prop::collection::vec((0u64..3_000_000_000, 0u64..8, latency()), 1..200),
+        split in 0usize..200,
+        fine_capacity in 1usize..6,
+    ) {
+        // Mostly forward in time; a step of kind 0 goes back up to 3 s.
+        let mut t = 5_000_000_000u64;
+        let values: Vec<(SimTime, u64)> = steps
+            .iter()
+            .map(|&(delta, kind, value)| {
+                t = if kind == 0 { t.saturating_sub(delta) } else { t + delta / 4 };
+                (SimTime::from_nanos(t), value)
+            })
+            .collect();
+        let config = ladder(fine_capacity, 2);
+
+        let mut one_by_one: LongTermStore<u32> = LongTermStore::new(config.clone());
+        let mut expected = Ok(());
+        for &(at, value) in &values {
+            if let Err(e) = one_by_one.record(&7, at, value) {
+                expected = Err(e);
+                break;
+            }
+        }
+
+        let mut folded: LongTermStore<u32> = LongTermStore::new(config);
+        let (head, tail) = values.split_at(split.min(values.len()));
+        let got = folded
+            .record_all(&7, head.iter().copied())
+            .and_then(|()| folded.record_all(&7, tail.iter().copied()));
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(&folded, &one_by_one, "record_all left a different store");
+    }
+}
+
 /// Window-width nesting is load-bearing: a misaligned ladder must be
 /// rejected loudly at construction, not silently mis-merge.
 #[test]

@@ -218,7 +218,9 @@ impl TenantReport {
     /// quantile — see [`WindowSnapshot::signal`]).
     ///
     /// Lossless by construction: merging every returned snapshot
-    /// reproduces [`TenantReport::sketch`] bit for bit.
+    /// reproduces [`TenantReport::sketch`] bit for bit. Ingesting every
+    /// snapshot into a `LongTermStore` is also the oracle that
+    /// [`feed_longterm`](TenantReport::feed_longterm) is tested against.
     ///
     /// # Panics
     ///
@@ -240,21 +242,46 @@ impl TenantReport {
         out
     }
 
-    /// Feeds this lane's window feedback into a long-horizon store under
-    /// the tenant's name: every closed `window`-wide snapshot is merged
-    /// into the store's retention ladder, keyed by its start instant.
-    /// Keep `window` no wider than (and dividing) the store's tier-0
-    /// width for exact time attribution.
+    /// Feeds this lane's response times into a long-horizon store under
+    /// the tenant's name, in one pass over [`records`](TenantReport::records):
+    /// each value is filed through [`LongTermStore::record_all`] at the
+    /// start of its `window`-wide feed window (keyed by completion
+    /// instant). The store ends bit-identical to merging every
+    /// [`window_feedback`](TenantReport::window_feedback) snapshot with
+    /// `ingest_snapshot`: a merge is the recording of its values, and
+    /// each snapshot's values all land in the tier-0 bucket holding the
+    /// snapshot's start, whatever the window width. Keep `window` no
+    /// wider than (and dividing) the store's tier-0 width for exact time
+    /// attribution. A lane with no records feeds nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero.
+    /// Panics if `window` is zero, if a record completes before the
+    /// feed window of the record before it (the records are not in
+    /// completion order), or if the store already holds values for this
+    /// tenant from a tier-0 bucket later than the one holding the lane's
+    /// first feed window.
     pub fn feed_longterm(&self, window: SimDuration, store: &mut LongTermStore<String>) {
-        for snapshot in self.window_feedback(window) {
-            store
-                .ingest_snapshot(&self.name, &snapshot)
-                .expect("window feedback snapshots are time-ordered");
-        }
+        assert!(!window.is_zero(), "feedback window must be positive");
+        let width = window.as_nanos();
+        let (mut start, mut end) = (0, width);
+        let values = self.records.iter().map(|r| {
+            let t = r.completion.as_nanos();
+            assert!(
+                t >= start,
+                "completion-ordered records cannot be out of order: {:?} before {:?}",
+                r.completion,
+                SimTime::from_nanos(start)
+            );
+            if t >= end {
+                start = t - t % width;
+                end = start.saturating_add(width);
+            }
+            (SimTime::from_nanos(start), r.response_time().as_nanos())
+        });
+        store
+            .record_all(&self.name, values)
+            .expect("window feedback is time-ordered");
     }
 }
 
