@@ -138,17 +138,6 @@ impl CascadeDecomposition {
     pub fn count_of(&self, class: u8) -> u64 {
         self.counts[class as usize]
     }
-
-    /// Cumulative fraction of requests in classes `0..=class` — the
-    /// graduated SLA distribution.
-    pub fn cumulative_fraction(&self, class: u8) -> f64 {
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let covered: u64 = self.counts[..=(class as usize)].iter().sum();
-        covered as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -185,8 +174,6 @@ mod tests {
         assert_eq!(d.count_of(1), 5);
         assert_eq!(d.count_of(2), 10);
         assert_eq!(d.count_of(3), 2);
-        assert!((d.cumulative_fraction(1) - 0.4).abs() < 1e-12);
-        assert_eq!(d.cumulative_fraction(3), 1.0);
     }
 
     #[test]
@@ -195,7 +182,6 @@ mod tests {
         let w = Workload::from_arrivals((0..50).map(|i| SimTime::from_millis(i * 20)));
         let d = cascade.decompose(&w);
         assert_eq!(d.count_of(0), 50);
-        assert_eq!(d.cumulative_fraction(0), 1.0);
     }
 
     #[test]
@@ -218,10 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_workload_is_vacuously_covered() {
+    fn empty_workload_assigns_nothing() {
         let cascade = CascadeDecomposer::new(vec![lvl(100.0, 20)]);
         let d = cascade.decompose(&Workload::new());
-        assert_eq!(d.cumulative_fraction(0), 1.0);
+        assert_eq!(d.count_of(0), 0);
+        assert_eq!(d.count_of(1), 0);
         assert!(d.assignments().is_empty());
     }
 

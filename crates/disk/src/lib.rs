@@ -1,4 +1,4 @@
-//! # gqos-disk — a mechanical disk model and low-level schedulers
+//! # gqos-disk — a mechanical disk model
 //!
 //! The DiskSim stand-in of the `gqos` workspace. The paper evaluates its
 //! QoS framework inside a disk simulator; this crate supplies the
@@ -10,21 +10,19 @@
 //!   seek + rotational latency + transfer. Unlike the constant-rate server
 //!   used for the paper's capacity analysis, its throughput depends on
 //!   request locality;
-//! - [`SstfScheduler`] / [`ScanScheduler`] — the throughput-maximising
-//!   low-level orderings the paper assumes beneath the QoS layer;
 //! - [`CachedDisk`] — a deterministic LRU block cache wrapper.
 //!
 //! # Examples
 //!
-//! Run a workload against the mechanical disk with elevator scheduling:
+//! Run a workload against the mechanical disk in arrival order:
 //!
 //! ```
-//! use gqos_disk::{DiskModel, ScanScheduler, SweepMode};
-//! use gqos_sim::Simulation;
+//! use gqos_disk::DiskModel;
+//! use gqos_sim::{FcfsScheduler, Simulation};
 //! use gqos_trace::{SimTime, Workload};
 //!
 //! let w = Workload::from_arrivals((0..20).map(|i| SimTime::from_millis(i * 30)));
-//! let report = Simulation::new(ScanScheduler::new(SweepMode::CircularLook))
+//! let report = Simulation::new(FcfsScheduler::new())
 //!     .server(DiskModel::builder().build())
 //!     .run(&w);
 //! assert_eq!(report.completed(), 20);
@@ -36,11 +34,9 @@
 mod cache;
 mod geometry;
 mod model;
-mod sched;
 mod seek;
 
 pub use cache::CachedDisk;
 pub use geometry::DiskGeometry;
 pub use model::{DiskModel, DiskModelBuilder};
-pub use sched::{ScanScheduler, SstfScheduler, SweepMode};
 pub use seek::SeekProfile;

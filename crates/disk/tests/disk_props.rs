@@ -1,11 +1,9 @@
-//! Property-based tests of the disk models and low-level schedulers.
+//! Property-based tests of the disk models.
 
 use proptest::prelude::*;
 
-use gqos_disk::{
-    CachedDisk, DiskGeometry, DiskModel, ScanScheduler, SeekProfile, SstfScheduler, SweepMode,
-};
-use gqos_sim::{simulate, Scheduler, ServiceModel};
+use gqos_disk::{CachedDisk, DiskGeometry, DiskModel, SeekProfile};
+use gqos_sim::{simulate, ServiceModel};
 use gqos_trace::{Iops, LogicalBlock, Request, SimDuration, SimTime, Workload};
 
 fn small_geometry() -> DiskGeometry {
@@ -47,39 +45,10 @@ proptest! {
         prop_assert!(s.seek_time(lo, 65_536) <= s.seek_time(hi, 65_536));
     }
 
-    /// SSTF never travels farther in total than FCFS over the same batch.
-    #[test]
-    fn sstf_total_travel_never_exceeds_fcfs(lbas in arb_lbas(48)) {
-        let travel = |order: &[u64]| -> u128 {
-            let mut pos = 0u64;
-            let mut total = 0u128;
-            for &b in order {
-                total += b.abs_diff(pos) as u128;
-                pos = b;
-            }
-            total
-        };
-        let mut sstf = SstfScheduler::new();
-        for &l in &lbas {
-            sstf.on_arrival(
-                Request::at(SimTime::ZERO).with_block(LogicalBlock::new(l)),
-                SimTime::ZERO,
-            );
-        }
-        let mut order = Vec::new();
-        while let gqos_sim::Dispatch::Serve(r, _) =
-            sstf.next_for(gqos_sim::ServerId::new(0), SimTime::ZERO)
-        {
-            order.push(r.block.get());
-        }
-        prop_assert_eq!(order.len(), lbas.len());
-        prop_assert!(travel(&order) <= travel(&lbas));
-    }
-
-    /// Every low-level scheduler serves the whole batch exactly once
+    /// FCFS over the mechanical disk serves the whole batch exactly once
     /// (conservation through the engine).
     #[test]
-    fn low_level_schedulers_conserve(lbas in arb_lbas(40)) {
+    fn fcfs_over_disk_conserves(lbas in arb_lbas(40)) {
         let w = Workload::from_requests(
             lbas.iter()
                 .enumerate()
@@ -88,14 +57,12 @@ proptest! {
                         .with_block(LogicalBlock::new(l))
                 }),
         );
-        let disk = || DiskModel::builder().geometry(small_geometry()).build();
-        let fcfs = simulate(&w, gqos_sim::FcfsScheduler::new(), disk());
-        let sstf = simulate(&w, SstfScheduler::new(), disk());
-        let scan = simulate(&w, ScanScheduler::new(SweepMode::Scan), disk());
-        let clook = simulate(&w, ScanScheduler::new(SweepMode::CircularLook), disk());
-        for report in [&fcfs, &sstf, &scan, &clook] {
-            prop_assert_eq!(report.completed(), w.len());
-        }
+        let report = simulate(
+            &w,
+            gqos_sim::FcfsScheduler::new(),
+            DiskModel::builder().geometry(small_geometry()).build(),
+        );
+        prop_assert_eq!(report.completed(), w.len());
     }
 
     /// The LRU cache never slows a request down and never exceeds its

@@ -257,22 +257,6 @@ impl ServiceAnalysis {
     pub fn is_feasible(&self) -> bool {
         self.lower_bound_misses == 0
     }
-
-    /// Fraction of the server's time spent busy over `span`, in `[0, 1]`.
-    ///
-    /// Returns zero for an empty span.
-    pub fn utilization(&self, span: SimDuration) -> f64 {
-        let total = span.as_secs_f64();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .busy_periods
-            .iter()
-            .map(|p| p.len().as_secs_f64())
-            .sum();
-        (busy / total).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -385,16 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_is_fraction_of_busy_time() {
-        // One request at 100 IOPS = 10 ms busy in a 100 ms span.
-        let w = Workload::from_arrivals([SimTime::ZERO]);
-        let a = ServiceAnalysis::new(&w, Iops::new(100.0), SimDuration::from_millis(10));
-        let u = a.utilization(SimDuration::from_millis(100));
-        assert!((u - 0.1).abs() < 1e-9, "utilization was {u}");
-        assert_eq!(a.utilization(SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "deadline must be positive")]
     fn zero_deadline_rejected() {
         let w = Workload::from_arrivals([SimTime::ZERO]);
@@ -406,7 +380,6 @@ mod tests {
         let a = ServiceAnalysis::new(&Workload::new(), Iops::new(1.0), SimDuration::from_secs(1));
         assert!(a.is_feasible());
         assert!(a.busy_periods().is_empty());
-        assert_eq!(a.utilization(SimDuration::from_secs(1)), 0.0);
     }
 
     #[test]

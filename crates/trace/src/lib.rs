@@ -55,7 +55,6 @@ pub use column::ArrivalColumn;
 pub use curve::{ArrivalCurve, BusyPeriod, ServiceAnalysis};
 pub use request::{LogicalBlock, Request, RequestId, RequestKind, DEFAULT_REQUEST_BYTES};
 pub use source::{ArrivalStream, SpcStream, StreamError, WorkloadStream, DEFAULT_CHUNK};
-pub use stats::BurstEpisode;
 pub use summary::TraceSummary;
 pub use time::{Iops, SimDuration, SimTime};
 pub use window::RateSeries;

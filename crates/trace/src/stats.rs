@@ -2,13 +2,7 @@
 //!
 //! These metrics quantify the "tail wagging the server" phenomenon the paper
 //! targets: how far the instantaneous arrival rate departs from the
-//! long-term average, how correlated the bursts are in time, and where the
-//! burst episodes sit on the timeline.
-
-use std::fmt;
-
-use crate::time::{SimDuration, SimTime};
-use crate::window::RateSeries;
+//! long-term average and how correlated the bursts are in time.
 
 /// Variance-to-mean ratio of window counts. Returns zero for fewer than two
 /// windows or a zero mean.
@@ -131,86 +125,9 @@ fn slope(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
-/// A contiguous run of windows whose rate exceeds a threshold.
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct BurstEpisode {
-    /// Start of the first over-threshold window.
-    pub start: SimTime,
-    /// Length of the episode.
-    pub duration: SimDuration,
-    /// Peak window rate within the episode, in IOPS.
-    pub peak_iops: f64,
-    /// Requests contained in the episode.
-    pub requests: u64,
-}
-
-impl fmt::Display for BurstEpisode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "burst @{} for {} (peak {:.0} IOPS, {} requests)",
-            self.start, self.duration, self.peak_iops, self.requests
-        )
-    }
-}
-
-/// Finds maximal runs of windows whose rate exceeds `threshold_factor` times
-/// the series mean.
-///
-/// # Panics
-///
-/// Panics if `threshold_factor` is not finite and positive.
-pub fn burst_episodes(series: &RateSeries, threshold_factor: f64) -> Vec<BurstEpisode> {
-    assert!(
-        threshold_factor.is_finite() && threshold_factor > 0.0,
-        "invalid burst threshold factor: {threshold_factor}"
-    );
-    let threshold = series.mean_iops() * threshold_factor;
-    let mut episodes = Vec::new();
-    let mut current: Option<(usize, f64, u64)> = None; // (start idx, peak, reqs)
-    for i in 0..series.len() {
-        let rate = series.iops_at(i);
-        if rate > threshold {
-            let entry = current.get_or_insert((i, 0.0, 0));
-            entry.1 = entry.1.max(rate);
-            entry.2 += series.counts()[i];
-        } else if let Some((start, peak, reqs)) = current.take() {
-            episodes.push(BurstEpisode {
-                start: series.window_start(start),
-                duration: series.window() * (i - start) as u64,
-                peak_iops: peak,
-                requests: reqs,
-            });
-        }
-    }
-    if let Some((start, peak, reqs)) = current {
-        episodes.push(BurstEpisode {
-            start: series.window_start(start),
-            duration: series.window() * (series.len() - start) as u64,
-            peak_iops: peak,
-            requests: reqs,
-        });
-    }
-    episodes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
-    use crate::workload::Workload;
-
-    fn series_from_counts(counts: &[u64]) -> RateSeries {
-        // One request per count in consecutive 100 ms windows.
-        let window = SimDuration::from_millis(100);
-        let mut arrivals = Vec::new();
-        for (i, &n) in counts.iter().enumerate() {
-            for j in 0..n {
-                arrivals.push(SimTime::from_millis(i as u64 * 100) + SimDuration::from_micros(j));
-            }
-        }
-        RateSeries::with_origin(&Workload::from_arrivals(arrivals), window, SimTime::ZERO)
-    }
 
     #[test]
     fn index_of_dispersion_poissonish() {
@@ -286,43 +203,5 @@ mod tests {
             "walk H {h_walk}, alternating H {h_alt}"
         );
         assert!(h_walk > 0.6, "walk H {h_walk}");
-    }
-
-    #[test]
-    fn burst_episodes_found_and_merged() {
-        // mean over 10 windows: (8*1 + 2*11)/10 = 3 IOPS => 30 IOPS per-window
-        // rate mean... series_from_counts uses 100 ms windows, so rates are
-        // counts*10. Episode threshold 2x mean catches the two 11-count
-        // windows as one contiguous episode.
-        let s = series_from_counts(&[1, 1, 1, 1, 11, 11, 1, 1, 1, 1]);
-        let eps = burst_episodes(&s, 2.0);
-        assert_eq!(eps.len(), 1);
-        let e = eps[0];
-        assert_eq!(e.start, SimTime::from_millis(400));
-        assert_eq!(e.duration, SimDuration::from_millis(200));
-        assert_eq!(e.requests, 22);
-        assert!((e.peak_iops - 110.0).abs() < 1e-9);
-        assert!(e.to_string().contains("burst @"));
-    }
-
-    #[test]
-    fn burst_episode_at_series_end_is_closed() {
-        let s = series_from_counts(&[1, 1, 1, 1, 1, 1, 1, 1, 30, 30]);
-        let eps = burst_episodes(&s, 3.0);
-        assert_eq!(eps.len(), 1);
-        assert_eq!(eps[0].requests, 60);
-    }
-
-    #[test]
-    fn no_bursts_in_flat_series() {
-        let s = series_from_counts(&[2; 20]);
-        assert!(burst_episodes(&s, 1.5).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid burst threshold")]
-    fn burst_threshold_validated() {
-        let s = series_from_counts(&[1, 2]);
-        let _ = burst_episodes(&s, f64::NAN);
     }
 }

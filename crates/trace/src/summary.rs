@@ -114,16 +114,6 @@ impl TraceSummary {
         self.index_of_dispersion
     }
 
-    /// Lag-1 autocorrelation of window counts.
-    pub fn lag1_autocorrelation(&self) -> f64 {
-        self.lag1_autocorrelation
-    }
-
-    /// Hurst exponent estimate (R/S), when the series is long enough.
-    pub fn hurst(&self) -> Option<f64> {
-        self.hurst
-    }
-
     /// Fraction of read requests.
     pub fn read_fraction(&self) -> f64 {
         self.read_fraction
@@ -210,7 +200,7 @@ mod tests {
         assert_eq!(s.read_fraction(), 0.0);
         assert_eq!(s.mean_bytes, 0.0);
         assert_eq!(s.first_arrival(), None);
-        assert!(s.hurst().is_none());
+        assert!(s.hurst.is_none());
     }
 
     #[test]
@@ -228,11 +218,11 @@ mod tests {
         // yields None).
         let w = Workload::from_arrivals((0..5000u64).map(|i| ms((i * 7919) % 20011)));
         let s = TraceSummary::new(&w, SimDuration::from_millis(100));
-        assert!(s.hurst().is_some());
-        assert!(s.lag1_autocorrelation().abs() <= 1.0);
+        assert!(s.hurst.is_some());
+        assert!(s.lag1_autocorrelation.abs() <= 1.0);
 
         let even = Workload::from_arrivals((0..5000).map(|i| ms(i * 2)));
         let se = TraceSummary::new(&even, SimDuration::from_millis(100));
-        assert!(se.hurst().is_none(), "zero-variance series has no estimate");
+        assert!(se.hurst.is_none(), "zero-variance series has no estimate");
     }
 }

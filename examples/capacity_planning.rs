@@ -67,16 +67,13 @@ fn main() {
     ]);
     let d = cascade.decompose(&workload);
     println!("=== OpenMail graduated distribution (cascade of 3 levels)");
+    let share = |class| 100.0 * d.count_of(class) as f64 / workload.len() as f64;
     for (class, deadline) in [(0u8, "10 ms"), (1, "50 ms"), (2, "200 ms")] {
         println!(
-            "within {deadline}: {:.2}% cumulative ({} requests in class {class})",
-            d.cumulative_fraction(class) * 100.0,
-            d.count_of(class)
+            "class {class} (within {deadline}): {} requests ({:.2}%)",
+            d.count_of(class),
+            share(class)
         );
     }
-    println!(
-        "best effort: {} requests ({:.2}%)",
-        d.count_of(3),
-        100.0 * d.count_of(3) as f64 / workload.len() as f64
-    );
+    println!("best effort: {} requests ({:.2}%)", d.count_of(3), share(3));
 }

@@ -1,6 +1,6 @@
 //! QoS on a mechanical disk: run the shaping pipeline end-to-end against
 //! the seek/rotation/transfer disk model instead of the constant-rate
-//! abstraction, and compare low-level scheduler orderings.
+//! abstraction.
 //!
 //! This is the "DiskSim" configuration: the QoS layer (RTT + Miser) sits at
 //! the device-driver level above a disk whose throughput depends on request
@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example disk_qos`
 
-use gqos::disk::{CachedDisk, DiskModel, ScanScheduler, SstfScheduler, SweepMode};
-use gqos::sim::{FcfsScheduler, ServiceClass, Simulation, TraceHandle};
+use gqos::disk::{CachedDisk, DiskModel};
+use gqos::sim::{ServiceClass, TraceHandle};
 use gqos::trace::gen::profiles::TraceProfile;
 use gqos::{Iops, Provision, RecombinePolicy, SimDuration, WorkloadShaper};
 
@@ -22,51 +22,9 @@ fn main() {
 
     println!("workload: {workload}");
 
-    // 1. Low-level orderings on the raw disk: FCFS vs SSTF vs C-LOOK over a
-    //    *closed batch* of queued random requests (the situation where the
-    //    throughput-maximising ordering below the QoS layer earns its keep).
-    let batch = gqos::Workload::from_requests(workload.iter().take(3000).map(|r| gqos::Request {
-        arrival: gqos::SimTime::ZERO,
-        ..*r
-    }));
-    println!(
-        "\nlow-level disk scheduling (batch of {} queued requests):",
-        batch.len()
-    );
-    let run_lowlevel = |name: &str, report: gqos::sim::RunReport| {
-        println!(
-            "  {name:<7} makespan {:>6.1}s  throughput {:>5.0} IOPS",
-            report.end_time().as_secs_f64(),
-            report.completed() as f64 / report.end_time().as_secs_f64(),
-        );
-        report.end_time()
-    };
-    let fcfs_end = run_lowlevel(
-        "FCFS",
-        Simulation::new(FcfsScheduler::new())
-            .server(DiskModel::builder().build())
-            .run(&batch),
-    );
-    let sstf_end = run_lowlevel(
-        "SSTF",
-        Simulation::new(SstfScheduler::new())
-            .server(DiskModel::builder().build())
-            .run(&batch),
-    );
-    run_lowlevel(
-        "C-LOOK",
-        Simulation::new(ScanScheduler::new(SweepMode::CircularLook))
-            .server(DiskModel::builder().build())
-            .run(&batch),
-    );
-    println!(
-        "  => seek-aware ordering saves {:.1}% of the FCFS makespan",
-        100.0 * (1.0 - sstf_end.as_secs_f64() / fcfs_end.as_secs_f64())
-    );
-
-    // 2. The QoS layer on the disk: Miser shaping with a provision sized to
-    //    the disk's random-access throughput (with an LRU cache absorbing
-    //    re-reads).
+    // The QoS layer on the disk: Miser shaping with a provision sized to
+    // the disk's random-access throughput (with an LRU cache absorbing
+    // re-reads).
     let deadline = SimDuration::from_millis(50);
     let provision = Provision::new(Iops::new(150.0), Iops::new(150.0));
     let disk = |_| {

@@ -9,7 +9,7 @@
 //! | [`trace`] | `gqos-trace` | workload model, synthetic generators, SPC I/O, chunked arrival streams, burstiness statistics |
 //! | [`sim`] | `gqos-sim` | the one deterministic simulation core (batch and chunked drivers), servers, latency metrics |
 //! | [`fairqueue`] | `gqos-fairqueue` | SFQ / token bucket |
-//! | [`disk`] | `gqos-disk` | mechanical disk model, SSTF / SCAN / C-LOOK |
+//! | [`disk`] | `gqos-disk` | mechanical disk model, LRU cache |
 //! | [`core`] | `gqos-core` | RTT decomposition, Miser / Split / FairQueue recombination, the one workload shaper (batch, streamed, faulted), capacity planning, consolidation |
 //!
 //! The most common entry points are also re-exported at the top level.
