@@ -10,6 +10,9 @@ use gqos_trace::SimDuration;
 pub const USAGE: &str = "usage: gqos-bench <experiment|all> [--span <s>] [--seed <n>] [--quick] \
      [--out <dir>] [--threads <n>]";
 
+/// The largest `--threads` accepted.
+const MAX_THREADS: u64 = 256;
+
 /// A malformed command line, reported instead of a panic so the CLI can
 /// exit with a clear diagnostic.
 #[derive(Clone, Eq, PartialEq, Debug)]
@@ -71,12 +74,14 @@ impl Error for ConfigError {}
 /// - `--seed <n>` — generator seed (default 42);
 /// - `--quick` — shorthand for `--span 120`, for smoke runs;
 /// - `--out <dir>` — output directory for CSV files (default `results`);
-/// - `--threads <n>` — fan independent cells over `n` worker threads
+/// - `--threads <n>` — fan independent cells over a pool of `n` workers
 ///   (default 1 = serial).
 ///
 /// Parallelism never changes results: every experiment assembles its cells
 /// in a fixed order (see [`WorkerPool::map`]), so output at any `--threads`
-/// count is byte-identical to a serial run.
+/// count is byte-identical to a serial run. The config holds the process's
+/// one pool: its clones share the workers, so no experiment spawns threads
+/// of its own to fan out over `--threads`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ExpConfig {
     /// Length of the synthesised traces.
@@ -85,8 +90,9 @@ pub struct ExpConfig {
     pub seed: u64,
     /// Directory CSV outputs are written into.
     pub out_dir: String,
-    /// Worker threads for independent experiment cells (1 = serial).
-    pub threads: usize,
+    /// The pool independent experiment cells fan out over (serial by
+    /// default).
+    pub pool: WorkerPool,
 }
 
 impl Default for ExpConfig {
@@ -95,7 +101,7 @@ impl Default for ExpConfig {
             span: SimDuration::from_secs(1200),
             seed: 42,
             out_dir: "results".to_string(),
-            threads: 1,
+            pool: WorkerPool::serial(),
         }
     }
 }
@@ -135,6 +141,7 @@ impl ExpConfig {
             })
         }
         let mut cfg = ExpConfig::default();
+        let mut threads = 1;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_ref() {
@@ -156,15 +163,24 @@ impl ExpConfig {
                 }
                 "--threads" => {
                     let raw = value(&mut it, "--threads", "a value")?;
-                    let threads = integer(&raw, "--threads", "a positive integer worker count")?;
+                    threads = integer(&raw, "--threads", "a positive integer worker count")?;
                     if threads == 0 {
                         return Err(ConfigError::ZeroThreads);
                     }
-                    cfg.threads = threads as usize;
+                    // The pool spawns its workers up front, so a count no
+                    // host could use is refused here rather than spawned.
+                    if threads > MAX_THREADS {
+                        return Err(ConfigError::InvalidValue {
+                            flag: "--threads",
+                            value: raw,
+                            expected: "a worker count of at most 256",
+                        });
+                    }
                 }
                 other => return Err(ConfigError::UnknownFlag(other.to_string())),
             }
         }
+        cfg.pool = WorkerPool::new(threads as usize);
         Ok(cfg)
     }
 
@@ -187,11 +203,6 @@ impl ExpConfig {
             );
         }
         cfg
-    }
-
-    /// The worker pool experiments fan their cells over.
-    pub fn pool(&self) -> WorkerPool {
-        WorkerPool::new(self.threads)
     }
 }
 
@@ -244,11 +255,9 @@ mod tests {
 
     #[test]
     fn threads_flags() {
-        assert_eq!(ExpConfig::default().threads, 1);
-        assert!(ExpConfig::default().pool().is_serial());
+        assert!(ExpConfig::default().pool.is_serial());
         let c = ExpConfig::try_parse(["--threads", "6"]).unwrap();
-        assert_eq!(c.threads, 6);
-        assert_eq!(c.pool().threads(), 6);
+        assert_eq!(c.pool.threads(), 6);
     }
 
     #[test]
@@ -285,6 +294,13 @@ mod tests {
             ExpConfig::try_parse(["--threads", "0"]),
             Err(ConfigError::ZeroThreads)
         );
+        assert!(matches!(
+            ExpConfig::try_parse(["--threads", "257"]),
+            Err(ConfigError::InvalidValue {
+                flag: "--threads",
+                ..
+            })
+        ));
         // A negative count is a parse failure (the count is unsigned), not
         // a silent wrap to a huge pool.
         assert!(matches!(

@@ -63,7 +63,7 @@ pub fn report(cfg: &ExpConfig) -> String {
         .iter()
         .flat_map(|&f| [(f, RecombinePolicy::FairQueue), (f, RecombinePolicy::Miser)])
         .collect();
-    let reports = cfg.pool().map(cells.clone(), |(frac, policy)| {
+    let reports = cfg.pool.map(cells.clone(), |(frac, policy)| {
         let delta_c = Iops::new((cmin.get() * frac).max(1.0));
         WorkloadShaper::new(Provision::new(cmin, delta_c), deadline).run(&workload, policy)
     });

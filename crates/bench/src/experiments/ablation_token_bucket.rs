@@ -85,7 +85,7 @@ pub fn report(cfg: &ExpConfig) -> String {
 
     // One independent cell per workload — fan them over the pool and
     // render in profile order.
-    let cells = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
+    let cells = cfg.pool.map(TraceProfile::ALL.to_vec(), |profile| {
         let workload = profile.generate(cfg.span, cfg.seed);
         let cmin = CapacityPlanner::new(&workload, deadline).min_capacity(0.90);
         let provision = Provision::with_default_surplus(cmin, deadline);

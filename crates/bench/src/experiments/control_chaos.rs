@@ -21,6 +21,7 @@
 //! clock.
 
 use gqos_control::chaos::{ChaosConfig, ChaosScenario};
+use gqos_parallel::WorkerPool;
 
 use crate::config::ExpConfig;
 use crate::outln;
@@ -80,6 +81,7 @@ struct ChaosCell {
 /// serial and at [`CHAOS_SHARD_WORKERS`] pool workers — and compares the
 /// full run reports byte for byte.
 fn compute(cfg: &ExpConfig) -> Vec<ChaosCell> {
+    let sharded = WorkerPool::new(CHAOS_SHARD_WORKERS);
     CHAOS_CELLS
         .iter()
         .enumerate()
@@ -95,10 +97,9 @@ fn compute(cfg: &ExpConfig) -> Vec<ChaosCell> {
                     ..ChaosConfig::default()
                 };
                 let scenario = ChaosScenario::generate(seed, config);
-                let mut run = scenario.execute(1);
+                let mut run = scenario.execute(&WorkerPool::serial());
                 let serial_report = run.report();
-                let sharded_identical =
-                    scenario.execute(CHAOS_SHARD_WORKERS).report() == serial_report;
+                let sharded_identical = scenario.execute(&sharded).report() == serial_report;
                 let converged = run
                     .plane
                     .oracle_quotes()

@@ -72,7 +72,7 @@ pub fn compute(cfg: &ExpConfig) -> Vec<FaultCell> {
         .flat_map(|(i, &sev)| RecombinePolicy::ALL.iter().map(move |&p| (i, sev, p)))
         .collect();
 
-    cfg.pool().map(grid, move |(index, severity, policy)| {
+    cfg.pool.map(grid, move |(index, severity, policy)| {
         let workload = TraceProfile::WebSearch.generate(cfg.span, cfg.seed);
         let span = workload.span().max(SimDuration::from_secs(1));
         let schedule = FaultSchedule::generate(schedule_seed(cfg.seed, index), span, severity);

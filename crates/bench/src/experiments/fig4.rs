@@ -37,13 +37,13 @@ struct Fig4Cell {
 /// Computes all nine cells, fanning the `(workload, deadline)` grid over
 /// [`ExpConfig::pool`].
 fn compute(cfg: &ExpConfig) -> Vec<Fig4Cell> {
-    let workloads = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
+    let workloads = cfg.pool.map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))
     });
     let grid: Vec<(usize, u64)> = (0..workloads.len())
         .flat_map(|w| FIG4_DEADLINES_MS.iter().map(move |&d| (w, d)))
         .collect();
-    cfg.pool().map(grid, |(w, deadline_ms)| {
+    cfg.pool.map(grid, |(w, deadline_ms)| {
         let (profile, ref workload) = workloads[w];
         let deadline = SimDuration::from_millis(deadline_ms);
         let capacity = CapacityPlanner::new(workload, deadline).min_capacity(FIG4_FRACTION);

@@ -41,10 +41,10 @@ struct Fig5Cell {
 /// capacities), only the probe work is shared.
 fn compute(cfg: &ExpConfig) -> Vec<Fig5Cell> {
     let deadline = SimDuration::from_millis(FIG5_DEADLINE_MS);
-    let workloads = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
+    let workloads = cfg.pool.map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))
     });
-    let menus = cfg.pool().map((0..workloads.len()).collect(), |w: usize| {
+    let menus = cfg.pool.map((0..workloads.len()).collect(), |w: usize| {
         CapacityPlanner::new(&workloads[w].1, deadline)
             .menu(&FIG5_FRACTIONS)
             .expect("the Figure 5 fractions are in (0, 1]")
@@ -52,7 +52,7 @@ fn compute(cfg: &ExpConfig) -> Vec<Fig5Cell> {
     let grid: Vec<(usize, usize)> = (0..workloads.len())
         .flat_map(|w| (0..FIG5_FRACTIONS.len()).map(move |f| (w, f)))
         .collect();
-    cfg.pool().map(grid, |(w, f)| {
+    cfg.pool.map(grid, |(w, f)| {
         let (profile, ref workload) = workloads[w];
         let capacity = menus[w][f].cmin;
         let report = simulate(

@@ -40,7 +40,7 @@ fn compute(cfg: &ExpConfig) -> Vec<Fig6Panel> {
     let deadline = SimDuration::from_millis(FIG6_DEADLINE_MS);
     let workload = TraceProfile::WebSearch.generate(cfg.span, cfg.seed);
     let planner = CapacityPlanner::new(&workload, deadline);
-    cfg.pool().map(FIG6_FRACTIONS.to_vec(), |fraction| {
+    cfg.pool.map(FIG6_FRACTIONS.to_vec(), |fraction| {
         let provision = Provision::with_default_surplus(planner.min_capacity(fraction), deadline);
         let shaper = WorkloadShaper::new(provision, deadline);
         Fig6Panel {
@@ -158,7 +158,7 @@ pub fn report(cfg: &ExpConfig) -> String {
         .iter()
         .flat_map(|&f| FIG6C_SEEDS.iter().map(move |&s| (f, s)))
         .collect();
-    let ratios = cfg.pool().map(grid, |(fraction, seed)| {
+    let ratios = cfg.pool.map(grid, |(fraction, seed)| {
         let workload = TraceProfile::WebSearch.generate(cfg.span, seed);
         let planner = CapacityPlanner::new(&workload, deadline);
         let provision = Provision::with_default_surplus(planner.min_capacity(fraction), deadline);

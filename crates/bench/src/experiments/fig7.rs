@@ -38,7 +38,7 @@ struct Fig7Cell {
 /// [`ExpConfig::pool`].
 fn compute(cfg: &ExpConfig) -> Vec<Fig7Cell> {
     let deadline = SimDuration::from_millis(FIG7_DEADLINE_MS);
-    let workloads = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
+    let workloads = cfg.pool.map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))
     });
     let grid: Vec<(usize, f64, u64)> = (0..workloads.len())
@@ -48,7 +48,7 @@ fn compute(cfg: &ExpConfig) -> Vec<Fig7Cell> {
                 .flat_map(move |&f| FIG7_SHIFTS_S.iter().map(move |&s| (w, f, s)))
         })
         .collect();
-    cfg.pool().map(grid, |(w, fraction, shift_s)| {
+    cfg.pool.map(grid, |(w, fraction, shift_s)| {
         let (profile, ref workload) = workloads[w];
         let study = ConsolidationStudy::new(QosTarget::new(fraction, deadline));
         let report = study.compare_shifted(workload, SimDuration::from_secs(shift_s));

@@ -38,7 +38,7 @@ struct Fig8Cell {
 /// [`ExpConfig::pool`].
 fn compute(cfg: &ExpConfig) -> Vec<Fig8Cell> {
     let deadline = SimDuration::from_millis(FIG8_DEADLINE_MS);
-    let pairs = cfg.pool().map(FIG8_PAIRS.to_vec(), |(a, b)| {
+    let pairs = cfg.pool.map(FIG8_PAIRS.to_vec(), |(a, b)| {
         // Distinct seeds so the two clients are independent processes.
         (
             a.generate(cfg.span, cfg.seed),
@@ -48,7 +48,7 @@ fn compute(cfg: &ExpConfig) -> Vec<Fig8Cell> {
     let grid: Vec<(usize, f64)> = (0..pairs.len())
         .flat_map(|i| FIG8_FRACTIONS.iter().map(move |&f| (i, f)))
         .collect();
-    cfg.pool().map(grid, |(i, fraction)| {
+    cfg.pool.map(grid, |(i, fraction)| {
         let (ref wa, ref wb) = pairs[i];
         let study = ConsolidationStudy::new(QosTarget::new(fraction, deadline));
         Fig8Cell {

@@ -160,7 +160,7 @@ pub fn busiest_node(placement: &Placement) -> usize {
 fn compute(cfg: &ExpConfig) -> Vec<FleetCell> {
     let deadline = SimDuration::from_millis(FLEET_DEADLINE_MS);
     let target = QosTarget::new(FLEET_FRACTION, deadline);
-    let pool = cfg.pool();
+    let pool = &cfg.pool;
     FLEET_GRID
         .iter()
         .map(|&(tenants_n, servers)| {
@@ -169,7 +169,7 @@ fn compute(cfg: &ExpConfig) -> Vec<FleetCell> {
             let placer = FleetPlacer::new(target, Iops::new(capacity as f64));
             let mut cache = QuoteCache::new(deadline);
             let mut placement = placer
-                .pack(&tenants, servers, &mut cache, &pool)
+                .pack(&tenants, servers, &mut cache, pool)
                 .expect("servers > 0, matching deadline");
             let stats = placement.stats();
 
@@ -190,7 +190,7 @@ fn compute(cfg: &ExpConfig) -> Vec<FleetCell> {
                     replan_node,
                     FLEET_DEGRADE_FACTOR,
                     &mut cache,
-                    &pool,
+                    pool,
                 )
                 .expect("valid node and factor");
 

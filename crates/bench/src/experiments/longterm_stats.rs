@@ -125,10 +125,10 @@ pub struct LongTermOutcome {
     pub workers_identical: bool,
 }
 
-/// Runs the gateway at `cfg.threads`, feeds the store, and cross-checks
+/// Runs the gateway on `cfg.pool`, feeds the store, and cross-checks
 /// the store against re-feeds from every worker count.
 pub fn compute(cfg: &ExpConfig) -> LongTermOutcome {
-    let reports = IngestGateway::new(cfg.pool()).run(lanes(cfg));
+    let reports = IngestGateway::new(cfg.pool.clone()).run(lanes(cfg));
     let store = feed(&reports);
     let lossless = reports
         .iter()

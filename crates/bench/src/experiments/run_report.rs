@@ -83,17 +83,17 @@ fn sketch_quantiles_ms(sketch: &LatencySketch) -> [f64; 4] {
     out
 }
 
-/// Rebuilds the whole-run sketch from per-worker shards over `cfg.pool()`
+/// Rebuilds the whole-run sketch from per-worker shards over `cfg.pool`
 /// and merges them — the merge contract a parallel harness relies on.
 fn sharded_sketch(cfg: &ExpConfig, report: &RunReport) -> LatencySketch {
     let records = report.records();
-    let shards = cfg.pool().threads().max(1);
+    let shards = cfg.pool.threads().max(1);
     let chunk = records.len().div_ceil(shards).max(1);
     let spans: Vec<(usize, usize)> = (0..shards)
         .map(|s| (s * chunk, ((s + 1) * chunk).min(records.len())))
         .filter(|(lo, hi)| lo < hi)
         .collect();
-    let partials = cfg.pool().map(spans, |(lo, hi)| {
+    let partials = cfg.pool.map(spans, |(lo, hi)| {
         let mut sketch = LatencySketch::new();
         for record in &records[lo..hi] {
             sketch.record(record.response_time().as_nanos());
@@ -117,39 +117,38 @@ pub fn compute(cfg: &ExpConfig) -> Vec<PolicySummary> {
         Provision::with_default_surplus(planner.min_capacity(RUN_REPORT_FRACTION), deadline);
     let shaper = WorkloadShaper::new(provision, deadline);
     let workload = &workload;
-    cfg.pool()
-        .map(RecombinePolicy::ALL.to_vec(), move |policy| {
-            let (trace, sink) = TraceHandle::memory();
-            let report = shaper.run_traced(workload, policy, trace);
-            let events = sink.borrow().events();
-            let replay = ReplayedRun::from_events(&events);
+    cfg.pool.map(RecombinePolicy::ALL.to_vec(), move |policy| {
+        let (trace, sink) = TraceHandle::memory();
+        let report = shaper.run_traced(workload, policy, trace);
+        let events = sink.borrow().events();
+        let replay = ReplayedRun::from_events(&events);
 
-            let single_pass = report.response_sketch();
-            let merge_identical = sharded_sketch(cfg, &report) == single_pass;
+        let single_pass = report.response_sketch();
+        let merge_identical = sharded_sketch(cfg, &report) == single_pass;
 
-            let classes = [
-                ("primary", ServiceClass::PRIMARY),
-                ("overflow", ServiceClass::OVERFLOW),
-            ]
-            .into_iter()
-            .map(|(label, class)| ClassSummary {
-                label,
-                completed: report.completed_in(class) as u64,
-                quantiles_ms: sketch_quantiles_ms(&report.response_sketch_for(class)),
-            })
-            .collect();
-
-            PolicySummary {
-                policy,
-                counts: replay.counts(),
-                classes,
-                quantiles_ms: sketch_quantiles_ms(&single_pass),
-                aggregate_miss: report.miss_fraction(ServiceClass::PRIMARY, deadline),
-                replay_miss: replay.miss_fraction(ServiceClass::PRIMARY.index(), deadline),
-                violations: replay.audit(),
-                merge_identical,
-            }
+        let classes = [
+            ("primary", ServiceClass::PRIMARY),
+            ("overflow", ServiceClass::OVERFLOW),
+        ]
+        .into_iter()
+        .map(|(label, class)| ClassSummary {
+            label,
+            completed: report.completed_in(class) as u64,
+            quantiles_ms: sketch_quantiles_ms(&report.response_sketch_for(class)),
         })
+        .collect();
+
+        PolicySummary {
+            policy,
+            counts: replay.counts(),
+            classes,
+            quantiles_ms: sketch_quantiles_ms(&single_pass),
+            aggregate_miss: report.miss_fraction(ServiceClass::PRIMARY, deadline),
+            replay_miss: replay.miss_fraction(ServiceClass::PRIMARY.index(), deadline),
+            violations: replay.audit(),
+            merge_identical,
+        }
+    })
 }
 
 /// Renders `summaries` as the canonical `run_report.json` document.

@@ -146,7 +146,7 @@ fn compute(cfg: &ExpConfig) -> Vec<SloArm> {
             };
             SloArm {
                 label,
-                run: SloScenario::generate(seed, config).execute(cfg.threads),
+                run: SloScenario::generate(seed, config).execute(&cfg.pool),
             }
         })
         .collect()

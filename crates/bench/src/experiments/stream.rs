@@ -96,7 +96,7 @@ fn compute_equiv(cfg: &ExpConfig) -> Vec<EquivCell> {
         .flat_map(|&p| STREAM_CHUNKS.iter().map(move |&c| (p, c)))
         .collect();
     let workload = &workload;
-    cfg.pool().map(cells, move |(policy, requested)| {
+    cfg.pool.map(cells, move |(policy, requested)| {
         let chunk = if requested == 0 {
             workload.len().max(1)
         } else {

@@ -20,14 +20,14 @@ type Table1Result = Vec<(TraceProfile, Vec<(u64, Vec<u64>)>)>;
 /// computed by the planner's warm-started ascending sweep. Results are
 /// assembled positionally, so the table is identical at any thread count.
 fn compute(cfg: &ExpConfig) -> Table1Result {
-    let workloads: Vec<_> = cfg.pool().map(TraceProfile::ALL.to_vec(), |profile| {
+    let workloads: Vec<_> = cfg.pool.map(TraceProfile::ALL.to_vec(), |profile| {
         (profile, profile.generate(cfg.span, cfg.seed))
     });
 
     let cells: Vec<(usize, u64)> = (0..workloads.len())
         .flat_map(|w| TABLE1_DEADLINES_MS.iter().map(move |&d| (w, d)))
         .collect();
-    let menus = cfg.pool().map(cells.clone(), |(w, delta_ms)| {
+    let menus = cfg.pool.map(cells.clone(), |(w, delta_ms)| {
         let planner = CapacityPlanner::new(&workloads[w].1, SimDuration::from_millis(delta_ms));
         planner
             .menu(&TABLE1_FRACTIONS)

@@ -44,7 +44,7 @@ fn main() {
     let cfg = &cfg;
     let tasks: Vec<_> = selected.iter().map(|e| move || (e.report)(cfg)).collect();
     let rule = "=".repeat(72);
-    for (experiment, body) in selected.iter().zip(cfg.pool().run(tasks)) {
+    for (experiment, body) in selected.iter().zip(cfg.pool.run(tasks)) {
         println!("{rule}");
         println!("== {}", experiment.title);
         println!("{rule}");

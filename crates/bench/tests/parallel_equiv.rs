@@ -9,6 +9,7 @@ use std::path::Path;
 
 use gqos_bench::experiments::{fault_sweep, REGISTRY};
 use gqos_bench::ExpConfig;
+use gqos_parallel::WorkerPool;
 use gqos_trace::SimDuration;
 
 fn cfg(threads: usize, out: &str) -> ExpConfig {
@@ -18,7 +19,7 @@ fn cfg(threads: usize, out: &str) -> ExpConfig {
         span: SimDuration::from_secs(30),
         seed: 42,
         out_dir: out.to_string(),
-        threads,
+        pool: WorkerPool::new(threads),
     }
 }
 
@@ -123,7 +124,6 @@ fn fault_sweep_severity_zero_matches_plain_runs() {
 fn fleet_degrade_replan_reproduces_exactly() {
     use gqos_bench::experiments::fleet;
     use gqos_core::{FleetPlacer, QosTarget, QuoteCache, TenantId};
-    use gqos_parallel::WorkerPool;
     use gqos_trace::Iops;
 
     let cfg = cfg(1, "unused");

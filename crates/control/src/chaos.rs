@@ -243,17 +243,11 @@ impl ChaosScenario {
         &self.channel
     }
 
-    /// Executes the scenario on a fresh plane over `workers` pool
-    /// threads (`<= 1` means serial).
-    pub fn execute(&self, workers: usize) -> ChaosRun {
-        let pool = if workers <= 1 {
-            WorkerPool::serial()
-        } else {
-            WorkerPool::new(workers)
-        };
+    /// Executes the scenario on a fresh plane that shares `pool`.
+    pub fn execute(&self, pool: &WorkerPool) -> ChaosRun {
         let target = QosTarget::new(0.9, SimDuration::from_millis(20));
         let placer = FleetPlacer::new(target, Iops::new(500.0));
-        let plane = ControlPlane::new(placer, self.config.servers, pool)
+        let plane = ControlPlane::new(placer, self.config.servers, pool.clone())
             .expect("chaos fleets have servers")
             .with_guard(ReplanGuard::new(SimDuration::from_millis(250)));
         let mut plane = plane;
@@ -335,8 +329,8 @@ mod tests {
     #[test]
     fn execution_is_deterministic_for_a_fixed_seed() {
         let scenario = ChaosScenario::generate(7, ChaosConfig::default());
-        let mut a = scenario.execute(1);
-        let mut b = scenario.execute(1);
+        let mut a = scenario.execute(&WorkerPool::serial());
+        let mut b = scenario.execute(&WorkerPool::serial());
         assert_eq!(a.report(), b.report());
     }
 }

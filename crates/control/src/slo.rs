@@ -786,8 +786,7 @@ impl SloScenario {
         planner.min_capacity(self.config.slo.fraction()).get() as u64
     }
 
-    /// Executes the scenario on a fresh plane over `workers` pool
-    /// threads (`<= 1` means serial).
+    /// Executes the scenario on a fresh plane that shares `pool`.
     ///
     /// Each window: the server's degradation ladder is fed the window's
     /// observed service times; every tenant's analytic window sketch is
@@ -796,18 +795,13 @@ impl SloScenario {
     /// renegotiations are delivered through the retrying driver over the
     /// scenario channel; outcomes are absorbed. The run records every
     /// tenant-window and the plane's committed-share sum per window.
-    pub fn execute(&self, workers: usize) -> SloRun {
-        let pool = if workers <= 1 {
-            WorkerPool::serial()
-        } else {
-            WorkerPool::new(workers)
-        };
+    pub fn execute(&self, pool: &WorkerPool) -> SloRun {
         let cfg = self.config;
         let slo = cfg.slo;
         let target = QosTarget::new(slo.fraction(), slo.deadline());
         let placer = FleetPlacer::new(target, Iops::new(cfg.server_capacity as f64));
-        let mut plane =
-            ControlPlane::new(placer, cfg.servers, pool).expect("scenario fleets have servers");
+        let mut plane = ControlPlane::new(placer, cfg.servers, pool.clone())
+            .expect("scenario fleets have servers");
         // Static quotes from the first segment: both arms start from the
         // same declared-workload provisioning.
         let initial: Vec<u64> = (0..cfg.tenants)
@@ -1280,8 +1274,8 @@ mod tests {
         let a = SloScenario::generate(5, cfg);
         let b = SloScenario::generate(5, cfg);
         assert_eq!(a.pattern(0, 0), b.pattern(0, 0));
-        let mut ra = a.execute(1);
-        let mut rb = b.execute(1);
+        let mut ra = a.execute(&WorkerPool::serial());
+        let mut rb = b.execute(&WorkerPool::serial());
         assert_eq!(ra.report(), rb.report());
     }
 }

@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use gqos_control::chaos::{chaos_workload, ChaosConfig, ChaosRun, ChaosScenario};
 use gqos_control::{Ack, AckDetail, CommandBody, ControlResponse, Delivery};
 use gqos_core::{Provision, RecombinePolicy, WorkloadShaper};
+use gqos_parallel::WorkerPool;
 use gqos_stream::{drain_migrate, DrainPlan, TenantSpec};
 use gqos_trace::{Iops, SimDuration, SimTime};
 
@@ -44,7 +45,8 @@ fn acked_ok(delivery: &Delivery) -> Option<&Ack> {
 #[test]
 fn chaos_epochs_are_monotone_per_tenant() {
     for seed in SEEDS {
-        let run = ChaosScenario::generate(seed, ChaosConfig::default()).execute(1);
+        let run =
+            ChaosScenario::generate(seed, ChaosConfig::default()).execute(&WorkerPool::serial());
         let mut last: BTreeMap<_, u64> = BTreeMap::new();
         for &(tenant, epoch) in run.plane.epoch_log() {
             if let Some(&prev) = last.get(&tenant) {
@@ -65,7 +67,8 @@ fn chaos_epochs_are_monotone_per_tenant() {
 #[test]
 fn chaos_converged_quotes_match_a_from_scratch_pack() {
     for seed in SEEDS {
-        let mut run = ChaosScenario::generate(seed, ChaosConfig::default()).execute(1);
+        let mut run =
+            ChaosScenario::generate(seed, ChaosConfig::default()).execute(&WorkerPool::serial());
         let converged = run.plane.converged_quotes();
         let oracle = run.plane.oracle_quotes().expect("oracle pack must succeed");
         assert_eq!(
@@ -80,7 +83,7 @@ fn chaos_acked_drains_are_zero_drop_at_the_data_plane() {
     let mut verified = 0usize;
     for seed in SEEDS {
         let scenario = ChaosScenario::generate(seed, ChaosConfig::default());
-        let run = scenario.execute(1);
+        let run = scenario.execute(&WorkerPool::serial());
         for (i, outcome) in run.outcomes.iter().enumerate() {
             let Some(Ack {
                 detail: AckDetail::Drained { from, to: Some(to) },
@@ -144,9 +147,9 @@ fn spec_len(spec: &TenantSpec) -> usize {
 fn chaos_reports_are_byte_identical_across_worker_counts() {
     for seed in [SEEDS[0], SEEDS[3]] {
         let scenario = ChaosScenario::generate(seed, ChaosConfig::default());
-        let reference = scenario.execute(1).report();
+        let reference = scenario.execute(&WorkerPool::serial()).report();
         for workers in [2usize, 4, 8] {
-            let sharded = scenario.execute(workers).report();
+            let sharded = scenario.execute(&WorkerPool::new(workers)).report();
             assert_eq!(
                 reference, sharded,
                 "seed {seed:#x}: report diverged at {workers} workers"
@@ -167,7 +170,8 @@ fn chaos_interleavings_actually_exercise_the_fault_paths() {
     let mut rejected = 0u64;
     let mut expired = 0u64;
     for seed in SEEDS {
-        let run: ChaosRun = ChaosScenario::generate(seed, ChaosConfig::default()).execute(1);
+        let run: ChaosRun =
+            ChaosScenario::generate(seed, ChaosConfig::default()).execute(&WorkerPool::serial());
         retries += run.stats.retries;
         dropped += run.stats.dropped_requests + run.stats.dropped_responses;
         replayed += run.plane.stats().replayed;

@@ -140,8 +140,9 @@ fn steady_state_issues_no_commands_and_matches_the_uncontrolled_run() {
                 verdict.label()
             );
         }
-        let mut controlled = scenario.execute(1);
-        let mut uncontrolled = SloScenario::generate(seed, static_arm(cfg)).execute(1);
+        let mut controlled = scenario.execute(&WorkerPool::serial());
+        let mut uncontrolled =
+            SloScenario::generate(seed, static_arm(cfg)).execute(&WorkerPool::serial());
         let stats = controlled.controller.stats();
         assert_eq!(
             stats.commands, 0,
@@ -163,7 +164,7 @@ fn steady_state_issues_no_commands_and_matches_the_uncontrolled_run() {
 fn frozen_windows_never_carry_commands_and_the_ladder_trace_is_unchanged() {
     let cfg = chaos_config();
     for seed in CHAOS_SEEDS {
-        let run = SloScenario::generate(seed, cfg).execute(1);
+        let run = SloScenario::generate(seed, cfg).execute(&WorkerPool::serial());
         let frozen_windows = run.records.iter().filter(|r| r.frozen).count();
         assert!(
             frozen_windows > 0,
@@ -183,7 +184,7 @@ fn frozen_windows_never_carry_commands_and_the_ladder_trace_is_unchanged() {
         }
         // The ladder is driven purely by server-side observations: the
         // feedback loop must not perturb it.
-        let twin = SloScenario::generate(seed, static_arm(cfg)).execute(1);
+        let twin = SloScenario::generate(seed, static_arm(cfg)).execute(&WorkerPool::serial());
         assert_eq!(
             run.factors, twin.factors,
             "seed {seed:#x}: feedback changed the degradation trace"
@@ -213,7 +214,7 @@ fn frozen_windows_never_carry_commands_and_the_ladder_trace_is_unchanged() {
 fn shares_never_overcommit_and_epoch_shadows_never_run_ahead() {
     for (lossy, cfg) in [(false, static_config()), (true, chaos_config())] {
         for seed in CHAOS_SEEDS {
-            let run = SloScenario::generate(seed, cfg).execute(1);
+            let run = SloScenario::generate(seed, cfg).execute(&WorkerPool::serial());
             let cap = run.plane.fleet_capacity();
             // The plane's own ledger, after every window.
             for (w, &sum) in run.committed.iter().enumerate() {
@@ -274,10 +275,10 @@ fn reports_are_byte_identical_across_worker_counts() {
     for cfg in [static_config(), chaos_config()] {
         for seed in [CHAOS_SEEDS[0], CHAOS_SEEDS[3]] {
             let scenario = SloScenario::generate(seed, cfg);
-            let baseline = scenario.execute(1).report();
+            let baseline = scenario.execute(&WorkerPool::serial()).report();
             for workers in [2, 4, 8] {
                 assert_eq!(
-                    scenario.execute(workers).report(),
+                    scenario.execute(&WorkerPool::new(workers)).report(),
                     baseline,
                     "seed {seed:#x}: report diverged at {workers} workers"
                 );

@@ -25,6 +25,7 @@
 
 use gqos_control::{SloScenario, SloScenarioConfig, SloTarget};
 use gqos_core::CapacityPlanner;
+use gqos_parallel::WorkerPool;
 use gqos_trace::{SimTime, Workload};
 use proptest::prelude::*;
 
@@ -76,7 +77,7 @@ proptest! {
         let floor = slo.capacity_floor();
         let cmin = scenario.oracle_quote(0, last).max(floor);
         let cs = slack_quote(scenario.pattern(0, last), slo).max(floor);
-        let run = scenario.execute(1);
+        let run = scenario.execute(&WorkerPool::serial());
         let total = segments as u32 * WINDOWS_PER_SEGMENT;
         let tail: Vec<_> = run
             .records

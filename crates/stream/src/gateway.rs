@@ -310,7 +310,7 @@ impl TenantReport {
 /// let reports = IngestGateway::new(WorkerPool::serial()).run(vec![spec]);
 /// assert_eq!(reports[0].completed, 50);
 /// ```
-#[derive(Copy, Clone, Debug)]
+#[derive(Clone, Debug)]
 pub struct IngestGateway {
     pool: WorkerPool,
 }
@@ -322,8 +322,8 @@ impl IngestGateway {
     }
 
     /// The gateway's worker pool.
-    pub fn pool(&self) -> WorkerPool {
-        self.pool
+    pub fn pool(&self) -> &WorkerPool {
+        &self.pool
     }
 
     /// Runs every tenant lane to completion, returning reports in tenant
