@@ -13,8 +13,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use gqos_faults::{splitmix64, ChannelFate, ChannelFaultSchedule};
-use gqos_trace::{SimDuration, SimTime};
+use gqos_faults::{splitmix64, ChannelFaultSchedule};
+use gqos_trace::SimTime;
 
 use crate::bus::{CommandId, ControlRequest, ControlResponse};
 use crate::plane::ControlPlane;
@@ -23,45 +23,6 @@ use crate::retry::RetryPolicy;
 /// Salt decorrelating response fates from request fates on the same
 /// attempt.
 const RESPONSE_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
-
-/// A transport the driver can send one message over.
-///
-/// Implemented by [`ChannelFaultSchedule`] (lossy, seeded) and
-/// [`PerfectChannel`] (fixed latency, never drops) — inject whichever
-/// the scenario calls for.
-pub trait ControlChannel {
-    /// The fate of a message sent at `at` with stateless key `key`.
-    fn fate(&self, at: SimTime, key: u64) -> ChannelFate;
-}
-
-impl ControlChannel for ChannelFaultSchedule {
-    fn fate(&self, at: SimTime, key: u64) -> ChannelFate {
-        ChannelFaultSchedule::fate(self, at, key)
-    }
-}
-
-/// A channel that delivers every message exactly once after a fixed
-/// latency — the no-fault baseline.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct PerfectChannel {
-    latency: SimDuration,
-}
-
-impl PerfectChannel {
-    /// A perfect channel with `latency` per hop.
-    pub fn new(latency: SimDuration) -> Self {
-        PerfectChannel { latency }
-    }
-}
-
-impl ControlChannel for PerfectChannel {
-    fn fate(&self, _at: SimTime, _key: u64) -> ChannelFate {
-        ChannelFate {
-            delivery: Some(self.latency),
-            duplicate: None,
-        }
-    }
-}
 
 /// Deterministic counters of one driver run.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
@@ -108,10 +69,12 @@ pub struct CommandOutcome {
     pub delivery: Delivery,
 }
 
-/// The retrying client + event loop over a [`ControlChannel`].
+/// The retrying client + event loop over a [`ChannelFaultSchedule`]. A
+/// schedule with no fault windows is the perfect channel: every message
+/// arrives exactly once, after its base latency.
 #[derive(Debug)]
-pub struct ControlDriver<'a, C: ControlChannel> {
-    channel: &'a C,
+pub struct ControlDriver<'a> {
+    channel: &'a ChannelFaultSchedule,
     policy: RetryPolicy,
 }
 
@@ -153,9 +116,9 @@ impl Ord for Ev {
     }
 }
 
-impl<'a, C: ControlChannel> ControlDriver<'a, C> {
+impl<'a> ControlDriver<'a> {
     /// A driver sending over `channel` under `policy`.
-    pub fn new(channel: &'a C, policy: RetryPolicy) -> Self {
+    pub fn new(channel: &'a ChannelFaultSchedule, policy: RetryPolicy) -> Self {
         ControlDriver { channel, policy }
     }
 
@@ -297,7 +260,7 @@ mod tests {
     use crate::bus::{Ack, AckDetail, CommandBody};
     use gqos_core::{FleetPlacer, QosTarget, TenantId};
     use gqos_parallel::WorkerPool;
-    use gqos_trace::{Iops, Workload};
+    use gqos_trace::{Iops, SimDuration, Workload};
 
     fn plane() -> ControlPlane {
         let target = QosTarget::new(0.9, SimDuration::from_millis(20));
@@ -323,7 +286,8 @@ mod tests {
 
     #[test]
     fn perfect_channel_acks_everything_once() {
-        let channel = PerfectChannel::new(SimDuration::from_millis(1));
+        // No fault windows: every message arrives once, after 1 ms.
+        let channel = ChannelFaultSchedule::new(7, SimDuration::from_millis(1));
         let driver = ControlDriver::new(&channel, RetryPolicy::new(7));
         let mut plane = plane();
         let commands = vec![

@@ -23,9 +23,8 @@
 //!   must match bit-for-bit.
 //! - [`RetryPolicy`] + [`ControlDriver`]: seeded capped-exponential
 //!   backoff with deterministic jitter, driving delivery over a
-//!   [`ControlChannel`] — either the no-fault [`PerfectChannel`] or
 //!   `gqos_faults::ChannelFaultSchedule` with drop/duplicate/delay
-//!   windows.
+//!   windows (with none, it is the no-fault channel).
 //! - [`ReplanGuard`]: degrade-fast / recover-slow hysteresis so a
 //!   flapping node cannot thrash fleet replanning.
 //! - [`SloController`] ([`slo`]): the QWin-style SLO-window feedback
@@ -80,9 +79,7 @@ pub use bus::{
     Ack, AckDetail, CommandBody, CommandId, ControlError, ControlRequest, ControlResponse,
     PROTOCOL_VERSION,
 };
-pub use channel::{
-    CommandOutcome, ControlChannel, ControlDriver, Delivery, DriverStats, PerfectChannel,
-};
+pub use channel::{CommandOutcome, ControlDriver, Delivery, DriverStats};
 pub use guard::ReplanGuard;
 pub use plane::{ControlPlane, PlaneStats};
 pub use retry::RetryPolicy;

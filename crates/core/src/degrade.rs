@@ -156,22 +156,6 @@ pub trait CapacityAdaptive: Scheduler {
     fn primary_backlog(&self) -> u64;
 }
 
-// Boxed schedulers forward, so a policy chosen at runtime
-// (`RecombinePolicy::parts`) can sit under an `AdaptiveScheduler`.
-impl<T: CapacityAdaptive + ?Sized> CapacityAdaptive for Box<T> {
-    fn renegotiate(&mut self, factor: f64) {
-        (**self).renegotiate(factor);
-    }
-
-    fn degradation_factor(&self) -> f64 {
-        (**self).degradation_factor()
-    }
-
-    fn primary_backlog(&self) -> u64 {
-        (**self).primary_backlog()
-    }
-}
-
 /// The unshaped baseline has no admission bound to renegotiate; the
 /// degradation invariant is vacuous for it.
 impl CapacityAdaptive for FcfsScheduler {
@@ -262,11 +246,6 @@ impl<S: CapacityAdaptive> AdaptiveScheduler<S> {
         self
     }
 
-    /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// The controller's current view of the server.
     pub fn controller(&self) -> &DegradationController {
         &self.controller
@@ -321,12 +300,6 @@ impl<S: CapacityAdaptive> Scheduler for AdaptiveScheduler<S> {
 
     fn pending(&self) -> usize {
         self.inner.pending()
-    }
-}
-
-impl<S: CapacityAdaptive + fmt::Display> fmt::Display for AdaptiveScheduler<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "adaptive[{}] {}", self.controller, self.inner)
     }
 }
 
@@ -421,7 +394,6 @@ mod tests {
             "controller failed to degrade: {}",
             s.controller()
         );
-        assert!(s.inner().to_string().contains("Miser("));
         let records = log.borrow();
         assert!(!records.is_empty());
         // Later admissions carry the degraded factor.

@@ -6,8 +6,6 @@
 //! overflow class inherits the whole server during calm stretches, and the
 //! primary class is still guaranteed its `Cmin` share during bursts.
 
-use std::fmt;
-
 use gqos_fairqueue::{FlowId, Sfq};
 use gqos_sim::{Dispatch, PolicyTag, Scheduler, ServerId, ServiceClass, TraceEvent, TraceHandle};
 use gqos_trace::{Request, SimDuration, SimTime};
@@ -75,14 +73,10 @@ impl FairQueueScheduler {
     fn primary_pending(&self) -> usize {
         self.flows.flow_len(PRIMARY_FLOW)
     }
-
-    /// Queued overflow requests.
-    fn overflow_pending(&self) -> usize {
-        self.flows.flow_len(OVERFLOW_FLOW)
-    }
 }
 
 impl Scheduler for FairQueueScheduler {
+    #[inline]
     fn on_arrival(&mut self, request: Request, now: SimTime) {
         match self.rtt.classify() {
             ServiceClass::PRIMARY => {
@@ -104,6 +98,7 @@ impl Scheduler for FairQueueScheduler {
         }
     }
 
+    #[inline]
     fn next_for(&mut self, server: ServerId, now: SimTime) -> Dispatch {
         match self.flows.dequeue() {
             Some((flow, request)) => {
@@ -126,12 +121,14 @@ impl Scheduler for FairQueueScheduler {
         }
     }
 
+    #[inline]
     fn on_completion(&mut self, _request: &Request, class: ServiceClass, _now: SimTime) {
         if class == ServiceClass::PRIMARY {
             self.rtt.primary_departed();
         }
     }
 
+    #[inline]
     fn pending(&self) -> usize {
         self.flows.len()
     }
@@ -158,18 +155,6 @@ impl CapacityAdaptive for FairQueueScheduler {
 
     fn primary_backlog(&self) -> u64 {
         self.primary_pending() as u64
-    }
-}
-
-impl fmt::Display for FairQueueScheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "FairQueue({}, q1={}, q2={})",
-            self.rtt,
-            self.primary_pending(),
-            self.overflow_pending()
-        )
     }
 }
 
@@ -252,15 +237,14 @@ mod tests {
     }
 
     #[test]
-    fn pending_and_display() {
+    fn pending_counts_both_flows() {
         let p = Provision::new(Iops::new(100.0), Iops::new(10.0));
         let mut s = FairQueueScheduler::new(p, dms(20)); // maxQ1 = 2
         for _ in 0..4 {
             s.on_arrival(Request::at(ms(0)), ms(0));
         }
         assert_eq!(s.primary_pending(), 2);
-        assert_eq!(s.overflow_pending(), 2);
+        assert_eq!(s.flows.flow_len(OVERFLOW_FLOW), 2);
         assert_eq!(s.pending(), 4);
-        assert!(s.to_string().contains("FairQueue("));
     }
 }

@@ -1,34 +1,29 @@
-//! Lanes — every recombination policy on plain fixed-rate servers, each
-//! on the leanest core that reproduces it.
+//! Lanes — the two cores a policy runs on over plain fixed-rate servers.
 //!
 //! In the paper's service model every server has a fixed rate `C` and a
-//! deterministic service time `s = 1/C`. Two shapes of core follow.
-//!
-//! **FIFO lanes** ([`FifoLanes`]) serve FCFS and Split. A FIFO server is
-//! the Lindley recurrence
+//! deterministic service time `s = 1/C`. FCFS and Split then serve every
+//! server first in, first out, and each server is the Lindley recurrence
 //!
 //! ```text
 //! dispatched = max(arrival, done)
 //! done       = dispatched + s
 //! ```
 //!
-//! FCFS is one such lane at `Cmin + ΔC`. Split is two, `Cmin` and `ΔC`,
-//! with RTT (Algorithm 1) choosing the lane. RTT's test "fewer than
-//! `maxQ1` primaries pending" is the kernel's work recurrence (`kernel.rs`,
-//! "the work recurrence"): at arrival `t` lane 0 holds
-//! `w = max(done₀ − t, 0)` ns of work, and the arrival joins it iff `w` is
-//! at most the admit cap of the kernel's `RttParams` at `(Cmin, δ)`,
-//! `(maxQ1 − 1)·s₀` wherever `maxQ1·s₀` fits a `u64`. Beyond that the cap
-//! diverts only an arrival whose primary completion would pass the clock,
-//! where the simulation core panics.
+//! **FIFO lanes** ([`FifoLanes`]) are that recurrence. FCFS is one lane at
+//! `Cmin + ΔC`. Split is two, `Cmin` and `ΔC`, with RTT (Algorithm 1)
+//! choosing the lane. RTT's test "fewer than `maxQ1` primaries pending" is
+//! the kernel's work recurrence (`kernel.rs`, "the work recurrence"): at
+//! arrival `t` lane 0 holds `w = max(done₀ − t, 0)` ns of work, and the
+//! arrival joins it iff `w` is at most the admit cap of the kernel's
+//! `RttParams` at `(Cmin, δ)`, `(maxQ1 − 1)·s₀` wherever `maxQ1·s₀` fits
+//! a `u64`. Beyond that the cap diverts only an arrival whose primary
+//! completion would pass the clock, where the simulation core panics.
 //!
-//! **The simulation core** serves FairQueue and Miser: one server of
-//! `Cmin + ΔC` with two queues, whose order is the policy's own
-//! [`Scheduler`](gqos_sim::Scheduler). [`Lanes`] holds a
-//! [`Simulation`] of the [`FairQueueScheduler`] or [`MiserScheduler`] on
-//! one [`FixedRateServer`], by value and untraced, so no call goes through
-//! a box. RTT admission, the SFQ tags and Miser's slack debit keep their
-//! one definition in the scheduler.
+//! **The simulation core** ([`Simulation`] of the
+//! [`PolicyScheduler`](crate::PolicyScheduler)) serves everything else:
+//! FairQueue and Miser, whose one server of `Cmin + ΔC` picks between two
+//! queues, and every traced run. RTT admission, the SFQ tags and Miser's
+//! slack debit keep their one definition in the scheduler.
 //!
 //! The FIFO lanes reproduce the simulation core record for record: the
 //! same constants ([`Iops::service_time`], which the core's 1 ns floor
@@ -37,11 +32,11 @@
 //! instant, then server), the same release rule (a record leaves once its
 //! completion is at or before the last offered arrival) and the same
 //! panics: a degenerate Split (`⌊Cmin·δ⌋ = 0`) and a completion past the
-//! `u64` clock panic with the core's messages. [`Lanes`] is the one core
-//! type [`RecombinePolicy::lanes`](crate::RecombinePolicy) hands the
-//! shaper for every run with no trace sink.
-//! `crates/core/tests/fifo_lanes_props.rs` checks all four policies
-//! against the simulation core as the shaper builds it for traced runs.
+//! `u64` clock panic with the core's messages. [`Lanes`] holds one of the
+//! two cores; the shaper picks it for every run on plain fixed-rate
+//! servers. `crates/core/tests/fifo_lanes_props.rs` checks all four
+//! policies against the simulation core as the shaper builds it for
+//! traced runs.
 //!
 //! [`RttClassifier`]: crate::RttClassifier
 
@@ -53,9 +48,8 @@ use gqos_sim::{
 };
 use gqos_trace::{ArrivalStream, Iops, Request, SimDuration, SimTime, StreamError, Workload};
 
-use crate::fair::FairQueueScheduler;
 use crate::kernel::RttParams;
-use crate::miser::MiserScheduler;
+use crate::shaper::PolicyScheduler;
 
 /// One fixed-rate FIFO server: its service time, the instant its last
 /// request completes, and the records not yet released, in completion
@@ -207,17 +201,15 @@ impl ChunkCore for FifoLanes {
     }
 }
 
-/// The core of a policy on plain fixed-rate servers, as
-/// [`RecombinePolicy::lanes`](crate::RecombinePolicy) builds it. Each
-/// variant holds its core by value, so every offer loop is its own.
+/// The core of a policy on plain fixed-rate servers, as the shaper
+/// picks it.
 #[derive(Debug)]
 pub(crate) enum Lanes {
-    /// FCFS or Split.
+    /// An untraced FCFS or Split run.
     Fifo(FifoLanes),
-    /// FairQueue on one server of `Cmin + ΔC`.
-    FairQueue(Simulation<FairQueueScheduler, FixedRateServer>),
-    /// Miser on one server of `Cmin + ΔC`.
-    Miser(Simulation<MiserScheduler, FixedRateServer>),
+    /// Every other run: the policy's scheduler, by value, on the simulation
+    /// core. Boxed once per run only to keep the enum small.
+    Core(Box<Simulation<PolicyScheduler, FixedRateServer>>),
 }
 
 impl Lanes {
@@ -229,8 +221,7 @@ impl Lanes {
     pub(crate) fn run(self, workload: &Workload) -> RunReport {
         match self {
             Lanes::Fifo(core) => run_workload(core, workload),
-            Lanes::FairQueue(sim) => sim.run(workload),
-            Lanes::Miser(sim) => sim.run(workload),
+            Lanes::Core(sim) => sim.run(workload),
         }
     }
 
@@ -247,8 +238,7 @@ impl Lanes {
     ) -> Result<StreamRun, StreamError> {
         match self {
             Lanes::Fifo(mut core) => run_chunks(&mut core, stream, on_completion),
-            Lanes::FairQueue(mut sim) => sim.run_stream(stream, on_completion),
-            Lanes::Miser(mut sim) => sim.run_stream(stream, on_completion),
+            Lanes::Core(mut sim) => sim.run_stream(stream, on_completion),
         }
     }
 }
@@ -269,7 +259,7 @@ fn run_workload(mut core: FifoLanes, workload: &Workload) -> RunReport {
 mod tests {
     use super::*;
     use crate::target::Provision;
-    use crate::{RecombinePolicy, WorkloadShaper};
+    use crate::{FairQueueScheduler, MiserScheduler, RecombinePolicy, WorkloadShaper};
     use gqos_sim::{Scheduler, TraceHandle};
     use gqos_trace::WorkloadStream;
 

@@ -84,7 +84,7 @@ pub use miser::MiserScheduler;
 pub use offline::{rtt_period_bound, slotted_lower_bound};
 pub use planner::{capacity_floor, CapacityPlanner, MenuError, SeedCurve, SlaQuote};
 pub use rtt::{decompose, optimal_drop_lower_bound, overflow_count, Decomposition, RttClassifier};
-pub use shaper::{RecombinePolicy, StreamObservation, WorkloadShaper};
+pub use shaper::{PolicyScheduler, RecombinePolicy, StreamObservation, WorkloadShaper};
 pub use split::{SplitScheduler, SPLIT_OVERFLOW_SERVER, SPLIT_PRIMARY_SERVER};
 pub use target::{Provision, QosTarget};
 pub use tenant::{merge_tenants, MultiTenantScheduler, TenantConfig, TenantId};

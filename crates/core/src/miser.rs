@@ -14,7 +14,6 @@
 //! to none (see this module's tests and the `ablation_delta_c` benchmark).
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use gqos_sim::{Dispatch, PolicyTag, Scheduler, ServerId, ServiceClass, TraceEvent, TraceHandle};
 use gqos_trace::{Request, SimDuration, SimTime};
@@ -98,6 +97,7 @@ impl MiserScheduler {
 }
 
 impl Scheduler for MiserScheduler {
+    #[inline]
     fn on_arrival(&mut self, request: Request, now: SimTime) {
         match self.rtt.classify() {
             ServiceClass::PRIMARY => {
@@ -125,6 +125,7 @@ impl Scheduler for MiserScheduler {
         }
     }
 
+    #[inline]
     fn next_for(&mut self, server: ServerId, now: SimTime) -> Dispatch {
         if self.serve_overflow_now() {
             // The slack that authorised stealing this slot.
@@ -183,12 +184,14 @@ impl Scheduler for MiserScheduler {
         }
     }
 
+    #[inline]
     fn on_completion(&mut self, _request: &Request, class: ServiceClass, _now: SimTime) {
         if class == ServiceClass::PRIMARY {
             self.rtt.primary_departed();
         }
     }
 
+    #[inline]
     fn pending(&self) -> usize {
         self.q1.len() + self.q2.len()
     }
@@ -214,19 +217,6 @@ impl CapacityAdaptive for MiserScheduler {
 
     fn primary_backlog(&self) -> u64 {
         self.q1.len() as u64
-    }
-}
-
-impl fmt::Display for MiserScheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Miser({}, q1={}, q2={}, minSlack={:?})",
-            self.rtt,
-            self.q1.len(),
-            self.q2.len(),
-            self.min_slack
-        )
     }
 }
 
@@ -392,7 +382,6 @@ mod tests {
         let mut s = MiserScheduler::new(p, dms(50));
         assert_eq!(s.next_for(ServerId::new(0), ms(0)), Dispatch::Idle);
         assert_eq!(s.pending(), 0);
-        assert!(s.to_string().contains("Miser("));
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! [`Simulation`]), so a streamed run is bit-identical to the batch run
 //! for any chunking.
 //!
-//! Fixed-rate runs with no trace sink ([`run_traced`] into a disabled
-//! handle, and so [`run`], and [`run_observed`]) take the leanest core
-//! of each policy (`lanes.rs`): FCFS and Split as FIFO-lane recurrences,
-//! FairQueue and Miser as a [`Simulation`] of the policy's own scheduler,
-//! unboxed. The FIFO lanes compute the simulation core's records, record
-//! for record, and panic where it panics. Traced and faulted runs, gateway
-//! and drain lanes, and disk models run on the simulation core through
-//! [`WorkloadShaper::simulation`].
+//! A policy becomes a scheduler in one place, `RecombinePolicy::parts`,
+//! as a [`PolicyScheduler`]: a closed enum over the four policies' own
+//! schedulers, held by value, so no run boxes its scheduler or calls it
+//! through a vtable. Every run on the simulation core is built from it by
+//! [`WorkloadShaper::simulation`]. Fixed-rate FCFS and Split runs with no
+//! trace sink ([`run_traced`] into a disabled handle, and so [`run`], and
+//! [`run_observed`]) take FIFO-lane recurrences instead (`lanes.rs`),
+//! which compute the simulation core's records, record for record, and
+//! panic where it panics.
 //!
 //! [`run`]: WorkloadShaper::run
 //! [`run_traced`]: WorkloadShaper::run_traced
@@ -25,10 +26,10 @@ use std::fmt;
 
 use gqos_faults::FaultSchedule;
 use gqos_sim::{
-    CompletionRecord, FcfsScheduler, FixedRateServer, LatencySketch, ModulatedServer, RunReport,
-    Scheduler, ServiceClass, ServiceModel, Simulation, TraceHandle,
+    CompletionRecord, Dispatch, FcfsScheduler, FixedRateServer, LatencySketch, ModulatedServer,
+    RunReport, Scheduler, ServerId, ServiceClass, ServiceModel, Simulation, TraceHandle,
 };
-use gqos_trace::{ArrivalStream, Iops, SimDuration, SimTime, StreamError, Workload};
+use gqos_trace::{ArrivalStream, Iops, Request, SimDuration, SimTime, StreamError, Workload};
 
 use crate::degrade::{
     AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
@@ -79,56 +80,21 @@ impl RecombinePolicy {
         provision: Provision,
         deadline: SimDuration,
         trace: &TraceHandle,
-    ) -> (Box<dyn CapacityAdaptive>, Vec<Iops>) {
-        let (p, t) = (provision, trace.clone());
-        match self {
-            RecombinePolicy::Fcfs => (Box::new(FcfsScheduler::with_trace(t)), vec![p.total()]),
-            RecombinePolicy::Split => (
-                Box::new(SplitScheduler::with_trace(p, deadline, t)),
-                vec![p.cmin(), p.delta_c()],
-            ),
-            RecombinePolicy::FairQueue => (
-                Box::new(FairQueueScheduler::with_trace(p, deadline, t)),
-                vec![p.total()],
-            ),
-            RecombinePolicy::Miser => (
-                Box::new(MiserScheduler::with_trace(p, deadline, t)),
-                vec![p.total()],
-            ),
-        }
-    }
-
-    /// The lean core that stands in for [`parts`](Self::parts) on plain
-    /// fixed-rate servers: one FIFO lane of `Cmin + ΔC` for FCFS, lanes of
-    /// `Cmin` and `ΔC` under RTT admission for Split, and a simulation of
-    /// the policy's own untraced scheduler, unboxed, on one server of
-    /// `Cmin + ΔC` for FairQueue and Miser.
-    ///
-    /// Every unwrapped run on [`FixedRateServer`]s with no trace sink asks:
-    /// [`WorkloadShaper::run_traced`] and [`WorkloadShaper::run_observed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`parts`](Self::parts) does: a Split with
-    /// `⌊Cmin·δ⌋ = 0` admits no requests.
-    fn lanes(self, provision: Provision, deadline: SimDuration) -> Lanes {
-        let one_server = provision.total();
-        match self {
-            RecombinePolicy::Fcfs => Lanes::Fifo(FifoLanes::fcfs(one_server)),
-            RecombinePolicy::Split => Lanes::Fifo(FifoLanes::split(
-                provision.cmin(),
-                provision.delta_c(),
-                deadline,
-            )),
-            RecombinePolicy::FairQueue => Lanes::FairQueue(
-                Simulation::new(FairQueueScheduler::new(provision, deadline))
-                    .server(FixedRateServer::new(one_server)),
-            ),
-            RecombinePolicy::Miser => Lanes::Miser(
-                Simulation::new(MiserScheduler::new(provision, deadline))
-                    .server(FixedRateServer::new(one_server)),
-            ),
-        }
+    ) -> (PolicyScheduler, Vec<Iops>) {
+        let (p, d, t) = (provision, deadline, trace.clone());
+        let scheduler = match self {
+            RecombinePolicy::Fcfs => PolicyScheduler::Fcfs(FcfsScheduler::with_trace(t)),
+            RecombinePolicy::Split => PolicyScheduler::Split(SplitScheduler::with_trace(p, d, t)),
+            RecombinePolicy::FairQueue => {
+                PolicyScheduler::FairQueue(FairQueueScheduler::with_trace(p, d, t))
+            }
+            RecombinePolicy::Miser => PolicyScheduler::Miser(MiserScheduler::with_trace(p, d, t)),
+        };
+        let rates = match self {
+            RecombinePolicy::Split => vec![p.cmin(), p.delta_c()],
+            _ => vec![p.total()],
+        };
+        (scheduler, rates)
     }
 }
 
@@ -140,6 +106,72 @@ impl fmt::Display for RecombinePolicy {
             RecombinePolicy::FairQueue => f.pad("FairQueue"),
             RecombinePolicy::Miser => f.pad("Miser"),
         }
+    }
+}
+
+/// The scheduler of one of the four policies, held by value: what
+/// [`WorkloadShaper::simulation`] hands its `wrap` closure. Every call
+/// forwards to the variant's own scheduler.
+#[derive(Clone, Debug)]
+pub enum PolicyScheduler {
+    /// [`RecombinePolicy::Fcfs`].
+    Fcfs(FcfsScheduler),
+    /// [`RecombinePolicy::Split`].
+    Split(SplitScheduler),
+    /// [`RecombinePolicy::FairQueue`].
+    FairQueue(FairQueueScheduler),
+    /// [`RecombinePolicy::Miser`].
+    Miser(MiserScheduler),
+}
+
+/// Evaluates `$call` with `$s` bound to the variant's scheduler.
+macro_rules! each {
+    ($self:expr, $s:ident => $call:expr) => {
+        match $self {
+            PolicyScheduler::Fcfs($s) => $call,
+            PolicyScheduler::Split($s) => $call,
+            PolicyScheduler::FairQueue($s) => $call,
+            PolicyScheduler::Miser($s) => $call,
+        }
+    };
+}
+
+// These methods and the four schedulers' own are `#[inline]`, so a core
+// monomorphised in another crate (the gateway's lanes) inlines the arm it
+// takes instead of calling out per event.
+impl Scheduler for PolicyScheduler {
+    #[inline]
+    fn on_arrival(&mut self, request: Request, now: SimTime) {
+        each!(self, s => s.on_arrival(request, now));
+    }
+
+    #[inline]
+    fn next_for(&mut self, server: ServerId, now: SimTime) -> Dispatch {
+        each!(self, s => s.next_for(server, now))
+    }
+
+    #[inline]
+    fn on_completion(&mut self, request: &Request, class: ServiceClass, now: SimTime) {
+        each!(self, s => s.on_completion(request, class, now));
+    }
+
+    #[inline]
+    fn pending(&self) -> usize {
+        each!(self, s => s.pending())
+    }
+}
+
+impl CapacityAdaptive for PolicyScheduler {
+    fn renegotiate(&mut self, factor: f64) {
+        each!(self, s => s.renegotiate(factor));
+    }
+
+    fn degradation_factor(&self) -> f64 {
+        each!(self, s => s.degradation_factor())
+    }
+
+    fn primary_backlog(&self) -> u64 {
+        each!(self, s => s.primary_backlog())
     }
 }
 
@@ -245,10 +277,11 @@ impl WorkloadShaper {
     /// into `trace` too and judges completions against the shaper's
     /// deadline.
     ///
-    /// Every boxed-policy run is assembled here: traced and faulted runs,
-    /// gateway and drain lanes (`wrap` adds an inbox), and runs on other
-    /// service models (`server` builds a disk). Identity parts are
-    /// `|scheduler, _| scheduler` and
+    /// Every run on the simulation core is assembled here: traced runs
+    /// and untraced FairQueue and Miser runs on plain servers, faulted
+    /// runs (`wrap` adds the degradation loop), gateway and drain lanes
+    /// (`wrap` adds an inbox), and runs on other service models (`server`
+    /// builds a disk). Identity parts are `|scheduler, _| scheduler` and
     /// `FixedRateServer::new`; built with them, the simulation is the
     /// oracle the FIFO lanes of [`run`](Self::run) and
     /// [`run_observed`](Self::run_observed) are checked against.
@@ -256,7 +289,7 @@ impl WorkloadShaper {
         &self,
         policy: RecombinePolicy,
         trace: TraceHandle,
-        wrap: impl FnOnce(Box<dyn CapacityAdaptive>, &[Iops]) -> S,
+        wrap: impl FnOnce(PolicyScheduler, &[Iops]) -> S,
         server: impl FnMut(Iops) -> M,
     ) -> Simulation<S, M>
     where
@@ -292,11 +325,10 @@ impl WorkloadShaper {
     /// latter judged against the shaper's deadline), the policy scheduler
     /// emits `Admitted`/`Diverted`/`Dispatched`.
     ///
-    /// A handle with no sink runs every policy on its lanes: FIFO lanes
-    /// for FCFS and Split (the simulation core's report in closed form),
-    /// an unboxed simulation of the policy's scheduler for FairQueue and
-    /// Miser. A live sink takes the boxed simulation, whose report is
-    /// identical: tracing never changes scheduling decisions.
+    /// A handle with no sink runs FCFS and Split on FIFO lanes (the
+    /// simulation core's report in closed form); every other run takes
+    /// the simulation core, whose report is identical: tracing never
+    /// changes scheduling decisions.
     ///
     /// # Panics
     ///
@@ -308,20 +340,30 @@ impl WorkloadShaper {
         policy: RecombinePolicy,
         trace: TraceHandle,
     ) -> RunReport {
-        if trace.is_enabled() {
-            return self.boxed(policy, trace).run(workload);
-        }
-        policy.lanes(self.provision, self.deadline).run(workload)
+        self.lanes(policy, trace).run(workload)
     }
 
-    /// The boxed simulation of `policy` on plain fixed-rate servers,
-    /// emitting into `trace`: the core the lanes stand in for.
-    fn boxed(
-        &self,
-        policy: RecombinePolicy,
-        trace: TraceHandle,
-    ) -> Simulation<Box<dyn CapacityAdaptive>, FixedRateServer> {
-        self.simulation(policy, trace, |s, _| s, FixedRateServer::new)
+    /// The core of `policy` on plain fixed-rate servers, emitting into
+    /// `trace`: FIFO lanes for an untraced FCFS or Split run, the
+    /// simulation core otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `⌊Cmin·δ⌋ = 0` under [`RecombinePolicy::Split`].
+    fn lanes(&self, policy: RecombinePolicy, trace: TraceHandle) -> Lanes {
+        let p = self.provision;
+        match policy {
+            RecombinePolicy::Fcfs if !trace.is_enabled() => Lanes::Fifo(FifoLanes::fcfs(p.total())),
+            RecombinePolicy::Split if !trace.is_enabled() => {
+                Lanes::Fifo(FifoLanes::split(p.cmin(), p.delta_c(), self.deadline))
+            }
+            _ => Lanes::Core(Box::new(self.simulation(
+                policy,
+                trace,
+                |s, _| s,
+                FixedRateServer::new,
+            ))),
+        }
     }
 
     /// Streams every chunk of `stream` through `policy` in bounded memory:
@@ -330,8 +372,8 @@ impl WorkloadShaper {
     /// `|_| {}` to discard) instead of accumulating. The aggregate sketch
     /// is bit-identical to [`RunReport::response_sketch`] of the batch
     /// run; peak footprint is one chunk of requests plus the drained
-    /// backlog, not the whole trace. Every policy runs on its lanes (as
-    /// in [`run`](Self::run)), through the one chunk driver.
+    /// backlog, not the whole trace. Every policy runs on the core
+    /// [`run`](Self::run) gives it, through the one chunk driver.
     ///
     /// # Errors
     ///
@@ -363,8 +405,8 @@ impl WorkloadShaper {
             completed += 1;
             sink(record);
         };
-        let run = policy
-            .lanes(self.provision, self.deadline)
+        let run = self
+            .lanes(policy, TraceHandle::disabled())
             .run_stream(stream, observe)?;
         // Merging is exact, so this equals recording every response once
         // more into a whole-run sketch, at one merge instead of a record
@@ -604,6 +646,16 @@ mod tests {
         );
     }
 
+    /// The simulation core of `policy` on plain fixed-rate servers,
+    /// emitting into `trace`: the oracle of the FIFO lanes.
+    fn engine(
+        shaper: &WorkloadShaper,
+        policy: RecombinePolicy,
+        trace: TraceHandle,
+    ) -> Simulation<PolicyScheduler, FixedRateServer> {
+        shaper.simulation(policy, trace, |s, _| s, FixedRateServer::new)
+    }
+
     /// A shaper with a real queue under [`streamed_workload`]'s burst.
     fn stream_shaper() -> WorkloadShaper {
         WorkloadShaper::new(Provision::new(Iops::new(250.0), Iops::new(100.0)), dms(20))
@@ -620,7 +672,7 @@ mod tests {
         let w = streamed_workload();
         let shaper = stream_shaper();
         for policy in RecombinePolicy::ALL {
-            let reference = shaper.boxed(policy, TraceHandle::disabled()).run(&w);
+            let reference = engine(&shaper, policy, TraceHandle::disabled()).run(&w);
             let mut forwarded = 0usize;
             let obs = shaper
                 .run_observed(&mut WorkloadStream::new(w.clone(), 7), policy, |_| {
@@ -678,8 +730,7 @@ mod tests {
         let shaper = stream_shaper();
         let streamed = |trace: TraceHandle| {
             let mut records = Vec::new();
-            shaper
-                .boxed(RecombinePolicy::Miser, trace)
+            engine(&shaper, RecombinePolicy::Miser, trace)
                 .run_stream(&mut WorkloadStream::new(w.clone(), 9), |r| records.push(r))
                 .unwrap();
             records
@@ -728,8 +779,7 @@ mod tests {
                 at_pull: Vec::new(),
             };
             let mut clean_records = Vec::new();
-            shaper
-                .boxed(policy, TraceHandle::disabled())
+            engine(&shaper, policy, TraceHandle::disabled())
                 .run_stream(&mut probe, |r| {
                     sunk.set(sunk.get() + 1);
                     clean_records.push(r);

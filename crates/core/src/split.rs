@@ -8,7 +8,6 @@
 //! Miser comparisons in Figure 6 quantify.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use gqos_sim::{Dispatch, PolicyTag, Scheduler, ServerId, ServiceClass, TraceEvent, TraceHandle};
 use gqos_trace::{Request, SimDuration, SimTime};
@@ -75,6 +74,7 @@ impl SplitScheduler {
 }
 
 impl Scheduler for SplitScheduler {
+    #[inline]
     fn on_arrival(&mut self, request: Request, now: SimTime) {
         match self.rtt.classify() {
             ServiceClass::PRIMARY => {
@@ -96,6 +96,7 @@ impl Scheduler for SplitScheduler {
         }
     }
 
+    #[inline]
     fn next_for(&mut self, server: ServerId, now: SimTime) -> Dispatch {
         let (queue, class) = match server {
             SPLIT_PRIMARY_SERVER => (&mut self.q1, ServiceClass::PRIMARY),
@@ -118,12 +119,14 @@ impl Scheduler for SplitScheduler {
         }
     }
 
+    #[inline]
     fn on_completion(&mut self, _request: &Request, class: ServiceClass, _now: SimTime) {
         if class == ServiceClass::PRIMARY {
             self.rtt.primary_departed();
         }
     }
 
+    #[inline]
     fn pending(&self) -> usize {
         self.q1.len() + self.q2.len()
     }
@@ -142,18 +145,6 @@ impl CapacityAdaptive for SplitScheduler {
 
     fn primary_backlog(&self) -> u64 {
         self.q1.len() as u64
-    }
-}
-
-impl fmt::Display for SplitScheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Split({}, q1={}, q2={})",
-            self.rtt,
-            self.q1.len(),
-            self.q2.len()
-        )
     }
 }
 
@@ -242,6 +233,5 @@ mod tests {
         assert_eq!(s.q1.len(), 2);
         assert_eq!(s.q2.len(), 3);
         assert_eq!(s.pending(), 5);
-        assert!(s.to_string().contains("Split("));
     }
 }

@@ -28,7 +28,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use proptest::prelude::*;
 
 use gqos_core::{
-    AdaptiveScheduler, CapacityAdaptive, DegradationController, FairQueueScheduler, MiserScheduler,
+    AdaptiveScheduler, DegradationController, FairQueueScheduler, MiserScheduler, PolicyScheduler,
     Provision, SplitScheduler,
 };
 use gqos_faults::FaultSchedule;
@@ -331,24 +331,20 @@ fn policy(
     split: (Provision, SimDuration),
     shared: (Provision, SimDuration),
     trace: &TraceHandle,
-) -> (Box<dyn CapacityAdaptive>, Vec<Iops>) {
+) -> (PolicyScheduler, Vec<Iops>) {
     let t = trace.clone();
     let ((sp, sd), (p, d)) = (split, shared);
-    match which {
-        0 => (Box::new(FcfsScheduler::with_trace(t)), vec![p.total()]),
-        1 => (
-            Box::new(SplitScheduler::with_trace(sp, sd, t)),
-            vec![sp.cmin(), sp.delta_c()],
-        ),
-        2 => (
-            Box::new(FairQueueScheduler::with_trace(p, d, t)),
-            vec![p.total()],
-        ),
-        _ => (
-            Box::new(MiserScheduler::with_trace(p, d, t)),
-            vec![p.total()],
-        ),
-    }
+    let scheduler = match which {
+        0 => PolicyScheduler::Fcfs(FcfsScheduler::with_trace(t)),
+        1 => PolicyScheduler::Split(SplitScheduler::with_trace(sp, sd, t)),
+        2 => PolicyScheduler::FairQueue(FairQueueScheduler::with_trace(p, d, t)),
+        _ => PolicyScheduler::Miser(MiserScheduler::with_trace(p, d, t)),
+    };
+    let rates = match which {
+        1 => vec![sp.cmin(), sp.delta_c()],
+        _ => vec![p.total()],
+    };
+    (scheduler, rates)
 }
 
 const POLICIES: [&str; 4] = ["FCFS", "Split", "FairQueue", "Miser"];

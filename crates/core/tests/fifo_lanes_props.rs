@@ -1,11 +1,10 @@
-//! Differential property tests: the engine-free lanes of all four
+//! Differential property tests: the shaper's runs of all four
 //! policies against the event engine.
 //!
-//! Untraced runs on fixed-rate servers skip the engine:
-//! `WorkloadShaper::run` and `WorkloadShaper::run_observed` compute FCFS
-//! and Split as Lindley recurrences, and FairQueue and Miser on one server
-//! that drives the policy's own scheduler (`crates/core/src/lanes.rs`).
-//! The engine, built explicitly through
+//! Untraced FCFS and Split runs on fixed-rate servers skip the engine:
+//! `WorkloadShaper::run` and `WorkloadShaper::run_observed` compute them
+//! as Lindley recurrences (`crates/core/src/lanes.rs`), and run FairQueue
+//! and Miser on the engine itself. The engine, built explicitly through
 //! `WorkloadShaper::simulation(.., FixedRateServer::new)`, stays the
 //! oracle. Both drivers must match it exactly: the same records in the
 //! same order, the same records released before every pull of the stream,
@@ -23,7 +22,7 @@
 
 use std::cell::Cell;
 
-use gqos_core::{CapacityAdaptive, Provision, RecombinePolicy, WorkloadShaper};
+use gqos_core::{PolicyScheduler, Provision, RecombinePolicy, WorkloadShaper};
 use gqos_sim::{
     CompletionRecord, FixedRateServer, RunReport, ServiceClass, Simulation, StreamRun, TraceHandle,
 };
@@ -96,7 +95,7 @@ fn rate(service_ns: u64) -> Iops {
 fn engine(
     shaper: &WorkloadShaper,
     policy: RecombinePolicy,
-) -> Simulation<Box<dyn CapacityAdaptive>, FixedRateServer> {
+) -> Simulation<PolicyScheduler, FixedRateServer> {
     shaper.simulation(
         policy,
         TraceHandle::disabled(),

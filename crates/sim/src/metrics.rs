@@ -67,11 +67,6 @@ impl RunReport {
         &self.records
     }
 
-    /// Consumes the report, returning its completion records.
-    pub fn into_records(self) -> Vec<CompletionRecord> {
-        self.records
-    }
-
     /// Number of requests offered to the scheduler.
     pub fn total_requests(&self) -> usize {
         self.total_requests

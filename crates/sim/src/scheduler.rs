@@ -84,26 +84,6 @@ pub trait Scheduler {
     fn pending(&self) -> usize;
 }
 
-// Boxed schedulers forward, so policy choices can be made at runtime (the
-// streaming ingestion layer picks a recombination policy per tenant).
-impl<T: Scheduler + ?Sized> Scheduler for Box<T> {
-    fn on_arrival(&mut self, request: Request, now: SimTime) {
-        (**self).on_arrival(request, now);
-    }
-
-    fn next_for(&mut self, server: ServerId, now: SimTime) -> Dispatch {
-        (**self).next_for(server, now)
-    }
-
-    fn on_completion(&mut self, request: &Request, class: ServiceClass, now: SimTime) {
-        (**self).on_completion(request, class, now);
-    }
-
-    fn pending(&self) -> usize {
-        (**self).pending()
-    }
-}
-
 /// Plain FCFS over a single queue — the paper's unshaped baseline: no
 /// decomposition, every request in one class, served in arrival order.
 ///
@@ -141,10 +121,12 @@ impl FcfsScheduler {
 }
 
 impl Scheduler for FcfsScheduler {
+    #[inline]
     fn on_arrival(&mut self, request: Request, _now: SimTime) {
         self.queue.push_back(request);
     }
 
+    #[inline]
     fn next_for(&mut self, server: ServerId, now: SimTime) -> Dispatch {
         match self.queue.pop_front() {
             Some(r) => {
@@ -162,6 +144,7 @@ impl Scheduler for FcfsScheduler {
         }
     }
 
+    #[inline]
     fn pending(&self) -> usize {
         self.queue.len()
     }

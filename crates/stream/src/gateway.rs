@@ -23,11 +23,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use gqos_core::{RecombinePolicy, WorkloadShaper};
+use gqos_core::{PolicyScheduler, RecombinePolicy, WorkloadShaper};
 use gqos_parallel::WorkerPool;
 use gqos_sim::{
-    CompletionRecord, Dispatch, FixedRateServer, LatencySketch, LongTermStore, RunReport,
-    Scheduler, ServerId, ServiceClass, TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
+    CompletionRecord, Dispatch, FixedRateServer, LatencySketch, LongTermStore, Scheduler, ServerId,
+    ServiceClass, Simulation, TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
 };
 use gqos_trace::{Request, SimDuration, SimTime, Workload, WorkloadStream};
 
@@ -351,14 +351,43 @@ fn run_lane(mut spec: TenantSpec) -> TenantReport {
 
 /// Drives one lane over `workload` with the spec's shaper, policy, inbox
 /// bound and chunk size. `drain_from` puts the inbox into drain mode from
-/// that instant, and `shed_trace` receives the shed events.
+/// that instant, and `shed_trace` receives the shed events. Each record
+/// is folded into the lane's sketch as it completes, in one pass.
 pub(crate) fn drive_lane(
     spec: &TenantSpec,
     workload: Workload,
     drain_from: Option<SimTime>,
     shed_trace: TraceHandle,
 ) -> TenantReport {
-    let mut sim = spec.shaper.simulation(
+    let mut sim = lane_simulation(spec, drain_from, shed_trace);
+    let mut sketch = LatencySketch::new();
+    let mut records = Vec::with_capacity(workload.len());
+    let run = sim
+        .run_stream(&mut WorkloadStream::new(workload, spec.chunk), |r| {
+            sketch.record(r.response_time().as_nanos());
+            records.push(r);
+        })
+        .expect("workload streams cannot fail");
+    TenantReport {
+        name: spec.name.clone(),
+        policy: spec.policy,
+        offered: run.offered,
+        completed: records.len(),
+        shed: sim.scheduler().shed_count(),
+        end_time: run.end_time,
+        peak_chunk_bytes: run.peak_chunk_bytes,
+        sketch,
+        records,
+    }
+}
+
+/// The lane's policy scheduler behind its inbox, on the simulation core.
+fn lane_simulation(
+    spec: &TenantSpec,
+    drain_from: Option<SimTime>,
+    shed_trace: TraceHandle,
+) -> Simulation<ShedScheduler<PolicyScheduler>, FixedRateServer> {
+    spec.shaper.simulation(
         spec.policy,
         TraceHandle::disabled(),
         |scheduler, _| {
@@ -369,33 +398,14 @@ pub(crate) fn drive_lane(
             }
         },
         FixedRateServer::new,
-    );
-    let mut records = Vec::with_capacity(workload.len());
-    let run = sim
-        .run_stream(&mut WorkloadStream::new(workload, spec.chunk), |r| {
-            records.push(r)
-        })
-        .expect("workload streams cannot fail");
-    let shed = sim.scheduler().shed_count();
-    let report = RunReport::new(records, run.offered, run.end_time);
-    TenantReport {
-        name: spec.name.clone(),
-        policy: spec.policy,
-        offered: report.total_requests(),
-        completed: report.completed(),
-        shed,
-        end_time: report.end_time(),
-        peak_chunk_bytes: run.peak_chunk_bytes,
-        sketch: report.response_sketch(),
-        records: report.into_records(),
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gqos_core::Provision;
-    use gqos_sim::FcfsScheduler;
+    use gqos_sim::{FcfsScheduler, RunReport};
     use gqos_trace::{Iops, RequestId, SimDuration};
 
     fn ms(v: u64) -> SimTime {
@@ -448,6 +458,48 @@ mod tests {
             assert_eq!(report.shed, 0, "{policy}");
             assert_eq!(report.records, reference.records(), "{policy}");
             assert_eq!(report.end_time, reference.end_time(), "{policy}");
+        }
+    }
+
+    #[test]
+    fn one_pass_lane_matches_the_run_report_route() {
+        for policy in RecombinePolicy::ALL {
+            for inbox_bound in [1, usize::MAX] {
+                for drain_from in [None, Some(ms(300))] {
+                    let spec = TenantSpec {
+                        name: "t".into(),
+                        workload: bursty(3),
+                        shaper: shaper(),
+                        policy,
+                        inbox_bound,
+                        chunk: 16,
+                    };
+                    let w = spec.workload.clone();
+                    let one_pass =
+                        drive_lane(&spec, w.clone(), drain_from, TraceHandle::disabled());
+                    // The oracle: the whole run as a `RunReport`, walked again
+                    // for the counters and the sketch.
+                    let mut sim = lane_simulation(&spec, drain_from, TraceHandle::disabled());
+                    let mut records = Vec::new();
+                    let run = sim
+                        .run_stream(&mut WorkloadStream::new(w, spec.chunk), |r| records.push(r))
+                        .expect("workload streams cannot fail");
+                    let report = RunReport::new(records, run.offered, run.end_time);
+                    let oracle = TenantReport {
+                        name: spec.name.clone(),
+                        policy,
+                        offered: report.total_requests(),
+                        completed: report.completed(),
+                        shed: sim.scheduler().shed_count(),
+                        end_time: report.end_time(),
+                        peak_chunk_bytes: run.peak_chunk_bytes,
+                        sketch: report.response_sketch(),
+                        records: report.records().to_vec(),
+                    };
+                    let case = format!("{policy}, bound {inbox_bound}, drain {drain_from:?}");
+                    assert_eq!(one_pass, oracle, "{case}");
+                }
+            }
         }
     }
 
