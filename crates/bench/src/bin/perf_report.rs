@@ -88,11 +88,12 @@ use gqos_core::{
 use gqos_fairqueue::{FlowId, Sfq};
 use gqos_parallel::WorkerPool;
 use gqos_sim::{
-    simulate, FixedRateServer, LatencySketch, LongTermStore, RetentionConfig, ServiceClass,
-    TraceHandle,
+    run_chunks, simulate, CompletionRecord, FixedRateServer, LatencySketch, LongTermStore,
+    RetentionConfig, ServiceClass, TraceHandle,
 };
 use gqos_stream::{
-    ArrivalStream, IngestGateway, SpcStream, TenantSpec, WorkloadStream, DEFAULT_CHUNK,
+    ArrivalStream, IngestGateway, ShedScheduler, SpcStream, TenantSpec, WorkloadStream,
+    DEFAULT_CHUNK,
 };
 use gqos_trace::gen::profiles::TraceProfile;
 use gqos_trace::{spc, Iops, Request, SimDuration, SimTime, TraceSummary, Workload};
@@ -177,6 +178,10 @@ const GATEWAY_SAMPLES: usize = 15;
 /// The largest `gateway/round_4x600_pool2` / `gateway/round_4x600_serial`
 /// ratio allowed.
 const POOL2_OVER_SERIAL: f64 = 1.1;
+
+/// The largest `gateway/{fcfs,split}_lane_lanes` /
+/// `gateway/{fcfs,split}_lane_engine` ratio allowed.
+const INBOX_LANES_OVER_ENGINE: f64 = 0.9;
 
 /// The largest `obs/window_feed` / `obs/sketch_record` ratio allowed.
 const WINDOW_FEED_OVER_RECORD: f64 = 8.0;
@@ -632,6 +637,82 @@ fn main() {
          {POOL2_OVER_SERIAL}x gateway/round_4x600_serial ({round_serial_ns:.0} ns) — \
          a call into the worker pool costs more than the work it shares"
     );
+
+    // --- Gateway lanes: the inbox lanes against the core ------------------
+    // The FCFS and the Split lane of those rounds whose inbox sheds most
+    // (the last of a tie), each through its inbox lanes and through `ShedScheduler` over
+    // its scheduler on the simulation core, into the same sink as a
+    // gateway lane's: a sketch record and a kept record per request.
+    let shed = |spec: &TenantSpec| serial_gateway.run(vec![spec.clone()]).remove(0).shed;
+    for (policy, lanes_row, engine_row) in [
+        (
+            RecombinePolicy::Fcfs,
+            "gateway/fcfs_lane_lanes",
+            "gateway/fcfs_lane_engine",
+        ),
+        (
+            RecombinePolicy::Split,
+            "gateway/split_lane_lanes",
+            "gateway/split_lane_engine",
+        ),
+    ] {
+        let spec = lanes
+            .iter()
+            .filter(|spec| spec.policy == policy)
+            .max_by_key(|spec| shed(spec))
+            .expect("the rounds hold lanes of every policy");
+        let bound = spec.inbox_bound;
+        let run = |on_lanes: bool| {
+            let mut sketch = LatencySketch::new();
+            let mut records = Vec::with_capacity(spec.workload.len());
+            let sink = |r: CompletionRecord| {
+                sketch.record(r.response_time().as_nanos());
+                records.push(r);
+            };
+            let mut stream = WorkloadStream::new(spec.workload.clone(), spec.chunk);
+            let run = if on_lanes {
+                let mut lanes = spec
+                    .shaper
+                    .inbox_lanes(policy, &TraceHandle::disabled(), bound, None)
+                    .expect("FCFS and Split gateway lanes run on the FIFO lanes");
+                run_chunks(&mut lanes, &mut stream, sink)
+            } else {
+                spec.shaper
+                    .simulation(
+                        policy,
+                        TraceHandle::disabled(),
+                        |s, _| ShedScheduler::new(s, bound),
+                        FixedRateServer::new,
+                    )
+                    .run_stream(&mut stream, sink)
+            };
+            run.expect("workload stream");
+            (sketch, records)
+        };
+        assert!(
+            run(true) == run(false),
+            "{policy}: the inbox lanes differ from the core"
+        );
+        let (lanes_ns, engine_ns) =
+            measure_paired(GATEWAY_SAMPLES, 40, || run(true), || run(false));
+        let lane_n = spec.workload.len() as u64;
+        let (lanes_ns, engine_ns) = (lanes_ns / lane_n as f64, engine_ns / lane_n as f64);
+        push(lanes_row, lanes_ns, lane_n);
+        push(engine_row, engine_ns, lane_n);
+        println!(
+            "  gateway lane: {policy} on its inbox lanes costs {:.2}x of the core \
+             ({}, {} of {lane_n} shed)",
+            lanes_ns / engine_ns,
+            spec.name,
+            shed(spec)
+        );
+        assert!(
+            lanes_ns <= INBOX_LANES_OVER_ENGINE * engine_ns,
+            "{lanes_row} ({lanes_ns:.1} ns per request) exceeded {INBOX_LANES_OVER_ENGINE} of \
+             {engine_row} ({engine_ns:.1} ns) — the {policy} gateway lane is no longer on its \
+             inbox lanes"
+        );
+    }
 
     // --- Fleet placement --------------------------------------------------
     // The fleet experiment's headline scenario, as trended records: pack

@@ -1,4 +1,4 @@
-//! Lanes — the two cores a policy runs on over plain fixed-rate servers.
+//! Lanes — the cores a policy runs on over plain fixed-rate servers.
 //!
 //! In the paper's service model every server has a fixed rate `C` and a
 //! deterministic service time `s = 1/C`. FCFS and Split then serve every
@@ -38,6 +38,16 @@
 //! policies against the simulation core as the shaper builds it for
 //! traced runs.
 //!
+//! **Inbox lanes** ([`InboxLanes`]) put the FIFO lanes behind a gateway
+//! lane's bounded inbox, by the same rule: the gateway runs an untraced
+//! FCFS or Split lane on them, and every other lane on `gqos-stream`'s
+//! `ShedScheduler` over the simulation core, their oracle
+//! (`crates/stream/tests/inbox_lanes_props.rs`). A shed request is served
+//! only where a lane's own queue is empty, so the lanes stay Lindley
+//! recurrences, and deterministic service turns the shed test into a
+//! comparison of work (see [`InboxLanes`]). [`FifoLanes`]' own offer path,
+//! the shaper's, has no inbox and pays nothing for one.
+//!
 //! [`RttClassifier`]: crate::RttClassifier
 
 use std::collections::VecDeque;
@@ -75,6 +85,13 @@ impl Lane {
     /// Serves `request` after every request already in the lane.
     #[inline]
     fn serve(&mut self, request: Request) {
+        self.serve_as(request, self.class);
+    }
+
+    /// Serves `request` after every request already in the lane, in
+    /// `class`.
+    #[inline]
+    fn serve_as(&mut self, request: Request, class: ServiceClass) {
         let dispatched = request.arrival.max(self.done);
         let completion = dispatched
             .checked_add(self.service)
@@ -82,7 +99,7 @@ impl Lane {
         self.done = completion;
         self.records.push_back(CompletionRecord {
             id: request.id,
-            class: self.class,
+            class,
             arrival: request.arrival,
             dispatched,
             completion,
@@ -139,20 +156,26 @@ impl FifoLanes {
             Some(p.admit_cap_ns),
         )
     }
+
+    /// Counts an arrival at `at`, which must not precede the last one.
+    #[inline]
+    fn arrive(&mut self, at: SimTime) {
+        assert!(!self.finished, "offer after finish");
+        assert!(
+            at >= self.last_arrival,
+            "arrivals must be offered in order: {} after {}",
+            at,
+            self.last_arrival
+        );
+        self.last_arrival = at;
+        self.offered += 1;
+    }
 }
 
 impl ChunkCore for FifoLanes {
     #[inline]
     fn offer(&mut self, request: Request) {
-        assert!(!self.finished, "offer after finish");
-        assert!(
-            request.arrival >= self.last_arrival,
-            "arrivals must be offered in order: {} after {}",
-            request.arrival,
-            self.last_arrival
-        );
-        self.last_arrival = request.arrival;
-        self.offered += 1;
+        self.arrive(request.arrival);
         // Split only: RTT diverts when lane 0 holds too much work.
         let diverted = self.admit_work.is_some_and(|limit| {
             let work = self.lanes[0]
@@ -198,6 +221,257 @@ impl ChunkCore for FifoLanes {
             .iter()
             .map(|lane| lane.done)
             .fold(self.last_arrival, SimTime::max)
+    }
+}
+
+/// The FIFO lanes behind a bounded inbox: the semantics of `gqos-stream`'s
+/// `ShedScheduler` over FCFS or Split, in closed form. Built by
+/// [`WorkloadShaper::inbox_lanes`](crate::WorkloadShaper::inbox_lanes)
+/// and fed by [`run_chunks`](gqos_sim::run_chunks).
+///
+/// An arrival at `t` is *shed* when the requests queued on the lanes (not
+/// the ones in service) plus the shed FIFO reach the bound, or when `t` is
+/// at or after `drain_from`. A shed request waits in the FIFO and is
+/// served in class `OVERFLOW` by the lowest-index lane that is free with
+/// an empty queue, dispatched at that free instant: as on the simulation
+/// core, a completion comes before an arrival at the same instant, so a
+/// lane freed at `t` takes the FIFO's head before an arrival at `t` joins
+/// its queue. An admitted request queues on its lane ahead of every shed
+/// one, so each lane stays the Lindley recurrence, its `done` counting
+/// the shed requests it served.
+///
+/// # The shed test without a division
+///
+/// Service is deterministic, so a lane's backlog runs back to back: at
+/// `t`, a lane that finishes at `done` serves one request with `(0, s]`
+/// ns left and holds the rest queued,
+///
+/// ```text
+/// queued(t) = ⌈(done − t)/s⌉ − 1        (0 when done ≤ t)
+/// ```
+///
+/// With `k = bound − |shed|` free places, FCFS's one lane fills the inbox
+/// iff `queued(t) ≥ k`, that is iff its work `done − t` exceeds `k·s`: a
+/// work comparison, as RTT's admit cap is (`RttParams`). `k·s` changes
+/// only with the FIFO's length, so it is recomputed then and no arrival
+/// divides; past `u64::MAX` it saturates, where no work can exceed it.
+/// Split's lanes run at two rates, so the sum of their queues is no one
+/// comparison. Each lane instead counts its queued requests and the
+/// instant the first of them is dispatched, and an arrival steps that
+/// instant forward by `s` past every dispatch it has reached: the same
+/// formula, evaluated incrementally, each request leaving the count once.
+///
+/// Split's RTT test counts primaries only, since the core's
+/// `RttClassifier` never sees a shed request. A shed request served on
+/// lane 0 ends at `primary_from`, and only primaries queue behind it, so
+/// the test reads lane 0's work from `max(t, primary_from)`.
+#[derive(Debug)]
+pub struct InboxLanes {
+    fifo: FifoLanes,
+    bound: usize,
+    drain_from: Option<SimTime>,
+    /// Shed requests not yet dispatched, in arrival order.
+    shed: VecDeque<Request>,
+    shed_count: usize,
+    depth: Depth,
+}
+
+/// How [`InboxLanes`] reads its lanes' queues (see its docs).
+#[derive(Debug)]
+enum Depth {
+    /// FCFS: the inbox is full once the lane's work exceeds this many ns,
+    /// `k·s`; `None` once the shed FIFO alone fills it.
+    Work(Option<u64>),
+    /// Split: each lane's queue, the admit cap on lane 0's primary work,
+    /// and the end of the last shed request served on lane 0.
+    Queues {
+        backlogs: [Backlog; 2],
+        admit_work: u64,
+        primary_from: SimTime,
+    },
+}
+
+/// The requests queued on one lane: how many, and the instant the first
+/// of them is dispatched.
+#[derive(Copy, Clone, Default, Debug)]
+struct Backlog {
+    queued: usize,
+    next: SimTime,
+}
+
+impl Backlog {
+    /// Drops every queued request dispatched by `t`, one each `service`.
+    #[inline]
+    fn advance(&mut self, t: SimTime, service: SimDuration) {
+        while self.queued > 0 && self.next <= t {
+            self.queued -= 1;
+            self.next += service;
+        }
+    }
+
+    /// Queues a request dispatched at `at`, behind the queued ones.
+    #[inline]
+    fn push(&mut self, at: SimTime) {
+        if self.queued == 0 {
+            self.next = at;
+        }
+        self.queued += 1;
+    }
+}
+
+impl InboxLanes {
+    /// Puts `fifo` behind an inbox bounded at `bound` queued requests,
+    /// shedding every arrival at or after `drain_from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` is zero, as `ShedScheduler` does.
+    pub(crate) fn new(fifo: FifoLanes, bound: usize, drain_from: Option<SimTime>) -> Self {
+        assert!(bound > 0, "inbox bound must be positive");
+        let depth = match fifo.admit_work {
+            None => Depth::Work(None),
+            Some(admit_work) => Depth::Queues {
+                backlogs: [Backlog::default(); 2],
+                admit_work,
+                primary_from: SimTime::ZERO,
+            },
+        };
+        let mut lanes = InboxLanes {
+            fifo,
+            bound,
+            drain_from,
+            shed: VecDeque::new(),
+            shed_count: 0,
+            depth,
+        };
+        lanes.set_room();
+        lanes
+    }
+
+    /// Arrivals shed so far.
+    pub fn shed_count(&self) -> usize {
+        self.shed_count
+    }
+
+    /// Recomputes FCFS's work cap `k·s` for the FIFO's length.
+    fn set_room(&mut self) {
+        if let Depth::Work(room) = &mut self.depth {
+            let s = self.fifo.lanes[0].service.as_nanos();
+            *room = self
+                .bound
+                .checked_sub(self.shed.len())
+                .filter(|&k| k > 0)
+                .map(|k| u64::try_from(k).unwrap_or(u64::MAX).saturating_mul(s));
+        }
+    }
+
+    /// Whether the queues and the shed FIFO fill the inbox at `t`.
+    #[inline]
+    fn full(&self, t: SimTime) -> bool {
+        match &self.depth {
+            Depth::Work(room) => {
+                let work = self.fifo.lanes[0].done.saturating_duration_since(t);
+                room.is_none_or(|room| work.as_nanos() > room)
+            }
+            Depth::Queues { backlogs, .. } => {
+                backlogs[0].queued + backlogs[1].queued + self.shed.len() >= self.bound
+            }
+        }
+    }
+
+    /// Serves an admitted request on its lane: FCFS's one, or the lane
+    /// RTT picks by lane 0's primary work.
+    #[inline]
+    fn admit(&mut self, request: Request) {
+        let t = request.arrival;
+        match &mut self.depth {
+            Depth::Work(_) => self.fifo.lanes[0].serve(request),
+            Depth::Queues {
+                backlogs,
+                admit_work,
+                primary_from,
+            } => {
+                let work = self.fifo.lanes[0]
+                    .done
+                    .saturating_duration_since(t.max(*primary_from));
+                let i = usize::from(work.as_nanos() > *admit_work);
+                let lane = &mut self.fifo.lanes[i];
+                if lane.done > t {
+                    backlogs[i].push(lane.done);
+                }
+                lane.serve(request);
+            }
+        }
+    }
+
+    /// Dispatches the shed FIFO's head on the lane free first (the lower
+    /// on a tie) while that lane is free by `t`; returns whether any was.
+    fn serve_shed(&mut self, t: SimTime) -> bool {
+        let mut served = false;
+        while let Some(&head) = self.shed.front() {
+            let (at, i) = self
+                .fifo
+                .lanes
+                .iter()
+                .enumerate()
+                .map(|(i, lane)| (lane.done.max(head.arrival), i))
+                .min()
+                .expect("a policy has a lane");
+            if at > t {
+                break;
+            }
+            self.shed.pop_front();
+            let lane = &mut self.fifo.lanes[i];
+            lane.serve_as(head, ServiceClass::OVERFLOW);
+            if let (0, Depth::Queues { primary_from, .. }) = (i, &mut self.depth) {
+                *primary_from = lane.done;
+            }
+            served = true;
+        }
+        served
+    }
+}
+
+impl ChunkCore for InboxLanes {
+    #[inline]
+    fn offer(&mut self, request: Request) {
+        let t = request.arrival;
+        self.fifo.arrive(t);
+        if let Depth::Queues { backlogs, .. } = &mut self.depth {
+            for (backlog, lane) in backlogs.iter_mut().zip(&self.fifo.lanes) {
+                backlog.advance(t, lane.service);
+            }
+        }
+        // Lanes free by `t` take the FIFO's head before the arrival. A
+        // request shed onto an idle lane is dispatched here too, at the
+        // next offer (or `finish`): at its own arrival instant.
+        if !self.shed.is_empty() && self.serve_shed(t) {
+            self.set_room();
+        }
+        if self.drain_from.is_some_and(|at| t >= at) || self.full(t) {
+            self.shed_count += 1;
+            self.shed.push_back(request);
+            self.set_room();
+        } else {
+            self.admit(request);
+        }
+    }
+
+    fn finish(&mut self) {
+        self.serve_shed(SimTime::MAX);
+        self.fifo.finish();
+    }
+
+    fn drain(&mut self, sink: impl FnMut(CompletionRecord)) -> usize {
+        self.fifo.drain(sink)
+    }
+
+    fn offered(&self) -> usize {
+        self.fifo.offered()
+    }
+
+    fn end_time(&self) -> SimTime {
+        self.fifo.end_time()
     }
 }
 

@@ -80,6 +80,7 @@ pub use fleet::{
     FleetError, FleetPlacer, FleetTenant, PackStats, Placement, QuoteCache, ServerBin,
 };
 pub use kernel::{overflow_curve, within_miss_budget_curve};
+pub use lanes::InboxLanes;
 pub use miser::MiserScheduler;
 pub use offline::{rtt_period_bound, slotted_lower_bound};
 pub use planner::{capacity_floor, CapacityPlanner, MenuError, SeedCurve, SlaQuote};

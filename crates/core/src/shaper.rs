@@ -35,7 +35,7 @@ use crate::degrade::{
     AdaptiveScheduler, AdmissionLog, AdmissionRecord, CapacityAdaptive, DegradationController,
 };
 use crate::fair::FairQueueScheduler;
-use crate::lanes::{FifoLanes, Lanes};
+use crate::lanes::{FifoLanes, InboxLanes, Lanes};
 use crate::miser::MiserScheduler;
 use crate::planner::CapacityPlanner;
 use crate::split::SplitScheduler;
@@ -351,19 +351,56 @@ impl WorkloadShaper {
     ///
     /// Panics if `⌊Cmin·δ⌋ = 0` under [`RecombinePolicy::Split`].
     fn lanes(&self, policy: RecombinePolicy, trace: TraceHandle) -> Lanes {
-        let p = self.provision;
-        match policy {
-            RecombinePolicy::Fcfs if !trace.is_enabled() => Lanes::Fifo(FifoLanes::fcfs(p.total())),
-            RecombinePolicy::Split if !trace.is_enabled() => {
-                Lanes::Fifo(FifoLanes::split(p.cmin(), p.delta_c(), self.deadline))
-            }
-            _ => Lanes::Core(Box::new(self.simulation(
+        match self.fifo_lanes(policy, &trace) {
+            Some(fifo) => Lanes::Fifo(fifo),
+            None => Lanes::Core(Box::new(self.simulation(
                 policy,
                 trace,
                 |s, _| s,
                 FixedRateServer::new,
             ))),
         }
+    }
+
+    /// The FIFO lanes of an untraced FCFS or Split run; `None` where the
+    /// run takes the simulation core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `⌊Cmin·δ⌋ = 0` under [`RecombinePolicy::Split`].
+    fn fifo_lanes(&self, policy: RecombinePolicy, trace: &TraceHandle) -> Option<FifoLanes> {
+        let p = self.provision;
+        match policy {
+            RecombinePolicy::Fcfs if !trace.is_enabled() => Some(FifoLanes::fcfs(p.total())),
+            RecombinePolicy::Split if !trace.is_enabled() => {
+                Some(FifoLanes::split(p.cmin(), p.delta_c(), self.deadline))
+            }
+            _ => None,
+        }
+    }
+
+    /// The FIFO lanes of `policy` behind an inbox bounded at `bound`
+    /// queued requests, shedding every arrival at or after `drain_from`:
+    /// a gateway lane in closed form, with the semantics of
+    /// `gqos-stream`'s `ShedScheduler` wrapped around the policy's
+    /// scheduler on the simulation core, record for record. `None` where
+    /// [`run_traced`](Self::run_traced) into `trace` would take the
+    /// simulation core: FairQueue, Miser, and any run whose `trace` has a
+    /// sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `⌊Cmin·δ⌋ = 0` under [`RecombinePolicy::Split`], or if
+    /// `bound` is zero.
+    pub fn inbox_lanes(
+        &self,
+        policy: RecombinePolicy,
+        trace: &TraceHandle,
+        bound: usize,
+        drain_from: Option<SimTime>,
+    ) -> Option<InboxLanes> {
+        self.fifo_lanes(policy, trace)
+            .map(|fifo| InboxLanes::new(fifo, bound, drain_from))
     }
 
     /// Streams every chunk of `stream` through `policy` in bounded memory:

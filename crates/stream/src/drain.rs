@@ -9,8 +9,7 @@
 //!    the old bin exactly as a normal lane run — same decisions, same
 //!    nanoseconds.
 //! 2. **Inside the window** (`plan.start() <= t < plan.end()`): the old
-//!    lane's [`ShedScheduler`] is put into drain mode
-//!    ([`ShedScheduler::with_drain_from`]): every new arrival is shed to
+//!    lane's inbox is put into drain mode: every new arrival is shed to
 //!    the best-effort overflow FIFO — counted, traced as
 //!    [`TraceEvent::Diverted`], and served at `OVERFLOW` class on the old
 //!    bin once the policy's backlog empties. Already-admitted requests run
@@ -25,8 +24,13 @@
 //! chaos harness pins: **offered == completed on both lanes** — shedding
 //! demotes, migration redirects, nothing is ever dropped.
 //!
+//! Both lanes are gateway lanes and take the gateway's cores: the new
+//! lane runs untraced, so an FCFS or Split tenant's runs on its inbox
+//! lanes; the old lane does too when `trace` has no sink. A traced old
+//! lane runs [`ShedScheduler`] on the simulation core, which emits its
+//! `Diverted` events, for every policy.
+//!
 //! [`ShedScheduler`]: crate::ShedScheduler
-//! [`ShedScheduler::with_drain_from`]: crate::ShedScheduler::with_drain_from
 
 use gqos_sim::{TraceEvent, TraceHandle};
 use gqos_trace::{SimDuration, SimTime};

@@ -10,15 +10,26 @@
 //!
 //! # Backpressure semantics
 //!
-//! A tenant's inbox is the pending backlog of its policy scheduler,
-//! bounded at [`TenantSpec::inbox_bound`] entries. An arrival that finds
-//! the inbox full is *shed*: it is never dropped, but demoted past the
-//! policy's own decomposition into a best-effort FIFO served at
-//! [`ServiceClass::OVERFLOW`] only when the policy has nothing eligible
-//! (work-conserving, never pre-empting a policy decision). Every
-//! shed is counted and, when a trace is attached, emitted as a
-//! [`TraceEvent::Diverted`] with the full queue depth at the instant of
-//! the shed.
+//! A tenant's inbox holds the requests its policy has queued (not the ones
+//! in service) and the shed FIFO, bounded at [`TenantSpec::inbox_bound`]
+//! entries. An arrival that finds the inbox full is *shed*: it is never
+//! dropped, but demoted past the policy's own decomposition into a
+//! best-effort FIFO served at [`ServiceClass::OVERFLOW`] only when the
+//! policy has nothing eligible (work-conserving, never pre-empting a
+//! policy decision). Every shed is counted and, when a trace is attached,
+//! emitted as a [`TraceEvent::Diverted`] with the full queue depth at the
+//! instant of the shed.
+//!
+//! # Two cores, one semantics
+//!
+//! [`ShedScheduler`] states the inbox: it wraps the policy's scheduler on
+//! the simulation core, and FairQueue and Miser lanes, and every lane
+//! whose sheds are traced, run on it. Untraced FCFS and Split lanes, the
+//! ones the shaper runs on FIFO lanes, run on
+//! [`InboxLanes`](gqos_core::InboxLanes) instead: the same inbox over the
+//! FIFO lanes' Lindley recurrences, with a shed test that reads each
+//! lane's queue off its work. `tests/inbox_lanes_props.rs` holds them to
+//! the `ShedScheduler` core, whole report against whole report.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -26,8 +37,9 @@ use std::fmt;
 use gqos_core::{PolicyScheduler, RecombinePolicy, WorkloadShaper};
 use gqos_parallel::WorkerPool;
 use gqos_sim::{
-    CompletionRecord, Dispatch, FixedRateServer, LatencySketch, LongTermStore, Scheduler, ServerId,
-    ServiceClass, Simulation, TraceEvent, TraceHandle, WindowSnapshot, WindowedSketch,
+    run_chunks, CompletionRecord, Dispatch, FixedRateServer, LatencySketch, LongTermStore,
+    Scheduler, ServerId, ServiceClass, Simulation, TraceEvent, TraceHandle, WindowSnapshot,
+    WindowedSketch,
 };
 use gqos_trace::{Request, SimDuration, SimTime, Workload, WorkloadStream};
 
@@ -353,27 +365,48 @@ fn run_lane(mut spec: TenantSpec) -> TenantReport {
 /// bound and chunk size. `drain_from` puts the inbox into drain mode from
 /// that instant, and `shed_trace` receives the shed events. Each record
 /// is folded into the lane's sketch as it completes, in one pass.
+///
+/// Where the shaper's untraced runs take FIFO lanes (FCFS and Split with
+/// no sink on `shed_trace`), the lane runs on
+/// [`InboxLanes`](gqos_core::InboxLanes), their closed form behind the
+/// inbox. Every other lane runs [`ShedScheduler`] over the policy's
+/// scheduler on the simulation core, the inbox lanes' oracle.
 pub(crate) fn drive_lane(
     spec: &TenantSpec,
     workload: Workload,
     drain_from: Option<SimTime>,
     shed_trace: TraceHandle,
 ) -> TenantReport {
-    let mut sim = lane_simulation(spec, drain_from, shed_trace);
     let mut sketch = LatencySketch::new();
     let mut records = Vec::with_capacity(workload.len());
-    let run = sim
-        .run_stream(&mut WorkloadStream::new(workload, spec.chunk), |r| {
-            sketch.record(r.response_time().as_nanos());
-            records.push(r);
-        })
-        .expect("workload streams cannot fail");
+    let mut sink = |r: CompletionRecord| {
+        sketch.record(r.response_time().as_nanos());
+        records.push(r);
+    };
+    let mut stream = WorkloadStream::new(workload, spec.chunk);
+    let inbox_lanes =
+        spec.shaper
+            .inbox_lanes(spec.policy, &shed_trace, spec.inbox_bound, drain_from);
+    let (run, shed) = match inbox_lanes {
+        Some(mut lanes) => (
+            run_chunks(&mut lanes, &mut stream, &mut sink),
+            lanes.shed_count(),
+        ),
+        None => {
+            let mut sim = lane_simulation(spec, drain_from, shed_trace);
+            (
+                sim.run_stream(&mut stream, &mut sink),
+                sim.scheduler().shed_count(),
+            )
+        }
+    };
+    let run = run.expect("workload streams cannot fail");
     TenantReport {
         name: spec.name.clone(),
         policy: spec.policy,
         offered: run.offered,
         completed: records.len(),
-        shed: sim.scheduler().shed_count(),
+        shed,
         end_time: run.end_time,
         peak_chunk_bytes: run.peak_chunk_bytes,
         sketch,
@@ -558,6 +591,39 @@ mod tests {
             })
             .collect();
         assert_eq!(diverted, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn pending_counts_queued_requests_and_the_shed_fifo() {
+        // The inbox lanes read the queued requests off a lane's work, so
+        // their shed test holds only if `pending` leaves out the requests
+        // in service, and the inbox adds its shed FIFO.
+        let arrive = |s: &mut dyn Scheduler, n: u64| {
+            for i in 0..n {
+                s.on_arrival(Request::at(ms(0)).with_id(RequestId::new(i)), ms(0));
+            }
+        };
+        let serve = |s: &mut dyn Scheduler, server: usize| {
+            let dispatch = s.next_for(ServerId::new(server), ms(0));
+            assert!(matches!(dispatch, Dispatch::Serve(..)), "{dispatch:?}");
+        };
+        let mut fcfs = FcfsScheduler::new();
+        arrive(&mut fcfs, 3);
+        serve(&mut fcfs, 0);
+        assert_eq!(fcfs.pending(), 2);
+        // maxQ1 = ⌊250 × 0.02⌋ = 5: five primaries and two overflows, one
+        // of each in service.
+        let mut split = gqos_core::SplitScheduler::new(shaper().provision(), shaper().deadline());
+        arrive(&mut split, 7);
+        serve(&mut split, 0);
+        serve(&mut split, 1);
+        assert_eq!(split.pending(), 5);
+        // Two admitted, one of them in service, and two shed.
+        let mut shed = ShedScheduler::new(FcfsScheduler::new(), 2);
+        arrive(&mut shed, 4);
+        serve(&mut shed, 0);
+        assert_eq!((shed.inner().pending(), shed.shed.len()), (1, 2));
+        assert_eq!(shed.pending(), 3);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!   a live lane between server bins over a [`DrainPlan`] window without
 //!   dropping a single request.
 //!
-//! Each lane is built by `WorkloadShaper::simulation` and fed by
-//! `Simulation::run_stream`, the one chunk driver, from an
-//! [`ArrivalStream`]. The stream types live in `gqos-trace` and the
-//! shaper in `gqos-core`; this crate re-exports them at their historical
-//! paths. A streamed run is bit-identical to the batch run for any
+//! Each lane is built by the shaper and fed by `run_chunks`, the one
+//! chunk driver, from an [`ArrivalStream`]: an untraced FCFS or Split
+//! lane on `WorkloadShaper::inbox_lanes` (the FIFO lanes behind the
+//! inbox), every other lane on `ShedScheduler` over the simulation core
+//! that `WorkloadShaper::simulation` builds. The stream types live in
+//! `gqos-trace` and the shaper in `gqos-core`; this crate re-exports them
+//! at their historical paths. A streamed run is bit-identical to the batch run for any
 //! chunking (golden-tested in `tests/golden_equiv.rs`).
 //!
 //! # Examples
